@@ -1,4 +1,5 @@
 module Block = Dk_device.Block
+module Flight = Dk_obs.Flight
 
 (* Retry accounting: transient device errors absorbed (or not) by the
    dispatcher's bounded exponential backoff. *)
@@ -70,9 +71,17 @@ let rec attempt_op t ~resubmit ~attempt k =
     | `Io_error when attempt < t.max_retries -> retry_later ()
     | `Io_error ->
         Dk_obs.Metrics.incr m_gave_up;
-        Dk_obs.Flight.recordf Dk_obs.Flight.default
-          ~now:(Dk_sim.Engine.now t.engine) Dk_obs.Flight.Drop
-          "block wr_id %d failed after %d retries" c.Block.wr_id attempt;
+        if
+          Flight.start Flight.default ~now:(Dk_sim.Engine.now t.engine)
+            Flight.Drop
+        then begin
+          Flight.add_string Flight.default "block wr_id ";
+          Flight.add_int Flight.default c.Block.wr_id;
+          Flight.add_string Flight.default " failed after ";
+          Flight.add_int Flight.default attempt;
+          Flight.add_string Flight.default " retries";
+          Flight.commit Flight.default
+        end;
         k c
     | `Ok | `Bad_lba ->
         if attempt > 0 then Dk_obs.Metrics.incr m_recovered;

@@ -3,6 +3,7 @@ module Cost = Dk_sim.Cost
 module Stack = Dk_net.Stack
 module Addr = Dk_net.Addr
 module Prog = Dk_device.Prog
+module Flight = Dk_obs.Flight
 
 type sock_meta = {
   proto : [ `Tcp | `Udp ];
@@ -137,6 +138,18 @@ let m_poll_iters = Dk_obs.Metrics.counter "core.poll_iters"
 let m_ready_hits = Dk_obs.Metrics.counter "core.wait.ready_hits"
 let m_push_batched = Dk_obs.Metrics.counter "core.push.batched"
 
+(* "qd <qd> (<kind>) tok <tok>" *)
+let flight_op t kind qd impl tok =
+  if Flight.start Flight.default ~now:(Engine.now t.engine) kind then begin
+    Flight.add_string Flight.default "qd ";
+    Flight.add_int Flight.default qd;
+    Flight.add_string Flight.default " (";
+    Flight.add_string Flight.default impl.Qimpl.kind;
+    Flight.add_string Flight.default ") tok ";
+    Flight.add_int Flight.default tok;
+    Flight.commit Flight.default
+  end
+
 (* Every descriptor's push/pop goes through this shim: one counter bump
    plus a flight-recorder entry per operation, no virtual time. *)
 let install t impl =
@@ -151,17 +164,13 @@ let install t impl =
         (fun sga tok ->
           Dk_obs.Metrics.incr m_push;
           Dk_obs.Metrics.incr m_pushes;
-          Dk_obs.Flight.recordf Dk_obs.Flight.default
-            ~now:(Engine.now t.engine) Dk_obs.Flight.Push "qd %d (%s) tok %d"
-            qd impl.Qimpl.kind tok;
+          flight_op t Flight.Push qd impl tok;
           impl.Qimpl.push sga tok);
       pop =
         (fun tok ->
           Dk_obs.Metrics.incr m_pop;
           Dk_obs.Metrics.incr m_pops;
-          Dk_obs.Flight.recordf Dk_obs.Flight.default
-            ~now:(Engine.now t.engine) Dk_obs.Flight.Pop "qd %d (%s) tok %d"
-            qd impl.Qimpl.kind tok;
+          flight_op t Flight.Pop qd impl tok;
           impl.Qimpl.pop tok);
     }
   in

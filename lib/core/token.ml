@@ -1,4 +1,5 @@
 module Dk_check = Dk_mem.Dk_check
+module Flight = Dk_obs.Flight
 
 (* A wait set is the readiness FIFO for one waiter: completions of
    registered tokens enqueue the token here, so the waiter learns about
@@ -68,8 +69,11 @@ let record_completion t tok =
   Dk_obs.Metrics.gauge_add g_outstanding (-1);
   match t.clock with
   | Some now ->
-      Dk_obs.Flight.recordf Dk_obs.Flight.default ~now:(now ())
-        Dk_obs.Flight.Completion "qtoken %d" tok
+      if Flight.start Flight.default ~now:(now ()) Flight.Completion then begin
+        Flight.add_string Flight.default "qtoken ";
+        Flight.add_int Flight.default tok;
+        Flight.commit Flight.default
+      end
   | None -> ()
 
 let double_complete t tok =

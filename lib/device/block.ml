@@ -1,6 +1,7 @@
 type status = [ `Ok | `Bad_lba | `Io_error ]
 
 module Fault = Dk_fault.Fault
+module Flight = Dk_obs.Flight
 
 type completion = { wr_id : int; status : status; data : string option }
 
@@ -96,9 +97,14 @@ let complete t delay comp =
          Dk_obs.Metrics.gauge_add g_inflight (-1);
          let now = Dk_sim.Engine.now t.engine in
          Dk_obs.Metrics.observe h_latency (Int64.sub now submitted);
-         Dk_obs.Flight.recordf Dk_obs.Flight.default ~now
-           Dk_obs.Flight.Completion "block wr_id %d (%Ldns in queue)"
-           comp.wr_id (Int64.sub now submitted);
+         if Flight.start Flight.default ~now Flight.Completion then begin
+           Flight.add_string Flight.default "block wr_id ";
+           Flight.add_int Flight.default comp.wr_id;
+           Flight.add_string Flight.default " (";
+           Flight.add_int64 Flight.default (Int64.sub now submitted);
+           Flight.add_string Flight.default "ns in queue)";
+           Flight.commit Flight.default
+         end;
          Queue.add comp t.cq;
          t.cq_notify ()))
 
@@ -106,9 +112,15 @@ let submit t make_completion latency =
   if t.inflight >= t.sq_depth then begin
     t.rejected <- t.rejected + 1;
     Dk_obs.Metrics.incr m_rejected;
-    Dk_obs.Flight.recordf Dk_obs.Flight.default
-      ~now:(Dk_sim.Engine.now t.engine) Dk_obs.Flight.Drop
-      "block SQ full (%d in flight)" t.inflight;
+    if
+      Flight.start Flight.default ~now:(Dk_sim.Engine.now t.engine)
+        Flight.Drop
+    then begin
+      Flight.add_string Flight.default "block SQ full (";
+      Flight.add_int Flight.default t.inflight;
+      Flight.add_string Flight.default " in flight)";
+      Flight.commit Flight.default
+    end;
     false
   end
   else begin

@@ -1,6 +1,7 @@
 type stats = { delivered : int; lost : int; unrouted : int }
 
 module Fault = Dk_fault.Fault
+module Flight = Dk_obs.Flight
 
 (* Class-wide obs instruments (aggregated across fabrics). *)
 let m_delivered = Dk_obs.Metrics.counter "device.fabric.delivered"
@@ -103,8 +104,16 @@ let deliver t ~src ~dst ~departed nic frame =
       if t.loss > 0.0 && Dk_sim.Rng.bool t.rng t.loss then begin
         t.lost <- t.lost + 1;
         Dk_obs.Metrics.incr m_lost;
-        Dk_obs.Flight.recordf Dk_obs.Flight.default ~now Dk_obs.Flight.Drop
-          "fabric lost frame %x->%x (%dB)" src dst (String.length frame)
+        if Flight.start Flight.default ~now Flight.Drop then begin
+          Flight.add_string Flight.default "fabric lost frame ";
+          Flight.add_hex Flight.default src;
+          Flight.add_string Flight.default "->";
+          Flight.add_hex Flight.default dst;
+          Flight.add_string Flight.default " (";
+          Flight.add_int Flight.default (String.length frame);
+          Flight.add_string Flight.default "B)";
+          Flight.commit Flight.default
+        end
       end
       else if Fault.fire t.fault Fault.Fabric_drop ~now then begin
         t.lost <- t.lost + 1;

@@ -12,6 +12,7 @@ type stats = {
 }
 
 module Fault = Dk_fault.Fault
+module Flight = Dk_obs.Flight
 
 (* Class-wide obs instruments (aggregated across NICs); the flight
    recorder entries carry the MAC to tell instances apart. *)
@@ -211,12 +212,25 @@ let tx_start t ~dst frame =
     "the DMA-completion event is the sim's stand-in for descriptor \
      writes"]
 
+(* Open a flight entry whose label starts "nic <mac>"; the caller
+   appends the rest and commits. *)
+let flight_start t kind =
+  Flight.start Flight.default ~now:(Dk_sim.Engine.now t.engine) kind
+  && begin
+       Flight.add_string Flight.default "nic ";
+       Flight.add_hex Flight.default t.mac;
+       true
+     end
+
 let tx_ring_full t =
   t.tx_rejected <- t.tx_rejected + 1;
   Dk_obs.Metrics.incr m_tx_rejected;
-  Dk_obs.Flight.recordf Dk_obs.Flight.default
-    ~now:(Dk_sim.Engine.now t.engine) Dk_obs.Flight.Drop
-    "nic %x tx ring full (%d in flight)" t.mac t.tx_inflight
+  if flight_start t Flight.Drop then begin
+    Flight.add_string Flight.default " tx ring full (";
+    Flight.add_int Flight.default t.tx_inflight;
+    Flight.add_string Flight.default " in flight)";
+    Flight.commit Flight.default
+  end
 
 let transmit t ~dst frame =
   if t.tx_inflight >= t.tx_capacity then begin
@@ -270,18 +284,25 @@ let enqueue_rx t frame =
     Dk_obs.Metrics.incr m_rx_frames;
     Dk_obs.Metrics.add m_rx_bytes (String.length frame);
     Dk_obs.Metrics.gauge_add g_rx_pending 1;
-    Dk_obs.Flight.recordf Dk_obs.Flight.default
-      ~now:(Dk_sim.Engine.now t.engine) Dk_obs.Flight.Enqueue
-      "nic %x rx %dB (ring %d)" t.mac (String.length frame)
-      (Dk_util.Bqueue.length t.rxq);
+    if flight_start t Flight.Enqueue then begin
+      Flight.add_string Flight.default " rx ";
+      Flight.add_int Flight.default (String.length frame);
+      Flight.add_string Flight.default "B (ring ";
+      Flight.add_int Flight.default (Dk_util.Bqueue.length t.rxq);
+      Flight.add_string Flight.default ")";
+      Flight.commit Flight.default
+    end;
     t.rx_notify ()
   end
   else begin
     t.rx_dropped <- t.rx_dropped + 1;
     Dk_obs.Metrics.incr m_rx_dropped;
-    Dk_obs.Flight.recordf Dk_obs.Flight.default
-      ~now:(Dk_sim.Engine.now t.engine) Dk_obs.Flight.Drop
-      "nic %x rx ring full, frame dropped (%dB)" t.mac (String.length frame)
+    if flight_start t Flight.Drop then begin
+      Flight.add_string Flight.default " rx ring full, frame dropped (";
+      Flight.add_int Flight.default (String.length frame);
+      Flight.add_string Flight.default "B)";
+      Flight.commit Flight.default
+    end
   end
 
 (* Toplevel (not a local closure inside [receive]): the filter/map

@@ -159,6 +159,8 @@ let all_counters = Array.of_list (List.map injected_counter sites)
   "array of obs counter handles, filled once at module init and only read \
    afterwards"]
 
+module Flight = Dk_obs.Flight
+
 type armed = {
   aspec : spec;
   rng : Dk_sim.Rng.t;
@@ -228,8 +230,14 @@ let fire t site ~now =
         if hit then begin
           a.shots <- a.shots + 1;
           Dk_obs.Metrics.incr all_counters.(site_index site);
-          Dk_obs.Flight.recordf Dk_obs.Flight.default ~now Dk_obs.Flight.Drop
-            "fault injected: %s (#%d)" (site_name site) a.shots
+          if Flight.start Flight.default ~now Flight.Drop then begin
+            Flight.add_string Flight.default "fault injected: ";
+            Flight.add_string Flight.default (site_name site);
+            Flight.add_string Flight.default " (#";
+            Flight.add_int Flight.default a.shots;
+            Flight.add_string Flight.default ")";
+            Flight.commit Flight.default
+          end
         end;
         hit
       end

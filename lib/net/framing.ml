@@ -14,57 +14,83 @@ let frame_overhead segments =
       (fun acc s -> acc + Dk_util.Varint.encoded_size (String.length s))
       0 segments
 
+(* The undecoded stream bytes are [buf.[rd] .. buf.[wr - 1]]. Feeding
+   appends at [wr]; decoding a message advances [rd]. *)
 type decoder = {
-  mutable pending : string; (* undecoded stream bytes *)
+  mutable buf : bytes;
+  mutable rd : int;
+  mutable wr : int;
 }
 
-let create () = { pending = "" }
+let create () = { buf = Bytes.empty; rd = 0; wr = 0 }
 
-let feed t s = if String.length s > 0 then t.pending <- t.pending ^ s
+let buffered t = t.wr - t.rd
+
+(* Make room for [k] more bytes at [wr]. Slide the backlog to the front
+   when that frees at least half the buffer; otherwise move it into one
+   at least twice as large. Either way the bytes moved are paid for by
+   the bytes fed since the last move, so feeding is linear overall. *)
+let make_room t k =
+  let live = buffered t in
+  let cap = Bytes.length t.buf in
+  if 2 * (live + k) <= cap then Bytes.blit t.buf t.rd t.buf 0 live
+  else begin
+    let grown = Bytes.create (max (2 * cap) (live + k)) in
+    Bytes.blit t.buf t.rd grown 0 live;
+    t.buf <- grown
+  end;
+  t.rd <- 0;
+  t.wr <- live
   [@@hot.alloc
-    "the decoder carries the undecoded stream tail as one string; \
-     feeding appends to it"]
+    "amortised growth: the stream buffer doubles only when the backlog \
+     outgrows it, and is reused after that"]
 
-let buffered t = String.length t.pending
+let feed t s =
+  let k = String.length s in
+  if k > 0 then begin
+    if t.wr + k > Bytes.length t.buf then make_room t k;
+    Bytes.blit_string s 0 t.buf t.wr k;
+    t.wr <- t.wr + k
+  end
 
 (* Decode [nsegs] segment lengths starting at [off]; toplevel so the
    per-message call allocates no closure environment. *)
-let rec read_lengths b nsegs i off acc =
+let rec read_lengths b stop nsegs i off acc =
   if i = nsegs then Some (List.rev acc, off)
   else
-    match Dk_util.Varint.read b off with
+    match Dk_util.Varint.read b off ~stop with
     | None -> None
     | Some (len, used) ->
         if len < 0 then failwith "framing: bad segment length"
-        else read_lengths b nsegs (i + 1) (off + used) (len :: acc)
+        else read_lengths b stop nsegs (i + 1) (off + used) (len :: acc)
   [@@hot.alloc "the decoded segment-length list is the frame header"]
 
 let rec sum_lens = function [] -> 0 | n :: rest -> n + sum_lens rest
 
-let rec cut_segs pending pos = function
+let rec cut_segs b pos = function
   | [] -> []
-  | len :: rest -> String.sub pending pos len :: cut_segs pending (pos + len) rest
+  | len :: rest -> Bytes.sub_string b pos len :: cut_segs b (pos + len) rest
   [@@hot.alloc "decoding materializes each delivered segment"]
 
-(* Try to decode one message from the head of [pending]. *)
+(* Try to decode one message from the head of the backlog. *)
 let next t =
-  let b = Bytes.unsafe_of_string t.pending in
-  match Dk_util.Varint.read b 0 with
+  match Dk_util.Varint.read t.buf t.rd ~stop:t.wr with
   | None -> None
   | Some (nsegs, used0) ->
       if nsegs < 0 || nsegs > 1 lsl 16 then failwith "framing: bad segment count"
       else begin
-        match read_lengths b nsegs 0 used0 [] with
+        match read_lengths t.buf t.wr nsegs 0 (t.rd + used0) [] with
         | None -> None
-        | Some (lens, header) ->
+        | Some (lens, body) ->
             let total = sum_lens lens in
-            if String.length t.pending < header + total then None
+            if buffered t < body - t.rd + total then None
             else begin
-              let segs = cut_segs t.pending header lens in
-              let tail_at = header + total in
-              t.pending <-
-                String.sub t.pending tail_at (String.length t.pending - tail_at);
+              let segs = cut_segs t.buf body lens in
+              t.rd <- body + total;
+              if t.rd = t.wr then begin
+                t.rd <- 0;
+                t.wr <- 0
+              end;
               Some segs
             end
       end
-  [@@hot.alloc "the remaining stream tail is re-sliced after each message"]

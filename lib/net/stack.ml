@@ -8,6 +8,8 @@ type stats = {
 
 type listener = { on_accept : Tcp.conn -> unit }
 
+module Flight = Dk_obs.Flight
+
 (* Class-wide obs instruments (aggregated across stacks). *)
 let m_frames_in = Dk_obs.Metrics.counter "net.stack.frames_in"
 let m_frames_out = Dk_obs.Metrics.counter "net.stack.frames_out"
@@ -80,9 +82,16 @@ let decode_error t msg =
   Dk_obs.Metrics.incr m_decode_errors;
   if mentions_checksum msg then begin
     Dk_obs.Metrics.incr m_checksum_failures;
-    Dk_obs.Flight.recordf Dk_obs.Flight.default
-      ~now:(Dk_sim.Engine.now t.engine) Dk_obs.Flight.Drop "stack %x: %s"
-      t.ip msg
+    if
+      Flight.start Flight.default ~now:(Dk_sim.Engine.now t.engine)
+        Flight.Drop
+    then begin
+      Flight.add_string Flight.default "stack ";
+      Flight.add_hex Flight.default t.ip;
+      Flight.add_string Flight.default ": ";
+      Flight.add_string Flight.default msg;
+      Flight.commit Flight.default
+    end
   end
 
 (* ---- transmit path ---- *)
@@ -129,10 +138,19 @@ let with_mac t dst_ip k =
             if n = 0 then begin
               let dropped = Arp.Table.drop_pending t.arp dst_ip in
               Dk_obs.Metrics.incr m_arp_abandoned;
-              Dk_obs.Flight.recordf Dk_obs.Flight.default
-                ~now:(Dk_sim.Engine.now t.engine) Dk_obs.Flight.Drop
-                "arp gave up on %x after %d tries (%d queued sends dropped)"
-                dst_ip arp_max_attempts dropped
+              if
+                Flight.start Flight.default ~now:(Dk_sim.Engine.now t.engine)
+                  Flight.Drop
+              then begin
+                Flight.add_string Flight.default "arp gave up on ";
+                Flight.add_hex Flight.default dst_ip;
+                Flight.add_string Flight.default " after ";
+                Flight.add_int Flight.default arp_max_attempts;
+                Flight.add_string Flight.default " tries (";
+                Flight.add_int Flight.default dropped;
+                Flight.add_string Flight.default " queued sends dropped)";
+                Flight.commit Flight.default
+              end
             end
             else begin
               send_arp_request t dst_ip;

@@ -69,6 +69,8 @@ let m_conn_timeouts = Dk_obs.Metrics.counter "net.tcp.conn_timeouts"
 let m_dup_acks = Dk_obs.Metrics.counter "net.tcp.dup_acks"
 let m_ooo = Dk_obs.Metrics.counter "net.tcp.out_of_order"
 
+module Flight = Dk_obs.Flight
+
 (* 32-bit modular sequence arithmetic. *)
 let seq_mask = 0xffffffff
 let seq_add a n = (a + n) land seq_mask
@@ -211,6 +213,18 @@ let unsent t =
   let ring_unsent = Dk_util.Ring.length t.send_ring - unacked t in
   max 0 ring_unsent
 
+(* Open a flight entry whose label starts "tcp <local>-><remote>"; the
+   caller appends the rest and commits. *)
+let flight_start t kind =
+  Flight.start Flight.default ~now:(Dk_sim.Engine.now t.engine) kind
+  && begin
+       Flight.add_string Flight.default "tcp ";
+       Flight.add_int Flight.default t.local.Addr.port;
+       Flight.add_string Flight.default "->";
+       Flight.add_int Flight.default t.remote.Addr.port;
+       true
+     end
+
 let rec arm_rtx t =
   cancel_rtx t;
   if unacked t > 0 || (t.fin_sent && seq_lt t.snd_una t.snd_nxt) then
@@ -224,21 +238,29 @@ and on_rto t =
   Dk_obs.Metrics.incr m_rto_fired;
   if t.retries >= t.config.max_retries then begin
     Dk_obs.Metrics.incr m_conn_timeouts;
-    Dk_obs.Flight.recordf Dk_obs.Flight.default
-      ~now:(Dk_sim.Engine.now t.engine) Dk_obs.Flight.Drop
-      "tcp %d->%d gave up after %d retries" t.local.Addr.port
-      t.remote.Addr.port t.retries;
+    if flight_start t Flight.Drop then begin
+      Flight.add_string Flight.default " gave up after ";
+      Flight.add_int Flight.default t.retries;
+      Flight.add_string Flight.default " retries";
+      Flight.commit Flight.default
+    end;
     enter_closed t `Timeout
   end
   else begin
     t.retries <- t.retries + 1;
     t.retransmits <- t.retransmits + 1;
     Dk_obs.Metrics.incr m_retransmits;
-    Dk_obs.Flight.recordf Dk_obs.Flight.default
-      ~now:(Dk_sim.Engine.now t.engine) Dk_obs.Flight.Retransmit
-      "tcp %d->%d rto #%d, seq %d (rto now %Ldns)" t.local.Addr.port
-      t.remote.Addr.port t.retries t.snd_una
-      (Int64.min t.config.rto_max (Int64.mul t.rto 2L));
+    if flight_start t Flight.Retransmit then begin
+      Flight.add_string Flight.default " rto #";
+      Flight.add_int Flight.default t.retries;
+      Flight.add_string Flight.default ", seq ";
+      Flight.add_int Flight.default t.snd_una;
+      Flight.add_string Flight.default " (rto now ";
+      Flight.add_int64 Flight.default
+        (Int64.min t.config.rto_max (Int64.mul t.rto 2L));
+      Flight.add_string Flight.default "ns)";
+      Flight.commit Flight.default
+    end;
     (* Multiplicative decrease, back to slow start. *)
     t.ssthresh <- max (t.cwnd / 2) (2 * t.config.mss);
     t.cwnd <- t.config.mss;
@@ -255,13 +277,15 @@ and retransmit_head t =
   | Syn_rcvd ->
       emit_at t ~seq:t.snd_una { Tcp_wire.no_flags with syn = true; ack = true }
   | _ ->
-      let pending_data = unacked t in
-      let data_bytes = min (min pending_data t.config.mss) pending_data in
+      let data_bytes = min (unacked t) t.config.mss in
       if data_bytes > 0 then begin
-        let buf = Bytes.create data_bytes in
-        let got = Dk_util.Ring.peek t.send_ring buf 0 data_bytes in
-        let payload = Bytes.sub_string buf 0 got in
-        emit_at t ~seq:t.snd_una ~payload ack_flags
+        (* A sent FIN counts in [unacked] but holds no ring byte. *)
+        let buf =
+          Bytes.create (min data_bytes (Dk_util.Ring.length t.send_ring))
+        in
+        ignore (Dk_util.Ring.peek t.send_ring buf 0 (Bytes.length buf));
+        emit_at t ~seq:t.snd_una ~payload:(Bytes.unsafe_to_string buf)
+          ack_flags
       end
       else if t.fin_sent then
         emit_at t ~seq:t.fin_seq { ack_flags with fin = true }
@@ -288,18 +312,13 @@ let rec output_rounds t budget =
   let avail = unsent t in
   let n = min (min avail t.config.mss) budget in
   if n > 0 then begin
+    (* The bytes to send start [unacked t] into the ring; [n <= unsent t]
+       so all of them are there. *)
     let buf = Bytes.create n in
-    (* The bytes to send start [unacked t] into the ring. *)
-    let skip = unacked t in
-    let tmp = Bytes.create (skip + n) in
-    let got = Dk_util.Ring.peek t.send_ring tmp 0 (skip + n) in
-    if got = skip + n then begin
-      Bytes.blit tmp skip buf 0 n;
-      let payload = Bytes.unsafe_to_string buf in
-      emit_seg t ~payload ack_flags;
-      t.snd_nxt <- seq_add t.snd_nxt n;
-      output_rounds t (budget - n)
-    end
+    ignore (Dk_util.Ring.peek_at t.send_ring ~skip:(unacked t) buf 0 n);
+    emit_seg t ~payload:(Bytes.unsafe_to_string buf) ack_flags;
+    t.snd_nxt <- seq_add t.snd_nxt n;
+    output_rounds t (budget - n)
   end
   [@@hot.alloc "each emitted segment materializes its payload from the ring"]
 
@@ -399,10 +418,9 @@ let recv_into t buf off len =
   n
 
 let recv t len =
-  let len = min len (recv_ready t) in
-  let buf = Bytes.create len in
-  let n = recv_into t buf 0 len in
-  Bytes.sub_string buf 0 n
+  let buf = Bytes.create (min len (recv_ready t)) in
+  ignore (recv_into t buf 0 (Bytes.length buf));
+  Bytes.unsafe_to_string buf
   [@@hot.alloc "recv materializes the requested bytes out of the recv ring"]
 
 let close t =
@@ -535,10 +553,12 @@ let process_ack t (seg : Tcp_wire.t) =
           t.retransmits <- t.retransmits + 1;
           Dk_obs.Metrics.incr m_fast_retransmits;
           Dk_obs.Metrics.incr m_retransmits;
-          Dk_obs.Flight.recordf Dk_obs.Flight.default
-            ~now:(Dk_sim.Engine.now t.engine) Dk_obs.Flight.Retransmit
-            "tcp %d->%d fast retransmit, seq %d (3 dup acks)"
-            t.local.Addr.port t.remote.Addr.port t.snd_una;
+          if flight_start t Flight.Retransmit then begin
+            Flight.add_string Flight.default " fast retransmit, seq ";
+            Flight.add_int Flight.default t.snd_una;
+            Flight.add_string Flight.default " (3 dup acks)";
+            Flight.commit Flight.default
+          end;
           t.ssthresh <- max (t.cwnd / 2) (2 * t.config.mss);
           t.cwnd <- t.ssthresh;
           retransmit_head t;

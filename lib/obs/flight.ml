@@ -50,10 +50,18 @@ type entry = { at : int64; kind : kind; what : string }
    prefix, drop that many bytes. *)
 let header_len = 2
 let payload_fixed = 9 (* timestamp + tag *)
+let label_off = header_len + payload_fixed
+
+(* Widest rendered number: "-9223372036854775808" (%Ld of Int64.min_int). *)
+let num_width = 20
 
 type t = {
   ring : Dk_util.Ring.t;
   capacity : int;
+  entry : bytes;          (* the open entry, in wire format; [capacity] bytes *)
+  mutable pos : int;      (* end of the open entry's label so far *)
+  num : bytes;            (* numbers render right-aligned here first *)
+  len_prefix : bytes;     (* eviction reads an entry's length prefix here *)
   mutable on : bool;
   mutable count : int;    (* entries currently in the ring *)
   mutable total : int;    (* entries ever recorded *)
@@ -61,11 +69,15 @@ type t = {
 }
 
 let create ?(capacity = 64 * 1024) () =
-  if capacity < header_len + payload_fixed + 1 then
+  if capacity < label_off + 1 then
     invalid_arg "Flight.create: capacity too small for one entry";
   {
     ring = Dk_util.Ring.create capacity;
     capacity;
+    entry = Bytes.create capacity;
+    pos = label_off;
+    num = Bytes.create num_width;
+    len_prefix = Bytes.create header_len;
     on = true;
     count = 0;
     total = 0;
@@ -81,49 +93,96 @@ let enabled t = t.on
 let set_enabled t on = t.on <- on
 
 let evict_one t =
-  let hdr = Bytes.create header_len in
-  let got = Dk_util.Ring.read t.ring hdr 0 header_len in
+  let got = Dk_util.Ring.read t.ring t.len_prefix 0 header_len in
   if got = header_len then begin
-    let len = Bytes.get_uint16_be hdr 0 in
+    let len = Bytes.get_uint16_be t.len_prefix 0 in
     ignore (Dk_util.Ring.drop t.ring len);
     t.count <- t.count - 1;
     t.dropped <- t.dropped + 1
   end
-  [@@hot.alloc
-    "a fixed-size header scratch when the ring wraps and must evict"]
+
+(* An entry is built in [t.entry] by [start], the [add_*] appenders and
+   [commit], then copied into the ring with one write. Labels are
+   rendered by hand, so recording allocates nothing. A label longer
+   than the ring allows is cut at [capacity] bytes of entry. *)
+
+let start t ~now kind =
+  t.on
+  && begin
+       Bytes.set_int64_be t.entry header_len now;
+       Bytes.set_uint8 t.entry (header_len + 8) (kind_tag kind);
+       t.pos <- label_off;
+       true
+     end
+
+let add_bytes t b off len =
+  let n = min len (t.capacity - t.pos) in
+  if n > 0 then begin
+    Bytes.blit b off t.entry t.pos n;
+    t.pos <- t.pos + n
+  end
+
+let add_string t s = add_bytes t (Bytes.unsafe_of_string s) 0 (String.length s)
+
+(* Decimal digits of [n <= 0], right-aligned so the last one lands just
+   before [i]; returns the index of the first. Rendering the negated
+   value keeps [min_int] in range. *)
+let rec put_digits b i n =
+  let i = i - 1 in
+  Bytes.unsafe_set b i (Char.unsafe_chr (48 - (n mod 10)));
+  if n <= -10 then put_digits b i (n / 10) else i
+
+let add_num t first = add_bytes t t.num first (num_width - first)
+
+(* Like [Printf "%d"]. *)
+let add_int t n =
+  let i = put_digits t.num num_width (if n > 0 then -n else n) in
+  if n < 0 then begin
+    Bytes.unsafe_set t.num (i - 1) '-';
+    add_num t (i - 1)
+  end
+  else add_num t i
+
+let hex_digits = "0123456789abcdef"
+
+let rec put_hex b i n =
+  let i = i - 1 in
+  Bytes.unsafe_set b i (String.unsafe_get hex_digits (n land 15));
+  let n = n lsr 4 in
+  if n <> 0 then put_hex b i n else i
+
+(* Like [Printf "%x"]: a negative [n] prints as its unsigned 63 bits. *)
+let add_hex t n = add_num t (put_hex t.num num_width n)
+
+(* Like [Printf "%Ld"]. The value is split at 10^9 so both halves are
+   native ints, carrying the sign in the first nonzero one. *)
+let add_int64 t n =
+  let hi = Int64.to_int (Int64.div n 1_000_000_000L) in
+  let lo = Int64.to_int (Int64.rem n 1_000_000_000L) in
+  if hi = 0 then add_int t lo
+  else begin
+    add_int t hi;
+    let first = num_width - 9 in
+    let i = put_digits t.num num_width (if lo > 0 then -lo else lo) in
+    Bytes.fill t.num first (i - first) '0';
+    add_num t first
+  end
+
+let commit t =
+  let need = t.pos in
+  Bytes.set_uint16_be t.entry 0 (need - header_len);
+  while Dk_util.Ring.available t.ring < need do
+    evict_one t
+  done;
+  ignore (Dk_util.Ring.write t.ring t.entry 0 need);
+  t.count <- t.count + 1;
+  t.total <- t.total + 1
 
 let record t ~now kind what =
-  if t.on then begin
-    let max_label = t.capacity - header_len - payload_fixed in
-    let what =
-      if String.length what > max_label then String.sub what 0 max_label
-      else what
-    in
-    let plen = payload_fixed + String.length what in
-    let need = header_len + plen in
-    while Dk_util.Ring.available t.ring < need do
-      evict_one t
-    done;
-    let buf = Bytes.create need in
-    Bytes.set_uint16_be buf 0 plen;
-    Bytes.set_int64_be buf header_len now;
-    Bytes.set_uint8 buf (header_len + 8) (kind_tag kind);
-    Bytes.blit_string what 0 buf (header_len + payload_fixed)
-      (String.length what);
-    ignore (Dk_util.Ring.write t.ring buf 0 need);
-    t.count <- t.count + 1;
-    t.total <- t.total + 1
+  if start t ~now kind then begin
+    add_string t what;
+    commit t
   end
-  [@@hot.alloc
-    "one bounded scratch buffer per recorded entry; the ring itself is \
-     preallocated"]
-
-let recordf t ~now kind fmt =
-  if t.on then Format.kasprintf (fun s -> record t ~now kind s) fmt
-  else Format.ikfprintf ignore Format.str_formatter fmt
-  [@@hot.alloc
-    "formatting the flight-recorder label allocates; recording is \
-     opt-in observability, not datapath payload"]
 
 let entries t =
   let len = Dk_util.Ring.length t.ring in

@@ -46,10 +46,46 @@ val record : t -> now:int64 -> kind -> string -> unit
 (** Append an entry (evicting the oldest as needed). Labels longer
     than the ring allows are truncated. No-op when disabled. *)
 
-val recordf :
-  t -> now:int64 -> kind -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Formatted variant; the label is only built when enabled, so
-    disabled recorders cost one branch per site. *)
+(** {2 Building a label in place}
+
+    Instrumentation renders its label piece by piece into a buffer the
+    recorder allocated in {!create}, so recording an event allocates
+    nothing:
+
+    {[
+      if Flight.start fl ~now Flight.Drop then begin
+        Flight.add_string fl "block SQ full (";
+        Flight.add_int fl inflight;
+        Flight.add_string fl " in flight)";
+        Flight.commit fl
+      end
+    ]}
+
+    The appenders render exactly what [Printf] renders for the
+    conversion each names. A label longer than the ring allows is
+    truncated, as in {!record}. *)
+
+val start : t -> now:int64 -> kind -> bool
+(** Open an entry with an empty label; [false] when the recorder is
+    disabled. The appenders and {!commit} act on the entry the last
+    [start] that returned [true] opened. *)
+
+val add_string : t -> string -> unit
+(** Append to the open entry's label, like [%s]. *)
+
+val add_int : t -> int -> unit
+(** Like [%d]. *)
+
+val add_hex : t -> int -> unit
+(** Like [%x]: lowercase, and a negative value prints as its unsigned
+    63 bits. *)
+
+val add_int64 : t -> int64 -> unit
+(** Like [%Ld]. *)
+
+val commit : t -> unit
+(** Write the open entry into the ring (evicting the oldest as
+    needed). *)
 
 val entries : t -> entry list
 (** Oldest first. Non-destructive. *)

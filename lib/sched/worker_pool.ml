@@ -1,5 +1,6 @@
 module Engine = Dk_sim.Engine
 module Cost = Dk_sim.Cost
+module Flight = Dk_obs.Flight
 
 type mode = [ `Epoll_herd | `Qtoken ]
 
@@ -47,13 +48,20 @@ let rec execute st id job =
   in
   ignore (Engine.after st.engine st.service_ns finish)
 
+let flight_wakeup st what id =
+  if Flight.start Flight.default ~now:(Engine.now st.engine) Flight.Wakeup
+  then begin
+    Flight.add_string Flight.default what;
+    Flight.add_int Flight.default id;
+    Flight.commit Flight.default
+  end
+
 (* Epoll mode: a woken worker races to the shared ready queue and may
    find nothing. *)
 let herd_worker_wakes st id =
   st.wakeups <- st.wakeups + 1;
   Dk_obs.Metrics.incr m_wakeups;
-  Dk_obs.Flight.recordf Dk_obs.Flight.default ~now:(Engine.now st.engine)
-    Dk_obs.Flight.Wakeup "herd worker %d" id;
+  flight_wakeup st "herd worker " id;
   match Queue.take_opt st.ready with
   | None ->
       (* Thundering herd loser: woke for nothing, back to sleep. *)
@@ -92,9 +100,7 @@ let job_arrives st =
             (Engine.after st.engine st.cost.Cost.context_switch (fun () ->
                  st.wakeups <- st.wakeups + 1;
                  Dk_obs.Metrics.incr m_wakeups;
-                 Dk_obs.Flight.recordf Dk_obs.Flight.default
-                   ~now:(Engine.now st.engine) Dk_obs.Flight.Wakeup
-                   "qtoken worker %d" id;
+                 flight_wakeup st "qtoken worker " id;
                  execute st id job)))
 
 let run ~engine ~cost ~mode ~workers ~jobs ~mean_interarrival_ns ~service_ns

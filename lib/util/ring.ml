@@ -24,9 +24,10 @@ let blit_in t src soff n =
   Bytes.blit src soff t.data tail first;
   if n > first then Bytes.blit src (soff + first) t.data 0 (n - first)
 
-let blit_out t dst doff n =
-  let first = min n (t.cap - t.head) in
-  Bytes.blit t.data t.head dst doff first;
+(* Copy [n] stored bytes starting at ring index [pos] out to [dst]. *)
+let blit_out t pos dst doff n =
+  let first = min n (t.cap - pos) in
+  Bytes.blit t.data pos dst doff first;
   if n > first then Bytes.blit t.data 0 dst (doff + first) (n - first)
 
 let write t src off len =
@@ -37,12 +38,14 @@ let write t src off len =
   t.len <- t.len + n;
   n
 
-let peek t dst off len =
-  if off < 0 || len < 0 || off + len > Bytes.length dst then
-    invalid_arg "Ring.peek";
-  let n = min len t.len in
-  blit_out t dst off n;
+let peek_at t ~skip dst off len =
+  if skip < 0 || off < 0 || len < 0 || off + len > Bytes.length dst then
+    invalid_arg "Ring.peek_at";
+  let n = max 0 (min len (t.len - skip)) in
+  if n > 0 then blit_out t ((t.head + skip) mod t.cap) dst off n;
   n
+
+let peek t dst off len = peek_at t ~skip:0 dst off len
 
 let drop t n =
   if n < 0 then invalid_arg "Ring.drop";

@@ -33,6 +33,12 @@ val read : t -> bytes -> int -> int -> int
 val peek : t -> bytes -> int -> int -> int
 (** Like {!read} but does not consume. *)
 
+val peek_at : t -> skip:int -> bytes -> int -> int -> int
+(** [peek_at t ~skip dst off len] is {!peek} of the bytes that start
+    [skip] bytes past the read position: it copies up to [len] of them
+    and returns how many it copied (0 when [skip >= length t]).
+    [peek t] is [peek_at t ~skip:0]. *)
+
 val drop : t -> int -> int
 (** [drop t n] discards up to [n] bytes; returns the number dropped. *)
 

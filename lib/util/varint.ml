@@ -24,6 +24,6 @@ let rec read_loop buf len off i shift acc =
     else read_loop buf len off (i + 1) (shift + 7) acc
   [@@hot.alloc "the decoded (value, width) pair is the codec's return surface"]
 
-let read buf off =
-  let len = Bytes.length buf in
+let read buf off ~stop =
+  let len = min stop (Bytes.length buf) in
   if off < 0 || off >= len then None else read_loop buf len off off 0 0

@@ -8,6 +8,7 @@ val write : Buffer.t -> int -> unit
 (** Append the encoding of a non-negative value.
     @raise Invalid_argument on negative input. *)
 
-val read : bytes -> int -> (int * int) option
-(** [read buf off] decodes a value at [off]; returns [(value, bytes
-    consumed)] or [None] if the buffer ends mid-encoding. *)
+val read : bytes -> int -> stop:int -> (int * int) option
+(** [read buf off ~stop] decodes a value at [off] from the bytes before
+    [stop] (and before the end of [buf]); returns [(value, bytes
+    consumed)] or [None] if those bytes end mid-encoding. *)

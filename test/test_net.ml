@@ -661,34 +661,55 @@ let framing_empty_segments () =
       check (Alcotest.list Alcotest.string) "empties preserved" [ ""; "x"; "" ] segs
   | None -> Alcotest.fail "expected message"
 
+let framing_ignores_stale_bytes () =
+  (* Draining the backlog rewinds the buffer without clearing it: a
+     partial count fed next must not run on into the old bytes. *)
+  let d = Framing.create () in
+  Framing.feed d (Framing.encode [ "\xff\xff\xff\x7f" ]);
+  check_bool "first message" true (Framing.next d <> None);
+  Framing.feed d "\x80\x80";
+  check_bool "count still incomplete" true (Framing.next d = None);
+  check_int "partial count kept" 2 (Framing.buffered d)
+
+(* Segments up to ~5 KB, chunks up to ~3 KB and a drain only after
+   every [k]-th feed, so the decoder's backlog grows, wraps to the front
+   and outgrows its buffer. *)
 let framing_roundtrip_prop =
   QCheck.Test.make ~name:"framing roundtrip under random fragmentation"
     ~count:200
     QCheck.(
-      pair
-        (small_list (small_list (string_of_size Gen.(0 -- 20))))
-        (int_bound 1000))
-    (fun (messages, seed) ->
+      triple
+        (list_of_size Gen.(0 -- 30)
+           (list_of_size Gen.(0 -- 6)
+              (string_of_size Gen.(oneof [ 0 -- 20; 0 -- 5000 ]))))
+        (int_bound 1000) (int_range 1 8))
+    (fun (messages, seed, k) ->
       let stream = String.concat "" (List.map Framing.encode messages) in
       (* random fragmentation *)
       let rng = Dk_sim.Rng.create (Int64.of_int seed) in
       let d = Framing.create () in
       let out = ref [] in
-      let pos = ref 0 in
+      let rec drain () =
+        match Framing.next d with
+        | Some m ->
+            out := m :: !out;
+            drain ()
+        | None -> ()
+      in
+      let pos = ref 0 and feeds = ref 0 in
       while !pos < String.length stream do
-        let n = min (1 + Dk_sim.Rng.int rng 7) (String.length stream - !pos) in
+        let chunk =
+          if Dk_sim.Rng.bool rng 0.5 then 1 + Dk_sim.Rng.int rng 7
+          else 1 + Dk_sim.Rng.int rng 3000
+        in
+        let n = min chunk (String.length stream - !pos) in
         Framing.feed d (String.sub stream !pos n);
         pos := !pos + n;
-        let rec drain () =
-          match Framing.next d with
-          | Some m ->
-              out := m :: !out;
-              drain ()
-          | None -> ()
-        in
-        drain ()
+        incr feeds;
+        if !feeds mod k = 0 then drain ()
       done;
-      List.rev !out = messages)
+      drain ();
+      List.rev !out = messages && Framing.buffered d = 0)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -744,6 +765,7 @@ let () =
           Alcotest.test_case "fragmented" `Quick framing_fragmented_delivery;
           Alcotest.test_case "back to back" `Quick framing_back_to_back;
           Alcotest.test_case "empty segments" `Quick framing_empty_segments;
+          Alcotest.test_case "stale bytes" `Quick framing_ignores_stale_bytes;
         ] );
       qsuite "framing-props" [ framing_roundtrip_prop ];
     ]

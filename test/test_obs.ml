@@ -1,6 +1,7 @@
 (* Tests for dk_obs: the metrics registry (counters, gauges,
    histograms, snapshots) and the flight recorder (record/entries,
-   eviction, enable/disable, Dk_check dump wiring).
+   eviction, enable/disable, Dk_check dump wiring, the allocation-free
+   label appenders).
 
    The registry under test is always a private [Metrics.create ()] (or
    counter deltas on the process-global default) so the suite is
@@ -230,7 +231,11 @@ let flight_record_entries () =
   let f = F.create ~capacity:4096 () in
   F.record f ~now:10L F.Push "first";
   F.record f ~now:20L F.Drop "second";
-  F.recordf f ~now:30L F.Mark "n=%d" 3;
+  if F.start f ~now:30L F.Mark then begin
+    F.add_string f "n=";
+    F.add_int f 3;
+    F.commit f
+  end;
   check_int "length" 3 (F.length f);
   check_int "recorded" 3 (F.recorded f);
   check_int "evicted" 0 (F.evicted f);
@@ -268,7 +273,7 @@ let flight_disable_and_clear () =
   F.record f ~now:1L F.Push "kept";
   F.set_enabled f false;
   F.record f ~now:2L F.Push "ignored";
-  F.recordf f ~now:3L F.Push "also %s" "ignored";
+  check Alcotest.bool "disabled start" false (F.start f ~now:3L F.Push);
   check_int "disabled records nothing" 1 (F.length f);
   F.set_enabled f true;
   F.record f ~now:4L F.Push "kept2";
@@ -312,6 +317,65 @@ let flight_dump_on_violation () =
   in
   check Alcotest.bool "dump has the event" true (contains "the smoking gun");
   check Alcotest.bool "dump has the kind" true (contains "drop")
+
+(* The appenders must render exactly what Printf renders for the
+   conversion each stands in for: labels are the recorder's output. *)
+let edge_int = QCheck.(oneof [ int; oneofl [ 0; -1; 9; -10; min_int; max_int ] ])
+
+let edge_int64 =
+  QCheck.(
+    oneof
+      [
+        int64;
+        oneofl
+          [
+            0L; -1L; 999_999_999L; 1_000_000_000L; -1_000_000_001L;
+            Int64.min_int; Int64.max_int;
+          ];
+      ])
+
+let flight_appenders_match_printf =
+  QCheck.Test.make ~name:"appenders render as Printf" ~count:1000
+    QCheck.(quad edge_int edge_int edge_int64 small_string)
+    (fun (d, x, ld, s) ->
+      let f = F.create ~capacity:4096 () in
+      if F.start f ~now:0L F.Mark then begin
+        F.add_int f d;
+        F.add_string f "|";
+        F.add_hex f x;
+        F.add_string f "|";
+        F.add_int64 f ld;
+        F.add_string f "|";
+        F.add_string f s;
+        F.commit f
+      end;
+      match F.entries f with
+      | [ e ] -> e.F.what = Printf.sprintf "%d|%x|%Ld|%s" d x ld s
+      | _ -> false)
+
+let flight_appenders_allocate_nothing () =
+  (* A small ring, so the measured entries also evict. *)
+  let f = F.create ~capacity:256 () in
+  let entry i =
+    if F.start f ~now:7L F.Retransmit then begin
+      F.add_string f "tcp ";
+      F.add_int f (-i);
+      F.add_hex f i;
+      F.add_int64 f 1_234_567_890_123L;
+      F.commit f
+    end;
+    F.record f ~now:8L F.Mark "plain"
+  in
+  for i = 1 to 100 do
+    entry i
+  done;
+  let before = Gc.minor_words () in
+  for i = 1 to 1000 do
+    entry i
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.bool "ring evicted" true (F.evicted f > 0);
+  check (Alcotest.float 0.) "minor words allocated" 0. words
 
 (* ---- the `demi stats --json` snapshot ----
 
@@ -572,7 +636,11 @@ let () =
           Alcotest.test_case "disable/clear" `Quick flight_disable_and_clear;
           Alcotest.test_case "oversized label" `Quick flight_label_truncated;
           Alcotest.test_case "dump on violation" `Quick flight_dump_on_violation;
+          Alcotest.test_case "appenders allocate nothing" `Quick
+            flight_appenders_allocate_nothing;
         ] );
+      ( "flight-props",
+        List.map QCheck_alcotest.to_alcotest [ flight_appenders_match_printf ] );
       ( "stats --json",
         [
           Alcotest.test_case "lines parse, promised names present" `Quick

@@ -46,6 +46,33 @@ let ring_peek_drop () =
   check_int "drop 2" 2 (Ring.drop r 2);
   check_str "after drop" "cdef" (Ring.read_all r)
 
+let ring_peek_at () =
+  (* Stored bytes "cdefghij" sit across the wrap point of an 8-byte
+     ring: every (skip, len) must see the matching slice, and a skip at
+     or past the length copies nothing. *)
+  let r = Ring.create 8 in
+  ignore (Ring.write_string r "abcdef");
+  check_int "drop 2" 2 (Ring.drop r 2);
+  check_int "wrap write" 4 (Ring.write_string r "ghij");
+  let stored = "cdefghij" in
+  for skip = 0 to 10 do
+    for len = 0 to 9 do
+      let buf = Bytes.make 9 '.' in
+      let want = max 0 (min len (8 - skip)) in
+      check_int
+        (Printf.sprintf "copied (skip %d, len %d)" skip len)
+        want
+        (Ring.peek_at r ~skip buf 0 len);
+      check_str
+        (Printf.sprintf "bytes (skip %d, len %d)" skip len)
+        (String.sub stored (min skip 8) want)
+        (Bytes.sub_string buf 0 want)
+    done
+  done;
+  check_int "length unchanged" 8 (Ring.length r);
+  Alcotest.check_raises "negative skip" (Invalid_argument "Ring.peek_at")
+    (fun () -> ignore (Ring.peek_at r ~skip:(-1) (Bytes.create 1) 0 1))
+
 let ring_partial_read () =
   let r = Ring.create 8 in
   ignore (Ring.write_string r "abc");
@@ -187,6 +214,35 @@ let checksum_verify_prop =
       Bytes.set whole (Bytes.length data + 1) (Char.chr (c land 0xff));
       Checksum.verify whole 0 (Bytes.length whole))
 
+(* The byte-at-a-time one's-complement sum, kept here as the reference
+   the word-load implementation must match bit for bit. *)
+let reference_sum ~init buf off len =
+  let sum = ref init in
+  for i = 0 to (len / 2) - 1 do
+    let j = off + (2 * i) in
+    sum :=
+      !sum
+      + (Char.code (Bytes.get buf j) lsl 8)
+      + Char.code (Bytes.get buf (j + 1))
+  done;
+  if len land 1 = 1 then
+    sum := !sum + (Char.code (Bytes.get buf (off + len - 1)) lsl 8);
+  !sum
+
+let checksum_matches_reference =
+  QCheck.Test.make ~name:"checksum matches byte-wise reference" ~count:500
+    QCheck.(
+      quad (string_of_size Gen.(0 -- 200)) (int_bound 200) (int_bound 200)
+        (int_bound 0xffff))
+    (fun (s, off_raw, len_raw, init) ->
+      let buf = Bytes.of_string s in
+      let off = if s = "" then 0 else off_raw mod (String.length s + 1) in
+      let len = len_raw mod (String.length s - off + 1) in
+      Checksum.ones_complement_sum ~init buf off len
+      = reference_sum ~init buf off len
+      && Checksum.compute buf off len
+         = Checksum.finish (reference_sum ~init:0 buf off len))
+
 (* ---------------- Crc32 ---------------- *)
 
 let crc32_known () =
@@ -221,8 +277,11 @@ let varint_known () =
 
 let varint_truncated () =
   check_bool "incomplete returns None" true
-    (Varint.read (Bytes.of_string "\x80") 0 = None);
-  check_bool "empty returns None" true (Varint.read (Bytes.of_string "") 0 = None)
+    (Varint.read (Bytes.of_string "\x80") 0 ~stop:1 = None);
+  check_bool "empty returns None" true
+    (Varint.read (Bytes.of_string "") 0 ~stop:0 = None);
+  check_bool "stops at stop" true
+    (Varint.read (Bytes.of_string "\x80\x01") 0 ~stop:1 = None)
 
 let varint_roundtrip =
   QCheck.Test.make ~name:"varint roundtrip" ~count:500
@@ -233,7 +292,7 @@ let varint_roundtrip =
       let s = Stdlib.Buffer.contents b in
       String.length s = Varint.encoded_size v
       &&
-      match Varint.read (Bytes.of_string s) 0 with
+      match Varint.read (Bytes.of_string s) 0 ~stop:(String.length s) with
       | Some (v', used) -> v = v' && used = String.length s
       | None -> false)
 
@@ -347,6 +406,7 @@ let () =
           Alcotest.test_case "overflow" `Quick ring_overflow;
           Alcotest.test_case "wraparound" `Quick ring_wraparound;
           Alcotest.test_case "peek/drop" `Quick ring_peek_drop;
+          Alcotest.test_case "peek_at" `Quick ring_peek_at;
           Alcotest.test_case "partial read" `Quick ring_partial_read;
           Alcotest.test_case "clear" `Quick ring_clear;
           Alcotest.test_case "invalid" `Quick ring_invalid;
@@ -365,7 +425,7 @@ let () =
           Alcotest.test_case "verify roundtrip" `Quick checksum_verify_roundtrip;
           Alcotest.test_case "odd length" `Quick checksum_odd_length;
         ] );
-      qsuite "checksum-props" [ checksum_verify_prop ];
+      qsuite "checksum-props" [ checksum_verify_prop; checksum_matches_reference ];
       ( "crc32",
         [
           Alcotest.test_case "known vectors" `Quick crc32_known;
