@@ -53,34 +53,37 @@ let rx_sga manager segments =
    exponential backoff), surfaced to waiters as [`Conn_aborted]. *)
 let m_aborted = Dk_obs.Metrics.counter "core.tcp.aborted"
 
+(* A push not yet fully handed to the stack: its framed bytes, a
+   cursor past the bytes TCP has taken, and its token. *)
+type staged = { data : string; mutable cursor : int; tok : Types.qtoken }
+
 type conn_state = {
   tokens : Token.t;
   manager : Dk_mem.Manager.t option;
   conn : Tcp.conn;
   mbox : Mailbox.t;
   decoder : Framing.decoder;
-  (* pushes not yet fully handed to the stack: bytes left + token *)
-  txq : (string ref * Types.qtoken) Queue.t;
+  txq : staged Queue.t;
 }
 
 (* Directly recursive drain (no progress ref, no inner loop): recurse
-   to the next staged push only after the head buffer fully drains —
-   exactly when the old flag went true. *)
+   to the next staged push only after the head buffer fully drains.
+   A partial send only moves the cursor, so a push larger than the
+   free send-ring space is copied once in all. *)
 let rec pump_tx st =
   match Queue.peek_opt st.txq with
   | None -> ()
-  | Some (remaining, tok) ->
-      let n = Tcp.send st.conn !remaining in
+  | Some s ->
+      let n = Tcp.send st.conn ~off:s.cursor s.data in
       if n > 0 then begin
-        remaining := String.sub !remaining n (String.length !remaining - n);
-        if String.length !remaining = 0 then begin
+        s.cursor <- s.cursor + n;
+        if s.cursor = String.length s.data then begin
           ignore (Queue.pop st.txq);
-          Token.complete st.tokens tok Types.Pushed;
+          Token.complete st.tokens s.tok Types.Pushed;
           pump_tx st
         end
       end
   [@@hot]
-  [@@hot.alloc "a partial send re-slices the staged tx string"]
 
 let rec drain_rx st =
   match Framing.next st.decoder with
@@ -100,7 +103,7 @@ let pump_rx st =
 
 let fail_tx st err =
   Queue.iter
-    (fun (_, tok) -> Token.complete st.tokens tok (Types.Failed err))
+    (fun s -> Token.complete st.tokens s.tok (Types.Failed err))
     st.txq;
   Queue.clear st.txq
 
@@ -136,7 +139,8 @@ let of_conn ~tokens ?manager ~conn () =
       (fun sga tok ->
         match Tcp.state conn with
         | Tcp.Established | Tcp.Close_wait | Tcp.Syn_sent | Tcp.Syn_rcvd ->
-            Queue.add (ref (Framing.encode_sga sga), tok) st.txq;
+            let data = Framing.encode_sga sga in
+            Queue.add { data; cursor = 0; tok } st.txq;
             pump_tx st
         | _ -> Token.complete tokens tok (Types.Failed `Queue_closed));
     pop = (fun tok -> Mailbox.pop st.mbox tok);
@@ -185,10 +189,15 @@ let udp ~tokens ?manager ~stack ~port ~peer () =
               match !peer with
               | None -> Token.complete tokens tok (Types.Failed `Not_supported)
               | Some dst ->
-                  (* One datagram per sga: naturally atomic, no framing. *)
-                  Stack.udp_send stack ~src_port:port ~dst
-                    (Dk_mem.Sga.to_string sga);
-                  Token.complete tokens tok Types.Pushed);
+                  (* One datagram per sga: naturally atomic, no framing.
+                     One too big for a datagram is refused whole. *)
+                  match
+                    Stack.udp_send stack ~src_port:port ~dst
+                      (Dk_mem.Sga.to_string sga)
+                  with
+                  | Ok () -> Token.complete tokens tok Types.Pushed
+                  | Error `Too_big ->
+                      Token.complete tokens tok (Types.Failed `Not_supported));
           pop = (fun tok -> Mailbox.pop mbox tok);
           close =
             (fun () ->

@@ -10,36 +10,16 @@
 
 let header_bytes = 42 (* 14 eth + 20 ipv4 + 8 udp *)
 
-let get_u16 s i = (Char.code s.[i] lsl 8) lor Char.code s.[i + 1]
+module Wire = Dk_util.Wire
 
-let get_u48 s i =
-  let hi = (Char.code s.[i] lsl 8) lor Char.code s.[i + 1] in
-  let mid = (Char.code s.[i + 2] lsl 8) lor Char.code s.[i + 3] in
-  let lo = (Char.code s.[i + 4] lsl 8) lor Char.code s.[i + 5] in
-  (hi lsl 32) lor (mid lsl 16) lor lo
+(* Frames arrive and leave as strings; the accessors read bytes. *)
+let get_u16 s i = Wire.get_u16 (Bytes.unsafe_of_string s) i
+let get_u32 s i = Wire.get_u32 (Bytes.unsafe_of_string s) i
+let get_u48 s i = Wire.get_u48 (Bytes.unsafe_of_string s) i
 
-let set_u16 b i v =
-  Bytes.set b i (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (i + 1) (Char.chr (v land 0xff))
-
-let set_u48 b i v =
-  set_u16 b i ((v lsr 32) land 0xffff);
-  set_u16 b (i + 2) ((v lsr 16) land 0xffff);
-  set_u16 b (i + 4) (v land 0xffff)
-
-let set_u32 b i v =
-  set_u16 b i ((v lsr 16) land 0xffff);
-  set_u16 b (i + 2) (v land 0xffff)
-
-let udp_pseudo_sum ~src_ip ~dst_ip ~len =
-  let b = Bytes.create 12 in
-  set_u32 b 0 src_ip;
-  set_u32 b 4 dst_ip;
-  Bytes.set b 8 '\000';
-  Bytes.set b 9 '\017';
-  set_u16 b 10 len;
-  Dk_util.Checksum.ones_complement_sum b 0 12
-  [@@hot.alloc "the 12-byte pseudo-header is a fixed-size scratch buffer"]
+(* The UDP header starts at 34. *)
+let udp_checksum ~src_ip ~dst_ip b ~len =
+  Dk_util.Checksum.transport ~src:src_ip ~dst:dst_ip ~proto:17 b 34 len
 
 (* A frame is a valid UDP request for [self_mac] iff every layer
    parses, is addressed to us at L2, and both the IPv4 header checksum
@@ -61,17 +41,12 @@ let validate ~self_mac s =
       else
         let ulen = get_u16 s 38 in
         if ulen < 8 || 34 + ulen > 14 + total then None
-        else
-          let pseudo =
-            udp_pseudo_sum ~src_ip:(get_u16 s 26 lsl 16 lor get_u16 s 28)
-              ~dst_ip:(get_u16 s 30 lsl 16 lor get_u16 s 32)
-              ~len:ulen
-          in
-          let folded =
-            Dk_util.Checksum.finish
-              (Dk_util.Checksum.ones_complement_sum ~init:pseudo b 34 ulen)
-          in
-          if folded <> 0 then None else Some (header_bytes, ulen - 8)
+        else if
+          udp_checksum ~src_ip:(get_u32 s 26) ~dst_ip:(get_u32 s 30) b
+            ~len:ulen
+          <> 0
+        then None
+        else Some (header_bytes, ulen - 8)
   [@@hot.alloc "the validated (payload offset, length) view is one small tuple"]
 
 let payload ~self_mac s =
@@ -99,38 +74,32 @@ let reply ~self_mac ~request ~payload =
       else begin
         let b = Bytes.create (14 + total) in
         (* eth: back to the requester, from us *)
-        set_u48 b 0 (get_u48 request 6);
-        set_u48 b 6 self_mac;
-        set_u16 b 12 0x0800;
+        Wire.set_u48 b 0 (get_u48 request 6);
+        Wire.set_u48 b 6 self_mac;
+        Wire.set_u16 b 12 0x0800;
         (* ipv4: swapped addresses, fresh checksum *)
         Bytes.set b 14 '\x45';
         Bytes.set b 15 '\000';
-        set_u16 b 16 total;
-        set_u16 b 18 (get_u16 request 18); (* reuse the request ident *)
-        set_u16 b 20 0;
+        Wire.set_u16 b 16 total;
+        Wire.set_u16 b 18 (get_u16 request 18); (* reuse the request ident *)
+        Wire.set_u16 b 20 0;
         Bytes.set b 22 '\064'; (* ttl 64 *)
         Bytes.set b 23 '\017';
-        set_u16 b 24 0;
+        Wire.set_u16 b 24 0;
         Bytes.blit_string request 30 b 26 4; (* src ip := request dst ip *)
         Bytes.blit_string request 26 b 30 4; (* dst ip := request src ip *)
-        set_u16 b 24 (Dk_util.Checksum.compute b 14 20);
+        Wire.set_u16 b 24 (Dk_util.Checksum.compute b 14 20);
         (* udp: swapped ports, pseudo-header checksum *)
         Bytes.blit_string request 36 b 34 2; (* src port := request dst *)
         Bytes.blit_string request 34 b 36 2; (* dst port := request src *)
-        set_u16 b 38 ulen;
-        set_u16 b 40 0;
+        Wire.set_u16 b 38 ulen;
+        Wire.set_u16 b 40 0;
         Bytes.blit_string payload 0 b header_bytes plen;
-        let pseudo =
-          udp_pseudo_sum
-            ~src_ip:(get_u16 request 30 lsl 16 lor get_u16 request 32)
-            ~dst_ip:(get_u16 request 26 lsl 16 lor get_u16 request 28)
-            ~len:ulen
-        in
         let csum =
-          Dk_util.Checksum.finish
-            (Dk_util.Checksum.ones_complement_sum ~init:pseudo b 34 ulen)
+          udp_checksum ~src_ip:(get_u32 request 30)
+            ~dst_ip:(get_u32 request 26) b ~len:ulen
         in
-        set_u16 b 40 (if csum = 0 then 0xffff else csum);
+        Wire.set_u16 b 40 (if csum = 0 then 0xffff else csum);
         Some (get_u48 request 6, Bytes.unsafe_to_string b)
       end
   [@@hot.alloc "the minted reply frame is the respond path's one product"]

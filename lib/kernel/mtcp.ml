@@ -12,11 +12,18 @@ type conn = {
   owner : t;
   tcp : Tcp.conn;
   rx : Dk_util.Ring.t; (* batch-delivered received bytes *)
-  mutable tx : string; (* bytes awaiting the next flush batch *)
+  mutable tx : string; (* bytes awaiting the next flush batch ... *)
+  mutable tx_off : int; (* ... from this cursor on *)
   mutable flush_scheduled : bool;
   mutable on_connect : unit -> unit;
   mutable on_readable : unit -> unit;
 }
+
+let unsent conn = String.length conn.tx - conn.tx_off
+
+(* Hand TCP what it takes of the unsent bytes; only the cursor moves. *)
+let push_tx conn =
+  conn.tx_off <- conn.tx_off + Tcp.send conn.tcp ~off:conn.tx_off conn.tx
 
 let create ~engine ~cost ~stack () =
   { engine; cost; stack; bytes_copied = 0 }
@@ -41,10 +48,7 @@ let wire conn =
                conn.on_readable ()
              end)));
   Tcp.set_on_writable conn.tcp (fun () ->
-      if String.length conn.tx > 0 then begin
-        let n = Tcp.send conn.tcp conn.tx in
-        conn.tx <- String.sub conn.tx n (String.length conn.tx - n)
-      end);
+      if unsent conn > 0 then push_tx conn);
   Tcp.set_on_connect conn.tcp (fun () -> conn.on_connect ())
 
 let make owner tcp =
@@ -54,6 +58,7 @@ let make owner tcp =
       tcp;
       rx = Dk_util.Ring.create (1 lsl 20);
       tx = "";
+      tx_off = 0;
       flush_scheduled = false;
       on_connect = (fun () -> ());
       on_readable = (fun () -> ());
@@ -75,16 +80,18 @@ let rec schedule_flush conn =
     ignore
       (Dk_sim.Engine.after t.engine (batch t) (fun () ->
            conn.flush_scheduled <- false;
-           if String.length conn.tx > 0 then begin
-             let n = Tcp.send conn.tcp conn.tx in
-             conn.tx <- String.sub conn.tx n (String.length conn.tx - n);
-             if String.length conn.tx > 0 then schedule_flush conn
+           if unsent conn > 0 then begin
+             push_tx conn;
+             if unsent conn > 0 then schedule_flush conn
            end))
   end
 
 let send conn data =
   charge_copy conn.owner (String.length data);
-  conn.tx <- conn.tx ^ data;
+  conn.tx <-
+    (if unsent conn = 0 then data
+     else String.sub conn.tx conn.tx_off (unsent conn) ^ data);
+  conn.tx_off <- 0;
   schedule_flush conn;
   String.length data
 

@@ -1,3 +1,5 @@
+module Wire = Dk_util.Wire
+
 type op = Request | Reply
 
 type t = {
@@ -10,28 +12,25 @@ type t = {
 
 let size = 2 + 6 + 4 + 6 + 4
 
-let encode t =
-  let b = Bytes.create size in
-  Wire.set_u16 b 0 (match t.op with Request -> 1 | Reply -> 2);
-  Wire.set_u48 b 2 t.sender_mac;
-  Wire.set_u32 b 8 t.sender_ip;
-  Wire.set_u48 b 12 t.target_mac;
-  Wire.set_u32 b 18 t.target_ip;
-  Bytes.unsafe_to_string b
+let write b ~off t =
+  Wire.set_u16 b off (match t.op with Request -> 1 | Reply -> 2);
+  Wire.set_u48 b (off + 2) t.sender_mac;
+  Wire.set_u32 b (off + 8) t.sender_ip;
+  Wire.set_u48 b (off + 12) t.target_mac;
+  Wire.set_u32 b (off + 18) t.target_ip
 
-let decode s =
-  if String.length s < size then Error "arp: too short"
+let decode b ~off ~len =
+  if len < size then Error "arp: too short"
   else
-    let b = Bytes.unsafe_of_string s in
-    match Wire.get_u16 b 0 with
+    match Wire.get_u16 b off with
     | (1 | 2) as op ->
         Ok
           {
             op = (if op = 1 then Request else Reply);
-            sender_mac = Wire.get_u48 b 2;
-            sender_ip = Wire.get_u32 b 8;
-            target_mac = Wire.get_u48 b 12;
-            target_ip = Wire.get_u32 b 18;
+            sender_mac = Wire.get_u48 b (off + 2);
+            sender_ip = Wire.get_u32 b (off + 8);
+            target_mac = Wire.get_u48 b (off + 12);
+            target_ip = Wire.get_u32 b (off + 18);
           }
     | _ -> Error "arp: bad op"
 

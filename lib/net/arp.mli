@@ -10,8 +10,14 @@ type t = {
   target_ip : Addr.ip;
 }
 
-val encode : t -> string
-val decode : string -> (t, string) result
+val size : int
+(** Bytes of an ARP packet. *)
+
+val write : bytes -> off:int -> t -> unit
+(** Fill the {!size} bytes at [off]. *)
+
+val decode : bytes -> off:int -> len:int -> (t, string) result
+(** The packet in the [len] bytes at [off]. *)
 
 (** ARP cache with pending-query tracking. *)
 module Table : sig

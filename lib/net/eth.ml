@@ -1,6 +1,8 @@
+module Wire = Dk_util.Wire
+
 type ethertype = Arp | Ipv4 | Unknown of int
 
-type t = { dst : Addr.mac; src : Addr.mac; ethertype : ethertype; payload : string }
+type t = { dst : Addr.mac; src : Addr.mac; ethertype : ethertype }
 
 let header_size = 14
 
@@ -14,32 +16,17 @@ let ethertype_of_int = function
   | 0x0800 -> Ipv4
   | v -> Unknown v
 
-let encode t =
-  let b = Bytes.create (header_size + String.length t.payload) in
-  Wire.set_u48 b 0 t.dst;
-  Wire.set_u48 b 6 t.src;
-  Wire.set_u16 b 12 (ethertype_to_int t.ethertype);
-  Bytes.blit_string t.payload 0 b header_size (String.length t.payload);
-  Bytes.unsafe_to_string b
+let write b ~dst ~src ethertype =
+  Wire.set_u48 b 0 dst;
+  Wire.set_u48 b 6 src;
+  Wire.set_u16 b 12 (ethertype_to_int ethertype)
 
-let decode s =
-  if String.length s < header_size then Error "eth: frame too short"
+let decode b =
+  if Bytes.length b < header_size then Error "eth: frame too short"
   else
-    let b = Bytes.unsafe_of_string s in
     Ok
       {
         dst = Wire.get_u48 b 0;
         src = Wire.get_u48 b 6;
         ethertype = ethertype_of_int (Wire.get_u16 b 12);
-        payload = String.sub s header_size (String.length s - header_size);
       }
-
-let pp ppf t =
-  let kind =
-    match t.ethertype with
-    | Arp -> "arp"
-    | Ipv4 -> "ipv4"
-    | Unknown v -> Printf.sprintf "0x%04x" v
-  in
-  Format.fprintf ppf "eth %a -> %a (%s, %d B)" Addr.pp_mac t.src Addr.pp_mac
-    t.dst kind (String.length t.payload)

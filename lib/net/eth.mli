@@ -1,10 +1,14 @@
-(** Ethernet II framing. *)
+(** Ethernet II header, written and parsed in place at the start of a
+    frame buffer; the payload follows at {!header_size}. *)
 
 type ethertype = Arp | Ipv4 | Unknown of int
 
-type t = { dst : Addr.mac; src : Addr.mac; ethertype : ethertype; payload : string }
+type t = { dst : Addr.mac; src : Addr.mac; ethertype : ethertype }
 
 val header_size : int
-val encode : t -> string
-val decode : string -> (t, string) result
-val pp : Format.formatter -> t -> unit
+
+val write : bytes -> dst:Addr.mac -> src:Addr.mac -> ethertype -> unit
+(** Fill the first {!header_size} bytes of a frame. *)
+
+val decode : bytes -> (t, string) result
+(** The header of a whole frame; rejects frames shorter than it. *)

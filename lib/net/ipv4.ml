@@ -1,3 +1,5 @@
+module Wire = Dk_util.Wire
+
 type proto = Tcp | Udp | Unknown of int
 
 type t = {
@@ -6,7 +8,7 @@ type t = {
   proto : proto;
   ttl : int;
   ident : int;
-  payload : string;
+  payload_len : int;
 }
 
 let header_size = 20
@@ -14,51 +16,34 @@ let header_size = 20
 let proto_to_int = function Tcp -> 6 | Udp -> 17 | Unknown v -> v
 let proto_of_int = function 6 -> Tcp | 17 -> Udp | v -> Unknown v
 
-let encode t =
-  let total = header_size + String.length t.payload in
-  let b = Bytes.create total in
-  Wire.set_u8 b 0 0x45; (* version 4, ihl 5 *)
-  Wire.set_u8 b 1 0;
-  Wire.set_u16 b 2 total;
-  Wire.set_u16 b 4 t.ident;
-  Wire.set_u16 b 6 0; (* no fragmentation *)
-  Wire.set_u8 b 8 t.ttl;
-  Wire.set_u8 b 9 (proto_to_int t.proto);
-  Wire.set_u16 b 10 0; (* checksum placeholder *)
-  Wire.set_u32 b 12 t.src;
-  Wire.set_u32 b 16 t.dst;
-  let csum = Dk_util.Checksum.compute b 0 header_size in
-  Wire.set_u16 b 10 csum;
-  Bytes.blit_string t.payload 0 b header_size (String.length t.payload);
-  Bytes.unsafe_to_string b
+let write b ~off ~src ~dst ~proto ~ttl ~ident ~payload_len =
+  Wire.set_u8 b off 0x45; (* version 4, ihl 5 *)
+  Wire.set_u8 b (off + 1) 0;
+  Wire.set_u16 b (off + 2) (header_size + payload_len);
+  Wire.set_u16 b (off + 4) ident;
+  Wire.set_u16 b (off + 6) 0; (* no fragmentation *)
+  Wire.set_u8 b (off + 8) ttl;
+  Wire.set_u8 b (off + 9) (proto_to_int proto);
+  Wire.set_u16 b (off + 10) 0; (* checksum placeholder *)
+  Wire.set_u32 b (off + 12) src;
+  Wire.set_u32 b (off + 16) dst;
+  Wire.set_u16 b (off + 10) (Dk_util.Checksum.compute b off header_size)
 
-let decode s =
-  if String.length s < header_size then Error "ipv4: too short"
+let decode b ~off ~len =
+  if len < header_size then Error "ipv4: too short"
+  else if Wire.get_u8 b off <> 0x45 then Error "ipv4: bad version/ihl"
+  else if not (Dk_util.Checksum.verify b off header_size) then
+    Error "ipv4: bad header checksum"
   else
-    let b = Bytes.unsafe_of_string s in
-    if Wire.get_u8 b 0 <> 0x45 then Error "ipv4: bad version/ihl"
-    else if not (Dk_util.Checksum.verify b 0 header_size) then
-      Error "ipv4: bad header checksum"
+    let total = Wire.get_u16 b (off + 2) in
+    if total > len || total < header_size then Error "ipv4: bad total length"
     else
-      let total = Wire.get_u16 b 2 in
-      if total > String.length s || total < header_size then
-        Error "ipv4: bad total length"
-      else
-        Ok
-          {
-            src = Wire.get_u32 b 12;
-            dst = Wire.get_u32 b 16;
-            proto = proto_of_int (Wire.get_u8 b 9);
-            ttl = Wire.get_u8 b 8;
-            ident = Wire.get_u16 b 4;
-            payload = String.sub s header_size (total - header_size);
-          }
-
-let pseudo_header_sum ~src ~dst ~proto ~len =
-  let b = Bytes.create 12 in
-  Wire.set_u32 b 0 src;
-  Wire.set_u32 b 4 dst;
-  Wire.set_u8 b 8 0;
-  Wire.set_u8 b 9 proto;
-  Wire.set_u16 b 10 len;
-  Dk_util.Checksum.ones_complement_sum b 0 12
+      Ok
+        {
+          src = Wire.get_u32 b (off + 12);
+          dst = Wire.get_u32 b (off + 16);
+          proto = proto_of_int (Wire.get_u8 b (off + 9));
+          ttl = Wire.get_u8 b (off + 8);
+          ident = Wire.get_u16 b (off + 4);
+          payload_len = total - header_size;
+        }

@@ -1,5 +1,6 @@
-(** IPv4 header codec (20-byte header, no options) with header
-    checksum. *)
+(** IPv4 header (20 bytes, no options) with header checksum, written
+    and parsed in place inside a frame buffer; the payload follows the
+    header. *)
 
 type proto = Tcp | Udp | Unknown of int
 
@@ -9,15 +10,25 @@ type t = {
   proto : proto;
   ttl : int;
   ident : int;
-  payload : string;
+  payload_len : int;  (** bytes after the header, per the total length *)
 }
 
 val header_size : int
-val encode : t -> string
 
-val decode : string -> (t, string) result
-(** Rejects short packets, bad versions and checksum mismatches. *)
+val write :
+  bytes ->
+  off:int ->
+  src:Addr.ip ->
+  dst:Addr.ip ->
+  proto:proto ->
+  ttl:int ->
+  ident:int ->
+  payload_len:int ->
+  unit
+(** Fill the header at [off], checksum included. The total-length
+    field keeps the low 16 bits of [header_size + payload_len]. *)
 
-val pseudo_header_sum : src:Addr.ip -> dst:Addr.ip -> proto:int -> len:int -> int
-(** Partial one's-complement sum of the TCP/UDP pseudo header, to fold
-    into transport checksums. *)
+val decode : bytes -> off:int -> len:int -> (t, string) result
+(** The header of the [len]-byte packet at [off]. Rejects short
+    packets, bad versions, checksum mismatches and total lengths
+    outside [header_size, len]. *)

@@ -94,82 +94,99 @@ let decode_error t msg =
     end
   end
 
+(* ---- frame layout ----
+
+   A frame is one buffer from its first header to its last payload
+   byte. The stack builds it in place: the payload goes in once at its
+   final offset, then each layer writes its header in front of it.
+   Receive parses the same buffer by offset. *)
+
+let ip_off = Eth.header_size
+let l4_off = ip_off + Ipv4.header_size
+let tcp_payload_off = l4_off + Tcp_wire.header_size
+let udp_payload_off = l4_off + Udp.header_size
+let udp_max_payload = 0xffff - Ipv4.header_size - Udp.header_size
+
 (* ---- transmit path ---- *)
 
-let transmit_eth t ~dst_mac ~ethertype payload =
+let transmit_eth t ~dst_mac ~ethertype frame =
   Dk_sim.Engine.consume t.engine t.pkt_cost;
   t.frames_out <- t.frames_out + 1;
   Dk_obs.Metrics.incr m_frames_out;
-  let frame =
-    Eth.encode { Eth.dst = dst_mac; src = mac t; ethertype; payload }
-  in
-  ignore (Dk_device.Nic.transmit t.nic ~dst:dst_mac frame)
+  Eth.write frame ~dst:dst_mac ~src:(mac t) ethertype;
+  (* The NIC owns the frame from here on; nothing writes to it again. *)
+  ignore
+    (Dk_device.Nic.transmit t.nic ~dst:dst_mac (Bytes.unsafe_to_string frame))
+
+let send_arp t ~dst_mac pkt =
+  let frame = Bytes.create (ip_off + Arp.size) in
+  Arp.write frame ~off:ip_off pkt;
+  transmit_eth t ~dst_mac ~ethertype:Eth.Arp frame
 
 let send_arp_request t target_ip =
   Dk_obs.Metrics.incr m_arp_requests;
-  let pkt =
-    Arp.encode
-      {
-        Arp.op = Arp.Request;
-        sender_mac = mac t;
-        sender_ip = t.ip;
-        target_mac = 0;
-        target_ip;
-      }
-  in
-  transmit_eth t ~dst_mac:Addr.mac_broadcast ~ethertype:Eth.Arp pkt
+  send_arp t ~dst_mac:Addr.mac_broadcast
+    {
+      Arp.op = Arp.Request;
+      sender_mac = mac t;
+      sender_ip = t.ip;
+      target_mac = 0;
+      target_ip;
+    }
 
 let arp_retry_ns = 200_000L
 let arp_max_attempts = 5
 
-(* Resolve [dst_ip] and then run [k dst_mac]; datagrams issued during
-   resolution wait in the ARP pending queue. Requests are retried a few
-   times; on give-up the queued traffic is dropped (upper layers
-   retransmit) so a later send can start a fresh resolution round. *)
-let with_mac t dst_ip k =
-  match Arp.Table.lookup t.arp dst_ip with
-  | Some m -> k m
-  | None ->
-      Dk_obs.Metrics.incr m_arp_misses;
-      let first = Arp.Table.enqueue_pending t.arp dst_ip k in
-      if first then begin
-        let rec attempt n =
-          if Arp.Table.lookup t.arp dst_ip = None then
-            if n = 0 then begin
-              let dropped = Arp.Table.drop_pending t.arp dst_ip in
-              Dk_obs.Metrics.incr m_arp_abandoned;
-              if
-                Flight.start Flight.default ~now:(Dk_sim.Engine.now t.engine)
-                  Flight.Drop
-              then begin
-                Flight.add_string Flight.default "arp gave up on ";
-                Flight.add_hex Flight.default dst_ip;
-                Flight.add_string Flight.default " after ";
-                Flight.add_int Flight.default arp_max_attempts;
-                Flight.add_string Flight.default " tries (";
-                Flight.add_int Flight.default dropped;
-                Flight.add_string Flight.default " queued sends dropped)";
-                Flight.commit Flight.default
-              end
-            end
-            else begin
-              send_arp_request t dst_ip;
-              ignore
-                (Dk_sim.Engine.after t.engine arp_retry_ns (fun () ->
-                     attempt (n - 1)))
-            end
-        in
-        attempt arp_max_attempts
-      end
+(* An ARP miss: run [k dst_mac] once [dst_ip] resolves; datagrams
+   issued during resolution wait in the ARP pending queue. Requests are
+   retried a few times; on give-up the queued traffic is dropped (upper
+   layers retransmit) so a later send can start a fresh resolution
+   round. *)
+let when_resolved t dst_ip k =
+  Dk_obs.Metrics.incr m_arp_misses;
+  let first = Arp.Table.enqueue_pending t.arp dst_ip k in
+  if first then begin
+    let rec attempt n =
+      if Arp.Table.lookup t.arp dst_ip = None then
+        if n = 0 then begin
+          let dropped = Arp.Table.drop_pending t.arp dst_ip in
+          Dk_obs.Metrics.incr m_arp_abandoned;
+          if
+            Flight.start Flight.default ~now:(Dk_sim.Engine.now t.engine)
+              Flight.Drop
+          then begin
+            Flight.add_string Flight.default "arp gave up on ";
+            Flight.add_hex Flight.default dst_ip;
+            Flight.add_string Flight.default " after ";
+            Flight.add_int Flight.default arp_max_attempts;
+            Flight.add_string Flight.default " tries (";
+            Flight.add_int Flight.default dropped;
+            Flight.add_string Flight.default " queued sends dropped)";
+            Flight.commit Flight.default
+          end
+        end
+        else begin
+          send_arp_request t dst_ip;
+          ignore
+            (Dk_sim.Engine.after t.engine arp_retry_ns (fun () ->
+                 attempt (n - 1)))
+        end
+    in
+    attempt arp_max_attempts
+  end
 
-let send_ipv4 t ~dst_ip ~proto payload =
+(* [frame] already holds the transport header and payload from
+   [l4_off] to its end. *)
+let send_ipv4 t ~dst_ip ~proto frame =
   let ident = t.next_ident in
   t.next_ident <- (t.next_ident + 1) land 0xffff;
-  let pkt =
-    Ipv4.encode { Ipv4.src = t.ip; dst = dst_ip; proto; ttl = 64; ident; payload }
-  in
-  with_mac t dst_ip (fun dst_mac ->
-      transmit_eth t ~dst_mac ~ethertype:Eth.Ipv4 pkt)
+  Ipv4.write frame ~off:ip_off ~src:t.ip ~dst:dst_ip ~proto ~ttl:64 ~ident
+    ~payload_len:(Bytes.length frame - l4_off);
+  match Arp.Table.lookup t.arp dst_ip with
+  | Some dst_mac -> transmit_eth t ~dst_mac ~ethertype:Eth.Ipv4 frame
+  | None ->
+      when_resolved t dst_ip (fun dst_mac ->
+          transmit_eth t ~dst_mac ~ethertype:Eth.Ipv4 frame)
 
 (* ---- UDP ---- *)
 
@@ -183,11 +200,16 @@ let udp_bind t ~port ~recv =
 let udp_unbind t ~port = Hashtbl.remove t.udp_ports port
 
 let udp_send t ~src_port ~dst payload =
-  let datagram =
-    Udp.encode ~src_ip:t.ip ~dst_ip:dst.Addr.ip
-      { Udp.src_port; dst_port = dst.Addr.port; payload }
-  in
-  send_ipv4 t ~dst_ip:dst.Addr.ip ~proto:Ipv4.Udp datagram
+  let n = String.length payload in
+  if n > udp_max_payload then Error `Too_big
+  else begin
+    let frame = Bytes.create (udp_payload_off + n) in
+    Bytes.blit_string payload 0 frame udp_payload_off n;
+    Udp.write frame ~off:l4_off ~src_ip:t.ip ~dst_ip:dst.Addr.ip ~src_port
+      ~dst_port:dst.Addr.port ~payload_len:n;
+    send_ipv4 t ~dst_ip:dst.Addr.ip ~proto:Ipv4.Udp frame;
+    Ok ()
+  end
 
 (* ---- TCP ---- *)
 
@@ -218,9 +240,15 @@ let register_conn t ~local_port ~remote conn =
       | Some h -> Hashtbl.remove h remote.Addr.ip
       | None -> ())
 
-let tcp_emit t ~remote_ip seg =
-  let payload = Tcp_wire.encode ~src_ip:t.ip ~dst_ip:remote_ip seg in
-  send_ipv4 t ~dst_ip:remote_ip ~proto:Ipv4.Tcp payload
+(* A data segment arrives in the frame TCP sized for it (payload at
+   [tcp_payload_off]); a control segment gets a header-only frame. *)
+let tcp_emit t ~remote_ip (seg : Tcp_wire.t) =
+  let frame =
+    if seg.Tcp_wire.payload_len = 0 then Bytes.create tcp_payload_off
+    else seg.Tcp_wire.payload
+  in
+  Tcp_wire.write frame ~off:l4_off ~src_ip:t.ip ~dst_ip:remote_ip seg;
+  send_ipv4 t ~dst_ip:remote_ip ~proto:Ipv4.Tcp frame
 
 let tcp_listen t ~port ~on_accept =
   if Hashtbl.mem t.listeners port then Error `In_use
@@ -248,7 +276,7 @@ let tcp_connect t ~dst =
   let local = Addr.endpoint t.ip local_port in
   let conn =
     Tcp.create_active ~engine:t.engine ~config:t.tcp_config ~local ~remote:dst
-      ~iss:(next_iss t)
+      ~iss:(next_iss t) ~payload_off:tcp_payload_off
       ~emit:(fun seg -> tcp_emit t ~remote_ip:dst.Addr.ip seg)
   in
   register_conn t ~local_port ~remote:dst conn;
@@ -264,18 +292,19 @@ let send_rst t ~remote (seg : Tcp_wire.t) =
         dst_port = seg.Tcp_wire.src_port;
         seq = seg.Tcp_wire.ack_seq;
         ack_seq =
-          (seg.Tcp_wire.seq + String.length seg.Tcp_wire.payload + 1)
-          land 0xffffffff;
+          (seg.Tcp_wire.seq + seg.Tcp_wire.payload_len + 1) land 0xffffffff;
         flags = { Tcp_wire.no_flags with rst = true; ack = true };
         window = 0;
-        payload = "";
+        payload = Bytes.empty;
+        payload_off = 0;
+        payload_len = 0;
       }
     in
     tcp_emit t ~remote_ip:remote rst
   end
 
-let handle_tcp t ~src_ip segment =
-  match Tcp_wire.decode ~src_ip ~dst_ip:t.ip segment with
+let handle_tcp t ~src_ip frame ~len =
+  match Tcp_wire.decode ~src_ip ~dst_ip:t.ip frame ~off:l4_off ~len with
   | Error e -> decode_error t e
   | Ok seg ->
       let local_port = seg.Tcp_wire.dst_port in
@@ -294,6 +323,7 @@ let handle_tcp t ~src_ip segment =
               let conn =
                 Tcp.create_passive ~engine:t.engine ~config:t.tcp_config
                   ~local ~remote ~iss:(next_iss t)
+                  ~payload_off:tcp_payload_off
                   ~emit:(fun s -> tcp_emit t ~remote_ip:src_ip s)
                   ~remote_seq:seg.Tcp_wire.seq
               in
@@ -306,8 +336,8 @@ let handle_tcp t ~src_ip segment =
 
 (* ---- receive path ---- *)
 
-let handle_arp t payload =
-  match Arp.decode payload with
+let handle_arp t frame =
+  match Arp.decode frame ~off:ip_off ~len:(Bytes.length frame - ip_off) with
   | Error e -> decode_error t e
   | Ok { Arp.op; sender_mac; sender_ip; target_ip; _ } -> (
       (* Learn the sender either way. *)
@@ -315,25 +345,27 @@ let handle_arp t payload =
       if recovered > 0 then Dk_obs.Metrics.add m_arp_recovered recovered;
       match op with
       | Arp.Request when target_ip = t.ip ->
-          let reply =
-            Arp.encode
-              {
-                Arp.op = Arp.Reply;
-                sender_mac = mac t;
-                sender_ip = t.ip;
-                target_mac = sender_mac;
-                target_ip = sender_ip;
-              }
-          in
-          transmit_eth t ~dst_mac:sender_mac ~ethertype:Eth.Arp reply
+          send_arp t ~dst_mac:sender_mac
+            {
+              Arp.op = Arp.Reply;
+              sender_mac = mac t;
+              sender_ip = t.ip;
+              target_mac = sender_mac;
+              target_ip = sender_ip;
+            }
       | Arp.Request | Arp.Reply -> ())
 
-let handle_udp t ~src_ip payload =
-  match Udp.decode ~src_ip ~dst_ip:t.ip payload with
+(* The one copy a datagram's payload makes on receive: out of the frame
+   for the socket's callback. *)
+let handle_udp t ~src_ip frame ~len =
+  match Udp.decode ~src_ip ~dst_ip:t.ip frame ~off:l4_off ~len with
   | Error e -> decode_error t e
-  | Ok { Udp.src_port; dst_port; payload } -> (
+  | Ok { Udp.src_port; dst_port; payload_len } -> (
       match Hashtbl.find_opt t.udp_ports dst_port with
-      | Some recv -> recv ~src:(Addr.endpoint src_ip src_port) payload
+      | Some recv ->
+          recv
+            ~src:(Addr.endpoint src_ip src_port)
+            (Bytes.sub_string frame udp_payload_off payload_len)
       | None ->
           t.no_listener <- t.no_listener + 1;
           Dk_obs.Metrics.incr m_no_listener)
@@ -342,28 +374,32 @@ let handle_frame t frame =
   t.frames_in <- t.frames_in + 1;
   Dk_obs.Metrics.incr m_frames_in;
   Dk_sim.Engine.consume t.engine t.pkt_cost;
+  (* Receive only reads the frame, which the sender's NIC handed over. *)
+  let frame = Bytes.unsafe_of_string frame in
   match Eth.decode frame with
   | Error e -> decode_error t e
-  | Ok { Eth.dst; ethertype; payload; _ } ->
+  | Ok { Eth.dst; ethertype; _ } ->
       if dst <> mac t && dst <> Addr.mac_broadcast then begin
         t.not_for_us <- t.not_for_us + 1;
         Dk_obs.Metrics.incr m_not_for_us
       end
       else (
         match ethertype with
-        | Eth.Arp -> handle_arp t payload
+        | Eth.Arp -> handle_arp t frame
         | Eth.Ipv4 -> (
-            match Ipv4.decode payload with
+            match
+              Ipv4.decode frame ~off:ip_off ~len:(Bytes.length frame - ip_off)
+            with
             | Error e -> decode_error t e
-            | Ok { Ipv4.src; dst; proto; payload; _ } ->
+            | Ok { Ipv4.src; dst; proto; payload_len = len; _ } ->
                 if dst <> t.ip then begin
                   t.not_for_us <- t.not_for_us + 1;
                   Dk_obs.Metrics.incr m_not_for_us
                 end
                 else (
                   match proto with
-                  | Ipv4.Udp -> handle_udp t ~src_ip:src payload
-                  | Ipv4.Tcp -> handle_tcp t ~src_ip:src payload
+                  | Ipv4.Udp -> handle_udp t ~src_ip:src frame ~len
+                  | Ipv4.Tcp -> handle_tcp t ~src_ip:src frame ~len
                   | Ipv4.Unknown _ -> decode_error t "ipv4: unknown protocol"))
         | Eth.Unknown _ -> decode_error t "eth: unknown ethertype")
 

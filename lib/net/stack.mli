@@ -46,9 +46,16 @@ val udp_bind :
 
 val udp_unbind : t -> port:int -> unit
 
-val udp_send : t -> src_port:int -> dst:Addr.endpoint -> string -> unit
+val udp_send :
+  t ->
+  src_port:int ->
+  dst:Addr.endpoint ->
+  string ->
+  (unit, [ `Too_big ]) result
 (** Resolves the destination MAC via ARP if needed (queuing the
-    datagram meanwhile), then transmits. *)
+    datagram meanwhile), then transmits. A payload over 65,507 bytes
+    (what a 16-bit IPv4 total length leaves) is refused with
+    [`Too_big] and nothing goes on the wire. *)
 
 (** {2 TCP} *)
 

@@ -84,6 +84,7 @@ type conn = {
   config : config;
   local : Addr.endpoint;
   remote : Addr.endpoint;
+  payload_off : int; (* where a frame's payload starts; the stack decides *)
   emit : Tcp_wire.t -> unit;
   mutable st : state;
   (* send side *)
@@ -149,26 +150,12 @@ let set_internal_teardown t f = t.internal_teardown <- f
 
 let recv_window t = Dk_util.Ring.available t.recv_ring
 
-let emit_seg t ?(payload = "") flags =
-  t.segs_sent <- t.segs_sent + 1;
-  Dk_obs.Metrics.incr m_segs_sent;
-  t.bytes_sent <- t.bytes_sent + String.length payload;
-  t.emit
-    {
-      Tcp_wire.src_port = t.local.Addr.port;
-      dst_port = t.remote.Addr.port;
-      seq = t.snd_nxt;
-      ack_seq = t.rcv_nxt;
-      flags;
-      window = min 0xffff (recv_window t);
-      payload;
-    }
-  [@@hot.alloc
-    "the segment record is the wire representation handed to the \
-     stack's emit"]
-
-(* Emit a segment whose SEQ is not snd_nxt (retransmission). *)
-let emit_at t ~seq ?(payload = "") flags =
+(* Emit a segment at [seq] whose [len] payload bytes sit at
+   [payload_off] in [frame], a buffer sized for the whole frame so the
+   stack can write every header in front of them. A segment without
+   payload passes [Bytes.empty] and 0; the stack gives it a
+   header-only frame. *)
+let emit_at t ~seq frame len flags =
   t.segs_sent <- t.segs_sent + 1;
   Dk_obs.Metrics.incr m_segs_sent;
   t.emit
@@ -179,11 +166,28 @@ let emit_at t ~seq ?(payload = "") flags =
       ack_seq = t.rcv_nxt;
       flags;
       window = min 0xffff (recv_window t);
-      payload;
+      payload = frame;
+      payload_off = t.payload_off;
+      payload_len = len;
     }
   [@@hot.alloc
     "the segment record is the wire representation handed to the \
      stack's emit"]
+
+(* A control segment at snd_nxt. *)
+let emit_seg t flags = emit_at t ~seq:t.snd_nxt Bytes.empty 0 flags
+
+(* A frame carrying the [n] send-ring bytes that start [skip] bytes
+   past snd_una: the one copy a data segment's bytes make on the host
+   before the NIC takes the frame. *)
+let data_frame t ~skip n =
+  if n = 0 then Bytes.empty
+  else begin
+    let frame = Bytes.create (t.payload_off + n) in
+    ignore (Dk_util.Ring.peek_at t.send_ring ~skip frame t.payload_off n);
+    frame
+  end
+  [@@hot.alloc "each data segment's frame is allocated once, sized whole"]
 
 let ack_flags = { Tcp_wire.no_flags with ack = true }
 
@@ -273,25 +277,23 @@ and on_rto t =
 and retransmit_head t =
   match t.st with
   | Syn_sent ->
-      emit_at t ~seq:t.snd_una { Tcp_wire.no_flags with syn = true }
+      emit_at t ~seq:t.snd_una Bytes.empty 0
+        { Tcp_wire.no_flags with syn = true }
   | Syn_rcvd ->
-      emit_at t ~seq:t.snd_una { Tcp_wire.no_flags with syn = true; ack = true }
+      emit_at t ~seq:t.snd_una Bytes.empty 0
+        { Tcp_wire.no_flags with syn = true; ack = true }
   | _ ->
       let data_bytes = min (unacked t) t.config.mss in
       if data_bytes > 0 then begin
         (* A sent FIN counts in [unacked] but holds no ring byte. *)
-        let buf =
-          Bytes.create (min data_bytes (Dk_util.Ring.length t.send_ring))
-        in
-        ignore (Dk_util.Ring.peek t.send_ring buf 0 (Bytes.length buf));
-        emit_at t ~seq:t.snd_una ~payload:(Bytes.unsafe_to_string buf)
-          ack_flags
+        let n = min data_bytes (Dk_util.Ring.length t.send_ring) in
+        emit_at t ~seq:t.snd_una (data_frame t ~skip:0 n) n ack_flags
       end
       else if t.fin_sent then
-        emit_at t ~seq:t.fin_seq { ack_flags with fin = true }
+        emit_at t ~seq:t.fin_seq Bytes.empty 0 { ack_flags with fin = true }
   [@@hot.alloc
-    "loss recovery materializes the resent segment's flags and payload; \
-     it runs on RTO or triple-dup-ACK, not per delivered segment"]
+    "loss recovery materializes the resent segment's flags; it runs on \
+     RTO or triple-dup-ACK, not per delivered segment"]
 
 (* How many new payload bytes we may put on the wire right now. *)
 let send_allowance t =
@@ -314,13 +316,12 @@ let rec output_rounds t budget =
   if n > 0 then begin
     (* The bytes to send start [unacked t] into the ring; [n <= unsent t]
        so all of them are there. *)
-    let buf = Bytes.create n in
-    ignore (Dk_util.Ring.peek_at t.send_ring ~skip:(unacked t) buf 0 n);
-    emit_seg t ~payload:(Bytes.unsafe_to_string buf) ack_flags;
+    let frame = data_frame t ~skip:(unacked t) n in
+    t.bytes_sent <- t.bytes_sent + n;
+    emit_at t ~seq:t.snd_nxt frame n ack_flags;
     t.snd_nxt <- seq_add t.snd_nxt n;
     output_rounds t (budget - n)
   end
-  [@@hot.alloc "each emitted segment materializes its payload from the ring"]
 
 (* Transmit as much queued data as windows allow, then the FIN if it is
    due. *)
@@ -341,12 +342,13 @@ and maybe_send_fin t =
   end
   [@@hot.alloc "the FIN flag record is built at half-close, once per side"]
 
-let make ~engine ~config ~local ~remote ~iss ~emit st =
+let make ~engine ~config ~local ~remote ~iss ~payload_off ~emit st =
   {
     engine;
     config;
     local;
     remote;
+    payload_off;
     emit;
     st;
     send_ring = Dk_util.Ring.create config.send_buffer;
@@ -382,15 +384,20 @@ let make ~engine ~config ~local ~remote ~iss ~emit st =
     ooo_count = 0;
   }
 
-let create_active ~engine ~config ~local ~remote ~iss ~emit =
-  let t = make ~engine ~config ~local ~remote ~iss ~emit Syn_sent in
+let create_active ~engine ~config ~local ~remote ~iss ~payload_off ~emit =
+  let t =
+    make ~engine ~config ~local ~remote ~iss ~payload_off ~emit Syn_sent
+  in
   emit_seg t { Tcp_wire.no_flags with syn = true };
   t.snd_nxt <- seq_add t.snd_nxt 1;
   arm_rtx t;
   t
 
-let create_passive ~engine ~config ~local ~remote ~iss ~emit ~remote_seq =
-  let t = make ~engine ~config ~local ~remote ~iss ~emit Syn_rcvd in
+let create_passive ~engine ~config ~local ~remote ~iss ~payload_off ~emit
+    ~remote_seq =
+  let t =
+    make ~engine ~config ~local ~remote ~iss ~payload_off ~emit Syn_rcvd
+  in
   t.rcv_nxt <- seq_add remote_seq 1;
   emit_seg t { Tcp_wire.no_flags with syn = true; ack = true };
   t.snd_nxt <- seq_add t.snd_nxt 1;
@@ -401,10 +408,13 @@ let create_passive ~engine ~config ~local ~remote ~iss ~emit ~remote_seq =
 
 let send_space t = Dk_util.Ring.available t.send_ring
 
-let send t data =
+let send t ?(off = 0) data =
   match t.st with
   | Established | Close_wait when not t.fin_pending ->
-      let n = Dk_util.Ring.write_string t.send_ring data in
+      let n =
+        Dk_util.Ring.write t.send_ring (Bytes.unsafe_of_string data) off
+          (String.length data - off)
+      in
       if n > 0 then try_output t;
       n
   | _ -> 0
@@ -476,13 +486,15 @@ let rec drain_ooo t =
         (List.sort (fun (a, _) (b, _) -> compare (seq_diff a t.rcv_nxt) (seq_diff b t.rcv_nxt)) ready);
       if !advanced then drain_ooo t
 
+(* In-order and overlapping data go from the frame straight into the
+   receive ring; only out-of-order data is copied out to wait. *)
 let accept_payload t (seg : Tcp_wire.t) =
-  let payload = seg.payload in
-  if String.length payload = 0 then false
+  let len = seg.payload_len in
+  if len = 0 then false
   else begin
-    t.bytes_received <- t.bytes_received + String.length payload;
+    t.bytes_received <- t.bytes_received + len;
     if seg.seq = t.rcv_nxt then begin
-      let n = Dk_util.Ring.write_string t.recv_ring payload in
+      let n = Dk_util.Ring.write t.recv_ring seg.payload seg.payload_off len in
       t.rcv_nxt <- seq_add t.rcv_nxt n;
       drain_ooo t;
       n > 0
@@ -492,16 +504,19 @@ let accept_payload t (seg : Tcp_wire.t) =
       if seq_diff seg.seq t.rcv_nxt <= t.config.recv_buffer then begin
         t.ooo_count <- t.ooo_count + 1;
         Dk_obs.Metrics.incr m_ooo;
-        t.ooo <- (seg.seq, payload) :: t.ooo
+        t.ooo <-
+          (seg.seq, Bytes.sub_string seg.payload seg.payload_off len) :: t.ooo
       end;
       false
     end
     else begin
       (* Stale/overlapping: deliver any fresh suffix. *)
       let skip = seq_diff t.rcv_nxt seg.seq in
-      if skip < String.length payload then begin
-        let fresh = String.sub payload skip (String.length payload - skip) in
-        let n = Dk_util.Ring.write_string t.recv_ring fresh in
+      if skip < len then begin
+        let n =
+          Dk_util.Ring.write t.recv_ring seg.payload
+            (seg.payload_off + skip) (len - skip)
+        in
         t.rcv_nxt <- seq_add t.rcv_nxt n;
         drain_ooo t;
         n > 0
@@ -539,7 +554,7 @@ let process_ack t (seg : Tcp_wire.t) =
          Three in a row trigger fast retransmit (no RTO wait). *)
       if
         ack = t.snd_una
-        && String.length seg.payload = 0
+        && seg.payload_len = 0
         && unacked t > 0
         && not seg.flags.Tcp_wire.syn
         && not seg.flags.Tcp_wire.fin
@@ -600,17 +615,19 @@ let segment_arrives t (seg : Tcp_wire.t) =
           (* Simultaneous open. *)
           t.rcv_nxt <- seq_add seg.seq 1;
           t.st <- Syn_rcvd;
-          emit_at t ~seq:t.snd_una { Tcp_wire.no_flags with syn = true; ack = true }
+          emit_at t ~seq:t.snd_una Bytes.empty 0
+            { Tcp_wire.no_flags with syn = true; ack = true }
         end
     | Syn_rcvd ->
         if seg.flags.Tcp_wire.syn && not seg.flags.Tcp_wire.ack then
           (* Duplicate SYN: re-answer. *)
-          emit_at t ~seq:t.snd_una { Tcp_wire.no_flags with syn = true; ack = true }
+          emit_at t ~seq:t.snd_una Bytes.empty 0
+            { Tcp_wire.no_flags with syn = true; ack = true }
         else if process_ack t seg then begin
           t.st <- Established;
           t.on_connect ();
           let readable = accept_payload t seg in
-          if String.length seg.payload > 0 then send_ack t;
+          if seg.payload_len > 0 then send_ack t;
           if readable then t.on_readable ();
           try_output t
         end
@@ -626,7 +643,7 @@ let segment_arrives t (seg : Tcp_wire.t) =
            after the segment's payload. A FIN whose slot is beyond
            rcv_nxt (data still missing) is ignored — the peer will
            retransmit it and the gap will have filled by then. *)
-        let fin_pos = seq_add seg.seq (String.length seg.payload) in
+        let fin_pos = seq_add seg.seq seg.payload_len in
         let fin_now =
           seg.flags.Tcp_wire.fin && fin_pos = t.rcv_nxt && t.peer_fin = None
         in
@@ -648,7 +665,7 @@ let segment_arrives t (seg : Tcp_wire.t) =
         else if seg.flags.Tcp_wire.fin && t.peer_fin <> None then
           (* Retransmitted FIN: re-ack so the peer stops. *)
           send_ack t
-        else if String.length seg.payload > 0 then send_ack t;
+        else if seg.payload_len > 0 then send_ack t;
         (* Our FIN fully acked? *)
         if t.fin_sent && t.snd_una = seq_add t.fin_seq 1 then begin
           match t.st with

@@ -59,9 +59,16 @@ val create_active :
   local:Addr.endpoint ->
   remote:Addr.endpoint ->
   iss:int ->
+  payload_off:int ->
   emit:(Tcp_wire.t -> unit) ->
   conn
-(** Sends the SYN immediately (state [Syn_sent]). *)
+(** Sends the SYN immediately (state [Syn_sent]).
+
+    [payload_off] is where a frame's payload starts, after every
+    header the stack writes. A segment handed to [emit] with a payload
+    carries it at [payload_off] in a buffer of exactly [payload_off +
+    payload_len] bytes: the frame, which the stack completes in place.
+    A segment without payload carries [Bytes.empty]. *)
 
 val create_passive :
   engine:Dk_sim.Engine.t ->
@@ -69,13 +76,17 @@ val create_passive :
   local:Addr.endpoint ->
   remote:Addr.endpoint ->
   iss:int ->
+  payload_off:int ->
   emit:(Tcp_wire.t -> unit) ->
   remote_seq:int ->
   conn
 (** For a SYN that arrived at a listener: replies SYN-ACK
-    (state [Syn_rcvd]). *)
+    (state [Syn_rcvd]). [payload_off] and [emit] as for
+    {!create_active}. *)
 
 val segment_arrives : conn -> Tcp_wire.t -> unit
+(** In-order payload is written from the segment's view straight into
+    the receive ring; the view is not kept after the call. *)
 
 (** {2 Application interface} *)
 
@@ -83,9 +94,11 @@ val state : conn -> state
 val local : conn -> Addr.endpoint
 val remote : conn -> Addr.endpoint
 
-val send : conn -> string -> int
-(** Bytes accepted into the send buffer (0 when full or not writable in
-    the current state). *)
+val send : conn -> ?off:int -> string -> int
+(** [send conn ~off data] offers the bytes of [data] from [off]
+    (default 0) on; returns how many were accepted into the send buffer
+    (0 when full or not writable in the current state). A caller with a
+    partly sent message keeps a cursor and passes it as [off]. *)
 
 val send_space : conn -> int
 val recv_ready : conn -> int

@@ -1,3 +1,5 @@
+module Wire = Dk_util.Wire
+
 type flags = { syn : bool; ack : bool; fin : bool; rst : bool }
 
 type t = {
@@ -7,7 +9,9 @@ type t = {
   ack_seq : int;
   flags : flags;
   window : int;
-  payload : string;
+  payload : bytes;
+  payload_off : int;
+  payload_len : int;
 }
 
 let header_size = 20
@@ -27,57 +31,40 @@ let flags_of_int v =
     ack = v land 0x10 <> 0;
   }
 
-let encode ~src_ip ~dst_ip t =
-  let len = header_size + String.length t.payload in
-  let b = Bytes.create len in
-  Wire.set_u16 b 0 t.src_port;
-  Wire.set_u16 b 2 t.dst_port;
-  Wire.set_u32 b 4 (t.seq land 0xffffffff);
-  Wire.set_u32 b 8 (t.ack_seq land 0xffffffff);
-  Wire.set_u8 b 12 0x50; (* data offset = 5 words *)
-  Wire.set_u8 b 13 (flags_to_int t.flags);
-  Wire.set_u16 b 14 t.window;
-  Wire.set_u16 b 16 0; (* checksum placeholder *)
-  Wire.set_u16 b 18 0; (* urgent pointer *)
-  Bytes.blit_string t.payload 0 b header_size (String.length t.payload);
-  let pseudo = Ipv4.pseudo_header_sum ~src:src_ip ~dst:dst_ip ~proto:6 ~len in
-  let csum =
-    Dk_util.Checksum.finish
-      (Dk_util.Checksum.ones_complement_sum ~init:pseudo b 0 len)
-  in
-  Wire.set_u16 b 16 csum;
-  Bytes.unsafe_to_string b
+let write b ~off ~src_ip ~dst_ip t =
+  if t.payload_len > 0
+     && not (t.payload == b && t.payload_off = off + header_size)
+  then invalid_arg "Tcp_wire.write: payload not behind the header";
+  Wire.set_u16 b off t.src_port;
+  Wire.set_u16 b (off + 2) t.dst_port;
+  Wire.set_u32 b (off + 4) t.seq;
+  Wire.set_u32 b (off + 8) t.ack_seq;
+  Wire.set_u8 b (off + 12) 0x50; (* data offset = 5 words *)
+  Wire.set_u8 b (off + 13) (flags_to_int t.flags);
+  Wire.set_u16 b (off + 14) t.window;
+  Wire.set_u16 b (off + 16) 0; (* checksum placeholder *)
+  Wire.set_u16 b (off + 18) 0; (* urgent pointer *)
+  Wire.set_u16 b (off + 16)
+    (Dk_util.Checksum.transport ~src:src_ip ~dst:dst_ip ~proto:6 b off
+       (header_size + t.payload_len))
 
-let decode ~src_ip ~dst_ip s =
-  if String.length s < header_size then Error "tcp: too short"
+let decode ~src_ip ~dst_ip b ~off ~len =
+  if len < header_size then Error "tcp: too short"
+  else if
+    Dk_util.Checksum.transport ~src:src_ip ~dst:dst_ip ~proto:6 b off len <> 0
+  then Error "tcp: bad checksum"
+  else if Wire.get_u8 b (off + 12) lsr 4 <> 5 then
+    Error "tcp: options unsupported"
   else
-    let b = Bytes.unsafe_of_string s in
-    let len = String.length s in
-    let pseudo = Ipv4.pseudo_header_sum ~src:src_ip ~dst:dst_ip ~proto:6 ~len in
-    let folded =
-      Dk_util.Checksum.finish
-        (Dk_util.Checksum.ones_complement_sum ~init:pseudo b 0 len)
-    in
-    if folded <> 0 then Error "tcp: bad checksum"
-    else if Wire.get_u8 b 12 lsr 4 <> 5 then Error "tcp: options unsupported"
-    else
-      Ok
-        {
-          src_port = Wire.get_u16 b 0;
-          dst_port = Wire.get_u16 b 2;
-          seq = Wire.get_u32 b 4;
-          ack_seq = Wire.get_u32 b 8;
-          flags = flags_of_int (Wire.get_u8 b 13);
-          window = Wire.get_u16 b 14;
-          payload = String.sub s header_size (len - header_size);
-        }
-
-let pp ppf t =
-  let f = t.flags in
-  Format.fprintf ppf "tcp %d->%d seq=%d ack=%d%s%s%s%s win=%d len=%d"
-    t.src_port t.dst_port t.seq t.ack_seq
-    (if f.syn then " SYN" else "")
-    (if f.ack then " ACK" else "")
-    (if f.fin then " FIN" else "")
-    (if f.rst then " RST" else "")
-    t.window (String.length t.payload)
+    Ok
+      {
+        src_port = Wire.get_u16 b off;
+        dst_port = Wire.get_u16 b (off + 2);
+        seq = Wire.get_u32 b (off + 4);
+        ack_seq = Wire.get_u32 b (off + 8);
+        flags = flags_of_int (Wire.get_u8 b (off + 13));
+        window = Wire.get_u16 b (off + 14);
+        payload = b;
+        payload_off = off + header_size;
+        payload_len = len - header_size;
+      }

@@ -1,6 +1,7 @@
-(** TCP segment codec: 20-byte header (no options) with pseudo-header
-    checksum. Sequence numbers are full 32-bit values; comparisons that
-    must respect wraparound live in {!Tcp}. *)
+(** TCP header (20 bytes, no options) with pseudo-header checksum,
+    written and parsed in place inside a frame buffer. Sequence numbers
+    are full 32-bit values; comparisons that must respect wraparound
+    live in {!Tcp}. *)
 
 type flags = { syn : bool; ack : bool; fin : bool; rst : bool }
 
@@ -11,13 +12,26 @@ type t = {
   ack_seq : int;
   flags : flags;
   window : int;
-  payload : string;
+  payload : bytes;
+  payload_off : int;
+  payload_len : int;
+      (** The payload is a view: [payload_len] bytes of [payload] at
+          [payload_off]. On receive it points into the frame; a
+          segment with no payload may carry [Bytes.empty]. *)
 }
 
 val header_size : int
 val no_flags : flags
 
-val encode : src_ip:Addr.ip -> dst_ip:Addr.ip -> t -> string
-val decode : src_ip:Addr.ip -> dst_ip:Addr.ip -> string -> (t, string) result
+val write : bytes -> off:int -> src_ip:Addr.ip -> dst_ip:Addr.ip -> t -> unit
+(** Fill the header at [off] from [t]'s fields and checksum it together
+    with the payload, which must already sit right behind the header:
+    a segment with a payload has [payload == b] and
+    [payload_off = off + header_size].
+    @raise Invalid_argument when it does not. *)
 
-val pp : Format.formatter -> t -> unit
+val decode :
+  src_ip:Addr.ip -> dst_ip:Addr.ip -> bytes -> off:int -> len:int ->
+  (t, string) result
+(** The [len]-byte segment at [off]; the payload view points into [b]
+    (nothing is copied). *)

@@ -1,40 +1,33 @@
-type t = { src_port : int; dst_port : int; payload : string }
+module Wire = Dk_util.Wire
+
+type t = { src_port : int; dst_port : int; payload_len : int }
 
 let header_size = 8
 
-let encode ~src_ip ~dst_ip t =
-  let len = header_size + String.length t.payload in
-  let b = Bytes.create len in
-  Wire.set_u16 b 0 t.src_port;
-  Wire.set_u16 b 2 t.dst_port;
-  Wire.set_u16 b 4 len;
-  Wire.set_u16 b 6 0;
-  Bytes.blit_string t.payload 0 b header_size (String.length t.payload);
-  let pseudo = Ipv4.pseudo_header_sum ~src:src_ip ~dst:dst_ip ~proto:17 ~len in
+let write b ~off ~src_ip ~dst_ip ~src_port ~dst_port ~payload_len =
+  let len = header_size + payload_len in
+  Wire.set_u16 b off src_port;
+  Wire.set_u16 b (off + 2) dst_port;
+  Wire.set_u16 b (off + 4) len;
+  Wire.set_u16 b (off + 6) 0;
   let csum =
-    Dk_util.Checksum.finish (Dk_util.Checksum.ones_complement_sum ~init:pseudo b 0 len)
+    Dk_util.Checksum.transport ~src:src_ip ~dst:dst_ip ~proto:17 b off len
   in
-  Wire.set_u16 b 6 (if csum = 0 then 0xffff else csum);
-  Bytes.unsafe_to_string b
+  Wire.set_u16 b (off + 6) (if csum = 0 then 0xffff else csum)
 
-let decode ~src_ip ~dst_ip s =
-  if String.length s < header_size then Error "udp: too short"
+let decode ~src_ip ~dst_ip b ~off ~len =
+  if len < header_size then Error "udp: too short"
   else
-    let b = Bytes.unsafe_of_string s in
-    let len = Wire.get_u16 b 4 in
-    if len < header_size || len > String.length s then Error "udp: bad length"
-    else begin
-      let pseudo = Ipv4.pseudo_header_sum ~src:src_ip ~dst:dst_ip ~proto:17 ~len in
-      let folded =
-        Dk_util.Checksum.finish
-          (Dk_util.Checksum.ones_complement_sum ~init:pseudo b 0 len)
-      in
-      if folded <> 0 then Error "udp: bad checksum"
-      else
-        Ok
-          {
-            src_port = Wire.get_u16 b 0;
-            dst_port = Wire.get_u16 b 2;
-            payload = String.sub s header_size (len - header_size);
-          }
-    end
+    let ulen = Wire.get_u16 b (off + 4) in
+    if ulen < header_size || ulen > len then Error "udp: bad length"
+    else if
+      Dk_util.Checksum.transport ~src:src_ip ~dst:dst_ip ~proto:17 b off ulen
+      <> 0
+    then Error "udp: bad checksum"
+    else
+      Ok
+        {
+          src_port = Wire.get_u16 b off;
+          dst_port = Wire.get_u16 b (off + 2);
+          payload_len = ulen - header_size;
+        }

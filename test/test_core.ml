@@ -223,18 +223,24 @@ let tcp_queue_echo () =
   | r -> Alcotest.failf "unexpected %a" Types.pp_op_result r
 
 let tcp_queue_large_message () =
-  (* one message spanning many MSS-sized segments stays atomic *)
+  (* One message spanning many MSS-sized segments stays atomic. The
+     200,000 B one is larger than the 64 KiB send buffer, so the push
+     drains over many ACK-driven partial sends. *)
   let duo, da, db = demi_pair () in
   start_echo db 7;
   let qd = Result.get_ok (Demi.socket da `Tcp) in
   ignore (Demi.connect da qd ~dst:(Setup.endpoint duo.Setup.b 7));
-  let big = String.init 20_000 (fun i -> Char.chr (i land 0xff)) in
-  ignore (Demi.blocking_push da qd (sga_str big));
-  match Demi.blocking_pop da qd with
-  | Types.Popped reply ->
-      check_int "length" 20_000 (Sga.length reply);
-      check_bool "intact" true (String.equal big (Sga.to_string reply))
-  | r -> Alcotest.failf "unexpected %a" Types.pp_op_result r
+  List.iter
+    (fun size ->
+      let big = String.init size (fun i -> Char.chr ((i * 7) land 0xff)) in
+      check_bool "pushed" true
+        (Demi.blocking_push da qd (sga_str big) = Types.Pushed);
+      match Demi.blocking_pop da qd with
+      | Types.Popped reply ->
+          check_int "length" size (Sga.length reply);
+          check_bool "intact" true (String.equal big (Sga.to_string reply))
+      | r -> Alcotest.failf "unexpected %a" Types.pp_op_result r)
+    [ 20_000; 200_000 ]
 
 let tcp_connect_refused () =
   let duo, da, _ = demi_pair () in
@@ -289,6 +295,19 @@ let udp_queue_roundtrip () =
   ignore (Demi.connect da cqd ~dst:(Setup.endpoint duo.Setup.b 53));
   ignore (Demi.blocking_push da cqd (sga_str "ping"));
   check_str "reply" "ack:ping" (expect_popped (Demi.blocking_pop da cqd))
+
+(* A datagram fits a 16-bit IPv4 total length or is refused whole. *)
+let udp_queue_oversized_push () =
+  let duo, da, _ = demi_pair () in
+  let qd = Result.get_ok (Demi.socket da `Udp) in
+  ignore (Demi.bind da qd ~port:54);
+  ignore (Demi.connect da qd ~dst:(Setup.endpoint duo.Setup.b 53));
+  check_bool "65,507 B pushed" true
+    (Demi.blocking_push da qd (sga_str (String.make 65_507 'a'))
+    = Types.Pushed);
+  check_bool "65,508 B refused" true
+    (Demi.blocking_push da qd (sga_str (String.make 65_508 'b'))
+    = Types.Failed `Not_supported)
 
 let close_listener_fails_pending_accept () =
   let duo = Setup.two_hosts () in
@@ -1030,6 +1049,7 @@ let () =
           Alcotest.test_case "close propagates" `Quick tcp_close_propagates;
           Alcotest.test_case "close listener" `Quick close_listener_fails_pending_accept;
           Alcotest.test_case "udp roundtrip" `Quick udp_queue_roundtrip;
+          Alcotest.test_case "udp oversized push" `Quick udp_queue_oversized_push;
           Alcotest.test_case "wait_any server loop" `Quick wait_any_server_loop;
           Alcotest.test_case "posix fallback boundaries" `Quick
             posix_fallback_preserves_boundaries;

@@ -229,11 +229,36 @@ let reference_sum ~init buf off len =
     sum := !sum + (Char.code (Bytes.get buf (off + len - 1)) lsl 8);
   !sum
 
+(* Buffers past one 32 KiB lane chunk (4,096 64-bit loads) and long
+   0xff runs, the input that drives both lanes hardest. *)
+let checksum_input =
+  let open QCheck.Gen in
+  let buffer =
+    frequency
+      [
+        (3, string_size (0 -- 200));
+        (2, string_size (32_768 -- 70_000));
+        (1, map (fun n -> String.make n '\xff') (0 -- 140_000));
+        ( 1,
+          map2
+            (fun s n -> s ^ String.make n '\xff' ^ s)
+            (string_size (0 -- 100)) (32_000 -- 70_000) );
+      ]
+  in
+  QCheck.make
+    ~print:(fun (s, off, len, init) ->
+      Printf.sprintf "%d B (%d of them 0xff), off %d, len %d, init %d"
+        (String.length s)
+        (String.fold_left (fun n c -> if c = '\xff' then n + 1 else n) 0 s)
+        off len init)
+    (quad buffer
+       (oneof [ 0 -- 16; 0 -- 140_000 ])
+       (oneof [ 0 -- 200; 0 -- 140_000 ])
+       (0 -- 0xffff))
+
 let checksum_matches_reference =
   QCheck.Test.make ~name:"checksum matches byte-wise reference" ~count:500
-    QCheck.(
-      quad (string_of_size Gen.(0 -- 200)) (int_bound 200) (int_bound 200)
-        (int_bound 0xffff))
+    checksum_input
     (fun (s, off_raw, len_raw, init) ->
       let buf = Bytes.of_string s in
       let off = if s = "" then 0 else off_raw mod (String.length s + 1) in
@@ -242,6 +267,41 @@ let checksum_matches_reference =
       = reference_sum ~init buf off len
       && Checksum.compute buf off len
          = Checksum.finish (reference_sum ~init:0 buf off len))
+
+let pseudo_header_matches_bytes =
+  QCheck.Test.make ~name:"pseudo-header sum matches its 12 bytes" ~count:200
+    QCheck.(quad int int (int_bound 0xff) int)
+    (fun (src, dst, proto, len) ->
+      let b = Bytes.make 12 '\000' in
+      Dk_util.Wire.set_u32 b 0 src;
+      Dk_util.Wire.set_u32 b 4 dst;
+      Dk_util.Wire.set_u8 b 9 proto;
+      Dk_util.Wire.set_u16 b 10 len;
+      Checksum.pseudo_header_sum ~src ~dst ~proto ~len
+      = reference_sum ~init:0 b 0 12)
+
+let checksum_long_ff_runs () =
+  (* Lane-chunk boundaries and a buffer of eleven chunks, all 0xff. *)
+  List.iter
+    (fun n ->
+      let buf = Bytes.make n '\xff' in
+      check_int (Printf.sprintf "%d B" n)
+        (reference_sum ~init:0xffff buf 0 n)
+        (Checksum.ones_complement_sum ~init:0xffff buf 0 n))
+    [ 0; 1; 7; 8; 9; 32_767; 32_768; 32_769; 65_539; 365_000 ]
+
+let checksum_allocates_nothing () =
+  let buf = Bytes.init 1500 (fun i -> Char.chr (i land 0xff)) in
+  ignore (Checksum.compute buf 0 1500);
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (Checksum.compute buf 1 1499));
+    ignore
+      (Sys.opaque_identity
+         (Checksum.transport ~src:0x0a000001 ~dst:0x0a000002 ~proto:6 buf 34
+            1466))
+  done;
+  check_int "minor words" 0 (int_of_float (Gc.minor_words () -. before))
 
 (* ---------------- Crc32 ---------------- *)
 
@@ -424,8 +484,16 @@ let () =
           Alcotest.test_case "known vector" `Quick checksum_known;
           Alcotest.test_case "verify roundtrip" `Quick checksum_verify_roundtrip;
           Alcotest.test_case "odd length" `Quick checksum_odd_length;
+          Alcotest.test_case "long 0xff runs" `Quick checksum_long_ff_runs;
+          Alcotest.test_case "allocates nothing" `Quick
+            checksum_allocates_nothing;
         ] );
-      qsuite "checksum-props" [ checksum_verify_prop; checksum_matches_reference ];
+      qsuite "checksum-props"
+        [
+          checksum_verify_prop;
+          checksum_matches_reference;
+          pseudo_header_matches_bytes;
+        ];
       ( "crc32",
         [
           Alcotest.test_case "known vectors" `Quick crc32_known;
