@@ -8,8 +8,7 @@ type server = {
   demi : Demi.t;
   kv : Kv.t;
   mutable served : int;
-  mutable udp_qd : Types.qd option;
-  udp_port : int option;
+  udp_qd : Types.qd option;
   offloaded : bool;
   populate : bool;
   cpu_pipeline : Prog.pipeline;
@@ -67,32 +66,12 @@ let start_tcp_server ~demi ~port ~kv =
       kv;
       served = 0;
       udp_qd = None;
-      udp_port = None;
       offloaded = false;
       populate = false;
       cpu_pipeline = [];
     }
   in
   accept_loop srv lqd;
-  Ok srv
-
-let start_udp_server ~demi ~port ~kv =
-  let ( let* ) = Result.bind in
-  let* qd = Demi.socket demi `Udp in
-  let* () = Demi.bind demi qd ~port in
-  let srv =
-    {
-      demi;
-      kv;
-      served = 0;
-      udp_qd = Some qd;
-      udp_port = Some port;
-      offloaded = false;
-      populate = false;
-      cpu_pipeline = [];
-    }
-  in
-  serve_conn srv qd;
   Ok srv
 
 (* ---- offloaded UDP server (single-datagram codec) ----
@@ -179,7 +158,6 @@ let start_udp_offload_server ~demi ~port ~kv ?policy ?obs_prefix ?capacity
       kv;
       served = 0;
       udp_qd = Some qd;
-      udp_port = Some port;
       offloaded;
       populate;
       cpu_pipeline;

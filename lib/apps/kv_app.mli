@@ -12,13 +12,6 @@ type server
 val start_tcp_server :
   demi:Demikernel.Demi.t -> port:int -> kv:Kv.t -> (server, Demikernel.Types.error) result
 
-val start_udp_server :
-  demi:Demikernel.Demi.t -> port:int -> kv:Kv.t -> (server, Demikernel.Types.error) result
-(** Single-peer UDP server: replies go to the configured peer (set it
-    with [Demi.connect] on the same port before traffic flows, or rely
-    on the client being the only sender). For the UDP server to answer,
-    its queue's peer must be set via {!set_udp_peer}. *)
-
 val start_udp_offload_server :
   demi:Demikernel.Demi.t ->
   port:int ->

@@ -33,7 +33,6 @@
    the sharded datapath. *)
 
 module Engine = Dk_sim.Engine
-module Cost = Dk_sim.Cost
 module Rng = Dk_sim.Rng
 module Histogram = Dk_sim.Histogram
 module Metrics = Dk_obs.Metrics
@@ -169,47 +168,10 @@ let place_conns rss ~conns =
 
 (* ---- the served side: a local KV server per shard ---- *)
 
-let rec serve_conn sh qd =
-  let demi = Shard.demi_server sh in
-  match Demi.pop demi qd with
-  | Error _ -> ()
-  | Ok tok ->
-      Demi.watch demi tok (function
-        | Types.Popped sga ->
-            Engine.consume (Shard.engine sh) (Shard.cost sh).Cost.app_request;
-            (match Proto.request_of_sga sga with
-            | None -> ()
-            | Some req -> (
-                let resp = Kv.apply_zero_copy (Shard.kv sh) req in
-                match Demi.push demi qd resp with
-                | Ok ptok -> Demi.watch demi ptok (fun _ -> ())
-                | Error _ -> ()));
-            Dk_mem.Sga.free sga;
-            serve_conn sh qd
-        | Types.Failed _ -> (
-            match Demi.close demi qd with Ok () | Error _ -> ())
-        | Types.Pushed | Types.Accepted _ -> ())
-
-let rec accept_loop sh lqd =
-  let demi = Shard.demi_server sh in
-  match Demi.accept_async demi lqd with
-  | Error _ -> ()
-  | Ok tok ->
-      Demi.watch demi tok (function
-        | Types.Accepted qd ->
-            serve_conn sh qd;
-            accept_loop sh lqd
-        | Types.Failed _ -> ()
-        | Types.Pushed | Types.Popped _ -> ())
-
 let start_server sh =
-  let demi = Shard.demi_server sh in
-  let ( let* ) = Result.bind in
-  let* lqd = Demi.socket demi `Tcp in
-  let* () = Demi.bind demi lqd ~port:kv_port in
-  let* () = Demi.listen demi lqd in
-  accept_loop sh lqd;
-  Ok ()
+  Kv_app.start_tcp_server ~demi:(Shard.demi_server sh) ~port:kv_port
+    ~kv:(Shard.kv sh)
+  |> Result.map (fun (_ : Kv_app.server) -> ())
 
 let connect_client sh =
   let demi = Shard.demi_client sh in

@@ -75,14 +75,3 @@ let udp_response_string = function
   | Not_found -> "-"
   | Stored -> "!"
   | Deleted -> "x"
-
-let udp_response_of_string s =
-  let n = String.length s in
-  if n = 0 then None
-  else
-    match s.[0] with
-    | '+' -> Some (Value (String.sub s 1 (n - 1)))
-    | '-' when n = 1 -> Some Not_found
-    | '!' when n = 1 -> Some Stored
-    | 'x' when n = 1 -> Some Deleted
-    | _ -> None

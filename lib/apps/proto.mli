@@ -47,4 +47,3 @@ val udp_request_string : request -> string
 
 val udp_request_of_string : string -> request option
 val udp_response_string : response -> string
-val udp_response_of_string : string -> response option

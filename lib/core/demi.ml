@@ -117,7 +117,6 @@ let manager t = t.manager
 let registry t = t.registry
 let outstanding_tokens t = Token.outstanding t.tokens
 let sanitized t = Dk_mem.Manager.sanitized t.manager
-let audit_tokens t = Token.audit t.tokens
 
 (* Shutdown sweep for sanitizer mode: once the application believes all
    I/O has drained, every minted token must be completed+redeemed (or
@@ -461,9 +460,6 @@ let set_batch_window t ns =
   | Some disp -> Dk_device.Block.set_sq_window (Block_dispatch.block disp) ns
   | None -> ()
 
-let set_rx_pooling t ?class_capacity enabled =
-  Dk_mem.Manager.set_rx_pooling t.manager ?class_capacity enabled
-
 (* ---- data path ---- *)
 
 let push t qd sga =
@@ -528,7 +524,7 @@ let bind_udp t qd meta port =
   match t.stack with
   | None -> Error `Not_supported
   | Some stack -> (
-      match Net_queue.udp ~tokens:t.tokens ~manager:t.manager ~stack ~port ~peer:meta.peer () with
+      match Net_queue.udp ~tokens:t.tokens ~stack ~port ~peer:meta.peer () with
       | Error `In_use -> Error `Not_supported
       | Ok impl ->
           meta.port <- Some port;
@@ -554,7 +550,7 @@ let listen t qd =
       match (meta.proto, meta.port, t.stack, t.posix) with
       | `Tcp, Some port, Some stack, _ -> (
           let register impl = install t impl in
-          match Net_queue.listener ~tokens:t.tokens ~manager:t.manager ~stack ~port ~register () with
+          match Net_queue.listener ~tokens:t.tokens ~stack ~port ~register () with
           | Error `In_use -> Error `Not_supported
           | Ok impl ->
               Hashtbl.replace t.qds qd impl;
@@ -636,7 +632,7 @@ let connect t qd ~dst =
               | Some `Timeout -> `Timeout
               | Some `Normal | None -> `Queue_closed)
           else begin
-            let impl = Net_queue.of_conn ~tokens:t.tokens ~manager:t.manager ~conn () in
+            let impl = Net_queue.of_conn ~tokens:t.tokens ~conn () in
             Hashtbl.replace t.qds qd impl;
             Ok ()
           end)

@@ -44,9 +44,6 @@ val outstanding_tokens : t -> int
 
 val sanitized : t -> bool
 
-val audit_tokens : t -> Token.audit_report
-(** Exactly-once bookkeeping snapshot — see {!Token.audit}. *)
-
 val check_shutdown : t -> int * Dk_mem.Manager.leak list
 (** Sanitizer-mode shutdown sweep: report (via {!Dk_mem.Dk_check}) any
     token still dangling and any allocation still live, returning
@@ -280,13 +277,6 @@ val set_batch_window : t -> int64 -> unit
     rings the doorbell per operation, bit-identically to the unbatched
     path; [w > 0] lets submissions landing within [w] ns share one
     ring. *)
-
-val set_rx_pooling : t -> ?class_capacity:int -> bool -> unit
-(** Serve device receive allocations (NIC rx delivery, RDMA receive
-    ring refill) from size-classed free lists in front of the memory
-    manager's arenas ({!Dk_mem.Manager.set_rx_pooling}) — the
-    [mem.pool.fastpath_hits] counter tracks hits. Off by default; when
-    off the rx path is bit-identical to the unpooled allocator. *)
 
 val blocking_push : t -> Types.qd -> Dk_mem.Sga.t -> Types.op_result
 (** push + wait (Figure 3 line 8). *)

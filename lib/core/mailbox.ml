@@ -3,7 +3,6 @@ type t = {
   ready : Types.op_result Queue.t;
   waiters : Types.qtoken Queue.t;
   mutable terminal : Types.error option;
-  mutable on_deliver : unit -> unit;
 }
 
 let create tokens =
@@ -12,7 +11,6 @@ let create tokens =
     ready = Queue.create ();
     waiters = Queue.create ();
     terminal = None;
-    on_deliver = (fun () -> ());
   }
 
 (* Class-wide obs instruments (aggregated across mailboxes): the
@@ -23,12 +21,11 @@ let g_buffered = Dk_obs.Metrics.gauge "core.mailbox.buffered"
 
 let deliver t result =
   Dk_obs.Metrics.incr m_delivered;
-  (match Queue.take_opt t.waiters with
+  match Queue.take_opt t.waiters with
   | Some tok -> Token.complete t.tokens tok result
   | None ->
       Queue.add result t.ready;
-      Dk_obs.Metrics.gauge_add g_buffered 1);
-  t.on_deliver ()
+      Dk_obs.Metrics.gauge_add g_buffered 1
 
 let pop t tok =
   match Queue.take_opt t.ready with
@@ -52,4 +49,3 @@ let fail t err =
 let close t = fail t `Queue_closed
 let buffered t = Queue.length t.ready
 let waiting t = Queue.length t.waiters
-let set_on_deliver t f = t.on_deliver <- f

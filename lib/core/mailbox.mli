@@ -31,6 +31,3 @@ val fail : t -> Types.error -> unit
 
 val buffered : t -> int
 val waiting : t -> int
-
-val set_on_deliver : t -> (unit -> unit) -> unit
-(** Hook invoked after each delivery (used by composed queues to pump). *)

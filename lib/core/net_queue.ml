@@ -2,51 +2,6 @@ module Tcp = Dk_net.Tcp
 module Stack = Dk_net.Stack
 module Framing = Dk_net.Framing
 
-(* Build the sga delivered to a popper. With a pooling manager
-   attached, each segment's storage comes from the rx size-class pools
-   (an O(1) free-list pop on the hit path); otherwise — no manager, or
-   pooling off — the unmanaged [Sga.of_string] path is byte-for-byte
-   the historical behaviour, so existing stats stay untouched. *)
-let rx_buffer manager s =
-  let len = String.length s in
-  if len = 0 then None
-  else
-    match manager with
-    | Some m when Dk_mem.Manager.rx_pooling m -> (
-        match Dk_mem.Manager.alloc_rx m len with
-        | Some b ->
-            Dk_mem.Buffer.blit_from_string s 0 b 0 len;
-            Some b
-        | None -> None)
-    | Some _ | None -> None
-
-(* All-or-nothing pooling in one pass: [Some bufs] when every segment
-   got a pooled buffer; on the first miss, release what was pooled on
-   the way back up and answer [None]. The old List.map / for_all /
-   filter_map chain built two intermediate result lists per delivered
-   sga and kept pooling past a miss it would then undo. *)
-let rec pool_segs manager = function
-  | [] -> Some []
-  | s :: rest -> (
-      match rx_buffer manager s with
-      | None -> None
-      | Some b -> (
-          match pool_segs manager rest with
-          | Some bs -> Some (b :: bs)
-          | None ->
-              Dk_mem.Buffer.free b;
-              None))
-  [@@hot.alloc "the pooled-buffer list is the delivered sga's segment spine"]
-
-let rx_sga manager segments =
-  match pool_segs manager segments with
-  | Some bufs -> Dk_mem.Sga.of_buffers bufs
-  | None ->
-      (* Miss (pooling off, zero-length segment, or pool exhausted):
-         the unmanaged path is byte-for-byte the historical one. *)
-      Dk_mem.Sga.of_strings segments
-  [@@hot]
-
 (* ---- TCP connection queues ---- *)
 
 (* Connections torn down by RTO exhaustion (give-up after bounded
@@ -59,7 +14,6 @@ type staged = { data : string; mutable cursor : int; tok : Types.qtoken }
 
 type conn_state = {
   tokens : Token.t;
-  manager : Dk_mem.Manager.t option;
   conn : Tcp.conn;
   mbox : Mailbox.t;
   decoder : Framing.decoder;
@@ -88,8 +42,7 @@ let rec pump_tx st =
 let rec drain_rx st =
   match Framing.next st.decoder with
   | Some segments ->
-      let sga = rx_sga st.manager segments in
-      Mailbox.deliver st.mbox (Types.Popped sga);
+      Mailbox.deliver st.mbox (Types.Popped (Dk_mem.Sga.of_strings segments));
       drain_rx st
   | None -> ()
 
@@ -107,11 +60,10 @@ let fail_tx st err =
     st.txq;
   Queue.clear st.txq
 
-let of_conn ~tokens ?manager ~conn () =
+let of_conn ~tokens ~conn () =
   let st =
     {
       tokens;
-      manager;
       conn;
       mbox = Mailbox.create tokens;
       decoder = Framing.create ();
@@ -149,11 +101,11 @@ let of_conn ~tokens ?manager ~conn () =
 
 (* ---- listeners ---- *)
 
-let listener ~tokens ?manager ~stack ~port ~register () =
+let listener ~tokens ~stack ~port ~register () =
   let mbox = Mailbox.create tokens in
   match
     Stack.tcp_listen stack ~port ~on_accept:(fun conn ->
-        let impl = of_conn ~tokens ?manager ~conn () in
+        let impl = of_conn ~tokens ~conn () in
         let qd = register impl in
         Mailbox.deliver mbox (Types.Accepted qd))
   with
@@ -173,11 +125,11 @@ let listener ~tokens ?manager ~stack ~port ~register () =
 
 (* ---- UDP datagram queues ---- *)
 
-let udp ~tokens ?manager ~stack ~port ~peer () =
+let udp ~tokens ~stack ~port ~peer () =
   let mbox = Mailbox.create tokens in
   match
     Stack.udp_bind stack ~port ~recv:(fun ~src:_ payload ->
-        Mailbox.deliver mbox (Types.Popped (rx_sga manager [ payload ])))
+        Mailbox.deliver mbox (Types.Popped (Dk_mem.Sga.of_strings [ payload ])))
   with
   | Error `In_use -> Error `In_use
   | Ok () ->

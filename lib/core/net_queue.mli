@@ -10,23 +10,16 @@
       needed.
 
     No data copies are charged anywhere on these paths: sgas flow to
-    the NIC by (simulated) DMA — the zero-copy interface of §4.5.
-
-    When [manager] is given and its rx pooling is on
-    ({!Dk_mem.Manager.set_rx_pooling}), received message storage comes
-    from the manager's size-class pools; otherwise delivery uses plain
-    unmanaged sgas, byte-identical to the historical path. *)
+    the NIC by (simulated) DMA — the zero-copy interface of §4.5. *)
 
 val of_conn :
   tokens:Token.t ->
-  ?manager:Dk_mem.Manager.t ->
   conn:Dk_net.Tcp.conn ->
   unit ->
   Qimpl.t
 
 val listener :
   tokens:Token.t ->
-  ?manager:Dk_mem.Manager.t ->
   stack:Dk_net.Stack.t ->
   port:int ->
   register:(Qimpl.t -> Types.qd) ->
@@ -37,7 +30,6 @@ val listener :
 
 val udp :
   tokens:Token.t ->
-  ?manager:Dk_mem.Manager.t ->
   stack:Dk_net.Stack.t ->
   port:int ->
   peer:Dk_net.Addr.endpoint option ref ->

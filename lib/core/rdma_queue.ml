@@ -19,10 +19,7 @@ let fresh_wr st =
   id
 
 let replenish st =
-  (* Receive-ring refill is the allocator's hottest call site: with rx
-     pooling on, the buffer comes off a size-class free list instead of
-     walking the arenas (identical to [alloc] when pooling is off). *)
-  match Dk_mem.Manager.alloc_rx st.manager st.recv_size with
+  match Dk_mem.Manager.alloc st.manager st.recv_size with
   | Some buf -> Rdma.post_recv st.qp ~wr_id:(fresh_wr st) buf
   | None -> () (* arena exhausted: the peer will see backpressure *)
 

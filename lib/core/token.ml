@@ -53,8 +53,6 @@ let create ?(audit = Dk_check.enabled_from_env ()) ?now () =
     redeems_after_watch = 0;
   }
 
-let audited t = t.audit
-
 let fresh t =
   let tok = t.next in
   t.next <- t.next + 1;

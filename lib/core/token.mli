@@ -36,8 +36,6 @@ val create : ?audit:bool -> ?now:(unit -> int64) -> unit -> t
     only ever read, never consumed against, so instrumentation cannot
     perturb virtual time. *)
 
-val audited : t -> bool
-
 val fresh : t -> Types.qtoken
 (** Mint a pending token. *)
 

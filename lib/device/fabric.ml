@@ -14,7 +14,7 @@ type t = {
   engine : Dk_sim.Engine.t;
   cost : Dk_sim.Cost.t;
   fault : Fault.t;
-  mutable loss : float;
+  loss : float;
   jitter_ns : int64;
   rng : Dk_sim.Rng.t;
   nics : (int, Nic.t) Hashtbl.t;
@@ -172,4 +172,3 @@ let attach t nic =
       send t ~src ~dst ~departed frame)
 
 let stats t = { delivered = t.delivered; lost = t.lost; unrouted = t.unrouted }
-let set_loss t p = t.loss <- p

@@ -36,4 +36,3 @@ val attach : t -> Nic.t -> unit
     @raise Invalid_argument on duplicate MAC. *)
 
 val stats : t -> stats
-val set_loss : t -> float -> unit

@@ -8,7 +8,6 @@ type stats = {
   rx_filtered : int;
   rx_mapped : int;
   rx_responded : int;
-  rx_steered : int;
 }
 
 module Fault = Dk_fault.Fault
@@ -44,7 +43,6 @@ type t = {
   mutable rx_pipeline : Prog.pipeline;
   mutable table : Table.t option;
   mutable lookup_fn : string -> string option;
-  mutable steer : (queue:int -> string -> unit) option;
   mutable uplink : (src:int -> dst:int -> departed:int64 -> string -> unit) option;
   mutable rx_notify : unit -> unit;
   mutable tx_frames : int;
@@ -56,7 +54,6 @@ type t = {
   mutable rx_filtered : int;
   mutable rx_mapped : int;
   mutable rx_responded : int;
-  mutable rx_steered : int;
 }
 
 let create ~engine ~cost ?(fault = Fault.default) ~mac ?(rx_capacity = 1024)
@@ -83,7 +80,6 @@ let create ~engine ~cost ?(fault = Fault.default) ~mac ?(rx_capacity = 1024)
       rx_pipeline = [];
       table = None;
       lookup_fn = no_lookup;
-      steer = None;
       uplink = None;
       rx_notify = (fun () -> ());
       tx_frames = 0;
@@ -95,7 +91,6 @@ let create ~engine ~cost ?(fault = Fault.default) ~mac ?(rx_capacity = 1024)
       rx_filtered = 0;
       rx_mapped = 0;
       rx_responded = 0;
-      rx_steered = 0;
     }
   in
   (* One closure per NIC, built here rather than per frame. *)
@@ -140,7 +135,6 @@ let offload_enable t ?policy ?obs_prefix ~capacity ~max_value () =
         Ok tbl
 
 let offload_table t = t.table
-let set_rx_steer t f = t.steer <- Some f
 
 (* ---- host -> device control queue ----
    Table writes from the host travel over their own doorbell
@@ -343,14 +337,9 @@ let process_rx t frame =
       | Prog.Dropped ->
           t.rx_filtered <- t.rx_filtered + 1;
           Dk_obs.Metrics.incr m_rx_filtered
-      | Prog.Steered (q, frame) -> (
-          match t.steer with
-          | Some sink ->
-              t.rx_steered <- t.rx_steered + 1;
-              sink ~queue:q frame
-          | None ->
-              (* Single-queue NIC: every rx queue is this ring. *)
-              process_filter_map t frame)
+      | Prog.Steered (_, frame) ->
+          (* Single-queue NIC: every rx queue is this ring. *)
+          process_filter_map t frame
       | Prog.Responded payload -> (
           match Udp_frame.reply ~self_mac:t.mac ~request:frame ~payload with
           | Some (dst, reply) ->
@@ -425,7 +414,6 @@ let stats t =
     rx_filtered = t.rx_filtered;
     rx_mapped = t.rx_mapped;
     rx_responded = t.rx_responded;
-    rx_steered = t.rx_steered;
   }
 
 let set_uplink t f = t.uplink <- Some f

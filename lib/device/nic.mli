@@ -21,7 +21,6 @@ type stats = {
   rx_filtered : int; (** frames dropped on-device (filter or pipeline) *)
   rx_mapped : int;   (** frames transformed on-device by the map program *)
   rx_responded : int; (** frames answered from the device-resident table *)
-  rx_steered : int;  (** frames handed to the steer sink by the pipeline *)
 }
 
 val create :
@@ -70,11 +69,6 @@ val offload_enable :
     are registered lazily here — offload-off runs register nothing. *)
 
 val offload_table : t -> Table.t option
-
-val set_rx_steer : t -> (queue:int -> string -> unit) -> unit
-(** Sink for [Steer]/[Steer_field] verdicts (e.g. an {!Rss}-backed
-    dispatch to per-shard queues). Without one, steered frames land in
-    this NIC's own rx ring — the single-queue degenerate case. *)
 
 (** {3 Host → device control queue}
 

@@ -12,20 +12,9 @@
 val header_bytes : int
 (** 42: the UDP payload offset within a frame. *)
 
-val validate : self_mac:int -> string -> (int * int) option
-(** [(payload_offset, payload_length)] iff the frame is a well-formed
-    UDP datagram addressed to [self_mac] with both checksums valid. *)
-
-val payload : self_mac:int -> string -> string option
-(** The validated UDP payload, copied out. *)
-
-val dst_port : string -> int
-(** UDP destination port (caller must have validated the frame). *)
-
-val src_mac : string -> int
-
 val reply : self_mac:int -> request:string -> payload:string -> (int * string) option
 (** Mint the reply frame: src/dst swapped at every layer, [payload]
     carried, lengths and both checksums recomputed so the requester's
-    stack accepts it. [(dst_mac, frame)], or [None] when the request
-    fails {!validate} or the reply would overflow a 16-bit length. *)
+    stack accepts it. [(dst_mac, frame)], or [None] when the request is
+    not a well-formed UDP datagram addressed to [self_mac] with both
+    checksums valid, or the reply would overflow a 16-bit length. *)

@@ -45,8 +45,6 @@ let site_name = function
   | Block_torn_write -> "block.torn_write"
   | Rdma_qp_break -> "rdma.qp_break"
 
-let site_of_name name = List.find_opt (fun s -> site_name s = name) sites
-
 let describe = function
   | Nic_rx_drop -> "receive ring drops the frame before it is enqueued"
   | Nic_tx_drop -> "transmitted frame DMAs but never reaches the wire"

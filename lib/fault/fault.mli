@@ -45,8 +45,6 @@ val sites : site list
 val site_name : site -> string
 (** ["nic.rx_drop"], ["fabric.partition"], ["block.stall"], ... *)
 
-val site_of_name : string -> site option
-
 val describe : site -> string
 (** One-line description for [demi faults]. *)
 

@@ -16,5 +16,4 @@ let read t n =
 let readable t = Dk_util.Ring.length t.ring
 let writable t = Dk_util.Ring.available t.ring
 let close_write t = t.wclosed <- true
-let write_closed t = t.wclosed
 let eof t = t.wclosed && Dk_util.Ring.is_empty t.ring

@@ -16,6 +16,5 @@ val read : t -> int -> string
 val readable : t -> int
 val writable : t -> int
 val close_write : t -> unit
-val write_closed : t -> bool
 val eof : t -> bool
 (** True when the write end is closed and the buffer is drained. *)

@@ -79,8 +79,8 @@ let alloc t n =
           t.live <- t.live + size;
           Some { offset; size; level })
   [@@hot.alloc
-    "the block descriptor is the buddy allocator's return surface, paid \
-     on the slow path behind the rx pools"]
+    "the block descriptor is the buddy allocator's return surface: one \
+     small record per managed allocation"]
 
 (* One fused membership-test-and-remove pass over a level's free list
    (the old [List.mem] + [List.filter] walked it twice and closed over

@@ -28,7 +28,7 @@ let of_string s =
   }
   [@@hot.alloc
     "wrapping a string copies it into a fresh unmanaged store; on the \
-     rx path this is the pool-miss fallback, not the fast path"]
+     rx path that is one copy per delivered segment"]
 
 let unmanaged n =
   if n < 0 then invalid_arg "Buffer.unmanaged";
@@ -59,7 +59,7 @@ let make_managed ?(sanitize = false) ~store ~off ~len ~region_id ~release () =
   }
   [@@hot.alloc
     "a managed allocation's refcount cell and descriptor, built once \
-     per buddy allocation and recycled by the rx pools"]
+     per buddy allocation"]
 
 let describe t =
   Printf.sprintf "allocation (region %s, off %d, len %d)"
@@ -204,6 +204,5 @@ let io_release t =
       maybe_release c
 
 let in_flight t = match t.cell with None -> false | Some c -> c.io_refs > 0
-let is_live t = t.live
 let was_deferred t =
   match t.cell with None -> false | Some c -> c.deferred

@@ -68,9 +68,6 @@ val io_release : t -> unit
 val in_flight : t -> bool
 (** True while any I/O hold exists on the allocation. *)
 
-val is_live : t -> bool
-(** False once this view has been freed. *)
-
 val was_deferred : t -> bool
 (** True if some [free] on this allocation had to be deferred because
     I/O was in flight — observable evidence of free-protection. *)

@@ -38,7 +38,7 @@ val capture : (unit -> 'a) -> 'a * (kind * string) list
     capture frame. *)
 
 val set_sink : (kind -> string -> unit) -> unit
-(** Observe every report (raised or captured), e.g. to mirror into a
-    {!Dk_sim.Trace}. *)
+(** Observe every report (raised or captured), e.g. to mirror into the
+    flight recorder ({!Dk_obs.Flight}). *)
 
 val clear_sink : unit -> unit

@@ -20,12 +20,6 @@ type t = {
      allocate and hash polymorphically on every sanitized alloc and
      free (dk-hot: hot-poly). Only populated when sanitizing. *)
   live_allocs : (int, int) Hashtbl.t;
-  (* rx fast path: size-classed free lists (power-of-two classes) in
-     front of the buddy arenas. Off by default. *)
-  rx_pools : (int, Pool.t) Hashtbl.t;
-  mutable rx_pooling : bool;
-  mutable rx_class_capacity : int;
-  mutable draining : bool; (* pool drain in progress: releases are terminal *)
   mutable arenas : Arena.t list;
   mutable next_region_id : int;
   mutable total_bytes : int;
@@ -43,7 +37,6 @@ let m_allocs = Dk_obs.Metrics.counter "mem.manager.allocs"
 let m_releases = Dk_obs.Metrics.counter "mem.manager.releases"
 let m_deferred = Dk_obs.Metrics.counter "mem.manager.deferred_releases"
 let m_oom = Dk_obs.Metrics.counter "mem.manager.alloc_failures"
-let m_fastpath = Dk_obs.Metrics.counter "mem.pool.fastpath_hits"
 let g_in_flight = Dk_obs.Metrics.gauge "mem.manager.bytes_in_flight"
 let g_region_bytes = Dk_obs.Metrics.gauge "mem.manager.region_bytes"
 
@@ -66,10 +59,6 @@ let create ?(initial_region_size = 1 lsl 20) ?(max_total_bytes = 1 lsl 28)
     on_new_region;
     sanitize;
     live_allocs = Hashtbl.create 16;
-    rx_pools = Hashtbl.create 4;
-    rx_pooling = false;
-    rx_class_capacity = 64;
-    draining = false;
     arenas = [];
     next_region_id = 0;
     total_bytes = 0;
@@ -185,7 +174,8 @@ let rec arenas_alloc len = function
       | None -> arenas_alloc len rest)
   [@@hot.alloc
     "the (arena, block) pair is the buddy allocator's internal return \
-     surface, paid on the slow path behind the rx pools"]
+     surface: one small tuple per managed allocation, beside the buffer \
+     descriptor [wrap] builds for it anyway"]
 
 let try_arenas t len = arenas_alloc len t.arenas
 
@@ -201,7 +191,8 @@ let alloc_raw t want =
           | None -> None))
   [@@hot.alloc
     "the (arena, block) pair is the buddy allocator's internal return \
-     surface, paid on the slow path behind the rx pools"]
+     surface: one small tuple per managed allocation, beside the buffer \
+     descriptor [wrap] builds for it anyway"]
 
 let alloc t len =
   if len <= 0 then invalid_arg "Manager.alloc: size must be positive";
@@ -215,144 +206,6 @@ let alloc t len =
       Dk_obs.Metrics.incr m_allocs;
       Dk_obs.Metrics.gauge_add g_in_flight len;
       Some (wrap t arena block len)
-
-(* ---- rx fast path (size-classed pools) ----
-
-   Managed buffers are one-shot: once every reference drops, the
-   release closure fires and the Buffer.t is dead. Recycling therefore
-   re-wraps the same (arena, block) into a {e fresh} buffer and returns
-   that to the pool — the storage never touches the buddy allocator,
-   which is the point. Terminal cases (drain in progress, pool gone or
-   full) fall back to the normal [Arena.free].
-
-   Accounting: seeding a pool pays the real allocator costs
-   ([mem.manager.allocs]) but does not count idle pooled storage as
-   in-flight; a pool hit bumps only [mem.pool.fastpath_hits] and the
-   in-flight gauge, a recycle only [mem.manager.releases] and the
-   gauge — so the gauge stays balanced and the allocator counters
-   measure allocator work alone. *)
-
-let rec make_pooled t arena (block : Arena.block) size cls =
-  let reg = Arena.region arena in
-  let store = Region.store reg in
-  let region_id = Region.id reg in
-  let data_off = block.Arena.offset + if t.sanitize then canary_len else 0 in
-  if t.sanitize then begin
-    Bytes.fill store block.Arena.offset canary_len canary_byte;
-    Bytes.fill store (data_off + size) canary_len canary_byte;
-    Hashtbl.replace t.live_allocs
-      (live_key ~region_id ~off:block.Arena.offset)
-      size
-  end;
-  let buf_ref = ref None in
-  let release () =
-    t.releases <- t.releases + 1;
-    Dk_obs.Metrics.incr m_releases;
-    Dk_obs.Metrics.gauge_add g_in_flight (-size);
-    (match !buf_ref with
-    | Some b when Buffer.was_deferred b ->
-        t.deferred_releases <- t.deferred_releases + 1;
-        Dk_obs.Metrics.incr m_deferred
-    | Some _ | None -> ());
-    if t.sanitize then begin
-      Hashtbl.remove t.live_allocs (live_key ~region_id ~off:block.Arena.offset);
-      check_canaries store ~region_id ~block_off:block.Arena.offset ~data_off
-        ~len:size;
-      Bytes.fill store block.Arena.offset block.Arena.size poison_byte
-    end;
-    let recycled =
-      (not t.draining)
-      &&
-      match Hashtbl.find_opt t.rx_pools cls with
-      | Some pool when Pool.outstanding pool > 0 ->
-          Pool.put pool (make_pooled t arena block size cls);
-          true
-      | Some _ | None -> false
-    in
-    if not recycled then Arena.free arena block
-  in
-  let buf =
-    Buffer.make_managed ~sanitize:t.sanitize ~store ~off:data_off ~len:size
-      ~region_id ~release ()
-  in
-  buf_ref := Some buf;
-  buf
-  [@@hot.alloc
-    "recycling re-wraps the same (arena, block) into a fresh one-shot \
-     handle; the descriptor is the price of the one-shot lifecycle, the \
-     storage itself never touches the buddy allocator"]
-
-(* Seeding counts as allocator work but leaves the in-flight gauge
-   alone: the buffers are idle in the pool, not in any hand. The gauge
-   is credited at pool-hit time instead. *)
-let seed_pooled t cls () =
-  let want = if t.sanitize then cls + (2 * canary_len) else cls in
-  match alloc_raw t want with
-  | None ->
-      Dk_obs.Metrics.incr m_oom;
-      None
-  | Some (arena, block) ->
-      t.allocs <- t.allocs + 1;
-      Dk_obs.Metrics.incr m_allocs;
-      Some (make_pooled t arena block cls cls)
-
-let size_class len = next_pow2 (max len 64)
-
-let rx_pool t cls =
-  match Hashtbl.find_opt t.rx_pools cls with
-  | Some _ as hit -> hit
-  | None -> (
-      match
-        Pool.create ~sanitize:t.sanitize ~alloc:(seed_pooled t cls) ~size:cls
-          ~count:t.rx_class_capacity ()
-      with
-      | None -> None
-      | Some pool ->
-          Hashtbl.replace t.rx_pools cls pool;
-          Some pool)
-
-let alloc_rx t len =
-  if (not t.rx_pooling) || len <= 0 then alloc t len
-  else
-    let cls = size_class len in
-    match rx_pool t cls with
-    | None -> alloc t len
-    | Some pool -> (
-        match Pool.get pool with
-        | None -> alloc t len
-        | Some b ->
-            Dk_obs.Metrics.incr m_fastpath;
-            Dk_obs.Metrics.gauge_add g_in_flight cls;
-            if Buffer.length b = len then Some b
-            else begin
-              (* Exact-length view, same contract as [alloc]. The class
-                 canaries sit at the block bounds, so an overrun past
-                 [len] but inside [cls] is not caught here — the price
-                 of the size-classed fast path. *)
-              let v = Buffer.sub b 0 len in
-              Buffer.free b;
-              Some v
-            end)
-  [@@hot.alloc
-    "the exact-length view descriptor over a pooled class block is the \
-     rx fast path's return surface; the bytes themselves are recycled"]
-
-let drain_rx_pools t =
-  t.draining <- true;
-  Dk_util.Det.iter_sorted ~compare:Int.compare
-    (fun _ pool -> List.iter Buffer.free (Pool.take_all pool))
-    t.rx_pools;
-  Hashtbl.reset t.rx_pools;
-  t.draining <- false
-
-let set_rx_pooling t ?class_capacity enabled =
-  (match class_capacity with
-  | Some c when c > 0 -> t.rx_class_capacity <- c
-  | Some _ | None -> ());
-  if t.rx_pooling && not enabled then drain_rx_pools t;
-  t.rx_pooling <- enabled
-
-let rx_pooling t = t.rx_pooling
 
 let alloc_exn t len =
   match alloc t len with
@@ -388,10 +241,6 @@ let stats t =
   }
 
 let check_leaks t =
-  (* Idle pooled rx buffers are live allocations from the sanitizer's
-     point of view; hand them back before sweeping so only buffers an
-     application actually holds are reported. *)
-  drain_rx_pools t;
   let leaks =
     Dk_util.Det.fold_sorted ~compare:Int.compare
       (fun key leak_len acc ->

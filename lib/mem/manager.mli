@@ -57,35 +57,6 @@ val alloc_string : t -> string -> Buffer.t option
 val sga_of_string : t -> string -> Sga.t option
 (** Single-segment managed sga holding the string. *)
 
-(** {2 Rx fast path}
-
-    Device receive allocation is the allocator's hottest caller: every
-    arriving frame needs a buffer {e now}, and the buddy-arena walk plus
-    region-growth slow path is pure overhead when the same handful of
-    sizes recur millions of times. With pooling on, released rx buffers
-    are recycled through per-size-class free lists ({!Pool}) in front of
-    the arenas — an O(1) list pop on the hit path, counted by the
-    [mem.pool.fastpath_hits] counter. Off by default; when off,
-    {!alloc_rx} is exactly {!alloc}. *)
-
-val set_rx_pooling : t -> ?class_capacity:int -> bool -> unit
-(** Enable/disable rx buffer pooling. [class_capacity] (default 64)
-    sets how many buffers each power-of-two size class keeps. Disabling
-    drains every pool back to the arenas. *)
-
-val rx_pooling : t -> bool
-
-val alloc_rx : t -> int -> Buffer.t option
-(** Like {!alloc}, but served from the size-class pool when pooling is
-    on and a recycled buffer is available; falls back to {!alloc} on a
-    pool miss. The returned buffer has exactly the requested length
-    either way. *)
-
-val drain_rx_pools : t -> unit
-(** Return every idle pooled buffer to the arenas (pools refill lazily
-    on the next {!alloc_rx}). Called automatically by {!check_leaks}
-    and when pooling is switched off. *)
-
 val regions : t -> Region.t list
 val stats : t -> stats
 

@@ -6,15 +6,6 @@ let mac_broadcast = 0xffffffffffff
 (* 0x02 in the first octet marks a locally-administered address. *)
 let mac_of_index n = 0x020000000000 lor (n land 0xffffffff)
 
-let pp_mac ppf m =
-  Format.fprintf ppf "%02x:%02x:%02x:%02x:%02x:%02x"
-    ((m lsr 40) land 0xff)
-    ((m lsr 32) land 0xff)
-    ((m lsr 24) land 0xff)
-    ((m lsr 16) land 0xff)
-    ((m lsr 8) land 0xff)
-    (m land 0xff)
-
 let ip_of_string s =
   match String.split_on_char '.' s with
   | [ a; b; c; d ] ->
@@ -33,13 +24,10 @@ let ip_to_string ip =
     ((ip lsr 8) land 0xff)
     (ip land 0xff)
 
-let pp_ip ppf ip = Format.fprintf ppf "%s" (ip_to_string ip)
-
 type endpoint = { ip : ip; port : int }
 
 let endpoint ip port =
   if port < 0 || port > 0xffff then invalid_arg "Addr.endpoint";
   { ip; port }
 
-let pp_endpoint ppf e = Format.fprintf ppf "%a:%d" pp_ip e.ip e.port
 let equal_endpoint a b = a.ip = b.ip && a.port = b.port

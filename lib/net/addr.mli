@@ -8,16 +8,12 @@ val mac_broadcast : mac
 val mac_of_index : int -> mac
 (** Locally-administered MAC for host [n] of a simulation. *)
 
-val pp_mac : Format.formatter -> mac -> unit
-
 val ip_of_string : string -> ip
 (** Dotted quad. @raise Invalid_argument on malformed input. *)
 
 val ip_to_string : ip -> string
-val pp_ip : Format.formatter -> ip -> unit
 
 type endpoint = { ip : ip; port : int }
 
 val endpoint : ip -> int -> endpoint
-val pp_endpoint : Format.formatter -> endpoint -> unit
 val equal_endpoint : endpoint -> endpoint -> bool

@@ -8,12 +8,6 @@ let encode segments =
 let encode_sga sga =
   encode (List.map Dk_mem.Buffer.to_string (Dk_mem.Sga.segments sga))
 
-let frame_overhead segments =
-  Dk_util.Varint.encoded_size (List.length segments)
-  + List.fold_left
-      (fun acc s -> acc + Dk_util.Varint.encoded_size (String.length s))
-      0 segments
-
 (* The undecoded stream bytes are [buf.[rd] .. buf.[wr - 1]]. Feeding
    appends at [wr]; decoding a message advances [rd]. *)
 type decoder = {

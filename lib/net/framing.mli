@@ -12,9 +12,6 @@ val encode : string list -> string
 
 val encode_sga : Dk_mem.Sga.t -> string
 
-val frame_overhead : string list -> int
-(** Header bytes added for a message with these segments. *)
-
 type decoder
 
 val create : unit -> decoder

@@ -11,19 +11,6 @@ type state =
   | Last_ack
   | Time_wait
 
-let state_to_string = function
-  | Closed -> "CLOSED"
-  | Listen -> "LISTEN"
-  | Syn_sent -> "SYN_SENT"
-  | Syn_rcvd -> "SYN_RCVD"
-  | Established -> "ESTABLISHED"
-  | Fin_wait_1 -> "FIN_WAIT_1"
-  | Fin_wait_2 -> "FIN_WAIT_2"
-  | Close_wait -> "CLOSE_WAIT"
-  | Closing -> "CLOSING"
-  | Last_ack -> "LAST_ACK"
-  | Time_wait -> "TIME_WAIT"
-
 type config = {
   mss : int;
   send_buffer : int;

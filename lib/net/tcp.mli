@@ -22,8 +22,6 @@ type state =
   | Last_ack
   | Time_wait
 
-val state_to_string : state -> string
-
 type config = {
   mss : int;
   send_buffer : int;

@@ -36,7 +36,6 @@ let counter ?(reg = default) name =
 let incr c = c.c_value <- c.c_value + 1
 let add c n = c.c_value <- c.c_value + n
 let value c = c.c_value
-let counter_name c = c.c_name
 
 let gauge ?(reg = default) name =
   get_or_create reg.gauges name (fun () ->
@@ -49,7 +48,6 @@ let set g v =
 let gauge_add g n = set g (g.g_value + n)
 let gauge_value g = g.g_value
 let gauge_hwm g = g.g_hwm
-let gauge_name g = g.g_name
 
 let hist ?(reg = default) name =
   get_or_create reg.hists name (fun () ->
@@ -57,7 +55,6 @@ let hist ?(reg = default) name =
 
 let observe h v = Dk_sim.Histogram.record h.h_data v
 let hist_data h = h.h_data
-let hist_name h = h.h_name
 
 let reset t =
   let iter f tbl = Dk_util.Det.iter_sorted ~compare:String.compare f tbl in

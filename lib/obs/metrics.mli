@@ -42,7 +42,6 @@ val counter : ?reg:t -> string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
-val counter_name : counter -> string
 
 (* ---- gauges: instantaneous levels with a high-water mark ---- *)
 
@@ -58,8 +57,6 @@ val gauge_value : gauge -> int
 val gauge_hwm : gauge -> int
 (** Highest value ever [set]/reached since creation or [reset]. *)
 
-val gauge_name : gauge -> string
-
 (* ---- histograms: latency distributions (ns) ---- *)
 
 val hist : ?reg:t -> string -> hist
@@ -69,7 +66,6 @@ val observe : hist -> int64 -> unit
     {!Dk_sim.Histogram}). *)
 
 val hist_data : hist -> Dk_sim.Histogram.t
-val hist_name : hist -> string
 
 (* ---- registry-wide operations ---- *)
 

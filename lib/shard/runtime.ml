@@ -547,8 +547,6 @@ let run_kv ?drive t ~flows ~ops_per_flow ~keys_per_shard ~value_size
 
 (* ---- accessors ---- *)
 
-let shard_count t = t.n
-
 let pending_count t =
   Array.fold_left (fun a tbl -> a + Hashtbl.length tbl) 0 t.pending
 let shards t = t.shards

@@ -91,7 +91,6 @@ val run_kv :
 
 (** {2 Accessors} *)
 
-val shard_count : t -> int
 val shards : t -> Shard.t array
 val engines : t -> Dk_sim.Engine.t array
 val rss : t -> Dk_device.Rss.t

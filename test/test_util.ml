@@ -1,5 +1,5 @@
 (* Unit and property tests for dk_util: ring buffer, heap, checksum,
-   crc32, varint, bitset, bounded queue, hexdump. *)
+   crc32, varint, bounded queue. *)
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -356,77 +356,6 @@ let varint_roundtrip =
       | Some (v', used) -> v = v' && used = String.length s
       | None -> false)
 
-(* ---------------- Bitset ---------------- *)
-
-module Bitset = Dk_util.Bitset
-
-let bitset_basic () =
-  let b = Bitset.create 100 in
-  check_int "size" 100 (Bitset.size b);
-  check_bool "not mem" false (Bitset.mem b 63);
-  Bitset.set b 63;
-  check_bool "mem" true (Bitset.mem b 63);
-  check_int "cardinal" 1 (Bitset.cardinal b);
-  Bitset.set b 63;
-  check_int "idempotent set" 1 (Bitset.cardinal b);
-  Bitset.unset b 63;
-  check_bool "unset" false (Bitset.mem b 63)
-
-let bitset_first_clear () =
-  let b = Bitset.create 4 in
-  check_bool "first clear 0" true (Bitset.first_clear b = Some 0);
-  Bitset.set b 0;
-  Bitset.set b 1;
-  check_bool "first clear 2" true (Bitset.first_clear b = Some 2);
-  Bitset.set b 2;
-  Bitset.set b 3;
-  check_bool "full" true (Bitset.first_clear b = None)
-
-let bitset_cross_word () =
-  let b = Bitset.create 200 in
-  for i = 0 to 149 do
-    Bitset.set b i
-  done;
-  check_bool "first clear 150" true (Bitset.first_clear b = Some 150);
-  let seen = ref 0 in
-  Bitset.iter_set (fun _ -> incr seen) b;
-  check_int "iter count" 150 !seen
-
-let bitset_bounds () =
-  let b = Bitset.create 10 in
-  Alcotest.check_raises "oob" (Invalid_argument "Bitset: index out of range")
-    (fun () -> Bitset.set b 10)
-
-(* Property: bitset agrees with a set-of-ints model. *)
-let bitset_model_prop =
-  QCheck.Test.make ~name:"bitset matches set model" ~count:200
-    QCheck.(small_list (pair bool (int_bound 199)))
-    (fun script ->
-      let b = Bitset.create 200 in
-      let model = Hashtbl.create 16 in
-      List.iter
-        (fun (set_it, i) ->
-          if set_it then begin
-            Bitset.set b i;
-            Hashtbl.replace model i ()
-          end
-          else begin
-            Bitset.unset b i;
-            Hashtbl.remove model i
-          end)
-        script;
-      let ok = ref (Bitset.cardinal b = Hashtbl.length model) in
-      for i = 0 to 199 do
-        if Bitset.mem b i <> Hashtbl.mem model i then ok := false
-      done;
-      (* first_clear agrees with the model's first absent index *)
-      let rec first_absent i =
-        if i >= 200 then None
-        else if not (Hashtbl.mem model i) then Some i
-        else first_absent (i + 1)
-      in
-      !ok && Bitset.first_clear b = first_absent 0)
-
 (* ---------------- Bqueue ---------------- *)
 
 module Bqueue = Dk_util.Bqueue
@@ -440,20 +369,6 @@ let bqueue_basic () =
   check_bool "pop 1" true (Bqueue.pop q = Some 1);
   check_bool "pop 2" true (Bqueue.pop q = Some 2);
   check_bool "pop empty" true (Bqueue.pop q = None)
-
-(* ---------------- Hexdump ---------------- *)
-
-let hexdump_simple () =
-  let out = Dk_util.Hexdump.to_string "ABC" in
-  (* 41 42 43 must appear *)
-  let contains hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let rec loop i = i + nl <= hl && (String.sub hay i nl = needle || loop (i + 1)) in
-    loop 0
-  in
-  check_bool "hex bytes present" true (contains out "41 42 43");
-  check_bool "ascii present" true (contains out "|ABC|");
-  check_str "empty" "(empty)" (Dk_util.Hexdump.to_string "")
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -505,16 +420,6 @@ let () =
           Alcotest.test_case "truncated" `Quick varint_truncated;
         ] );
       qsuite "varint-props" [ varint_roundtrip ];
-      ( "bitset",
-        [
-          Alcotest.test_case "basic" `Quick bitset_basic;
-          Alcotest.test_case "first_clear" `Quick bitset_first_clear;
-          Alcotest.test_case "cross word" `Quick bitset_cross_word;
-          Alcotest.test_case "bounds" `Quick bitset_bounds;
-        ] );
-      qsuite "bitset-props" [ bitset_model_prop ];
       ( "bqueue",
         [ Alcotest.test_case "basic" `Quick bqueue_basic ] );
-      ( "hexdump",
-        [ Alcotest.test_case "simple" `Quick hexdump_simple ] );
     ]

@@ -6,23 +6,24 @@
 #   build     dune build — the whole tree compiles (lib, bench,
 #             examples, tools)
 #   test      dune runtest — unit/property/integration suites, plus
-#             @lint -> @verify -> @shard -> @hot (dk-lint token rules,
+#             @lint, @verify, @shard and @hot (dk-lint token rules,
 #             dk-verify typestate/dataflow analysis, dk-shard
 #             shard-safety/determinism analysis, dk-hot hot-path cost
-#             analysis; all fail on stale allowlist entries) and the
-#             bench smoke run
+#             analysis; all fail on stale allowlist entries), the
+#             bench smoke run, and bench_diff of tools/ci/baselines
+#             against itself (the bench gate's JSON reader)
 #   sanitize  DK_SANITIZE=1 dune build @sanitize — exactly the suites
 #             that read DK_SANITIZE (canaries, poison-on-free,
 #             UAF/double-free detection, leak sweeps, token audit);
 #             suites that never consult the sanitizer are not re-run
 #   shard     dune build @shard — the dk-shard interprocedural
 #             shard-safety & determinism analysis over lib/ on its own
-#             (it also runs as part of 'test' via the @verify alias);
+#             (it also runs as part of 'test');
 #             the multi-shard datapath is gated on this staying clean
 #   hot       dune build @hot — the dk-hot interprocedural hot-path
 #             cost analysis (per-op allocation, complexity, poly
 #             compare/hash) over lib/ on its own (it also runs as
-#             part of 'test' via the @shard alias); the ~1000-cycle
+#             part of 'test'); the ~1000-cycle
 #             datapath budget is gated on this staying clean
 #   fault     dune build @fault — the fault-injection scenario suite,
 #             normal then sanitized; export DK_FAULT_CI=1 to widen the
@@ -58,7 +59,7 @@ run_build() {
 }
 
 run_test() {
-  echo "== [test] dune runtest (includes @lint and @verify)"
+  echo "== [test] dune runtest (includes @lint, @verify, @shard and @hot)"
   dune runtest
 }
 

@@ -445,8 +445,8 @@ let family_of kind =
 
 let advice = function
   | "hot-alloc" ->
-      "allocate from the pool (Dk_mem.Pool / Manager.alloc_rx) or classify \
-       the allocating function [@@hot.alloc \"why\"]"
+      "write into storage the caller already owns (a preallocated buffer or \
+       ring) or classify the allocating function [@@hot.alloc \"why\"]"
   | "hot-complexity" ->
       "a hot operation must not walk connection- or token-indexed \
        collections; keep a direct index or cache the result off the hot path"

@@ -336,7 +336,7 @@ let scan_tokens ~path (toks : token array) : finding list =
     (* printing from library code *)
     if lib && List.mem tok print_primitives then
       add line "print-in-lib"
-        (Printf.sprintf "%s in lib/: route diagnostics through Dk_sim.Trace" tok);
+        (Printf.sprintf "%s in lib/: route diagnostics through Dk_obs.Flight" tok);
     (* exit outside bin/ *)
     if (not bin) && (tok = "exit" || tok = "Stdlib.exit") then
       add line "exit-outside-bin"

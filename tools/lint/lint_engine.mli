@@ -11,7 +11,7 @@
       buffer/sga-named values in fast-path modules (heuristic: fires
       next to identifiers named [buf]/[sga]/[*_buf]/[*_sga]/...).
     - [print-in-lib]: no [Printf.printf]-family calls in [lib/];
-      diagnostics go through [Dk_sim.Trace].
+      diagnostics go through [Dk_obs.Flight].
     - [catch-all-exn]: no [try ... with _ ->] handlers.
     - [exit-outside-bin]: no [exit] outside [bin/].
 
