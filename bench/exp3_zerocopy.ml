@@ -36,7 +36,7 @@ let posix_get_p50 value_size =
     (Kv_posix.start_server ~posix:pb ~cost:duo.Setup.cost
        ~engine:duo.Setup.engine ~port:1 ~kv);
   match
-    Kv_posix.run_client ~posix:pa ~cost:duo.Setup.cost ~engine:duo.Setup.engine
+    Kv_posix.run_client ~posix:pa ~engine:duo.Setup.engine
       ~dst:(Setup.endpoint duo.Setup.b 1) ~ops ~keys:8 ~value_size
       ~read_fraction:1.0 ()
   with

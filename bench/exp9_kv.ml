@@ -38,7 +38,7 @@ let posix_run () =
   let sys0 = (Posix.stats pb).Posix.syscalls in
   let copy0 = (Posix.stats pb).Posix.bytes_copied in
   match
-    Kv_posix.run_client ~posix:pa ~cost:duo.Setup.cost ~engine:duo.Setup.engine
+    Kv_posix.run_client ~posix:pa ~engine:duo.Setup.engine
       ~dst:(Setup.endpoint duo.Setup.b 1) ~ops ~keys ~value_size
       ~read_fraction:0.9 ()
   with

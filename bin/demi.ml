@@ -263,9 +263,9 @@ let kv_run iface ops keys value reads offload shards xfrac =
         (Dk_apps.Kv_posix.start_server ~posix:pb ~cost:duo.Setup.cost
            ~engine:duo.Setup.engine ~port:1 ~kv);
       (match
-         Dk_apps.Kv_posix.run_client ~posix:pa ~cost:duo.Setup.cost
-           ~engine:duo.Setup.engine ~dst:(Setup.endpoint duo.Setup.b 1) ~ops
-           ~keys ~value_size:value ~read_fraction:reads ()
+         Dk_apps.Kv_posix.run_client ~posix:pa ~engine:duo.Setup.engine
+           ~dst:(Setup.endpoint duo.Setup.b 1) ~ops ~keys ~value_size:value
+           ~read_fraction:reads ()
        with
       | Ok s ->
           pp_hist "posix kv" s.Dk_apps.Kv_app.latency;
@@ -776,89 +776,6 @@ let faults_cmd =
        ~doc:"list fault-injection sites, or deterministically replay a plan")
     Term.(const faults_run $ plan $ seed $ size_arg $ rounds_arg)
 
-(* ---- shardcheck ---- *)
-
-let shardcheck_run json dirs =
-  let dirs = if dirs = [] then [ "lib" ] else dirs in
-  let prog, files = Shard_engine.analyze_dirs dirs in
-  let inv = Shard_engine.inventory prog in
-  if json then print_string (Shard_engine.inventory_json inv)
-  else begin
-    print_string (Shard_engine.inventory_table inv);
-    let unclassified =
-      List.length
-        (List.filter
-           (fun g ->
-             match g.Shard_engine.g_class with
-             | Shard_engine.Unclassified -> true
-             | Shard_engine.Per_shard _ | Shard_engine.Immutable _
-             | Shard_engine.Obs_handle | Shard_engine.Tooling _ -> false)
-           inv)
-    in
-    Printf.printf
-      "\n%d source file(s), %d module-level global(s), %d unclassified, %d \
-       raw finding(s)\n\
-       (`dune build @shard` applies tools/shard/allowlist.txt and gates CI)\n"
-      files (List.length inv) unclassified
-      (List.length (Shard_engine.findings prog))
-  end
-
-let shardcheck_cmd =
-  let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"emit the shared-state inventory as JSON instead of a table")
-  in
-  let dirs =
-    Arg.(value & pos_all dir []
-         & info [] ~docv:"DIR"
-             ~doc:"directories to analyze (default: lib)")
-  in
-  Cmd.v
-    (Cmd.info "shardcheck"
-       ~doc:"dk-shard shared-state inventory: every module-level global, its \
-             kind, and its shard classification")
-    Term.(const shardcheck_run $ json $ dirs)
-
-(* ---- hotcheck ---- *)
-
-let hotcheck_run json dirs =
-  let dirs = if dirs = [] then [ "lib" ] else dirs in
-  let prog, files = Hot_engine.analyze_dirs dirs in
-  let inv = Hot_engine.inventory prog in
-  if json then print_string (Hot_engine.inventory_json inv)
-  else begin
-    print_string (Hot_engine.inventory_table inv);
-    let fs = Hot_engine.findings prog in
-    let count rule =
-      List.length (List.filter (fun f -> f.Tool_common.rule = rule) fs)
-    in
-    Printf.printf
-      "\n%d source file(s), %d hot root(s); raw findings: %d hot-alloc, %d \
-       hot-complexity, %d hot-poly, %d hot-annotation\n\
-       (`dune build @hot` applies tools/hot/allowlist.txt and gates CI)\n"
-      files (List.length inv) (count "hot-alloc") (count "hot-complexity")
-      (count "hot-poly") (count "hot-annotation")
-  end
-
-let hotcheck_cmd =
-  let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"emit the hot-root inventory as JSON instead of a table")
-  in
-  let dirs =
-    Arg.(value & pos_all dir []
-         & info [] ~docv:"DIR"
-             ~doc:"directories to analyze (default: lib)")
-  in
-  Cmd.v
-    (Cmd.info "hotcheck"
-       ~doc:"dk-hot hot-root inventory: every per-op entry point, its kind, \
-             its reachable call-graph footprint, and the per-rule raw \
-             finding counts against the ~1000-cycle datapath budget")
-    Term.(const hotcheck_run $ json $ dirs)
-
 (* `demi --stats` (no subcommand) behaves like `demi stats`. *)
 let default =
   let stats_flag =
@@ -881,7 +798,7 @@ let main =
        ~doc:"Demikernel reproduction: parameterised simulation scenarios")
     [
       rtt_cmd; kv_cmd; wakeups_cmd; loss_cmd; stats_cmd; scenario_cmd;
-      faults_cmd; shardcheck_cmd; hotcheck_cmd;
+      faults_cmd;
     ]
 
 let () = exit (Cmd.eval main)

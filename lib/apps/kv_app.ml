@@ -103,7 +103,7 @@ let answer_udp srv qd sga =
           (Demi.pipeline_cpu_ns srv.demi p (String.length payload));
         match Prog.eval_pipeline ~lookup:(Kv.get_copy srv.kv) p payload with
         | Prog.Responded r -> Some r
-        | Prog.Deliver _ | Prog.Dropped | Prog.Steered _ -> None)
+        | Prog.Deliver _ | Prog.Dropped -> None)
   in
   match fallback_hit with
   | Some raw ->
@@ -191,13 +191,12 @@ let rpc demi qd sga =
       | Types.Pushed | Types.Accepted _ | Types.Failed _ -> None)
   | Types.Popped _ | Types.Accepted _ | Types.Failed _ -> None
 
-let run_tcp_client ~demi ~dst ~ops ~keys ~value_size ~read_fraction
-    ?(zipf_theta = 0.99) ?(seed = 11L) () =
+let run_tcp_client ~demi ~dst ~ops ~keys ~value_size ~read_fraction () =
   let ( let* ) = Result.bind in
   let* qd = Demi.socket demi `Tcp in
   let* () = Demi.connect demi qd ~dst in
   let engine = Demi.engine demi in
-  let wl = Workload.create ~seed (Workload.Zipf { n = keys; theta = zipf_theta }) in
+  let wl = Workload.create ~seed:11L (Workload.Zipf { n = keys; theta = 0.99 }) in
   let latency = Dk_sim.Histogram.create () in
   let hits = ref 0 and misses = ref 0 in
   (* preload *)

@@ -59,9 +59,7 @@ val run_tcp_client :
   keys:int ->
   value_size:int ->
   read_fraction:float ->
-  ?zipf_theta:float ->
-  ?seed:int64 ->
   unit ->
   (client_stats, Demikernel.Types.error) result
 (** Pre-populates every key with one SET pass, then runs [ops]
-    operations closed-loop. *)
+    operations closed-loop over Zipf(0.99)-distributed keys (seed 11). *)

@@ -37,6 +37,11 @@ let flush srv c =
     ignore (Posix.epoll_add srv.posix srv.epfd c.fd interest)
   end
 
+let drop srv c =
+  Posix.epoll_del srv.posix srv.epfd c.fd;
+  Posix.close srv.posix c.fd;
+  Hashtbl.remove srv.conns c.fd
+
 let process_messages srv c =
   let rec loop () =
     match Framing.next c.decoder with
@@ -52,17 +57,14 @@ let process_messages srv c =
         loop ()
   in
   loop ();
-  flush srv c
+  (* A request stream that cannot be decoded is dropped. *)
+  if Framing.corrupt c.decoder then drop srv c else flush srv c
 
 let handle_readable srv c =
   let buf = Bytes.create read_chunk in
   let rec drain () =
     match Posix.read srv.posix c.fd buf 0 read_chunk with
-    | Ok 0 ->
-        (* EOF *)
-        Posix.epoll_del srv.posix srv.epfd c.fd;
-        Posix.close srv.posix c.fd;
-        Hashtbl.remove srv.conns c.fd
+    | Ok 0 -> drop srv c (* EOF *)
     | Ok n ->
         Framing.feed c.decoder (Bytes.sub_string buf 0 n);
         drain ()
@@ -136,6 +138,9 @@ let rpc ~posix ~engine ~epfd ~fd ~decoder req =
   let rec await () =
     match Framing.next decoder with
     | Some segments -> result := Proto.response_of_segments segments
+    | None when Framing.corrupt decoder ->
+        (* A reply stream that cannot be decoded: drop the connection. *)
+        Posix.close posix fd
     | None -> (
         match Posix.read posix fd buf 0 read_chunk with
         | Ok 0 -> ()
@@ -152,9 +157,7 @@ let rpc ~posix ~engine ~epfd ~fd ~decoder req =
   await ();
   !result
 
-let run_client ~posix ~cost ~engine ~dst ~ops ~keys ~value_size ~read_fraction
-    ?(zipf_theta = 0.99) ?(seed = 11L) () =
-  ignore cost;
+let run_client ~posix ~engine ~dst ~ops ~keys ~value_size ~read_fraction () =
   let fd = Posix.socket posix in
   match Posix.connect posix fd ~dst with
   | Error e -> Error e
@@ -168,7 +171,7 @@ let run_client ~posix ~cost ~engine ~dst ~ops ~keys ~value_size ~read_fraction
         | Error _ -> ());
         let decoder = Framing.create () in
         let wl =
-          Workload.create ~seed (Workload.Zipf { n = keys; theta = zipf_theta })
+          Workload.create ~seed:11L (Workload.Zipf { n = keys; theta = 0.99 })
         in
         let latency = Dk_sim.Histogram.create () in
         let hits = ref 0 and misses = ref 0 in

@@ -21,14 +21,11 @@ val requests_served : server -> int
 
 val run_client :
   posix:Dk_kernel.Posix.t ->
-  cost:Dk_sim.Cost.t ->
   engine:Dk_sim.Engine.t ->
   dst:Dk_net.Addr.endpoint ->
   ops:int ->
   keys:int ->
   value_size:int ->
   read_fraction:float ->
-  ?zipf_theta:float ->
-  ?seed:int64 ->
   unit ->
   (Kv_app.client_stats, Dk_kernel.Posix.error) result

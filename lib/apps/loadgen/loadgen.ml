@@ -46,6 +46,7 @@ module Kv_app = Dk_apps.Kv_app
 module Workload = Dk_apps.Workload
 module Sim_setup = Dk_apps.Sim_setup
 module Shard = Dk_shard_rt.Shard
+module Runtime = Dk_shard_rt.Runtime
 
 let kv_port = 6379
 
@@ -139,32 +140,9 @@ let conn_is_slow t conn =
     in
     u < t.cfg.slow_frac
 
-(* ---- RSS steering of modeled connections ---- *)
-
-let flow_tuple c =
-  let src_ip = Addr.ip_of_string "10.200.0.0" + c in
-  let src_port = 40000 + (c land 0x3fff) in
-  let dst_ip = Addr.ip_of_string "10.255.0.100" in
-  (src_ip, src_port, dst_ip, kv_port, 6)
-
-let rss_target rss c =
-  let src_ip, src_port, dst_ip, dst_port, proto = flow_tuple c in
-  Rss.select rss ~src_ip ~src_port ~dst_ip ~dst_port ~proto
-
-(* Admission-time placement of the long-lived population, mirroring
-   Runtime.place_flows: weigh the hash buckets, rebalance the
-   indirection table (the `ethtool -X` move), then steer. *)
-let place_conns rss ~conns =
-  let weights = Array.make (Rss.table_size rss) 0 in
-  for c = 0 to conns - 1 do
-    let src_ip, src_port, dst_ip, dst_port, proto = flow_tuple c in
-    let b =
-      Rss.hash_flow ~src_ip ~src_port ~dst_ip ~dst_port ~proto
-      mod Rss.table_size rss
-    in
-    weights.(b) <- weights.(b) + 1
-  done;
-  Rss.rebalance rss weights
+(* RSS steering of modeled connections: the placement
+   [Runtime.place_flows] uses. *)
+let rss_target rss c = Runtime.flow_owner rss c ~dst_port:kv_port
 
 (* ---- the served side: a local KV server per shard ---- *)
 
@@ -676,7 +654,7 @@ let run ?drive ?offered_rate ~(scn : Scenario.t) ~shards ~seed () =
   let stations = build_stations ~scn ~n ~seed in
   let engines = Array.map (fun st -> st.eng) stations in
   let rss = Rss.create ~queues:n () in
-  place_conns rss ~conns:scn.conns;
+  Runtime.rebalance rss ~flows:scn.conns ~dst_port:kv_port;
   for c = 0 to scn.conns - 1 do
     let st = stations.(rss_target rss c) in
     st.active.(st.n_active) <- c;

@@ -7,22 +7,23 @@ let m_retries = Dk_obs.Metrics.counter "core.block.retries"
 let m_recovered = Dk_obs.Metrics.counter "core.block.recovered"
 let m_gave_up = Dk_obs.Metrics.counter "core.block.gave_up"
 
+(* An errored operation is resubmitted up to [max_retries] times, the
+   n-th retry after [retry_backoff_ns * 2^n]. *)
+let max_retries = 4
+let retry_backoff_ns = 10_000L
+
 type t = {
   block : Block.t;
   engine : Dk_sim.Engine.t;
-  max_retries : int;
-  retry_backoff_ns : int64;
   handlers : (int, Block.completion -> unit) Hashtbl.t;
   mutable next_wr : int;
 }
 
-let create ?(max_retries = 4) ?(retry_backoff_ns = 10_000L) block =
+let create block =
   let t =
     {
       block;
       engine = Block.engine block;
-      max_retries;
-      retry_backoff_ns;
       handlers = Hashtbl.create 32;
       next_wr = 1;
     }
@@ -49,8 +50,8 @@ let fresh t =
   t.next_wr <- t.next_wr + 1;
   id
 
-let backoff_ns t attempt =
-  Int64.mul t.retry_backoff_ns (Int64.of_int (1 lsl min attempt 16))
+let backoff_ns attempt =
+  Int64.mul retry_backoff_ns (Int64.of_int (1 lsl min attempt 16))
 
 (* Submit with retry: an [`Io_error] completion (or an SQ-full retry
    slot) is resubmitted after an exponentially growing backoff, up to
@@ -63,12 +64,12 @@ let rec attempt_op t ~resubmit ~attempt k =
   let retry_later () =
     Dk_obs.Metrics.incr m_retries;
     ignore
-      (Dk_sim.Engine.after t.engine (backoff_ns t attempt) (fun () ->
+      (Dk_sim.Engine.after t.engine (backoff_ns attempt) (fun () ->
            ignore (attempt_op t ~resubmit ~attempt:(attempt + 1) k)))
   in
   let handler c =
     match c.Block.status with
-    | `Io_error when attempt < t.max_retries -> retry_later ()
+    | `Io_error when attempt < max_retries -> retry_later ()
     | `Io_error ->
         Dk_obs.Metrics.incr m_gave_up;
         if
@@ -94,7 +95,7 @@ let rec attempt_op t ~resubmit ~attempt k =
     if attempt = 0 then false
     else begin
       (* A retry must not be dropped on a momentarily full SQ. *)
-      if attempt < t.max_retries then retry_later ()
+      if attempt < max_retries then retry_later ()
       else begin
         Dk_obs.Metrics.incr m_gave_up;
         k { Block.wr_id = wr; status = `Io_error; data = None }

@@ -6,16 +6,14 @@
 
     Transient device errors ([`Io_error], produced only under an armed
     {!Dk_fault} plan) are absorbed here: the operation is resubmitted
-    after a bounded exponential backoff ([retry_backoff_ns * 2^n], up
-    to [max_retries] times) before the error reaches the continuation.
+    after a bounded exponential backoff (10us * 2{^n}, up to 4 times)
+    before the error reaches the continuation.
     Counters: [core.block.retries], [core.block.recovered],
     [core.block.gave_up]. *)
 
 type t
 
-val create :
-  ?max_retries:int -> ?retry_backoff_ns:int64 -> Dk_device.Block.t -> t
-(** Defaults: 4 retries, 10us initial backoff. *)
+val create : Dk_device.Block.t -> t
 
 val block : t -> Dk_device.Block.t
 

@@ -45,9 +45,8 @@ let device_names t =
       (match t.disp with Some _ -> [ "nvme0" ] | None -> []);
     ]
 
-let create ~engine ~cost ?stack ?posix ?rdma ?block ?(mem_initial = 1 lsl 20)
-    ?(mem_max = 1 lsl 28) ?(sanitize = Dk_mem.Dk_check.enabled_from_env ()) ()
-    =
+let create ~engine ~cost ?stack ?posix ?rdma ?block
+    ?(sanitize = Dk_mem.Dk_check.enabled_from_env ()) () =
   let registry = Dk_mem.Registry.create () in
   let disp = Option.map Block_dispatch.create block in
   let t_ref = ref None in
@@ -73,8 +72,7 @@ let create ~engine ~cost ?stack ?posix ?rdma ?block ?(mem_initial = 1 lsl 20)
         end
   in
   let manager =
-    Dk_mem.Manager.create ~initial_region_size:mem_initial
-      ~max_total_bytes:mem_max ~on_new_region ~sanitize ()
+    Dk_mem.Manager.create ~on_new_region ~sanitize ()
   in
   let t =
     {
@@ -648,13 +646,12 @@ let close t qd =
 
 (* ---- RDMA ---- *)
 
-let rdma_endpoint t ?depth ?recv_size qp =
+let rdma_endpoint t ?depth qp =
   match t.rdma with
   | None -> Error `Not_supported
   | Some _ -> (
       match
-        Rdma_queue.create ~tokens:t.tokens ~manager:t.manager ~qp ?depth
-          ?recv_size ()
+        Rdma_queue.create ~tokens:t.tokens ~manager:t.manager ~qp ?depth ()
       with
       | Error e -> Error e
       | Ok impl -> Ok (install t impl))
@@ -715,11 +712,16 @@ let prog_filter_cost t pred =
   let footprint = Dk_device.Prog.filter_footprint pred in
   fun (_ : Dk_mem.Sga.t) -> Dk_sim.Cost.filter_cpu_ns t.cost footprint
 
-(* Compile a payload-level predicate into a frame-level predicate for
-   UDP datagrams on port [port]: shift offsets past the
-   ethernet+IPv4+UDP headers and keep all frames not addressed to the
-   port. *)
-let header_bytes = 42
+(* ---- the NIC's rx program ----
+
+   Everything this libOS offloads to a programmable NIC compiles into
+   the device's one rx pipeline. Payload-level terms shift every offset
+   past the ethernet+IPv4+UDP headers ([Udp_frame.header_bytes]), and
+   every guard is conjoined with the socket's port match, so a program
+   installed for one socket can never touch another port's traffic.
+   Offloaded filters come first, as [Drop] stages; then the per-port
+   pipelines, sorted by port (install order cannot change the
+   program). *)
 
 let rec shift_pred off (p : Prog.pred) : Prog.pred =
   match p with
@@ -748,33 +750,86 @@ let udp_port_match port =
       Prog.Byte_eq (37, Char.chr (port land 0xff));
     ]
 
-let rebuild_device_filter t =
+let shift_field off (f : Prog.field) : Prog.field =
+  match f with
+  | Prog.F_len -> Prog.F_len
+  | Prog.F_u8 o -> Prog.F_u8 (o + off)
+  | Prog.F_u16 o -> Prog.F_u16 (o + off)
+  | Prog.F_hash (o, l) -> Prog.F_hash (o + off, l)
+  | Prog.F_hash_rest o -> Prog.F_hash_rest (o + off)
+
+let shift_key off (k : Prog.key) : Prog.key =
+  match k with
+  | Prog.K_bytes (o, l) -> Prog.K_bytes (o + off, l)
+  | Prog.K_rest o -> Prog.K_rest (o + off)
+
+let rec shift_fmatch off (m : Prog.fmatch) : Prog.fmatch =
+  match m with
+  | Prog.M_pred p -> Prog.M_pred (shift_pred off p)
+  | Prog.M_eq (f, v) -> Prog.M_eq (shift_field off f, v)
+  | Prog.M_mod (f, m, tgt) -> Prog.M_mod (shift_field off f, m, tgt)
+  | Prog.M_all ms -> Prog.M_all (List.map (shift_fmatch off) ms)
+  | Prog.M_any ms -> Prog.M_any (List.map (shift_fmatch off) ms)
+  | Prog.M_not m -> Prog.M_not (shift_fmatch off m)
+
+let rec shift_action off (a : Prog.action) : Prog.action =
+  match a with
+  | Prog.Pass | Prog.Drop | Prog.Rewrite _ -> a
+  | Prog.Respond r ->
+      Prog.Respond
+        {
+          r with
+          Prog.r_key = shift_key off r.Prog.r_key;
+          Prog.r_on_miss = shift_action off r.Prog.r_on_miss;
+        }
+
+let shift_stage port (st : Prog.stage) : Prog.stage =
+  {
+    Prog.guard =
+      Prog.M_all
+        [
+          Prog.M_pred (udp_port_match port);
+          shift_fmatch Dk_device.Udp_frame.header_bytes st.Prog.guard;
+        ];
+    Prog.act = shift_action Dk_device.Udp_frame.header_bytes st.Prog.act;
+  }
+
+(* An offloaded filter drops the frames on its port that fail it. *)
+let filter_stage (port, pred) : Prog.stage =
+  {
+    Prog.guard =
+      Prog.M_all
+        [
+          Prog.M_pred (udp_port_match port);
+          Prog.M_not
+            (Prog.M_pred (shift_pred Dk_device.Udp_frame.header_bytes pred));
+        ];
+    Prog.act = Prog.Drop;
+  }
+
+let rebuild_device_program t =
   match t.stack with
   | None -> ()
   | Some stack ->
-      let nic = Stack.nic stack in
-      let conjuncts =
-        List.map
-          (fun (port, pred) ->
-            Prog.Any [ Prog.Not (udp_port_match port); shift_pred header_bytes pred ])
-          t.device_filters
+      let sorted =
+        List.sort (fun (a, _) (b, _) -> Int.compare a b) t.device_pipelines
       in
       let program =
-        match conjuncts with [] -> None | cs -> Some (Prog.All cs)
+        List.map filter_stage t.device_filters
+        @ List.concat_map
+            (fun (port, stages) -> List.map (shift_stage port) stages)
+            sorted
       in
-      ignore (Dk_device.Nic.set_rx_filter nic program)
+      ignore (Dk_device.Nic.set_rx_pipeline (Stack.nic stack) program)
 
 let try_offload_filter t qd pred =
   match (t.stack, lookup t qd, Hashtbl.find_opt t.socks qd) with
-  | Some stack, Some impl, meta_opt
+  | Some stack, Some impl, Some { port = Some port; _ }
     when impl.Qimpl.kind = "udp"
-         && Dk_device.Nic.programmable (Stack.nic stack) -> (
-      match meta_opt with
-      | Some { port = Some port; _ } ->
-          t.device_filters <- (port, pred) :: t.device_filters;
-          rebuild_device_filter t;
-          Some impl
-      | Some _ | None -> None)
+         && Dk_device.Nic.programmable (Stack.nic stack) ->
+      t.device_filters <- (port, pred) :: t.device_filters;
+      rebuild_device_program t;
+      Some impl
   | _ -> None
 
 let filter t qd pred =
@@ -857,20 +912,9 @@ let steer t qd ~ways ~hash_off ~hash_len =
   match lookup t qd with
   | None -> Error `Bad_qd
   | Some parent ->
-      (* Classification cost: zero when the device can classify
-         (RSS-style, programmable NIC under a UDP queue), the
-         filter-evaluation cost per element otherwise. *)
-      let on_device =
-        (match (t.stack, Hashtbl.find_opt t.socks qd) with
-        | Some stack, Some _ ->
-            parent.Qimpl.kind = "udp"
-            && Dk_device.Nic.programmable (Stack.nic stack)
-        | _ -> false)
-        || Hashtbl.mem t.offloaded qd
-      in
-      let classify_cost =
-        if on_device then 0L else Dk_sim.Cost.filter_cpu_ns t.cost hash_len
-      in
+      (* Classification runs on the CPU: the filter-evaluation cost of
+         the hashed range, per element. *)
+      let classify_cost = Dk_sim.Cost.filter_cpu_ns t.cost hash_len in
       let outs = Array.init ways (fun _ -> Memq.create t.tokens) in
       let way_of sga =
         let s = Dk_mem.Sga.to_string sga in
@@ -912,77 +956,6 @@ let qconnect t ~src ~dst =
 
 let filter_offloaded t qd = Hashtbl.mem t.offloaded qd
 
-(* ---- rx pipeline offload (deep NIC offload) ----
-
-   Payload-level pipelines compile to frame-level ones exactly the way
-   E8 filters do: every offset shifts past the 42-byte
-   ethernet+IPv4+UDP headers and every stage guard is conjoined with
-   the port match, so a pipeline installed for one socket can never
-   touch another port's traffic. Pipelines for all offloaded ports
-   concatenate (sorted by port — install order cannot change the
-   program) into the single NIC rx pipeline. *)
-
-let shift_field off (f : Prog.field) : Prog.field =
-  match f with
-  | Prog.F_len -> Prog.F_len
-  | Prog.F_u8 o -> Prog.F_u8 (o + off)
-  | Prog.F_u16 o -> Prog.F_u16 (o + off)
-  | Prog.F_hash (o, l) -> Prog.F_hash (o + off, l)
-  | Prog.F_hash_rest o -> Prog.F_hash_rest (o + off)
-
-let shift_key off (k : Prog.key) : Prog.key =
-  match k with
-  | Prog.K_bytes (o, l) -> Prog.K_bytes (o + off, l)
-  | Prog.K_rest o -> Prog.K_rest (o + off)
-
-let rec shift_fmatch off (m : Prog.fmatch) : Prog.fmatch =
-  match m with
-  | Prog.M_pred p -> Prog.M_pred (shift_pred off p)
-  | Prog.M_eq (f, v) -> Prog.M_eq (shift_field off f, v)
-  | Prog.M_mod (f, m, tgt) -> Prog.M_mod (shift_field off f, m, tgt)
-  | Prog.M_all ms -> Prog.M_all (List.map (shift_fmatch off) ms)
-  | Prog.M_any ms -> Prog.M_any (List.map (shift_fmatch off) ms)
-  | Prog.M_not m -> Prog.M_not (shift_fmatch off m)
-
-let rec shift_action off (a : Prog.action) : Prog.action =
-  match a with
-  | Prog.Pass | Prog.Drop | Prog.Steer _ -> a
-  | Prog.Steer_field (f, n) -> Prog.Steer_field (shift_field off f, n)
-  | Prog.Rewrite m -> Prog.Rewrite m
-  | Prog.Respond r ->
-      Prog.Respond
-        {
-          r with
-          Prog.r_key = shift_key off r.Prog.r_key;
-          Prog.r_on_miss = shift_action off r.Prog.r_on_miss;
-        }
-
-let shift_stage off port (st : Prog.stage) : Prog.stage =
-  {
-    Prog.guard =
-      Prog.M_all
-        [ Prog.M_pred (udp_port_match port); shift_fmatch off st.Prog.guard ];
-    Prog.act = shift_action off st.Prog.act;
-  }
-
-let rebuild_device_pipeline t =
-  match t.stack with
-  | None -> ()
-  | Some stack ->
-      let nic = Stack.nic stack in
-      let sorted =
-        List.sort
-          (fun (a, _) (b, _) -> Int.compare a b)
-          t.device_pipelines
-      in
-      let program =
-        List.concat_map
-          (fun (port, stages) ->
-            List.map (shift_stage header_bytes port) stages)
-          sorted
-      in
-      ignore (Dk_device.Nic.set_rx_pipeline nic program)
-
 let offload_udp_pipeline t qd stages =
   match (t.stack, lookup t qd, Hashtbl.find_opt t.socks qd) with
   | _, None, _ -> Error `Bad_qd
@@ -992,7 +965,7 @@ let offload_udp_pipeline t qd stages =
       t.device_pipelines <-
         (port, stages)
         :: List.filter (fun (p, _) -> p <> port) t.device_pipelines;
-      rebuild_device_pipeline t;
+      rebuild_device_program t;
       Ok ()
   | _, Some _, _ -> Error `Not_supported
 

@@ -21,8 +21,6 @@ val create :
   ?posix:Dk_kernel.Posix.t ->
   ?rdma:Dk_device.Rdma.t ->
   ?block:Dk_device.Block.t ->
-  ?mem_initial:int ->
-  ?mem_max:int ->
   ?sanitize:bool ->
   unit ->
   t
@@ -82,7 +80,7 @@ val close : t -> Types.qd -> (unit, Types.error) result
 (** {2 Control path: RDMA} *)
 
 val rdma_endpoint :
-  t -> ?depth:int -> ?recv_size:int -> Dk_device.Rdma.qp -> (Types.qd, Types.error) result
+  t -> ?depth:int -> Dk_device.Rdma.qp -> (Types.qd, Types.error) result
 (** Wrap an already-connected queue pair (connection management is
     out-of-band control path) as an I/O queue with libOS-provided
     buffer management and flow control. *)
@@ -105,11 +103,12 @@ val merge : t -> Types.qd -> Types.qd -> (Types.qd, Types.error) result
 
 val filter :
   t -> Types.qd -> Dk_device.Prog.pred -> (Types.qd, Types.error) result
-(** Filter with a verified program. If the descriptor is a UDP queue on
-    a programmable NIC, the program is compiled to a frame-level filter
-    and installed {e on the device} — dropped messages then cost zero
-    CPU; otherwise it runs on the CPU per element (§4.3). The original
-    descriptor is subsumed by the returned one. *)
+(** Filter with a verified program. If the descriptor is a bound UDP
+    queue on a programmable NIC, the program compiles to a [Drop] stage
+    of the NIC's rx pipeline (see {!offload_udp_pipeline}) — dropped
+    messages then cost zero CPU; otherwise it runs on the CPU per
+    element (§4.3). The original descriptor is subsumed by the returned
+    one. *)
 
 val filter_fn :
   t -> Types.qd -> (Dk_mem.Sga.t -> bool) -> (Types.qd, Types.error) result
@@ -137,9 +136,8 @@ val steer :
     a key-value store)"). Partitions the parent's elements across
     [ways] queues by a hash of the byte range [hash_off, hash_off +
     hash_len): each element lands on exactly one output queue, FIFO per
-    way. The classification runs on the device when the source is a UDP
-    queue on a programmable NIC (RSS-style, zero host CPU), on the CPU
-    otherwise. *)
+    way. The classification runs on the CPU, at the filter rate over
+    [hash_len] bytes per element. *)
 
 val qconnect : t -> src:Types.qd -> dst:Types.qd -> (unit, Types.error) result
 
@@ -150,11 +148,12 @@ val filter_offloaded : t -> Types.qd -> bool
 
     Payload-level {!Dk_device.Prog.pipeline} stages installed on a
     bound UDP queue compile to frame-level stages (offsets shifted past
-    the 42-byte headers, every guard conjoined with the port match — the
-    E8 filter compilation, lifted to pipelines) and load onto the
-    programmable NIC. Traffic for other ports is untouched by
-    construction; with no pipeline installed the rx path is
-    byte-identical to a stock NIC. *)
+    the 42-byte headers, every guard conjoined with the port match) and
+    load onto the programmable NIC as its one rx pipeline, after the
+    [Drop] stages of any offloaded {!filter}: a frame that fails a
+    filter on its port is dropped before a later stage can answer it.
+    Traffic for other ports is untouched by construction; with nothing
+    installed the rx path is byte-identical to a stock NIC. *)
 
 val offload_udp_pipeline :
   t -> Types.qd -> Dk_device.Prog.pipeline -> (unit, Types.error) result

@@ -39,12 +39,14 @@ let rec pump_tx st =
       end
   [@@hot]
 
+(* A stream whose framing is corrupt is reset, not decoded: [on_close]
+   (see [of_conn]) then fails this connection alone. *)
 let rec drain_rx st =
   match Framing.next st.decoder with
   | Some segments ->
       Mailbox.deliver st.mbox (Types.Popped (Dk_mem.Sga.of_strings segments));
       drain_rx st
-  | None -> ()
+  | None -> if Framing.corrupt st.decoder then Tcp.abort st.conn
 
 let pump_rx st =
   let avail = Tcp.recv_ready st.conn in
@@ -75,14 +77,22 @@ let of_conn ~tokens ~conn () =
   Tcp.set_on_peer_fin conn (fun () -> Mailbox.close st.mbox);
   Tcp.set_on_close conn (fun reason ->
       let err =
-        match reason with
-        | `Normal -> `Queue_closed
-        | `Reset -> `Refused
-        (* RTO retries exhausted (the peer is partitioned or dead):
-           ECONNABORTED, so `Demi.wait` returns instead of hanging. *)
-        | `Timeout -> `Conn_aborted
+        if Framing.corrupt st.decoder then begin
+          (* We reset it: the peer's byte stream cannot be decoded. The
+             counter registers at the first rejection only. *)
+          Dk_obs.Metrics.incr (Dk_obs.Metrics.counter "net.framing.rejected");
+          `Conn_aborted
+        end
+        else
+          match reason with
+          | `Normal -> `Queue_closed
+          | `Reset -> `Refused
+          (* RTO retries exhausted (the peer is partitioned or dead):
+             ECONNABORTED, so `Demi.wait` returns instead of hanging. *)
+          | `Timeout ->
+              Dk_obs.Metrics.incr m_aborted;
+              `Conn_aborted
       in
-      (if err = `Conn_aborted then Dk_obs.Metrics.incr m_aborted);
       fail_tx st err;
       Mailbox.fail st.mbox err);
   {

@@ -30,7 +30,7 @@ let close_conn st err =
   if not st.closed then begin
     st.closed <- true;
     fail_tx st err;
-    Mailbox.close st.mbox;
+    Mailbox.fail st.mbox err;
     Posix.epoll_del st.posix st.epfd st.fd
   end
 
@@ -71,7 +71,12 @@ let pump_rx st =
             | None -> ()
           in
           deliver ();
-          drain ()
+          if Framing.corrupt st.decoder then begin
+            (* The peer's byte stream cannot be decoded: drop it. *)
+            Dk_obs.Metrics.incr (Dk_obs.Metrics.counter "net.framing.rejected");
+            close_conn st `Conn_aborted
+          end
+          else drain ()
       | Error `Again -> ()
       | Error _ -> close_conn st `Queue_closed
   in

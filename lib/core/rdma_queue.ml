@@ -1,10 +1,13 @@
 module Rdma = Dk_device.Rdma
 
+(* Size of each posted receive buffer: the largest message a push may
+   carry. *)
+let recv_size = 16384
+
 type state = {
   tokens : Token.t;
   manager : Dk_mem.Manager.t;
   qp : Rdma.qp;
-  recv_size : int;
   mbox : Mailbox.t;
   mutable credits : int;
   pending_sends : (Dk_mem.Sga.t * Types.qtoken) Queue.t;
@@ -19,7 +22,7 @@ let fresh_wr st =
   id
 
 let replenish st =
-  match Dk_mem.Manager.alloc st.manager st.recv_size with
+  match Dk_mem.Manager.alloc st.manager recv_size with
   | Some buf -> Rdma.post_recv st.qp ~wr_id:(fresh_wr st) buf
   | None -> () (* arena exhausted: the peer will see backpressure *)
 
@@ -95,14 +98,13 @@ and drain_send st =
   in
   drain_pending ()
 
-let create ~tokens ~manager ~qp ?(depth = 64) ?(recv_size = 16384) () =
-  if depth <= 0 || recv_size <= 0 then invalid_arg "Rdma_queue.create";
+let create ~tokens ~manager ~qp ?(depth = 64) () =
+  if depth <= 0 then invalid_arg "Rdma_queue.create";
   let st =
     {
       tokens;
       manager;
       qp;
-      recv_size;
       mbox = Mailbox.create tokens;
       credits = depth;
       pending_sends = Queue.create ();
@@ -126,7 +128,7 @@ let create ~tokens ~manager ~qp ?(depth = 64) ?(recv_size = 16384) () =
         push =
           (fun sga tok ->
             if st.closed then Token.complete tokens tok (Types.Failed `Queue_closed)
-            else if Dk_mem.Sga.length sga > st.recv_size then
+            else if Dk_mem.Sga.length sga > recv_size then
               Token.complete tokens tok (Types.Failed `Not_supported)
             else issue_send st sga tok);
         pop = (fun tok -> Mailbox.pop st.mbox tok);

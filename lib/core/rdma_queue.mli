@@ -20,9 +20,9 @@ val create :
   manager:Dk_mem.Manager.t ->
   qp:Dk_device.Rdma.qp ->
   ?depth:int ->
-  ?recv_size:int ->
   unit ->
   (Qimpl.t, Types.error) result
 (** The queue pair must already be connected; [depth] defaults to 64
-    buffers of [recv_size] (default 16 KiB) each. Both endpoints must
+    receive buffers of 16 KiB each (the largest message a push may
+    carry). Both endpoints must
     use the same [depth] for the credit scheme to be safe. *)

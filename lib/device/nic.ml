@@ -6,7 +6,6 @@ type stats = {
   rx_bytes : int;
   rx_dropped : int;
   rx_filtered : int;
-  rx_mapped : int;
   rx_responded : int;
 }
 
@@ -38,8 +37,6 @@ type t = {
   rxq : string Dk_util.Bqueue.t;
   tx_capacity : int;
   mutable tx_inflight : int;
-  mutable rx_filter : Prog.filter option;
-  mutable rx_map : Prog.map option;
   mutable rx_pipeline : Prog.pipeline;
   mutable table : Table.t option;
   mutable lookup_fn : string -> string option;
@@ -52,7 +49,6 @@ type t = {
   mutable rx_bytes : int;
   mutable rx_dropped : int;
   mutable rx_filtered : int;
-  mutable rx_mapped : int;
   mutable rx_responded : int;
 }
 
@@ -75,8 +71,6 @@ let create ~engine ~cost ?(fault = Fault.default) ~mac ?(rx_capacity = 1024)
       rxq = Dk_util.Bqueue.create rx_capacity;
       tx_capacity;
       tx_inflight = 0;
-      rx_filter = None;
-      rx_map = None;
       rx_pipeline = [];
       table = None;
       lookup_fn = no_lookup;
@@ -89,7 +83,6 @@ let create ~engine ~cost ?(fault = Fault.default) ~mac ?(rx_capacity = 1024)
       rx_bytes = 0;
       rx_dropped = 0;
       rx_filtered = 0;
-      rx_mapped = 0;
       rx_responded = 0;
     }
   in
@@ -101,28 +94,12 @@ let create ~engine ~cost ?(fault = Fault.default) ~mac ?(rx_capacity = 1024)
 let mac t = t.mac
 let programmable t = t.programmable
 
-let set_rx_filter t prog =
-  if t.programmable then begin
-    t.rx_filter <- prog;
-    Ok ()
-  end
-  else Error `Not_programmable
-
-let set_rx_map t prog =
-  if t.programmable then begin
-    t.rx_map <- prog;
-    Ok ()
-  end
-  else Error `Not_programmable
-
 let set_rx_pipeline t p =
   if t.programmable then begin
     t.rx_pipeline <- p;
     Ok ()
   end
   else Error `Not_programmable
-
-let rx_pipeline t = t.rx_pipeline
 
 let offload_enable t ?policy ?obs_prefix ~capacity ~max_value () =
   if not t.programmable then Error `Not_programmable
@@ -170,8 +147,6 @@ let ctrl_invalidate t k =
   | Some r -> r
   | None -> false
   [@@hot.alloc "control-queue closure (see ctrl)"]
-
-let ctrl_doorbells t = Doorbell.rings t.ctrl_db
 
 (* The tx descriptor body: DMA then uplink. [transmit] reaches it
    through the doorbell; the device-side respond path calls it
@@ -299,59 +274,29 @@ let enqueue_rx t frame =
     end
   end
 
-(* Toplevel (not a local closure inside [receive]): the filter/map
-   stage runs once per delivered frame, and the plain path — no program
-   loaded — must stay allocation-free. *)
-let process_filter_map t frame =
-  let keep =
-    match t.rx_filter with
-    | None -> true
-    | Some p -> Prog.eval_pred p frame
-  in
-  if not keep then begin
-    t.rx_filtered <- t.rx_filtered + 1;
-    Dk_obs.Metrics.incr m_rx_filtered
-  end
-  else
-    let frame =
-      match t.rx_map with
-      | None -> frame
-      | Some m ->
-          t.rx_mapped <- t.rx_mapped + 1;
-          Prog.eval_map m frame
-    in
-    enqueue_rx t frame
-
-(* Pipeline first (when loaded), then the classic filter/map pair on
-   whatever the pipeline delivers. A [Responded] verdict is re-checked
-   against the raw frame ([Udp_frame.reply] verifies both checksums):
-   a corrupt frame that reached a table hit anyway falls through to the
-   host, whose stack will reject it — the device never answers for a
-   key it cannot trust. *)
+(* A [Responded] verdict is re-checked against the raw frame
+   ([Udp_frame.reply] verifies both checksums): a corrupt frame that
+   reached a table hit anyway falls through to the host, whose stack
+   will reject it — the device never answers for a key it cannot
+   trust. *)
 let process_rx t frame =
-  match t.rx_pipeline with
-  | [] -> process_filter_map t frame
-  | p -> (
-      match Prog.eval_pipeline ~lookup:t.lookup_fn p frame with
-      | Prog.Deliver frame -> process_filter_map t frame
-      | Prog.Dropped ->
-          t.rx_filtered <- t.rx_filtered + 1;
-          Dk_obs.Metrics.incr m_rx_filtered
-      | Prog.Steered (_, frame) ->
-          (* Single-queue NIC: every rx queue is this ring. *)
-          process_filter_map t frame
-      | Prog.Responded payload -> (
-          match Udp_frame.reply ~self_mac:t.mac ~request:frame ~payload with
-          | Some (dst, reply) ->
-              t.rx_responded <- t.rx_responded + 1;
-              ignore (device_transmit t ~dst reply)
-          | None -> process_filter_map t frame))
+  match Prog.eval_pipeline ~lookup:t.lookup_fn t.rx_pipeline frame with
+  | Prog.Deliver frame -> enqueue_rx t frame
+  | Prog.Dropped ->
+      t.rx_filtered <- t.rx_filtered + 1;
+      Dk_obs.Metrics.incr m_rx_filtered
+  | Prog.Responded payload -> (
+      match Udp_frame.reply ~self_mac:t.mac ~request:frame ~payload with
+      | Some (dst, reply) ->
+          t.rx_responded <- t.rx_responded + 1;
+          ignore (device_transmit t ~dst reply)
+      | None -> enqueue_rx t frame)
 
 let receive t frame =
   let now = Dk_sim.Engine.now t.engine in
   (* Fault hooks sit at the wire edge, before any on-NIC program: a
-     dropped frame never reaches the filter, a corrupted one is what
-     the filter (and the host checksum) sees. *)
+     dropped frame never reaches the pipeline, a corrupted one is what
+     the pipeline (and the host checksum) sees. *)
   if Fault.fire t.fault Fault.Nic_rx_drop ~now then begin
     t.rx_dropped <- t.rx_dropped + 1;
     Dk_obs.Metrics.incr m_rx_dropped
@@ -365,7 +310,8 @@ let receive t frame =
     let copies = if Fault.fire t.fault Fault.Nic_rx_dup ~now then 2 else 1 in
     for _ = 1 to copies do
       match t.rx_pipeline with
-      | _ :: _ as p ->
+      | [] -> enqueue_rx t frame
+      | p ->
           (* Pipeline latency scales with the statically-priced
              footprint: one program element per 64 touched bytes, all
              on the device clock — no host CPU. *)
@@ -377,18 +323,6 @@ let receive t frame =
                (Int64.mul t.cost.Dk_sim.Cost.device_prog_per_elem
                   (Int64.of_int elems))
                (fun () -> process_rx t frame))
-      | [] ->
-          let prog_active =
-            (match t.rx_filter with Some _ -> true | None -> false)
-            || match t.rx_map with Some _ -> true | None -> false
-          in
-          if prog_active then
-            (* On-device program execution adds device latency but no CPU. *)
-            ignore
-              (Dk_sim.Engine.after t.engine
-                 t.cost.Dk_sim.Cost.device_prog_per_elem (fun () ->
-                   process_rx t frame))
-          else process_rx t frame
     done
   end
   [@@hot.alloc
@@ -401,7 +335,6 @@ let poll_rx t =
       Dk_obs.Metrics.gauge_add g_rx_pending (-1);
       hit
   | None -> None
-let rx_pending t = Dk_util.Bqueue.length t.rxq
 
 let stats t =
   {
@@ -412,7 +345,6 @@ let stats t =
     rx_bytes = t.rx_bytes;
     rx_dropped = t.rx_dropped;
     rx_filtered = t.rx_filtered;
-    rx_mapped = t.rx_mapped;
     rx_responded = t.rx_responded;
   }
 

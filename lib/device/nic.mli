@@ -5,9 +5,9 @@
     doorbell of CPU time and fails when the TX ring is full; received
     frames wait in a bounded RX ring and are lost when it overflows.
     There is no kernel anywhere on this path. A programmable NIC can
-    additionally run a verified filter and/or map program ({!Prog}) on
-    inbound frames at zero CPU cost — frames dropped by the filter never
-    consume host cycles. *)
+    additionally run one verified rx pipeline ({!Prog.pipeline}) on
+    inbound frames at zero CPU cost — frames it drops never consume host
+    cycles. *)
 
 type t
 
@@ -18,8 +18,7 @@ type stats = {
   rx_frames : int;
   rx_bytes : int;
   rx_dropped : int;  (** frames lost to RX ring overflow *)
-  rx_filtered : int; (** frames dropped on-device (filter or pipeline) *)
-  rx_mapped : int;   (** frames transformed on-device by the map program *)
+  rx_filtered : int; (** frames dropped on-device by a [Drop] stage *)
   rx_responded : int; (** frames answered from the device-resident table *)
 }
 
@@ -37,13 +36,10 @@ val create :
 val mac : t -> int
 val programmable : t -> bool
 
-val set_rx_filter : t -> Prog.filter option -> (unit, [ `Not_programmable ]) result
-val set_rx_map : t -> Prog.map option -> (unit, [ `Not_programmable ]) result
+(** {2 The rx pipeline and the device-resident table}
 
-(** {2 Rx pipelines and the device-resident table}
-
-    A programmable NIC can run a {!Prog.pipeline} on inbound frames
-    ahead of the classic filter/map pair, at device latency priced by
+    A programmable NIC runs its {!Prog.pipeline} — the only program it
+    holds — on every inbound frame, at device latency priced by
     {!Prog.pipeline_footprint} (one program element per 64 touched
     bytes on [Cost.device_prog_per_elem]) and zero host CPU. [Respond]
     verdicts are served from a bounded {!Table} and transmitted back
@@ -54,8 +50,6 @@ val set_rx_map : t -> Prog.map option -> (unit, [ `Not_programmable ]) result
 val set_rx_pipeline : t -> Prog.pipeline -> (unit, [ `Not_programmable ]) result
 (** [[]] unloads the pipeline — the rx path is then byte-identical to
     a NIC that never had one. *)
-
-val rx_pipeline : t -> Prog.pipeline
 
 val offload_enable :
   t ->
@@ -84,9 +78,6 @@ val ctrl_insert : t -> string -> string -> (unit, [ `Rejected ]) result
 val ctrl_update : t -> string -> string -> bool
 val ctrl_invalidate : t -> string -> bool
 
-val ctrl_doorbells : t -> int
-(** Control-queue doorbell rings so far. *)
-
 val transmit : t -> dst:int -> string -> bool
 (** Charge a doorbell (through the coalescing stage — see
     {!Doorbell}) and start DMA; [false] if the TX ring is full. *)
@@ -107,7 +98,6 @@ val poll_rx : t -> string option
 (** Take the next received frame, if any (free — the poll-loop cost is
     charged by the caller, which knows how often it spins). *)
 
-val rx_pending : t -> int
 val stats : t -> stats
 
 (** {2 Wiring (used by {!Fabric})} *)
@@ -117,7 +107,7 @@ val set_uplink :
 (** [departed] is the absolute DMA-completion (wire departure) time. *)
 
 val receive : t -> string -> unit
-(** Deliver a frame into the RX path (filter/map, then ring). *)
+(** Deliver a frame into the RX path (pipeline, if loaded, then ring). *)
 
 val set_rx_notify : t -> (unit -> unit) -> unit
 (** Invoked after each frame lands in the RX ring; network stacks use

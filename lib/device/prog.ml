@@ -11,8 +11,6 @@ type pred =
   | Any of pred list
   | Not of pred
 
-type filter = pred
-
 type map =
   | Identity
   | Prepend of string
@@ -137,8 +135,6 @@ type fmatch =
 type action =
   | Pass
   | Drop
-  | Steer of int
-  | Steer_field of field * int
   | Rewrite of map
   | Respond of respond
 
@@ -155,12 +151,11 @@ type pipeline = stage list
 type verdict =
   | Deliver of string
   | Dropped
-  | Steered of int * string
   | Responded of string
 
 (* Field extraction yields [None] when the frame is too short for the
-   typed read — matches evaluate false and steers fall through, so an
-   out-of-range access can never fault or read beyond the payload. *)
+   typed read — matches evaluate false, so an out-of-range access can
+   never fault or read beyond the payload. *)
 let field_value f s =
   let n = String.length s in
   match f with
@@ -229,13 +224,6 @@ and eval_action ~lookup act rest s =
   match act with
   | Pass -> Deliver s
   | Drop -> Dropped
-  | Steer q -> Steered (q, s)
-  | Steer_field (f, n) -> (
-      if n <= 0 then Deliver s
-      else
-        match field_value f s with
-        | Some v -> Steered (mod_reduce v n, s)
-        | None -> eval_stages ~lookup rest s)
   | Rewrite m -> eval_stages ~lookup rest (eval_map m s)
   | Respond r -> (
       match key_bytes r.r_key s with
@@ -281,8 +269,7 @@ and fmatch_list_footprint ms len =
 
 let rec action_footprint a len =
   match a with
-  | Pass | Drop | Steer _ -> 0
-  | Steer_field (f, _) -> field_footprint f len
+  | Pass | Drop -> 0
   | Rewrite m -> map_footprint m len
   | Respond r ->
       key_footprint r.r_key len
@@ -326,46 +313,3 @@ let rec pp_map ppf = function
       Format.fprintf ppf "(chain %a)"
         (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_map)
         ms
-
-let pp_field ppf = function
-  | F_len -> Format.fprintf ppf "len"
-  | F_u8 o -> Format.fprintf ppf "u8[%d]" o
-  | F_u16 o -> Format.fprintf ppf "u16[%d]" o
-  | F_hash (o, l) -> Format.fprintf ppf "hash[%d..+%d]" o l
-  | F_hash_rest o -> Format.fprintf ppf "hash[%d..]" o
-
-let pp_key ppf = function
-  | K_bytes (o, l) -> Format.fprintf ppf "bytes[%d..+%d]" o l
-  | K_rest o -> Format.fprintf ppf "bytes[%d..]" o
-
-let rec pp_fmatch ppf = function
-  | M_pred p -> pp_pred ppf p
-  | M_eq (f, v) -> Format.fprintf ppf "%a=%Ld" pp_field f v
-  | M_mod (f, m, t) -> Format.fprintf ppf "%a%%%d=%d" pp_field f m t
-  | M_all ms ->
-      Format.fprintf ppf "(all %a)"
-        (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_fmatch)
-        ms
-  | M_any ms ->
-      Format.fprintf ppf "(any %a)"
-        (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_fmatch)
-        ms
-  | M_not m -> Format.fprintf ppf "(not %a)" pp_fmatch m
-
-let rec pp_action ppf = function
-  | Pass -> Format.fprintf ppf "pass"
-  | Drop -> Format.fprintf ppf "drop"
-  | Steer q -> Format.fprintf ppf "steer %d" q
-  | Steer_field (f, n) -> Format.fprintf ppf "steer %a%%%d" pp_field f n
-  | Rewrite m -> Format.fprintf ppf "rewrite %a" pp_map m
-  | Respond r ->
-      Format.fprintf ppf "respond key=%a prefix=%S max=%d miss=(%a)" pp_key
-        r.r_key r.r_hit_prefix r.r_max_value pp_action r.r_on_miss
-
-let pp_stage ppf st =
-  Format.fprintf ppf "[%a -> %a]" pp_fmatch st.guard pp_action st.act
-
-let pp_pipeline ppf p =
-  Format.fprintf ppf "(pipeline %a)"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_stage)
-    p

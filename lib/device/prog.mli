@@ -24,8 +24,6 @@ type pred =
   | Any of pred list
   | Not of pred
 
-type filter = pred
-
 type map =
   | Identity
   | Prepend of string
@@ -37,7 +35,7 @@ type map =
 val eval_pred : pred -> string -> bool
 val eval_map : map -> string -> string
 
-val filter_footprint : filter -> int
+val filter_footprint : pred -> int
 (** Upper bound on payload bytes a filter examines; drives the CPU
     fallback cost. *)
 
@@ -50,12 +48,12 @@ val map_footprint : map -> int -> int
     A pipeline chains bounded stages: typed field extraction out of the
     frame ({!field}), a match on the extracted fields ({!fmatch},
     including the FNV key-steer of §4.3 via [M_mod]/[F_hash]), and an
-    action — respond from a device-resident table, steer to an rx
-    queue, rewrite and continue, drop, or pass to the host. Every term
-    is finite and every evaluator is structural recursion over it
-    ([Respond] recurses only into its own [r_on_miss] subterm), so
-    evaluation provably terminates; out-of-range field and key reads
-    evaluate to no-match/fall-through rather than faulting. *)
+    action — respond from a device-resident table, rewrite and
+    continue, drop, or pass to the host. Every term is finite and
+    every evaluator is structural recursion over it ([Respond] recurses
+    only into its own [r_on_miss] subterm), so evaluation provably
+    terminates; out-of-range field and key reads evaluate to
+    no-match/fall-through rather than faulting. *)
 
 type field =
   | F_len                  (** frame length *)
@@ -81,10 +79,6 @@ type fmatch =
 type action =
   | Pass                   (** stop the pipeline, deliver to the host *)
   | Drop
-  | Steer of int           (** deliver to a fixed rx queue *)
-  | Steer_field of field * int
-      (** queue = field mod n; out-of-range falls through to the next
-          stage *)
   | Rewrite of map         (** rewrite the frame, continue the pipeline *)
   | Respond of respond
       (** look the extracted key up in the device-resident table and
@@ -106,27 +100,13 @@ type pipeline = stage list
 type verdict =
   | Deliver of string      (** hand the (possibly rewritten) frame up *)
   | Dropped
-  | Steered of int * string  (** rx queue, frame *)
   | Responded of string    (** reply payload served from the device *)
-
-val field_value : field -> string -> int64 option
-(** [None] when the frame is too short for the typed read. *)
-
-val key_bytes : key -> string -> string option
-
-val eval_fmatch : fmatch -> string -> bool
 
 val eval_pipeline :
   lookup:(string -> string option) -> pipeline -> string -> verdict
 (** [lookup] is the device-resident table ({!Table.lookup} on the NIC;
     a CPU-side stand-in under fallback). Total: structural recursion,
     no loops. *)
-
-val field_footprint : field -> int -> int
-val key_footprint : key -> int -> int
-val fmatch_footprint : fmatch -> int -> int
-val action_footprint : action -> int -> int
-val stage_footprint : stage -> int -> int
 
 val pipeline_footprint : pipeline -> int -> int
 (** [pipeline_footprint p len]: upper bound on bytes examined/produced
@@ -137,9 +117,3 @@ val pipeline_footprint : pipeline -> int -> int
 
 val pp_pred : Format.formatter -> pred -> unit
 val pp_map : Format.formatter -> map -> unit
-val pp_field : Format.formatter -> field -> unit
-val pp_key : Format.formatter -> key -> unit
-val pp_fmatch : Format.formatter -> fmatch -> unit
-val pp_action : Format.formatter -> action -> unit
-val pp_stage : Format.formatter -> stage -> unit
-val pp_pipeline : Format.formatter -> pipeline -> unit

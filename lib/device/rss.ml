@@ -54,12 +54,11 @@ let hash_flow ~src_ip ~src_port ~dst_ip ~dst_port ~proto =
   let h = fnv1a_byte h proto in
   Int64.to_int (Int64.logand (finalize h) 0x3fffffffffffffffL)
 
-let create ~queues ?(table_size = 128) () =
+let create ~queues () =
   if queues <= 0 then invalid_arg "Rss.create: queues must be positive";
-  if table_size <= 0 then invalid_arg "Rss.create: table_size must be positive";
-  (* Default indirection table: round-robin, the even spread hardware
-     initialises to. *)
-  { queues; table = Array.init table_size (fun i -> i mod queues) }
+  (* A 128-entry indirection table, initialised round-robin: the even
+     spread hardware starts from. *)
+  { queues; table = Array.init 128 (fun i -> i mod queues) }
 
 let queues t = t.queues
 let table_size t = Array.length t.table

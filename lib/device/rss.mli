@@ -14,11 +14,10 @@
 
 type t
 
-val create : queues:int -> ?table_size:int -> unit -> t
-(** [create ~queues ()] builds an indirection table (default 128
-    entries) spreading hash buckets round-robin over [queues] rx
-    queues. Raises [Invalid_argument] on a non-positive queue or table
-    size. *)
+val create : queues:int -> unit -> t
+(** [create ~queues ()] builds a 128-entry indirection table spreading
+    hash buckets round-robin over [queues] rx queues. Raises
+    [Invalid_argument] on a non-positive queue count. *)
 
 val queues : t -> int
 val table_size : t -> int

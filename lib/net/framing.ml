@@ -9,14 +9,18 @@ let encode_sga sga =
   encode (List.map Dk_mem.Buffer.to_string (Dk_mem.Sga.segments sga))
 
 (* The undecoded stream bytes are [buf.[rd] .. buf.[wr - 1]]. Feeding
-   appends at [wr]; decoding a message advances [rd]. *)
+   appends at [wr]; decoding a message advances [rd]. [corrupt] is set,
+   for good, by the first header that cannot describe a message. *)
 type decoder = {
   mutable buf : bytes;
   mutable rd : int;
   mutable wr : int;
+  mutable corrupt : bool;
 }
 
-let create () = { buf = Bytes.empty; rd = 0; wr = 0 }
+let create () = { buf = Bytes.empty; rd = 0; wr = 0; corrupt = false }
+
+let corrupt t = t.corrupt
 
 let buffered t = t.wr - t.rd
 
@@ -41,22 +45,27 @@ let make_room t k =
 
 let feed t s =
   let k = String.length s in
-  if k > 0 then begin
+  if k > 0 && not t.corrupt then begin
     if t.wr + k > Bytes.length t.buf then make_room t k;
     Bytes.blit_string s 0 t.buf t.wr k;
     t.wr <- t.wr + k
   end
 
 (* Decode [nsegs] segment lengths starting at [off]; toplevel so the
-   per-message call allocates no closure environment. *)
-let rec read_lengths b stop nsegs i off acc =
+   per-message call allocates no closure environment. A negative length,
+   or lengths whose sum [total] would overflow, mark the stream
+   corrupt. *)
+let rec read_lengths t nsegs i off total acc =
   if i = nsegs then Some (List.rev acc, off)
   else
-    match Dk_util.Varint.read b off ~stop with
+    match Dk_util.Varint.read t.buf off ~stop:t.wr with
     | None -> None
     | Some (len, used) ->
-        if len < 0 then failwith "framing: bad segment length"
-        else read_lengths b stop nsegs (i + 1) (off + used) (len :: acc)
+        if len < 0 || len > max_int - total then begin
+          t.corrupt <- true;
+          None
+        end
+        else read_lengths t nsegs (i + 1) (off + used) (total + len) (len :: acc)
   [@@hot.alloc "the decoded segment-length list is the frame header"]
 
 let rec sum_lens = function [] -> 0 | n :: rest -> n + sum_lens rest
@@ -68,23 +77,27 @@ let rec cut_segs b pos = function
 
 (* Try to decode one message from the head of the backlog. *)
 let next t =
-  match Dk_util.Varint.read t.buf t.rd ~stop:t.wr with
-  | None -> None
-  | Some (nsegs, used0) ->
-      if nsegs < 0 || nsegs > 1 lsl 16 then failwith "framing: bad segment count"
-      else begin
-        match read_lengths t.buf t.wr nsegs 0 (t.rd + used0) [] with
-        | None -> None
-        | Some (lens, body) ->
-            let total = sum_lens lens in
-            if buffered t < body - t.rd + total then None
-            else begin
-              let segs = cut_segs t.buf body lens in
-              t.rd <- body + total;
-              if t.rd = t.wr then begin
-                t.rd <- 0;
-                t.wr <- 0
-              end;
-              Some segs
-            end
-      end
+  if t.corrupt then None
+  else
+    match Dk_util.Varint.read t.buf t.rd ~stop:t.wr with
+    | None -> None
+    | Some (nsegs, used0) -> (
+        if nsegs < 0 || nsegs > 1 lsl 16 then begin
+          t.corrupt <- true;
+          None
+        end
+        else
+          match read_lengths t nsegs 0 (t.rd + used0) 0 [] with
+          | None -> None
+          | Some (lens, body) ->
+              let total = sum_lens lens in
+              if total > t.wr - body then None
+              else begin
+                let segs = cut_segs t.buf body lens in
+                t.rd <- body + total;
+                if t.rd = t.wr then begin
+                  t.rd <- 0;
+                  t.wr <- 0
+                end;
+                Some segs
+              end)

@@ -21,8 +21,14 @@ val feed : decoder -> string -> unit
 
 val next : decoder -> string list option
 (** The next complete message's segments, or [None] if more bytes are
-    needed. @raise Failure on a corrupt stream (length fields that
-    cannot be decoded). *)
+    needed or the stream is {!corrupt}. Total: never raises, whatever
+    bytes were fed. *)
+
+val corrupt : decoder -> bool
+(** Whether a header that cannot describe a message (a segment count
+    above 2{^16}, a negative length, lengths summing past [max_int])
+    has been seen. Sticky: once set, [next] returns [None] and [feed]
+    discards its input, so the owner must drop the stream. *)
 
 val buffered : decoder -> int
 (** Bytes held awaiting completion. *)

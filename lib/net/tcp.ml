@@ -439,6 +439,7 @@ let abort t =
   | _ ->
       emit_seg t { Tcp_wire.no_flags with rst = true; ack = true });
   enter_closed t `Reset
+  [@@hot.alloc "the RST flag record is built once per aborted connection"]
 
 (* ---- segment processing ---- *)
 

@@ -23,7 +23,6 @@ module Fault = Dk_fault.Fault
 module Metrics = Dk_obs.Metrics
 module Histogram = Dk_sim.Histogram
 module Rss = Dk_device.Rss
-module Addr = Dk_net.Addr
 module Demi = Demikernel.Demi
 module Types = Demikernel.Types
 module Proto = Dk_apps.Proto
@@ -58,8 +57,7 @@ let mailbox t ~src ~dst =
 
 (* ---- construction ---- *)
 
-let rec create ~n ?(xfrac = 0.0) ?(seed = 42L) ?fault ?cost
-    ?(mailbox_capacity = 4096) ?(hop_ns = 500L) ?(rss_table_size = 128) () =
+let rec create ~n ?(xfrac = 0.0) ?(seed = 42L) ?fault ?cost () =
   if n <= 0 then invalid_arg "Runtime.create: n must be positive";
   if xfrac < 0.0 || xfrac > 1.0 then
     invalid_arg "Runtime.create: xfrac outside [0,1]";
@@ -90,8 +88,7 @@ let rec create ~n ?(xfrac = 0.0) ?(seed = 42L) ?fault ?cost
             else
               Some
                 (Xmailbox.create ~src ~dst ~src_engine:engines.(src)
-                   ~dst_engine:engines.(dst) ~capacity:mailbox_capacity
-                   ~hop_ns ())))
+                   ~dst_engine:engines.(dst) ())))
   in
   let t =
     {
@@ -101,7 +98,7 @@ let rec create ~n ?(xfrac = 0.0) ?(seed = 42L) ?fault ?cost
       shards;
       engines;
       mailboxes;
-      rss = Rss.create ~queues:n ~table_size:rss_table_size ();
+      rss = Rss.create ~queues:n ();
       pending = Array.init n (fun _ -> Hashtbl.create 64);
       next_req_id = 0;
     }
@@ -160,7 +157,7 @@ and handle_msg t self env =
 
 (* ---- RSS flow placement ---- *)
 
-(* Synthetic admission-time 5-tuples for [flows] client connections:
+(* Synthetic admission-time 5-tuples for client connections [0, flows):
    the NIC hashes each into the indirection table to pick the owning
    shard, then (rebalanced, the `ethtool -X` move) the table is
    repointed so per-queue load equalises. The simulation then
@@ -168,29 +165,33 @@ and handle_msg t self env =
    it to — the core the NIC delivers the flow's frames to is the core
    that runs it. *)
 let flow_tuple c ~dst_port =
-  let src_ip = Addr.ip_of_string "10.200.0.0" + c in
+  let src_ip = 0x0ac80000 (* 10.200.0.0 *) + c in
   let src_port = 40000 + (c land 0x3fff) in
-  let dst_ip = Addr.ip_of_string "10.255.0.100" in
+  let dst_ip = 0x0aff0064 (* 10.255.0.100 *) in
   (src_ip, src_port, dst_ip, dst_port, 6)
 
+let flow_owner rss c ~dst_port =
+  let src_ip, src_port, dst_ip, dst_port, proto = flow_tuple c ~dst_port in
+  Rss.select rss ~src_ip ~src_port ~dst_ip ~dst_port ~proto
+
+let rebalance rss ~flows ~dst_port =
+  let weights = Array.make (Rss.table_size rss) 0 in
+  for c = 0 to flows - 1 do
+    let src_ip, src_port, dst_ip, dst_port, proto = flow_tuple c ~dst_port in
+    let b =
+      Rss.hash_flow ~src_ip ~src_port ~dst_ip ~dst_port ~proto
+      mod Rss.table_size rss
+    in
+    weights.(b) <- weights.(b) + 1
+  done;
+  Rss.rebalance rss weights
+
 let place_flows t ~flows ~dst_port =
-  let tuples = Array.init flows (fun c -> flow_tuple c ~dst_port) in
-  let weights = Array.make (Rss.table_size t.rss) 0 in
-  Array.iter
-    (fun (src_ip, src_port, dst_ip, dst_port, proto) ->
-      let b =
-        Rss.hash_flow ~src_ip ~src_port ~dst_ip ~dst_port ~proto
-        mod Rss.table_size t.rss
-      in
-      weights.(b) <- weights.(b) + 1)
-    tuples;
-  Rss.rebalance t.rss weights;
-  Array.map
-    (fun (src_ip, src_port, dst_ip, dst_port, proto) ->
-      let owner = Rss.select t.rss ~src_ip ~src_port ~dst_ip ~dst_port ~proto in
+  rebalance t.rss ~flows ~dst_port;
+  Array.init flows (fun c ->
+      let owner = flow_owner t.rss c ~dst_port in
       Metrics.incr (Shard.flows_counter t.shards.(owner));
       owner)
-    tuples
 
 (* ---- per-run bookkeeping ---- *)
 

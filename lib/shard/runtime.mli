@@ -29,9 +29,6 @@ val create :
   ?seed:int64 ->
   ?fault:string * int64 ->
   ?cost:Dk_sim.Cost.t ->
-  ?mailbox_capacity:int ->
-  ?hop_ns:int64 ->
-  ?rss_table_size:int ->
   unit ->
   t
 (** Build N shards plus the mailbox mesh and RSS table. [fault] names
@@ -88,6 +85,20 @@ val run_kv :
   stats
 (** Striped key space (key [k] lives on shard [k mod n]), preloaded
     directly into each shard's store before traffic starts. *)
+
+(** {2 RSS placement}
+
+    Client connection [c] is the synthetic admission-time flow
+    10.200.0.0+[c]:(40000 + [c] mod 2{^14}) → 10.255.0.100:[dst_port]
+    over TCP. *)
+
+val rebalance : Dk_device.Rss.t -> flows:int -> dst_port:int -> unit
+(** Weigh the indirection table's buckets by connections [0, flows)
+    and repoint it so per-queue load equalises ({!Dk_device.Rss.rebalance},
+    the [ethtool -X] move). *)
+
+val flow_owner : Dk_device.Rss.t -> int -> dst_port:int -> int
+(** The rx queue (shard) RSS steers connection [c] to. *)
 
 (** {2 Accessors} *)
 

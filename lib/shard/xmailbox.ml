@@ -22,10 +22,12 @@ module Engine = Dk_sim.Engine
 module Metrics = Dk_obs.Metrics
 module Bqueue = Dk_util.Bqueue
 
+(* A cross-core cacheline handoff plus wakeup, not a NIC round trip. *)
+let hop_ns = 500L
+
 type 'a t = {
   src : int;
   dst : int;
-  hop_ns : int64;
   src_engine : Engine.t;
   dst_engine : Engine.t;
   ring : 'a Bqueue.t;
@@ -37,14 +39,11 @@ type 'a t = {
   g_inflight : Metrics.gauge;
 }
 
-let create ~src ~dst ~src_engine ~dst_engine ?(capacity = 4096)
-    ?(hop_ns = 500L) () =
+let create ~src ~dst ~src_engine ~dst_engine ?(capacity = 4096) () =
   if src = dst then invalid_arg "Xmailbox.create: src = dst";
-  if Int64.compare hop_ns 0L < 0 then invalid_arg "Xmailbox.create: hop_ns";
   {
     src;
     dst;
-    hop_ns;
     src_engine;
     dst_engine;
     ring = Bqueue.create capacity;
@@ -84,7 +83,7 @@ let try_send t msg =
   else begin
     Metrics.incr t.c_sent;
     Metrics.gauge_add t.g_inflight 1;
-    let due = Int64.add (Engine.now t.src_engine) t.hop_ns in
+    let due = Int64.add (Engine.now t.src_engine) hop_ns in
     let (_ : Engine.timer) = Engine.at t.dst_engine due (fun () -> deliver t) in
     true
   end

@@ -17,13 +17,12 @@ val create :
   src_engine:Dk_sim.Engine.t ->
   dst_engine:Dk_sim.Engine.t ->
   ?capacity:int ->
-  ?hop_ns:int64 ->
   unit ->
   'a t
-(** Default capacity 4096 messages, hop 500 ns (a cross-core cacheline
-    handoff plus wakeup, not a NIC round trip). Raises
-    [Invalid_argument] if [src = dst], the capacity is not positive, or
-    [hop_ns] is negative. *)
+(** Default capacity 4096 messages; every hop takes 500 ns (a
+    cross-core cacheline handoff plus wakeup, not a NIC round trip).
+    Raises [Invalid_argument] if [src = dst] or the capacity is not
+    positive. *)
 
 val try_send : 'a t -> 'a -> bool
 (** [false] when the ring is full: the message is NOT enqueued and the

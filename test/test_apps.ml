@@ -191,7 +191,7 @@ let posix_kv_end_to_end () =
     | Error _ -> Alcotest.fail "server"
   in
   match
-    Kv_posix.run_client ~posix:pa ~cost:duo.Setup.cost ~engine:duo.Setup.engine
+    Kv_posix.run_client ~posix:pa ~engine:duo.Setup.engine
       ~dst:(Setup.endpoint duo.Setup.b 6379) ~ops:100 ~keys:20 ~value_size:64
       ~read_fraction:0.9 ()
   with
@@ -290,9 +290,9 @@ let kv_latency_shape () =
       (Kv_posix.start_server ~posix:pb ~cost:duo.Setup.cost
          ~engine:duo.Setup.engine ~port:1 ~kv);
     match
-      Kv_posix.run_client ~posix:pa ~cost:duo.Setup.cost
-        ~engine:duo.Setup.engine ~dst:(Setup.endpoint duo.Setup.b 1) ~ops:100
-        ~keys:20 ~value_size:1024 ~read_fraction:1.0 ()
+      Kv_posix.run_client ~posix:pa ~engine:duo.Setup.engine
+        ~dst:(Setup.endpoint duo.Setup.b 1) ~ops:100 ~keys:20 ~value_size:1024
+        ~read_fraction:1.0 ()
     with
     | Ok s -> Dk_sim.Histogram.quantile s.Kv_app.latency 0.5
     | Error _ -> Alcotest.fail "posix run"

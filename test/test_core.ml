@@ -269,6 +269,32 @@ let tcp_close_propagates () =
   check_bool "pop failed after peer close" true
     (match result with Types.Failed _ -> true | _ -> false)
 
+(* A peer whose stream no framing can describe (a segment count of
+   2^35 - 1) costs only its own connection: the event loop returns,
+   that connection's pop fails, and the listener keeps serving. *)
+let tcp_bad_framing_aborts_one_conn () =
+  let duo, da, db = demi_pair () in
+  let rejected () =
+    let c = (Dk_obs.Metrics.snapshot Dk_obs.Metrics.default).Dk_obs.Metrics.counters in
+    Option.value ~default:0 (List.assoc_opt "net.framing.rejected" c)
+  in
+  let r0 = rejected () in
+  let lqd = Result.get_ok (Demi.socket db `Tcp) in
+  ignore (Demi.bind db lqd ~port:7);
+  ignore (Demi.listen db lqd);
+  let raw = Dk_net.Stack.tcp_connect duo.Setup.a.Setup.stack ~dst:(Setup.endpoint duo.Setup.b 7) in
+  Dk_net.Tcp.set_on_connect raw (fun () -> ignore (Dk_net.Tcp.send raw "\xff\xff\xff\xff\x0f"));
+  let bad = Result.get_ok (Demi.accept db lqd) in
+  Engine.run duo.Setup.engine;
+  check_bool "bad conn aborted" true (Demi.blocking_pop db bad = Types.Failed `Conn_aborted);
+  let qd = Result.get_ok (Demi.socket da `Tcp) in
+  ignore (Demi.connect da qd ~dst:(Setup.endpoint duo.Setup.b 7));
+  let good = Result.get_ok (Demi.accept db lqd) in
+  ignore (Demi.blocking_push da qd (sga_str "hello"));
+  ignore (Demi.blocking_push db good (sga_str (expect_popped (Demi.blocking_pop db good))));
+  check_str "healthy conn echoes" "hello" (expect_popped (Demi.blocking_pop da qd));
+  check_int "one rejection" 1 (rejected () - r0)
+
 let udp_queue_roundtrip () =
   let duo, da, db = demi_pair () in
   (* server *)
@@ -1047,6 +1073,8 @@ let () =
           Alcotest.test_case "large message" `Quick tcp_queue_large_message;
           Alcotest.test_case "connect refused" `Quick tcp_connect_refused;
           Alcotest.test_case "close propagates" `Quick tcp_close_propagates;
+          Alcotest.test_case "bad framing aborts one conn" `Quick
+            tcp_bad_framing_aborts_one_conn;
           Alcotest.test_case "close listener" `Quick close_listener_fails_pending_accept;
           Alcotest.test_case "udp roundtrip" `Quick udp_queue_roundtrip;
           Alcotest.test_case "udp oversized push" `Quick udp_queue_oversized_push;

@@ -226,8 +226,10 @@ let nic_programmable_filter () =
   let b = Nic.create ~engine ~cost ~mac:2 ~programmable:true () in
   Fabric.attach fabric a;
   Fabric.attach fabric b;
-  check_bool "set filter ok" true
-    (Nic.set_rx_filter b (Some (Prog.Prefix "KEEP")) = Ok ());
+  let keep = Prog.M_pred (Prog.Prefix "KEEP") in
+  check_bool "set pipeline ok" true
+    (Nic.set_rx_pipeline b [ { Prog.guard = Prog.M_not keep; act = Prog.Drop } ]
+     = Ok ());
   ignore (Nic.transmit a ~dst:2 "KEEP me");
   ignore (Nic.transmit a ~dst:2 "DROP me");
   Engine.run engine;
@@ -245,21 +247,21 @@ let nic_programmable_map () =
   let b = Nic.create ~engine ~cost ~mac:2 ~programmable:true () in
   Fabric.attach fabric a;
   Fabric.attach fabric b;
-  ignore (Nic.set_rx_map b (Some (Prog.Prepend "HDR:")));
+  ignore
+    (Nic.set_rx_pipeline b
+       [ { Prog.guard = Prog.M_pred Prog.True; act = Prog.Rewrite (Prog.Prepend "HDR:") } ]);
   ignore (Nic.transmit a ~dst:2 "body");
   Engine.run engine;
-  (match Nic.poll_rx b with
+  match Nic.poll_rx b with
   | Some f -> check_str "mapped" "HDR:body" f
-  | None -> Alcotest.fail "expected frame");
-  check_int "mapped stat" 1 (Nic.stats b).Nic.rx_mapped
+  | None -> Alcotest.fail "expected frame"
 
 let nic_not_programmable () =
   let engine = Engine.create () in
   let a = Nic.create ~engine ~cost ~mac:1 () in
-  check_bool "filter refused" true
-    (Nic.set_rx_filter a (Some Prog.True) = Error `Not_programmable);
-  check_bool "map refused" true
-    (Nic.set_rx_map a (Some Prog.Identity) = Error `Not_programmable)
+  check_bool "pipeline refused" true
+    (Nic.set_rx_pipeline a [ { Prog.guard = Prog.M_pred Prog.True; act = Prog.Drop } ]
+     = Error `Not_programmable)
 
 (* ---------------- Block ---------------- *)
 

@@ -1023,6 +1023,32 @@ let framing_roundtrip_prop =
       drain ();
       List.rev !out = messages && Framing.buffered d = 0)
 
+(* Arbitrary bytes in arbitrary chunks: the decoder never raises, and
+   once it calls the stream corrupt it stays corrupt and yields
+   nothing. *)
+let framing_total_prop =
+  QCheck.Test.make ~name:"framing decoder total and sticky" ~count:500
+    QCheck.(pair (string_of_size Gen.(0 -- 80)) (int_bound 1000))
+    (fun (stream, seed) ->
+      let rng = Dk_sim.Rng.create (Int64.of_int seed) in
+      let d = Framing.create () in
+      let sticky = ref true and pos = ref 0 in
+      let rec drain () =
+        let was = Framing.corrupt d in
+        match Framing.next d with
+        | Some _ ->
+            sticky := !sticky && not was;
+            drain ()
+        | None -> sticky := !sticky && Framing.corrupt d >= was
+      in
+      while !pos < String.length stream do
+        let n = min (1 + Dk_sim.Rng.int rng 9) (String.length stream - !pos) in
+        Framing.feed d (String.sub stream !pos n);
+        pos := !pos + n;
+        drain ()
+      done;
+      !sticky)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -1091,5 +1117,5 @@ let () =
           Alcotest.test_case "empty segments" `Quick framing_empty_segments;
           Alcotest.test_case "stale bytes" `Quick framing_ignores_stale_bytes;
         ] );
-      qsuite "framing-props" [ framing_roundtrip_prop ];
+      qsuite "framing-props" [ framing_roundtrip_prop; framing_total_prop ];
     ]

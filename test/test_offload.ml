@@ -174,17 +174,6 @@ let test_stage_semantics () =
   check_bool "drop" true (v [ stage g Prog.Drop ] "Gx" = Prog.Dropped);
   (* unmatched guard falls through to delivery *)
   check_bool "no match" true (v [ stage g Prog.Drop ] "Sx" = Prog.Deliver "Sx");
-  (* Steer *)
-  check_bool "steer" true
-    (v [ stage g (Prog.Steer 3) ] "Gx" = Prog.Steered (3, "Gx"));
-  (* Steer_field: hash mod n is in range; out-of-range field falls on *)
-  (match v [ stage g (Prog.Steer_field (Prog.F_hash_rest 1, 4)) ] "Gkey" with
-  | Prog.Steered (q, "Gkey") -> check_bool "steer range" true (q >= 0 && q < 4)
-  | _ -> Alcotest.fail "expected steer");
-  check_bool "short frame falls through" true
-    (v [ stage (Prog.M_pred Prog.True) (Prog.Steer_field (Prog.F_u16 90, 4)) ]
-       "abc"
-     = Prog.Deliver "abc");
   (* Rewrite continues the pipeline *)
   check_bool "rewrite then drop" true
     (v
@@ -215,7 +204,7 @@ let test_stage_semantics () =
     (v [ rsp Prog.Pass 2 ] "Ghot" = Prog.Deliver "Ghot")
 
 (* qcheck: arbitrary pipelines over arbitrary frames terminate, never
-   raise, and Steer_field verdicts stay in range. *)
+   raise, and a device reply always carries its hit prefix. *)
 let gen_field =
   QCheck.Gen.(
     oneof
@@ -256,8 +245,6 @@ let rec gen_action n =
         [
           return Prog.Pass;
           return Prog.Drop;
-          map (fun q -> Prog.Steer (abs q mod 8)) small_int;
-          map (fun f -> Prog.Steer_field (f, 4)) gen_field;
           map (fun s -> Prog.Rewrite (Prog.Prepend s)) (string_size (int_bound 4));
         ]
     in
@@ -293,8 +280,8 @@ let prop_pipeline_total =
     arb_pipeline_frame (fun (p, s) ->
       let lookup k = if String.length k land 1 = 0 then Some "yes" else None in
       (match Prog.eval_pipeline ~lookup p s with
-      | Prog.Steered (q, _) -> q >= 0
-      | Prog.Deliver _ | Prog.Dropped | Prog.Responded _ -> true)
+      | Prog.Responded r -> r.[0] = '+'
+      | Prog.Deliver _ | Prog.Dropped -> true)
       && Prog.pipeline_footprint p (String.length s) >= 0)
 
 let prop_footprint_monotone =
@@ -496,6 +483,64 @@ let test_cross_traffic_isolation () =
   in
   check_int "table untouched by bystander traffic" lookups0 lookups1
 
+(* ---------------- one program path: filters and GET stages ----------- *)
+
+(* A bound UDP queue whose default peer is [peer]. *)
+let udp_queue demi port peer =
+  let qd = Result.get_ok (Demi.socket demi `Udp) in
+  ignore (Demi.bind demi qd ~port);
+  ignore (Demi.connect demi qd ~dst:peer);
+  qd
+
+(* Host b serves GETs on [kv_port] from its device table, which holds
+   "k1" and "z1"; host a has a client queue connected to it. *)
+let filter_world () =
+  reset_world ();
+  let duo = Setup.two_hosts ~programmable:true () in
+  let engine = duo.Setup.engine and cost = duo.Setup.cost in
+  let da = Setup.demi_of_host ~engine ~cost duo.Setup.a () in
+  let db = Setup.demi_of_host ~engine ~cost duo.Setup.b () in
+  let sq = udp_queue db kv_port (Setup.endpoint duo.Setup.a client_port) in
+  check_bool "GET stage installed" true (Demi.offload_udp_get db sq () = Ok ());
+  List.iter (fun k -> ignore (Demi.offload_insert db k "v")) [ "k1"; "z1" ];
+  let cq = udp_queue da client_port (Setup.endpoint duo.Setup.b kv_port) in
+  let filtered () = (Nic.stats duo.Setup.b.Setup.nic).Nic.rx_filtered in
+  (duo, da, db, sq, cq, filtered)
+
+let popped = function
+  | Types.Popped sga -> Dk_mem.Sga.to_string sga
+  | _ -> Alcotest.fail "expected a reply"
+
+(* The filter's stage runs before the GET stage on the same port: a
+   GET for a resident key that fails the filter is dropped on the
+   device, one that passes is answered from the table. *)
+let test_filter_and_get_one_port () =
+  let duo, da, db, sq, cq, filtered = filter_world () in
+  let sq = Result.get_ok (Demi.filter db sq (Prog.Prefix "Gk")) in
+  check_bool "filter on the device" true (Demi.filter_offloaded db sq);
+  let host = Result.get_ok (Demi.pop db sq) in
+  let reply = Result.get_ok (Demi.pop da cq) in
+  let f0 = filtered () in
+  ignore (Demi.blocking_push da cq (Dk_mem.Sga.of_string "Gz1"));
+  Engine.run duo.Setup.engine;
+  check_int "dropped on the device" (f0 + 1) (filtered ());
+  check_bool "no reply" true (Demi.try_wait da reply = None);
+  check_bool "nothing popped on the host" true (Demi.try_wait db host = None);
+  ignore (Demi.blocking_push da cq (Dk_mem.Sga.of_string "Gk1"));
+  check_string "answered from the table" "+v" (popped (Demi.wait da reply));
+  check_bool "host still idle" true (Demi.try_wait db host = None)
+
+(* A filter on another port leaves this port's GET stage answering. *)
+let test_filter_scoped_to_port () =
+  let duo, da, db, _, cq, filtered = filter_world () in
+  let other = udp_queue db bystander_port (Setup.endpoint duo.Setup.a client_port) in
+  let other = Result.get_ok (Demi.filter db other (Prog.Prefix "never")) in
+  check_bool "filter on the device" true (Demi.filter_offloaded db other);
+  let f0 = filtered () in
+  ignore (Demi.blocking_push da cq (Dk_mem.Sga.of_string "Gz1"));
+  check_string "answered from the table" "+v" (popped (Demi.blocking_pop da cq));
+  check_int "nothing dropped" f0 (filtered ())
+
 (* ---------------- no stale reads under fault plans ------------------ *)
 
 (* Open-loop: fire alternating SET/GET on a fixed cadence, drain, and
@@ -627,6 +672,10 @@ let () =
             test_device_cpu_equality;
           Alcotest.test_case "cross-traffic isolation" `Quick
             test_cross_traffic_isolation;
+          Alcotest.test_case "filter and GET on one port" `Quick
+            test_filter_and_get_one_port;
+          Alcotest.test_case "filter scoped to its port" `Quick
+            test_filter_scoped_to_port;
         ] );
       ( "no-stale",
         [

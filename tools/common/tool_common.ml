@@ -160,42 +160,38 @@ let findings_json ~tool ~files ~(kept : finding list)
    refuse to scan a directory that does not exist (a typo must not
    silently scan nothing), run the tool's scanner, subtract the
    allowlist, print findings and stale entries, exit nonzero on either.
-   [extra_arg] lets a tool claim its own flags before the common ones
-   are tried. *)
-let run_driver ~tool ~usage ~default_allowlist ~default_dirs
-    ?(extra_arg = fun _ -> None)
+   A tool with an [inventory] accepts [--inventory], which prints that
+   instead of scanning. *)
+let run_driver ~tool ~usage ~default_allowlist ~default_dirs ?inventory
     ~(scan : string list -> finding list * int) () =
   let root = ref None in
   let allowlist = ref default_allowlist in
   let dirs = ref [] in
   let json = ref false in
+  let inventory_mode = ref false in
   let rec parse = function
     | [] -> ()
-    | args -> (
-        match extra_arg args with
-        | Some rest -> parse rest
-        | None -> (
-            match args with
-            | [] -> ()
-            | "--root" :: d :: rest ->
-                root := Some d;
-                parse rest
-            | "--allowlist" :: f :: rest ->
-                allowlist := f;
-                parse rest
-            | "--json" :: rest ->
-                json := true;
-                parse rest
-            | ("--help" | "-h") :: _ ->
-                print_endline usage;
-                exit 0
-            | arg :: _ when String.length arg > 0 && arg.[0] = '-' ->
-                Printf.eprintf "%s: unknown option %s\nusage: %s\n" tool arg
-                  usage;
-                exit 2
-            | dir :: rest ->
-                dirs := dir :: !dirs;
-                parse rest))
+    | "--root" :: d :: rest ->
+        root := Some d;
+        parse rest
+    | "--allowlist" :: f :: rest ->
+        allowlist := f;
+        parse rest
+    | "--json" :: rest ->
+        json := true;
+        parse rest
+    | "--inventory" :: rest when Option.is_some inventory ->
+        inventory_mode := true;
+        parse rest
+    | ("--help" | "-h") :: _ ->
+        print_endline usage;
+        exit 0
+    | arg :: _ when String.length arg > 0 && arg.[0] = '-' ->
+        Printf.eprintf "%s: unknown option %s\nusage: %s\n" tool arg usage;
+        exit 2
+    | dir :: rest ->
+        dirs := dir :: !dirs;
+        parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
   (match !root with Some d -> Sys.chdir d | None -> ());
@@ -207,22 +203,25 @@ let run_driver ~tool ~usage ~default_allowlist ~default_dirs
         exit 2
       end)
     dirs;
-  let findings, scanned = scan dirs in
-  let allow = load_allowlist !allowlist in
-  let kept, stale = apply_allowlist allow findings in
-  let allowlisted = List.length allow - List.length stale in
-  if !json then
-    print_string
-      (findings_json ~tool ~files:scanned ~kept ~stale ~allowlisted)
-  else begin
-    List.iter (fun f -> print_endline (pp_finding f)) kept;
-    List.iter
-      (fun e ->
-        Printf.eprintf
-          "%s: stale allowlist entry (no longer matches): %s %s\n" tool
-          e.a_rule e.a_path)
-      stale;
-    Printf.printf "%s: %d source file(s), %d finding(s), %d allowlisted\n"
-      tool scanned (List.length kept) allowlisted
-  end;
-  if kept <> [] || stale <> [] then exit 1
+  match inventory with
+  | Some print when !inventory_mode -> print ~json:!json dirs
+  | Some _ | None ->
+      let findings, scanned = scan dirs in
+      let allow = load_allowlist !allowlist in
+      let kept, stale = apply_allowlist allow findings in
+      let allowlisted = List.length allow - List.length stale in
+      if !json then
+        print_string
+          (findings_json ~tool ~files:scanned ~kept ~stale ~allowlisted)
+      else begin
+        List.iter (fun f -> print_endline (pp_finding f)) kept;
+        List.iter
+          (fun e ->
+            Printf.eprintf
+              "%s: stale allowlist entry (no longer matches): %s %s\n" tool
+              e.a_rule e.a_path)
+          stale;
+        Printf.printf "%s: %d source file(s), %d finding(s), %d allowlisted\n"
+          tool scanned (List.length kept) allowlisted
+      end;
+      if kept <> [] || stale <> [] then exit 1

@@ -66,7 +66,7 @@ val run_driver :
   usage:string ->
   default_allowlist:string ->
   default_dirs:string list ->
-  ?extra_arg:(string list -> string list option) ->
+  ?inventory:(json:bool -> string list -> unit) ->
   scan:(string list -> finding list * int) ->
   unit ->
   unit
@@ -74,6 +74,6 @@ val run_driver :
     arguments (refusing directories that do not exist), run [scan],
     subtract the allowlist, print findings and stale entries (as text,
     or as one {!findings_json} report under [--json]), and exit
-    nonzero on either. [extra_arg] lets a tool consume its own flags
-    first — return [Some rest] after eating one or more arguments,
-    [None] to fall through to the common parser. *)
+    nonzero on either. A tool that passes [inventory] also accepts
+    [--inventory]: the driver then calls [inventory ~json dirs] instead
+    of scanning, and exits 0. *)

@@ -3,35 +3,33 @@
    Default mode mirrors dk-lint/dk-verify: scan, subtract the
    allowlist, print findings, exit nonzero on findings or stale
    allowlist entries. [--inventory] instead prints the shared-state
-   inventory (as a table, or as JSON with [--json]) and exits 0 — that
-   output is the contract DESIGN.md's table and `demi shardcheck`
-   mirror. *)
+   inventory (a table and a summary line, or JSON with [--json]) and
+   exits 0 — that output is the contract DESIGN.md's table mirrors. *)
+
+let inventory ~json dirs =
+  let prog, files = Shard_engine.analyze_dirs dirs in
+  let inv = Shard_engine.inventory prog in
+  if json then print_string (Shard_engine.inventory_json inv)
+  else begin
+    print_string (Shard_engine.inventory_table inv);
+    let unclassified =
+      List.length
+        (List.filter
+           (fun g -> g.Shard_engine.g_class = Shard_engine.Unclassified)
+           inv)
+    in
+    Printf.printf
+      "\n%d source file(s), %d module-level global(s), %d unclassified, %d \
+       raw finding(s)\n\
+       (`dune build @shard` applies tools/shard/allowlist.txt and gates CI)\n"
+      files (List.length inv) unclassified
+      (List.length (Shard_engine.findings prog))
+  end
 
 let () =
-  let argv = List.tl (Array.to_list Sys.argv) in
-  if List.mem "--inventory" argv then begin
-    let json = List.mem "--json" argv in
-    let rec parse dirs = function
-      | [] -> List.rev dirs
-      | ("--inventory" | "--json") :: rest -> parse dirs rest
-      | "--root" :: d :: rest ->
-          Sys.chdir d;
-          parse dirs rest
-      | arg :: _ when String.length arg > 0 && arg.[0] = '-' ->
-          Printf.eprintf "dk-shard: unknown option %s\n" arg;
-          exit 2
-      | d :: rest -> parse (d :: dirs) rest
-    in
-    let dirs = match parse [] argv with [] -> [ "lib" ] | ds -> ds in
-    let prog, _ = Shard_engine.analyze_dirs dirs in
-    let inv = Shard_engine.inventory prog in
-    if json then print_string (Shard_engine.inventory_json inv)
-    else print_string (Shard_engine.inventory_table inv)
-  end
-  else
-    Tool_common.run_driver ~tool:"dk-shard"
-      ~usage:
-        "dk_shard [--root DIR] [--allowlist FILE] [--inventory [--json]] \
-         [DIR ...]"
-      ~default_allowlist:"tools/shard/allowlist.txt"
-      ~default_dirs:[ "lib" ] ~scan:Shard_engine.scan_dirs ()
+  Tool_common.run_driver ~tool:"dk-shard"
+    ~usage:
+      "dk_shard [--root DIR] [--allowlist FILE] [--json] [--inventory] [DIR \
+       ...]"
+    ~default_allowlist:"tools/shard/allowlist.txt" ~default_dirs:[ "lib" ]
+    ~inventory ~scan:Shard_engine.scan_dirs ()

@@ -2,7 +2,7 @@
    empty outside instrumented runs and never consulted on the packet
    path. [@@shard.tooling "why"] exempts it from the shard-state rule
    the same way [@@shard.per_shard] does, while the inventory still
-   records it under its own class so `demi shardcheck` can count it. *)
+   records it under its own class so `dk_shard --inventory` counts it. *)
 
 let trace_sink : (string -> unit) option ref = ref None
 [@@shard.tooling "test-harness trace tap; None outside tests"]
