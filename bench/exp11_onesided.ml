@@ -20,6 +20,7 @@ module Demi = Demikernel.Demi
 module Types = Demikernel.Types
 module Rdma = Dk_device.Rdma
 module H = Dk_sim.Histogram
+module Event_loop = Dk_sched.Event_loop
 
 let cost = Cost.default
 let rounds = 50
@@ -37,25 +38,14 @@ let rpc_p50 () =
   let qa = Result.get_ok (Demi.rdma_endpoint da ~depth:16 qpa) in
   let qb = Result.get_ok (Demi.rdma_endpoint db ~depth:16 qpb) in
   let value = String.make value_size 'v' in
-  let rec serve () =
-    match Demi.pop db qb with
-    | Error _ -> ()
-    | Ok tok ->
-        Demi.watch db tok (function
-          | Types.Popped req ->
-              Dk_mem.Sga.free req;
-              (* server-side request processing *)
-              Engine.consume engine cost.Cost.app_request;
-              (match Demi.sga_alloc db value with
-              | Ok resp -> (
-                  match Demi.push db qb resp with
-                  | Ok t -> Demi.watch db t (fun _ -> ())
-                  | Error _ -> ())
-              | Error _ -> ());
-              serve ()
-          | _ -> ())
-  in
-  serve ();
+  let loop = Event_loop.create db in
+  Event_loop.on_message loop qb (fun req ->
+      Dk_mem.Sga.free req;
+      (* server-side request processing *)
+      Engine.consume engine cost.Cost.app_request;
+      match Demi.sga_alloc db value with
+      | Ok resp -> Event_loop.send loop qb resp
+      | Error _ -> ());
   let h = H.create () in
   for i = 1 to rounds do
     let req = Result.get_ok (Demi.sga_alloc da (Printf.sprintf "GET %d" i)) in

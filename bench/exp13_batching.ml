@@ -12,6 +12,7 @@ module Types = Demikernel.Types
 module Engine = Dk_sim.Engine
 module Sga = Dk_mem.Sga
 module H = Dk_sim.Histogram
+module Event_loop = Dk_sched.Event_loop
 
 let batch = 16
 let rounds = 150
@@ -32,18 +33,9 @@ let run_case window =
   let sqd = Result.get_ok (Demi.socket db `Udp) in
   must (Demi.bind db sqd ~port:9);
   let delivered = ref 0 in
-  let rec drain () =
-    match Demi.pop db sqd with
-    | Error _ -> ()
-    | Ok tok ->
-        Demi.watch db tok (function
-          | Types.Popped sga ->
-              Sga.free sga;
-              incr delivered;
-              drain ()
-          | _ -> ())
-  in
-  drain ();
+  Event_loop.on_message (Event_loop.create db) sqd (fun sga ->
+      Sga.free sga;
+      incr delivered);
   let cqd = Result.get_ok (Demi.socket da `Udp) in
   must (Demi.connect da cqd ~dst:(Setup.endpoint duo.Setup.b 9));
   Demi.set_batch_window da window;

@@ -11,6 +11,7 @@ module Rdma = Dk_device.Rdma
 module Prog = Dk_device.Prog
 module Sga = Dk_mem.Sga
 module H = Dk_sim.Histogram
+module Event_loop = Dk_sched.Event_loop
 
 let rounds = 50
 let size = 256
@@ -58,19 +59,8 @@ let rdma_class () =
   Rdma.connect qpa qpb;
   let qa = Result.get_ok (Demi.rdma_endpoint da ~depth:16 qpa) in
   let qb = Result.get_ok (Demi.rdma_endpoint db ~depth:16 qpb) in
-  let rec pong () =
-    match Demi.pop db qb with
-    | Error _ -> ()
-    | Ok tok ->
-        Demi.watch db tok (function
-          | Types.Popped sga ->
-              (match Demi.push db qb sga with
-              | Ok t -> Demi.watch db t (fun _ -> ())
-              | Error _ -> ());
-              pong ()
-          | _ -> ())
-  in
-  pong ();
+  let loop = Event_loop.create db in
+  Event_loop.on_message loop qb (Event_loop.send loop qb);
   let h = H.create () in
   let payload = String.make size 'r' in
   for _ = 1 to rounds do
@@ -99,19 +89,8 @@ let programmable_class () =
   let fq = Result.get_ok (Demi.filter db sqd (Prog.Prefix "P:")) in
   must (Demi.connect db fq ~dst:(Dk_net.Addr.endpoint duo.Setup.a.Setup.ip 10));
   let offloaded = Demi.filter_offloaded db fq in
-  let rec pong () =
-    match Demi.pop db fq with
-    | Error _ -> ()
-    | Ok tok ->
-        Demi.watch db tok (function
-          | Types.Popped sga ->
-              (match Demi.push db fq sga with
-              | Ok t -> Demi.watch db t (fun _ -> ())
-              | Error _ -> ());
-              pong ()
-          | _ -> ())
-  in
-  pong ();
+  let loop = Event_loop.create db in
+  Event_loop.on_message loop fq (Event_loop.send loop fq);
   let cqd = Result.get_ok (Demi.socket da `Udp) in
   must (Demi.bind da cqd ~port:10);
   must (Demi.connect da cqd ~dst:(Setup.endpoint duo.Setup.b 9));

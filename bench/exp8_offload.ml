@@ -11,6 +11,7 @@ module Types = Demikernel.Types
 module Engine = Dk_sim.Engine
 module Prog = Dk_device.Prog
 module Sga = Dk_mem.Sga
+module Event_loop = Dk_sched.Event_loop
 
 let total = 400
 let payload_size = 200
@@ -31,18 +32,9 @@ let run_case ~programmable ~keep =
   must (Demi.bind db sqd ~port:9);
   let fq = Result.get_ok (Demi.filter db sqd (Prog.Prefix "EVT:")) in
   let delivered = ref 0 in
-  let rec drain () =
-    match Demi.pop db fq with
-    | Error _ -> ()
-    | Ok tok ->
-        Demi.watch db tok (function
-          | Types.Popped sga ->
-              Sga.free sga;
-              incr delivered;
-              drain ()
-          | _ -> ())
-  in
-  drain ();
+  Event_loop.on_message (Event_loop.create db) fq (fun sga ->
+      Sga.free sga;
+      incr delivered);
   let cqd = Result.get_ok (Demi.socket da `Udp) in
   must (Demi.connect da cqd ~dst:(Setup.endpoint duo.Setup.b 9));
   let rng = Dk_sim.Rng.create 31L in

@@ -14,6 +14,7 @@ module Types = Demikernel.Types
 module Engine = Dk_sim.Engine
 module Rdma = Dk_device.Rdma
 module Sga = Dk_mem.Sga
+module Event_loop = Dk_sched.Event_loop
 
 let must = function
   | Ok v -> v
@@ -34,19 +35,8 @@ let () =
   let qb = Result.get_ok (Demi.rdma_endpoint db ~depth:16 qp_b) in
 
   (* B: pong everything back. *)
-  let rec pong () =
-    match Demi.pop db qb with
-    | Error _ -> ()
-    | Ok tok ->
-        Demi.watch db tok (function
-          | Types.Popped sga ->
-              (match Demi.push db qb sga with
-              | Ok t -> Demi.watch db t (fun _ -> ())
-              | Error _ -> ());
-              pong ()
-          | _ -> ())
-  in
-  pong ();
+  let loop = Event_loop.create db in
+  Event_loop.on_message loop qb (Event_loop.send loop qb);
 
   (* A: ping N times, measuring RTT. *)
   let hist = Dk_sim.Histogram.create () in

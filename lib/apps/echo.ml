@@ -3,41 +3,21 @@ module Types = Demikernel.Types
 module Posix = Dk_kernel.Posix
 module Mtcp = Dk_kernel.Mtcp
 module Engine = Dk_sim.Engine
+module Event_loop = Dk_sched.Event_loop
 
 (* ---- Demikernel ---- *)
-
-let rec demi_echo_conn demi qd =
-  match Demi.pop demi qd with
-  | Error _ -> ()
-  | Ok tok ->
-      Demi.watch demi tok (function
-        | Types.Popped sga ->
-            (match Demi.push demi qd sga with
-            | Ok ptok -> Demi.watch demi ptok (fun _ -> ())
-            | Error _ -> ());
-            demi_echo_conn demi qd
-        | Types.Failed _ -> (
-            (* best-effort teardown: the peer is already gone *)
-            match Demi.close demi qd with Ok () | Error _ -> ())
-        | Types.Pushed | Types.Accepted _ -> ())
-
-let rec demi_accept_loop demi lqd =
-  match Demi.accept_async demi lqd with
-  | Error _ -> ()
-  | Ok tok ->
-      Demi.watch demi tok (function
-        | Types.Accepted qd ->
-            demi_echo_conn demi qd;
-            demi_accept_loop demi lqd
-        | Types.Failed _ -> ()
-        | Types.Pushed | Types.Popped _ -> ())
 
 let start_demi_server ~demi ~port =
   let ( let* ) = Result.bind in
   let* lqd = Demi.socket demi `Tcp in
   let* () = Demi.bind demi lqd ~port in
   let* () = Demi.listen demi lqd in
-  demi_accept_loop demi lqd;
+  let loop = Event_loop.create demi in
+  Event_loop.on_accept loop lqd (fun qd ->
+      (* best-effort teardown: the peer is already gone *)
+      Event_loop.on_close loop qd (fun _ ->
+          match Demi.close demi qd with Ok () | Error _ -> ());
+      Event_loop.on_message loop qd (Event_loop.send loop qd));
   Ok ()
 
 let demi_rtt ~demi ~dst ~size ~rounds =

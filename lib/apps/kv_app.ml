@@ -3,9 +3,11 @@ module Types = Demikernel.Types
 module Engine = Dk_sim.Engine
 module Cost = Dk_sim.Cost
 module Prog = Dk_device.Prog
+module Event_loop = Dk_sched.Event_loop
 
 type server = {
   demi : Demi.t;
+  loop : Event_loop.t;
   kv : Kv.t;
   mutable served : int;
   udp_qd : Types.qd option;
@@ -23,37 +25,17 @@ let answer srv qd sga =
   app_work srv;
   (match Proto.request_of_sga sga with
   | Some req ->
-      let resp = Kv.apply_zero_copy srv.kv req in
-      (match Demi.push srv.demi qd resp with
-      | Ok tok -> Demi.watch srv.demi tok (fun _ -> ())
-      | Error _ -> ());
+      Event_loop.send srv.loop qd (Kv.apply_zero_copy srv.kv req);
       srv.served <- srv.served + 1
   | None -> ());
   Dk_mem.Sga.free sga
 
-let rec serve_conn srv qd =
-  match Demi.pop srv.demi qd with
-  | Error _ -> ()
-  | Ok tok ->
-      Demi.watch srv.demi tok (function
-        | Types.Popped sga ->
-            answer srv qd sga;
-            serve_conn srv qd
-        | Types.Failed _ -> (
-            (* best-effort teardown: the peer is already gone *)
-            match Demi.close srv.demi qd with Ok () | Error _ -> ())
-        | Types.Pushed | Types.Accepted _ -> ())
-
-let rec accept_loop srv lqd =
-  match Demi.accept_async srv.demi lqd with
-  | Error _ -> ()
-  | Ok tok ->
-      Demi.watch srv.demi tok (function
-        | Types.Accepted qd ->
-            serve_conn srv qd;
-            accept_loop srv lqd
-        | Types.Failed _ -> ()
-        | Types.Pushed | Types.Popped _ -> ())
+(* Answer every message on [qd] with [reply]. A queue whose pop fails
+   is closed: best-effort teardown, the peer is already gone. *)
+let serve srv reply qd =
+  Event_loop.on_close srv.loop qd (fun _ ->
+      match Demi.close srv.demi qd with Ok () | Error _ -> ());
+  Event_loop.on_message srv.loop qd (reply srv qd)
 
 let start_tcp_server ~demi ~port ~kv =
   let ( let* ) = Result.bind in
@@ -63,6 +45,7 @@ let start_tcp_server ~demi ~port ~kv =
   let srv =
     {
       demi;
+      loop = Event_loop.create demi;
       kv;
       served = 0;
       udp_qd = None;
@@ -71,7 +54,7 @@ let start_tcp_server ~demi ~port ~kv =
       cpu_pipeline = [];
     }
   in
-  accept_loop srv lqd;
+  Event_loop.on_accept srv.loop lqd (serve srv answer);
   Ok srv
 
 (* ---- offloaded UDP server (single-datagram codec) ----
@@ -85,10 +68,7 @@ let start_tcp_server ~demi ~port ~kv =
    entry. Without a programmable NIC the same pipeline stages run here
    on the host, priced by their static footprint. *)
 
-let push_flat srv qd s =
-  match Demi.push srv.demi qd (Dk_mem.Sga.of_strings [ s ]) with
-  | Ok tok -> Demi.watch srv.demi tok (fun _ -> ())
-  | Error _ -> ()
+let send_flat srv qd s = Event_loop.send srv.loop qd (Dk_mem.Sga.of_strings [ s ])
 
 let answer_udp srv qd sga =
   let payload =
@@ -107,7 +87,7 @@ let answer_udp srv qd sga =
   in
   match fallback_hit with
   | Some raw ->
-      push_flat srv qd raw;
+      send_flat srv qd raw;
       srv.served <- srv.served + 1
   | None -> (
       app_work srv;
@@ -124,20 +104,8 @@ let answer_udp srv qd sga =
               match Demi.offload_insert srv.demi k v with
               | Ok () | Error `Rejected -> ())
           | _ -> ());
-          push_flat srv qd (Proto.udp_response_string resp);
+          send_flat srv qd (Proto.udp_response_string resp);
           srv.served <- srv.served + 1)
-
-let rec serve_udp srv qd =
-  match Demi.pop srv.demi qd with
-  | Error _ -> ()
-  | Ok tok ->
-      Demi.watch srv.demi tok (function
-        | Types.Popped sga ->
-            answer_udp srv qd sga;
-            serve_udp srv qd
-        | Types.Failed _ -> (
-            match Demi.close srv.demi qd with Ok () | Error _ -> ())
-        | Types.Pushed | Types.Accepted _ -> ())
 
 let start_udp_offload_server ~demi ~port ~kv ?policy ?obs_prefix ?capacity
     ?(max_value = 4096) ?(populate = false) () =
@@ -155,6 +123,7 @@ let start_udp_offload_server ~demi ~port ~kv ?policy ?obs_prefix ?capacity
   let srv =
     {
       demi;
+      loop = Event_loop.create demi;
       kv;
       served = 0;
       udp_qd = Some qd;
@@ -163,7 +132,7 @@ let start_udp_offload_server ~demi ~port ~kv ?policy ?obs_prefix ?capacity
       cpu_pipeline;
     }
   in
-  serve_udp srv qd;
+  serve srv answer_udp qd;
   Ok srv
 
 let server_offloaded srv = srv.offloaded

@@ -1,7 +1,7 @@
 (** Redis-like server and closed-loop client on the Demikernel API.
 
-    The server is callback-driven: it keeps one outstanding pop per
-    connection and answers with zero-copy responses
+    The server runs on {!Dk_sched.Event_loop}: one outstanding pop per
+    connection, answered with zero-copy responses
     ({!Kv.apply_zero_copy}); each request charges
     [Cost.app_request] of application work (the paper's ~2 µs Redis
     figure). The client drives the simulation with blocking waits and

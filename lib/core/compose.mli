@@ -9,6 +9,19 @@
     CPU if necessary" fallback of §4.3; the runtime offloads to a
     programmable device instead when it can. *)
 
+val pump :
+  tokens:Token.t ->
+  parent:Qimpl.t ->
+  on_elem:(Dk_mem.Sga.t -> unit) ->
+  on_done:(Types.error -> unit) ->
+  unit
+(** The one loop inside the libOS that reads a queue on its own: keep
+    exactly one pop outstanding on [parent], hand each popped element
+    to [on_elem] and then re-pop. When the parent fails (closed,
+    aborted), call [on_done] once with the error and stop. Every
+    composed queue here reads its parents through it, and so does
+    {!Demi.steer}. *)
+
 val filter :
   tokens:Token.t ->
   engine:Dk_sim.Engine.t ->

@@ -200,72 +200,80 @@ let sga_free t sga =
   Engine.consume t.engine t.cost.Cost.free;
   Dk_mem.Sga.free sga
 
-(* ---- waiting ---- *)
+(* ---- waiting ----
+
+   One poll driver behind every wait entry point. [ready t arg] is the
+   entry point's readiness check; between checks the driver charges one
+   poll-loop step and runs one event. [None] means the engine ran dry
+   (no deadline) or the deadline passed.
+
+   The deadline rule: never run an event due after the deadline — its
+   completion is outside the window and belongs to a later wait. When
+   nothing is due by the deadline the loop spins until it, modelled by
+   jumping the clock. Once the clock reaches the deadline (the loop's
+   own CPU charges may push it past), the events due by the deadline
+   still run (late-run: the clock does not move) and readiness gets one
+   last check, so a completion due exactly at the deadline wins the
+   tie. *)
 
 let wait_step t =
   Dk_obs.Metrics.incr m_poll_iters;
   Engine.consume t.engine t.cost.Cost.poll_iter
 
-let wait t tok =
+let rec run_due t deadline =
+  match Engine.next_at t.engine with
+  | Some ts when Int64.compare ts deadline <= 0 ->
+      ignore (Engine.step t.engine);
+      run_due t deadline
+  | Some _ | None -> ()
+
+let rec poll t ready arg deadline =
+  match ready t arg with
+  | Some _ as r -> r
+  | None -> (
+      match deadline with
+      | None ->
+          wait_step t;
+          if Engine.step t.engine then poll t ready arg deadline else None
+      | Some d when Int64.compare (Engine.now t.engine) d >= 0 ->
+          run_due t d;
+          ready t arg
+      | Some d ->
+          wait_step t;
+          (match Engine.next_at t.engine with
+          | Some ts when Int64.compare ts d <= 0 -> ignore (Engine.step t.engine)
+          | Some _ | None ->
+              Engine.consume t.engine (Int64.sub d (Engine.now t.engine)));
+          poll t ready arg deadline)
+
+let deadline_of t = function
+  | Some ns -> Some (Int64.add (Engine.now t.engine) ns)
+  | None -> None
+
+let try_wait t tok = Token.redeem t.tokens tok
+
+let wait_until t tok deadline =
   match Token.status t.tokens tok with
   | `Unknown -> Types.Failed `Bad_qtoken
-  | `Pending | `Done ->
-      let rec loop () =
-        match Token.redeem t.tokens tok with
-        | Some r -> r
-        | None ->
-            wait_step t;
-            if Engine.step t.engine then loop () else Types.Failed `Deadlock
-      in
-      loop ()
+  | `Pending | `Done -> (
+      match poll t try_wait tok deadline with
+      | Some r -> r
+      | None -> (
+          match deadline with
+          | None -> Types.Failed `Deadlock
+          | Some _ -> Types.Failed `Timeout))
 
-(* Nothing left in the event queue but a deadline remains: the poll
-   loop spins until it; model that by jumping the clock. *)
-let spin_to t deadline =
-  if Int64.compare (Engine.now t.engine) deadline < 0 then
-    Engine.consume t.engine (Int64.sub deadline (Engine.now t.engine))
+let wait t tok = wait_until t tok None
 
 let wait_timeout t tok ~timeout =
-  let deadline = Int64.add (Engine.now t.engine) timeout in
-  (* At expiry, completions scheduled at-or-before the deadline have
-     still happened inside the window even if the poll loop's own CPU
-     charges pushed the clock past them; run those events (late-run
-     semantics: the clock does not move) and give redemption one last
-     chance. Ties at the deadline go to the completion, never the
-     timeout. *)
-  let expire () =
-    let rec drain_due () =
-      match Engine.next_at t.engine with
-      | Some ts when Int64.compare ts deadline <= 0 ->
-          ignore (Engine.step t.engine);
-          drain_due ()
-      | Some _ | None -> ()
-    in
-    drain_due ();
-    match Token.redeem t.tokens tok with
-    | Some r -> r
-    | None -> Types.Failed `Timeout
-  in
-  let rec loop () =
-    match Token.redeem t.tokens tok with
-    | Some r -> r
-    | None ->
-        if Int64.compare (Engine.now t.engine) deadline >= 0 then expire ()
-        else begin
-          wait_step t;
-          (* Never run an event scheduled past the deadline: it is
-             outside the window, and running it would hand its
-             completion to this wait instead of a later one. *)
-          match Engine.next_at t.engine with
-          | Some ts when Int64.compare ts deadline <= 0 ->
-              ignore (Engine.step t.engine);
-              loop ()
-          | Some _ | None ->
-              spin_to t deadline;
-              expire ()
-        end
-  in
-  loop ()
+  wait_until t tok (deadline_of t (Some timeout))
+
+(* A ready token from a wait set: redeem it for the caller. *)
+let redeem_ready t tok =
+  Dk_obs.Metrics.incr m_ready_hits;
+  Some (tok, Option.get (Token.redeem t.tokens tok))
+  [@@hot.alloc
+    "the (token, result) completion pair is the wait API's return surface"]
 
 (* wait_any / wait_all register every token into a wait set once, then
    dequeue readiness in O(1) per completion — no rescanning of [toks]
@@ -273,127 +281,52 @@ let wait_timeout t tok ~timeout =
    returning, so it stays redeemable by a later wait. *)
 
 let wait_any ?timeout t toks =
-  let deadline = Option.map (Int64.add (Engine.now t.engine)) timeout in
-  let expired () =
-    match deadline with
-    | Some d -> Int64.compare (Engine.now t.engine) d >= 0
-    | None -> false
-  in
-  let ws = Token.waitset () in
-  let index = Hashtbl.create 16 in
-  List.iteri
-    (fun i tok ->
-      if not (Hashtbl.mem index tok) then Hashtbl.add index tok i;
-      Token.register t.tokens ws tok)
-    toks;
-  let unregister_all () = List.iter (Token.unregister t.tokens ws) toks in
-  (* Draining the whole FIFO at a poll point yields exactly the set of
-     currently-completed tokens; picking the minimum argument index
-     keeps selection identical to the seed's left-to-right scan when
-     several tokens completed in the same step. *)
-  let idx tok =
-    match Hashtbl.find_opt index tok with Some i -> i | None -> max_int
-  in
-  let rec drain best =
-    match Token.take_ready t.tokens ws with
-    | None -> best
-    | Some tok ->
-        let best =
-          match best with
-          | Some b when idx b <= idx tok -> Some b
-          | Some _ | None -> Some tok
-        in
-        drain best
-  in
-  let rec loop () =
-    match drain None with
-    | Some tok ->
-        unregister_all ();
-        Dk_obs.Metrics.incr m_ready_hits;
-        let r = Option.get (Token.redeem t.tokens tok) in
-        Some (tok, r)
-    | None ->
-        if expired () then begin
-          unregister_all ();
-          None
-        end
-        else begin
-          wait_step t;
-          if Engine.step t.engine then loop ()
-          else begin
-            Option.iter (spin_to t) deadline;
-            unregister_all ();
-            None
-          end
-        end
-  in
-  loop ()
-
-let wait_all ?timeout t toks =
-  let deadline = Option.map (Int64.add (Engine.now t.engine)) timeout in
-  let expired () =
-    match deadline with
-    | Some d -> Int64.compare (Engine.now t.engine) d >= 0
-    | None -> false
-  in
   let ws = Token.waitset () in
   List.iter (Token.register t.tokens ws) toks;
-  let unregister_all () = List.iter (Token.unregister t.tokens ws) toks in
-  (* Completion target: distinct tokens (registering a duplicate moves
-     it, so its completion is enqueued once). Nothing is redeemed until
+  (* Several tokens may complete in one step: take the first done one
+     in argument order, as a left-to-right scan would. The scan runs
+     once, when the wait set first reports a completion. *)
+  let ready t ws =
+    match Token.take_ready t.tokens ws with
+    | None -> None
+    | Some _ -> (
+        let is_done tok = Token.status t.tokens tok = `Done in
+        match List.find_opt is_done toks with
+        | Some tok -> redeem_ready t tok
+        | None -> None)
+  in
+  let r = poll t ready ws (deadline_of t timeout) in
+  List.iter (Token.unregister t.tokens ws) toks;
+  r
+
+let wait_all ?timeout t toks =
+  let ws = Token.waitset () in
+  (* The distinct tokens not yet seen done. Nothing is redeemed until
      every token is done — a partial set must stay waitable after a
      timeout. *)
-  let seen = Hashtbl.create 16 in
-  let n =
-    List.fold_left
-      (fun acc tok ->
-        if Hashtbl.mem seen tok then acc
-        else begin
-          Hashtbl.add seen tok ();
-          acc + 1
-        end)
-      0 toks
+  let missing = Hashtbl.create 16 in
+  List.iter
+    (fun tok ->
+      Hashtbl.replace missing tok ();
+      Token.register t.tokens ws tok)
+    toks;
+  let n = Hashtbl.length missing in
+  let rec ready t ws =
+    match Token.take_ready t.tokens ws with
+    | Some tok ->
+        Hashtbl.remove missing tok;
+        ready t ws
+    | None when Hashtbl.length missing > 0 -> None
+    | None ->
+        Dk_obs.Metrics.add m_ready_hits n;
+        Some
+          (List.map
+             (fun tok -> (tok, Option.get (Token.redeem t.tokens tok)))
+             toks)
   in
-  Hashtbl.reset seen;
-  let done_count = ref 0 in
-  let drain () =
-    let rec go () =
-      match Token.take_ready t.tokens ws with
-      | None -> ()
-      | Some tok ->
-          if not (Hashtbl.mem seen tok) then begin
-            Hashtbl.add seen tok ();
-            incr done_count
-          end;
-          go ()
-    in
-    go ()
-  in
-  let rec loop () =
-    drain ();
-    if !done_count >= n then begin
-      unregister_all ();
-      Dk_obs.Metrics.add m_ready_hits n;
-      Some
-        (List.map
-           (fun tok -> (tok, Option.get (Token.redeem t.tokens tok)))
-           toks)
-    end
-    else if expired () then begin
-      unregister_all ();
-      None
-    end
-    else begin
-      wait_step t;
-      if Engine.step t.engine then loop ()
-      else begin
-        Option.iter (spin_to t) deadline;
-        unregister_all ();
-        None
-      end
-    end
-  in
-  loop ()
+  let r = poll t ready ws (deadline_of t timeout) in
+  List.iter (Token.unregister t.tokens ws) toks;
+  r
 
 (* ---- persistent wait sets (epoll-style registration, exactly-once
    delivery): register once, then drain completions in O(1) per event.
@@ -405,42 +338,13 @@ type waitset = Token.waitset
 let waitset (_ : t) = Token.waitset ()
 let waitset_add t ws tok = Token.register t.tokens ws tok
 
-(* The drain loop lives at toplevel with its state in parameters: the
-   old local [expired]/[loop] closure pair and the [Option.map] deadline
-   allocated on every call to the hottest wait entry point. *)
-let rec wait_next_loop t ws deadline =
+let next_ready t ws =
   match Token.take_ready t.tokens ws with
-  | Some tok ->
-      Dk_obs.Metrics.incr m_ready_hits;
-      let r = Option.get (Token.redeem t.tokens tok) in
-      Some (tok, r)
-  | None ->
-      let expired =
-        match deadline with
-        | Some d -> Int64.compare (Engine.now t.engine) d >= 0
-        | None -> false
-      in
-      if expired then None
-      else begin
-        wait_step t;
-        if Engine.step t.engine then wait_next_loop t ws deadline
-        else begin
-          Option.iter (spin_to t) deadline;
-          None
-        end
-      end
-  [@@hot.alloc
-    "the (token, result) completion pair is the wait API's return surface"]
+  | Some tok -> redeem_ready t tok
+  | None -> None
 
-let wait_next ?timeout t ws =
-  let deadline =
-    match timeout with
-    | Some ns -> Some (Int64.add (Engine.now t.engine) ns)
-    | None -> None
-  in
-  wait_next_loop t ws deadline
+let wait_next ?timeout t ws = poll t next_ready ws (deadline_of t timeout)
 
-let try_wait t tok = Token.redeem t.tokens tok
 let watch t tok k = Token.watch t.tokens tok k
 
 (* ---- batching knobs ---- *)
@@ -928,25 +832,12 @@ let steer t qd ~ways ~hash_off ~hash_len =
         in
         find 0
       in
-      let deliver sga =
-        Engine.consume t.engine classify_cost;
-        Mailbox.deliver (Memq.mailbox outs.(way_of sga)) (Types.Popped sga)
-      in
-      (* one outstanding pop on the parent, distributing as elements
-         arrive *)
-      let rec pump () =
-        let tok = Token.fresh t.tokens in
-        parent.Qimpl.pop tok;
-        Token.watch t.tokens tok (fun result ->
-            match result with
-            | Types.Popped sga ->
-                deliver sga;
-                pump ()
-            | Types.Failed _ ->
-                Array.iter (fun m -> Mailbox.close (Memq.mailbox m)) outs
-            | Types.Pushed | Types.Accepted _ -> pump ())
-      in
-      pump ();
+      Compose.pump ~tokens:t.tokens ~parent
+        ~on_elem:(fun sga ->
+          Engine.consume t.engine classify_cost;
+          Mailbox.deliver (Memq.mailbox outs.(way_of sga)) (Types.Popped sga))
+        ~on_done:(fun _ ->
+          Array.iter (fun m -> Mailbox.close (Memq.mailbox m)) outs);
       Ok (Array.to_list (Array.map (fun m -> install t (Memq.impl m)) outs))
 
 let qconnect t ~src ~dst =

@@ -218,25 +218,46 @@ val push_batch :
 
 val pop : t -> Types.qd -> (Types.qtoken, Types.error) result
 
+(** {3 Waiting}
+
+    Every wait runs one poll loop: check readiness; if nothing is
+    ready, charge one poll-loop step and run the next event. Without a
+    timeout a wait gives up when no event is left (deadlock).
+
+    {b The deadline rule.} A timed wait ([wait_timeout], or [wait_any],
+    [wait_all], [wait_next] with [~timeout]) has the deadline [now +
+    timeout]. It never runs an event due after the deadline: that
+    completion stays for a later wait. When nothing is due by the
+    deadline the clock jumps to it. Once the clock reaches or passes
+    the deadline, the events due by then still run and readiness is
+    checked once more. So a completion due exactly at the deadline is
+    returned, and one due later times out with the clock at the
+    deadline. *)
+
 val wait : t -> Types.qtoken -> Types.op_result
-(** Drive the simulation until the token completes; each idle iteration
-    charges one poll-loop step. *)
+(** Drive the simulation until the token completes ([Failed `Deadlock]
+    if no event is left). A token that was never minted, or is already
+    redeemed, fails [`Bad_qtoken] at once. *)
 
 val wait_timeout : t -> Types.qtoken -> timeout:int64 -> Types.op_result
-(** [Failed `Timeout] if the deadline passes first (the token stays
-    outstanding and can be waited again). *)
+(** [wait] under the deadline rule: [Failed `Timeout] if the deadline
+    passes first (the token stays outstanding and can be waited again).
+    An unknown token fails [`Bad_qtoken] at once, as in [wait], and the
+    clock does not move. *)
 
 val wait_any :
   ?timeout:int64 -> t -> Types.qtoken list -> (Types.qtoken * Types.op_result) option
-(** First completion among the tokens ([None] on timeout/deadlock).
-    Exactly one token is redeemed — no spurious wakeups (§4.4). *)
+(** First completion among the tokens ([None] on timeout/deadlock; a
+    timeout follows the deadline rule). Exactly one token is redeemed —
+    no spurious wakeups (§4.4). *)
 
 val wait_all :
   ?timeout:int64 ->
   t ->
   Types.qtoken list ->
   (Types.qtoken * Types.op_result) list option
-(** All completions, in argument order ([None] on timeout/deadlock). *)
+(** All completions, in argument order ([None] on timeout/deadlock; a
+    timeout follows the deadline rule, and redeems nothing). *)
 
 val try_wait : t -> Types.qtoken -> Types.op_result option
 (** Non-blocking poll of one token. *)
@@ -261,8 +282,9 @@ val waitset_add : t -> waitset -> Types.qtoken -> unit
 val wait_next :
   ?timeout:int64 -> t -> waitset -> (Types.qtoken * Types.op_result) option
 (** Next completion from the wait set, driving the simulation while it
-    is empty ([None] on timeout/deadlock). Each completion is delivered
-    exactly once; completion order, not registration order. *)
+    is empty ([None] on timeout/deadlock; a timeout follows the deadline
+    rule). Each completion is delivered exactly once; completion order,
+    not registration order. *)
 
 val watch : t -> Types.qtoken -> (Types.op_result -> unit) -> unit
 (** Scheduler integration (§4.4): run the callback when the token

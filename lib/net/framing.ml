@@ -51,15 +51,22 @@ let feed t s =
     t.wr <- t.wr + k
   end
 
+(* A non-negative int needs at most 9 varint bytes, so a varint still
+   unterminated with 9 bytes in hand never ends: the stream is corrupt,
+   not short. [Varint.read] answered [None] for the varint at [off]. *)
+let unterminated t off =
+  if t.wr - off >= 9 then t.corrupt <- true;
+  None
+
 (* Decode [nsegs] segment lengths starting at [off]; toplevel so the
-   per-message call allocates no closure environment. A negative length,
-   or lengths whose sum [total] would overflow, mark the stream
-   corrupt. *)
+   per-message call allocates no closure environment. A negative or
+   unterminated length, or lengths whose sum [total] would overflow,
+   mark the stream corrupt. *)
 let rec read_lengths t nsegs i off total acc =
   if i = nsegs then Some (List.rev acc, off)
   else
     match Dk_util.Varint.read t.buf off ~stop:t.wr with
-    | None -> None
+    | None -> unterminated t off
     | Some (len, used) ->
         if len < 0 || len > max_int - total then begin
           t.corrupt <- true;
@@ -80,7 +87,7 @@ let next t =
   if t.corrupt then None
   else
     match Dk_util.Varint.read t.buf t.rd ~stop:t.wr with
-    | None -> None
+    | None -> unterminated t t.rd
     | Some (nsegs, used0) -> (
         if nsegs < 0 || nsegs > 1 lsl 16 then begin
           t.corrupt <- true;

@@ -26,8 +26,8 @@ val next : decoder -> string list option
 
 val corrupt : decoder -> bool
 (** Whether a header that cannot describe a message (a segment count
-    above 2{^16}, a negative length, lengths summing past [max_int])
-    has been seen. Sticky: once set, [next] returns [None] and [feed]
+    above 2{^16}, a negative length, lengths summing past [max_int], a
+    varint still unterminated after 9 bytes) has been seen. Sticky: once set, [next] returns [None] and [feed]
     discards its input, so the owner must drop the stream. *)
 
 val buffered : decoder -> int

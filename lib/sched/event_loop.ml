@@ -1,9 +1,14 @@
 module Demi = Demikernel.Demi
 module Types = Demikernel.Types
 
+(* [k] is the queue's pop continuation: built once when the queue is
+   first watched and kept here, so re-arming a pop allocates only the
+   token. *)
 type watch_state = {
+  qd : Types.qd;
   mutable active : bool;
   mutable close_cb : Types.error -> unit;
+  mutable k : Types.op_result -> unit;
 }
 
 type t = {
@@ -17,40 +22,47 @@ let state t qd =
   match Hashtbl.find_opt t.watches qd with
   | Some st -> st
   | None ->
-      let st = { active = true; close_cb = (fun _ -> ()) } in
+      let st = { qd; active = true; close_cb = ignore; k = ignore } in
       Hashtbl.replace t.watches qd st;
       st
 
-let closed t qd st err =
+let closed t st err =
   if st.active then begin
     st.active <- false;
-    Hashtbl.remove t.watches qd;
+    Hashtbl.remove t.watches st.qd;
     st.close_cb err
   end
 
-let rec pump t qd st handle =
+(* Keep exactly one pop outstanding on a watched queue. A pop on a
+   listening queue is an accept. *)
+let pump t st =
   if st.active then
-    match Demi.pop t.demi qd with
-    | Error e -> closed t qd st e
-    | Ok tok ->
-        Demi.watch t.demi tok (fun result ->
-            if st.active then
-              match result with
-              | Types.Popped _ | Types.Accepted _ ->
-                  handle result;
-                  pump t qd st handle
-              | Types.Failed e -> closed t qd st e
-              | Types.Pushed -> pump t qd st handle)
+    match Demi.pop t.demi st.qd with
+    | Ok tok -> Demi.watch t.demi tok st.k
+    | Error e -> closed t st e
+
+(* The handler runs before the re-pop, so a reply it sends takes its
+   token before the next pop does. *)
+let watch t qd handle =
+  let st = state t qd in
+  st.k <-
+    (fun result ->
+      if st.active then
+        match result with
+        | Types.Popped _ | Types.Accepted _ ->
+            handle result;
+            pump t st
+        | Types.Failed e -> closed t st e
+        | Types.Pushed -> pump t st);
+  pump t st
 
 let on_accept t qd cb =
-  let st = state t qd in
-  pump t qd st (function
+  watch t qd (function
     | Types.Accepted conn_qd -> cb conn_qd
     | Types.Popped _ | Types.Pushed | Types.Failed _ -> ())
 
 let on_message t qd cb =
-  let st = state t qd in
-  pump t qd st (function
+  watch t qd (function
     | Types.Popped sga -> cb sga
     | Types.Accepted _ | Types.Pushed | Types.Failed _ -> ())
 
@@ -61,7 +73,7 @@ let send t qd sga =
   | Ok tok -> Demi.watch t.demi tok (fun _ -> ())
   | Error e -> (
       match Hashtbl.find_opt t.watches qd with
-      | Some st -> closed t qd st e
+      | Some st -> closed t st e
       | None -> ())
 
 let unwatch t qd =

@@ -27,6 +27,7 @@ module Demi = Demikernel.Demi
 module Types = Demikernel.Types
 module Proto = Dk_apps.Proto
 module Kv = Dk_apps.Kv
+module Event_loop = Dk_sched.Event_loop
 
 type msg =
   | Probe of string (* echo: touch the owner shard's state *)
@@ -269,61 +270,38 @@ let echo_port = 7
 (* Server side: echo, except a payload whose first byte names another
    shard models state owned elsewhere — the touch is forwarded over
    the mailbox and the echo reply waits for the owner's ack. *)
-let rec serve_echo_conn t i qd =
+let echo_reply t i loop qd sga =
   let demi = Shard.demi_server t.shards.(i) in
-  match Demi.pop demi qd with
-  | Error _ -> ()
-  | Ok tok ->
-      Demi.watch demi tok (function
-        | Types.Popped sga ->
-            let body = Dk_mem.Sga.to_string sga in
-            let home =
-              if String.length body = 0 then i
-              else
-                let h = Char.code body.[0] in
-                if h < t.n then h else i
-            in
-            if home = i then (
-              match Demi.push demi qd sga with
-              | Ok ptok -> Demi.watch demi ptok (fun _ -> ())
-              | Error _ -> ())
-            else begin
-              Demi.sga_free demi sga;
-              request t ~src:i ~dst:home (Probe body) (fun reply ->
-                  let out =
-                    match reply with Probe_ack s -> s | _ -> body
-                  in
-                  match Demi.sga_alloc demi out with
-                  | Error _ -> ()
-                  | Ok sga' -> (
-                      match Demi.push demi qd sga' with
-                      | Ok ptok -> Demi.watch demi ptok (fun _ -> ())
-                      | Error _ -> ()))
-            end;
-            serve_echo_conn t i qd
-        | Types.Failed _ -> (
-            match Demi.close demi qd with Ok () | Error _ -> ())
-        | Types.Pushed | Types.Accepted _ -> ())
+  let body = Dk_mem.Sga.to_string sga in
+  let home =
+    if String.length body = 0 then i
+    else
+      let h = Char.code body.[0] in
+      if h < t.n then h else i
+  in
+  if home = i then Event_loop.send loop qd sga
+  else begin
+    Demi.sga_free demi sga;
+    request t ~src:i ~dst:home (Probe body) (fun reply ->
+        let out = match reply with Probe_ack s -> s | _ -> body in
+        match Demi.sga_alloc demi out with
+        | Error _ -> ()
+        | Ok sga' -> Event_loop.send loop qd sga')
+  end
 
-let rec accept_loop t i lqd serve =
-  let demi = Shard.demi_server t.shards.(i) in
-  match Demi.accept_async demi lqd with
-  | Error _ -> ()
-  | Ok tok ->
-      Demi.watch demi tok (function
-        | Types.Accepted qd ->
-            serve t i qd;
-            accept_loop t i lqd serve
-        | Types.Failed _ -> ()
-        | Types.Pushed | Types.Popped _ -> ())
-
-let start_server t i ~port serve =
+(* One event loop per shard serves every connection its listener
+   accepts with [reply]; a connection whose pop fails is closed. *)
+let start_server t i ~port reply =
   let demi = Shard.demi_server t.shards.(i) in
   let ( let* ) = Result.bind in
   let* lqd = Demi.socket demi `Tcp in
   let* () = Demi.bind demi lqd ~port in
   let* () = Demi.listen demi lqd in
-  accept_loop t i lqd serve;
+  let loop = Event_loop.create demi in
+  Event_loop.on_accept loop lqd (fun qd ->
+      Event_loop.on_close loop qd (fun _ ->
+          match Demi.close demi qd with Ok () | Error _ -> ());
+      Event_loop.on_message loop qd (reply t i loop qd));
   Ok ()
 
 let connect_client t i ~port =
@@ -333,21 +311,55 @@ let connect_client t i ~port =
   let* () = Demi.connect demi qd ~dst:(Shard.server_endpoint t.shards.(i) port) in
   Ok qd
 
+(* One closed-loop run: place [flows] by RSS, start a server on every
+   shard, connect each flow on its owner, then [start] each flow's first
+   round and drive the group until it drains. Connection setup is
+   blocking and runs only the owner's engine; shards do not interact
+   yet, so doing it in flow order is deterministic. *)
+let run ?drive t ~flows ~port ~serve ~start =
+  let owners = place_flows t ~flows ~dst_port:port in
+  let tallies =
+    Array.init t.n (fun _ ->
+        { t_flows = 0; t_ops = 0; t_remote = 0; t_lat = Histogram.create () })
+  in
+  for i = 0 to t.n - 1 do
+    match start_server t i ~port serve with
+    | Ok () -> ()
+    | Error _ -> invalid_arg "Runtime.run: server start failed"
+  done;
+  let conns =
+    Array.map
+      (fun owner ->
+        tallies.(owner).t_flows <- tallies.(owner).t_flows + 1;
+        match connect_client t owner ~port with
+        | Ok qd -> (owner, qd)
+        | Error _ -> invalid_arg "Runtime.run: connect failed")
+      owners
+  in
+  let starts = Array.map Engine.now t.engines in
+  Array.iter (fun (owner, qd) -> start owner tallies.(owner) qd) conns;
+  (match drive with
+  | Some f -> f t.engines
+  | None -> Engine.run_group t.engines);
+  finish_stats t tallies starts
+
 let echo_payload ~home ~size =
   let b = Bytes.make (max 1 size) 'e' in
   Bytes.set b 0 (Char.chr (home land 0xff));
   Bytes.to_string b
 
-(* Client side: closed-loop ping over one connection, event-driven so
-   the group scheduler interleaves shards fairly. *)
-let rec echo_flow_round t i tally qd ~size ~rounds_left =
+(* Client side: closed-loop requests over one connection, event-driven
+   so the group scheduler interleaves shards fairly. [request home]
+   builds the next request for a drawn home shard; [on_reply sga reply]
+   frees what the round holds once the answer is in. *)
+let rec flow_round t i tally qd ~request ~on_reply ~ops_left =
   let sh = t.shards.(i) in
   let demi = Shard.demi_client sh in
-  if rounds_left <= 0 then (
+  if ops_left <= 0 then (
     match Demi.close demi qd with Ok () | Error _ -> ())
   else
     let home = draw_home t i in
-    match Demi.sga_alloc demi (echo_payload ~home ~size) with
+    match request home with
     | Error _ -> ()
     | Ok sga -> (
         let t0 = Engine.now (Shard.engine sh) in
@@ -362,46 +374,22 @@ let rec echo_flow_round t i tally qd ~size ~rounds_left =
                   record_op t i tally
                     (Int64.sub (Engine.now (Shard.engine sh)) t0)
                     ~remote:(home <> i);
-                  Demi.sga_free demi reply;
-                  Demi.sga_free demi sga;
-                  echo_flow_round t i tally qd ~size
-                    ~rounds_left:(rounds_left - 1)
+                  on_reply sga reply;
+                  flow_round t i tally qd ~request ~on_reply
+                    ~ops_left:(ops_left - 1)
               | Types.Failed _ -> (
                   match Demi.close demi qd with Ok () | Error _ -> ())
               | Types.Pushed | Types.Accepted _ -> ()))
 
 let run_echo ?drive t ~flows ~size ~rounds =
-  let owners = place_flows t ~flows ~dst_port:echo_port in
-  let tallies =
-    Array.init t.n (fun _ ->
-        { t_flows = 0; t_ops = 0; t_remote = 0; t_lat = Histogram.create () })
-  in
-  for i = 0 to t.n - 1 do
-    match start_server t i ~port:echo_port serve_echo_conn with
-    | Ok () -> ()
-    | Error _ -> invalid_arg "Runtime.run_echo: server start failed"
-  done;
-  (* Connection setup is blocking and runs only the owner's engine;
-     shards do not interact yet, so doing it in flow order is
-     deterministic. *)
-  let conns =
-    Array.map
-      (fun owner ->
-        tallies.(owner).t_flows <- tallies.(owner).t_flows + 1;
-        match connect_client t owner ~port:echo_port with
-        | Ok qd -> (owner, qd)
-        | Error _ -> invalid_arg "Runtime.run_echo: connect failed")
-      owners
-  in
-  let starts = Array.map Engine.now t.engines in
-  Array.iter
-    (fun (owner, qd) ->
-      echo_flow_round t owner tallies.(owner) qd ~size ~rounds_left:rounds)
-    conns;
-  (match drive with
-  | Some f -> f t.engines
-  | None -> Engine.run_group t.engines);
-  finish_stats t tallies starts
+  run ?drive t ~flows ~port:echo_port ~serve:echo_reply
+    ~start:(fun i tally qd ->
+      let demi = Shard.demi_client t.shards.(i) in
+      flow_round t i tally qd ~ops_left:rounds
+        ~request:(fun home -> Demi.sga_alloc demi (echo_payload ~home ~size))
+        ~on_reply:(fun sga reply ->
+          Demi.sga_free demi reply;
+          Demi.sga_free demi sga))
 
 (* ---- KV workload ---- *)
 
@@ -417,9 +405,10 @@ let key_home t key =
     | Some idx when idx >= 0 -> idx mod t.n
     | Some _ | None -> 0
 
-let kv_answer t i qd sga =
+(* Server side: answer from the local store, or forward the request
+   to the key's home shard and answer with its reply. *)
+let kv_reply t i loop qd sga =
   let sh = t.shards.(i) in
-  let demi = Shard.demi_server sh in
   Engine.consume (Shard.engine sh) (Shard.cost sh).Cost.app_request;
   (match Proto.request_of_sga sga with
   | None -> ()
@@ -430,74 +419,26 @@ let kv_answer t i qd sga =
         | Proto.Set (k, _) -> k
       in
       let home = key_home t key in
-      if home = i then (
-        let resp = Kv.apply_zero_copy (Shard.kv sh) req in
-        match Demi.push demi qd resp with
-        | Ok ptok -> Demi.watch demi ptok (fun _ -> ())
-        | Error _ -> ())
+      if home = i then
+        Event_loop.send loop qd (Kv.apply_zero_copy (Shard.kv sh) req)
       else
         request t ~src:i ~dst:home (Kv_req req) (fun reply ->
             let resp =
               match reply with Kv_resp r -> r | _ -> Proto.Not_found
             in
-            match Demi.push demi qd (Proto.response_sga resp) with
-            | Ok ptok -> Demi.watch demi ptok (fun _ -> ())
-            | Error _ -> ()));
+            Event_loop.send loop qd (Proto.response_sga resp)));
   Dk_mem.Sga.free sga
 
-let rec serve_kv_conn t i qd =
-  let demi = Shard.demi_server t.shards.(i) in
-  match Demi.pop demi qd with
-  | Error _ -> ()
-  | Ok tok ->
-      Demi.watch demi tok (function
-        | Types.Popped sga ->
-            kv_answer t i qd sga;
-            serve_kv_conn t i qd
-        | Types.Failed _ -> (
-            match Demi.close demi qd with Ok () | Error _ -> ())
-        | Types.Pushed | Types.Accepted _ -> ())
-
-let kv_request t i ~keys_per_shard ~value_size ~read_fraction =
-  let sh = t.shards.(i) in
-  let home = draw_home t i in
-  let local = Rng.int (Shard.rng sh) keys_per_shard in
-  let key = Dk_apps.Workload.key_name (home + (t.n * local)) in
-  let req =
-    if Rng.bool (Shard.rng sh) read_fraction then Proto.Get key
-    else Proto.Set (key, String.make value_size 'v')
+(* A GET or SET of a key from [home]'s stripe of the key space. *)
+let kv_request t i ~keys_per_shard ~value_size ~read_fraction home =
+  let rng = Shard.rng t.shards.(i) in
+  let key =
+    Dk_apps.Workload.key_name (home + (t.n * Rng.int rng keys_per_shard))
   in
-  (req, home)
-
-let rec kv_flow_round t i tally qd ~keys_per_shard ~value_size ~read_fraction
-    ~ops_left =
-  let sh = t.shards.(i) in
-  let demi = Shard.demi_client sh in
-  if ops_left <= 0 then (
-    match Demi.close demi qd with Ok () | Error _ -> ())
-  else
-    let req, home =
-      kv_request t i ~keys_per_shard ~value_size ~read_fraction
-    in
-    let sga = Proto.request_sga req in
-    let t0 = Engine.now (Shard.engine sh) in
-    (match Demi.push demi qd sga with
-    | Ok ptok -> Demi.watch demi ptok (fun _ -> ())
-    | Error _ -> ());
-    match Demi.pop demi qd with
-    | Error _ -> ()
-    | Ok tok ->
-        Demi.watch demi tok (function
-          | Types.Popped reply ->
-              record_op t i tally
-                (Int64.sub (Engine.now (Shard.engine sh)) t0)
-                ~remote:(home <> i);
-              Dk_mem.Sga.free reply;
-              kv_flow_round t i tally qd ~keys_per_shard ~value_size
-                ~read_fraction ~ops_left:(ops_left - 1)
-          | Types.Failed _ -> (
-              match Demi.close demi qd with Ok () | Error _ -> ())
-          | Types.Pushed | Types.Accepted _ -> ())
+  Ok
+    (Proto.request_sga
+       (if Rng.bool rng read_fraction then Proto.Get key
+        else Proto.Set (key, String.make value_size 'v')))
 
 let preload_kv t ~keys_per_shard ~value_size =
   (* Warm every shard's store directly (no network): key k lives on
@@ -515,36 +456,11 @@ let preload_kv t ~keys_per_shard ~value_size =
 let run_kv ?drive t ~flows ~ops_per_flow ~keys_per_shard ~value_size
     ~read_fraction =
   if keys_per_shard <= 0 then invalid_arg "Runtime.run_kv: keys_per_shard";
-  let owners = place_flows t ~flows ~dst_port:kv_port in
-  let tallies =
-    Array.init t.n (fun _ ->
-        { t_flows = 0; t_ops = 0; t_remote = 0; t_lat = Histogram.create () })
-  in
   preload_kv t ~keys_per_shard ~value_size;
-  for i = 0 to t.n - 1 do
-    match start_server t i ~port:kv_port serve_kv_conn with
-    | Ok () -> ()
-    | Error _ -> invalid_arg "Runtime.run_kv: server start failed"
-  done;
-  let conns =
-    Array.map
-      (fun owner ->
-        tallies.(owner).t_flows <- tallies.(owner).t_flows + 1;
-        match connect_client t owner ~port:kv_port with
-        | Ok qd -> (owner, qd)
-        | Error _ -> invalid_arg "Runtime.run_kv: connect failed")
-      owners
-  in
-  let starts = Array.map Engine.now t.engines in
-  Array.iter
-    (fun (owner, qd) ->
-      kv_flow_round t owner tallies.(owner) qd ~keys_per_shard ~value_size
-        ~read_fraction ~ops_left:ops_per_flow)
-    conns;
-  (match drive with
-  | Some f -> f t.engines
-  | None -> Engine.run_group t.engines);
-  finish_stats t tallies starts
+  run ?drive t ~flows ~port:kv_port ~serve:kv_reply ~start:(fun i tally qd ->
+      flow_round t i tally qd ~ops_left:ops_per_flow
+        ~request:(kv_request t i ~keys_per_shard ~value_size ~read_fraction)
+        ~on_reply:(fun _ reply -> Dk_mem.Sga.free reply))
 
 (* ---- accessors ---- *)
 

@@ -40,18 +40,9 @@ let net_workload ~plan ~batch ~window () =
   let sqd = Result.get_ok (Demi.socket db `Udp) in
   must (Demi.bind db sqd ~port:9);
   let received = ref [] in
-  let rec drain () =
-    match Demi.pop db sqd with
-    | Error _ -> ()
-    | Ok tok ->
-        Demi.watch db tok (function
-          | Types.Popped sga ->
-              received := Sga.to_string sga :: !received;
-              Sga.free sga;
-              drain ()
-          | _ -> ())
-  in
-  drain ();
+  Dk_sched.Event_loop.on_message (Dk_sched.Event_loop.create db) sqd (fun sga ->
+      received := Sga.to_string sga :: !received;
+      Sga.free sga);
   let cqd = Result.get_ok (Demi.socket da `Udp) in
   must (Demi.connect da cqd ~dst:(Setup.endpoint duo.Setup.b 9));
   Demi.set_batch_window da window;

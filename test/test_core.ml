@@ -163,31 +163,78 @@ let wait_timeout_keeps_token () =
   check_str "second wait succeeds" "finally"
     (expect_popped (Demi.wait demi tok))
 
+(* The four timed waits, each waiting on one token: [Some r] is the
+   completion, [None] the timeout. They share one deadline rule. *)
+let timed_waits =
+  [
+    ( "wait_timeout",
+      fun demi tok ~timeout ->
+        match Demi.wait_timeout demi tok ~timeout with
+        | Types.Failed `Timeout -> None
+        | r -> Some r );
+    ( "wait_any",
+      fun demi tok ~timeout ->
+        Option.map snd (Demi.wait_any ~timeout demi [ tok ]) );
+    ( "wait_all",
+      fun demi tok ~timeout ->
+        match Demi.wait_all ~timeout demi [ tok ] with
+        | Some [ (_, r) ] -> Some r
+        | Some _ -> Alcotest.fail "wait_all: one token, one result"
+        | None -> None );
+    ( "wait_next",
+      fun demi tok ~timeout ->
+        let ws = Demi.waitset demi in
+        Demi.waitset_add demi ws tok;
+        Option.map snd (Demi.wait_next ~timeout demi ws) );
+  ]
+
+(* A token popped at [t0] whose completion is due at [t0 + due]. *)
+let pop_due_at due payload =
+  let engine, demi = solo_demi () in
+  let q = Demi.queue demi in
+  let tok = Result.get_ok (Demi.pop demi q) in
+  let t0 = Engine.now engine in
+  ignore
+    (Engine.after engine due (fun () ->
+         ignore (Demi.push demi q (sga_str payload))));
+  (engine, demi, tok, t0)
+
 (* Regression: a completion whose event lands exactly on the deadline
    is inside the window — redemption wins the tie, never the timeout —
    even though the poll loop's own CPU charges may have pushed the
    clock past the event before it ran. *)
 let wait_timeout_deadline_tie () =
-  let engine, demi = solo_demi () in
-  let q = Demi.queue demi in
-  let tok = Result.get_ok (Demi.pop demi q) in
-  ignore
-    (Engine.after engine 500L (fun () ->
-         ignore (Demi.push demi q (sga_str "on the wire"))));
-  check_str "tie goes to the completion" "on the wire"
-    (expect_popped (Demi.wait_timeout demi tok ~timeout:500L))
+  List.iter
+    (fun (name, timed_wait) ->
+      let _, demi, tok, _ = pop_due_at 500L "on the wire" in
+      match timed_wait demi tok ~timeout:500L with
+      | Some r ->
+          check_str (name ^ ": tie goes to the completion") "on the wire"
+            (expect_popped r)
+      | None -> Alcotest.failf "%s: timed out on a tie" name)
+    timed_waits
 
+(* One nanosecond late is outside the window: the wait times out with
+   the clock at the deadline, without running the late event, and the
+   completion stays for a later wait. *)
 let wait_timeout_just_late () =
+  List.iter
+    (fun (name, timed_wait) ->
+      let engine, demi, tok, t0 = pop_due_at 501L "late" in
+      check_bool (name ^ ": one past the deadline times out") true
+        (timed_wait demi tok ~timeout:500L = None);
+      check Alcotest.int64 (name ^ ": clock stops at the deadline")
+        (Int64.add t0 500L) (Engine.now engine);
+      check_str (name ^ ": token survives to a later wait") "late"
+        (expect_popped (Demi.wait demi tok)))
+    timed_waits
+
+let wait_timeout_bad_token () =
   let engine, demi = solo_demi () in
-  let q = Demi.queue demi in
-  let tok = Result.get_ok (Demi.pop demi q) in
-  ignore
-    (Engine.after engine 501L (fun () ->
-         ignore (Demi.push demi q (sga_str "late"))));
-  check_bool "one past the deadline times out" true
-    (Demi.wait_timeout demi tok ~timeout:500L = Types.Failed `Timeout);
-  check_str "token survives to a later wait" "late"
-    (expect_popped (Demi.wait demi tok))
+  let t0 = Engine.now engine in
+  check_bool "bad token" true
+    (Demi.wait_timeout demi 9999 ~timeout:500L = Types.Failed `Bad_qtoken);
+  check Alcotest.int64 "clock did not move" t0 (Engine.now engine)
 
 (* ---------------- TCP queues over two runtimes ---------------- *)
 
@@ -269,9 +316,11 @@ let tcp_close_propagates () =
   check_bool "pop failed after peer close" true
     (match result with Types.Failed _ -> true | _ -> false)
 
-(* A peer whose stream no framing can describe (a segment count of
-   2^35 - 1) costs only its own connection: the event loop returns,
-   that connection's pop fails, and the listener keeps serving. *)
+(* A peer whose stream no framing can describe costs only its own
+   connection: the event loop returns, that connection's pop fails, and
+   the listener keeps serving. Two such streams: a segment count of
+   2^35 - 1, and a varint that ten 0x80 bytes leave unterminated (no
+   non-negative int needs more than nine). *)
 let tcp_bad_framing_aborts_one_conn () =
   let duo, da, db = demi_pair () in
   let rejected () =
@@ -282,18 +331,21 @@ let tcp_bad_framing_aborts_one_conn () =
   let lqd = Result.get_ok (Demi.socket db `Tcp) in
   ignore (Demi.bind db lqd ~port:7);
   ignore (Demi.listen db lqd);
-  let raw = Dk_net.Stack.tcp_connect duo.Setup.a.Setup.stack ~dst:(Setup.endpoint duo.Setup.b 7) in
-  Dk_net.Tcp.set_on_connect raw (fun () -> ignore (Dk_net.Tcp.send raw "\xff\xff\xff\xff\x0f"));
-  let bad = Result.get_ok (Demi.accept db lqd) in
-  Engine.run duo.Setup.engine;
-  check_bool "bad conn aborted" true (Demi.blocking_pop db bad = Types.Failed `Conn_aborted);
+  List.iter
+    (fun stream ->
+      let raw = Dk_net.Stack.tcp_connect duo.Setup.a.Setup.stack ~dst:(Setup.endpoint duo.Setup.b 7) in
+      Dk_net.Tcp.set_on_connect raw (fun () -> ignore (Dk_net.Tcp.send raw stream));
+      let bad = Result.get_ok (Demi.accept db lqd) in
+      Engine.run duo.Setup.engine;
+      check_bool "bad conn aborted" true (Demi.blocking_pop db bad = Types.Failed `Conn_aborted))
+    [ "\xff\xff\xff\xff\x0f"; String.make 10 '\x80' ];
   let qd = Result.get_ok (Demi.socket da `Tcp) in
   ignore (Demi.connect da qd ~dst:(Setup.endpoint duo.Setup.b 7));
   let good = Result.get_ok (Demi.accept db lqd) in
   ignore (Demi.blocking_push da qd (sga_str "hello"));
   ignore (Demi.blocking_push db good (sga_str (expect_popped (Demi.blocking_pop db good))));
   check_str "healthy conn echoes" "hello" (expect_popped (Demi.blocking_pop da qd));
-  check_int "one rejection" 1 (rejected () - r0)
+  check_int "one rejection per bad stream" 2 (rejected () - r0)
 
 let udp_queue_roundtrip () =
   let duo, da, db = demi_pair () in
@@ -301,20 +353,9 @@ let udp_queue_roundtrip () =
   let sqd = Result.get_ok (Demi.socket db `Udp) in
   ignore (Demi.bind db sqd ~port:53);
   ignore (Demi.connect db sqd ~dst:(Dk_net.Addr.endpoint duo.Setup.a.Setup.ip 54));
-  let rec serve () =
-    match Demi.pop db sqd with
-    | Error _ -> ()
-    | Ok tok ->
-        Demi.watch db tok (function
-          | Types.Popped sga ->
-              let reply = sga_str ("ack:" ^ Sga.to_string sga) in
-              (match Demi.push db sqd reply with
-              | Ok t -> Demi.watch db t (fun _ -> ())
-              | Error _ -> ());
-              serve ()
-          | _ -> ())
-  in
-  serve ();
+  let loop = Dk_sched.Event_loop.create db in
+  Dk_sched.Event_loop.on_message loop sqd (fun sga ->
+      Dk_sched.Event_loop.send loop sqd (sga_str ("ack:" ^ Sga.to_string sga)));
   (* client *)
   let cqd = Result.get_ok (Demi.socket da `Udp) in
   ignore (Demi.bind da cqd ~port:54);
@@ -1065,6 +1106,7 @@ let () =
           Alcotest.test_case "timeout keeps token" `Quick wait_timeout_keeps_token;
           Alcotest.test_case "deadline tie redeems" `Quick wait_timeout_deadline_tie;
           Alcotest.test_case "just-late times out" `Quick wait_timeout_just_late;
+          Alcotest.test_case "timeout bad token" `Quick wait_timeout_bad_token;
           Alcotest.test_case "wait_all partial timeout" `Quick wait_all_partial_timeout;
         ] );
       ( "tcp-queues",

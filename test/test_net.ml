@@ -1025,11 +1025,25 @@ let framing_roundtrip_prop =
 
 (* Arbitrary bytes in arbitrary chunks: the decoder never raises, and
    once it calls the stream corrupt it stays corrupt and yields
-   nothing. *)
+   nothing. Some inputs instead follow one framed message with a header
+   prefix and a run of 0x80 bytes: an unterminated varint where a
+   segment count or length starts. Eight such bytes may still be a
+   short read; nine or more are corrupt, as no non-negative int needs
+   more. *)
 let framing_total_prop =
   QCheck.Test.make ~name:"framing decoder total and sticky" ~count:500
-    QCheck.(pair (string_of_size Gen.(0 -- 80)) (int_bound 1000))
-    (fun (stream, seed) ->
+    QCheck.(
+      triple (string_of_size Gen.(0 -- 80)) (int_bound 1000)
+        (option (pair (int_bound 2) (int_bound 16))))
+    (fun (bytes, seed, run) ->
+      let stream =
+        match run with
+        | None -> bytes
+        | Some (field, n) ->
+            Framing.encode [ bytes ]
+            ^ [| ""; "\x01"; "\x02\x03" |].(field)
+            ^ String.make n '\x80'
+      in
       let rng = Dk_sim.Rng.create (Int64.of_int seed) in
       let d = Framing.create () in
       let sticky = ref true and pos = ref 0 in
@@ -1047,7 +1061,11 @@ let framing_total_prop =
         pos := !pos + n;
         drain ()
       done;
-      !sticky)
+      !sticky
+      &&
+      match run with
+      | None -> true
+      | Some (_, n) -> Framing.corrupt d = (n >= 9))
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
