@@ -6,12 +6,10 @@
    weak-scale echo and KV from 1 to 16 shards (fixed flows per shard)
    and ablate the cross-shard traffic fraction: shared-nothing scaling
    is linear at 0% remote and degrades smoothly as requests must hop
-   to their home shard and back. Per-shard latency comes from the
-   shard<i>.app.client.rtt obs histograms. *)
+   to their home shard and back. Per-shard latency is each run's own
+   [Runtime.stats] histogram. *)
 
 module Runtime = Dk_shard_rt.Runtime
-module Shard = Dk_shard_rt.Shard
-module Metrics = Dk_obs.Metrics
 module H = Dk_sim.Histogram
 
 let shard_counts = [ 1; 2; 4; 8; 16 ]
@@ -20,34 +18,27 @@ let echo_rounds = 100
 let kv_ops_per_flow = 100
 let seed = 42L
 
-let obs_shard_hist i =
-  Metrics.hist_data (Metrics.hist (Shard.obs_name i "app.client.rtt"))
+(* Merge the per-shard histograms into the run-wide distribution. *)
+let merged_hist (s : Runtime.stats) =
+  Array.fold_left
+    (fun acc p -> H.merge acc p.Runtime.latency)
+    (H.create ()) s.Runtime.per_shard
 
-(* Merge the per-shard obs histograms into the run-wide distribution. *)
-let merged_hist n =
-  let rec go acc i =
-    if i >= n then acc else go (H.merge acc (obs_shard_hist i)) (i + 1)
-  in
-  go (H.create ()) 0
-
-let worst_p99 n =
-  let worst = ref 0L in
-  for i = 0 to n - 1 do
-    let h = obs_shard_hist i in
-    if H.count h > 0 then begin
-      let p = H.quantile h 0.99 in
-      if Int64.compare p !worst > 0 then worst := p
-    end
-  done;
-  !worst
+let worst_p99 (s : Runtime.stats) =
+  Array.fold_left
+    (fun worst p ->
+      let h = p.Runtime.latency in
+      if H.count h = 0 then worst
+      else
+        let q = H.quantile h 0.99 in
+        if Int64.compare q worst > 0 then q else worst)
+    0L s.Runtime.per_shard
 
 type workload = Echo | Kv
 
 let workload_name = function Echo -> "echo" | Kv -> "kv"
 
 let run_cell workload ~n ~xfrac =
-  (* Each cell reads its own obs deltas: fresh registry, fresh world. *)
-  Metrics.reset Metrics.default;
   let t = Runtime.create ~n ~xfrac ~seed () in
   let flows = flows_per_shard * n in
   match workload with
@@ -70,7 +61,7 @@ let scaling_table workload =
       let s = run_cell workload ~n ~xfrac:0.0 in
       let k = kops s in
       if n = 1 then base := k;
-      let m = merged_hist n in
+      let m = merged_hist s in
       [
         string_of_int n;
         string_of_int (flows_per_shard * n);
@@ -80,7 +71,7 @@ let scaling_table workload =
         Report.ns (H.quantile m 0.5);
         Report.ns (H.quantile m 0.99);
         Report.ns (H.quantile m 0.999);
-        Report.ns (worst_p99 n);
+        Report.ns (worst_p99 s);
       ])
     shard_counts
 
@@ -93,7 +84,7 @@ let ablation_rows () =
         (fun xfrac ->
           let n = 8 in
           let s = run_cell workload ~n ~xfrac in
-          let m = merged_hist n in
+          let m = merged_hist s in
           [
             workload_name workload;
             Printf.sprintf "%.0f%%" (xfrac *. 100.0);
@@ -103,7 +94,7 @@ let ablation_rows () =
             Report.ns (H.quantile m 0.5);
             Report.ns (H.quantile m 0.99);
             Report.ns (H.quantile m 0.999);
-            Report.ns (worst_p99 n);
+            Report.ns (worst_p99 s);
           ])
         [ 0.0; 0.05; 0.20 ])
     [ Echo; Kv ]
@@ -116,7 +107,7 @@ let per_shard_rows () =
   Array.to_list
     (Array.map
        (fun p ->
-         let h = obs_shard_hist p.Runtime.shard in
+         let h = p.Runtime.latency in
          [
            string_of_int p.Runtime.shard;
            string_of_int p.Runtime.flow_count;

@@ -84,26 +84,20 @@ type station = {
   pend : pendreq Queue.t;  (* bounded at qcap *)
   idle : Types.qd Queue.t;  (* parked trunks *)
   mutable shutting : bool;
-  (* Offered-side tallies (mirrored into Dk_obs counters below; kept as
-     plain fields too so stats are exact even when the shared registry
-     carries residue from a calibration world). *)
-  mutable m_offered : int;
-  mutable m_admitted : int;
-  mutable m_shed : int;
-  mutable m_done : int;
-  mutable m_inwin : int;  (* completions inside the offered window *)
-  mutable m_churn : int;
-  mutable m_stall : int;
-  mutable m_digest : int64;
-  lat : Histogram.t;
-  c_offered : Metrics.counter;
-  c_admitted : Metrics.counter;
-  c_dropped : Metrics.counter;
-  c_done : Metrics.counter;
-  c_churn : Metrics.counter;
-  g_qdepth : Metrics.gauge;
-  g_stall : Metrics.gauge;
-  h_lat : Metrics.hist;
+  mutable live : int;  (* trunks not yet closed *)
+  (* This run's counts: the station's own instances of the
+     [apps.loadgen.*] instruments, so its stats never read what an
+     earlier world in the same process left in the registry. *)
+  offered : Metrics.counter;
+  admitted : Metrics.counter;
+  dropped : Metrics.counter;
+  completed : Metrics.counter;
+  churned : Metrics.counter;
+  qdepth : Metrics.gauge;
+  stalls : Metrics.gauge;
+  lat : Metrics.hist;
+  mutable inwin : int;  (* completions inside the offered window *)
+  mutable digest : int64;
 }
 
 type t = {
@@ -219,6 +213,10 @@ let preload (scn : Scenario.t) sh =
 
 (* ---- trunk pump: issue, complete, pump the bounded queue ---- *)
 
+let hang_up st qd =
+  st.live <- st.live - 1;
+  match Demi.close (Shard.demi_client st.sh) qd with Ok () | Error _ -> ()
+
 let rec issue t j qd p =
   let st = t.stations.(j) in
   let demi = Shard.demi_client st.sh in
@@ -239,65 +237,54 @@ let rec issue t j qd p =
         | Types.Popped reply ->
             Dk_mem.Sga.free reply;
             let now = Engine.now st.eng in
-            let dt = Int64.sub now p.p_born in
-            Histogram.record st.lat dt;
-            Metrics.observe st.h_lat dt;
-            st.m_done <- st.m_done + 1;
-            if Int64.compare now t.deadline <= 0 then
-              st.m_inwin <- st.m_inwin + 1;
-            Metrics.incr st.c_done;
+            Metrics.observe st.lat (Int64.sub now p.p_born);
+            Metrics.incr st.completed;
+            if Int64.compare now t.deadline <= 0 then st.inwin <- st.inwin + 1;
             if conn_is_slow t p.p_conn then begin
               (* Slow reader: the response sits undrained, stalling the
                  trunk — head-of-line pressure the queue then feels. *)
-              st.m_stall <- st.m_stall + 1;
-              Metrics.gauge_add st.g_stall 1;
+              Metrics.gauge_add st.stalls 1;
               let (_ : Engine.timer) =
                 Engine.after st.eng t.cfg.slow_delay_ns (fun () ->
-                    st.m_stall <- st.m_stall - 1;
-                    Metrics.gauge_add st.g_stall (-1);
+                    Metrics.gauge_add st.stalls (-1);
                     pump t j qd)
               in
               ()
             end
             else pump t j qd
-        | Types.Failed _ -> (
-            match Demi.close demi qd with Ok () | Error _ -> ())
+        | Types.Failed _ -> hang_up st qd
         | Types.Pushed | Types.Accepted _ -> ())
 
 and pump t j qd =
   let st = t.stations.(j) in
   if Queue.is_empty st.pend then
-    if st.shutting then (
-      match Demi.close (Shard.demi_client st.sh) qd with
-      | Ok () | Error _ -> ())
-    else Queue.push qd st.idle
+    if st.shutting then hang_up st qd else Queue.push qd st.idle
   else begin
     let p = Queue.pop st.pend in
-    Metrics.gauge_add st.g_qdepth (-1);
+    Metrics.gauge_add st.qdepth (-1);
     issue t j qd p
   end
 
-(* Admission: idle trunk -> issue now; room in the queue -> park the
-   request; full queue -> shed. This is the only place load is refused,
-   and it is counted. *)
+(* Admission: idle trunk -> issue now; room in the queue and a trunk
+   left to drain it -> park the request; otherwise -> shed. A request
+   born before the deadline can arrive after the deadline event closed
+   every idle trunk; once the busy ones have hung up too, nothing would
+   ever serve it. This is the only place load is refused, and it is
+   counted, so offered = admitted + dropped and, once the run drains,
+   admitted = completed. *)
 let enqueue t j p =
   let st = t.stations.(j) in
-  st.m_offered <- st.m_offered + 1;
-  Metrics.incr st.c_offered;
+  Metrics.incr st.offered;
   if not (Queue.is_empty st.idle) then begin
-    st.m_admitted <- st.m_admitted + 1;
-    Metrics.incr st.c_admitted;
+    Metrics.incr st.admitted;
     issue t j (Queue.pop st.idle) p
   end
-  else if Queue.length st.pend >= t.cfg.qcap then begin
-    st.m_shed <- st.m_shed + 1;
-    Metrics.incr st.c_dropped
-  end
+  else if Queue.length st.pend >= t.cfg.qcap || st.live = 0 then
+    Metrics.incr st.dropped
   else begin
-    st.m_admitted <- st.m_admitted + 1;
-    Metrics.incr st.c_admitted;
+    Metrics.incr st.admitted;
     Queue.push p st.pend;
-    Metrics.gauge_add st.g_qdepth 1
+    Metrics.gauge_add st.qdepth 1
   end
 
 (* Deliver an offered request to the shard that owns its connection, on
@@ -332,8 +319,7 @@ let rec arrival_fire t i ts =
   in
   let key = Workload.next_key st.wl in
   let get = Workload.is_get st.wl ~read_fraction:t.cfg.read_fraction in
-  st.m_digest <-
-    digest_mix st.m_digest ~rel:(Int64.sub ts t.t0) ~conn ~key;
+  st.digest <- digest_mix st.digest ~rel:(Int64.sub ts t.t0) ~conn ~key;
   deliver t target { p_conn = conn; p_born = ts; p_key = key; p_get = get };
   schedule_arrival t i ~now:ts
 
@@ -369,8 +355,7 @@ let rec churn_fire t i ts =
     let k = Rng.int st.rng st.n_active in
     st.active.(k) <- st.active.(st.n_active - 1);
     st.n_active <- st.n_active - 1;
-    st.m_churn <- st.m_churn + 1;
-    Metrics.incr st.c_churn;
+    Metrics.incr st.churned;
     (* The replacement flow hashes wherever RSS sends it — churn is
        exactly how per-shard load drifts off the rebalanced placement. *)
     let c = fresh_conn t in
@@ -484,11 +469,9 @@ type stats = {
 (* ---- world construction ---- *)
 
 let build_stations ~(scn : Scenario.t) ~n ~seed =
-  let dist =
-    if scn.zipf_theta <= 0.0 then Workload.Uniform scn.keys
-    else Workload.Zipf { n = scn.keys; theta = scn.zipf_theta }
-  in
+  let dist = key_dist scn in
   Array.init n (fun id ->
+      let own rest = Metrics.instance (Metrics.counter (mname n id rest)) in
       let sh = Shard.create ~id ~programmable:scn.offload ~seed () in
       let arr_rng = Rng.create (substream seed (Int64.of_int (100 + id))) in
       {
@@ -504,23 +487,18 @@ let build_stations ~(scn : Scenario.t) ~n ~seed =
         pend = Queue.create ();
         idle = Queue.create ();
         shutting = false;
-        m_offered = 0;
-        m_admitted = 0;
-        m_shed = 0;
-        m_done = 0;
-        m_inwin = 0;
-        m_churn = 0;
-        m_stall = 0;
-        m_digest = substream seed (Int64.of_int (400 + id));
-        lat = Histogram.create ();
-        c_offered = Metrics.counter (mname n id "offered");
-        c_admitted = Metrics.counter (mname n id "admitted");
-        c_dropped = Metrics.counter (mname n id "dropped");
-        c_done = Metrics.counter (mname n id "completed");
-        c_churn = Metrics.counter (mname n id "churned");
-        g_qdepth = Metrics.gauge (mname n id "qdepth");
-        g_stall = Metrics.gauge (mname n id "slow_stalls");
-        h_lat = Metrics.hist (mname n id "latency_ns");
+        live = scn.trunks;
+        offered = own "offered";
+        admitted = own "admitted";
+        dropped = own "dropped";
+        completed = own "completed";
+        churned = own "churned";
+        qdepth = Metrics.gauge_instance (Metrics.gauge (mname n id "qdepth"));
+        stalls =
+          Metrics.gauge_instance (Metrics.gauge (mname n id "slow_stalls"));
+        lat = Metrics.hist_instance (Metrics.hist (mname n id "latency_ns"));
+        inwin = 0;
+        digest = substream seed (Int64.of_int (400 + id));
       })
 
 (* ---- calibration ----
@@ -709,10 +687,7 @@ let run ?drive ?offered_rate ~(scn : Scenario.t) ~shards ~seed () =
       deadline;
       rate_per_ns = rate_s /. 1e9;
       inc_rng = Rng.create (substream seed 500L);
-      inc_wl =
-        Workload.create ~seed:(substream seed 600L)
-          (if scn.zipf_theta <= 0.0 then Workload.Uniform scn.keys
-           else Workload.Zipf { n = scn.keys; theta = scn.zipf_theta });
+      inc_wl = Workload.create ~seed:(substream seed 600L) (key_dist scn);
       inc_digest = substream seed 700L;
       eph = scn.conns;
     }
@@ -727,8 +702,7 @@ let run ?drive ?offered_rate ~(scn : Scenario.t) ~shards ~seed () =
         Engine.at st.eng deadline (fun () ->
             st.shutting <- true;
             while not (Queue.is_empty st.idle) do
-              match Demi.close (Shard.demi_client st.sh) (Queue.pop st.idle) with
-              | Ok () | Error _ -> ()
+              hang_up st (Queue.pop st.idle)
             done)
       in
       ())
@@ -743,15 +717,15 @@ let run ?drive ?offered_rate ~(scn : Scenario.t) ~shards ~seed () =
         {
           ls_shard = st.id;
           ls_conns = st.n_active;
-          ls_offered = st.m_offered;
-          ls_admitted = st.m_admitted;
-          ls_shed = st.m_shed;
-          ls_done = st.m_done;
-          ls_inwin = st.m_inwin;
-          ls_churn = st.m_churn;
-          ls_qdepth_hwm = Metrics.gauge_hwm st.g_qdepth;
-          ls_stall_hwm = Metrics.gauge_hwm st.g_stall;
-          ls_lat = st.lat;
+          ls_offered = Metrics.value st.offered;
+          ls_admitted = Metrics.value st.admitted;
+          ls_shed = Metrics.value st.dropped;
+          ls_done = Metrics.value st.completed;
+          ls_inwin = st.inwin;
+          ls_churn = Metrics.value st.churned;
+          ls_qdepth_hwm = Metrics.gauge_hwm st.qdepth;
+          ls_stall_hwm = Metrics.gauge_hwm st.stalls;
+          ls_lat = Metrics.hist_data st.lat;
         })
       stations
   in
@@ -775,7 +749,7 @@ let run ?drive ?offered_rate ~(scn : Scenario.t) ~shards ~seed () =
     (int_of_float (goodput /. 1e3));
   let digest =
     Array.fold_left
-      (fun a st -> mix64 (Int64.logxor a st.m_digest))
+      (fun a st -> mix64 (Int64.logxor a st.digest))
       t.inc_digest stations
   in
   let host_cpu_ns =

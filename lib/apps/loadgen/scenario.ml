@@ -109,7 +109,6 @@ let all =
   ]
 
 let find name = List.find_opt (fun s -> s.name = name) all
-let names () = List.map (fun s -> s.name) all
 
 (* CI smoke scale: same shape, 10^4 conns and a short window, so the
    whole catalogue runs in seconds. *)

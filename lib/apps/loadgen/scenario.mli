@@ -38,7 +38,6 @@ val all : t list
     overload. *)
 
 val find : string -> t option
-val names : unit -> string list
 
 val smoke : t -> t
 (** Same shape at CI scale: 10^4 connections, a few virtual ms. *)

@@ -114,11 +114,3 @@ let write t ~lba data k =
   attempt_op t
     ~resubmit:(fun wr -> Block.submit_write t.block ~wr_id:wr ~lba data)
     ~attempt:0 k
-
-(* Batched submission: the first submissions share one SQ doorbell
-   ring; each operation keeps its own continuation and retry state
-   (retries ring individually — they are rare and already paid for by
-   the backoff). *)
-let write_many t items =
-  Block.grouped t.block
-    (fun () -> List.map (fun (lba, data, k) -> write t ~lba data k) items)

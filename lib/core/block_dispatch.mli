@@ -24,11 +24,3 @@ val read : t -> lba:int -> (Dk_device.Block.completion -> unit) -> bool
 
 val write :
   t -> lba:int -> string -> (Dk_device.Block.completion -> unit) -> bool
-
-val write_many :
-  t ->
-  (int * string * (Dk_device.Block.completion -> unit)) list ->
-  bool list
-(** Submit several (lba, data, continuation) writes under one SQ
-    doorbell ring ({!Dk_device.Block.grouped}); per-operation results
-    match {!write}, in order. *)

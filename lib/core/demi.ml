@@ -127,8 +127,9 @@ let check_shutdown t =
 
 (* ---- descriptor table ---- *)
 
-(* Aggregates across all queues; the per-qd counters installed below
-   break the same totals down per descriptor. *)
+(* Aggregates across all queues: [push], [push_batch], [pop] and
+   [accept_async] count each operation once, whatever the descriptor
+   is bound to. *)
 let m_pushes = Dk_obs.Metrics.counter "core.pushes"
 let m_pops = Dk_obs.Metrics.counter "core.pops"
 let m_poll_iters = Dk_obs.Metrics.counter "core.poll_iters"
@@ -147,31 +148,10 @@ let flight_op t kind qd impl tok =
     Flight.commit Flight.default
   end
 
-(* Every descriptor's push/pop goes through this shim: one counter bump
-   plus a flight-recorder entry per operation, no virtual time. *)
 let install t impl =
   let qd = t.next_qd in
   t.next_qd <- t.next_qd + 1;
-  let m_push = Dk_obs.Metrics.counter (Printf.sprintf "core.qd%d.pushes" qd) in
-  let m_pop = Dk_obs.Metrics.counter (Printf.sprintf "core.qd%d.pops" qd) in
-  let instrumented =
-    {
-      impl with
-      Qimpl.push =
-        (fun sga tok ->
-          Dk_obs.Metrics.incr m_push;
-          Dk_obs.Metrics.incr m_pushes;
-          flight_op t Flight.Push qd impl tok;
-          impl.Qimpl.push sga tok);
-      pop =
-        (fun tok ->
-          Dk_obs.Metrics.incr m_pop;
-          Dk_obs.Metrics.incr m_pops;
-          flight_op t Flight.Pop qd impl tok;
-          impl.Qimpl.pop tok);
-    }
-  in
-  Hashtbl.replace t.qds qd instrumented;
+  Hashtbl.replace t.qds qd impl;
   qd
 
 let lookup t qd = Hashtbl.find_opt t.qds qd
@@ -362,40 +342,50 @@ let set_batch_window t ns =
   | Some disp -> Dk_device.Block.set_sq_window (Block_dispatch.block disp) ns
   | None -> ()
 
-(* ---- data path ---- *)
+(* ---- data path ----
+
+   Each push and pop costs one counter bump and one flight-recorder
+   entry, and no virtual time. *)
+
+let push_one t qd impl sga =
+  let tok = Token.fresh t.tokens in
+  Dk_obs.Metrics.incr m_pushes;
+  flight_op t Flight.Push qd impl tok;
+  impl.Qimpl.push sga tok;
+  tok
+
+let pop_one t qd impl =
+  let tok = Token.fresh t.tokens in
+  Dk_obs.Metrics.incr m_pops;
+  flight_op t Flight.Pop qd impl tok;
+  impl.Qimpl.pop tok;
+  tok
 
 let push t qd sga =
   match lookup t qd with
   | None -> Error `Bad_qd
-  | Some impl ->
-      let tok = Token.fresh t.tokens in
-      impl.Qimpl.push sga tok;
-      Ok tok
+  | Some impl -> Ok (push_one t qd impl sga)
 
 (* Batched submission: one descriptor-table lookup, one token minted
    per sga, and — when the device's tx window is open — one doorbell
    for the whole batch instead of one per element. *)
-let rec push_tokens t impl = function
+let rec push_tokens t qd impl = function
   | [] -> []
   | sga :: rest ->
-      let tok = Token.fresh t.tokens in
       Dk_obs.Metrics.incr m_push_batched;
-      impl.Qimpl.push sga tok;
-      tok :: push_tokens t impl rest
+      let tok = push_one t qd impl sga in
+      tok :: push_tokens t qd impl rest
   [@@hot.alloc "the batch API returns one fresh token list per call"]
 
 let push_batch t qd sgas =
   match lookup t qd with
   | None -> Error `Bad_qd
-  | Some impl -> Ok (push_tokens t impl sgas)
+  | Some impl -> Ok (push_tokens t qd impl sgas)
 
 let pop t qd =
   match lookup t qd with
   | None -> Error `Bad_qd
-  | Some impl ->
-      let tok = Token.fresh t.tokens in
-      impl.Qimpl.pop tok;
-      Ok tok
+  | Some impl -> Ok (pop_one t qd impl)
 
 let blocking_push t qd sga =
   match push t qd sga with
@@ -473,11 +463,7 @@ let accept_async t qd =
   | Some impl ->
       if impl.Qimpl.kind <> "tcp-listen" && impl.Qimpl.kind <> "posix-listen"
       then Error `Not_supported
-      else begin
-        let tok = Token.fresh t.tokens in
-        impl.Qimpl.pop tok;
-        Ok tok
-      end
+      else Ok (pop_one t qd impl)
 
 let accept t qd =
   match accept_async t qd with

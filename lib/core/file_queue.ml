@@ -1,8 +1,6 @@
 module Block = Dk_device.Block
 module Framing = Dk_net.Framing
 
-let record_overhead = 8 (* u32 length prefix + u32 crc *)
-
 let u32_to_string v =
   let b = Bytes.create 4 in
   Bytes.set b 0 (Char.chr ((v lsr 24) land 0xff));

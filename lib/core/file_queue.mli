@@ -13,9 +13,6 @@
     trade-off §5.3 raises is that only a libOS that knows this layout
     can read the data. *)
 
-val record_overhead : int
-(** Bytes added per record (length prefix + CRC). *)
-
 val create :
   tokens:Token.t ->
   engine:Dk_sim.Engine.t ->

@@ -47,5 +47,4 @@ let fail t err =
   end
 
 let close t = fail t `Queue_closed
-let buffered t = Queue.length t.ready
 let waiting t = Queue.length t.waiters

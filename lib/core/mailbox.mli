@@ -29,5 +29,4 @@ val fail : t -> Types.error -> unit
     [`Io_error] from a dead block device instead of the generic
     [`Queue_closed]. *)
 
-val buffered : t -> int
 val waiting : t -> int

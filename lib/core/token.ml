@@ -30,7 +30,7 @@ type t = {
      redeem/complete on them is diagnosable (audit mode only) *)
   consumed : (Types.qtoken, unit) Hashtbl.t;
   mutable next : int;
-  mutable pending : int;
+  pending : Dk_obs.Metrics.gauge; (* instance of [g_outstanding] *)
   mutable double_completes : int;
   mutable redeems_after_watch : int;
 }
@@ -48,7 +48,7 @@ let create ?(audit = Dk_check.enabled_from_env ()) ?now () =
     clock = now;
     consumed = Hashtbl.create (if audit then 64 else 1);
     next = 1;
-    pending = 0;
+    pending = Dk_obs.Metrics.gauge_instance g_outstanding;
     double_completes = 0;
     redeems_after_watch = 0;
   }
@@ -57,14 +57,13 @@ let fresh t =
   let tok = t.next in
   t.next <- t.next + 1;
   Hashtbl.replace t.table tok Pending;
-  t.pending <- t.pending + 1;
   Dk_obs.Metrics.incr m_minted;
-  Dk_obs.Metrics.gauge_add g_outstanding 1;
+  Dk_obs.Metrics.gauge_add t.pending 1;
   tok
 
 let record_completion t tok =
   Dk_obs.Metrics.incr m_completed;
-  Dk_obs.Metrics.gauge_add g_outstanding (-1);
+  Dk_obs.Metrics.gauge_add t.pending (-1);
   match t.clock with
   | Some now ->
       if Flight.start Flight.default ~now:(now ()) Flight.Completion then begin
@@ -90,17 +89,14 @@ let complete t tok result =
   match Hashtbl.find_opt t.table tok with
   | Some Pending ->
       Hashtbl.replace t.table tok (Done result);
-      t.pending <- t.pending - 1;
       record_completion t tok
   | Some (Watched k) ->
       Hashtbl.remove t.table tok;
-      t.pending <- t.pending - 1;
       if t.audit then Hashtbl.replace t.consumed tok ();
       record_completion t tok;
       k result
   | Some (Queued ws) ->
       Hashtbl.replace t.table tok (Done result);
-      t.pending <- t.pending - 1;
       record_completion t tok;
       Queue.add tok ws.ready
   | Some (Done _) -> double_complete t tok
@@ -113,11 +109,6 @@ let status t tok =
   | Some (Pending | Watched _ | Queued _) -> `Pending
   | Some (Done _) -> `Done
   | None -> `Unknown
-
-let peek t tok =
-  match Hashtbl.find_opt t.table tok with
-  | Some (Done r) -> Some r
-  | Some (Pending | Watched _ | Queued _) | None -> None
 
 (* A watched token is auto-redeemed by its callback; redeeming it by
    hand would double-deliver the completion (§4.4: exactly one wakeup
@@ -163,7 +154,7 @@ let watch t tok k =
   | Some (Watched _) -> invalid_arg "Token.watch: already watched"
   | None -> invalid_arg "Token.watch: unknown token"
 
-let outstanding t = t.pending
+let outstanding t = Dk_obs.Metrics.gauge_value t.pending
 
 let waitset () = { ready = Queue.create () }
 
@@ -172,8 +163,7 @@ let register t ws tok =
   | Some (Pending | Queued _) -> Hashtbl.replace t.table tok (Queued ws)
   | Some (Done _) -> Queue.add tok ws.ready
   (* Watched or unknown tokens never become ready: the waiter keeps
-     polling without a hit, matching the scanning implementation where
-     [peek] never returned their result either. *)
+     polling without a hit. *)
   | Some (Watched _) | None -> ()
 
 let unregister t ws tok =

@@ -47,9 +47,6 @@ val complete : t -> Types.qtoken -> Types.op_result -> unit
 
 val status : t -> Types.qtoken -> [ `Pending | `Done | `Unknown ]
 
-val peek : t -> Types.qtoken -> Types.op_result option
-(** Result if completed, without redeeming. *)
-
 val redeem : t -> Types.qtoken -> Types.op_result option
 (** Take the result and forget the token.
     @raise Invalid_argument if the token is watched: a watched token's

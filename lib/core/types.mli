@@ -31,6 +31,5 @@ type op_result =
   | Accepted of qd               (** new connection queue (listen pops) *)
   | Failed of error
 
-val pp_error : Format.formatter -> error -> unit
 val pp_op_result : Format.formatter -> op_result -> unit
 val error_to_string : error -> string

@@ -2,18 +2,20 @@ type status = [ `Ok | `Bad_lba | `Io_error ]
 
 module Fault = Dk_fault.Fault
 module Flight = Dk_obs.Flight
+module Metrics = Dk_obs.Metrics
 
 type completion = { wr_id : int; status : status; data : string option }
 
 type stats = { reads : int; writes : int; rejected : int }
 
-(* Class-wide obs instruments (aggregated across block devices). The
-   latency histogram measures submit-to-completion in virtual ns. *)
-let m_reads = Dk_obs.Metrics.counter "device.block.reads"
-let m_writes = Dk_obs.Metrics.counter "device.block.writes"
-let m_rejected = Dk_obs.Metrics.counter "device.block.rejected"
-let g_inflight = Dk_obs.Metrics.gauge "device.block.sq_inflight"
-let h_latency = Dk_obs.Metrics.hist "device.block.sq_latency"
+(* Class-wide obs instruments (aggregated across block devices); each
+   device counts into its own instances of the first four. The latency
+   histogram measures submit-to-completion in virtual ns. *)
+let m_reads = Metrics.counter "device.block.reads"
+let m_writes = Metrics.counter "device.block.writes"
+let m_rejected = Metrics.counter "device.block.rejected"
+let g_inflight = Metrics.gauge "device.block.sq_inflight"
+let h_latency = Metrics.hist "device.block.sq_latency"
 
 type t = {
   engine : Dk_sim.Engine.t;
@@ -29,10 +31,10 @@ type t = {
   store : (int, string) Hashtbl.t; (* lba -> block contents *)
   cq : completion Queue.t;
   mutable cq_notify : unit -> unit;
-  mutable inflight : int;
-  mutable reads : int;
-  mutable writes : int;
-  mutable rejected : int;
+  inflight : Metrics.gauge;
+  reads : Metrics.counter;
+  writes : Metrics.counter;
+  rejected : Metrics.counter;
 }
 
 let create ~engine ~cost ?(fault = Fault.default) ?(block_size = 4096)
@@ -53,14 +55,13 @@ let create ~engine ~cost ?(fault = Fault.default) ?(block_size = 4096)
     store = Hashtbl.create 1024;
     cq = Queue.create ();
     cq_notify = (fun () -> ());
-    inflight = 0;
-    reads = 0;
-    writes = 0;
-    rejected = 0;
+    inflight = Metrics.gauge_instance g_inflight;
+    reads = Metrics.instance m_reads;
+    writes = Metrics.instance m_writes;
+    rejected = Metrics.instance m_rejected;
   }
 
 let block_size t = t.block_size
-let block_count t = t.block_count
 let engine t = t.engine
 let programmable t = t.programmable
 
@@ -93,10 +94,9 @@ let complete t delay comp =
   in
   ignore
     (Dk_sim.Engine.after t.engine delay (fun () ->
-         t.inflight <- t.inflight - 1;
-         Dk_obs.Metrics.gauge_add g_inflight (-1);
+         Metrics.gauge_add t.inflight (-1);
          let now = Dk_sim.Engine.now t.engine in
-         Dk_obs.Metrics.observe h_latency (Int64.sub now submitted);
+         Metrics.observe h_latency (Int64.sub now submitted);
          if Flight.start Flight.default ~now Flight.Completion then begin
            Flight.add_string Flight.default "block wr_id ";
            Flight.add_int Flight.default comp.wr_id;
@@ -109,15 +109,14 @@ let complete t delay comp =
          t.cq_notify ()))
 
 let submit t make_completion latency =
-  if t.inflight >= t.sq_depth then begin
-    t.rejected <- t.rejected + 1;
-    Dk_obs.Metrics.incr m_rejected;
+  if Metrics.gauge_value t.inflight >= t.sq_depth then begin
+    Metrics.incr t.rejected;
     if
       Flight.start Flight.default ~now:(Dk_sim.Engine.now t.engine)
         Flight.Drop
     then begin
       Flight.add_string Flight.default "block SQ full (";
-      Flight.add_int Flight.default t.inflight;
+      Flight.add_int Flight.default (Metrics.gauge_value t.inflight);
       Flight.add_string Flight.default " in flight)";
       Flight.commit Flight.default
     end;
@@ -125,8 +124,7 @@ let submit t make_completion latency =
   end
   else begin
     Doorbell.submit t.db (fun () ->
-        t.inflight <- t.inflight + 1;
-        Dk_obs.Metrics.gauge_add g_inflight 1;
+        Metrics.gauge_add t.inflight 1;
         complete t latency (make_completion ()));
     true
   end
@@ -158,10 +156,7 @@ let submit_read t ~wr_id ~lba =
          (Dk_sim.Cost.nvme_transfer_ns t.cost t.block_size))
   in
   let ok = submit t make latency in
-  if ok then begin
-    t.reads <- t.reads + 1;
-    Dk_obs.Metrics.incr m_reads
-  end;
+  if ok then Metrics.incr t.reads;
   ok
 
 let submit_write t ~wr_id ~lba data =
@@ -210,10 +205,7 @@ let submit_write t ~wr_id ~lba data =
          (Dk_sim.Cost.nvme_transfer_ns t.cost (String.length data)))
   in
   let ok = submit t make latency in
-  if ok then begin
-    t.writes <- t.writes + 1;
-    Dk_obs.Metrics.incr m_writes
-  end;
+  if ok then Metrics.incr t.writes;
   ok
 
 type op =
@@ -232,14 +224,18 @@ let submit_many t ops =
           if ok then acc + 1 else acc)
         0 ops)
 
-let grouped t f = Doorbell.group t.db f
 let set_sq_window t ns = Doorbell.set_window t.db ns
 let sq_doorbells t = Doorbell.rings t.db
 
 let poll_cq t = Queue.take_opt t.cq
 let cq_pending t = Queue.length t.cq
-let outstanding t = t.inflight
+let outstanding t = Metrics.gauge_value t.inflight
 
-let stats t = { reads = t.reads; writes = t.writes; rejected = t.rejected }
+let stats t =
+  {
+    reads = Metrics.value t.reads;
+    writes = Metrics.value t.writes;
+    rejected = Metrics.value t.rejected;
+  }
 
 let set_cq_notify t f = t.cq_notify <- f

@@ -45,7 +45,6 @@ val set_read_prog : t -> Prog.map option -> (unit, [ `Not_programmable ]) result
 (** Transform data on the way back (e.g. decryption). *)
 
 val block_size : t -> int
-val block_count : t -> int
 
 val engine : t -> Dk_sim.Engine.t
 (** The simulation engine the device schedules completions on (lets
@@ -65,11 +64,6 @@ type op =
 val submit_many : t -> op list -> int
 (** Submit several commands under one SQ doorbell ring
     ({!Doorbell.group}); returns how many the SQ accepted. *)
-
-val grouped : t -> (unit -> 'a) -> 'a
-(** Run [f]; submissions it makes share one SQ doorbell ring. Lets
-    dispatch layers batch without giving up their per-operation
-    bookkeeping (see [Block_dispatch.write_many]). *)
 
 val set_sq_window : t -> int64 -> unit
 (** SQ doorbell coalescing window; [0] rings per command (the

@@ -13,34 +13,31 @@
 type t = {
   engine : Dk_sim.Engine.t;
   cost : Dk_sim.Cost.t;
-  counter : Dk_obs.Metrics.counter;
+  rings : Dk_obs.Metrics.counter; (* instance of the [name] counter *)
   mutable window : int64;
   staged : (unit -> unit) Queue.t;
   mutable flush_pending : bool;
   mutable grouping : bool;
-  mutable rings : int;
 }
 
 let create ~engine ~cost ~name () =
   {
     engine;
     cost;
-    counter = Dk_obs.Metrics.counter name;
+    rings = Dk_obs.Metrics.instance (Dk_obs.Metrics.counter name);
     window = cost.Dk_sim.Cost.tx_batch_window;
     staged = Queue.create ();
     flush_pending = false;
     grouping = false;
-    rings = 0;
   }
 
 let set_window t ns = t.window <- (if Int64.compare ns 0L < 0 then 0L else ns)
 let window t = t.window
-let rings t = t.rings
+let rings t = Dk_obs.Metrics.value t.rings
 
 let ring t =
   Dk_sim.Engine.consume t.engine t.cost.Dk_sim.Cost.pcie_doorbell;
-  t.rings <- t.rings + 1;
-  Dk_obs.Metrics.incr t.counter
+  Dk_obs.Metrics.incr t.rings
 
 (* Directly recursive: the drain runs once per flush on the MMIO
    chokepoint, so the old inner closure was a per-flush allocation

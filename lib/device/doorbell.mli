@@ -15,9 +15,9 @@ type t
 
 val create :
   engine:Dk_sim.Engine.t -> cost:Dk_sim.Cost.t -> name:string -> unit -> t
-(** [name] is the {!Dk_obs.Metrics} counter bumped once per ring (e.g.
-    ["nic.tx.doorbells"]). The window starts at
-    [cost.tx_batch_window]. *)
+(** [name] is the {!Dk_obs.Metrics} class counter bumped once per ring
+    (e.g. ["nic.tx.doorbells"]); the doorbell counts its own {!rings}
+    in an instance of it. The window starts at [cost.tx_batch_window]. *)
 
 val submit : t -> (unit -> unit) -> unit
 (** Submit one descriptor. Window 0: ring, then run the thunk, now.

@@ -2,11 +2,13 @@ type stats = { delivered : int; lost : int; unrouted : int }
 
 module Fault = Dk_fault.Fault
 module Flight = Dk_obs.Flight
+module Metrics = Dk_obs.Metrics
 
-(* Class-wide obs instruments (aggregated across fabrics). *)
-let m_delivered = Dk_obs.Metrics.counter "device.fabric.delivered"
-let m_lost = Dk_obs.Metrics.counter "device.fabric.lost"
-let m_unrouted = Dk_obs.Metrics.counter "device.fabric.unrouted"
+(* Class-wide obs instruments (aggregated across fabrics); each fabric
+   counts into its own instances of them. *)
+let m_delivered = Metrics.counter "device.fabric.delivered"
+let m_lost = Metrics.counter "device.fabric.lost"
+let m_unrouted = Metrics.counter "device.fabric.unrouted"
 
 let broadcast = 0xffffffffffff
 
@@ -29,9 +31,9 @@ type t = {
      hot-complexity), and hash-order fan-out would perturb the event
      schedule run to run. *)
   mutable order : (int * Nic.t) array;
-  mutable delivered : int;
-  mutable lost : int;
-  mutable unrouted : int;
+  delivered : Metrics.counter;
+  lost : Metrics.counter;
+  unrouted : Metrics.counter;
 }
 
 let create ~engine ~cost ?(fault = Fault.default) ?(loss = 0.0)
@@ -46,18 +48,16 @@ let create ~engine ~cost ?(fault = Fault.default) ?(loss = 0.0)
     nics = Hashtbl.create 8;
     last_arrival = Hashtbl.create 16;
     order = [||];
-    delivered = 0;
-    lost = 0;
-    unrouted = 0;
+    delivered = Metrics.instance m_delivered;
+    lost = Metrics.instance m_lost;
+    unrouted = Metrics.instance m_unrouted;
   }
 
 let deliver t ~src ~dst ~departed nic frame =
   (* Injected partition: the link is down, the frame dies at the egress
      port. Decided at departure time so the window is crisp. *)
-  if Fault.fire t.fault Fault.Fabric_partition ~now:departed then begin
-    t.lost <- t.lost + 1;
-    Dk_obs.Metrics.incr m_lost
-  end
+  if Fault.fire t.fault Fault.Fabric_partition ~now:departed then
+    Metrics.incr t.lost
   else begin
     let base = Dk_sim.Cost.wire_ns t.cost (String.length frame) in
     let delay =
@@ -102,8 +102,7 @@ let deliver t ~src ~dst ~departed nic frame =
     let arrive () =
       let now = Dk_sim.Engine.now t.engine in
       if t.loss > 0.0 && Dk_sim.Rng.bool t.rng t.loss then begin
-        t.lost <- t.lost + 1;
-        Dk_obs.Metrics.incr m_lost;
+        Metrics.incr t.lost;
         if Flight.start Flight.default ~now Flight.Drop then begin
           Flight.add_string Flight.default "fabric lost frame ";
           Flight.add_hex Flight.default src;
@@ -115,18 +114,15 @@ let deliver t ~src ~dst ~departed nic frame =
           Flight.commit Flight.default
         end
       end
-      else if Fault.fire t.fault Fault.Fabric_drop ~now then begin
-        t.lost <- t.lost + 1;
-        Dk_obs.Metrics.incr m_lost
-      end
+      else if Fault.fire t.fault Fault.Fabric_drop ~now then
+        Metrics.incr t.lost
       else begin
         let frame =
           match Fault.mangle t.fault Fault.Fabric_corrupt ~now frame with
           | Some corrupted -> corrupted
           | None -> frame
         in
-        t.delivered <- t.delivered + 1;
-        Dk_obs.Metrics.incr m_delivered;
+        Metrics.incr t.delivered;
         Nic.receive nic frame
       end
     in
@@ -157,9 +153,7 @@ let send t ~src ~dst ~departed frame =
   else
     match Hashtbl.find_opt t.nics dst with
     | Some nic -> deliver t ~src ~dst ~departed nic frame
-    | None ->
-        t.unrouted <- t.unrouted + 1;
-        Dk_obs.Metrics.incr m_unrouted
+    | None -> Metrics.incr t.unrouted
   [@@hot]
 
 let attach t nic =
@@ -171,4 +165,9 @@ let attach t nic =
   Nic.set_uplink nic (fun ~src ~dst ~departed frame ->
       send t ~src ~dst ~departed frame)
 
-let stats t = { delivered = t.delivered; lost = t.lost; unrouted = t.unrouted }
+let stats t =
+  {
+    delivered = Metrics.value t.delivered;
+    lost = Metrics.value t.lost;
+    unrouted = Metrics.value t.unrouted;
+  }

@@ -11,18 +11,20 @@ type stats = {
 
 module Fault = Dk_fault.Fault
 module Flight = Dk_obs.Flight
+module Metrics = Dk_obs.Metrics
 
-(* Class-wide obs instruments (aggregated across NICs); the flight
-   recorder entries carry the MAC to tell instances apart. *)
-let m_tx_frames = Dk_obs.Metrics.counter "device.nic.tx_frames"
-let m_tx_bytes = Dk_obs.Metrics.counter "device.nic.tx_bytes"
-let m_tx_rejected = Dk_obs.Metrics.counter "device.nic.tx_rejected"
-let m_rx_frames = Dk_obs.Metrics.counter "device.nic.rx_frames"
-let m_rx_bytes = Dk_obs.Metrics.counter "device.nic.rx_bytes"
-let m_rx_dropped = Dk_obs.Metrics.counter "device.nic.rx_dropped"
-let m_rx_filtered = Dk_obs.Metrics.counter "device.nic.rx_filtered"
-let g_rx_pending = Dk_obs.Metrics.gauge "device.nic.rx_pending"
-let g_tx_inflight = Dk_obs.Metrics.gauge "device.nic.tx_inflight"
+(* Class-wide obs instruments (aggregated across NICs); each NIC counts
+   into its own instances of them, and the flight recorder entries
+   carry the MAC to tell instances apart. *)
+let m_tx_frames = Metrics.counter "device.nic.tx_frames"
+let m_tx_bytes = Metrics.counter "device.nic.tx_bytes"
+let m_tx_rejected = Metrics.counter "device.nic.tx_rejected"
+let m_rx_frames = Metrics.counter "device.nic.rx_frames"
+let m_rx_bytes = Metrics.counter "device.nic.rx_bytes"
+let m_rx_dropped = Metrics.counter "device.nic.rx_dropped"
+let m_rx_filtered = Metrics.counter "device.nic.rx_filtered"
+let g_rx_pending = Metrics.gauge "device.nic.rx_pending"
+let g_tx_inflight = Metrics.gauge "device.nic.tx_inflight"
 
 let no_lookup (_ : string) : string option = None
 
@@ -36,19 +38,19 @@ type t = {
   ctrl_db : Doorbell.t;
   rxq : string Dk_util.Bqueue.t;
   tx_capacity : int;
-  mutable tx_inflight : int;
+  tx_inflight : Metrics.gauge;
   mutable rx_pipeline : Prog.pipeline;
   mutable table : Table.t option;
   mutable lookup_fn : string -> string option;
   mutable uplink : (src:int -> dst:int -> departed:int64 -> string -> unit) option;
   mutable rx_notify : unit -> unit;
-  mutable tx_frames : int;
-  mutable tx_bytes : int;
-  mutable tx_rejected : int;
-  mutable rx_frames : int;
-  mutable rx_bytes : int;
-  mutable rx_dropped : int;
-  mutable rx_filtered : int;
+  tx_frames : Metrics.counter;
+  tx_bytes : Metrics.counter;
+  tx_rejected : Metrics.counter;
+  rx_frames : Metrics.counter;
+  rx_bytes : Metrics.counter;
+  rx_dropped : Metrics.counter;
+  rx_filtered : Metrics.counter;
   mutable rx_responded : int;
 }
 
@@ -70,19 +72,19 @@ let create ~engine ~cost ?(fault = Fault.default) ~mac ?(rx_capacity = 1024)
       ctrl_db;
       rxq = Dk_util.Bqueue.create rx_capacity;
       tx_capacity;
-      tx_inflight = 0;
+      tx_inflight = Metrics.gauge_instance g_tx_inflight;
       rx_pipeline = [];
       table = None;
       lookup_fn = no_lookup;
       uplink = None;
       rx_notify = (fun () -> ());
-      tx_frames = 0;
-      tx_bytes = 0;
-      tx_rejected = 0;
-      rx_frames = 0;
-      rx_bytes = 0;
-      rx_dropped = 0;
-      rx_filtered = 0;
+      tx_frames = Metrics.instance m_tx_frames;
+      tx_bytes = Metrics.instance m_tx_bytes;
+      tx_rejected = Metrics.instance m_tx_rejected;
+      rx_frames = Metrics.instance m_rx_frames;
+      rx_bytes = Metrics.instance m_rx_bytes;
+      rx_dropped = Metrics.instance m_rx_dropped;
+      rx_filtered = Metrics.instance m_rx_filtered;
       rx_responded = 0;
     }
   in
@@ -153,19 +155,15 @@ let ctrl_invalidate t k =
    directly — a NIC answering from its own table rings no host
    doorbell (that is the point of the offload). *)
 let tx_start t ~dst frame =
-  t.tx_inflight <- t.tx_inflight + 1;
-  Dk_obs.Metrics.gauge_add g_tx_inflight 1;
+  Metrics.gauge_add t.tx_inflight 1;
   let len = String.length frame in
   let departed =
     Int64.add (Dk_sim.Engine.now t.engine) (Dk_sim.Cost.dma_ns t.cost len)
   in
   let finish () =
-    t.tx_inflight <- t.tx_inflight - 1;
-    t.tx_frames <- t.tx_frames + 1;
-    t.tx_bytes <- t.tx_bytes + len;
-    Dk_obs.Metrics.gauge_add g_tx_inflight (-1);
-    Dk_obs.Metrics.incr m_tx_frames;
-    Dk_obs.Metrics.add m_tx_bytes len;
+    Metrics.gauge_add t.tx_inflight (-1);
+    Metrics.incr t.tx_frames;
+    Metrics.add t.tx_bytes len;
     (* Injected tx drop: the DMA completed (the host paid for it)
        but the frame dies at the PHY and never reaches the
        fabric. *)
@@ -192,17 +190,18 @@ let flight_start t kind =
      end
 
 let tx_ring_full t =
-  t.tx_rejected <- t.tx_rejected + 1;
-  Dk_obs.Metrics.incr m_tx_rejected;
+  Metrics.incr t.tx_rejected;
   if flight_start t Flight.Drop then begin
     Flight.add_string Flight.default " tx ring full (";
-    Flight.add_int Flight.default t.tx_inflight;
+    Flight.add_int Flight.default (Metrics.gauge_value t.tx_inflight);
     Flight.add_string Flight.default " in flight)";
     Flight.commit Flight.default
   end
 
+let tx_full t = Metrics.gauge_value t.tx_inflight >= t.tx_capacity
+
 let transmit t ~dst frame =
-  if t.tx_inflight >= t.tx_capacity then begin
+  if tx_full t then begin
     tx_ring_full t;
     false
   end
@@ -224,7 +223,7 @@ let transmit t ~dst frame =
    DMA model and tx fault site as [transmit], but no doorbell — no host
    CPU is involved. *)
 let device_transmit t ~dst frame =
-  if t.tx_inflight >= t.tx_capacity then begin
+  if tx_full t then begin
     tx_ring_full t;
     false
   end
@@ -248,11 +247,9 @@ let tx_doorbells t = Doorbell.rings t.db
 
 let enqueue_rx t frame =
   if Dk_util.Bqueue.push t.rxq frame then begin
-    t.rx_frames <- t.rx_frames + 1;
-    t.rx_bytes <- t.rx_bytes + String.length frame;
-    Dk_obs.Metrics.incr m_rx_frames;
-    Dk_obs.Metrics.add m_rx_bytes (String.length frame);
-    Dk_obs.Metrics.gauge_add g_rx_pending 1;
+    Metrics.incr t.rx_frames;
+    Metrics.add t.rx_bytes (String.length frame);
+    Metrics.gauge_add g_rx_pending 1;
     if flight_start t Flight.Enqueue then begin
       Flight.add_string Flight.default " rx ";
       Flight.add_int Flight.default (String.length frame);
@@ -264,8 +261,7 @@ let enqueue_rx t frame =
     t.rx_notify ()
   end
   else begin
-    t.rx_dropped <- t.rx_dropped + 1;
-    Dk_obs.Metrics.incr m_rx_dropped;
+    Metrics.incr t.rx_dropped;
     if flight_start t Flight.Drop then begin
       Flight.add_string Flight.default " rx ring full, frame dropped (";
       Flight.add_int Flight.default (String.length frame);
@@ -282,9 +278,7 @@ let enqueue_rx t frame =
 let process_rx t frame =
   match Prog.eval_pipeline ~lookup:t.lookup_fn t.rx_pipeline frame with
   | Prog.Deliver frame -> enqueue_rx t frame
-  | Prog.Dropped ->
-      t.rx_filtered <- t.rx_filtered + 1;
-      Dk_obs.Metrics.incr m_rx_filtered
+  | Prog.Dropped -> Metrics.incr t.rx_filtered
   | Prog.Responded payload -> (
       match Udp_frame.reply ~self_mac:t.mac ~request:frame ~payload with
       | Some (dst, reply) ->
@@ -297,10 +291,7 @@ let receive t frame =
   (* Fault hooks sit at the wire edge, before any on-NIC program: a
      dropped frame never reaches the pipeline, a corrupted one is what
      the pipeline (and the host checksum) sees. *)
-  if Fault.fire t.fault Fault.Nic_rx_drop ~now then begin
-    t.rx_dropped <- t.rx_dropped + 1;
-    Dk_obs.Metrics.incr m_rx_dropped
-  end
+  if Fault.fire t.fault Fault.Nic_rx_drop ~now then Metrics.incr t.rx_dropped
   else begin
     let frame =
       match Fault.mangle t.fault Fault.Nic_rx_corrupt ~now frame with
@@ -332,19 +323,19 @@ let receive t frame =
 let poll_rx t =
   match Dk_util.Bqueue.pop t.rxq with
   | Some _ as hit ->
-      Dk_obs.Metrics.gauge_add g_rx_pending (-1);
+      Metrics.gauge_add g_rx_pending (-1);
       hit
   | None -> None
 
 let stats t =
   {
-    tx_frames = t.tx_frames;
-    tx_bytes = t.tx_bytes;
-    tx_rejected = t.tx_rejected;
-    rx_frames = t.rx_frames;
-    rx_bytes = t.rx_bytes;
-    rx_dropped = t.rx_dropped;
-    rx_filtered = t.rx_filtered;
+    tx_frames = Metrics.value t.tx_frames;
+    tx_bytes = Metrics.value t.tx_bytes;
+    tx_rejected = Metrics.value t.tx_rejected;
+    rx_frames = Metrics.value t.rx_frames;
+    rx_bytes = Metrics.value t.rx_bytes;
+    rx_dropped = Metrics.value t.rx_dropped;
+    rx_filtered = Metrics.value t.rx_filtered;
     rx_responded = t.rx_responded;
   }
 

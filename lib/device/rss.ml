@@ -63,11 +63,6 @@ let create ~queues () =
 let queues t = t.queues
 let table_size t = Array.length t.table
 
-let set_entry t i q =
-  if i < 0 || i >= Array.length t.table then invalid_arg "Rss.set_entry: index";
-  if q < 0 || q >= t.queues then invalid_arg "Rss.set_entry: queue";
-  t.table.(i) <- q
-
 let entry t i =
   if i < 0 || i >= Array.length t.table then invalid_arg "Rss.entry: index";
   t.table.(i)

@@ -22,10 +22,6 @@ val create : queues:int -> unit -> t
 val queues : t -> int
 val table_size : t -> int
 
-val set_entry : t -> int -> int -> unit
-(** [set_entry t i q] repoints indirection-table entry [i] at queue
-    [q]. Raises [Invalid_argument] out of range. *)
-
 val entry : t -> int -> int
 
 val rebalance : t -> int array -> unit

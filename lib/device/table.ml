@@ -8,6 +8,8 @@
    ([Nic.ctrl_*]); the dk-lint `offload-site` rule rejects other
    callers. *)
 
+module Metrics = Dk_obs.Metrics
+
 type policy = Lru | Host_managed
 
 type stats = {
@@ -31,52 +33,43 @@ type t = {
   mutable tick : int;
   (* Obs instruments are created here, per instance, never at module
      toplevel: a run that never enables offload must snapshot exactly
-     as before (the committed BENCH baselines embed the snapshot). *)
-  m_hits : Dk_obs.Metrics.counter;
-  m_misses : Dk_obs.Metrics.counter;
-  m_insertions : Dk_obs.Metrics.counter;
-  m_evictions : Dk_obs.Metrics.counter;
-  m_invalidations : Dk_obs.Metrics.counter;
-  m_bytes : Dk_obs.Metrics.counter;
+     as before (the committed BENCH baselines embed the snapshot).
+     The counts a [stats] record reports are this table's instances of
+     the class counters. *)
+  hits : Metrics.counter;
+  misses : Metrics.counter;
+  insertions : Metrics.counter;
+  evictions : Metrics.counter;
+  invalidations : Metrics.counter;
+  m_bytes : Metrics.counter;
   mutable lookups : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable insertions : int;
   mutable updates : int;
-  mutable evictions : int;
-  mutable invalidations : int;
   mutable rejected : int;
 }
 
 let create ?(policy = Lru) ?(obs_prefix = "") ~capacity ~max_value () =
   if capacity <= 0 then invalid_arg "Table.create: capacity must be positive";
   if max_value <= 0 then invalid_arg "Table.create: max_value must be positive";
-  let m name = Dk_obs.Metrics.counter (obs_prefix ^ "device.nic.offload." ^ name) in
+  let m name = Metrics.counter (obs_prefix ^ "device.nic.offload." ^ name) in
+  let own name = Metrics.instance (m name) in
   {
     policy;
     capacity;
     max_value;
     entries = Hashtbl.create (min capacity 1024);
     tick = 0;
-    m_hits = m "hits";
-    m_misses = m "misses";
-    m_insertions = m "insertions";
-    m_evictions = m "evictions";
-    m_invalidations = m "invalidations";
+    hits = own "hits";
+    misses = own "misses";
+    insertions = own "insertions";
+    evictions = own "evictions";
+    invalidations = own "invalidations";
     m_bytes = m "bytes";
     lookups = 0;
-    hits = 0;
-    misses = 0;
-    insertions = 0;
     updates = 0;
-    evictions = 0;
-    invalidations = 0;
     rejected = 0;
   }
 
-let policy t = t.policy
 let capacity t = t.capacity
-let max_value t = t.max_value
 let length t = Hashtbl.length t.entries
 let mem t k = Hashtbl.mem t.entries k
 
@@ -88,14 +81,12 @@ let lookup t k =
   t.lookups <- t.lookups + 1;
   match Hashtbl.find_opt t.entries k with
   | Some e ->
-      t.hits <- t.hits + 1;
       e.used <- next_tick t;
-      Dk_obs.Metrics.incr t.m_hits;
-      Dk_obs.Metrics.add t.m_bytes (String.length e.value);
+      Metrics.incr t.hits;
+      Metrics.add t.m_bytes (String.length e.value);
       Some e.value
   | None ->
-      t.misses <- t.misses + 1;
-      Dk_obs.Metrics.incr t.m_misses;
+      Metrics.incr t.misses;
       None
 
 (* Deterministic LRU victim: the minimum (used, key) pair. The
@@ -115,8 +106,7 @@ let evict_lru t =
   match victim with
   | Some (k, _) ->
       Hashtbl.remove t.entries k;
-      t.evictions <- t.evictions + 1;
-      Dk_obs.Metrics.incr t.m_evictions
+      Metrics.incr t.evictions
   | None -> ()
 
 let reject t =
@@ -139,14 +129,12 @@ let insert t k v =
           | Lru ->
               evict_lru t;
               Hashtbl.replace t.entries k { value = v; used = next_tick t };
-              t.insertions <- t.insertions + 1;
-              Dk_obs.Metrics.incr t.m_insertions;
+              Metrics.incr t.insertions;
               Ok ()
         end
         else begin
           Hashtbl.replace t.entries k { value = v; used = next_tick t };
-          t.insertions <- t.insertions + 1;
-          Dk_obs.Metrics.incr t.m_insertions;
+          Metrics.incr t.insertions;
           Ok ()
         end
 
@@ -156,8 +144,7 @@ let update t k v =
        stale previous value. *)
     if Hashtbl.mem t.entries k then begin
       Hashtbl.remove t.entries k;
-      t.invalidations <- t.invalidations + 1;
-      Dk_obs.Metrics.incr t.m_invalidations
+      Metrics.incr t.invalidations
     end;
     ignore (reject t);
     false
@@ -175,25 +162,23 @@ let invalidate t k =
   match Hashtbl.find_opt t.entries k with
   | Some _ ->
       Hashtbl.remove t.entries k;
-      t.invalidations <- t.invalidations + 1;
-      Dk_obs.Metrics.incr t.m_invalidations;
+      Metrics.incr t.invalidations;
       true
   | None -> false
 
 let clear t =
   let n = Hashtbl.length t.entries in
   Hashtbl.reset t.entries;
-  t.invalidations <- t.invalidations + n;
-  Dk_obs.Metrics.add t.m_invalidations n
+  Metrics.add t.invalidations n
 
 let stats t =
   {
     lookups = t.lookups;
-    hits = t.hits;
-    misses = t.misses;
-    insertions = t.insertions;
+    hits = Metrics.value t.hits;
+    misses = Metrics.value t.misses;
+    insertions = Metrics.value t.insertions;
     updates = t.updates;
-    evictions = t.evictions;
-    invalidations = t.invalidations;
+    evictions = Metrics.value t.evictions;
+    invalidations = Metrics.value t.invalidations;
     rejected = t.rejected;
   }

@@ -42,9 +42,7 @@ val create :
     aggregator folds a [shards.agg.*] view). Raises [Invalid_argument]
     on non-positive caps. *)
 
-val policy : t -> policy
 val capacity : t -> int
-val max_value : t -> int
 val length : t -> int
 val mem : t -> string -> bool
 

@@ -162,15 +162,14 @@ module Flight = Dk_obs.Flight
 type armed = {
   aspec : spec;
   rng : Dk_sim.Rng.t;
-  mutable shots : int; (* injections under the current installation *)
+  (* injections under the current installation: an instance of the
+     site's [fault.<site>.injected] counter *)
+  shots : Dk_obs.Metrics.counter;
 }
 
-type t = {
-  mutable current : plan option;
-  slots : armed option array; (* indexed by site_index *)
-}
+type t = { slots : armed option array (* indexed by site_index *) }
 
-let create () = { current = None; slots = Array.make n_sites None }
+let create () = { slots = Array.make n_sites None }
 let default = create ()
 [@@shard.per_shard
   "process-wide fallback fault domain; the device constructors take ?fault \
@@ -184,24 +183,26 @@ let site_stream seed site =
     (Int64.logxor seed
        (Int64.mul 0x2545f4914f6cdd1dL (Int64.of_int (site_index site + 1))))
 
-let clear t =
-  t.current <- None;
-  Array.fill t.slots 0 n_sites None
+let clear t = Array.fill t.slots 0 n_sites None
 
 let install t p =
   clear t;
-  t.current <- Some p;
   List.iter
     (fun (site, aspec) ->
-      t.slots.(site_index site) <-
-        Some { aspec; rng = site_stream p.seed site; shots = 0 })
+      let i = site_index site in
+      t.slots.(i) <-
+        Some
+          {
+            aspec;
+            rng = site_stream p.seed site;
+            shots = Dk_obs.Metrics.instance all_counters.(i);
+          })
     p.specs
 
-let installed t = t.current
-let active t = t.current <> None
-
 let injected t site =
-  match t.slots.(site_index site) with None -> 0 | Some a -> a.shots
+  match t.slots.(site_index site) with
+  | None -> 0
+  | Some a -> Dk_obs.Metrics.value a.shots
 
 let total_injected t =
   List.fold_left (fun acc s -> acc + injected t s) 0 sites
@@ -217,7 +218,9 @@ let fire t site ~now =
   | None -> false
   | Some a ->
       let budget_left =
-        match a.aspec.max_count with None -> true | Some m -> a.shots < m
+        match a.aspec.max_count with
+        | None -> true
+        | Some m -> Dk_obs.Metrics.value a.shots < m
       in
       if (not budget_left) || a.aspec.rate <= 0.0 || not (in_window a.aspec now)
       then false
@@ -226,13 +229,12 @@ let fire t site ~now =
           a.aspec.rate >= 1.0 || Dk_sim.Rng.bool a.rng a.aspec.rate
         in
         if hit then begin
-          a.shots <- a.shots + 1;
-          Dk_obs.Metrics.incr all_counters.(site_index site);
+          Dk_obs.Metrics.incr a.shots;
           if Flight.start Flight.default ~now Flight.Drop then begin
             Flight.add_string Flight.default "fault injected: ";
             Flight.add_string Flight.default (site_name site);
             Flight.add_string Flight.default " (#";
-            Flight.add_int Flight.default a.shots;
+            Flight.add_int Flight.default (Dk_obs.Metrics.value a.shots);
             Flight.add_string Flight.default ")";
             Flight.commit Flight.default
           end

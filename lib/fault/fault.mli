@@ -101,9 +101,6 @@ val clear : t -> unit
 (** Disarm; subsequent runs are zero-fault (bit-identical to a process
     that never installed a plan). *)
 
-val installed : t -> plan option
-val active : t -> bool
-
 (** {3 Hooks (device layer only)} *)
 
 val fire : t -> site -> now:int64 -> bool
@@ -137,6 +134,3 @@ val injected : t -> site -> int
 
 val total_injected : t -> int
 
-val injected_counter : site -> Dk_obs.Metrics.counter
-(** The [fault.<site>.injected] counter (default obs registry), for
-    assertions in tests. *)

@@ -79,6 +79,5 @@ val epoll_wait_block :
     blocked waiter. *)
 
 val readable : t -> fd -> bool
-val writable : t -> fd -> bool
 
 val stats : t -> stats

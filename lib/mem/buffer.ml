@@ -30,18 +30,6 @@ let of_string s =
     "wrapping a string copies it into a fresh unmanaged store; on the \
      rx path that is one copy per delivered segment"]
 
-let unmanaged n =
-  if n < 0 then invalid_arg "Buffer.unmanaged";
-  {
-    store = Bytes.make n '\000';
-    off = 0;
-    len = n;
-    region_id = None;
-    cell = None;
-    sanitize = false;
-    live = true;
-  }
-
 let make_managed ?(sanitize = false) ~store ~off ~len ~region_id ~release () =
   if off < 0 || len < 0 || off + len > Bytes.length store then
     invalid_arg "Buffer.make_managed";

@@ -13,9 +13,6 @@ val of_string : string -> t
 (** An unmanaged buffer (no arena, no registration); freeing it is a
     no-op. Useful in tests and for control-path data. *)
 
-val unmanaged : int -> t
-(** An unmanaged zeroed buffer of the given size. *)
-
 val make_managed :
   ?sanitize:bool ->
   store:bytes ->

@@ -9,6 +9,8 @@ type stats = {
 
 type leak = { leak_region : int; leak_off : int; leak_len : int }
 
+module Metrics = Dk_obs.Metrics
+
 type t = {
   initial_region_size : int;
   max_total_bytes : int;
@@ -22,23 +24,24 @@ type t = {
   live_allocs : (int, int) Hashtbl.t;
   mutable arenas : Arena.t list;
   mutable next_region_id : int;
-  mutable total_bytes : int;
-  mutable allocs : int;
-  mutable releases : int;
-  mutable deferred_releases : int;
+  region_bytes : Metrics.gauge;
+  allocs : Metrics.counter;
+  releases : Metrics.counter;
+  deferred_releases : Metrics.counter;
 }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
-(* Class-wide obs instruments (aggregated across managers). The
+(* Class-wide obs instruments (aggregated across managers); each
+   manager counts its [stats] into its own instances of them. The
    bytes-in-flight gauge is maintained with add/subtract at alloc and
    release so no per-event walk of the arenas is ever needed. *)
-let m_allocs = Dk_obs.Metrics.counter "mem.manager.allocs"
-let m_releases = Dk_obs.Metrics.counter "mem.manager.releases"
-let m_deferred = Dk_obs.Metrics.counter "mem.manager.deferred_releases"
-let m_oom = Dk_obs.Metrics.counter "mem.manager.alloc_failures"
-let g_in_flight = Dk_obs.Metrics.gauge "mem.manager.bytes_in_flight"
-let g_region_bytes = Dk_obs.Metrics.gauge "mem.manager.region_bytes"
+let m_allocs = Metrics.counter "mem.manager.allocs"
+let m_releases = Metrics.counter "mem.manager.releases"
+let m_deferred = Metrics.counter "mem.manager.deferred_releases"
+let m_oom = Metrics.counter "mem.manager.alloc_failures"
+let g_in_flight = Metrics.gauge "mem.manager.bytes_in_flight"
+let g_region_bytes = Metrics.gauge "mem.manager.region_bytes"
 
 (* Guard bytes on each side of a sanitized allocation. An overrun of
    the *requested* length lands in the canary even when the buddy
@@ -61,10 +64,10 @@ let create ?(initial_region_size = 1 lsl 20) ?(max_total_bytes = 1 lsl 28)
     live_allocs = Hashtbl.create 16;
     arenas = [];
     next_region_id = 0;
-    total_bytes = 0;
-    allocs = 0;
-    releases = 0;
-    deferred_releases = 0;
+    region_bytes = Metrics.gauge_instance g_region_bytes;
+    allocs = Metrics.instance m_allocs;
+    releases = Metrics.instance m_releases;
+    deferred_releases = Metrics.instance m_deferred;
   }
 
 let sanitized t = t.sanitize
@@ -75,12 +78,11 @@ let next_pow2 n = pow2_above n 1
 
 let grow t want =
   let size = max t.initial_region_size (next_pow2 want) in
-  if t.total_bytes + size > t.max_total_bytes then None
+  if Metrics.gauge_value t.region_bytes + size > t.max_total_bytes then None
   else begin
     let reg = Region.create ~id:t.next_region_id ~size in
     t.next_region_id <- t.next_region_id + 1;
-    t.total_bytes <- t.total_bytes + size;
-    Dk_obs.Metrics.gauge_add g_region_bytes size;
+    Metrics.gauge_add t.region_bytes size;
     Region.pin reg;
     t.on_new_region reg;
     let arena = Arena.create reg in
@@ -137,13 +139,10 @@ let wrap t arena (block : Arena.block) len =
      buffer's deferral flag through this knot. *)
   let buf_ref = ref None in
   let release () =
-    t.releases <- t.releases + 1;
-    Dk_obs.Metrics.incr m_releases;
-    Dk_obs.Metrics.gauge_add g_in_flight (-len);
+    Metrics.incr t.releases;
+    Metrics.gauge_add g_in_flight (-len);
     (match !buf_ref with
-    | Some b when Buffer.was_deferred b ->
-        t.deferred_releases <- t.deferred_releases + 1;
-        Dk_obs.Metrics.incr m_deferred
+    | Some b when Buffer.was_deferred b -> Metrics.incr t.deferred_releases
     | Some _ | None -> ());
     if t.sanitize then begin
       Hashtbl.remove t.live_allocs (live_key ~region_id ~off:block.Arena.offset);
@@ -199,12 +198,11 @@ let alloc t len =
   let want = if t.sanitize then len + (2 * canary_len) else len in
   match alloc_raw t want with
   | None ->
-      Dk_obs.Metrics.incr m_oom;
+      Metrics.incr m_oom;
       None
   | Some (arena, block) ->
-      t.allocs <- t.allocs + 1;
-      Dk_obs.Metrics.incr m_allocs;
-      Dk_obs.Metrics.gauge_add g_in_flight len;
+      Metrics.incr t.allocs;
+      Metrics.gauge_add g_in_flight len;
       Some (wrap t arena block len)
 
 let alloc_exn t len =
@@ -232,12 +230,12 @@ let regions t = List.map Arena.region t.arenas
 
 let stats t =
   {
-    allocs = t.allocs;
-    releases = t.releases;
-    deferred_releases = t.deferred_releases;
+    allocs = Metrics.value t.allocs;
+    releases = Metrics.value t.releases;
+    deferred_releases = Metrics.value t.deferred_releases;
     live_bytes = List.fold_left (fun acc a -> acc + Arena.live_bytes a) 0 t.arenas;
     region_count = List.length t.arenas;
-    region_bytes = t.total_bytes;
+    region_bytes = Metrics.gauge_value t.region_bytes;
   }
 
 let check_leaks t =

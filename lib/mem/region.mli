@@ -19,5 +19,3 @@ val pinned : t -> bool
 
 val pages : t -> int
 (** Number of 4 KB pages covered, for pinning-cost accounting. *)
-
-val page_size : int

@@ -9,18 +9,20 @@ type stats = {
 type listener = { on_accept : Tcp.conn -> unit }
 
 module Flight = Dk_obs.Flight
+module Metrics = Dk_obs.Metrics
 
-(* Class-wide obs instruments (aggregated across stacks). *)
-let m_frames_in = Dk_obs.Metrics.counter "net.stack.frames_in"
-let m_frames_out = Dk_obs.Metrics.counter "net.stack.frames_out"
-let m_decode_errors = Dk_obs.Metrics.counter "net.stack.decode_errors"
-let m_checksum_failures = Dk_obs.Metrics.counter "net.stack.checksum_failures"
-let m_no_listener = Dk_obs.Metrics.counter "net.stack.no_listener"
-let m_not_for_us = Dk_obs.Metrics.counter "net.stack.not_for_us"
-let m_arp_requests = Dk_obs.Metrics.counter "net.arp.requests"
-let m_arp_misses = Dk_obs.Metrics.counter "net.arp.misses"
-let m_arp_abandoned = Dk_obs.Metrics.counter "net.arp.abandoned"
-let m_arp_recovered = Dk_obs.Metrics.counter "net.arp.recovered"
+(* Class-wide obs instruments (aggregated across stacks); each stack
+   counts its [stats] into its own instances of the first five. *)
+let m_frames_in = Metrics.counter "net.stack.frames_in"
+let m_frames_out = Metrics.counter "net.stack.frames_out"
+let m_decode_errors = Metrics.counter "net.stack.decode_errors"
+let m_no_listener = Metrics.counter "net.stack.no_listener"
+let m_not_for_us = Metrics.counter "net.stack.not_for_us"
+let m_checksum_failures = Metrics.counter "net.stack.checksum_failures"
+let m_arp_requests = Metrics.counter "net.arp.requests"
+let m_arp_misses = Metrics.counter "net.arp.misses"
+let m_arp_abandoned = Metrics.counter "net.arp.abandoned"
+let m_arp_recovered = Metrics.counter "net.arp.recovered"
 
 let mentions_checksum msg =
   let n = String.length msg and p = "checksum" in
@@ -50,38 +52,36 @@ type t = {
   mutable next_ident : int;
   mutable iss_counter : int;
   mutable process_scheduled : bool;
-  mutable frames_in : int;
-  mutable frames_out : int;
-  mutable decode_errors : int;
-  mutable not_for_us : int;
-  mutable no_listener : int;
+  frames_in : Metrics.counter;
+  frames_out : Metrics.counter;
+  decode_errors : Metrics.counter;
+  not_for_us : Metrics.counter;
+  no_listener : Metrics.counter;
 }
 
 let engine t = t.engine
 let ip t = t.ip
 let mac t = Dk_device.Nic.mac t.nic
 let nic t = t.nic
-let tcp_config t = t.tcp_config
 
 let connections t =
   Hashtbl.fold (fun _ by_ip acc -> acc + Hashtbl.length by_ip) t.conns 0
 
 let stats t =
   {
-    frames_in = t.frames_in;
-    frames_out = t.frames_out;
-    decode_errors = t.decode_errors;
-    not_for_us = t.not_for_us;
-    no_listener = t.no_listener;
+    frames_in = Metrics.value t.frames_in;
+    frames_out = Metrics.value t.frames_out;
+    decode_errors = Metrics.value t.decode_errors;
+    not_for_us = Metrics.value t.not_for_us;
+    no_listener = Metrics.value t.no_listener;
   }
 
 (* A decode failure counts once; checksum failures — corruption the
    hardware would normally have caught — also count separately. *)
 let decode_error t msg =
-  t.decode_errors <- t.decode_errors + 1;
-  Dk_obs.Metrics.incr m_decode_errors;
+  Metrics.incr t.decode_errors;
   if mentions_checksum msg then begin
-    Dk_obs.Metrics.incr m_checksum_failures;
+    Metrics.incr m_checksum_failures;
     if
       Flight.start Flight.default ~now:(Dk_sim.Engine.now t.engine)
         Flight.Drop
@@ -111,8 +111,7 @@ let udp_max_payload = 0xffff - Ipv4.header_size - Udp.header_size
 
 let transmit_eth t ~dst_mac ~ethertype frame =
   Dk_sim.Engine.consume t.engine t.pkt_cost;
-  t.frames_out <- t.frames_out + 1;
-  Dk_obs.Metrics.incr m_frames_out;
+  Metrics.incr t.frames_out;
   Eth.write frame ~dst:dst_mac ~src:(mac t) ethertype;
   (* The NIC owns the frame from here on; nothing writes to it again. *)
   ignore
@@ -124,7 +123,7 @@ let send_arp t ~dst_mac pkt =
   transmit_eth t ~dst_mac ~ethertype:Eth.Arp frame
 
 let send_arp_request t target_ip =
-  Dk_obs.Metrics.incr m_arp_requests;
+  Metrics.incr m_arp_requests;
   send_arp t ~dst_mac:Addr.mac_broadcast
     {
       Arp.op = Arp.Request;
@@ -143,14 +142,14 @@ let arp_max_attempts = 5
    layers retransmit) so a later send can start a fresh resolution
    round. *)
 let when_resolved t dst_ip k =
-  Dk_obs.Metrics.incr m_arp_misses;
+  Metrics.incr m_arp_misses;
   let first = Arp.Table.enqueue_pending t.arp dst_ip k in
   if first then begin
     let rec attempt n =
       if Arp.Table.lookup t.arp dst_ip = None then
         if n = 0 then begin
           let dropped = Arp.Table.drop_pending t.arp dst_ip in
-          Dk_obs.Metrics.incr m_arp_abandoned;
+          Metrics.incr m_arp_abandoned;
           if
             Flight.start Flight.default ~now:(Dk_sim.Engine.now t.engine)
               Flight.Drop
@@ -330,8 +329,7 @@ let handle_tcp t ~src_ip frame ~len =
               register_conn t ~local_port ~remote conn;
               Tcp.set_on_connect conn (fun () -> l.on_accept conn)
           | Some _ | None ->
-              t.no_listener <- t.no_listener + 1;
-              Dk_obs.Metrics.incr m_no_listener;
+              Metrics.incr t.no_listener;
               send_rst t ~remote:src_ip seg))
 
 (* ---- receive path ---- *)
@@ -342,7 +340,7 @@ let handle_arp t frame =
   | Ok { Arp.op; sender_mac; sender_ip; target_ip; _ } -> (
       (* Learn the sender either way. *)
       let recovered = Arp.Table.resolve_pending t.arp sender_ip sender_mac in
-      if recovered > 0 then Dk_obs.Metrics.add m_arp_recovered recovered;
+      if recovered > 0 then Metrics.add m_arp_recovered recovered;
       match op with
       | Arp.Request when target_ip = t.ip ->
           send_arp t ~dst_mac:sender_mac
@@ -366,23 +364,18 @@ let handle_udp t ~src_ip frame ~len =
           recv
             ~src:(Addr.endpoint src_ip src_port)
             (Bytes.sub_string frame udp_payload_off payload_len)
-      | None ->
-          t.no_listener <- t.no_listener + 1;
-          Dk_obs.Metrics.incr m_no_listener)
+      | None -> Metrics.incr t.no_listener)
 
 let handle_frame t frame =
-  t.frames_in <- t.frames_in + 1;
-  Dk_obs.Metrics.incr m_frames_in;
+  Metrics.incr t.frames_in;
   Dk_sim.Engine.consume t.engine t.pkt_cost;
   (* Receive only reads the frame, which the sender's NIC handed over. *)
   let frame = Bytes.unsafe_of_string frame in
   match Eth.decode frame with
   | Error e -> decode_error t e
   | Ok { Eth.dst; ethertype; _ } ->
-      if dst <> mac t && dst <> Addr.mac_broadcast then begin
-        t.not_for_us <- t.not_for_us + 1;
-        Dk_obs.Metrics.incr m_not_for_us
-      end
+      if dst <> mac t && dst <> Addr.mac_broadcast then
+        Metrics.incr t.not_for_us
       else (
         match ethertype with
         | Eth.Arp -> handle_arp t frame
@@ -392,10 +385,7 @@ let handle_frame t frame =
             with
             | Error e -> decode_error t e
             | Ok { Ipv4.src; dst; proto; payload_len = len; _ } ->
-                if dst <> t.ip then begin
-                  t.not_for_us <- t.not_for_us + 1;
-                  Dk_obs.Metrics.incr m_not_for_us
-                end
+                if dst <> t.ip then Metrics.incr t.not_for_us
                 else (
                   match proto with
                   | Ipv4.Udp -> handle_udp t ~src_ip:src frame ~len
@@ -438,11 +428,11 @@ let create ~engine ~cost ~nic ~ip ?(tcp_config = Tcp.default_config)
       next_ident = 1;
       iss_counter = ip land 0xffff;
       process_scheduled = false;
-      frames_in = 0;
-      frames_out = 0;
-      decode_errors = 0;
-      not_for_us = 0;
-      no_listener = 0;
+      frames_in = Metrics.instance m_frames_in;
+      frames_out = Metrics.instance m_frames_out;
+      decode_errors = Metrics.instance m_decode_errors;
+      not_for_us = Metrics.instance m_not_for_us;
+      no_listener = Metrics.instance m_no_listener;
     }
   in
   Dk_device.Nic.set_rx_notify nic (fun () -> schedule_process t);

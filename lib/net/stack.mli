@@ -34,7 +34,6 @@ val engine : t -> Dk_sim.Engine.t
 val ip : t -> Addr.ip
 val mac : t -> Addr.mac
 val nic : t -> Dk_device.Nic.t
-val tcp_config : t -> Tcp.config
 
 (** {2 UDP} *)
 

@@ -45,18 +45,20 @@ type stats = {
   out_of_order : int;
 }
 
-(* Class-wide obs instruments (aggregated across connections); the
-   flight recorder entries name the 4-tuple to tell flows apart. *)
-let m_segs_sent = Dk_obs.Metrics.counter "net.tcp.segs_sent"
-let m_segs_received = Dk_obs.Metrics.counter "net.tcp.segs_received"
-let m_retransmits = Dk_obs.Metrics.counter "net.tcp.retransmits"
-let m_fast_retransmits = Dk_obs.Metrics.counter "net.tcp.fast_retransmits"
-let m_rto_fired = Dk_obs.Metrics.counter "net.tcp.rto_fired"
-let m_conn_timeouts = Dk_obs.Metrics.counter "net.tcp.conn_timeouts"
-let m_dup_acks = Dk_obs.Metrics.counter "net.tcp.dup_acks"
-let m_ooo = Dk_obs.Metrics.counter "net.tcp.out_of_order"
-
 module Flight = Dk_obs.Flight
+module Metrics = Dk_obs.Metrics
+
+(* Class-wide obs instruments (aggregated across connections); each
+   connection counts its [stats] into its own instances of them, and
+   the flight recorder entries name the 4-tuple to tell flows apart. *)
+let m_segs_sent = Metrics.counter "net.tcp.segs_sent"
+let m_segs_received = Metrics.counter "net.tcp.segs_received"
+let m_retransmits = Metrics.counter "net.tcp.retransmits"
+let m_fast_retransmits = Metrics.counter "net.tcp.fast_retransmits"
+let m_rto_fired = Metrics.counter "net.tcp.rto_fired"
+let m_conn_timeouts = Metrics.counter "net.tcp.conn_timeouts"
+let m_dup_acks = Metrics.counter "net.tcp.dup_acks"
+let m_ooo = Metrics.counter "net.tcp.out_of_order"
 
 (* 32-bit modular sequence arithmetic. *)
 let seq_mask = 0xffffffff
@@ -101,15 +103,15 @@ type conn = {
   mutable on_close : close_reason -> unit;
   mutable internal_teardown : close_reason -> unit;
   (* stats *)
-  mutable segs_sent : int;
-  mutable segs_received : int;
+  segs_sent : Metrics.counter;
+  segs_received : Metrics.counter;
   mutable bytes_sent : int;
   mutable bytes_received : int;
-  mutable retransmits : int;
-  mutable fast_retransmits : int;
-  mutable dup_acks : int;
+  retransmits : Metrics.counter;
+  fast_retransmits : Metrics.counter;
+  dup_acks : Metrics.counter;
   mutable dup_ack_streak : int; (* consecutive dup acks since last advance *)
-  mutable ooo_count : int;
+  out_of_order : Metrics.counter;
 }
 
 let state t = t.st
@@ -118,14 +120,14 @@ let remote t = t.remote
 
 let stats t =
   {
-    segs_sent = t.segs_sent;
-    segs_received = t.segs_received;
+    segs_sent = Metrics.value t.segs_sent;
+    segs_received = Metrics.value t.segs_received;
     bytes_sent = t.bytes_sent;
     bytes_received = t.bytes_received;
-    retransmits = t.retransmits;
-    fast_retransmits = t.fast_retransmits;
-    dup_acks = t.dup_acks;
-    out_of_order = t.ooo_count;
+    retransmits = Metrics.value t.retransmits;
+    fast_retransmits = Metrics.value t.fast_retransmits;
+    dup_acks = Metrics.value t.dup_acks;
+    out_of_order = Metrics.value t.out_of_order;
   }
 
 let set_on_connect t f = t.on_connect <- f
@@ -143,8 +145,7 @@ let recv_window t = Dk_util.Ring.available t.recv_ring
    payload passes [Bytes.empty] and 0; the stack gives it a
    header-only frame. *)
 let emit_at t ~seq frame len flags =
-  t.segs_sent <- t.segs_sent + 1;
-  Dk_obs.Metrics.incr m_segs_sent;
+  Metrics.incr t.segs_sent;
   t.emit
     {
       Tcp_wire.src_port = t.local.Addr.port;
@@ -226,9 +227,9 @@ let rec arm_rtx t =
 
 and on_rto t =
   t.rtx_timer <- None;
-  Dk_obs.Metrics.incr m_rto_fired;
+  Metrics.incr m_rto_fired;
   if t.retries >= t.config.max_retries then begin
-    Dk_obs.Metrics.incr m_conn_timeouts;
+    Metrics.incr m_conn_timeouts;
     if flight_start t Flight.Drop then begin
       Flight.add_string Flight.default " gave up after ";
       Flight.add_int Flight.default t.retries;
@@ -239,8 +240,7 @@ and on_rto t =
   end
   else begin
     t.retries <- t.retries + 1;
-    t.retransmits <- t.retransmits + 1;
-    Dk_obs.Metrics.incr m_retransmits;
+    Metrics.incr t.retransmits;
     if flight_start t Flight.Retransmit then begin
       Flight.add_string Flight.default " rto #";
       Flight.add_int Flight.default t.retries;
@@ -360,15 +360,15 @@ let make ~engine ~config ~local ~remote ~iss ~payload_off ~emit st =
     on_writable = (fun () -> ());
     on_close = (fun _ -> ());
     internal_teardown = (fun _ -> ());
-    segs_sent = 0;
-    segs_received = 0;
+    segs_sent = Metrics.instance m_segs_sent;
+    segs_received = Metrics.instance m_segs_received;
     bytes_sent = 0;
     bytes_received = 0;
-    retransmits = 0;
-    fast_retransmits = 0;
-    dup_acks = 0;
+    retransmits = Metrics.instance m_retransmits;
+    fast_retransmits = Metrics.instance m_fast_retransmits;
+    dup_acks = Metrics.instance m_dup_acks;
     dup_ack_streak = 0;
-    ooo_count = 0;
+    out_of_order = Metrics.instance m_ooo;
   }
 
 let create_active ~engine ~config ~local ~remote ~iss ~payload_off ~emit =
@@ -490,8 +490,7 @@ let accept_payload t (seg : Tcp_wire.t) =
     else if seq_lt t.rcv_nxt seg.seq then begin
       (* Future data: stash for reassembly (bounded by window). *)
       if seq_diff seg.seq t.rcv_nxt <= t.config.recv_buffer then begin
-        t.ooo_count <- t.ooo_count + 1;
-        Dk_obs.Metrics.incr m_ooo;
+        Metrics.incr t.out_of_order;
         t.ooo <-
           (seg.seq, Bytes.sub_string seg.payload seg.payload_off len) :: t.ooo
       end;
@@ -547,15 +546,12 @@ let process_ack t (seg : Tcp_wire.t) =
         && not seg.flags.Tcp_wire.syn
         && not seg.flags.Tcp_wire.fin
       then begin
-        t.dup_acks <- t.dup_acks + 1;
-        Dk_obs.Metrics.incr m_dup_acks;
+        Metrics.incr t.dup_acks;
         t.dup_ack_streak <- t.dup_ack_streak + 1;
         if t.dup_ack_streak = 3 then begin
           t.dup_ack_streak <- 0;
-          t.fast_retransmits <- t.fast_retransmits + 1;
-          t.retransmits <- t.retransmits + 1;
-          Dk_obs.Metrics.incr m_fast_retransmits;
-          Dk_obs.Metrics.incr m_retransmits;
+          Metrics.incr t.fast_retransmits;
+          Metrics.incr t.retransmits;
           if flight_start t Flight.Retransmit then begin
             Flight.add_string Flight.default " fast retransmit, seq ";
             Flight.add_int Flight.default t.snd_una;
@@ -574,8 +570,7 @@ let process_ack t (seg : Tcp_wire.t) =
   else false
 
 let segment_arrives t (seg : Tcp_wire.t) =
-  t.segs_received <- t.segs_received + 1;
-  Dk_obs.Metrics.incr m_segs_received;
+  Metrics.incr t.segs_received;
   t.snd_wnd <- seg.window;
   if seg.flags.Tcp_wire.rst then begin
     match t.st with

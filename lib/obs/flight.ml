@@ -89,7 +89,6 @@ let default = create ()
   "process-wide default flight recorder; shard-local code passes its own \
    recorder so entries stay within the shard"]
 
-let enabled t = t.on
 let set_enabled t on = t.on <- on
 
 let evict_one t =

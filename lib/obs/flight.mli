@@ -39,7 +39,6 @@ val create : ?capacity:int -> unit -> t
 val default : t
 (** Process-wide recorder the built-in instrumentation writes to. *)
 
-val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 
 val record : t -> now:int64 -> kind -> string -> unit

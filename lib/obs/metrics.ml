@@ -1,8 +1,19 @@
-type counter = { c_name : string; mutable c_value : int }
+(* [*_class] is the instrument an instance also bumps: [None] for a
+   registered (class) instrument, [Some c] for an instance of [c]. *)
+type counter = {
+  c_name : string;
+  mutable c_value : int;
+  c_class : counter option;
+}
 
-type gauge = { g_name : string; mutable g_value : int; mutable g_hwm : int }
+type gauge = {
+  g_name : string;
+  mutable g_value : int;
+  mutable g_hwm : int;
+  g_class : gauge option;
+}
 
-type hist = { h_name : string; h_data : Dk_sim.Histogram.t }
+type hist = { h_name : string; h_data : Dk_sim.Histogram.t; h_class : hist option }
 
 type t = {
   counters : (string, counter) Hashtbl.t;
@@ -31,29 +42,65 @@ let get_or_create table name make =
       v
 
 let counter ?(reg = default) name =
-  get_or_create reg.counters name (fun () -> { c_name = name; c_value = 0 })
+  get_or_create reg.counters name (fun () ->
+      { c_name = name; c_value = 0; c_class = None })
 
-let incr c = c.c_value <- c.c_value + 1
-let add c n = c.c_value <- c.c_value + n
+let not_a_class what =
+  invalid_arg ("Metrics." ^ what ^ ": an instance's class must be registered")
+
+let instance c =
+  if Option.is_some c.c_class then not_a_class "instance";
+  { c_name = c.c_name; c_value = 0; c_class = Some c }
+
+(* Flat, not recursive: an instance's class is always registered, so a
+   bump is at most two field writes in one call. *)
+let add c n =
+  c.c_value <- c.c_value + n;
+  match c.c_class with Some k -> k.c_value <- k.c_value + n | None -> ()
+
+let incr c =
+  c.c_value <- c.c_value + 1;
+  match c.c_class with Some k -> k.c_value <- k.c_value + 1 | None -> ()
+
 let value c = c.c_value
 
 let gauge ?(reg = default) name =
   get_or_create reg.gauges name (fun () ->
-      { g_name = name; g_value = 0; g_hwm = 0 })
+      { g_name = name; g_value = 0; g_hwm = 0; g_class = None })
 
-let set g v =
+let gauge_instance g =
+  if Option.is_some g.g_class then not_a_class "gauge_instance";
+  { g_name = g.g_name; g_value = 0; g_hwm = 0; g_class = Some g }
+
+let move g n =
+  let v = g.g_value + n in
   g.g_value <- v;
   if v > g.g_hwm then g.g_hwm <- v
 
-let gauge_add g n = set g (g.g_value + n)
+(* An instance moves its class by the same delta, so the class level is
+   the sum of its instances' (plus any direct moves of its own). *)
+let gauge_add g n =
+  move g n;
+  match g.g_class with Some k -> move k n | None -> ()
+
+let set g v = gauge_add g (v - g.g_value)
 let gauge_value g = g.g_value
 let gauge_hwm g = g.g_hwm
 
 let hist ?(reg = default) name =
   get_or_create reg.hists name (fun () ->
-      { h_name = name; h_data = Dk_sim.Histogram.create () })
+      { h_name = name; h_data = Dk_sim.Histogram.create (); h_class = None })
 
-let observe h v = Dk_sim.Histogram.record h.h_data v
+let hist_instance h =
+  if Option.is_some h.h_class then not_a_class "hist_instance";
+  { h_name = h.h_name; h_data = Dk_sim.Histogram.create (); h_class = Some h }
+
+let observe h v =
+  Dk_sim.Histogram.record h.h_data v;
+  match h.h_class with
+  | Some k -> Dk_sim.Histogram.record k.h_data v
+  | None -> ()
+
 let hist_data h = h.h_data
 
 let reset t =

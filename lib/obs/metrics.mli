@@ -14,12 +14,18 @@
 
     Instruments are get-or-create by name: asking twice for the same
     name in the same registry returns the same instrument, so
-    components of the same class share one aggregate unless they embed
-    an instance id in the name.
+    components of the same class share one aggregate.
+
+    An object that needs its own count takes an {e instance} of the
+    class instrument ({!instance}, {!gauge_instance},
+    {!hist_instance}): an unregistered instrument whose every bump also
+    lands on its class, without allocating. The object reads its own
+    instance; snapshots and {!reset} see only the class. One event is
+    thus counted once, per object and per class.
 
     Naming scheme (see DESIGN.md "Observability"):
     [<layer>.<component>.<event>], e.g. [net.tcp.retransmits],
-    [device.nic.rx_dropped], [core.qd3.pushes]. *)
+    [device.nic.rx_dropped], [core.pushes]. *)
 
 type counter
 type gauge
@@ -39,6 +45,11 @@ val default : t
 val counter : ?reg:t -> string -> counter
 (** Get or create. Defaults to the {!default} registry. *)
 
+val instance : counter -> counter
+(** [instance c] is a fresh, unregistered counter at 0 whose bumps also
+    bump [c]. Raises [Invalid_argument] if [c] is itself an instance:
+    a class is always a registered instrument. *)
+
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
@@ -46,11 +57,17 @@ val value : counter -> int
 (* ---- gauges: instantaneous levels with a high-water mark ---- *)
 
 val gauge : ?reg:t -> string -> gauge
+
+val gauge_instance : gauge -> gauge
+(** [gauge_instance g] is a fresh, unregistered gauge at 0 whose moves
+    also move [g] by the same delta: [g]'s level is the sum of its
+    instances' levels, its high-water that of the sum; each instance
+    keeps its own. Raises [Invalid_argument] like {!instance}. *)
+
 val set : gauge -> int -> unit
 
 val gauge_add : gauge -> int -> unit
-(** Aggregate level across instances sharing the gauge: each instance
-    adds on entry and subtracts on exit. *)
+(** Move the level by a delta (and an instance's class with it). *)
 
 val gauge_value : gauge -> int
 
@@ -61,6 +78,10 @@ val gauge_hwm : gauge -> int
 
 val hist : ?reg:t -> string -> hist
 
+val hist_instance : hist -> hist
+(** [hist_instance h] is a fresh, unregistered histogram whose samples
+    also land in [h]. Raises [Invalid_argument] like {!instance}. *)
+
 val observe : hist -> int64 -> unit
 (** Record one sample. Negative samples clamp to zero (see
     {!Dk_sim.Histogram}). *)
@@ -70,8 +91,9 @@ val hist_data : hist -> Dk_sim.Histogram.t
 (* ---- registry-wide operations ---- *)
 
 val reset : t -> unit
-(** Zero every instrument; registrations (and the instrument records
-    components hold) survive, so live components keep working. *)
+(** Zero every registered instrument; registrations (and the instrument
+    records components hold) survive, so live components keep working.
+    Instances are not registered, so they keep their counts. *)
 
 type hist_summary = {
   hs_count : int;

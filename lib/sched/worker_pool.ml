@@ -1,6 +1,7 @@
 module Engine = Dk_sim.Engine
 module Cost = Dk_sim.Cost
 module Flight = Dk_obs.Flight
+module Metrics = Dk_obs.Metrics
 
 type mode = [ `Epoll_herd | `Qtoken ]
 
@@ -14,10 +15,11 @@ type stats = {
 
 type job = { arrival : int64 }
 
-(* Class-wide obs instruments (aggregated across pool runs). *)
-let m_jobs_done = Dk_obs.Metrics.counter "sched.pool.jobs_done"
-let m_wakeups = Dk_obs.Metrics.counter "sched.pool.wakeups"
-let m_wasted = Dk_obs.Metrics.counter "sched.pool.wasted_wakeups"
+(* Class-wide obs instruments (aggregated across pool runs); each run
+   counts into its own instances of them. *)
+let m_jobs_done = Metrics.counter "sched.pool.jobs_done"
+let m_wakeups = Metrics.counter "sched.pool.wakeups"
+let m_wasted = Metrics.counter "sched.pool.wasted_wakeups"
 
 type state = {
   engine : Engine.t;
@@ -25,9 +27,9 @@ type state = {
   mode : mode;
   ready : job Queue.t;
   mutable idle : int list; (* idle worker ids *)
-  mutable jobs_done : int;
-  mutable wakeups : int;
-  mutable wasted : int;
+  jobs_done : Metrics.counter;
+  wakeups : Metrics.counter;
+  wasted : Metrics.counter;
   latency : Dk_sim.Histogram.t;
   service_ns : int64;
   total_jobs : int;
@@ -39,8 +41,7 @@ let rec execute st id job =
   Dk_sim.Histogram.record st.latency
     (Int64.sub (Engine.now st.engine) job.arrival);
   let finish () =
-    st.jobs_done <- st.jobs_done + 1;
-    Dk_obs.Metrics.incr m_jobs_done;
+    Metrics.incr st.jobs_done;
     (* Look for more (unassigned) work without sleeping first. *)
     match Queue.take_opt st.ready with
     | Some next -> execute st id next
@@ -59,14 +60,12 @@ let flight_wakeup st what id =
 (* Epoll mode: a woken worker races to the shared ready queue and may
    find nothing. *)
 let herd_worker_wakes st id =
-  st.wakeups <- st.wakeups + 1;
-  Dk_obs.Metrics.incr m_wakeups;
+  Metrics.incr st.wakeups;
   flight_wakeup st "herd worker " id;
   match Queue.take_opt st.ready with
   | None ->
       (* Thundering herd loser: woke for nothing, back to sleep. *)
-      st.wasted <- st.wasted + 1;
-      Dk_obs.Metrics.incr m_wasted;
+      Metrics.incr st.wasted;
       st.idle <- id :: st.idle
   | Some job ->
       (* Reading the data is a second syscall the qtoken interface
@@ -98,8 +97,7 @@ let job_arrives st =
           st.idle <- rest;
           ignore
             (Engine.after st.engine st.cost.Cost.context_switch (fun () ->
-                 st.wakeups <- st.wakeups + 1;
-                 Dk_obs.Metrics.incr m_wakeups;
+                 Metrics.incr st.wakeups;
                  flight_wakeup st "qtoken worker " id;
                  execute st id job)))
 
@@ -113,9 +111,9 @@ let run ~engine ~cost ~mode ~workers ~jobs ~mean_interarrival_ns ~service_ns
       mode;
       ready = Queue.create ();
       idle = List.init workers (fun i -> i);
-      jobs_done = 0;
-      wakeups = 0;
-      wasted = 0;
+      jobs_done = Metrics.instance m_jobs_done;
+      wakeups = Metrics.instance m_wakeups;
+      wasted = Metrics.instance m_wasted;
       latency = Dk_sim.Histogram.create ();
       service_ns;
       total_jobs = jobs;
@@ -132,11 +130,13 @@ let run ~engine ~cost ~mode ~workers ~jobs ~mean_interarrival_ns ~service_ns
     end
   in
   schedule_arrival 0 (Int64.add start 1L);
-  ignore (Engine.run_until engine (fun () -> st.jobs_done >= st.total_jobs));
+  ignore
+    (Engine.run_until engine (fun () ->
+         Metrics.value st.jobs_done >= st.total_jobs));
   {
-    jobs_done = st.jobs_done;
-    wakeups = st.wakeups;
-    wasted_wakeups = st.wasted;
+    jobs_done = Metrics.value st.jobs_done;
+    wakeups = Metrics.value st.wakeups;
+    wasted_wakeups = Metrics.value st.wasted;
     dispatch_latency = st.latency;
     makespan_ns = Int64.sub (Engine.now engine) start;
   }

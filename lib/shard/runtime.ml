@@ -39,7 +39,6 @@ type envelope = { req_id : int; origin : int; payload : msg }
 
 type t = {
   n : int;
-  seed : int64;
   xfrac : float;
   shards : Shard.t array;
   engines : Engine.t array;
@@ -94,7 +93,6 @@ let rec create ~n ?(xfrac = 0.0) ?(seed = 42L) ?fault ?cost () =
   let t =
     {
       n;
-      seed;
       xfrac;
       shards;
       engines;
@@ -187,14 +185,31 @@ let rebalance rss ~flows ~dst_port =
   done;
   Rss.rebalance rss weights
 
-let place_flows t ~flows ~dst_port =
+(* ---- per-run bookkeeping ---- *)
+
+(* One run's counts on one shard: instances of the shard's
+   instruments, so the run reads exactly its own events. *)
+type counts = {
+  flows : Metrics.counter;
+  ops : Metrics.counter;
+  remote : Metrics.counter;
+  rtt : Metrics.hist;
+}
+
+let counts sh =
+  {
+    flows = Metrics.instance (Shard.flows_counter sh);
+    ops = Metrics.instance (Shard.ops_counter sh);
+    remote = Metrics.instance (Shard.remote_counter sh);
+    rtt = Metrics.hist_instance (Shard.rtt_hist sh);
+  }
+
+let place_flows t counts ~flows ~dst_port =
   rebalance t.rss ~flows ~dst_port;
   Array.init flows (fun c ->
       let owner = flow_owner t.rss c ~dst_port in
-      Metrics.incr (Shard.flows_counter t.shards.(owner));
+      Metrics.incr counts.(owner).flows;
       owner)
-
-(* ---- per-run bookkeeping ---- *)
 
 type shard_stats = {
   shard : int;
@@ -212,23 +227,16 @@ type stats = {
   wall_ns : int64;
 }
 
-type tally = {
-  mutable t_flows : int;
-  mutable t_ops : int;
-  mutable t_remote : int;
-  t_lat : Histogram.t;
-}
-
-let finish_stats t tallies starts =
+let finish_stats t counts starts =
   let per_shard =
     Array.init t.n (fun i ->
         {
           shard = i;
-          flow_count = tallies.(i).t_flows;
-          op_count = tallies.(i).t_ops;
-          remote_count = tallies.(i).t_remote;
+          flow_count = Metrics.value counts.(i).flows;
+          op_count = Metrics.value counts.(i).ops;
+          remote_count = Metrics.value counts.(i).remote;
           elapsed_ns = Int64.sub (Engine.now t.engines.(i)) starts.(i);
-          latency = tallies.(i).t_lat;
+          latency = Metrics.hist_data counts.(i).rtt;
         })
   in
   let total_ops = Array.fold_left (fun a s -> a + s.op_count) 0 per_shard in
@@ -252,16 +260,10 @@ let draw_home t i =
   end
   else i
 
-let record_op t i tally dt ~remote =
-  let sh = t.shards.(i) in
-  Histogram.record tally.t_lat dt;
-  Metrics.observe (Shard.rtt_hist sh) dt;
-  Metrics.incr (Shard.ops_counter sh);
-  tally.t_ops <- tally.t_ops + 1;
-  if remote then begin
-    Metrics.incr (Shard.remote_counter sh);
-    tally.t_remote <- tally.t_remote + 1
-  end
+let record_op c dt ~remote =
+  Metrics.observe c.rtt dt;
+  Metrics.incr c.ops;
+  if remote then Metrics.incr c.remote
 
 (* ---- echo workload ---- *)
 
@@ -317,11 +319,8 @@ let connect_client t i ~port =
    blocking and runs only the owner's engine; shards do not interact
    yet, so doing it in flow order is deterministic. *)
 let run ?drive t ~flows ~port ~serve ~start =
-  let owners = place_flows t ~flows ~dst_port:port in
-  let tallies =
-    Array.init t.n (fun _ ->
-        { t_flows = 0; t_ops = 0; t_remote = 0; t_lat = Histogram.create () })
-  in
+  let counts = Array.map counts t.shards in
+  let owners = place_flows t counts ~flows ~dst_port:port in
   for i = 0 to t.n - 1 do
     match start_server t i ~port serve with
     | Ok () -> ()
@@ -330,18 +329,17 @@ let run ?drive t ~flows ~port ~serve ~start =
   let conns =
     Array.map
       (fun owner ->
-        tallies.(owner).t_flows <- tallies.(owner).t_flows + 1;
         match connect_client t owner ~port with
         | Ok qd -> (owner, qd)
         | Error _ -> invalid_arg "Runtime.run: connect failed")
       owners
   in
   let starts = Array.map Engine.now t.engines in
-  Array.iter (fun (owner, qd) -> start owner tallies.(owner) qd) conns;
+  Array.iter (fun (owner, qd) -> start owner counts.(owner) qd) conns;
   (match drive with
   | Some f -> f t.engines
   | None -> Engine.run_group t.engines);
-  finish_stats t tallies starts
+  finish_stats t counts starts
 
 let echo_payload ~home ~size =
   let b = Bytes.make (max 1 size) 'e' in
@@ -352,7 +350,7 @@ let echo_payload ~home ~size =
    so the group scheduler interleaves shards fairly. [request home]
    builds the next request for a drawn home shard; [on_reply sga reply]
    frees what the round holds once the answer is in. *)
-let rec flow_round t i tally qd ~request ~on_reply ~ops_left =
+let rec flow_round t i counts qd ~request ~on_reply ~ops_left =
   let sh = t.shards.(i) in
   let demi = Shard.demi_client sh in
   if ops_left <= 0 then (
@@ -371,11 +369,11 @@ let rec flow_round t i tally qd ~request ~on_reply ~ops_left =
         | Ok tok ->
             Demi.watch demi tok (function
               | Types.Popped reply ->
-                  record_op t i tally
+                  record_op counts
                     (Int64.sub (Engine.now (Shard.engine sh)) t0)
                     ~remote:(home <> i);
                   on_reply sga reply;
-                  flow_round t i tally qd ~request ~on_reply
+                  flow_round t i counts qd ~request ~on_reply
                     ~ops_left:(ops_left - 1)
               | Types.Failed _ -> (
                   match Demi.close demi qd with Ok () | Error _ -> ())
@@ -383,9 +381,9 @@ let rec flow_round t i tally qd ~request ~on_reply ~ops_left =
 
 let run_echo ?drive t ~flows ~size ~rounds =
   run ?drive t ~flows ~port:echo_port ~serve:echo_reply
-    ~start:(fun i tally qd ->
+    ~start:(fun i counts qd ->
       let demi = Shard.demi_client t.shards.(i) in
-      flow_round t i tally qd ~ops_left:rounds
+      flow_round t i counts qd ~ops_left:rounds
         ~request:(fun home -> Demi.sga_alloc demi (echo_payload ~home ~size))
         ~on_reply:(fun sga reply ->
           Demi.sga_free demi reply;
@@ -457,8 +455,8 @@ let run_kv ?drive t ~flows ~ops_per_flow ~keys_per_shard ~value_size
     ~read_fraction =
   if keys_per_shard <= 0 then invalid_arg "Runtime.run_kv: keys_per_shard";
   preload_kv t ~keys_per_shard ~value_size;
-  run ?drive t ~flows ~port:kv_port ~serve:kv_reply ~start:(fun i tally qd ->
-      flow_round t i tally qd ~ops_left:ops_per_flow
+  run ?drive t ~flows ~port:kv_port ~serve:kv_reply ~start:(fun i counts qd ->
+      flow_round t i counts qd ~ops_left:ops_per_flow
         ~request:(kv_request t i ~keys_per_shard ~value_size ~read_fraction)
         ~on_reply:(fun _ reply -> Dk_mem.Sga.free reply))
 
@@ -466,8 +464,4 @@ let run_kv ?drive t ~flows ~ops_per_flow ~keys_per_shard ~value_size
 
 let pending_count t =
   Array.fold_left (fun a tbl -> a + Hashtbl.length tbl) 0 t.pending
-let shards t = t.shards
 let engines t = t.engines
-let rss t = t.rss
-let xfrac t = t.xfrac
-let seed t = t.seed

@@ -102,11 +102,7 @@ val flow_owner : Dk_device.Rss.t -> int -> dst_port:int -> int
 
 (** {2 Accessors} *)
 
-val shards : t -> Shard.t array
 val engines : t -> Dk_sim.Engine.t array
-val rss : t -> Dk_device.Rss.t
-val xfrac : t -> float
-val seed : t -> int64
 
 val key_home : t -> string -> int
 (** Owner shard of a [Dk_apps.Workload.key_name]-format key. *)

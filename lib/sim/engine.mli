@@ -78,11 +78,6 @@ val run_for : t -> int64 -> unit
     makes an N=1 shard run bit-identical to a plain single-engine
     run. *)
 
-val group_next : t array -> (int * int64) option
-(** Index and timestamp of the engine owning the earliest live event
-    across the group (tie broken to the lowest index); [None] when
-    every engine is drained. *)
-
 val step_group : t array -> bool
 (** Run the single earliest event in the group. Returns [false] when no
     engine has pending events. *)

@@ -19,6 +19,3 @@ let fold_sorted ~compare f tbl init =
   List.fold_left
     (fun acc (k, v) -> f k v acc)
     init (bindings_sorted ~compare tbl)
-
-let keys_sorted ~compare tbl =
-  List.map fst (bindings_sorted ~compare tbl)

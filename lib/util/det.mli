@@ -26,6 +26,3 @@ val fold_sorted :
   'acc ->
   'acc
 (** Fold in ascending key order. *)
-
-val keys_sorted : compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
-(** Keys in ascending order. *)

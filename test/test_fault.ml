@@ -2,12 +2,13 @@
    under the named fault plans, asserting liveness (every run
    terminates in bounded virtual time) and correct error surfacing
    (`Conn_aborted and `Io_error arrive through Demi.wait; nothing
-   hangs) — plus the determinism properties that make the injector a
-   replay tool: a rate-0 plan is bit-identical to no plan, and the
+   hangs), frame conservation across the NICs and the fabric under
+   every plan — plus the determinism properties that make the injector
+   a replay tool: a rate-0 plan is bit-identical to no plan, and the
    same plan + seed replays bit-identically.
 
    Set DK_FAULT_CI=1 (the CI fault matrix job does) to widen the
-   every-plan liveness sweep to multiple seeds. *)
+   every-plan sweeps to multiple seeds. *)
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -61,8 +62,7 @@ let bounded (o : outcome) =
 
 (* Echo client against a demikernel echo server over the faulty
    fabric; mirrors `demi faults` so CLI replays and tests agree. *)
-let run_echo ?(rounds = 40) ?(size = 256) () =
-  let duo = Setup.two_hosts () in
+let echo_on ?(rounds = 40) ?(size = 256) (duo : Setup.duo) =
   let engine = duo.Setup.engine and cost = duo.Setup.cost in
   let da = Setup.demi_of_host ~engine ~cost duo.Setup.a () in
   let db = Setup.demi_of_host ~engine ~cost duo.Setup.b () in
@@ -95,7 +95,11 @@ let run_echo ?(rounds = 40) ?(size = 256) () =
                 | _ -> err := Some `Not_supported)
           done;
           ignore (Demi.close da qd)));
-  { ok = !ok; err = !err; final_ns = Engine.now engine }
+  ({ ok = !ok; err = !err; final_ns = Engine.now engine }, da, db)
+
+let run_echo ?rounds ?size () =
+  let o, _, _ = echo_on ?rounds ?size (Setup.two_hosts ()) in
+  o
 
 (* Append [records] sealed records to a log file on a faulty block
    device, reading each one back. *)
@@ -314,15 +318,17 @@ let rdma_break_aborts () =
 
 (* ---------------- the full matrix ---------------- *)
 
+(* DK_FAULT_CI=1 (the CI matrix job) widens the every-plan sweeps to
+   several seeds. *)
+let matrix_seeds () =
+  match Sys.getenv_opt "DK_FAULT_CI" with
+  | Some ("1" | "true") -> [ 3L; 7L; 13L ]
+  | _ -> [ 7L ]
+
 (* Every named plan, echo + storage, must terminate and surface only
-   the sanctioned errors. DK_FAULT_CI=1 (the CI matrix job) widens the
-   sweep to several seeds. *)
+   the sanctioned errors. *)
 let every_plan_is_live () =
-  let seeds =
-    match Sys.getenv_opt "DK_FAULT_CI" with
-    | Some ("1" | "true") -> [ 3L; 7L; 13L ]
-    | _ -> [ 7L ]
-  in
+  let seeds = matrix_seeds () in
   List.iter
     (fun (name, _) ->
       List.iter
@@ -341,6 +347,72 @@ let every_plan_is_live () =
                     (Types.error_to_string err))
             [ e; s ])
         seeds)
+    Fault.plan_names
+
+(* ---------------- conservation ---------------- *)
+
+(* Each frame a NIC finished transmitting either died at its PHY (an
+   injected tx drop) or reached the fabric, where every copy of it (an
+   injected duplicate is one more) was delivered, lost or unrouted once
+   the engine drains. Each object's [stats] counts into an instance of
+   its class counter, so the per-object records must also sum to the
+   class counters exactly. *)
+let counter name = Dk_obs.Metrics.value (Dk_obs.Metrics.counter name)
+
+let check_sum label name values =
+  check_int (label ^ ": " ^ name) (counter name) (List.fold_left ( + ) 0 values)
+
+let fabric_conserves_frames label =
+  let duo = Setup.two_hosts ~loss:0.03 () in
+  let _, da, db = echo_on ~rounds:50 ~size:3_000 duo in
+  Engine.run duo.Setup.engine;
+  let nics = [ duo.Setup.a.Setup.nic; duo.Setup.b.Setup.nic ] in
+  let nic f = List.map (fun n -> f (Dk_device.Nic.stats n)) nics in
+  let stacks = [ duo.Setup.a.Setup.stack; duo.Setup.b.Setup.stack ] in
+  let stack f = List.map (fun s -> f (Dk_net.Stack.stats s)) stacks in
+  let mem f = List.map (fun d -> f (Dk_mem.Manager.stats (Demi.manager d))) [ da; db ] in
+  let fab = Dk_device.Fabric.stats duo.Setup.fabric in
+  let open Dk_device in
+  check_sum label "device.nic.tx_frames" (nic (fun s -> s.Nic.tx_frames));
+  check_sum label "device.nic.tx_bytes" (nic (fun s -> s.Nic.tx_bytes));
+  check_sum label "device.nic.tx_rejected" (nic (fun s -> s.Nic.tx_rejected));
+  check_sum label "device.nic.rx_frames" (nic (fun s -> s.Nic.rx_frames));
+  check_sum label "device.nic.rx_bytes" (nic (fun s -> s.Nic.rx_bytes));
+  check_sum label "device.nic.rx_dropped" (nic (fun s -> s.Nic.rx_dropped));
+  check_sum label "device.fabric.delivered" [ fab.Fabric.delivered ];
+  check_sum label "device.fabric.lost" [ fab.Fabric.lost ];
+  check_sum label "device.fabric.unrouted" [ fab.Fabric.unrouted ];
+  check_sum label "net.stack.frames_in" (stack (fun s -> s.Dk_net.Stack.frames_in));
+  check_sum label "net.stack.frames_out" (stack (fun s -> s.Dk_net.Stack.frames_out));
+  check_sum label "net.stack.decode_errors"
+    (stack (fun s -> s.Dk_net.Stack.decode_errors));
+  check_sum label "net.stack.not_for_us" (stack (fun s -> s.Dk_net.Stack.not_for_us));
+  check_sum label "net.stack.no_listener" (stack (fun s -> s.Dk_net.Stack.no_listener));
+  check_sum label "mem.manager.allocs" (mem (fun s -> s.Dk_mem.Manager.allocs));
+  check_sum label "mem.manager.releases" (mem (fun s -> s.Dk_mem.Manager.releases));
+  check_sum label "mem.manager.deferred_releases"
+    (mem (fun s -> s.Dk_mem.Manager.deferred_releases));
+  List.iter
+    (fun site ->
+      check_sum label
+        ("fault." ^ Fault.site_name site ^ ".injected")
+        [ Fault.injected Fault.default site ])
+    Fault.sites;
+  check_int (label ^ ": tx - tx_drop + dup = delivered + lost + unrouted")
+    (counter "device.nic.tx_frames"
+    - counter "fault.nic.tx_drop.injected"
+    + counter "fault.fabric.dup.injected")
+    (fab.Fabric.delivered + fab.Fabric.lost + fab.Fabric.unrouted)
+
+let frames_conserved_under_every_plan () =
+  with_plan None (fun () -> fabric_conserves_frames "no plan");
+  List.iter
+    (fun (name, _) ->
+      List.iter
+        (fun seed ->
+          with_plan (Some (named ~seed name)) @@ fun () ->
+          fabric_conserves_frames (Printf.sprintf "%s seed %Ld" name seed))
+        (matrix_seeds ()))
     Fault.plan_names
 
 (* ---------------- determinism properties ---------------- *)
@@ -424,7 +496,11 @@ let () =
       ( "rdma",
         [ Alcotest.test_case "qp break aborts" `Quick rdma_break_aborts ] );
       ( "matrix",
-        [ Alcotest.test_case "every plan is live" `Slow every_plan_is_live ] );
+        [
+          Alcotest.test_case "every plan is live" `Slow every_plan_is_live;
+          Alcotest.test_case "frames conserved under every plan" `Slow
+            frames_conserved_under_every_plan;
+        ] );
       ( "determinism",
         [
           Alcotest.test_case "rate-0 == no plan" `Quick

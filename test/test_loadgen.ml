@@ -158,8 +158,8 @@ let test_churn_conserves_population () =
 (* ---- 6. overload: shed, conserve, stay bounded ---- *)
 
 let test_overload_sheds_and_stays_bounded () =
-  (* Fresh registry state so the qdepth high-water below is this run's,
-     not a previous test's. *)
+  (* Fresh registry state so the exported dropped counter below is this
+     run's, not a previous test's. *)
   Metrics.reset Metrics.default;
   let s = { (scn "overload") with qcap = 128 } in
   let st = Loadgen.run ~scn:s ~shards:2 ~seed () in
@@ -191,6 +191,31 @@ let test_overload_sheds_and_stays_bounded () =
   in
   Alcotest.(check int) "dropped counter matches shed total" st.Loadgen.l_shed
     dropped
+
+(* A request born before the deadline can reach its station after the
+   deadline event closed every idle trunk, with no trunk left busy to
+   drain the queue. At 100 kops/s, seed 14 offers one such request; it
+   must be refused and counted, not admitted into a queue nothing
+   serves. *)
+let test_no_request_strands () =
+  let st =
+    Loadgen.run ~offered_rate:100_000. ~scn:(scn "poisson-steady") ~shards:2
+      ~seed:14L ()
+  in
+  let laws label ~offered ~admitted ~shed ~fin =
+    Alcotest.(check int) (label ^ ": offered = admitted + dropped") offered
+      (admitted + shed);
+    Alcotest.(check int) (label ^ ": admitted = completed") admitted fin
+  in
+  laws "all shards" ~offered:st.Loadgen.l_offered ~admitted:st.Loadgen.l_admitted
+    ~shed:st.Loadgen.l_shed ~fin:st.Loadgen.l_done;
+  Array.iter
+    (fun p ->
+      laws
+        (Printf.sprintf "shard%d" p.Loadgen.ls_shard)
+        ~offered:p.Loadgen.ls_offered ~admitted:p.Loadgen.ls_admitted
+        ~shed:p.Loadgen.ls_shed ~fin:p.Loadgen.ls_done)
+    st.Loadgen.l_per_shard
 
 (* ---- 7. every catalogue scenario runs at smoke scale ---- *)
 
@@ -289,6 +314,8 @@ let () =
         [
           Alcotest.test_case "sheds, conserves, bounded" `Quick
             test_overload_sheds_and_stays_bounded;
+          Alcotest.test_case "no request strands at the deadline" `Quick
+            test_no_request_strands;
         ] );
       ( "catalogue",
         [ Alcotest.test_case "all scenarios smoke" `Quick test_catalogue_smoke ]

@@ -85,6 +85,87 @@ let reset_zeroes_keeps_instruments () =
   M.incr c;
   check_int "still live" 1 (M.value (M.counter ~reg "c"))
 
+(* ---- instances ---- *)
+
+let instance_bumps_land_on_class () =
+  let reg = M.create () in
+  let c = M.counter ~reg "x.frames" in
+  let a = M.instance c and b = M.instance c in
+  M.incr a;
+  M.add b 4;
+  M.incr c;
+  check_int "instance a" 1 (M.value a);
+  check_int "instance b" 4 (M.value b);
+  check_int "class = both instances + its own bump" 6 (M.value c);
+  let h = M.hist ~reg "x.lat" in
+  let hi = M.hist_instance h in
+  M.observe hi 10L;
+  M.observe h 20L;
+  check_int "hist instance" 1 (Dk_sim.Histogram.count (M.hist_data hi));
+  check_int "hist class" 2 (Dk_sim.Histogram.count (M.hist_data h));
+  let not_a_class f = try ignore (f ()); false with Invalid_argument _ -> true in
+  check Alcotest.bool "no instance of an instance" true
+    (not_a_class (fun () -> M.instance a))
+
+let instance_gauge_hwm () =
+  let reg = M.create () in
+  let g = M.gauge ~reg "x.depth" in
+  let a = M.gauge_instance g and b = M.gauge_instance g in
+  M.gauge_add a 3;
+  M.gauge_add a (-3);
+  M.gauge_add b 2;
+  M.set a 1;
+  check_int "a level" 1 (M.gauge_value a);
+  check_int "a high-water is its own" 3 (M.gauge_hwm a);
+  check_int "b high-water is its own" 2 (M.gauge_hwm b);
+  check_int "class level is the sum" 3 (M.gauge_value g);
+  check_int "class high-water is that of the sum" 3 (M.gauge_hwm g);
+  M.gauge_add b 1;
+  check_int "class high-water moves with the sum" 4 (M.gauge_hwm g)
+
+let reset_leaves_instances () =
+  let reg = M.create () in
+  let c = M.counter ~reg "x.c" and g = M.gauge ~reg "x.g" in
+  let ci = M.instance c and gi = M.gauge_instance g in
+  M.add ci 5;
+  M.gauge_add gi 7;
+  M.reset reg;
+  check_int "class counter zeroed" 0 (M.value c);
+  check_int "class gauge zeroed" 0 (M.gauge_hwm g);
+  check_int "instance counter kept" 5 (M.value ci);
+  check_int "instance gauge kept" 7 (M.gauge_value gi);
+  M.incr ci;
+  check_int "instance still feeds its class" 1 (M.value c)
+
+let snapshot_lists_classes_only () =
+  let reg = M.create () in
+  let c = M.counter ~reg "x.c" in
+  M.incr (M.instance c);
+  M.gauge_add (M.gauge_instance (M.gauge ~reg "x.g")) 2;
+  M.observe (M.hist_instance (M.hist ~reg "x.h")) 5L;
+  let s = M.snapshot reg in
+  check Alcotest.(list (pair string int)) "counters" [ ("x.c", 1) ] s.M.counters;
+  check_int "one gauge" 1 (List.length s.M.gauges);
+  check_int "one hist" 1 (List.length s.M.hists)
+
+let instance_bumps_allocate_nothing () =
+  let reg = M.create () in
+  let c = M.instance (M.counter ~reg "x.c") in
+  let g = M.gauge_instance (M.gauge ~reg "x.g") in
+  let bump () =
+    M.incr c;
+    M.add c 2;
+    M.gauge_add g 1;
+    M.set g 0
+  in
+  bump ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    bump ()
+  done;
+  let words = Gc.minor_words () -. before in
+  check (Alcotest.float 0.) "minor words allocated" 0. words
+
 (* ---- snapshot ---- *)
 
 let snapshot_sorted_and_complete () =
@@ -501,6 +582,19 @@ let () =
           Alcotest.test_case "gauge high-water" `Quick gauge_hwm;
           Alcotest.test_case "histogram observe" `Quick hist_observe;
           Alcotest.test_case "reset" `Quick reset_zeroes_keeps_instruments;
+        ] );
+      ( "instances",
+        [
+          Alcotest.test_case "bumps land on instance and class" `Quick
+            instance_bumps_land_on_class;
+          Alcotest.test_case "gauge high-water: own vs sum" `Quick
+            instance_gauge_hwm;
+          Alcotest.test_case "reset leaves instances" `Quick
+            reset_leaves_instances;
+          Alcotest.test_case "snapshots list classes only" `Quick
+            snapshot_lists_classes_only;
+          Alcotest.test_case "bumps allocate nothing" `Quick
+            instance_bumps_allocate_nothing;
         ] );
       ( "snapshot",
         [

@@ -33,7 +33,9 @@
 #             harness at smoke scale (10^4 connections, seconds of
 #             host time): determinism, open-loop invariant, overload
 #             shedding/bounded-memory checks, plus one `demi scenario
-#             --all --smoke` sweep through the CLI
+#             --all --smoke` sweep through the CLI, diffed against each
+#             scenario run alone (stats must not depend on what ran
+#             before them in the process)
 #   offload   dune build @offload — the deep-NIC-offload suite (device
 #             pipeline/table units and properties, device==CPU-fallback
 #             equality, cross-traffic isolation, no-stale-reads under

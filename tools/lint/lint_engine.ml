@@ -233,8 +233,10 @@ let bufferish name =
 (* Statistic-flavoured identifier segments: a [mutable … : int] field or
    [ref 0] whose name contains one of these is almost always an event
    counter, which belongs in Dk_obs.Metrics where `demi stats` and the
-   bench dumps can see it. Deliberate per-instance stats (a [stats t]
-   accessor mirroring class-wide obs counters) go in the allowlist. *)
+   bench dumps can see it. An object that needs its own count of a
+   class-wide event holds a [Metrics.instance] of the class instrument;
+   only per-object counts with no class instrument go in the
+   allowlist. *)
 let statsy_words =
   [
     "hits"; "misses"; "drops"; "dropped"; "errors"; "retransmits"; "acks";
@@ -350,8 +352,9 @@ let scan_tokens ~path (toks : token array) : finding list =
         add line "adhoc-counter"
           (Printf.sprintf
              "mutable counter %s outside lib/obs: statistics belong in \
-              Dk_obs.Metrics so `demi stats` and the bench dumps see them \
-              (allowlist deliberate per-instance stats)"
+              Dk_obs.Metrics so `demi stats` and the bench dumps see them; \
+              a per-object count is a Metrics.instance of the class \
+              instrument, not an allowlisted field"
              (text (i + 1)));
       if
         tok = "let" && statsy (text (i + 1)) && text (i + 2) = "="
