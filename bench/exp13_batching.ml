@@ -26,27 +26,25 @@ let must = function
    b, each round timed from first push to last delivery. Returns
    (doorbell rings, ops, per-op latency histogram). *)
 let run_case window =
-  let duo = Setup.two_hosts () in
-  let engine = duo.Setup.engine in
-  let da = Setup.demi_of_host ~engine ~cost:duo.Setup.cost duo.Setup.a () in
-  let db = Setup.demi_of_host ~engine ~cost:duo.Setup.cost duo.Setup.b () in
-  let sqd = Result.get_ok (Demi.socket db `Udp) in
-  must (Demi.bind db sqd ~port:9);
+  let w = Setup.world Demikernel in
+  let engine = w.engine in
+  let sqd = Result.get_ok (Demi.socket w.server `Udp) in
+  must (Demi.bind w.server sqd ~port:9);
   let delivered = ref 0 in
-  Event_loop.on_message (Event_loop.create db) sqd (fun sga ->
+  Event_loop.on_message (Event_loop.create w.server) sqd (fun sga ->
       Sga.free sga;
       incr delivered);
-  let cqd = Result.get_ok (Demi.socket da `Udp) in
-  must (Demi.connect da cqd ~dst:(Setup.endpoint duo.Setup.b 9));
-  Demi.set_batch_window da window;
+  let cqd = Result.get_ok (Demi.socket w.client `Udp) in
+  must (Demi.connect w.client cqd ~dst:(Setup.endpoint w.b 9));
+  Demi.set_batch_window w.client window;
   let h = H.create () in
-  let doorbells0 = Dk_device.Nic.tx_doorbells duo.Setup.a.Setup.nic in
+  let doorbells0 = Dk_device.Nic.tx_doorbells w.a.Setup.nic in
   let target = ref 0 in
   for _ = 1 to rounds do
     let t0 = Engine.now engine in
     let sgas = List.init batch (fun _ -> Sga.of_string payload) in
-    let toks = must (Demi.push_batch da cqd sgas) in
-    (match Demi.wait_all da toks with
+    let toks = must (Demi.push_batch w.client cqd sgas) in
+    (match Demi.wait_all w.client toks with
     | Some _ -> ()
     | None -> failwith "push batch deadlocked");
     target := !target + batch;
@@ -56,8 +54,8 @@ let run_case window =
     H.record h (Int64.div elapsed (Int64.of_int batch))
   done;
   Engine.run engine;
-  must (Demi.close da cqd);
-  let rings = Dk_device.Nic.tx_doorbells duo.Setup.a.Setup.nic - doorbells0 in
+  must (Demi.close w.client cqd);
+  let rings = Dk_device.Nic.tx_doorbells w.a.Setup.nic - doorbells0 in
   (rings, rounds * batch, h)
 
 let run () =

@@ -11,31 +11,27 @@ module H = Dk_sim.Histogram
 let rounds = 50
 
 let kernel_rtt size =
-  let duo = Setup.two_hosts ~kernel_stack:true () in
-  let pa = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
-  let pb = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
-  ignore (Echo.start_posix_server ~posix:pb ~port:7);
-  let before = (Posix.stats pa).Posix.syscalls in
+  let w = Setup.world Kernel in
+  ignore (Echo.start_posix_server ~posix:w.server ~port:7);
+  let before = (Posix.stats w.client).Posix.syscalls in
   match
-    Echo.posix_rtt ~posix:pa ~engine:duo.Setup.engine
-      ~dst:(Setup.endpoint duo.Setup.b 7) ~size ~rounds
+    Echo.posix_rtt ~posix:w.client ~engine:w.engine
+      ~dst:(Setup.endpoint w.b 7) ~size ~rounds
   with
   | Ok h ->
-      let syscalls = (Posix.stats pa).Posix.syscalls - before in
+      let syscalls = (Posix.stats w.client).Posix.syscalls - before in
       (H.quantile h 0.5, float_of_int syscalls /. float_of_int rounds,
-       float_of_int (Posix.stats pa).Posix.bytes_copied /. float_of_int rounds)
+       float_of_int (Posix.stats w.client).Posix.bytes_copied /. float_of_int rounds)
   | Error _ -> failwith "kernel echo failed"
 
 let demi_rtt size =
-  let duo = Setup.two_hosts () in
-  let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-  let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-  ignore (Echo.start_demi_server ~demi:db ~port:7);
+  let w = Setup.world Demikernel in
+  ignore (Echo.start_demi_server ~demi:w.server ~port:7);
   match
-    Echo.demi_rtt ~demi:da ~dst:(Setup.endpoint duo.Setup.b 7) ~size ~rounds
+    Echo.demi_rtt ~demi:w.client ~dst:(Setup.endpoint w.b 7) ~size ~rounds
   with
-  | Ok h -> H.quantile h 0.5
-  | Error _ -> failwith "demi echo failed"
+  | h, None -> H.quantile h 0.5
+  | _, Some _ -> failwith "demi echo failed"
 
 let run () =
   Report.header ~id:"E1: data-path architectures" ~source:"Figure 1"

@@ -23,29 +23,25 @@ let must = function
 (* No accelerator at all: the same application on the kernel-fallback
    libOS ("Catnap"-style), paying legacy prices. *)
 let fallback_class () =
-  let duo = Setup.two_hosts ~kernel_stack:true () in
-  let pa = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
-  let pb = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
-  let da = Demi.create ~engine:duo.Setup.engine ~cost:duo.Setup.cost ~posix:pa () in
-  let db = Demi.create ~engine:duo.Setup.engine ~cost:duo.Setup.cost ~posix:pb () in
+  let w = Setup.world Kernel in
+  let da = Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.client () in
+  let db = Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.server () in
   ignore (Dk_apps.Echo.start_demi_server ~demi:db ~port:7);
   match
-    Dk_apps.Echo.demi_rtt ~demi:da ~dst:(Setup.endpoint duo.Setup.b 7) ~size ~rounds
+    Dk_apps.Echo.demi_rtt ~demi:da ~dst:(Setup.endpoint w.b 7) ~size ~rounds
   with
-  | Ok h -> H.quantile h 0.5
-  | Error _ -> failwith "fallback-class run failed"
+  | h, None -> H.quantile h 0.5
+  | _, Some _ -> failwith "fallback-class run failed"
 
 (* DPDK-class: raw NIC; the libOS supplies the entire network stack. *)
 let dpdk_class () =
-  let duo = Setup.two_hosts () in
-  let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-  let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-  ignore (Dk_apps.Echo.start_demi_server ~demi:db ~port:7);
+  let w = Setup.world Demikernel in
+  ignore (Dk_apps.Echo.start_demi_server ~demi:w.server ~port:7);
   match
-    Dk_apps.Echo.demi_rtt ~demi:da ~dst:(Setup.endpoint duo.Setup.b 7) ~size ~rounds
+    Dk_apps.Echo.demi_rtt ~demi:w.client ~dst:(Setup.endpoint w.b 7) ~size ~rounds
   with
-  | Ok h -> H.quantile h 0.5
-  | Error _ -> failwith "dpdk-class run failed"
+  | h, None -> H.quantile h 0.5
+  | _, Some _ -> failwith "dpdk-class run failed"
 
 (* RDMA-class: the device does reliable transport; the libOS supplies
    buffer management and flow control. *)
@@ -80,33 +76,31 @@ let rdma_class () =
 (* Programmable-class: as DPDK, plus an offloaded filter program that
    drops half the inbound traffic on-device. *)
 let programmable_class () =
-  let duo = Setup.two_hosts ~programmable:true () in
-  let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-  let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
+  let w = Setup.world ~programmable:true Demikernel in
   (* UDP ping-pong with a device-side filter on the server's queue *)
-  let sqd = Result.get_ok (Demi.socket db `Udp) in
-  must (Demi.bind db sqd ~port:9);
-  let fq = Result.get_ok (Demi.filter db sqd (Prog.Prefix "P:")) in
-  must (Demi.connect db fq ~dst:(Dk_net.Addr.endpoint duo.Setup.a.Setup.ip 10));
-  let offloaded = Demi.filter_offloaded db fq in
-  let loop = Event_loop.create db in
+  let sqd = Result.get_ok (Demi.socket w.server `Udp) in
+  must (Demi.bind w.server sqd ~port:9);
+  let fq = Result.get_ok (Demi.filter w.server sqd (Prog.Prefix "P:")) in
+  must (Demi.connect w.server fq ~dst:(Dk_net.Addr.endpoint w.a.Setup.ip 10));
+  let offloaded = Demi.filter_offloaded w.server fq in
+  let loop = Event_loop.create w.server in
   Event_loop.on_message loop fq (Event_loop.send loop fq);
-  let cqd = Result.get_ok (Demi.socket da `Udp) in
-  must (Demi.bind da cqd ~port:10);
-  must (Demi.connect da cqd ~dst:(Setup.endpoint duo.Setup.b 9));
+  let cqd = Result.get_ok (Demi.socket w.client `Udp) in
+  must (Demi.bind w.client cqd ~port:10);
+  must (Demi.connect w.client cqd ~dst:(Setup.endpoint w.b 9));
   let h = H.create () in
   let payload = "P:" ^ String.make (size - 2) 'p' in
-  let engine = duo.Setup.engine in
+  let engine = w.engine in
   for _ = 1 to rounds do
     let t0 = Engine.now engine in
-    ignore (Demi.blocking_push da cqd (Sga.of_string payload));
-    match Demi.blocking_pop da cqd with
+    ignore (Demi.blocking_push w.client cqd (Sga.of_string payload));
+    match Demi.blocking_pop w.client cqd with
     | Types.Popped reply ->
         H.record h (Int64.sub (Engine.now engine) t0);
         Sga.free reply
     | _ -> ()
   done;
-  must (Demi.close da cqd);
+  must (Demi.close w.client cqd);
   (H.quantile h 0.5, offloaded)
 
 let run () =

@@ -15,29 +15,25 @@ module H = Dk_sim.Histogram
 let ops = 60
 
 let demi_get_p50 value_size =
-  let duo = Setup.two_hosts () in
-  let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-  let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-  let kv = Kv.create (Demi.manager db) in
-  ignore (Kv_app.start_tcp_server ~demi:db ~port:1 ~kv);
+  let w = Setup.world Demikernel in
+  let kv = Kv.create (Demi.manager w.server) in
+  ignore (Kv_app.start_tcp_server ~demi:w.server ~port:1 ~kv);
   match
-    Kv_app.run_tcp_client ~demi:da ~dst:(Setup.endpoint duo.Setup.b 1) ~ops
+    Kv_app.run_tcp_client ~demi:w.client ~dst:(Setup.endpoint w.b 1) ~ops
       ~keys:8 ~value_size ~read_fraction:1.0 ()
   with
   | Ok s -> H.quantile s.Kv_app.latency 0.5
   | Error _ -> failwith "demi kv failed"
 
 let posix_get_p50 value_size =
-  let duo = Setup.two_hosts ~kernel_stack:true () in
-  let pa = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
-  let pb = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
+  let w = Setup.world Kernel in
   let kv = Kv.create (Dk_mem.Manager.create ()) in
   ignore
-    (Kv_posix.start_server ~posix:pb ~cost:duo.Setup.cost
-       ~engine:duo.Setup.engine ~port:1 ~kv);
+    (Kv_posix.start_server ~posix:w.server ~cost:w.cost
+       ~engine:w.engine ~port:1 ~kv);
   match
-    Kv_posix.run_client ~posix:pa ~engine:duo.Setup.engine
-      ~dst:(Setup.endpoint duo.Setup.b 1) ~ops ~keys:8 ~value_size
+    Kv_posix.run_client ~posix:w.client ~engine:w.engine
+      ~dst:(Setup.endpoint w.b 1) ~ops ~keys:8 ~value_size
       ~read_fraction:1.0 ()
   with
   | Ok s -> H.quantile s.Kv_app.latency 0.5

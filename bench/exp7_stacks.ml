@@ -18,15 +18,13 @@ let tp_size = 64
 (* Pipelined throughput: keep [tp_window] messages outstanding and
    measure completions per virtual second. *)
 let kernel_throughput () =
-  let duo = Setup.two_hosts ~kernel_stack:true () in
-  let engine = duo.Setup.engine in
-  let pa = Setup.posix_of_host ~engine ~cost:duo.Setup.cost duo.Setup.a in
-  let pb = Setup.posix_of_host ~engine ~cost:duo.Setup.cost duo.Setup.b in
-  ignore (Echo.start_posix_server ~posix:pb ~port:7);
+  let w = Setup.world Kernel in
+  let engine = w.engine in
+  ignore (Echo.start_posix_server ~posix:w.server ~port:7);
   let module P = Dk_kernel.Posix in
-  let fd = P.socket pa in
-  ignore (P.connect pa fd ~dst:(Setup.endpoint duo.Setup.b 7));
-  ignore (Dk_sim.Engine.run_until engine (fun () -> P.connected pa fd));
+  let fd = P.socket w.client in
+  ignore (P.connect w.client fd ~dst:(Setup.endpoint w.b 7));
+  ignore (Dk_sim.Engine.run_until engine (fun () -> P.connected w.client fd));
   let payload = String.make tp_size 'k' in
   let sent = ref 0 and rcvd_bytes = ref 0 in
   let buf = Bytes.create 65536 in
@@ -34,11 +32,11 @@ let kernel_throughput () =
   let pump () =
     (* fill the window *)
     while !sent < tp_msgs && !sent * tp_size - !rcvd_bytes < tp_window * tp_size do
-      (match P.write pa fd payload with
+      (match P.write w.client fd payload with
       | Ok n when n = tp_size -> incr sent
       | Ok _ | Error _ -> sent := tp_msgs (* backpressure stall: stop filling *))
     done;
-    match P.read pa fd buf 0 65536 with
+    match P.read w.client fd buf 0 65536 with
     | Ok n -> rcvd_bytes := !rcvd_bytes + n
     | Error _ -> ()
   in
@@ -55,13 +53,11 @@ let kernel_throughput () =
   float_of_int (!rcvd_bytes / tp_size) /. (Int64.to_float elapsed /. 1e9)
 
 let mtcp_throughput () =
-  let duo = Setup.two_hosts () in
-  let engine = duo.Setup.engine in
-  let ma = Setup.mtcp_of_host ~engine ~cost:duo.Setup.cost duo.Setup.a in
-  let mb = Setup.mtcp_of_host ~engine ~cost:duo.Setup.cost duo.Setup.b in
-  ignore (Echo.start_mtcp_server ~mtcp:mb ~port:7);
+  let w = Setup.world Mtcp in
+  let engine = w.engine in
+  ignore (Echo.start_mtcp_server ~mtcp:w.server ~port:7);
   let module M = Dk_kernel.Mtcp in
-  let conn = M.connect ma ~dst:(Setup.endpoint duo.Setup.b 7) in
+  let conn = M.connect w.client ~dst:(Setup.endpoint w.b 7) in
   let connected = ref false in
   M.set_on_connect conn (fun () -> connected := true);
   ignore (Dk_sim.Engine.run_until engine (fun () -> !connected));
@@ -81,24 +77,22 @@ let mtcp_throughput () =
   float_of_int tp_msgs /. (Int64.to_float elapsed /. 1e9)
 
 let demi_throughput () =
-  let duo = Setup.two_hosts () in
-  let engine = duo.Setup.engine in
-  let da = Setup.demi_of_host ~engine ~cost:duo.Setup.cost duo.Setup.a () in
-  let db = Setup.demi_of_host ~engine ~cost:duo.Setup.cost duo.Setup.b () in
-  ignore (Echo.start_demi_server ~demi:db ~port:7);
+  let w = Setup.world Demikernel in
+  let engine = w.engine in
+  ignore (Echo.start_demi_server ~demi:w.server ~port:7);
   let module D = Demikernel.Demi in
   let module T = Demikernel.Types in
-  let qd = Result.get_ok (D.socket da `Tcp) in
-  ignore (D.connect da qd ~dst:(Setup.endpoint duo.Setup.b 7));
+  let qd = Result.get_ok (D.socket w.client `Tcp) in
+  ignore (D.connect w.client qd ~dst:(Setup.endpoint w.b 7));
   let payload = String.make tp_size 'd' in
   let t0 = Dk_sim.Engine.now engine in
   let done_ = ref 0 in
   (* window of pops outstanding; pushes fire-and-watch *)
   let rec pop_loop () =
     if !done_ < tp_msgs then
-      match D.pop da qd with
+      match D.pop w.client qd with
       | Ok tok ->
-          D.watch da tok (function
+          D.watch w.client tok (function
             | T.Popped _ ->
                 incr done_;
                 pop_loop ()
@@ -107,8 +101,8 @@ let demi_throughput () =
   in
   pop_loop ();
   for _ = 1 to tp_msgs do
-    match D.push da qd (Dk_mem.Sga.of_string payload) with
-    | Ok tok -> D.watch da tok (fun _ -> ())
+    match D.push w.client qd (Dk_mem.Sga.of_string payload) with
+    | Ok tok -> D.watch w.client tok (fun _ -> ())
     | Error _ -> ()
   done;
   ignore (Dk_sim.Engine.run_until engine (fun () -> !done_ >= tp_msgs));
@@ -116,38 +110,32 @@ let demi_throughput () =
   float_of_int tp_msgs /. (Int64.to_float elapsed /. 1e9)
 
 let kernel size =
-  let duo = Setup.two_hosts ~kernel_stack:true () in
-  let pa = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
-  let pb = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
-  ignore (Echo.start_posix_server ~posix:pb ~port:7);
+  let w = Setup.world Kernel in
+  ignore (Echo.start_posix_server ~posix:w.server ~port:7);
   match
-    Echo.posix_rtt ~posix:pa ~engine:duo.Setup.engine
-      ~dst:(Setup.endpoint duo.Setup.b 7) ~size ~rounds
+    Echo.posix_rtt ~posix:w.client ~engine:w.engine
+      ~dst:(Setup.endpoint w.b 7) ~size ~rounds
   with
   | Ok h -> H.quantile h 0.5
   | Error _ -> failwith "kernel run failed"
 
 let mtcp size =
-  let duo = Setup.two_hosts () in
-  let ma = Setup.mtcp_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
-  let mb = Setup.mtcp_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
-  ignore (Echo.start_mtcp_server ~mtcp:mb ~port:7);
+  let w = Setup.world Mtcp in
+  ignore (Echo.start_mtcp_server ~mtcp:w.server ~port:7);
   let h =
-    Echo.mtcp_rtt ~mtcp:ma ~engine:duo.Setup.engine
-      ~dst:(Setup.endpoint duo.Setup.b 7) ~size ~rounds
+    Echo.mtcp_rtt ~mtcp:w.client ~engine:w.engine
+      ~dst:(Setup.endpoint w.b 7) ~size ~rounds
   in
   H.quantile h 0.5
 
 let demikernel size =
-  let duo = Setup.two_hosts () in
-  let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-  let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-  ignore (Echo.start_demi_server ~demi:db ~port:7);
+  let w = Setup.world Demikernel in
+  ignore (Echo.start_demi_server ~demi:w.server ~port:7);
   match
-    Echo.demi_rtt ~demi:da ~dst:(Setup.endpoint duo.Setup.b 7) ~size ~rounds
+    Echo.demi_rtt ~demi:w.client ~dst:(Setup.endpoint w.b 7) ~size ~rounds
   with
-  | Ok h -> H.quantile h 0.5
-  | Error _ -> failwith "demi run failed"
+  | h, None -> H.quantile h 0.5
+  | _, Some _ -> failwith "demi run failed"
 
 let run () =
   Report.header ~id:"E7: network stack comparison" ~source:"§6 (related work)"

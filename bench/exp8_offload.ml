@@ -24,19 +24,17 @@ let must = function
    Returns (virtual ns consumed end-to-end, frames filtered on device,
    messages delivered). *)
 let run_case ~programmable ~keep =
-  let duo = Setup.two_hosts ~programmable () in
-  let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-  let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-  let engine = duo.Setup.engine in
-  let sqd = Result.get_ok (Demi.socket db `Udp) in
-  must (Demi.bind db sqd ~port:9);
-  let fq = Result.get_ok (Demi.filter db sqd (Prog.Prefix "EVT:")) in
+  let w = Setup.world ~programmable Demikernel in
+  let engine = w.engine in
+  let sqd = Result.get_ok (Demi.socket w.server `Udp) in
+  must (Demi.bind w.server sqd ~port:9);
+  let fq = Result.get_ok (Demi.filter w.server sqd (Prog.Prefix "EVT:")) in
   let delivered = ref 0 in
-  Event_loop.on_message (Event_loop.create db) fq (fun sga ->
+  Event_loop.on_message (Event_loop.create w.server) fq (fun sga ->
       Sga.free sga;
       incr delivered);
-  let cqd = Result.get_ok (Demi.socket da `Udp) in
-  must (Demi.connect da cqd ~dst:(Setup.endpoint duo.Setup.b 9));
+  let cqd = Result.get_ok (Demi.socket w.client `Udp) in
+  must (Demi.connect w.client cqd ~dst:(Setup.endpoint w.b 9));
   let rng = Dk_sim.Rng.create 31L in
   let expected = ref 0 in
   let t0 = Engine.now engine in
@@ -45,13 +43,13 @@ let run_case ~programmable ~keep =
     if matches then incr expected;
     let prefix = if matches then "EVT:" else "IGN:" in
     let body = prefix ^ String.make (payload_size - 4) 'z' in
-    ignore (Demi.blocking_push da cqd (Sga.of_string body))
+    ignore (Demi.blocking_push w.client cqd (Sga.of_string body))
   done;
   ignore (Engine.run_until engine (fun () -> !delivered >= !expected));
   Engine.run engine;
   let elapsed = Int64.sub (Engine.now engine) t0 in
-  must (Demi.close da cqd);
-  let nic_stats = Dk_device.Nic.stats duo.Setup.b.Setup.nic in
+  must (Demi.close w.client cqd);
+  let nic_stats = Dk_device.Nic.stats w.b.Setup.nic in
   (elapsed, nic_stats.Dk_device.Nic.rx_filtered, !delivered)
 
 let run () =

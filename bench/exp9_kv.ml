@@ -15,38 +15,34 @@ let keys = 200
 let value_size = 1024
 
 let demi_run () =
-  let duo = Setup.two_hosts () in
-  let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-  let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-  let kv = Kv.create (Demi.manager db) in
-  ignore (Kv_app.start_tcp_server ~demi:db ~port:1 ~kv);
+  let w = Setup.world Demikernel in
+  let kv = Kv.create (Demi.manager w.server) in
+  ignore (Kv_app.start_tcp_server ~demi:w.server ~port:1 ~kv);
   match
-    Kv_app.run_tcp_client ~demi:da ~dst:(Setup.endpoint duo.Setup.b 1) ~ops
+    Kv_app.run_tcp_client ~demi:w.client ~dst:(Setup.endpoint w.b 1) ~ops
       ~keys ~value_size ~read_fraction:0.9 ()
   with
   | Ok s -> (s, 0.0, 0.0)
   | Error _ -> failwith "demi kv failed"
 
 let posix_run () =
-  let duo = Setup.two_hosts ~kernel_stack:true () in
-  let pa = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
-  let pb = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
+  let w = Setup.world Kernel in
   let kv = Kv.create (Dk_mem.Manager.create ()) in
   ignore
-    (Kv_posix.start_server ~posix:pb ~cost:duo.Setup.cost
-       ~engine:duo.Setup.engine ~port:1 ~kv);
-  let sys0 = (Posix.stats pb).Posix.syscalls in
-  let copy0 = (Posix.stats pb).Posix.bytes_copied in
+    (Kv_posix.start_server ~posix:w.server ~cost:w.cost
+       ~engine:w.engine ~port:1 ~kv);
+  let sys0 = (Posix.stats w.server).Posix.syscalls in
+  let copy0 = (Posix.stats w.server).Posix.bytes_copied in
   match
-    Kv_posix.run_client ~posix:pa ~engine:duo.Setup.engine
-      ~dst:(Setup.endpoint duo.Setup.b 1) ~ops ~keys ~value_size
+    Kv_posix.run_client ~posix:w.client ~engine:w.engine
+      ~dst:(Setup.endpoint w.b 1) ~ops ~keys ~value_size
       ~read_fraction:0.9 ()
   with
   | Ok s ->
       let per_op n = float_of_int n /. float_of_int (ops + keys) in
       ( s,
-        per_op ((Posix.stats pb).Posix.syscalls - sys0),
-        per_op ((Posix.stats pb).Posix.bytes_copied - copy0) )
+        per_op ((Posix.stats w.server).Posix.syscalls - sys0),
+        per_op ((Posix.stats w.server).Posix.bytes_copied - copy0) )
   | Error _ -> failwith "posix kv failed"
 
 let describe name (s : Kv_app.client_stats) syscalls copied =

@@ -60,20 +60,18 @@ let engine_event () =
 
 let tcp_echo_rtt () =
   (* full simulated stack: eth/arp/ip/tcp both ways, per run *)
-  let duo = Setup.two_hosts () in
-  let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-  let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-  (match Dk_apps.Echo.start_demi_server ~demi:db ~port:7 with
+  let w = Setup.world Demikernel in
+  (match Dk_apps.Echo.start_demi_server ~demi:w.server ~port:7 with
   | Ok () -> ()
   | Error _ -> assert false);
-  let qd = Result.get_ok (Demi.socket da `Tcp) in
-  (match Demi.connect da qd ~dst:(Setup.endpoint duo.Setup.b 7) with
+  let qd = Result.get_ok (Demi.socket w.client `Tcp) in
+  (match Demi.connect w.client qd ~dst:(Setup.endpoint w.b 7) with
   | Ok () -> ()
   | Error _ -> assert false);
   let sga = Sga.of_string (String.make 64 'x') in
   Staged.stage (fun () ->
-      ignore (Demi.blocking_push da qd sga);
-      match Demi.blocking_pop da qd with
+      ignore (Demi.blocking_push w.client qd sga);
+      match Demi.blocking_pop w.client qd with
       | Types.Popped _ -> ()
       | _ -> assert false)
 

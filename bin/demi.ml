@@ -69,49 +69,50 @@ let pp_shard_table (s : Runtime.stats) =
 
 let rtt_run stack size rounds window shards xfrac =
   if shards > 1 then begin
-    if not (String.equal stack "demikernel") then begin
+    if stack <> `Demikernel then begin
       prerr_endline "demi rtt: --shards > 1 requires --stack demikernel";
       exit 2
     end;
     let t = Runtime.create ~n:shards ~xfrac ~seed:42L () in
     let s = Runtime.run_echo t ~flows:(flows_per_shard * shards) ~size ~rounds in
     pp_hist
-      (Printf.sprintf "%s echo %dB over %d shards (xfrac %.0f%%)" stack size
+      (Printf.sprintf "demikernel echo %dB over %d shards (xfrac %.0f%%)" size
          shards (xfrac *. 100.))
       (merged_latency s);
     pp_shard_table s
   end
   else
-  let h =
+  let name, h =
     match stack with
-    | "kernel" ->
-        let duo = Setup.two_hosts ~kernel_stack:true () in
-        let pa = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
-        let pb = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
-        ignore (Echo.start_posix_server ~posix:pb ~port:7);
-        Result.get_ok
-          (Echo.posix_rtt ~posix:pa ~engine:duo.Setup.engine
-             ~dst:(Setup.endpoint duo.Setup.b 7) ~size ~rounds)
-    | "mtcp" ->
-        let duo = Setup.two_hosts () in
-        let ma = Setup.mtcp_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
-        let mb = Setup.mtcp_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
-        ignore (Echo.start_mtcp_server ~mtcp:mb ~port:7);
-        Echo.mtcp_rtt ~mtcp:ma ~engine:duo.Setup.engine
-          ~dst:(Setup.endpoint duo.Setup.b 7) ~size ~rounds
-    | _ ->
-        let duo = Setup.two_hosts () in
-        let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-        let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-        Demi_rt.set_batch_window da window;
-        ignore (Echo.start_demi_server ~demi:db ~port:7);
-        Result.get_ok
-          (Echo.demi_rtt ~demi:da ~dst:(Setup.endpoint duo.Setup.b 7) ~size ~rounds)
+    | `Kernel ->
+        let w = Setup.world Kernel in
+        ignore (Echo.start_posix_server ~posix:w.server ~port:7);
+        ( "kernel",
+          Result.get_ok
+            (Echo.posix_rtt ~posix:w.client ~engine:w.engine
+               ~dst:(Setup.endpoint w.b 7) ~size ~rounds) )
+    | `Mtcp ->
+        let w = Setup.world Mtcp in
+        ignore (Echo.start_mtcp_server ~mtcp:w.server ~port:7);
+        ( "mtcp",
+          Echo.mtcp_rtt ~mtcp:w.client ~engine:w.engine
+            ~dst:(Setup.endpoint w.b 7) ~size ~rounds )
+    | `Demikernel -> (
+        let w = Setup.world Demikernel in
+        Demi_rt.set_batch_window w.client window;
+        ignore (Echo.start_demi_server ~demi:w.server ~port:7);
+        match
+          Echo.demi_rtt ~demi:w.client ~dst:(Setup.endpoint w.b 7) ~size ~rounds
+        with
+        | h, None -> ("demikernel", h)
+        | _, Some e -> failwith (Demikernel.Types.error_to_string e))
   in
-  pp_hist (Printf.sprintf "%s echo %dB" stack size) h
+  pp_hist (Printf.sprintf "%s echo %dB" name size) h
 
 let stack_arg =
-  Arg.(value & opt string "demikernel"
+  Arg.(value
+       & opt (enum [ ("demikernel", `Demikernel); ("kernel", `Kernel); ("mtcp", `Mtcp) ])
+           `Demikernel
        & info [ "stack" ] ~docv:"STACK" ~doc:"demikernel, kernel or mtcp")
 
 let size_arg =
@@ -142,13 +143,11 @@ module Proto = Dk_apps.Proto
    host-managed + populate: SETs write through to the device over the
    synchronous control queue and host-served GET hits are inserted, so
    a Zipf-read-heavy loop converges onto the device fast. Returns the
-   world, the server demi instance, the server handle and the latency
-   histogram so both `demi kv` and `demi stats` can report on it. *)
+   world, the server handle and the latency histogram so both `demi kv`
+   and `demi stats` can report on it. *)
 let kv_offload_world ~ops ~keys ~value ~reads =
-  let duo = Setup.two_hosts ~programmable:true () in
-  let engine = duo.Setup.engine and cost = duo.Setup.cost in
-  let da = Setup.demi_of_host ~engine ~cost duo.Setup.a () in
-  let db = Setup.demi_of_host ~engine ~cost duo.Setup.b () in
+  let w = Setup.world ~programmable:true Demikernel in
+  let da = w.client and db = w.server in
   let kv = Dk_apps.Kv.create (Demi_rt.manager db) in
   let fail_on what = function
     | Ok v -> v
@@ -163,11 +162,11 @@ let kv_offload_world ~ops ~keys ~value ~reads =
          ~capacity:(max 16 keys) ~max_value:(max 64 value) ~populate:true ())
   in
   fail_on "set peer"
-    (Dk_apps.Kv_app.set_udp_peer srv (Setup.endpoint duo.Setup.a 5555));
+    (Dk_apps.Kv_app.set_udp_peer srv (Setup.endpoint w.a 5555));
   let qd = fail_on "client socket" (Demi_rt.socket da `Udp) in
   fail_on "client bind" (Demi_rt.bind da qd ~port:5555);
   fail_on "client connect"
-    (Demi_rt.connect da qd ~dst:(Setup.endpoint duo.Setup.b 1));
+    (Demi_rt.connect da qd ~dst:(Setup.endpoint w.b 1));
   let rpc s =
     match Demi_rt.blocking_push da qd (Dk_mem.Sga.of_strings [ s ]) with
     | Demikernel.Types.Pushed -> (
@@ -194,15 +193,15 @@ let kv_offload_world ~ops ~keys ~value ~reads =
         Proto.Get (Workload.key_name k)
       else Proto.Set (Workload.key_name k, Workload.value wl ~size:value)
     in
-    let t0 = Dk_sim.Engine.now engine in
+    let t0 = Dk_sim.Engine.now w.engine in
     rpc (Proto.udp_request_string req);
-    H.record h (Int64.sub (Dk_sim.Engine.now engine) t0)
+    H.record h (Int64.sub (Dk_sim.Engine.now w.engine) t0)
   done;
-  (duo, db, srv, h)
+  (w, srv, h)
 
 let kv_offload_run ops keys value reads =
-  let duo, db, srv, h = kv_offload_world ~ops ~keys ~value ~reads in
-  let engine = duo.Setup.engine in
+  let w, srv, h = kv_offload_world ~ops ~keys ~value ~reads in
+  let engine = w.engine and db = w.server in
   pp_hist "demikernel kv (GET path on the NIC)" h;
   Format.printf "throughput: %.1f kops/s@."
     (float_of_int ops
@@ -226,7 +225,7 @@ let kv_offload_run ops keys value reads =
 
 let kv_run iface ops keys value reads offload shards xfrac =
   if offload then begin
-    if shards > 1 || not (String.equal iface "demikernel") then begin
+    if shards > 1 || iface <> `Demikernel then begin
       prerr_endline
         "demi kv: --offload requires --iface demikernel and --shards 1";
       exit 2
@@ -234,7 +233,7 @@ let kv_run iface ops keys value reads offload shards xfrac =
     kv_offload_run ops keys value reads
   end
   else if shards > 1 then begin
-    if not (String.equal iface "demikernel") then begin
+    if iface <> `Demikernel then begin
       prerr_endline "demi kv: --shards > 1 requires --iface demikernel";
       exit 2
     end;
@@ -253,49 +252,39 @@ let kv_run iface ops keys value reads offload shards xfrac =
     pp_shard_table s
   end
   else
+  let pp_kv name = function
+    | Ok s ->
+        pp_hist name s.Dk_apps.Kv_app.latency;
+        Format.printf "throughput: %.1f kops/s@."
+          (float_of_int s.Dk_apps.Kv_app.ops
+           /. (Int64.to_float s.Dk_apps.Kv_app.elapsed_ns /. 1e9)
+           /. 1000.)
+    | Error _ -> prerr_endline (name ^ " run failed")
+  in
   match iface with
-  | "posix" ->
-      let duo = Setup.two_hosts ~kernel_stack:true () in
-      let pa = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
-      let pb = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
+  | `Posix ->
+      let w = Setup.world Kernel in
       let kv = Dk_apps.Kv.create (Dk_mem.Manager.create ()) in
       ignore
-        (Dk_apps.Kv_posix.start_server ~posix:pb ~cost:duo.Setup.cost
-           ~engine:duo.Setup.engine ~port:1 ~kv);
-      (match
-         Dk_apps.Kv_posix.run_client ~posix:pa ~engine:duo.Setup.engine
-           ~dst:(Setup.endpoint duo.Setup.b 1) ~ops ~keys ~value_size:value
-           ~read_fraction:reads ()
-       with
-      | Ok s ->
-          pp_hist "posix kv" s.Dk_apps.Kv_app.latency;
-          Format.printf "throughput: %.1f kops/s@."
-            (float_of_int s.Dk_apps.Kv_app.ops
-             /. (Int64.to_float s.Dk_apps.Kv_app.elapsed_ns /. 1e9)
-             /. 1000.)
-      | Error _ -> prerr_endline "posix kv run failed")
-  | _ ->
-      let duo = Setup.two_hosts () in
-      let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-      let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-      let kv = Dk_apps.Kv.create (Demi_rt.manager db) in
-      ignore (Dk_apps.Kv_app.start_tcp_server ~demi:db ~port:1 ~kv);
-      (match
-         Dk_apps.Kv_app.run_tcp_client ~demi:da
-           ~dst:(Setup.endpoint duo.Setup.b 1) ~ops ~keys ~value_size:value
-           ~read_fraction:reads ()
-       with
-      | Ok s ->
-          pp_hist "demikernel kv" s.Dk_apps.Kv_app.latency;
-          Format.printf "throughput: %.1f kops/s@."
-            (float_of_int s.Dk_apps.Kv_app.ops
-             /. (Int64.to_float s.Dk_apps.Kv_app.elapsed_ns /. 1e9)
-             /. 1000.)
-      | Error _ -> prerr_endline "demikernel kv run failed")
+        (Dk_apps.Kv_posix.start_server ~posix:w.server ~cost:w.cost
+           ~engine:w.engine ~port:1 ~kv);
+      pp_kv "posix kv"
+        (Dk_apps.Kv_posix.run_client ~posix:w.client ~engine:w.engine
+           ~dst:(Setup.endpoint w.b 1) ~ops ~keys ~value_size:value
+           ~read_fraction:reads ())
+  | `Demikernel ->
+      let w = Setup.world Demikernel in
+      let kv = Dk_apps.Kv.create (Demi_rt.manager w.server) in
+      ignore (Dk_apps.Kv_app.start_tcp_server ~demi:w.server ~port:1 ~kv);
+      pp_kv "demikernel kv"
+        (Dk_apps.Kv_app.run_tcp_client ~demi:w.client
+           ~dst:(Setup.endpoint w.b 1) ~ops ~keys ~value_size:value
+           ~read_fraction:reads ())
 
 let kv_cmd =
   let iface =
-    Arg.(value & opt string "demikernel"
+    Arg.(value
+         & opt (enum [ ("demikernel", `Demikernel); ("posix", `Posix) ]) `Demikernel
          & info [ "iface" ] ~docv:"IFACE" ~doc:"demikernel or posix")
   in
   let ops = Arg.(value & opt int 1000 & info [ "ops" ] ~docv:"N" ~doc:"operations") in
@@ -334,26 +323,25 @@ let wakeups_cmd =
 (* ---- loss ---- *)
 
 let loss_run loss bytes =
-  let duo = Setup.two_hosts ~loss () in
-  let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-  let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-  ignore (Echo.start_demi_server ~demi:db ~port:7);
+  let w = Setup.world ~loss Demikernel in
+  let da = w.client in
+  ignore (Echo.start_demi_server ~demi:w.server ~port:7);
   let qd = Result.get_ok (Demi_rt.socket da `Tcp) in
-  (match Demi_rt.connect da qd ~dst:(Setup.endpoint duo.Setup.b 7) with
+  (match Demi_rt.connect da qd ~dst:(Setup.endpoint w.b 7) with
   | Ok () -> ()
   | Error e -> failwith (Demikernel.Types.error_to_string e));
   let payload = String.init bytes (fun i -> Char.chr (i land 0xff)) in
-  let t0 = Dk_sim.Engine.now duo.Setup.engine in
+  let t0 = Dk_sim.Engine.now w.engine in
   ignore (Demi_rt.blocking_push da qd (Dk_mem.Sga.of_string payload));
   (match Demi_rt.blocking_pop da qd with
   | Demikernel.Types.Popped reply ->
       let ok = String.equal (Dk_mem.Sga.to_string reply) payload in
       Format.printf "echoed %d bytes intact=%b in %Ldns over a %.1f%%-lossy fabric@."
         bytes ok
-        (Int64.sub (Dk_sim.Engine.now duo.Setup.engine) t0)
+        (Int64.sub (Dk_sim.Engine.now w.engine) t0)
         (loss *. 100.)
   | r -> Format.printf "failed: %a@." Demikernel.Types.pp_op_result r);
-  let fs = Dk_device.Fabric.stats duo.Setup.fabric in
+  let fs = Dk_device.Fabric.stats w.fabric in
   Format.printf "fabric: %d delivered, %d lost (TCP retransmission recovered them)@."
     fs.Dk_device.Fabric.delivered fs.Dk_device.Fabric.lost
 
@@ -427,7 +415,7 @@ let stats_run size rounds loss json window offload shards xfrac =
       prerr_endline "demi stats: --offload requires --shards 1";
       exit 2
     end;
-    let duo, _db, srv, h =
+    let w, srv, h =
       kv_offload_world ~ops:rounds ~keys:200 ~value:size ~reads:0.9
     in
     meter_host_alloc ~since:mw0 ~ops:rounds;
@@ -437,7 +425,7 @@ let stats_run size rounds loss json window offload shards xfrac =
       rounds size
       (Dk_apps.Kv_app.server_offloaded srv);
     pp_hist "op latency" h;
-    let now = Dk_sim.Engine.now duo.Setup.engine in
+    let now = Dk_sim.Engine.now w.engine in
     let snap = Dk_obs.Metrics.snapshot Dk_obs.Metrics.default in
     print_obs_and_flight ~now snap json
   end
@@ -462,20 +450,18 @@ let stats_run size rounds loss json window offload shards xfrac =
     print_obs_and_flight ~now snap json
   end
   else begin
-    let duo = Setup.two_hosts ~loss () in
-    let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-    let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-    Demi_rt.set_batch_window da window;
-    ignore (Echo.start_demi_server ~demi:db ~port:7);
-    let h =
-      Result.get_ok
-        (Echo.demi_rtt ~demi:da ~dst:(Setup.endpoint duo.Setup.b 7) ~size ~rounds)
+    let w = Setup.world ~loss Demikernel in
+    Demi_rt.set_batch_window w.client window;
+    ignore (Echo.start_demi_server ~demi:w.server ~port:7);
+    let h, err =
+      Echo.demi_rtt ~demi:w.client ~dst:(Setup.endpoint w.b 7) ~size ~rounds
     in
+    Option.iter (fun e -> failwith (Demikernel.Types.error_to_string e)) err;
     meter_host_alloc ~since:mw0 ~ops:rounds;
     Format.printf "echo workload: %d rounds of %dB over a %.1f%%-lossy fabric@."
       rounds size (loss *. 100.);
     pp_hist "round-trip latency" h;
-    let now = Dk_sim.Engine.now duo.Setup.engine in
+    let now = Dk_sim.Engine.now w.engine in
     let snap = Dk_obs.Metrics.snapshot Dk_obs.Metrics.default in
     print_obs_and_flight ~now snap json
   end;
@@ -659,10 +645,11 @@ let faults_list () =
     "@.named plans (replay with `demi faults --plan NAME --seed N`):@.";
   List.iter (fun (n, d) -> Format.printf "  %-15s %s@." n d) Fault.plan_names
 
-(* Run one echo phase and one storage phase under the armed plan,
-   reporting liveness (first surfaced error, if any) and the injection
-   ledger. Everything is virtual-time deterministic: same plan + seed
-   => same output, which is what makes `demi faults` a replay tool. *)
+(* Run the replay workload's echo phase and storage phase on one
+   client in a world armed with the plan, reporting liveness (first
+   surfaced error, if any) and the world's injection ledger. Everything
+   is virtual-time deterministic: same plan + seed => same output,
+   which is what makes `demi faults` a replay tool. *)
 let faults_replay name seed size rounds =
   match Fault.named ~seed:(Int64.of_int seed) name with
   | None ->
@@ -672,89 +659,32 @@ let faults_replay name seed size rounds =
   | Some plan ->
       Dk_obs.Metrics.reset Dk_obs.Metrics.default;
       Dk_obs.Flight.clear Dk_obs.Flight.default;
-      Fault.install Fault.default plan;
-      Fun.protect ~finally:(fun () -> Fault.clear Fault.default) @@ fun () ->
-      let duo = Setup.two_hosts () in
-      let engine = duo.Setup.engine and cost = duo.Setup.cost in
-      let block = Dk_device.Block.create ~engine ~cost () in
-      let da = Setup.demi_of_host ~engine ~cost duo.Setup.a ~block () in
-      let db = Setup.demi_of_host ~engine ~cost duo.Setup.b () in
-      ignore (Echo.start_demi_server ~demi:db ~port:7);
+      let w = Setup.world ~fault_plan:plan ~block:true Demikernel in
+      ignore (Echo.start_demi_server ~demi:w.server ~port:7);
       Format.printf "plan %s (seed %d): %s@." plan.Fault.plan_name seed
         (try List.assoc name Fault.plan_names with Not_found -> "custom");
-      (* echo phase *)
-      let payload = String.make size 'f' in
-      let echo_err = ref None in
-      let ok_rounds = ref 0 in
-      (match Demi_rt.socket da `Tcp with
-      | Error e -> echo_err := Some e
-      | Ok qd -> (
-          match Demi_rt.connect da qd ~dst:(Setup.endpoint duo.Setup.b 7) with
-          | Error e -> echo_err := Some e
-          | Ok () ->
-              let i = ref 0 in
-              while !i < rounds && !echo_err = None do
-                incr i;
-                (match Demi_rt.sga_alloc da payload with
-                | Error e -> echo_err := Some e
-                | Ok sga -> (
-                    match Demi_rt.blocking_push da qd sga with
-                    | Demikernel.Types.Pushed -> (
-                        match Demi_rt.blocking_pop da qd with
-                        | Demikernel.Types.Popped reply ->
-                            incr ok_rounds;
-                            Demi_rt.sga_free da reply;
-                            Demi_rt.sga_free da sga
-                        | Demikernel.Types.Failed e -> echo_err := Some e
-                        | _ -> echo_err := Some `Not_supported)
-                    | Demikernel.Types.Failed e -> echo_err := Some e
-                    | _ -> echo_err := Some `Not_supported))
-              done;
-              ignore (Demi_rt.close da qd)));
-      Format.printf "echo   : %d/%d rounds%s@." !ok_rounds rounds
-        (match !echo_err with
+      let then_ = function
         | None -> ""
         | Some e ->
-            Printf.sprintf " — then %s" (Demikernel.Types.error_to_string e));
-      (* storage phase *)
-      let disk_err = ref None in
-      let ok_records = ref 0 in
+            Printf.sprintf " — then %s" (Demikernel.Types.error_to_string e)
+      in
+      let ok_rounds, echo_err =
+        Dk_apps.Fault_replay.echo ~demi:w.client ~dst:(Setup.endpoint w.b 7)
+          ~size ~rounds
+      in
+      Format.printf "echo   : %d/%d rounds%s@." ok_rounds rounds (then_ echo_err);
       let records = 8 in
-      (match Demi_rt.fcreate da "replay.log" with
-      | Error e -> disk_err := Some e
-      | Ok fqd ->
-          let i = ref 0 in
-          while !i < records && !disk_err = None do
-            incr i;
-            match Demi_rt.sga_alloc da (Printf.sprintf "record-%03d" !i) with
-            | Error e -> disk_err := Some e
-            | Ok sga -> (
-                (match Demi_rt.blocking_push da fqd sga with
-                | Demikernel.Types.Pushed -> (
-                    match Demi_rt.blocking_pop da fqd with
-                    | Demikernel.Types.Popped r ->
-                        incr ok_records;
-                        Demi_rt.sga_free da r
-                    | Demikernel.Types.Failed e -> disk_err := Some e
-                    | _ -> disk_err := Some `Not_supported)
-                | Demikernel.Types.Failed e -> disk_err := Some e
-                | _ -> disk_err := Some `Not_supported);
-                Demi_rt.sga_free da sga)
-          done);
-      Format.printf "storage: %d/%d records%s@." !ok_records records
-        (match !disk_err with
-        | None -> ""
-        | Some e ->
-            Printf.sprintf " — then %s" (Demikernel.Types.error_to_string e));
-      (* injection ledger *)
+      let ok_records, log_err = Dk_apps.Fault_replay.log ~demi:w.client ~records in
+      Format.printf "storage: %d/%d records%s@." ok_records records
+        (then_ log_err);
       Format.printf "@.injected (virtual time now %Ldns):@."
-        (Dk_sim.Engine.now engine);
+        (Dk_sim.Engine.now w.engine);
       List.iter
         (fun s ->
-          let n = Fault.injected Fault.default s in
+          let n = Fault.injected w.fault s in
           if n > 0 then Format.printf "  %-18s %d@." (Fault.site_name s) n)
         Fault.sites;
-      if Fault.total_injected Fault.default = 0 then
+      if Fault.total_injected w.fault = 0 then
         Format.printf "  (nothing fired — window/rate injected no faults)@."
 
 let faults_run plan seed size rounds =

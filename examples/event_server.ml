@@ -1,6 +1,8 @@
 (* A memcached-style server written against the libevent-flavoured
    adapter of §4.4: no explicit pops, no epoll — register callbacks per
    queue and the loop delivers whole messages with no wasted wakeups.
+   Client and server hosts come from one [Sim_setup.world Demikernel]
+   call.
 
    Run with:  dune exec examples/event_server.exe *)
 
@@ -17,20 +19,14 @@ let must = function
   | Error e -> failwith (Types.error_to_string e)
 
 let () =
-  let duo = Setup.two_hosts () in
-  let server =
-    Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b ()
-  in
-  let client =
-    Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a ()
-  in
+  let w = Setup.world Demikernel in
 
   (* --- server: pure callbacks --- *)
-  let kv = Kv.create (Demi.manager server) in
-  let loop = Event_loop.create server in
-  let lqd = Result.get_ok (Demi.socket server `Tcp) in
-  must (Demi.bind server lqd ~port:11211);
-  must (Demi.listen server lqd);
+  let kv = Kv.create (Demi.manager w.server) in
+  let loop = Event_loop.create w.server in
+  let lqd = Result.get_ok (Demi.socket w.server `Tcp) in
+  must (Demi.bind w.server lqd ~port:11211);
+  must (Demi.listen w.server lqd);
   let served = ref 0 in
   Event_loop.on_accept loop lqd (fun conn ->
       Format.printf "server: accepted qd=%d@." conn;
@@ -43,11 +39,11 @@ let () =
           Format.printf "server: connection closed@."));
 
   (* --- client: ordinary blocking calls --- *)
-  let qd = Result.get_ok (Demi.socket client `Tcp) in
-  must (Demi.connect client qd ~dst:(Setup.endpoint duo.Setup.b 11211));
+  let qd = Result.get_ok (Demi.socket w.client `Tcp) in
+  must (Demi.connect w.client qd ~dst:(Setup.endpoint w.b 11211));
   let rpc req =
-    ignore (Demi.blocking_push client qd (Proto.request_sga req));
-    match Demi.blocking_pop client qd with
+    ignore (Demi.blocking_push w.client qd (Proto.request_sga req));
+    match Demi.blocking_pop w.client qd with
     | Types.Popped sga -> Proto.response_of_sga sga
     | _ -> None
   in
@@ -62,5 +58,5 @@ let () =
   (match rpc (Proto.Get "lang") with
   | Some Proto.Not_found -> print_endline "GET lang -> (not found)"
   | _ -> print_endline "unexpected");
-  must (Demi.close client qd);
+  must (Demi.close w.client qd);
   Format.printf "server handled %d requests via event callbacks@." !served

@@ -3,7 +3,8 @@
 
    The server answers GETs with zero-copy responses that share the
    stored value buffer; the client runs a Zipf-skewed 90/10 GET/SET
-   mix and reports the latency distribution.
+   mix and reports the latency distribution. Both hosts come from one
+   [Sim_setup.world Demikernel] call.
 
    Run with:  dune exec examples/kv_store.exe *)
 
@@ -14,21 +15,15 @@ module Kv_app = Dk_apps.Kv_app
 module H = Dk_sim.Histogram
 
 let () =
-  let duo = Setup.two_hosts () in
-  let client =
-    Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a ()
-  in
-  let server =
-    Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b ()
-  in
-  let kv = Kv.create (Demi.manager server) in
+  let w = Setup.world Demikernel in
+  let kv = Kv.create (Demi.manager w.server) in
   let srv =
-    match Kv_app.start_tcp_server ~demi:server ~port:6379 ~kv with
+    match Kv_app.start_tcp_server ~demi:w.server ~port:6379 ~kv with
     | Ok s -> s
     | Error e -> failwith (Demikernel.Types.error_to_string e)
   in
   match
-    Kv_app.run_tcp_client ~demi:client ~dst:(Setup.endpoint duo.Setup.b 6379)
+    Kv_app.run_tcp_client ~demi:w.client ~dst:(Setup.endpoint w.b 6379)
       ~ops:2000 ~keys:500 ~value_size:512 ~read_fraction:0.9 ()
   with
   | Error e -> failwith (Demikernel.Types.error_to_string e)
@@ -42,7 +37,7 @@ let () =
       let secs = Int64.to_float stats.Kv_app.elapsed_ns /. 1e9 in
       Format.printf "throughput : %.0f ops/s (virtual time)@."
         (float_of_int stats.Kv_app.ops /. secs);
-      let mem = Dk_mem.Manager.stats (Demi.manager server) in
+      let mem = Dk_mem.Manager.stats (Demi.manager w.server) in
       Format.printf
         "server mem : %d allocs, %d releases (%d deferred by free-protection)@."
         mem.Dk_mem.Manager.allocs mem.Dk_mem.Manager.releases

@@ -21,17 +21,14 @@ let start_demi_server ~demi ~port =
   Ok ()
 
 let demi_rtt ~demi ~dst ~size ~rounds =
-  let ( let* ) = Result.bind in
-  let* qd = Demi.socket demi `Tcp in
-  let* () = Demi.connect demi qd ~dst in
   let engine = Demi.engine demi in
   let hist = Dk_sim.Histogram.create () in
   let payload = String.make size 'e' in
-  let failed = ref false in
-  for _ = 1 to rounds do
-    if not !failed then begin
+  let rec go qd i =
+    if i >= rounds then None
+    else
       match Demi.sga_alloc demi payload with
-      | Error _ -> failed := true
+      | Error e -> Some e
       | Ok sga -> (
           let t0 = Engine.now engine in
           match Demi.blocking_push demi qd sga with
@@ -41,15 +38,25 @@ let demi_rtt ~demi ~dst ~size ~rounds =
                   Dk_sim.Histogram.record hist
                     (Int64.sub (Engine.now engine) t0);
                   Demi.sga_free demi reply;
-                  Demi.sga_free demi sga
-              | Types.Pushed | Types.Accepted _ | Types.Failed _ ->
-                  failed := true)
-          | Types.Popped _ | Types.Accepted _ | Types.Failed _ ->
-              failed := true)
-    end
-  done;
-  (match Demi.close demi qd with Ok () | Error _ -> ());
-  if !failed then Error `Queue_closed else Ok hist
+                  Demi.sga_free demi sga;
+                  go qd (i + 1)
+              | Types.Failed e -> Some e
+              | Types.Pushed | Types.Accepted _ -> Some `Not_supported)
+          | Types.Failed e -> Some e
+          | Types.Popped _ | Types.Accepted _ -> Some `Not_supported)
+  in
+  let err =
+    match Demi.socket demi `Tcp with
+    | Error e -> Some e
+    | Ok qd -> (
+        match Demi.connect demi qd ~dst with
+        | Error e -> Some e
+        | Ok () ->
+            let err = go qd 0 in
+            (match Demi.close demi qd with Ok () | Error _ -> ());
+            err)
+  in
+  (hist, err)
 
 (* ---- POSIX ---- *)
 

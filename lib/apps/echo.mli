@@ -15,7 +15,11 @@ val demi_rtt :
   dst:Dk_net.Addr.endpoint ->
   size:int ->
   rounds:int ->
-  (Dk_sim.Histogram.t, Demikernel.Types.error) result
+  Dk_sim.Histogram.t * Demikernel.Types.error option
+(** Up to [rounds] round trips of [size] bytes over one TCP connection
+    to an echo server at [dst], stopping at the first error: the
+    latency of each completed round, and that error if one ended the
+    run early. *)
 
 val start_posix_server :
   posix:Dk_kernel.Posix.t -> port:int -> (unit, Dk_kernel.Posix.error) result

@@ -1,59 +1,78 @@
 module Engine = Dk_sim.Engine
 module Cost = Dk_sim.Cost
+module Fault = Dk_fault.Fault
 module Nic = Dk_device.Nic
 module Fabric = Dk_device.Fabric
 module Addr = Dk_net.Addr
 module Stack = Dk_net.Stack
+module Demi = Demikernel.Demi
 
 type host = { nic : Nic.t; stack : Stack.t; ip : Addr.ip }
 
-let make_engine ?fault ?loss ?(cost = Cost.default) () =
-  let engine = Engine.create () in
-  let fabric = Fabric.create ~engine ~cost ?fault ?loss () in
-  (engine, fabric, cost)
-
-let add_host ~engine ~cost ~fabric ~index ~ip ?fault ?(programmable = false)
-    ?(kernel_stack = false) () =
+let attach ~engine ~cost ~fabric ?fault ?programmable ?pkt_cost ~index ~ip () =
   let nic =
     Nic.create ~engine ~cost ?fault ~mac:(Addr.mac_of_index index)
-      ~programmable ()
+      ?programmable ()
   in
   Fabric.attach fabric nic;
-  let addr = Addr.ip_of_string ip in
-  let pkt_cost =
-    if kernel_stack then Some cost.Cost.kernel_net_per_pkt else None
-  in
-  let stack = Stack.create ~engine ~cost ~nic ~ip:addr ?pkt_cost () in
-  { nic; stack; ip = addr }
+  let ip = Addr.ip_of_string ip in
+  { nic; stack = Stack.create ~engine ~cost ~nic ~ip ?pkt_cost (); ip }
+
+let add_host ~engine ~cost ~fabric ~index ~ip () =
+  attach ~engine ~cost ~fabric ~index ~ip ()
 
 let demi_of_host ~engine ~cost host ?block ?rdma () =
-  Demikernel.Demi.create ~engine ~cost ~stack:host.stack ?block ?rdma ()
+  Demi.create ~engine ~cost ~stack:host.stack ?block ?rdma ()
 
-let posix_of_host ~engine ~cost host =
-  Dk_kernel.Posix.create ~engine ~cost ~stack:host.stack ()
+type _ os =
+  | Demikernel : Demi.t os
+  | Kernel : Dk_kernel.Posix.t os
+  | Mtcp : Dk_kernel.Mtcp.t os
 
-let mtcp_of_host ~engine ~cost host =
-  Dk_kernel.Mtcp.create ~engine ~cost ~stack:host.stack ()
-
-type duo = {
+type 'os world = {
   engine : Engine.t;
   fabric : Fabric.t;
   cost : Cost.t;
+  fault : Fault.t;
   a : host;
   b : host;
+  client : 'os;
+  server : 'os;
 }
 
-let two_hosts ?fault ?loss ?cost ?(programmable = false)
-    ?(kernel_stack = false) () =
-  let engine, fabric, cost = make_engine ?fault ?loss ?cost () in
-  let a =
-    add_host ~engine ~cost ~fabric ~index:1 ~ip:"10.0.0.1" ?fault ~programmable
-      ~kernel_stack ()
+let per_packet (type a) cost : a os -> int64 = function
+  | Kernel -> cost.Cost.kernel_net_per_pkt
+  | Demikernel | Mtcp -> cost.Cost.user_net_per_pkt
+
+let instance (type a) (os : a os) ~engine ~cost ?block host : a =
+  match (os, block) with
+  | Demikernel, _ -> demi_of_host ~engine ~cost host ?block ()
+  | Kernel, None -> Dk_kernel.Posix.create ~engine ~cost ~stack:host.stack ()
+  | Mtcp, None -> Dk_kernel.Mtcp.create ~engine ~cost ~stack:host.stack ()
+  | (Kernel | Mtcp), Some _ ->
+      invalid_arg "Sim_setup.world: only Demikernel takes a block device"
+
+let world ?(id = 0) ?fault_plan ?loss ?(cost = Cost.default)
+    ?(programmable = false) ?(block = false) os =
+  if id < 0 then invalid_arg "Sim_setup.world: negative id";
+  let fault = Fault.create () in
+  Option.iter (Fault.install fault) fault_plan;
+  let engine = Engine.create () in
+  let fabric = Fabric.create ~engine ~cost ~fault ?loss () in
+  let host k =
+    attach ~engine ~cost ~fabric ~fault ~programmable
+      ~pkt_cost:(per_packet cost os) ~index:((2 * id) + k)
+      ~ip:(Printf.sprintf "10.%d.0.%d" (id land 0xff) k)
+      ()
   in
-  let b =
-    add_host ~engine ~cost ~fabric ~index:2 ~ip:"10.0.0.2" ?fault ~programmable
-      ~kernel_stack ()
+  let a = host 1 in
+  let b = host 2 in
+  let block =
+    if block then Some (Dk_device.Block.create ~engine ~cost ~fault ())
+    else None
   in
-  { engine; fabric; cost; a; b }
+  let client = instance os ~engine ~cost ?block a in
+  let server = instance os ~engine ~cost b in
+  { engine; fabric; cost; fault; a; b; client; server }
 
 let endpoint host port = Addr.endpoint host.ip port

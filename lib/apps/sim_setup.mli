@@ -1,7 +1,7 @@
-(** Canned simulation topologies shared by tests, examples and the
-    benchmark harness: an engine + switched fabric with two or more
-    hosts, each host exposing whichever interface a scenario needs
-    (Demikernel runtime, POSIX kernel, or mTCP). *)
+(** Simulated worlds shared by the CLI, tests, examples and the
+    benchmark harness: an engine and a switched fabric with two hosts,
+    each running the operating system a scenario compares (Demikernel,
+    the legacy kernel, or mTCP). *)
 
 type host = {
   nic : Dk_device.Nic.t;
@@ -9,12 +9,58 @@ type host = {
   ip : Dk_net.Addr.ip;
 }
 
-val make_engine :
-  ?fault:Dk_fault.Fault.t -> ?loss:float -> ?cost:Dk_sim.Cost.t -> unit ->
-  Dk_sim.Engine.t * Dk_device.Fabric.t * Dk_sim.Cost.t
-(** [fault] scopes the fabric to its own fault domain (defaults to the
-    process-wide [Dk_fault.Fault.default]); a multi-shard run passes a
-    per-shard domain so injected faults stay within one shard. *)
+(** {2 The world builder} *)
+
+type _ os =
+  | Demikernel : Demikernel.Demi.t os
+  | Kernel : Dk_kernel.Posix.t os
+  | Mtcp : Dk_kernel.Mtcp.t os
+
+type 'os world = {
+  engine : Dk_sim.Engine.t;
+  fabric : Dk_device.Fabric.t;
+  cost : Dk_sim.Cost.t;
+  fault : Dk_fault.Fault.t;
+      (** the world's own fault domain: its fabric, NICs and block
+          device consult it and nothing else does *)
+  a : host;  (** 10.<id>.0.1 *)
+  b : host;  (** 10.<id>.0.2 *)
+  client : 'os;  (** the OS on [a] *)
+  server : 'os;  (** the OS on [b] *)
+}
+
+val world :
+  ?id:int ->
+  ?fault_plan:Dk_fault.Fault.plan ->
+  ?loss:float ->
+  ?cost:Dk_sim.Cost.t ->
+  ?programmable:bool ->
+  ?block:bool ->
+  'os os ->
+  'os world
+(** Build an engine, a fabric and two hosts, and run [os] on both.
+
+    - Each host's stack charges the OS's per-packet cost: the kernel
+      stack's ([Cost.kernel_net_per_pkt]) under [Kernel], the
+      user-level stack's ([Cost.user_net_per_pkt]) under the others.
+    - [id] (default [0], must be [>= 0]) picks the addressing: hosts
+      [10.<id>.0.1] and [10.<id>.0.2] (the id taken mod 256) with MAC
+      indices [2 id + 1] and [2 id + 2], so shard worlds never
+      collide.
+    - The world owns a fresh fault domain; [fault_plan], when given,
+      is installed into it, so a plan never reaches another world.
+    - [loss] is the fabric's loss probability; [programmable] gives
+      both NICs an on-NIC program slot.
+    - [block] (default [false]) attaches an NVMe device in the world's
+      fault domain to the client's Demikernel.
+      @raise Invalid_argument with [block] under another OS. *)
+
+val endpoint : host -> int -> Dk_net.Addr.endpoint
+
+(** {2 Hand-built worlds}
+
+    For worlds the builder does not make. A NIC created here consults
+    a fault domain of its own, which nothing arms. *)
 
 val add_host :
   engine:Dk_sim.Engine.t ->
@@ -22,14 +68,10 @@ val add_host :
   fabric:Dk_device.Fabric.t ->
   index:int ->
   ip:string ->
-  ?fault:Dk_fault.Fault.t ->
-  ?programmable:bool ->
-  ?kernel_stack:bool ->
   unit ->
   host
-(** [kernel_stack] makes the host's stack charge the in-kernel
-    per-packet cost (for POSIX baseline hosts). [fault] scopes the
-    host's NIC to a per-shard fault domain. *)
+(** Attach a NIC with MAC index [index] to [fabric] and give it a
+    user-level stack at [ip]. *)
 
 val demi_of_host :
   engine:Dk_sim.Engine.t ->
@@ -39,25 +81,3 @@ val demi_of_host :
   ?rdma:Dk_device.Rdma.t ->
   unit ->
   Demikernel.Demi.t
-
-val posix_of_host :
-  engine:Dk_sim.Engine.t -> cost:Dk_sim.Cost.t -> host -> Dk_kernel.Posix.t
-
-val mtcp_of_host :
-  engine:Dk_sim.Engine.t -> cost:Dk_sim.Cost.t -> host -> Dk_kernel.Mtcp.t
-
-(** {2 One-call topologies} *)
-
-type duo = {
-  engine : Dk_sim.Engine.t;
-  fabric : Dk_device.Fabric.t;
-  cost : Dk_sim.Cost.t;
-  a : host; (** 10.0.0.1 — conventionally the client *)
-  b : host; (** 10.0.0.2 — conventionally the server *)
-}
-
-val two_hosts :
-  ?fault:Dk_fault.Fault.t -> ?loss:float -> ?cost:Dk_sim.Cost.t ->
-  ?programmable:bool -> ?kernel_stack:bool -> unit -> duo
-
-val endpoint : host -> int -> Dk_net.Addr.endpoint

@@ -37,7 +37,7 @@ type t = {
   rejected : Metrics.counter;
 }
 
-let create ~engine ~cost ?(fault = Fault.default) ?(block_size = 4096)
+let create ~engine ~cost ?(fault = Fault.create ()) ?(block_size = 4096)
     ?(block_count = 1 lsl 20) ?(sq_depth = 256) ?(programmable = false) () =
   if block_size <= 0 || block_count <= 0 || sq_depth <= 0 then
     invalid_arg "Block.create";

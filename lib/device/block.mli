@@ -32,8 +32,10 @@ val create :
   ?programmable:bool ->
   unit ->
   t
-(** [programmable] models an FPGA/computational SSD (Table 1, right
-    column): it can run verified map programs on data in flight. *)
+(** [fault] is the fault domain the device's injection sites consult
+    (default: a fresh, unarmed one). [programmable] models an
+    FPGA/computational SSD (Table 1, right column): it can run
+    verified map programs on data in flight. *)
 
 val programmable : t -> bool
 

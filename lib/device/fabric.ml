@@ -36,7 +36,7 @@ type t = {
   unrouted : Metrics.counter;
 }
 
-let create ~engine ~cost ?(fault = Fault.default) ?(loss = 0.0)
+let create ~engine ~cost ?(fault = Fault.create ()) ?(loss = 0.0)
     ?(jitter_ns = 0L) ?(seed = 0x5eedL) () =
   {
     engine;

@@ -23,9 +23,9 @@ val create :
   ?seed:int64 ->
   unit ->
   t
-(** [fault] selects the fault-injection domain (defaults to the
-    process-wide {!Dk_fault.Fault.default}); per-shard fabrics pass
-    their own so injected faults stay within the shard.
+(** [fault] is the fault domain the fabric's injection sites consult
+    (default: a fresh, unarmed one); a world passes its own so injected
+    faults stay within it.
 
     [jitter_ns] adds a uniform random 0..jitter extra delay per frame;
     jitter larger than the inter-frame gap reorders deliveries, which

@@ -54,7 +54,7 @@ type t = {
   mutable rx_responded : int;
 }
 
-let create ~engine ~cost ?(fault = Fault.default) ~mac ?(rx_capacity = 1024)
+let create ~engine ~cost ?(fault = Fault.create ()) ~mac ?(rx_capacity = 1024)
     ?(tx_capacity = 1024) ?(programmable = false) () =
   let ctrl_db = Doorbell.create ~engine ~cost ~name:"nic.ctrl.doorbells" () in
   (* The control queue is a correctness channel (SET invalidations ride

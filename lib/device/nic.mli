@@ -32,6 +32,8 @@ val create :
   ?programmable:bool ->
   unit ->
   t
+(** [fault] is the fault domain the NIC's injection sites consult
+    (default: a fresh, unarmed one). *)
 
 val mac : t -> int
 val programmable : t -> bool

@@ -48,7 +48,7 @@ and t = {
   mutable registration_failures : int;
 }
 
-let create ~engine ~cost ?(fault = Fault.default) ?(is_registered = fun _ -> false)
+let create ~engine ~cost ?(fault = Fault.create ()) ?(is_registered = fun _ -> false)
     () =
   {
     engine;

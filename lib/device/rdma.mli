@@ -52,9 +52,11 @@ val create :
   ?is_registered:(int option -> bool) ->
   unit ->
   t
-(** [is_registered] receives a buffer's region id ([None] for unmanaged
-    memory); default rejects everything, so a memory manager hook must
-    be installed before traffic flows. *)
+(** [fault] is the fault domain the queue pairs' injection site
+    consults (default: a fresh, unarmed one). [is_registered] receives
+    a buffer's region id ([None] for unmanaged memory); default
+    rejects everything, so a memory manager hook must be installed
+    before traffic flows. *)
 
 val set_mr_check : t -> (int option -> bool) -> unit
 

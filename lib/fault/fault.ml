@@ -170,10 +170,6 @@ type armed = {
 type t = { slots : armed option array (* indexed by site_index *) }
 
 let create () = { slots = Array.make n_sites None }
-let default = create ()
-[@@shard.per_shard
-  "process-wide fallback fault domain; the device constructors take ?fault \
-   so each shard can run its own isolated fault plan"]
 
 (* Per-site RNG stream: seed ⊕ a site-specific odd constant, mixed by
    the Rng itself. Streams are independent across sites, so arming one
@@ -183,10 +179,8 @@ let site_stream seed site =
     (Int64.logxor seed
        (Int64.mul 0x2545f4914f6cdd1dL (Int64.of_int (site_index site + 1))))
 
-let clear t = Array.fill t.slots 0 n_sites None
-
 let install t p =
-  clear t;
+  Array.fill t.slots 0 n_sites None;
   List.iter
     (fun (site, aspec) ->
       let i = site_index site in

@@ -88,18 +88,13 @@ val named : seed:int64 -> string -> plan option
 type t
 
 val create : unit -> t
-
-val default : t
-(** The process-wide engine every device hook consults, mirroring
-    {!Dk_obs.Metrics.default}. *)
+(** A fresh, unarmed fault domain. Each simulated world owns one
+    ({!Dk_apps.Sim_setup.world}) and passes it to its devices, so a
+    plan installed here reaches that world's devices and no other. *)
 
 val install : t -> plan -> unit
 (** Arm the plan, resetting per-site RNG streams and budgets. Replaces
     any previous plan. *)
-
-val clear : t -> unit
-(** Disarm; subsequent runs are zero-fault (bit-identical to a process
-    that never installed a plan). *)
 
 (** {3 Hooks (device layer only)} *)
 

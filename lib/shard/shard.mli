@@ -1,11 +1,11 @@
 (** One shared-nothing shard of the multi-shard datapath.
 
-    A shard is a virtual core: its own engine (clock), fabric, client
-    and server hosts, Demikernel instances — and with them qd tables,
-    token waitsets, ready FIFOs, memory manager, TCP state and
-    doorbell windows — a KV store, an isolated fault domain, a
-    workload RNG, and [shard<i>.*]-namespaced observability
-    instruments. Cross-shard communication happens only through
+    A shard is a virtual core: its own {!Dk_apps.Sim_setup.world} —
+    engine (clock), fabric, client and server hosts, Demikernel
+    instances (and with them qd tables, token waitsets, ready FIFOs,
+    memory manager, TCP state and doorbell windows) and an isolated
+    fault domain — plus a KV store, a workload RNG, and
+    [shard<i>.*]-namespaced observability instruments. Cross-shard communication happens only through
     {!Xmailbox}. *)
 
 type t
@@ -18,22 +18,20 @@ val create :
   seed:int64 ->
   unit ->
   t
-(** Build the shard's whole world. [fault_plan], when given, is
-    installed into the shard's private {!Dk_fault.Fault.t} domain —
-    faults never leak across shards. [programmable] (default [false])
-    gives the {e server} host a programmable NIC so the shard can
-    offload its kv GET hot path ({!Demikernel.Demi.offload_udp_get});
-    its device table's instruments live under the shard's own
-    [shard<i>.] namespace. The shard's RNG stream is derived from
+(** Build the shard: [Sim_setup.world ~id] under Demikernel, so its
+    hosts are [10.<id>.0.1] and [10.<id>.0.2] and [fault_plan], when
+    given, is installed into the shard's own fault domain — faults
+    never leak across shards. [programmable] (default [false]) gives
+    the NICs a program slot so the server can offload its kv GET hot
+    path ({!Demikernel.Demi.offload_udp_get}); its device table's
+    instruments live under the shard's own [shard<i>.] namespace. The shard's RNG stream is derived from
     [seed] and [id], so it is independent of other shards' draw
     counts. *)
 
 val id : t -> int
 val engine : t -> Dk_sim.Engine.t
-val fabric : t -> Dk_device.Fabric.t
 val client_host : t -> Dk_apps.Sim_setup.host
 val cost : t -> Dk_sim.Cost.t
-val fault : t -> Dk_fault.Fault.t
 val demi_client : t -> Demikernel.Demi.t
 val demi_server : t -> Demikernel.Demi.t
 val kv : t -> Dk_apps.Kv.t

@@ -155,17 +155,15 @@ let kv_overwrite_frees_old_value () =
 (* ---------------- end-to-end KV ---------------- *)
 
 let demi_kv_end_to_end () =
-  let duo = Setup.two_hosts () in
-  let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-  let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-  let kv = Kv.create (Demi.manager db) in
+  let w = Setup.world Demikernel in
+  let kv = Kv.create (Demi.manager w.server) in
   let srv =
-    match Kv_app.start_tcp_server ~demi:db ~port:6379 ~kv with
+    match Kv_app.start_tcp_server ~demi:w.server ~port:6379 ~kv with
     | Ok s -> s
     | Error _ -> Alcotest.fail "server"
   in
   match
-    Kv_app.run_tcp_client ~demi:da ~dst:(Setup.endpoint duo.Setup.b 6379)
+    Kv_app.run_tcp_client ~demi:w.client ~dst:(Setup.endpoint w.b 6379)
       ~ops:200 ~keys:50 ~value_size:64 ~read_fraction:0.9 ()
   with
   | Error _ -> Alcotest.fail "client"
@@ -178,21 +176,19 @@ let demi_kv_end_to_end () =
         (Dk_sim.Histogram.count stats.Kv_app.latency)
 
 let posix_kv_end_to_end () =
-  let duo = Setup.two_hosts ~kernel_stack:true () in
-  let pa = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
-  let pb = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
+  let w = Setup.world Kernel in
   let kv = Kv.create (Dk_mem.Manager.create ()) in
   let srv =
     match
-      Kv_posix.start_server ~posix:pb ~cost:duo.Setup.cost
-        ~engine:duo.Setup.engine ~port:6379 ~kv
+      Kv_posix.start_server ~posix:w.server ~cost:w.cost
+        ~engine:w.engine ~port:6379 ~kv
     with
     | Ok s -> s
     | Error _ -> Alcotest.fail "server"
   in
   match
-    Kv_posix.run_client ~posix:pa ~engine:duo.Setup.engine
-      ~dst:(Setup.endpoint duo.Setup.b 6379) ~ops:100 ~keys:20 ~value_size:64
+    Kv_posix.run_client ~posix:w.client ~engine:w.engine
+      ~dst:(Setup.endpoint w.b 6379) ~ops:100 ~keys:20 ~value_size:64
       ~read_fraction:0.9 ()
   with
   | Error _ -> Alcotest.fail "client"
@@ -206,14 +202,12 @@ let posix_kv_end_to_end () =
    runs over the kernel-fallback libOS on hosts with no accelerator —
    just slower. *)
 let kernel_fallback_libos_runs_same_app () =
-  let duo = Setup.two_hosts ~kernel_stack:true () in
-  let pa = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
-  let pb = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
+  let w = Setup.world Kernel in
   let da =
-    Demi.create ~engine:duo.Setup.engine ~cost:duo.Setup.cost ~posix:pa ()
+    Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.client ()
   in
   let db =
-    Demi.create ~engine:duo.Setup.engine ~cost:duo.Setup.cost ~posix:pb ()
+    Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.server ()
   in
   let kv = Kv.create (Demi.manager db) in
   let srv =
@@ -222,7 +216,7 @@ let kernel_fallback_libos_runs_same_app () =
     | Error e -> Alcotest.failf "server: %s" (Demikernel.Types.error_to_string e)
   in
   match
-    Kv_app.run_tcp_client ~demi:da ~dst:(Setup.endpoint duo.Setup.b 6379)
+    Kv_app.run_tcp_client ~demi:da ~dst:(Setup.endpoint w.b 6379)
       ~ops:100 ~keys:20 ~value_size:64 ~read_fraction:0.9 ()
   with
   | Error e -> Alcotest.failf "client: %s" (Demikernel.Types.error_to_string e)
@@ -232,32 +226,28 @@ let kernel_fallback_libos_runs_same_app () =
       check_bool "served" true (Kv_app.requests_served srv >= 120);
       (* and it paid kernel prices: syscalls were made *)
       check_bool "kernel was involved" true
-        ((Dk_kernel.Posix.stats pb).Dk_kernel.Posix.syscalls > 100)
+        ((Dk_kernel.Posix.stats w.server).Dk_kernel.Posix.syscalls > 100)
 
 let fallback_slower_than_bypass () =
   let bypass_p50 =
-    let duo = Setup.two_hosts () in
-    let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-    let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-    let kv = Kv.create (Demi.manager db) in
-    ignore (Kv_app.start_tcp_server ~demi:db ~port:1 ~kv);
+    let w = Setup.world Demikernel in
+    let kv = Kv.create (Demi.manager w.server) in
+    ignore (Kv_app.start_tcp_server ~demi:w.server ~port:1 ~kv);
     match
-      Kv_app.run_tcp_client ~demi:da ~dst:(Setup.endpoint duo.Setup.b 1)
+      Kv_app.run_tcp_client ~demi:w.client ~dst:(Setup.endpoint w.b 1)
         ~ops:50 ~keys:10 ~value_size:256 ~read_fraction:1.0 ()
     with
     | Ok s -> Dk_sim.Histogram.quantile s.Kv_app.latency 0.5
     | Error _ -> Alcotest.fail "bypass run"
   in
   let fallback_p50 =
-    let duo = Setup.two_hosts ~kernel_stack:true () in
-    let pa = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
-    let pb = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
-    let da = Demi.create ~engine:duo.Setup.engine ~cost:duo.Setup.cost ~posix:pa () in
-    let db = Demi.create ~engine:duo.Setup.engine ~cost:duo.Setup.cost ~posix:pb () in
+    let w = Setup.world Kernel in
+    let da = Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.client () in
+    let db = Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.server () in
     let kv = Kv.create (Demi.manager db) in
     ignore (Kv_app.start_tcp_server ~demi:db ~port:1 ~kv);
     match
-      Kv_app.run_tcp_client ~demi:da ~dst:(Setup.endpoint duo.Setup.b 1)
+      Kv_app.run_tcp_client ~demi:da ~dst:(Setup.endpoint w.b 1)
         ~ops:50 ~keys:10 ~value_size:256 ~read_fraction:1.0 ()
     with
     | Ok s -> Dk_sim.Histogram.quantile s.Kv_app.latency 0.5
@@ -269,29 +259,25 @@ let fallback_slower_than_bypass () =
 (* The headline shape: demikernel KV latency beats the POSIX path. *)
 let kv_latency_shape () =
   let run_demi () =
-    let duo = Setup.two_hosts () in
-    let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-    let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-    let kv = Kv.create (Demi.manager db) in
-    ignore (Kv_app.start_tcp_server ~demi:db ~port:1 ~kv);
+    let w = Setup.world Demikernel in
+    let kv = Kv.create (Demi.manager w.server) in
+    ignore (Kv_app.start_tcp_server ~demi:w.server ~port:1 ~kv);
     match
-      Kv_app.run_tcp_client ~demi:da ~dst:(Setup.endpoint duo.Setup.b 1)
+      Kv_app.run_tcp_client ~demi:w.client ~dst:(Setup.endpoint w.b 1)
         ~ops:100 ~keys:20 ~value_size:1024 ~read_fraction:1.0 ()
     with
     | Ok s -> Dk_sim.Histogram.quantile s.Kv_app.latency 0.5
     | Error _ -> Alcotest.fail "demi run"
   in
   let run_posix () =
-    let duo = Setup.two_hosts ~kernel_stack:true () in
-    let pa = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
-    let pb = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
+    let w = Setup.world Kernel in
     let kv = Kv.create (Dk_mem.Manager.create ()) in
     ignore
-      (Kv_posix.start_server ~posix:pb ~cost:duo.Setup.cost
-         ~engine:duo.Setup.engine ~port:1 ~kv);
+      (Kv_posix.start_server ~posix:w.server ~cost:w.cost
+         ~engine:w.engine ~port:1 ~kv);
     match
-      Kv_posix.run_client ~posix:pa ~engine:duo.Setup.engine
-        ~dst:(Setup.endpoint duo.Setup.b 1) ~ops:100 ~keys:20 ~value_size:1024
+      Kv_posix.run_client ~posix:w.client ~engine:w.engine
+        ~dst:(Setup.endpoint w.b 1) ~ops:100 ~keys:20 ~value_size:1024
         ~read_fraction:1.0 ()
     with
     | Ok s -> Dk_sim.Histogram.quantile s.Kv_app.latency 0.5
@@ -306,37 +292,31 @@ let echo_three_way_latency_order () =
   (* Demikernel < kernel < mTCP in *latency* — the §6 claim that
      mTCP's latency is worse than the kernel's. *)
   let demi_rtt =
-    let duo = Setup.two_hosts () in
-    let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-    let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-    ignore (Echo.start_demi_server ~demi:db ~port:7);
+    let w = Setup.world Demikernel in
+    ignore (Echo.start_demi_server ~demi:w.server ~port:7);
     match
-      Echo.demi_rtt ~demi:da ~dst:(Setup.endpoint duo.Setup.b 7) ~size:64
+      Echo.demi_rtt ~demi:w.client ~dst:(Setup.endpoint w.b 7) ~size:64
         ~rounds:20
     with
-    | Ok h -> Dk_sim.Histogram.quantile h 0.5
-    | Error _ -> Alcotest.fail "demi echo"
+    | h, None -> Dk_sim.Histogram.quantile h 0.5
+    | _, Some _ -> Alcotest.fail "demi echo"
   in
   let posix_rtt =
-    let duo = Setup.two_hosts ~kernel_stack:true () in
-    let pa = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
-    let pb = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
-    ignore (Echo.start_posix_server ~posix:pb ~port:7);
+    let w = Setup.world Kernel in
+    ignore (Echo.start_posix_server ~posix:w.server ~port:7);
     match
-      Echo.posix_rtt ~posix:pa ~engine:duo.Setup.engine
-        ~dst:(Setup.endpoint duo.Setup.b 7) ~size:64 ~rounds:20
+      Echo.posix_rtt ~posix:w.client ~engine:w.engine
+        ~dst:(Setup.endpoint w.b 7) ~size:64 ~rounds:20
     with
     | Ok h -> Dk_sim.Histogram.quantile h 0.5
     | Error _ -> Alcotest.fail "posix echo"
   in
   let mtcp_rtt =
-    let duo = Setup.two_hosts () in
-    let ma = Setup.mtcp_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
-    let mb = Setup.mtcp_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
-    ignore (Echo.start_mtcp_server ~mtcp:mb ~port:7);
+    let w = Setup.world Mtcp in
+    ignore (Echo.start_mtcp_server ~mtcp:w.server ~port:7);
     let h =
-      Echo.mtcp_rtt ~mtcp:ma ~engine:duo.Setup.engine
-        ~dst:(Setup.endpoint duo.Setup.b 7) ~size:64 ~rounds:20
+      Echo.mtcp_rtt ~mtcp:w.client ~engine:w.engine
+        ~dst:(Setup.endpoint w.b 7) ~size:64 ~rounds:20
     in
     Dk_sim.Histogram.quantile h 0.5
   in

@@ -20,23 +20,14 @@ let must = function
   | Ok v -> v
   | Error e -> failwith (Types.error_to_string e)
 
-let with_plan plan f =
-  (match plan with
-  | Some p -> Fault.install Fault.default p
-  | None -> Fault.clear Fault.default);
-  Fun.protect ~finally:(fun () -> Fault.clear Fault.default) f
-
 let rounds = 12
 let per_round = 8
 
 (* UDP blast a→b; returns (delivered payloads in order, final virtual
    clock, client tx doorbell rings). *)
 let net_workload ~plan ~batch ~window () =
-  with_plan plan @@ fun () ->
-  let duo = Setup.two_hosts () in
-  let engine = duo.Setup.engine in
-  let da = Setup.demi_of_host ~engine ~cost:duo.Setup.cost duo.Setup.a () in
-  let db = Setup.demi_of_host ~engine ~cost:duo.Setup.cost duo.Setup.b () in
+  let w = Setup.world ?fault_plan:plan Demikernel in
+  let engine = w.engine and da = w.client and db = w.server in
   let sqd = Result.get_ok (Demi.socket db `Udp) in
   must (Demi.bind db sqd ~port:9);
   let received = ref [] in
@@ -44,7 +35,7 @@ let net_workload ~plan ~batch ~window () =
       received := Sga.to_string sga :: !received;
       Sga.free sga);
   let cqd = Result.get_ok (Demi.socket da `Udp) in
-  must (Demi.connect da cqd ~dst:(Setup.endpoint duo.Setup.b 9));
+  must (Demi.connect da cqd ~dst:(Setup.endpoint w.b 9));
   Demi.set_batch_window da window;
   for r = 0 to rounds - 1 do
     let payloads =
@@ -65,7 +56,7 @@ let net_workload ~plan ~batch ~window () =
   Engine.run engine;
   ( List.rev !received,
     Engine.now engine,
-    Dk_device.Nic.tx_doorbells duo.Setup.a.Setup.nic )
+    Dk_device.Nic.tx_doorbells w.a.Setup.nic )
 
 let plan_of_name name =
   match Fault.named ~seed:42L name with
@@ -97,9 +88,10 @@ let block_ops n =
       else Block.Write { wr_id = i; lba = i mod 8; data = Printf.sprintf "blk-%02d" i })
 
 let block_workload ~plan ~batch () =
-  with_plan plan @@ fun () ->
+  let fault = Fault.create () in
+  Option.iter (Fault.install fault) plan;
   let engine = Engine.create () in
-  let dev = Block.create ~engine ~cost:Dk_sim.Cost.default () in
+  let dev = Block.create ~engine ~cost:Dk_sim.Cost.default ~fault () in
   let rings0 = Block.sq_doorbells dev in
   let ops = block_ops 24 in
   let accepted =

@@ -238,31 +238,21 @@ let wait_timeout_bad_token () =
 
 (* ---------------- TCP queues over two runtimes ---------------- *)
 
-let demi_pair () =
-  let duo = Setup.two_hosts () in
-  let da =
-    Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a ()
-  in
-  let db =
-    Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b ()
-  in
-  (duo, da, db)
-
 let start_echo demi port =
   match Dk_apps.Echo.start_demi_server ~demi ~port with
   | Ok () -> ()
   | Error e -> Alcotest.failf "echo server: %s" (Types.error_to_string e)
 
 let tcp_queue_echo () =
-  let duo, da, db = demi_pair () in
-  start_echo db 7;
-  let qd = Result.get_ok (Demi.socket da `Tcp) in
-  (match Demi.connect da qd ~dst:(Setup.endpoint duo.Setup.b 7) with
+  let w = Setup.world Demikernel in
+  start_echo w.server 7;
+  let qd = Result.get_ok (Demi.socket w.client `Tcp) in
+  (match Demi.connect w.client qd ~dst:(Setup.endpoint w.b 7) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "connect: %s" (Types.error_to_string e));
   let sga = Sga.of_strings [ "hello"; " "; "queues" ] in
-  check_bool "pushed" true (Demi.blocking_push da qd sga = Types.Pushed);
-  match Demi.blocking_pop da qd with
+  check_bool "pushed" true (Demi.blocking_push w.client qd sga = Types.Pushed);
+  match Demi.blocking_pop w.client qd with
   | Types.Popped reply ->
       check_str "echoed" "hello queues" (Sga.to_string reply);
       (* framing preserved the segment boundaries end-to-end *)
@@ -273,16 +263,16 @@ let tcp_queue_large_message () =
   (* One message spanning many MSS-sized segments stays atomic. The
      200,000 B one is larger than the 64 KiB send buffer, so the push
      drains over many ACK-driven partial sends. *)
-  let duo, da, db = demi_pair () in
-  start_echo db 7;
-  let qd = Result.get_ok (Demi.socket da `Tcp) in
-  ignore (Demi.connect da qd ~dst:(Setup.endpoint duo.Setup.b 7));
+  let w = Setup.world Demikernel in
+  start_echo w.server 7;
+  let qd = Result.get_ok (Demi.socket w.client `Tcp) in
+  ignore (Demi.connect w.client qd ~dst:(Setup.endpoint w.b 7));
   List.iter
     (fun size ->
       let big = String.init size (fun i -> Char.chr ((i * 7) land 0xff)) in
       check_bool "pushed" true
-        (Demi.blocking_push da qd (sga_str big) = Types.Pushed);
-      match Demi.blocking_pop da qd with
+        (Demi.blocking_push w.client qd (sga_str big) = Types.Pushed);
+      match Demi.blocking_pop w.client qd with
       | Types.Popped reply ->
           check_int "length" size (Sga.length reply);
           check_bool "intact" true (String.equal big (Sga.to_string reply))
@@ -290,29 +280,29 @@ let tcp_queue_large_message () =
     [ 20_000; 200_000 ]
 
 let tcp_connect_refused () =
-  let duo, da, _ = demi_pair () in
-  let qd = Result.get_ok (Demi.socket da `Tcp) in
+  let w = Setup.world Demikernel in
+  let qd = Result.get_ok (Demi.socket w.client `Tcp) in
   check_bool "refused" true
-    (Demi.connect da qd ~dst:(Setup.endpoint duo.Setup.b 99) = Error `Refused)
+    (Demi.connect w.client qd ~dst:(Setup.endpoint w.b 99) = Error `Refused)
 
 let tcp_close_propagates () =
-  let duo, da, db = demi_pair () in
+  let w = Setup.world Demikernel in
   let server_qd = ref None in
-  let lqd = Result.get_ok (Demi.socket db `Tcp) in
-  ignore (Demi.bind db lqd ~port:7);
-  ignore (Demi.listen db lqd);
-  let atok = Result.get_ok (Demi.accept_async db lqd) in
-  Demi.watch db atok (function
+  let lqd = Result.get_ok (Demi.socket w.server `Tcp) in
+  ignore (Demi.bind w.server lqd ~port:7);
+  ignore (Demi.listen w.server lqd);
+  let atok = Result.get_ok (Demi.accept_async w.server lqd) in
+  Demi.watch w.server atok (function
     | Types.Accepted qd -> server_qd := Some qd
     | _ -> ());
-  let qd = Result.get_ok (Demi.socket da `Tcp) in
-  ignore (Demi.connect da qd ~dst:(Setup.endpoint duo.Setup.b 7));
-  ignore (Engine.run_until duo.Setup.engine (fun () -> !server_qd <> None));
+  let qd = Result.get_ok (Demi.socket w.client `Tcp) in
+  ignore (Demi.connect w.client qd ~dst:(Setup.endpoint w.b 7));
+  ignore (Engine.run_until w.engine (fun () -> !server_qd <> None));
   (* server pops; client closes; server's pop must fail *)
   let sqd = Option.get !server_qd in
-  let ptok = Result.get_ok (Demi.pop db sqd) in
-  ignore (Demi.close da qd);
-  let result = Demi.wait db ptok in
+  let ptok = Result.get_ok (Demi.pop w.server sqd) in
+  ignore (Demi.close w.client qd);
+  let result = Demi.wait w.server ptok in
   check_bool "pop failed after peer close" true
     (match result with Types.Failed _ -> true | _ -> false)
 
@@ -322,72 +312,69 @@ let tcp_close_propagates () =
    2^35 - 1, and a varint that ten 0x80 bytes leave unterminated (no
    non-negative int needs more than nine). *)
 let tcp_bad_framing_aborts_one_conn () =
-  let duo, da, db = demi_pair () in
+  let w = Setup.world Demikernel in
   let rejected () =
     let c = (Dk_obs.Metrics.snapshot Dk_obs.Metrics.default).Dk_obs.Metrics.counters in
     Option.value ~default:0 (List.assoc_opt "net.framing.rejected" c)
   in
   let r0 = rejected () in
-  let lqd = Result.get_ok (Demi.socket db `Tcp) in
-  ignore (Demi.bind db lqd ~port:7);
-  ignore (Demi.listen db lqd);
+  let lqd = Result.get_ok (Demi.socket w.server `Tcp) in
+  ignore (Demi.bind w.server lqd ~port:7);
+  ignore (Demi.listen w.server lqd);
   List.iter
     (fun stream ->
-      let raw = Dk_net.Stack.tcp_connect duo.Setup.a.Setup.stack ~dst:(Setup.endpoint duo.Setup.b 7) in
+      let raw = Dk_net.Stack.tcp_connect w.a.Setup.stack ~dst:(Setup.endpoint w.b 7) in
       Dk_net.Tcp.set_on_connect raw (fun () -> ignore (Dk_net.Tcp.send raw stream));
-      let bad = Result.get_ok (Demi.accept db lqd) in
-      Engine.run duo.Setup.engine;
-      check_bool "bad conn aborted" true (Demi.blocking_pop db bad = Types.Failed `Conn_aborted))
+      let bad = Result.get_ok (Demi.accept w.server lqd) in
+      Engine.run w.engine;
+      check_bool "bad conn aborted" true (Demi.blocking_pop w.server bad = Types.Failed `Conn_aborted))
     [ "\xff\xff\xff\xff\x0f"; String.make 10 '\x80' ];
-  let qd = Result.get_ok (Demi.socket da `Tcp) in
-  ignore (Demi.connect da qd ~dst:(Setup.endpoint duo.Setup.b 7));
-  let good = Result.get_ok (Demi.accept db lqd) in
-  ignore (Demi.blocking_push da qd (sga_str "hello"));
-  ignore (Demi.blocking_push db good (sga_str (expect_popped (Demi.blocking_pop db good))));
-  check_str "healthy conn echoes" "hello" (expect_popped (Demi.blocking_pop da qd));
+  let qd = Result.get_ok (Demi.socket w.client `Tcp) in
+  ignore (Demi.connect w.client qd ~dst:(Setup.endpoint w.b 7));
+  let good = Result.get_ok (Demi.accept w.server lqd) in
+  ignore (Demi.blocking_push w.client qd (sga_str "hello"));
+  ignore (Demi.blocking_push w.server good (sga_str (expect_popped (Demi.blocking_pop w.server good))));
+  check_str "healthy conn echoes" "hello" (expect_popped (Demi.blocking_pop w.client qd));
   check_int "one rejection per bad stream" 2 (rejected () - r0)
 
 let udp_queue_roundtrip () =
-  let duo, da, db = demi_pair () in
+  let w = Setup.world Demikernel in
   (* server *)
-  let sqd = Result.get_ok (Demi.socket db `Udp) in
-  ignore (Demi.bind db sqd ~port:53);
-  ignore (Demi.connect db sqd ~dst:(Dk_net.Addr.endpoint duo.Setup.a.Setup.ip 54));
-  let loop = Dk_sched.Event_loop.create db in
+  let sqd = Result.get_ok (Demi.socket w.server `Udp) in
+  ignore (Demi.bind w.server sqd ~port:53);
+  ignore (Demi.connect w.server sqd ~dst:(Dk_net.Addr.endpoint w.a.Setup.ip 54));
+  let loop = Dk_sched.Event_loop.create w.server in
   Dk_sched.Event_loop.on_message loop sqd (fun sga ->
       Dk_sched.Event_loop.send loop sqd (sga_str ("ack:" ^ Sga.to_string sga)));
   (* client *)
-  let cqd = Result.get_ok (Demi.socket da `Udp) in
-  ignore (Demi.bind da cqd ~port:54);
-  ignore (Demi.connect da cqd ~dst:(Setup.endpoint duo.Setup.b 53));
-  ignore (Demi.blocking_push da cqd (sga_str "ping"));
-  check_str "reply" "ack:ping" (expect_popped (Demi.blocking_pop da cqd))
+  let cqd = Result.get_ok (Demi.socket w.client `Udp) in
+  ignore (Demi.bind w.client cqd ~port:54);
+  ignore (Demi.connect w.client cqd ~dst:(Setup.endpoint w.b 53));
+  ignore (Demi.blocking_push w.client cqd (sga_str "ping"));
+  check_str "reply" "ack:ping" (expect_popped (Demi.blocking_pop w.client cqd))
 
 (* A datagram fits a 16-bit IPv4 total length or is refused whole. *)
 let udp_queue_oversized_push () =
-  let duo, da, _ = demi_pair () in
-  let qd = Result.get_ok (Demi.socket da `Udp) in
-  ignore (Demi.bind da qd ~port:54);
-  ignore (Demi.connect da qd ~dst:(Setup.endpoint duo.Setup.b 53));
+  let w = Setup.world Demikernel in
+  let qd = Result.get_ok (Demi.socket w.client `Udp) in
+  ignore (Demi.bind w.client qd ~port:54);
+  ignore (Demi.connect w.client qd ~dst:(Setup.endpoint w.b 53));
   check_bool "65,507 B pushed" true
-    (Demi.blocking_push da qd (sga_str (String.make 65_507 'a'))
+    (Demi.blocking_push w.client qd (sga_str (String.make 65_507 'a'))
     = Types.Pushed);
   check_bool "65,508 B refused" true
-    (Demi.blocking_push da qd (sga_str (String.make 65_508 'b'))
+    (Demi.blocking_push w.client qd (sga_str (String.make 65_508 'b'))
     = Types.Failed `Not_supported)
 
 let close_listener_fails_pending_accept () =
-  let duo = Setup.two_hosts () in
-  let db =
-    Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b ()
-  in
-  let lqd = Result.get_ok (Demi.socket db `Tcp) in
-  ignore (Demi.bind db lqd ~port:7);
-  ignore (Demi.listen db lqd);
-  let tok = Result.get_ok (Demi.accept_async db lqd) in
-  ignore (Demi.close db lqd);
+  let w = Setup.world Demikernel in
+  let lqd = Result.get_ok (Demi.socket w.server `Tcp) in
+  ignore (Demi.bind w.server lqd ~port:7);
+  ignore (Demi.listen w.server lqd);
+  let tok = Result.get_ok (Demi.accept_async w.server lqd) in
+  ignore (Demi.close w.server lqd);
   check_bool "pending accept failed" true
-    (Demi.wait db tok = Types.Failed `Queue_closed)
+    (Demi.wait w.server tok = Types.Failed `Queue_closed)
 
 (* ---------------- composed queues ---------------- *)
 
@@ -561,15 +548,15 @@ let merge_stays_open_until_both_close () =
 let qconnect_across_kinds () =
   (* splice a memq into a TCP connection queue: elements flow onto the
      wire and out of the peer *)
-  let duo, da, db = demi_pair () in
-  start_echo db 7;
-  let qd = Result.get_ok (Demi.socket da `Tcp) in
-  ignore (Demi.connect da qd ~dst:(Setup.endpoint duo.Setup.b 7));
-  let src = Demi.queue da in
-  ignore (Demi.qconnect da ~src ~dst:qd);
-  ignore (Demi.blocking_push da src (sga_str "via splice"));
+  let w = Setup.world Demikernel in
+  start_echo w.server 7;
+  let qd = Result.get_ok (Demi.socket w.client `Tcp) in
+  ignore (Demi.connect w.client qd ~dst:(Setup.endpoint w.b 7));
+  let src = Demi.queue w.client in
+  ignore (Demi.qconnect w.client ~src ~dst:qd);
+  ignore (Demi.blocking_push w.client src (sga_str "via splice"));
   check_str "echoed through the splice" "via splice"
-    (expect_popped (Demi.blocking_pop da qd))
+    (expect_popped (Demi.blocking_pop w.client qd))
 
 let wait_all_partial_timeout () =
   let engine, demi = solo_demi () in
@@ -598,78 +585,68 @@ let steer_invalid_ways () =
       ignore (Demi.steer demi qd ~ways:0 ~hash_off:0 ~hash_len:4))
 
 let push_after_peer_close_fails () =
-  let duo, da, db = demi_pair () in
+  let w = Setup.world Demikernel in
   let server_qd = ref None in
-  let lqd = Result.get_ok (Demi.socket db `Tcp) in
-  ignore (Demi.bind db lqd ~port:7);
-  ignore (Demi.listen db lqd);
-  Demi.watch db
-    (Result.get_ok (Demi.accept_async db lqd))
+  let lqd = Result.get_ok (Demi.socket w.server `Tcp) in
+  ignore (Demi.bind w.server lqd ~port:7);
+  ignore (Demi.listen w.server lqd);
+  Demi.watch w.server
+    (Result.get_ok (Demi.accept_async w.server lqd))
     (function Types.Accepted qd -> server_qd := Some qd | _ -> ());
-  let qd = Result.get_ok (Demi.socket da `Tcp) in
-  ignore (Demi.connect da qd ~dst:(Setup.endpoint duo.Setup.b 7));
-  ignore (Engine.run_until duo.Setup.engine (fun () -> !server_qd <> None));
+  let qd = Result.get_ok (Demi.socket w.client `Tcp) in
+  ignore (Demi.connect w.client qd ~dst:(Setup.endpoint w.b 7));
+  ignore (Engine.run_until w.engine (fun () -> !server_qd <> None));
   let sqd = Option.get !server_qd in
   (* graceful peer close: half-close semantics — the server may still
      send (the client's read side is open until the server FINs) *)
-  ignore (Demi.close da qd);
-  Engine.run duo.Setup.engine;
+  ignore (Demi.close w.client qd);
+  Engine.run w.engine;
   let half_close_push =
-    match Demi.push db sqd (sga_str "half-close data") with
+    match Demi.push w.server sqd (sga_str "half-close data") with
     | Error e -> Types.Failed e
-    | Ok tok -> Demi.wait_timeout db tok ~timeout:1_000_000L
+    | Ok tok -> Demi.wait_timeout w.server tok ~timeout:1_000_000L
   in
   check_bool "half-close push still works" true
     (half_close_push = Types.Pushed);
   (* but after the server closes too, pushes must fail *)
-  ignore (Demi.close db sqd);
+  ignore (Demi.close w.server sqd);
   check_bool "push after full close fails" true
-    (Demi.push db sqd (sga_str "too late") = Error `Bad_qd)
+    (Demi.push w.server sqd (sga_str "too late") = Error `Bad_qd)
 
 (* ---------------- device-offloaded filter ---------------- *)
 
-let offload_duo () =
-  let duo = Setup.two_hosts ~programmable:true () in
-  let da =
-    Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a ()
-  in
-  let db =
-    Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b ()
-  in
-  (duo, da, db)
-
 let filter_offloads_on_programmable_nic () =
-  let duo, da, db = offload_duo () in
+  let w = Setup.world ~programmable:true Demikernel in
   (* server-side UDP queue with device filter *)
-  let sqd = Result.get_ok (Demi.socket db `Udp) in
-  ignore (Demi.bind db sqd ~port:1000);
-  let fq = Result.get_ok (Demi.filter db sqd (Prog.Prefix "keep")) in
-  check_bool "offloaded" true (Demi.filter_offloaded db fq);
+  let sqd = Result.get_ok (Demi.socket w.server `Udp) in
+  ignore (Demi.bind w.server sqd ~port:1000);
+  let fq = Result.get_ok (Demi.filter w.server sqd (Prog.Prefix "keep")) in
+  check_bool "offloaded" true (Demi.filter_offloaded w.server fq);
   (* client sends matching and non-matching datagrams *)
-  let cqd = Result.get_ok (Demi.socket da `Udp) in
-  ignore (Demi.connect da cqd ~dst:(Setup.endpoint duo.Setup.b 1000));
-  ignore (Demi.blocking_push da cqd (sga_str "drop this"));
-  ignore (Demi.blocking_push da cqd (sga_str "keep this"));
+  let cqd = Result.get_ok (Demi.socket w.client `Udp) in
+  ignore (Demi.connect w.client cqd ~dst:(Setup.endpoint w.b 1000));
+  ignore (Demi.blocking_push w.client cqd (sga_str "drop this"));
+  ignore (Demi.blocking_push w.client cqd (sga_str "keep this"));
   check_str "only the matching one arrives" "keep this"
-    (expect_popped (Demi.blocking_pop db fq));
+    (expect_popped (Demi.blocking_pop w.server fq));
   (* the dropped frame never consumed host CPU: it was filtered on-NIC *)
-  let stats = Dk_device.Nic.stats duo.Setup.b.Setup.nic in
+  let stats = Dk_device.Nic.stats w.b.Setup.nic in
   check_bool "device filtered at least one frame" true
     (stats.Dk_device.Nic.rx_filtered >= 1)
 
 let offload_does_not_break_other_traffic () =
-  let duo, da, db = offload_duo () in
+  let w = Setup.world ~programmable:true Demikernel in
   (* a filtered queue on port 1000 must not affect port 2000 *)
-  let sqd = Result.get_ok (Demi.socket db `Udp) in
-  ignore (Demi.bind db sqd ~port:1000);
-  ignore (Demi.filter db sqd (Prog.Prefix "keep"));
-  let other = Result.get_ok (Demi.socket db `Udp) in
-  ignore (Demi.bind db other ~port:2000);
-  let cqd = Result.get_ok (Demi.socket da `Udp) in
-  ignore (Demi.connect da cqd ~dst:(Setup.endpoint duo.Setup.b 2000));
-  ignore (Demi.blocking_push da cqd (sga_str "unfiltered traffic"));
+  let sqd = Result.get_ok (Demi.socket w.server `Udp) in
+  ignore (Demi.bind w.server sqd ~port:1000);
+  ignore (Demi.filter w.server sqd (Prog.Prefix "keep"));
+  let other = Result.get_ok (Demi.socket w.server `Udp) in
+  ignore (Demi.bind w.server other ~port:2000);
+  let cqd = Result.get_ok (Demi.socket w.client `Udp) in
+  ignore (Demi.connect w.client cqd ~dst:(Setup.endpoint w.b 2000));
+  ignore (Demi.blocking_push w.client cqd (sga_str "unfiltered traffic"));
   check_str "arrives untouched" "unfiltered traffic"
-    (expect_popped (Demi.blocking_pop db other))
+    (expect_popped (Demi.blocking_pop w.server other))
 
 (* ---------------- storage queues ---------------- *)
 
@@ -760,23 +737,21 @@ let udp_atomicity_prop =
     QCheck.(small_list (string_of_size Gen.(1 -- 400)))
     (fun payloads ->
       QCheck.assume (payloads <> []);
-      let duo = Setup.two_hosts () in
-      let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-      let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-      let sqd = Result.get_ok (Demi.socket db `Udp) in
-      (match Demi.bind db sqd ~port:9 with Ok () -> () | Error _ -> ());
-      let cqd = Result.get_ok (Demi.socket da `Udp) in
-      (match Demi.connect da cqd ~dst:(Setup.endpoint duo.Setup.b 9) with
+      let w = Setup.world Demikernel in
+      let sqd = Result.get_ok (Demi.socket w.server `Udp) in
+      (match Demi.bind w.server sqd ~port:9 with Ok () -> () | Error _ -> ());
+      let cqd = Result.get_ok (Demi.socket w.client `Udp) in
+      (match Demi.connect w.client cqd ~dst:(Setup.endpoint w.b 9) with
       | Ok () -> ()
       | Error _ -> ());
       List.iter
         (fun payload ->
-          ignore (Demi.blocking_push da cqd (sga_str payload)))
+          ignore (Demi.blocking_push w.client cqd (sga_str payload)))
         payloads;
       List.for_all
         (fun want ->
           match
-            Demi.wait_timeout db (Result.get_ok (Demi.pop db sqd))
+            Demi.wait_timeout w.server (Result.get_ok (Demi.pop w.server sqd))
               ~timeout:10_000_000L
           with
           | Types.Popped sga -> String.equal want (Sga.to_string sga)
@@ -926,33 +901,27 @@ let rdma_free_protection_e2e () =
    token. The clients here are callback-driven so the server loop is
    the simulation driver. *)
 let wait_any_server_loop () =
-  let duo = Setup.two_hosts () in
-  let server =
-    Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b ()
-  in
-  let client =
-    Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a ()
-  in
+  let w = Setup.world Demikernel in
   (* the server listens first (connect is blocking and needs it) *)
-  let lqd = Result.get_ok (Demi.socket server `Tcp) in
-  ignore (Demi.bind server lqd ~port:7);
-  ignore (Demi.listen server lqd);
+  let lqd = Result.get_ok (Demi.socket w.server `Tcp) in
+  ignore (Demi.bind w.server lqd ~port:7);
+  ignore (Demi.listen w.server lqd);
   (* callback clients: 4 connections, 3 requests each *)
   let n_conns = 4 and per_conn = 3 in
   let replies = ref 0 in
   for c = 1 to n_conns do
-    let qd = Result.get_ok (Demi.socket client `Tcp) in
-    (match Demi.connect client qd ~dst:(Setup.endpoint duo.Setup.b 7) with
+    let qd = Result.get_ok (Demi.socket w.client `Tcp) in
+    (match Demi.connect w.client qd ~dst:(Setup.endpoint w.b 7) with
     | Ok () -> ()
     | Error _ -> Alcotest.fail "connect");
     let rec request i =
       if i <= per_conn then
-        match Demi.push client qd (sga_str (Printf.sprintf "c%d-m%d" c i)) with
+        match Demi.push w.client qd (sga_str (Printf.sprintf "c%d-m%d" c i)) with
         | Ok tok ->
-            Demi.watch client tok (fun _ ->
-                match Demi.pop client qd with
+            Demi.watch w.client tok (fun _ ->
+                match Demi.pop w.client qd with
                 | Ok ptok ->
-                    Demi.watch client ptok (function
+                    Demi.watch w.client ptok (function
                       | Types.Popped _ ->
                           incr replies;
                           request (i + 1)
@@ -971,10 +940,10 @@ let wait_any_server_loop () =
     tokens := tok :: !tokens;
     Hashtbl.replace token_qd tok qd
   in
-  add_tok lqd (Result.get_ok (Demi.accept_async server lqd));
+  add_tok lqd (Result.get_ok (Demi.accept_async w.server lqd));
   let rec serve () =
     if !served < total then
-      match Demi.wait_any ~timeout:10_000_000L server !tokens with
+      match Demi.wait_any ~timeout:10_000_000L w.server !tokens with
       | None -> Alcotest.fail "server loop starved"
       | Some (tok, result) ->
           let qd = Hashtbl.find token_qd tok in
@@ -983,44 +952,36 @@ let wait_any_server_loop () =
           (match result with
           | Types.Accepted conn_qd ->
               (* re-arm accept, arm a pop on the new connection *)
-              add_tok lqd (Result.get_ok (Demi.accept_async server lqd));
-              add_tok conn_qd (Result.get_ok (Demi.pop server conn_qd))
+              add_tok lqd (Result.get_ok (Demi.accept_async w.server lqd));
+              add_tok conn_qd (Result.get_ok (Demi.pop w.server conn_qd))
           | Types.Popped sga ->
               incr served;
-              (match Demi.push server qd sga with
-              | Ok ptok -> Demi.watch server ptok (fun _ -> ())
+              (match Demi.push w.server qd sga with
+              | Ok ptok -> Demi.watch w.server ptok (fun _ -> ())
               | Error _ -> ());
-              add_tok qd (Result.get_ok (Demi.pop server qd))
+              add_tok qd (Result.get_ok (Demi.pop w.server qd))
           | Types.Failed _ -> ()
           | Types.Pushed -> ());
           serve ()
   in
   serve ();
   ignore
-    (Engine.run_until duo.Setup.engine (fun () -> !replies >= total));
+    (Engine.run_until w.engine (fun () -> !replies >= total));
   check_int "server served all" total !served;
   check_int "clients got all replies" total !replies
 
 (* The kernel-fallback queues still deliver atomic sgas with their
    segment boundaries (framing over the kernel byte stream). *)
 let posix_fallback_preserves_boundaries () =
-  let duo = Setup.two_hosts ~kernel_stack:true () in
-  let pa =
-    Dk_kernel.Posix.create ~engine:duo.Setup.engine ~cost:duo.Setup.cost
-      ~stack:duo.Setup.a.Setup.stack ()
-  in
-  let pb =
-    Dk_kernel.Posix.create ~engine:duo.Setup.engine ~cost:duo.Setup.cost
-      ~stack:duo.Setup.b.Setup.stack ()
-  in
-  let da = Demi.create ~engine:duo.Setup.engine ~cost:duo.Setup.cost ~posix:pa () in
-  let db = Demi.create ~engine:duo.Setup.engine ~cost:duo.Setup.cost ~posix:pb () in
+  let w = Setup.world Kernel in
+  let da = Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.client () in
+  let db = Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.server () in
   (* echo server over the fallback libOS *)
   (match Dk_apps.Echo.start_demi_server ~demi:db ~port:7 with
   | Ok () -> ()
   | Error e -> Alcotest.failf "server: %s" (Types.error_to_string e));
   let qd = Result.get_ok (Demi.socket da `Tcp) in
-  (match Demi.connect da qd ~dst:(Setup.endpoint duo.Setup.b 7) with
+  (match Demi.connect da qd ~dst:(Setup.endpoint w.b 7) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "connect: %s" (Types.error_to_string e));
   let sga = Sga.of_strings [ "three"; "atomic"; "segments" ] in
@@ -1035,21 +996,18 @@ let posix_fallback_preserves_boundaries () =
 (* ---------------- memory interface ---------------- *)
 
 let sga_alloc_registered () =
-  let duo = Setup.two_hosts () in
-  let demi =
-    Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a ()
-  in
-  let sga = Result.get_ok (Demi.sga_alloc demi "registered bytes") in
-  let regions = Dk_mem.Manager.regions (Demi.manager demi) in
+  let w = Setup.world Demikernel in
+  let sga = Result.get_ok (Demi.sga_alloc w.client "registered bytes") in
+  let regions = Dk_mem.Manager.regions (Demi.manager w.client) in
   check_bool "one region" true (List.length regions >= 1);
   List.iter
     (fun r ->
       check_bool "registered with nic" true
-        (Dk_mem.Registry.is_registered (Demi.registry demi)
+        (Dk_mem.Registry.is_registered (Demi.registry w.client)
            ~region_id:(Dk_mem.Region.id r) ~device:"nic0");
       check_bool "pinned" true (Dk_mem.Region.pinned r))
     regions;
-  Demi.sga_free demi sga
+  Demi.sga_free w.client sga
 
 let sga_alloc_segs_multi () =
   let _, demi = solo_demi () in
@@ -1072,12 +1030,9 @@ let socket_errors () =
   check_bool "bad qd pop" true (Demi.pop demi 4242 = Error `Bad_qd)
 
 let listen_requires_bind () =
-  let duo = Setup.two_hosts () in
-  let demi =
-    Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a ()
-  in
-  let qd = Result.get_ok (Demi.socket demi `Tcp) in
-  check_bool "listen unbound fails" true (Demi.listen demi qd = Error `Not_supported)
+  let w = Setup.world Demikernel in
+  let qd = Result.get_ok (Demi.socket w.client `Tcp) in
+  check_bool "listen unbound fails" true (Demi.listen w.client qd = Error `Not_supported)
 
 let qsuite_core name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 

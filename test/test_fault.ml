@@ -5,7 +5,8 @@
    hangs), frame conservation across the NICs and the fabric under
    every plan — plus the determinism properties that make the injector
    a replay tool: a rate-0 plan is bit-identical to no plan, and the
-   same plan + seed replays bit-identically.
+   same plan + seed replays bit-identically — and isolation: each world
+   owns its fault domain, so a plan armed in one reaches no other.
 
    Set DK_FAULT_CI=1 (the CI fault matrix job does) to widen the
    every-plan sweeps to multiple seeds. *)
@@ -18,6 +19,7 @@ module Engine = Dk_sim.Engine
 module Fault = Dk_fault.Fault
 module Setup = Dk_apps.Sim_setup
 module Echo = Dk_apps.Echo
+module Fault_replay = Dk_apps.Fault_replay
 module Kv = Dk_apps.Kv
 module Kv_app = Dk_apps.Kv_app
 module Demi = Demikernel.Demi
@@ -33,20 +35,21 @@ let named ~seed name =
   | Some p -> p
   | None -> Alcotest.failf "unknown named plan %S" name
 
-(* Reset the global registries, arm [plan] (or disarm for [None]), run
-   [f], and always disarm afterwards so a failing scenario cannot
-   leak its plan into the next test. *)
-let with_plan plan f =
-  Dk_obs.Metrics.reset Dk_obs.Metrics.default;
-  Dk_obs.Flight.clear Dk_obs.Flight.default;
-  (match plan with
-  | Some p -> Fault.install Fault.default p
-  | None -> Fault.clear Fault.default);
-  Fun.protect ~finally:(fun () -> Fault.clear Fault.default) f
-
 let err_name = function
   | None -> "none"
   | Some e -> Demikernel.Types.error_to_string e
+
+(* Each scenario resets the process-wide registries so its counters
+   start at zero. *)
+let reset () =
+  Dk_obs.Metrics.reset Dk_obs.Metrics.default;
+  Dk_obs.Flight.clear Dk_obs.Flight.default
+
+(* A fresh world whose own fault domain is armed with [plan]: its
+   faults reach no other world. *)
+let armed ?plan ?loss ?block () =
+  reset ();
+  Setup.world ?fault_plan:plan ?loss ?block Setup.Demikernel
 
 (* ---------------- workload runners ---------------- *)
 
@@ -60,101 +63,49 @@ let bounded (o : outcome) =
   check_bool "bounded virtual time" true
     (Int64.compare o.final_ns liveness_bound_ns < 0)
 
-(* Echo client against a demikernel echo server over the faulty
-   fabric; mirrors `demi faults` so CLI replays and tests agree. *)
-let echo_on ?(rounds = 40) ?(size = 256) (duo : Setup.duo) =
-  let engine = duo.Setup.engine and cost = duo.Setup.cost in
-  let da = Setup.demi_of_host ~engine ~cost duo.Setup.a () in
-  let db = Setup.demi_of_host ~engine ~cost duo.Setup.b () in
-  ignore (Echo.start_demi_server ~demi:db ~port:7);
-  let payload = String.make size 'f' in
-  let err = ref None in
-  let ok = ref 0 in
-  (match Demi.socket da `Tcp with
-  | Error e -> err := Some e
-  | Ok qd -> (
-      match Demi.connect da qd ~dst:(Setup.endpoint duo.Setup.b 7) with
-      | Error e -> err := Some e
-      | Ok () ->
-          let i = ref 0 in
-          while !i < rounds && !err = None do
-            incr i;
-            match Demi.sga_alloc da payload with
-            | Error e -> err := Some e
-            | Ok sga -> (
-                match Demi.blocking_push da qd sga with
-                | Types.Pushed -> (
-                    match Demi.blocking_pop da qd with
-                    | Types.Popped reply ->
-                        incr ok;
-                        Demi.sga_free da reply;
-                        Demi.sga_free da sga
-                    | Types.Failed e -> err := Some e
-                    | _ -> err := Some `Not_supported)
-                | Types.Failed e -> err := Some e
-                | _ -> err := Some `Not_supported)
-          done;
-          ignore (Demi.close da qd)));
-  ({ ok = !ok; err = !err; final_ns = Engine.now engine }, da, db)
+(* The echo phase of the replay workload `demi faults` runs, against a
+   demikernel echo server over the world's faulty fabric. *)
+let echo_on ?(rounds = 40) ?(size = 256) (w : Demi.t Setup.world) =
+  ignore (Echo.start_demi_server ~demi:w.server ~port:7);
+  let ok, err =
+    Fault_replay.echo ~demi:w.client ~dst:(Setup.endpoint w.b 7) ~size ~rounds
+  in
+  { ok; err; final_ns = Engine.now w.engine }
 
-let run_echo ?rounds ?size () =
-  let o, _, _ = echo_on ?rounds ?size (Setup.two_hosts ()) in
-  o
+let run_echo ?plan ?rounds ?size () =
+  let w = armed ?plan () in
+  (w, echo_on ?rounds ?size w)
 
-(* Append [records] sealed records to a log file on a faulty block
-   device, reading each one back. *)
-let run_storage ?(records = 8) () =
-  let duo = Setup.two_hosts () in
-  let engine = duo.Setup.engine and cost = duo.Setup.cost in
-  let block = Dk_device.Block.create ~engine ~cost () in
-  let da = Setup.demi_of_host ~engine ~cost duo.Setup.a ~block () in
-  let err = ref None in
-  let ok = ref 0 in
-  (match Demi.fcreate da "fault.log" with
-  | Error e -> err := Some e
-  | Ok fqd ->
-      let i = ref 0 in
-      while !i < records && !err = None do
-        incr i;
-        match Demi.sga_alloc da (Printf.sprintf "record-%03d" !i) with
-        | Error e -> err := Some e
-        | Ok sga -> (
-            (match Demi.blocking_push da fqd sga with
-            | Types.Pushed -> (
-                match Demi.blocking_pop da fqd with
-                | Types.Popped r ->
-                    incr ok;
-                    Demi.sga_free da r
-                | Types.Failed e -> err := Some e
-                | _ -> err := Some `Not_supported)
-            | Types.Failed e -> err := Some e
-            | _ -> err := Some `Not_supported);
-            Demi.sga_free da sga)
-      done);
-  { ok = !ok; err = !err; final_ns = Engine.now engine }
+(* The replay workload's storage phase: append [records] sealed
+   records to a log file on a faulty block device. *)
+let run_storage ?plan ?(records = 8) () =
+  let w = armed ?plan ~block:true () in
+  let ok, err = Fault_replay.log ~demi:w.client ~records in
+  (w, { ok; err; final_ns = Engine.now w.engine })
 
 (* Full KV client/server exchange (the paper's headline workload). *)
-let run_kv () =
-  let duo = Setup.two_hosts () in
-  let engine = duo.Setup.engine and cost = duo.Setup.cost in
-  let da = Setup.demi_of_host ~engine ~cost duo.Setup.a () in
-  let db = Setup.demi_of_host ~engine ~cost duo.Setup.b () in
-  let kv = Kv.create (Demi.manager db) in
-  (match Kv_app.start_tcp_server ~demi:db ~port:6379 ~kv with
+let run_kv plan =
+  let w = armed ~plan () in
+  let kv = Kv.create (Demi.manager w.server) in
+  (match Kv_app.start_tcp_server ~demi:w.server ~port:6379 ~kv with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "kv server: %s" (Types.error_to_string e));
   let r =
-    Kv_app.run_tcp_client ~demi:da ~dst:(Setup.endpoint duo.Setup.b 6379)
+    Kv_app.run_tcp_client ~demi:w.client ~dst:(Setup.endpoint w.b 6379)
       ~ops:200 ~keys:50 ~value_size:64 ~read_fraction:0.9 ()
   in
-  (r, Engine.now engine)
+  (r, Engine.now w.engine)
 
-(* One RDMA push over a connected queue pair. *)
-let run_rdma () =
+(* One RDMA push over a connected queue pair, in a fault domain armed
+   with [plan]. *)
+let run_rdma plan =
+  reset ();
+  let fault = Fault.create () in
+  Fault.install fault plan;
   let engine = Engine.create () in
   let cost = Dk_sim.Cost.default in
-  let rdma_a = Dk_device.Rdma.create ~engine ~cost () in
-  let rdma_b = Dk_device.Rdma.create ~engine ~cost () in
+  let rdma_a = Dk_device.Rdma.create ~engine ~cost ~fault () in
+  let rdma_b = Dk_device.Rdma.create ~engine ~cost ~fault () in
   let da = Demi.create ~engine ~cost ~rdma:rdma_a () in
   let db = Demi.create ~engine ~cost ~rdma:rdma_b () in
   let qa = Dk_device.Rdma.create_qp rdma_a in
@@ -162,14 +113,13 @@ let run_rdma () =
   Dk_device.Rdma.connect qa qb;
   let qda = Result.get_ok (Demi.rdma_endpoint da ~depth:8 qa) in
   let qdb = Result.get_ok (Demi.rdma_endpoint db ~depth:8 qb) in
-  (engine, da, db, qda, qdb)
+  (fault, engine, da, db, qda, qdb)
 
 (* ---------------- fabric scenarios ---------------- *)
 
 (* Plans the transport absorbs: the app sees every round succeed. *)
 let survives plan_name ~seed () =
-  with_plan (Some (named ~seed plan_name)) @@ fun () ->
-  let o = run_echo () in
+  let _, o = run_echo ~plan:(named ~seed plan_name) () in
   bounded o;
   check_bool
     (Printf.sprintf "no surfaced error (got %s)" (err_name o.err))
@@ -177,22 +127,20 @@ let survives plan_name ~seed () =
   check_int "all rounds" 40 o.ok
 
 let loss_burst_injects () =
-  with_plan (Some (named ~seed:7L "loss-burst")) @@ fun () ->
-  let o = run_echo () in
+  let w, o = run_echo ~plan:(named ~seed:7L "loss-burst") () in
   bounded o;
   check_int "all rounds" 40 o.ok;
   check_bool "drops actually injected" true
-    (Fault.injected Fault.default Fault.Fabric_drop > 0);
+    (Fault.injected w.fault Fault.Fabric_drop > 0);
   (* surviving drops means TCP retransmitted *)
   check_bool "tcp retransmitted" true
     (Dk_obs.Metrics.value (Dk_obs.Metrics.counter "net.tcp.retransmits") > 0)
 
 let partition_aborts () =
-  with_plan (Some (named ~seed:7L "partition")) @@ fun () ->
-  let o = run_echo () in
+  let w, o = run_echo ~plan:(named ~seed:7L "partition") () in
   bounded o;
   check_bool "partition fired" true
-    (Fault.injected Fault.default Fault.Fabric_partition > 0);
+    (Fault.injected w.fault Fault.Fabric_partition > 0);
   (* RTO gives up and surfaces ECONNABORTED instead of hanging *)
   check_bool
     (Printf.sprintf "aborted, not hung (got %s)" (err_name o.err))
@@ -202,38 +150,34 @@ let partition_aborts () =
     (Dk_obs.Metrics.value (Dk_obs.Metrics.counter "core.tcp.aborted") > 0)
 
 let partition_heal_recovers () =
-  with_plan (Some (named ~seed:7L "partition-heal")) @@ fun () ->
-  let o = run_echo () in
+  let w, o = run_echo ~plan:(named ~seed:7L "partition-heal") () in
   bounded o;
   check_bool "partition fired" true
-    (Fault.injected Fault.default Fault.Fabric_partition > 0);
+    (Fault.injected w.fault Fault.Fabric_partition > 0);
   check_bool
     (Printf.sprintf "healed before RTO gave up (got %s)" (err_name o.err))
     true (o.err = None);
   check_int "all rounds" 40 o.ok
 
 let corrupt_wire_checksummed () =
-  with_plan (Some (named ~seed:7L "corrupt-wire")) @@ fun () ->
-  let o = run_echo () in
+  let w, o = run_echo ~plan:(named ~seed:7L "corrupt-wire") () in
   bounded o;
   check_int "all rounds" 40 o.ok;
   check_bool "corruption injected" true
-    (Fault.injected Fault.default Fault.Fabric_corrupt > 0);
+    (Fault.injected w.fault Fault.Fabric_corrupt > 0);
   check_bool "no error surfaced" true (o.err = None)
 
 let dup_storm_deduplicated () =
-  with_plan (Some (named ~seed:7L "dup-storm")) @@ fun () ->
-  let o = run_echo () in
+  let w, o = run_echo ~plan:(named ~seed:7L "dup-storm") () in
   bounded o;
   check_int "all rounds" 40 o.ok;
   check_bool "duplicates injected" true
-    (Fault.injected Fault.default Fault.Fabric_dup > 0
-    && Fault.injected Fault.default Fault.Nic_rx_dup > 0);
+    (Fault.injected w.fault Fault.Fabric_dup > 0
+    && Fault.injected w.fault Fault.Nic_rx_dup > 0);
   check_bool "no error surfaced" true (o.err = None)
 
 let kv_under_loss () =
-  with_plan (Some (named ~seed:11L "loss-burst")) @@ fun () ->
-  match run_kv () with
+  match run_kv (named ~seed:11L "loss-burst") with
   | Error e, _ -> Alcotest.failf "kv client: %s" (Types.error_to_string e)
   | Ok stats, now ->
       check_bool "bounded virtual time" true
@@ -242,8 +186,7 @@ let kv_under_loss () =
       check_int "no misses" 0 stats.Kv_app.misses
 
 let kv_under_corruption () =
-  with_plan (Some (named ~seed:11L "corrupt-wire")) @@ fun () ->
-  match run_kv () with
+  match run_kv (named ~seed:11L "corrupt-wire") with
   | Error e, _ -> Alcotest.failf "kv client: %s" (Types.error_to_string e)
   | Ok stats, now ->
       check_bool "bounded virtual time" true
@@ -254,31 +197,28 @@ let kv_under_corruption () =
 (* ---------------- block scenarios ---------------- *)
 
 let slow_disk_completes () =
-  with_plan (Some (named ~seed:7L "slow-disk")) @@ fun () ->
-  let o = run_storage () in
+  let w, o = run_storage ~plan:(named ~seed:7L "slow-disk") () in
   bounded o;
   check_int "all records" 8 o.ok;
   check_bool "stalls injected" true
-    (Fault.injected Fault.default Fault.Block_stall > 0);
+    (Fault.injected w.fault Fault.Block_stall > 0);
   check_bool "no error surfaced" true (o.err = None)
 
 let flaky_disk_retried () =
-  with_plan (Some (named ~seed:7L "flaky-disk")) @@ fun () ->
-  let o = run_storage () in
+  let w, o = run_storage ~plan:(named ~seed:7L "flaky-disk") () in
   bounded o;
   check_int "all records" 8 o.ok;
   check_bool "errors injected" true
-    (Fault.injected Fault.default Fault.Block_error > 0);
+    (Fault.injected w.fault Fault.Block_error > 0);
   check_bool "dispatcher recovered" true
     (Dk_obs.Metrics.value (Dk_obs.Metrics.counter "core.block.recovered") > 0);
   check_bool "no error surfaced" true (o.err = None)
 
 let broken_disk_surfaces_io_error () =
-  with_plan (Some (named ~seed:7L "broken-disk")) @@ fun () ->
-  let o = run_storage () in
+  let w, o = run_storage ~plan:(named ~seed:7L "broken-disk") () in
   bounded o;
   check_bool "errors injected" true
-    (Fault.injected Fault.default Fault.Block_error > 0);
+    (Fault.injected w.fault Fault.Block_error > 0);
   check_bool
     (Printf.sprintf "EIO, not a hang (got %s)" (err_name o.err))
     true (o.err = Some `Io_error);
@@ -286,11 +226,10 @@ let broken_disk_surfaces_io_error () =
     (Dk_obs.Metrics.value (Dk_obs.Metrics.counter "core.block.gave_up") > 0)
 
 let torn_write_detected () =
-  with_plan (Some (named ~seed:7L "torn-write")) @@ fun () ->
-  let o = run_storage () in
+  let w, o = run_storage ~plan:(named ~seed:7L "torn-write") () in
   bounded o;
   check_int "exactly one torn write" 1
-    (Fault.injected Fault.default Fault.Block_torn_write);
+    (Fault.injected w.fault Fault.Block_torn_write);
   (* the CRC seal catches the truncated record on read-back *)
   check_bool
     (Printf.sprintf "EIO on read-back (got %s)" (err_name o.err))
@@ -299,13 +238,12 @@ let torn_write_detected () =
 (* ---------------- RDMA scenario ---------------- *)
 
 let rdma_break_aborts () =
-  with_plan (Some (named ~seed:7L "rdma-break")) @@ fun () ->
-  let engine, da, db, qda, qdb = run_rdma () in
+  let fault, engine, da, db, qda, qdb = run_rdma (named ~seed:7L "rdma-break") in
   let sga = Result.get_ok (Demi.sga_alloc da "doomed") in
   (match Demi.blocking_push da qda sga with
   | Types.Failed `Conn_aborted -> ()
   | r -> Alcotest.failf "push: expected Conn_aborted, got %a" Types.pp_op_result r);
-  check_int "one break" 1 (Fault.injected Fault.default Fault.Rdma_qp_break);
+  check_int "one break" 1 (Fault.injected fault Fault.Rdma_qp_break);
   (* the peer's pops must not hang on the severed pair either *)
   (match Demi.pop db qdb with
   | Error _ -> ()
@@ -315,6 +253,26 @@ let rdma_break_aborts () =
       | r -> Alcotest.failf "pop: unexpected %a" Types.pp_op_result r));
   check_bool "bounded virtual time" true
     (Int64.compare (Engine.now engine) liveness_bound_ns < 0)
+
+(* ---------------- isolation ---------------- *)
+
+(* Two worlds in one process: the plan armed in one never reaches the
+   other, because each world owns its fault domain. *)
+let worlds_do_not_share_faults () =
+  let wa = armed ~plan:(named ~seed:7L "partition") () in
+  let wb = armed () in
+  let a = echo_on wa in
+  let b = echo_on wb in
+  check_bool "A partitioned" true
+    (Fault.injected wa.fault Fault.Fabric_partition > 0);
+  check_bool
+    (Printf.sprintf "A aborted (got %s)" (err_name a.err))
+    true (a.err = Some `Conn_aborted);
+  check_bool
+    (Printf.sprintf "B clean (got %s)" (err_name b.err))
+    true (b.err = None);
+  check_int "B completed every round" 40 b.ok;
+  check_int "nothing injected in B" 0 (Fault.total_injected wb.fault)
 
 (* ---------------- the full matrix ---------------- *)
 
@@ -333,10 +291,10 @@ let every_plan_is_live () =
     (fun (name, _) ->
       List.iter
         (fun seed ->
-          with_plan (Some (named ~seed name)) @@ fun () ->
-          let e = run_echo ~rounds:20 () in
+          let plan = named ~seed name in
+          let _, e = run_echo ~plan ~rounds:20 () in
           bounded e;
-          let s = run_storage ~records:4 () in
+          let _, s = run_storage ~plan ~records:4 () in
           bounded s;
           List.iter
             (fun o ->
@@ -362,16 +320,18 @@ let counter name = Dk_obs.Metrics.value (Dk_obs.Metrics.counter name)
 let check_sum label name values =
   check_int (label ^ ": " ^ name) (counter name) (List.fold_left ( + ) 0 values)
 
-let fabric_conserves_frames label =
-  let duo = Setup.two_hosts ~loss:0.03 () in
-  let _, da, db = echo_on ~rounds:50 ~size:3_000 duo in
-  Engine.run duo.Setup.engine;
-  let nics = [ duo.Setup.a.Setup.nic; duo.Setup.b.Setup.nic ] in
+let fabric_conserves_frames ?plan label =
+  let w = armed ?plan ~loss:0.03 () in
+  ignore (echo_on ~rounds:50 ~size:3_000 w);
+  Engine.run w.engine;
+  let nics = [ w.a.Setup.nic; w.b.Setup.nic ] in
   let nic f = List.map (fun n -> f (Dk_device.Nic.stats n)) nics in
-  let stacks = [ duo.Setup.a.Setup.stack; duo.Setup.b.Setup.stack ] in
+  let stacks = [ w.a.Setup.stack; w.b.Setup.stack ] in
   let stack f = List.map (fun s -> f (Dk_net.Stack.stats s)) stacks in
-  let mem f = List.map (fun d -> f (Dk_mem.Manager.stats (Demi.manager d))) [ da; db ] in
-  let fab = Dk_device.Fabric.stats duo.Setup.fabric in
+  let mem f =
+    List.map (fun d -> f (Dk_mem.Manager.stats (Demi.manager d))) [ w.client; w.server ]
+  in
+  let fab = Dk_device.Fabric.stats w.fabric in
   let open Dk_device in
   check_sum label "device.nic.tx_frames" (nic (fun s -> s.Nic.tx_frames));
   check_sum label "device.nic.tx_bytes" (nic (fun s -> s.Nic.tx_bytes));
@@ -396,7 +356,7 @@ let fabric_conserves_frames label =
     (fun site ->
       check_sum label
         ("fault." ^ Fault.site_name site ^ ".injected")
-        [ Fault.injected Fault.default site ])
+        [ Fault.injected w.fault site ])
     Fault.sites;
   check_int (label ^ ": tx - tx_drop + dup = delivered + lost + unrouted")
     (counter "device.nic.tx_frames"
@@ -405,13 +365,13 @@ let fabric_conserves_frames label =
     (fab.Fabric.delivered + fab.Fabric.lost + fab.Fabric.unrouted)
 
 let frames_conserved_under_every_plan () =
-  with_plan None (fun () -> fabric_conserves_frames "no plan");
+  fabric_conserves_frames "no plan";
   List.iter
     (fun (name, _) ->
       List.iter
         (fun seed ->
-          with_plan (Some (named ~seed name)) @@ fun () ->
-          fabric_conserves_frames (Printf.sprintf "%s seed %Ld" name seed))
+          fabric_conserves_frames ~plan:(named ~seed name)
+            (Printf.sprintf "%s seed %Ld" name seed))
         (matrix_seeds ()))
     Fault.plan_names
 
@@ -423,27 +383,26 @@ let stats_json ~now =
   Dk_obs.Export.json_lines ~now (Dk_obs.Metrics.snapshot Dk_obs.Metrics.default)
   ^ Dk_obs.Export.json_flight Dk_obs.Flight.default
 
-let run_echo_capture plan =
-  with_plan plan @@ fun () ->
-  let o = run_echo () in
+(* The capture of one echo run, and how many faults its world injected. *)
+let run_echo_capture ?plan () =
+  let w, o = run_echo ?plan () in
   check_bool "clean run" true (o.err = None);
-  stats_json ~now:o.final_ns
+  (stats_json ~now:o.final_ns, Fault.total_injected w.fault)
 
 let rate_zero_plan_is_bit_identical () =
-  let baseline = run_echo_capture None in
+  let baseline, _ = run_echo_capture () in
   let zero =
     Fault.plan ~seed:99L ~name:"all-zero"
       (List.map (fun s -> (s, Fault.spec ~rate:0.0 ())) Fault.sites)
   in
-  let armed = run_echo_capture (Some zero) in
+  let armed, injected = run_echo_capture ~plan:zero () in
   check Alcotest.string "rate-0 plan == no plan" baseline armed;
-  check_bool "nothing injected" true
-    (with_plan (Some zero) (fun () -> Fault.total_injected Fault.default = 0))
+  check_bool "nothing injected" true (injected = 0)
 
 let same_seed_replays_bit_identical () =
-  let plan () = Some (named ~seed:9L "loss-burst") in
-  let a = run_echo_capture (plan ()) in
-  let b = run_echo_capture (plan ()) in
+  let plan = named ~seed:9L "loss-burst" in
+  let a, _ = run_echo_capture ~plan () in
+  let b, _ = run_echo_capture ~plan () in
   check Alcotest.string "same plan+seed replays identically" a b;
   (* and the run was not trivially fault-free *)
   let contains hay needle =
@@ -457,8 +416,8 @@ let same_seed_replays_bit_identical () =
 let different_seeds_diverge () =
   (* Not a determinism requirement per se, but the property that makes
      seeds worth varying in the CI matrix: the stream actually moves. *)
-  let a = run_echo_capture (Some (named ~seed:9L "loss-burst")) in
-  let b = run_echo_capture (Some (named ~seed:10L "loss-burst")) in
+  let a, _ = run_echo_capture ~plan:(named ~seed:9L "loss-burst") () in
+  let b, _ = run_echo_capture ~plan:(named ~seed:10L "loss-burst") () in
   check_bool "seeds explore different schedules" true (a <> b)
 
 let () =
@@ -495,6 +454,11 @@ let () =
         ] );
       ( "rdma",
         [ Alcotest.test_case "qp break aborts" `Quick rdma_break_aborts ] );
+      ( "isolation",
+        [
+          Alcotest.test_case "worlds do not share faults" `Quick
+            worlds_do_not_share_faults;
+        ] );
       ( "matrix",
         [
           Alcotest.test_case "every plan is live" `Slow every_plan_is_live;

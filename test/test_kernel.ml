@@ -41,78 +41,67 @@ let pipe_eof () =
 
 (* ---------------- Posix sockets ---------------- *)
 
-let posix_pair () =
-  let duo = Setup.two_hosts ~kernel_stack:true () in
-  let pa =
-    Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a
-  in
-  let pb =
-    Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b
-  in
-  (duo, pa, pb)
-
 let posix_connect_accept_read_write () =
-  let duo, pa, pb = posix_pair () in
-  let engine = duo.Setup.engine in
-  let ls = Posix.socket pb in
-  check_bool "listen" true (Posix.listen pb ls ~port:80 = Ok ());
-  let cs = Posix.socket pa in
+  let w = Setup.world Kernel in
+  let engine = w.engine in
+  let ls = Posix.socket w.server in
+  check_bool "listen" true (Posix.listen w.server ls ~port:80 = Ok ());
+  let cs = Posix.socket w.client in
   check_bool "connect" true
-    (Posix.connect pa cs ~dst:(Setup.endpoint duo.Setup.b 80) = Ok ());
-  ignore (Engine.run_until engine (fun () -> Posix.connected pa cs));
+    (Posix.connect w.client cs ~dst:(Setup.endpoint w.b 80) = Ok ());
+  ignore (Engine.run_until engine (fun () -> Posix.connected w.client cs));
   (* accept on the server *)
-  ignore (Engine.run_until engine (fun () -> Posix.readable pb ls));
+  ignore (Engine.run_until engine (fun () -> Posix.readable w.server ls));
   let sfd =
-    match Posix.accept pb ls with
+    match Posix.accept w.server ls with
     | Ok fd -> fd
     | Error _ -> Alcotest.fail "accept"
   in
   (* client -> server *)
-  (match Posix.write pa cs "kernel path" with
+  (match Posix.write w.client cs "kernel path" with
   | Ok n -> check_int "wrote all" 11 n
   | Error _ -> Alcotest.fail "write");
-  ignore (Engine.run_until engine (fun () -> Posix.readable pb sfd));
+  ignore (Engine.run_until engine (fun () -> Posix.readable w.server sfd));
   let buf = Bytes.create 64 in
-  (match Posix.read pb sfd buf 0 64 with
+  (match Posix.read w.server sfd buf 0 64 with
   | Ok n -> check_str "read" "kernel path" (Bytes.sub_string buf 0 n)
   | Error _ -> Alcotest.fail "read");
   (* EAGAIN on empty socket *)
-  check_bool "eagain" true (Posix.read pb sfd buf 0 64 = Error `Again)
+  check_bool "eagain" true (Posix.read w.server sfd buf 0 64 = Error `Again)
 
 let posix_costs_charged () =
   (* the kernel path must charge syscalls and copies *)
-  let duo, pa, pb = posix_pair () in
-  let engine = duo.Setup.engine in
-  let ls = Posix.socket pb in
-  ignore (Posix.listen pb ls ~port:80);
-  let cs = Posix.socket pa in
-  ignore (Posix.connect pa cs ~dst:(Setup.endpoint duo.Setup.b 80));
-  ignore (Engine.run_until engine (fun () -> Posix.connected pa cs));
-  let before = Posix.stats pa in
+  let w = Setup.world Kernel in
+  let engine = w.engine in
+  let ls = Posix.socket w.server in
+  ignore (Posix.listen w.server ls ~port:80);
+  let cs = Posix.socket w.client in
+  ignore (Posix.connect w.client cs ~dst:(Setup.endpoint w.b 80));
+  ignore (Engine.run_until engine (fun () -> Posix.connected w.client cs));
+  let before = Posix.stats w.client in
   let payload = String.make 4096 'c' in
-  ignore (Posix.write pa cs payload);
-  let after = Posix.stats pa in
+  ignore (Posix.write w.client cs payload);
+  let after = Posix.stats w.client in
   check_bool "syscall counted" true (after.Posix.syscalls > before.Posix.syscalls);
   check_int "bytes copied" 4096
     (after.Posix.bytes_copied - before.Posix.bytes_copied)
 
 let posix_eof_on_close () =
-  let duo, pa, pb = posix_pair () in
-  let engine = duo.Setup.engine in
-  let ls = Posix.socket pb in
-  ignore (Posix.listen pb ls ~port:80);
-  let cs = Posix.socket pa in
-  ignore (Posix.connect pa cs ~dst:(Setup.endpoint duo.Setup.b 80));
-  ignore (Engine.run_until engine (fun () -> Posix.readable pb ls));
-  let sfd = Result.get_ok (Posix.accept pb ls) in
-  Posix.close pa cs;
-  ignore (Engine.run_until engine (fun () -> Posix.readable pb sfd));
+  let w = Setup.world Kernel in
+  let engine = w.engine in
+  let ls = Posix.socket w.server in
+  ignore (Posix.listen w.server ls ~port:80);
+  let cs = Posix.socket w.client in
+  ignore (Posix.connect w.client cs ~dst:(Setup.endpoint w.b 80));
+  ignore (Engine.run_until engine (fun () -> Posix.readable w.server ls));
+  let sfd = Result.get_ok (Posix.accept w.server ls) in
+  Posix.close w.client cs;
+  ignore (Engine.run_until engine (fun () -> Posix.readable w.server sfd));
   let buf = Bytes.create 8 in
-  check_bool "eof" true (Posix.read pb sfd buf 0 8 = Ok 0)
+  check_bool "eof" true (Posix.read w.server sfd buf 0 8 = Ok 0)
 
 let posix_pipe_fds () =
-  let duo, pa, _ = posix_pair () in
-  ignore duo;
+  let pa = (Setup.world Kernel).client in
   let r, w = Posix.pipe pa in
   (match Posix.write pa w "through the kernel" with
   | Ok n -> check_int "wrote" 18 n
@@ -127,67 +116,67 @@ let posix_pipe_fds () =
   check_bool "eof" true (Posix.read pa r buf 0 64 = Ok 0)
 
 let posix_bad_fds () =
-  let _, pa, _ = posix_pair () in
+  let w = Setup.world Kernel in
   let buf = Bytes.create 4 in
-  check_bool "read bad fd" true (Posix.read pa 999 buf 0 4 = Error `Bad_fd);
-  check_bool "write bad fd" true (Posix.write pa 999 "x" = Error `Bad_fd);
+  check_bool "read bad fd" true (Posix.read w.client 999 buf 0 4 = Error `Bad_fd);
+  check_bool "write bad fd" true (Posix.write w.client 999 "x" = Error `Bad_fd);
   check_bool "accept bad fd" true
-    (match Posix.accept pa 999 with Error `Bad_fd -> true | _ -> false);
-  let r, _ = Posix.pipe pa in
+    (match Posix.accept w.client 999 with Error `Bad_fd -> true | _ -> false);
+  let r, _ = Posix.pipe w.client in
   check_bool "write to read end" true
-    (Posix.write pa r "x" = Error `Not_supported)
+    (Posix.write w.client r "x" = Error `Not_supported)
 
 (* ---------------- epoll ---------------- *)
 
 let epoll_level_triggered () =
-  let duo, pa, pb = posix_pair () in
-  let engine = duo.Setup.engine in
-  let ls = Posix.socket pb in
-  ignore (Posix.listen pb ls ~port:80);
-  let cs = Posix.socket pa in
-  ignore (Posix.connect pa cs ~dst:(Setup.endpoint duo.Setup.b 80));
-  ignore (Engine.run_until engine (fun () -> Posix.readable pb ls));
-  let sfd = Result.get_ok (Posix.accept pb ls) in
-  let ep = Posix.epoll_create pb in
-  check_bool "add ok" true (Posix.epoll_add pb ep sfd [ `In ] = Ok ());
-  check_int "nothing ready" 0 (List.length (Posix.epoll_wait pb ep ~max:8));
-  ignore (Posix.write pa cs "wake");
-  ignore (Engine.run_until engine (fun () -> Posix.readable pb sfd));
-  (match Posix.epoll_wait pb ep ~max:8 with
+  let w = Setup.world Kernel in
+  let engine = w.engine in
+  let ls = Posix.socket w.server in
+  ignore (Posix.listen w.server ls ~port:80);
+  let cs = Posix.socket w.client in
+  ignore (Posix.connect w.client cs ~dst:(Setup.endpoint w.b 80));
+  ignore (Engine.run_until engine (fun () -> Posix.readable w.server ls));
+  let sfd = Result.get_ok (Posix.accept w.server ls) in
+  let ep = Posix.epoll_create w.server in
+  check_bool "add ok" true (Posix.epoll_add w.server ep sfd [ `In ] = Ok ());
+  check_int "nothing ready" 0 (List.length (Posix.epoll_wait w.server ep ~max:8));
+  ignore (Posix.write w.client cs "wake");
+  ignore (Engine.run_until engine (fun () -> Posix.readable w.server sfd));
+  (match Posix.epoll_wait w.server ep ~max:8 with
   | [ (fd, `In) ] -> check_int "right fd" sfd fd
   | _ -> Alcotest.fail "expected one ready event");
   (* level triggered: still ready until drained *)
-  check_int "still ready" 1 (List.length (Posix.epoll_wait pb ep ~max:8))
+  check_int "still ready" 1 (List.length (Posix.epoll_wait w.server ep ~max:8))
 
 let epoll_blocking_wakeup () =
-  let duo, pa, pb = posix_pair () in
-  let engine = duo.Setup.engine in
-  let ls = Posix.socket pb in
-  ignore (Posix.listen pb ls ~port:80);
-  let ep = Posix.epoll_create pb in
-  ignore (Posix.epoll_add pb ep ls [ `In ]);
+  let w = Setup.world Kernel in
+  let engine = w.engine in
+  let ls = Posix.socket w.server in
+  ignore (Posix.listen w.server ls ~port:80);
+  let ep = Posix.epoll_create w.server in
+  ignore (Posix.epoll_add w.server ep ls [ `In ]);
   let woke = ref None in
-  Posix.epoll_wait_block pb ep ~max:8 (fun evs -> woke := Some evs);
+  Posix.epoll_wait_block w.server ep ~max:8 (fun evs -> woke := Some evs);
   check_bool "blocked" true (!woke = None);
   (* a connection arrives; the waiter must wake *)
-  let cs = Posix.socket pa in
-  ignore (Posix.connect pa cs ~dst:(Setup.endpoint duo.Setup.b 80));
+  let cs = Posix.socket w.client in
+  ignore (Posix.connect w.client cs ~dst:(Setup.endpoint w.b 80));
   ignore (Engine.run_until engine (fun () -> !woke <> None));
   match !woke with
   | Some [ (fd, `In) ] -> check_int "listener ready" ls fd
   | _ -> Alcotest.fail "expected wakeup with listener event"
 
 let epoll_wakeup_costs_context_switch () =
-  let duo, pa, pb = posix_pair () in
-  let engine = duo.Setup.engine in
-  let ls = Posix.socket pb in
-  ignore (Posix.listen pb ls ~port:80);
-  let ep = Posix.epoll_create pb in
-  ignore (Posix.epoll_add pb ep ls [ `In ]);
+  let w = Setup.world Kernel in
+  let engine = w.engine in
+  let ls = Posix.socket w.server in
+  ignore (Posix.listen w.server ls ~port:80);
+  let ep = Posix.epoll_create w.server in
+  ignore (Posix.epoll_add w.server ep ls [ `In ]);
   let woke_at = ref None in
-  Posix.epoll_wait_block pb ep ~max:8 (fun _ -> woke_at := Some (Engine.now engine));
-  let cs = Posix.socket pa in
-  ignore (Posix.connect pa cs ~dst:(Setup.endpoint duo.Setup.b 80));
+  Posix.epoll_wait_block w.server ep ~max:8 (fun _ -> woke_at := Some (Engine.now engine));
+  let cs = Posix.socket w.client in
+  ignore (Posix.connect w.client cs ~dst:(Setup.endpoint w.b 80));
   ignore (Engine.run_until engine (fun () -> !woke_at <> None));
   (* the wakeup happened strictly after the connect flowed through plus
      a context switch; just assert it's not instantaneous *)
@@ -272,14 +261,12 @@ let vfs_charges_more_than_bypass () =
 (* ---------------- mTCP ---------------- *)
 
 let mtcp_roundtrip () =
-  let duo = Setup.two_hosts () in
-  let engine = duo.Setup.engine in
-  let ma = Setup.mtcp_of_host ~engine ~cost:duo.Setup.cost duo.Setup.a in
-  let mb = Setup.mtcp_of_host ~engine ~cost:duo.Setup.cost duo.Setup.b in
+  let w = Setup.world Mtcp in
+  let engine = w.engine in
   check_bool "listen" true
-    (Dk_apps.Echo.start_mtcp_server ~mtcp:mb ~port:7 = Ok ());
+    (Dk_apps.Echo.start_mtcp_server ~mtcp:w.server ~port:7 = Ok ());
   let hist =
-    Dk_apps.Echo.mtcp_rtt ~mtcp:ma ~engine ~dst:(Setup.endpoint duo.Setup.b 7)
+    Dk_apps.Echo.mtcp_rtt ~mtcp:w.client ~engine ~dst:(Setup.endpoint w.b 7)
       ~size:64 ~rounds:10
   in
   check_int "ten rounds" 10 (Dk_sim.Histogram.count hist)
@@ -298,26 +285,22 @@ let vfs_device_busy () =
   check_bool "second rejected busy" true (!r2 = Some (Error `Device_busy))
 
 let mtcp_copies_charged () =
-  let duo = Setup.two_hosts () in
-  let engine = duo.Setup.engine in
-  let ma = Setup.mtcp_of_host ~engine ~cost:duo.Setup.cost duo.Setup.a in
-  let mb = Setup.mtcp_of_host ~engine ~cost:duo.Setup.cost duo.Setup.b in
-  ignore (Dk_apps.Echo.start_mtcp_server ~mtcp:mb ~port:7);
+  let w = Setup.world Mtcp in
+  let engine = w.engine in
+  ignore (Dk_apps.Echo.start_mtcp_server ~mtcp:w.server ~port:7);
   ignore
-    (Dk_apps.Echo.mtcp_rtt ~mtcp:ma ~engine ~dst:(Setup.endpoint duo.Setup.b 7)
+    (Dk_apps.Echo.mtcp_rtt ~mtcp:w.client ~engine ~dst:(Setup.endpoint w.b 7)
        ~size:1024 ~rounds:5);
   (* POSIX-style semantics: data crossed the API by copy, twice per rtt *)
-  check_bool "copies charged" true (Mtcp.bytes_copied ma >= 2 * 5 * 1024)
+  check_bool "copies charged" true (Mtcp.bytes_copied w.client >= 2 * 5 * 1024)
 
 let mtcp_latency_exceeds_batch_delays () =
   (* each direction adds a batch delay: RTT >= 2 batches *)
-  let duo = Setup.two_hosts () in
-  let engine = duo.Setup.engine in
-  let ma = Setup.mtcp_of_host ~engine ~cost:duo.Setup.cost duo.Setup.a in
-  let mb = Setup.mtcp_of_host ~engine ~cost:duo.Setup.cost duo.Setup.b in
-  ignore (Dk_apps.Echo.start_mtcp_server ~mtcp:mb ~port:7 = Ok ());
+  let w = Setup.world Mtcp in
+  let engine = w.engine in
+  ignore (Dk_apps.Echo.start_mtcp_server ~mtcp:w.server ~port:7 = Ok ());
   let hist =
-    Dk_apps.Echo.mtcp_rtt ~mtcp:ma ~engine ~dst:(Setup.endpoint duo.Setup.b 7)
+    Dk_apps.Echo.mtcp_rtt ~mtcp:w.client ~engine ~dst:(Setup.endpoint w.b 7)
       ~size:64 ~rounds:5
   in
   let floor = Int64.mul 2L cost.Cost.mtcp_batch_delay in

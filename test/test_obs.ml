@@ -471,23 +471,17 @@ let stats_json_workload () =
   let module Setup = Dk_apps.Sim_setup in
   let module Echo = Dk_apps.Echo in
   M.reset M.default;
-  let duo = Setup.two_hosts () in
-  let da =
-    Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a ()
-  in
-  let db =
-    Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b ()
-  in
-  (match Echo.start_demi_server ~demi:db ~port:7 with
+  let w = Setup.world Demikernel in
+  (match Echo.start_demi_server ~demi:w.server ~port:7 with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "echo server failed to start");
   (match
-     Echo.demi_rtt ~demi:da ~dst:(Setup.endpoint duo.Setup.b 7) ~size:64
+     Echo.demi_rtt ~demi:w.client ~dst:(Setup.endpoint w.b 7) ~size:64
        ~rounds:5
    with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "echo workload failed");
-  let now = Dk_sim.Engine.now duo.Setup.engine in
+  | _, None -> ()
+  | _, Some _ -> Alcotest.fail "echo workload failed");
+  let now = Dk_sim.Engine.now w.engine in
   Export.json_lines ~now (M.snapshot M.default)
 
 let stats_json_lines_parse_and_name () =

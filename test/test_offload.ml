@@ -31,15 +31,7 @@ module Types = Demikernel.Types
 
 let reset_world () =
   Metrics.reset Metrics.default;
-  Dk_obs.Flight.clear Dk_obs.Flight.default;
-  Fault.clear Fault.default
-
-let with_plan plan f =
-  reset_world ();
-  (match plan with
-  | Some p -> Fault.install Fault.default p
-  | None -> Fault.clear Fault.default);
-  Fun.protect ~finally:(fun () -> Fault.clear Fault.default) f
+  Dk_obs.Flight.clear Dk_obs.Flight.default
 
 let named ~seed name =
   match Fault.named ~seed name with
@@ -304,17 +296,14 @@ let client_port = 5555
 let kv_port = 6379
 
 type world = {
-  duo : Setup.duo;
-  demi_a : Demi.t;
-  demi_b : Demi.t;
+  sim : Demi.t Setup.world;
   srv : Kv_app.server;
   cqd : Types.qd;
 }
 
-let make_world ~programmable ?(populate = false) () =
-  let duo = Setup.two_hosts ~programmable () in
-  let demi_a = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-  let demi_b = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
+let make_world ~programmable ?(populate = false) ?fault_plan () =
+  let sim = Setup.world ~programmable ?fault_plan Demikernel in
+  let demi_a = sim.client and demi_b = sim.server in
   let kv = Kv.create (Demi.manager demi_b) in
   let srv =
     match
@@ -324,7 +313,7 @@ let make_world ~programmable ?(populate = false) () =
     | Ok s -> s
     | Error _ -> Alcotest.fail "server start failed"
   in
-  (match Kv_app.set_udp_peer srv (Setup.endpoint duo.Setup.a client_port) with
+  (match Kv_app.set_udp_peer srv (Setup.endpoint sim.a client_port) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "set_udp_peer failed");
   let cqd =
@@ -335,16 +324,16 @@ let make_world ~programmable ?(populate = false) () =
   (match Demi.bind demi_a cqd ~port:client_port with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "client bind failed");
-  (match Demi.connect demi_a cqd ~dst:(Setup.endpoint duo.Setup.b kv_port) with
+  (match Demi.connect demi_a cqd ~dst:(Setup.endpoint sim.b kv_port) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "client connect failed");
-  { duo; demi_a; demi_b; srv; cqd }
+  { sim; srv; cqd }
 
 let rpc w req =
   let sga = Dk_mem.Sga.of_strings [ Proto.udp_request_string req ] in
-  match Demi.blocking_push w.demi_a w.cqd sga with
+  match Demi.blocking_push w.sim.client w.cqd sga with
   | Types.Pushed -> (
-      match Demi.blocking_pop w.demi_a w.cqd with
+      match Demi.blocking_pop w.sim.client w.cqd with
       | Types.Popped resp ->
           let s =
             String.concat ""
@@ -365,14 +354,14 @@ let test_offload_get_path () =
   check_string "host get" "+v1" (rpc w (Proto.Get "k1"));
   let served_before = Kv_app.requests_served w.srv in
   (* populate the device entry, then the device answers alone *)
-  (match Demi.offload_insert w.demi_b "k1" "v1" with
+  (match Demi.offload_insert w.sim.server "k1" "v1" with
   | Ok () -> ()
   | Error `Rejected -> Alcotest.fail "insert rejected");
   check_string "device get" "+v1" (rpc w (Proto.Get "k1"));
   check_int "host never saw the hit" served_before
     (Kv_app.requests_served w.srv);
   let s =
-    match Demi.offload_stats w.demi_b with
+    match Demi.offload_stats w.sim.server with
     | Some s -> s
     | None -> Alcotest.fail "no table"
   in
@@ -391,7 +380,7 @@ let test_device_cpu_equality () =
   let script w =
     (* exercise every response shape incl. a device/CPU-resident key *)
     ignore (rpc w (Proto.Set ("k1", "v1")));
-    (match Demi.offload_insert w.demi_b "k1" "v1" with
+    (match Demi.offload_insert w.sim.server "k1" "v1" with
     | Ok () | Error `Rejected -> ());
     [
       rpc w (Proto.Get "k1");
@@ -420,31 +409,31 @@ let test_cross_traffic_isolation () =
   reset_world ();
   let w = make_world ~programmable:true () in
   ignore (rpc w (Proto.Set ("k1", "v1")));
-  (match Demi.offload_insert w.demi_b "k1" "v1" with
+  (match Demi.offload_insert w.sim.server "k1" "v1" with
   | Ok () -> ()
   | Error `Rejected -> Alcotest.fail "insert rejected");
   (* a lookup through the kv port works (sanity: table is live) *)
   check_string "kv port hit" "+v1" (rpc w (Proto.Get "k1"));
   let lookups0 =
-    match Demi.offload_stats w.demi_b with
+    match Demi.offload_stats w.sim.server with
     | Some s -> s.Table.lookups
     | None -> Alcotest.fail "no table"
   in
   (* bystander server on another port of the same host *)
   let bqd =
-    match Demi.socket w.demi_b `Udp with
+    match Demi.socket w.sim.server `Udp with
     | Ok qd -> qd
     | Error _ -> Alcotest.fail "bystander socket"
   in
-  (match Demi.bind w.demi_b bqd ~port:bystander_port with
+  (match Demi.bind w.sim.server bqd ~port:bystander_port with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "bystander bind");
   let got = ref [] in
   let rec pump () =
-    match Demi.pop w.demi_b bqd with
+    match Demi.pop w.sim.server bqd with
     | Error _ -> ()
     | Ok tok ->
-        Demi.watch w.demi_b tok (function
+        Demi.watch w.sim.server tok (function
           | Types.Popped sga ->
               got :=
                 String.concat ""
@@ -457,27 +446,27 @@ let test_cross_traffic_isolation () =
   pump ();
   (* second client socket talks to the bystander port *)
   let cqd2 =
-    match Demi.socket w.demi_a `Udp with
+    match Demi.socket w.sim.client `Udp with
     | Ok qd -> qd
     | Error _ -> Alcotest.fail "client socket 2"
   in
-  (match Demi.connect w.demi_a cqd2 ~dst:(Setup.endpoint w.duo.Setup.b bystander_port) with
+  (match Demi.connect w.sim.client cqd2 ~dst:(Setup.endpoint w.sim.b bystander_port) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "client connect 2");
   let send s =
-    match Demi.blocking_push w.demi_a cqd2 (Dk_mem.Sga.of_strings [ s ]) with
+    match Demi.blocking_push w.sim.client cqd2 (Dk_mem.Sga.of_strings [ s ]) with
     | Types.Pushed -> ()
     | _ -> Alcotest.fail "bystander push failed"
   in
   (* looks exactly like a GET for the resident key *)
   send "Gk1";
   send "hello";
-  Engine.run w.duo.Setup.engine;
+  Engine.run w.sim.engine;
   check
     (Alcotest.list Alcotest.string)
     "delivered verbatim" [ "Gk1"; "hello" ] (List.rev !got);
   let lookups1 =
-    match Demi.offload_stats w.demi_b with
+    match Demi.offload_stats w.sim.server with
     | Some s -> s.Table.lookups
     | None -> Alcotest.fail "no table"
   in
@@ -496,16 +485,14 @@ let udp_queue demi port peer =
    "k1" and "z1"; host a has a client queue connected to it. *)
 let filter_world () =
   reset_world ();
-  let duo = Setup.two_hosts ~programmable:true () in
-  let engine = duo.Setup.engine and cost = duo.Setup.cost in
-  let da = Setup.demi_of_host ~engine ~cost duo.Setup.a () in
-  let db = Setup.demi_of_host ~engine ~cost duo.Setup.b () in
-  let sq = udp_queue db kv_port (Setup.endpoint duo.Setup.a client_port) in
+  let w = Setup.world ~programmable:true Demikernel in
+  let da = w.client and db = w.server in
+  let sq = udp_queue db kv_port (Setup.endpoint w.a client_port) in
   check_bool "GET stage installed" true (Demi.offload_udp_get db sq () = Ok ());
   List.iter (fun k -> ignore (Demi.offload_insert db k "v")) [ "k1"; "z1" ];
-  let cq = udp_queue da client_port (Setup.endpoint duo.Setup.b kv_port) in
-  let filtered () = (Nic.stats duo.Setup.b.Setup.nic).Nic.rx_filtered in
-  (duo, da, db, sq, cq, filtered)
+  let cq = udp_queue da client_port (Setup.endpoint w.b kv_port) in
+  let filtered () = (Nic.stats w.b.Setup.nic).Nic.rx_filtered in
+  (w, sq, cq, filtered)
 
 let popped = function
   | Types.Popped sga -> Dk_mem.Sga.to_string sga
@@ -515,30 +502,30 @@ let popped = function
    GET for a resident key that fails the filter is dropped on the
    device, one that passes is answered from the table. *)
 let test_filter_and_get_one_port () =
-  let duo, da, db, sq, cq, filtered = filter_world () in
-  let sq = Result.get_ok (Demi.filter db sq (Prog.Prefix "Gk")) in
-  check_bool "filter on the device" true (Demi.filter_offloaded db sq);
-  let host = Result.get_ok (Demi.pop db sq) in
-  let reply = Result.get_ok (Demi.pop da cq) in
+  let w, sq, cq, filtered = filter_world () in
+  let sq = Result.get_ok (Demi.filter w.server sq (Prog.Prefix "Gk")) in
+  check_bool "filter on the device" true (Demi.filter_offloaded w.server sq);
+  let host = Result.get_ok (Demi.pop w.server sq) in
+  let reply = Result.get_ok (Demi.pop w.client cq) in
   let f0 = filtered () in
-  ignore (Demi.blocking_push da cq (Dk_mem.Sga.of_string "Gz1"));
-  Engine.run duo.Setup.engine;
+  ignore (Demi.blocking_push w.client cq (Dk_mem.Sga.of_string "Gz1"));
+  Engine.run w.engine;
   check_int "dropped on the device" (f0 + 1) (filtered ());
-  check_bool "no reply" true (Demi.try_wait da reply = None);
-  check_bool "nothing popped on the host" true (Demi.try_wait db host = None);
-  ignore (Demi.blocking_push da cq (Dk_mem.Sga.of_string "Gk1"));
-  check_string "answered from the table" "+v" (popped (Demi.wait da reply));
-  check_bool "host still idle" true (Demi.try_wait db host = None)
+  check_bool "no reply" true (Demi.try_wait w.client reply = None);
+  check_bool "nothing popped on the host" true (Demi.try_wait w.server host = None);
+  ignore (Demi.blocking_push w.client cq (Dk_mem.Sga.of_string "Gk1"));
+  check_string "answered from the table" "+v" (popped (Demi.wait w.client reply));
+  check_bool "host still idle" true (Demi.try_wait w.server host = None)
 
 (* A filter on another port leaves this port's GET stage answering. *)
 let test_filter_scoped_to_port () =
-  let duo, da, db, _, cq, filtered = filter_world () in
-  let other = udp_queue db bystander_port (Setup.endpoint duo.Setup.a client_port) in
-  let other = Result.get_ok (Demi.filter db other (Prog.Prefix "never")) in
-  check_bool "filter on the device" true (Demi.filter_offloaded db other);
+  let w, _, cq, filtered = filter_world () in
+  let other = udp_queue w.server bystander_port (Setup.endpoint w.a client_port) in
+  let other = Result.get_ok (Demi.filter w.server other (Prog.Prefix "never")) in
+  check_bool "filter on the device" true (Demi.filter_offloaded w.server other);
   let f0 = filtered () in
-  ignore (Demi.blocking_push da cq (Dk_mem.Sga.of_string "Gz1"));
-  check_string "answered from the table" "+v" (popped (Demi.blocking_pop da cq));
+  ignore (Demi.blocking_push w.client cq (Dk_mem.Sga.of_string "Gz1"));
+  check_string "answered from the table" "+v" (popped (Demi.blocking_pop w.client cq));
   check_int "nothing dropped" f0 (filtered ())
 
 (* ---------------- no stale reads under fault plans ------------------ *)
@@ -559,13 +546,15 @@ let ver_of s =
   else Alcotest.failf "unparseable value reply %S" s
 
 let run_no_stale plan_name =
-  with_plan (Some (named ~seed:42L plan_name)) @@ fun () ->
-  let w = make_world ~programmable:true () in
+  reset_world ();
+  let w =
+    make_world ~programmable:true ~fault_plan:(named ~seed:42L plan_name) ()
+  in
   check_bool "offloaded" true (Kv_app.server_offloaded w.srv);
-  let engine = w.duo.Setup.engine in
+  let engine = w.sim.engine in
   (* seed version 1 on host and device before faults arm *)
   check_string "seed set" "!" (rpc w (Proto.Set ("k", ver_value 1)));
-  (match Demi.offload_insert w.demi_b "k" (ver_value 1) with
+  (match Demi.offload_insert w.sim.server "k" (ver_value 1) with
   | Ok () -> ()
   | Error `Rejected -> Alcotest.fail "seed insert rejected");
   let acked = ref 1 in
@@ -573,10 +562,10 @@ let run_no_stale plan_name =
   let pending_gets = Queue.create () in
   let value_checks = ref 0 in
   let rec pump () =
-    match Demi.pop w.demi_a w.cqd with
+    match Demi.pop w.sim.client w.cqd with
     | Error _ -> ()
     | Ok tok ->
-        Demi.watch w.demi_a tok (function
+        Demi.watch w.sim.client tok (function
           | Types.Popped sga ->
               let s =
                 String.concat ""
@@ -604,8 +593,8 @@ let run_no_stale plan_name =
   pump ();
   let next_ver = ref 1 in
   let push req =
-    match Demi.push w.demi_a w.cqd (Dk_mem.Sga.of_strings [ Proto.udp_request_string req ]) with
-    | Ok tok -> Demi.watch w.demi_a tok (fun _ -> ())
+    match Demi.push w.sim.client w.cqd (Dk_mem.Sga.of_strings [ Proto.udp_request_string req ]) with
+    | Ok tok -> Demi.watch w.sim.client tok (fun _ -> ())
     | Error _ -> ()
   in
   (* 300 ops, 5 us apart: spans the 100-900 us flaky window and crosses
@@ -631,7 +620,7 @@ let run_no_stale plan_name =
   Engine.run engine;
   check_bool "some GETs were answered" true (!value_checks > 0);
   (* the device actually served hits along the way *)
-  match Demi.offload_stats w.demi_b with
+  match Demi.offload_stats w.sim.server with
   | Some s -> check_bool "device hits happened" true (s.Table.hits > 0)
   | None -> Alcotest.fail "no table"
 

@@ -77,21 +77,15 @@ let fiber_yield_interleaves () =
 
 (* An end-to-end echo written in direct style with fibers. *)
 let fiber_echo_e2e () =
-  let duo = Setup.two_hosts () in
-  let da =
-    Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a ()
-  in
-  let db =
-    Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b ()
-  in
-  (match Dk_apps.Echo.start_demi_server ~demi:db ~port:7 with
+  let w = Setup.world Demikernel in
+  (match Dk_apps.Echo.start_demi_server ~demi:w.server ~port:7 with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "server");
-  let sched = Fiber.create da in
+  let sched = Fiber.create w.client in
   let reply = ref "" in
   Fiber.spawn sched (fun () ->
-      let qd = Result.get_ok (Demi.socket da `Tcp) in
-      (match Demi.connect da qd ~dst:(Setup.endpoint duo.Setup.b 7) with
+      let qd = Result.get_ok (Demi.socket w.client `Tcp) in
+      (match Demi.connect w.client qd ~dst:(Setup.endpoint w.b 7) with
       | Ok () -> ()
       | Error _ -> failwith "connect");
       ignore (Fiber.await_push sched qd (Sga.of_string "fiber says hi"));
@@ -117,42 +111,38 @@ let fiber_exception_propagates () =
 module Event_loop = Dk_sched.Event_loop
 
 let evloop_kv_roundtrip () =
-  let duo = Setup.two_hosts () in
-  let server = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-  let client = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-  let loop = Event_loop.create server in
-  let lqd = Result.get_ok (Demi.socket server `Tcp) in
-  ignore (Demi.bind server lqd ~port:5);
-  ignore (Demi.listen server lqd);
+  let w = Setup.world Demikernel in
+  let loop = Event_loop.create w.server in
+  let lqd = Result.get_ok (Demi.socket w.server `Tcp) in
+  ignore (Demi.bind w.server lqd ~port:5);
+  ignore (Demi.listen w.server lqd);
   let served = ref 0 in
   Event_loop.on_accept loop lqd (fun conn ->
       Event_loop.on_message loop conn (fun sga ->
           incr served;
           Event_loop.send loop conn
             (Sga.of_string ("re:" ^ Sga.to_string sga))));
-  let qd = Result.get_ok (Demi.socket client `Tcp) in
-  ignore (Demi.connect client qd ~dst:(Setup.endpoint duo.Setup.b 5));
-  ignore (Demi.blocking_push client qd (Sga.of_string "ping"));
-  (match Demi.blocking_pop client qd with
+  let qd = Result.get_ok (Demi.socket w.client `Tcp) in
+  ignore (Demi.connect w.client qd ~dst:(Setup.endpoint w.b 5));
+  ignore (Demi.blocking_push w.client qd (Sga.of_string "ping"));
+  (match Demi.blocking_pop w.client qd with
   | Types.Popped sga -> check_str "reply" "re:ping" (Sga.to_string sga)
   | _ -> Alcotest.fail "no reply");
   check_int "served" 1 !served
 
 let evloop_on_close_fires () =
-  let duo = Setup.two_hosts () in
-  let server = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-  let client = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-  let loop = Event_loop.create server in
-  let lqd = Result.get_ok (Demi.socket server `Tcp) in
-  ignore (Demi.bind server lqd ~port:5);
-  ignore (Demi.listen server lqd);
+  let w = Setup.world Demikernel in
+  let loop = Event_loop.create w.server in
+  let lqd = Result.get_ok (Demi.socket w.server `Tcp) in
+  ignore (Demi.bind w.server lqd ~port:5);
+  ignore (Demi.listen w.server lqd);
   let closed = ref false in
   Event_loop.on_accept loop lqd (fun conn ->
       Event_loop.on_message loop conn (fun _ -> ());
       Event_loop.on_close loop conn (fun _ -> closed := true));
-  let qd = Result.get_ok (Demi.socket client `Tcp) in
-  ignore (Demi.connect client qd ~dst:(Setup.endpoint duo.Setup.b 5));
-  ignore (Demi.close client qd);
+  let qd = Result.get_ok (Demi.socket w.client `Tcp) in
+  ignore (Demi.connect w.client qd ~dst:(Setup.endpoint w.b 5));
+  ignore (Demi.close w.client qd);
   ignore (Event_loop.run loop ~until:(fun () -> !closed));
   check_bool "close delivered" true !closed;
   (* the connection is unwatched after close; only the listener stays *)

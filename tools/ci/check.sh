@@ -10,8 +10,10 @@
 #             dk-verify typestate/dataflow analysis, dk-shard
 #             shard-safety/determinism analysis, dk-hot hot-path cost
 #             analysis; all fail on stale allowlist entries), the
-#             bench smoke run, and bench_diff of tools/ci/baselines
-#             against itself (the bench gate's JSON reader)
+#             bench smoke run, bench_diff of tools/ci/baselines
+#             against itself (the bench gate's JSON reader), and the
+#             CLI/example transcript: every `demi` subcommand and the
+#             eight examples diffed against test/golden/cli.expected
 #   sanitize  DK_SANITIZE=1 dune build @sanitize — exactly the suites
 #             that read DK_SANITIZE (canaries, poison-on-free,
 #             UAF/double-free detection, leak sweeps, token audit);
@@ -35,7 +37,8 @@
 #             shedding/bounded-memory checks, plus one `demi scenario
 #             --all --smoke` sweep through the CLI, diffed against each
 #             scenario run alone (stats must not depend on what ran
-#             before them in the process)
+#             before them in the process) and against the committed
+#             test/golden/scenario_sweep.jsonl
 #   offload   dune build @offload — the deep-NIC-offload suite (device
 #             pipeline/table units and properties, device==CPU-fallback
 #             equality, cross-traffic isolation, no-stale-reads under
