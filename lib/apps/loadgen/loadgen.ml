@@ -115,6 +115,9 @@ type t = {
   inc_wl : Workload.t;  (* incast key stream *)
   mutable inc_digest : int64;
   mutable eph : int;  (* next ephemeral (short-lived/churned) conn id *)
+  mutable offers : int;
+      (* offered-side events scheduled and not yet run: arrival fires,
+         re-probes, incast fires, deliveries *)
 }
 
 (* Instrument names: [apps.loadgen.*] single-shard, [shard<i>.apps.loadgen.*]
@@ -217,6 +220,17 @@ let hang_up st qd =
   st.live <- st.live - 1;
   match Demi.close (Shard.demi_client st.sh) qd with Ok () | Error _ -> ()
 
+(* After the deadline a station keeps its last trunk while any offered
+   event is pending: a request born before the deadline can still reach
+   it late (the engine clock had run past its birth), and must find a
+   trunk to serve it rather than be shed. *)
+let may_hang_up t st = st.live > 1 || t.offers = 0
+
+let hang_up_idle t st =
+  while (not (Queue.is_empty st.idle)) && may_hang_up t st do
+    hang_up st (Queue.pop st.idle)
+  done
+
 let rec issue t j qd p =
   let st = t.stations.(j) in
   let demi = Shard.demi_client st.sh in
@@ -258,7 +272,8 @@ let rec issue t j qd p =
 and pump t j qd =
   let st = t.stations.(j) in
   if Queue.is_empty st.pend then
-    if st.shutting then hang_up st qd else Queue.push qd st.idle
+    if st.shutting && may_hang_up t st then hang_up st qd
+    else Queue.push qd st.idle
   else begin
     let p = Queue.pop st.pend in
     Metrics.gauge_add st.qdepth (-1);
@@ -266,12 +281,11 @@ and pump t j qd =
   end
 
 (* Admission: idle trunk -> issue now; room in the queue and a trunk
-   left to drain it -> park the request; otherwise -> shed. A request
-   born before the deadline can arrive after the deadline event closed
-   every idle trunk; once the busy ones have hung up too, nothing would
-   ever serve it. This is the only place load is refused, and it is
-   counted, so offered = admitted + dropped and, once the run drains,
-   admitted = completed. *)
+   left to drain it -> park the request; otherwise -> shed. A station
+   keeps a trunk until the last offered event has run ([may_hang_up]),
+   so only a trunk lost to a fault leaves it with none. This is the
+   only place load is refused, and it is counted, so offered = admitted
+   + dropped and, once the run drains, admitted = completed. *)
 let enqueue t j p =
   let st = t.stations.(j) in
   Metrics.incr st.offered;
@@ -287,13 +301,33 @@ let enqueue t j p =
     Metrics.gauge_add st.qdepth 1
   end
 
+(* Every offered-side event counts in [t.offers] from [offer] until it
+   ends with [settle], after scheduling its successors, so the count
+   reaches zero once, when the offered side is done. Then each shutting
+   station closes the trunk it kept, on its own engine. *)
+let offer t eng time thunk =
+  t.offers <- t.offers + 1;
+  let (_ : Engine.timer) = Engine.at eng time thunk in
+  ()
+
+let settle t =
+  t.offers <- t.offers - 1;
+  if t.offers = 0 then
+    Array.iter
+      (fun st ->
+        if st.shutting && not (Queue.is_empty st.idle) then
+          let (_ : Engine.timer) =
+            Engine.after st.eng 0L (fun () -> hang_up_idle t st)
+          in
+          ())
+      t.stations
+
 (* Deliver an offered request to the shard that owns its connection, on
    that shard's clock, at the arrival timestamp. *)
 let deliver t j p =
-  let (_ : Engine.timer) =
-    Engine.at t.engines.(j) p.p_born (fun () -> enqueue t j p)
-  in
-  ()
+  offer t t.engines.(j) p.p_born (fun () ->
+      enqueue t j p;
+      settle t)
 
 (* ---- the offered side: arrivals, churn, incast ---- *)
 
@@ -321,7 +355,8 @@ let rec arrival_fire t i ts =
   let get = Workload.is_get st.wl ~read_fraction:t.cfg.read_fraction in
   st.digest <- digest_mix st.digest ~rel:(Int64.sub ts t.t0) ~conn ~key;
   deliver t target { p_conn = conn; p_born = ts; p_key = key; p_get = get };
-  schedule_arrival t i ~now:ts
+  schedule_arrival t i ~now:ts;
+  settle t
 
 (* A station's share of the global offered rate follows its share of
    the long-lived population (churn moves it); zero-share stations
@@ -334,20 +369,18 @@ and schedule_arrival t i ~now =
     let share = float_of_int st.n_active /. float_of_int t.cfg.conns in
     match Arrivals.next st.arr ~now ~rate_per_ns:(t.rate_per_ns *. share) with
     | Some ts when Int64.compare ts t.deadline < 0 ->
-        let (_ : Engine.timer) =
-          Engine.at st.eng ts (fun () -> arrival_fire t i ts)
-        in
-        ()
+        offer t st.eng ts (fun () -> arrival_fire t i ts)
     | Some _ -> ()
     | None ->
         (* Zero share right now (churn drained this station): re-probe on
            a fixed cadence, in logical time so the offered stream never
-           reads the service-perturbed clock. *)
+           reads the service-perturbed clock. A re-probe at or past the
+           deadline would offer nothing. *)
         let again = Int64.add now 100_000L in
-        let (_ : Engine.timer) =
-          Engine.at st.eng again (fun () -> schedule_arrival t i ~now:again)
-        in
-        ()
+        if Int64.compare again t.deadline < 0 then
+          offer t st.eng again (fun () ->
+              schedule_arrival t i ~now:again;
+              settle t)
 
 let rec churn_fire t i ts =
   let st = t.stations.(i) in
@@ -411,19 +444,16 @@ let rec incast_fire t ~burst ts =
       digest_mix t.inc_digest ~rel:(Int64.sub ts t.t0) ~conn ~key;
     deliver t j { p_conn = conn; p_born = ts; p_key = key; p_get = true }
   done;
-  schedule_incast t ~burst:(burst + 1) ~now:ts
+  schedule_incast t ~burst:(burst + 1) ~now:ts;
+  settle t
 
 and schedule_incast t ~burst ~now =
   if Int64.compare t.cfg.incast_every_ns 0L <= 0 || t.cfg.incast_fanin <= 0
   then ()
   else
     let ts = Int64.add now t.cfg.incast_every_ns in
-    if Int64.compare ts t.deadline < 0 then begin
-      let (_ : Engine.timer) =
-        Engine.at t.engines.(0) ts (fun () -> incast_fire t ~burst ts)
-      in
-      ()
-    end
+    if Int64.compare ts t.deadline < 0 then
+      offer t t.engines.(0) ts (fun () -> incast_fire t ~burst ts)
 
 (* ---- run stats ---- *)
 
@@ -690,6 +720,7 @@ let run ?drive ?offered_rate ~(scn : Scenario.t) ~shards ~seed () =
       inc_wl = Workload.create ~seed:(substream seed 600L) (key_dist scn);
       inc_digest = substream seed 700L;
       eph = scn.conns;
+      offers = 0;
     }
   in
   Array.iter
@@ -697,13 +728,12 @@ let run ?drive ?offered_rate ~(scn : Scenario.t) ~shards ~seed () =
       schedule_arrival t st.id ~now:t0;
       schedule_churn t st.id ~now:t0;
       (* At the deadline the offered window closes: busy trunks drain
-         the queue then hang up; idle trunks hang up now. *)
+         the queue then hang up; idle trunks hang up now, bar the last
+         while offered events are pending. *)
       let (_ : Engine.timer) =
         Engine.at st.eng deadline (fun () ->
             st.shutting <- true;
-            while not (Queue.is_empty st.idle) do
-              hang_up st (Queue.pop st.idle)
-            done)
+            hang_up_idle t st)
       in
       ())
     stations;

@@ -29,8 +29,8 @@ let rec fnv1a_loop s i stop h =
       (Int64.mul (Int64.logxor h (Int64.of_int (Char.code s.[i]))) 0x100000001b3L)
 
 let fnv1a s off len =
-  let stop = min (String.length s) (off + len) in
-  fnv1a_loop s (max 0 off) stop 0xcbf29ce484222325L
+  let stop = Int.min (String.length s) (off + len) in
+  fnv1a_loop s (Int.max 0 off) stop 0xcbf29ce484222325L
 
 (* Byte-by-byte prefix test: [String.sub] would copy the prefix out of
    the frame on every evaluation. *)
@@ -85,7 +85,7 @@ let rec filter_footprint = function
   | True | False | Len_ge _ | Len_lt _ -> 0
   | Byte_eq _ | Byte_in _ -> 1
   | Prefix p -> String.length p
-  | Hash_mod (_, len, _, _) -> max 0 len
+  | Hash_mod (_, len, _, _) -> Int.max 0 len
   | All ps | Any ps -> filter_list_footprint ps
   | Not p -> filter_footprint p
 
@@ -99,7 +99,7 @@ let rec map_footprint m len =
   | Prepend p -> String.length p + len
   | Append a -> String.length a + len
   | Xor_mask _ -> len
-  | Truncate n -> min n len
+  | Truncate n -> Int.min n len
   | Chain ms -> map_list_footprint ms len
 
 and map_list_footprint ms len =
@@ -247,13 +247,13 @@ let field_footprint f len =
   | F_len -> 0
   | F_u8 _ -> 1
   | F_u16 _ -> 2
-  | F_hash (_, l) -> max 0 l
-  | F_hash_rest off -> max 0 (len - max 0 off)
+  | F_hash (_, l) -> Int.max 0 l
+  | F_hash_rest off -> Int.max 0 (len - Int.max 0 off)
 
 let key_footprint k len =
   match k with
-  | K_bytes (_, l) -> max 0 l
-  | K_rest off -> max 0 (len - max 0 off)
+  | K_bytes (_, l) -> Int.max 0 l
+  | K_rest off -> Int.max 0 (len - Int.max 0 off)
 
 let rec fmatch_footprint m len =
   match m with
@@ -273,7 +273,7 @@ let rec action_footprint a len =
   | Rewrite m -> map_footprint m len
   | Respond r ->
       key_footprint r.r_key len
-      + String.length r.r_hit_prefix + max 0 r.r_max_value
+      + String.length r.r_hit_prefix + Int.max 0 r.r_max_value
       + action_footprint r.r_on_miss len
 
 let stage_footprint st len =

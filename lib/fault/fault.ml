@@ -60,14 +60,23 @@ let describe = function
   | Block_torn_write -> "write persists a prefix only, yet reports `Ok"
   | Rdma_qp_break -> "queue pair is severed; the post completes `Qp_broken"
 
-(* Toplevel, state in parameters: [site_index] runs on every fault
-   check, i.e. on every frame touching an instrumented edge, so the old
-   local closure was a per-check allocation. *)
-let rec site_find s i = function
-  | [] -> 0
-  | x :: rest -> if x = s then i else site_find s (i + 1) rest
-
-let site_index s = site_find s 0 sites
+(* Position in [sites]. It runs on every fault check, i.e. on every
+   frame touching an instrumented edge, armed or not, so it is a jump
+   table rather than a scan. *)
+let site_index = function
+  | Nic_rx_drop -> 0
+  | Nic_tx_drop -> 1
+  | Nic_rx_dup -> 2
+  | Nic_rx_corrupt -> 3
+  | Fabric_drop -> 4
+  | Fabric_dup -> 5
+  | Fabric_reorder -> 6
+  | Fabric_corrupt -> 7
+  | Fabric_partition -> 8
+  | Block_stall -> 9
+  | Block_error -> 10
+  | Block_torn_write -> 11
+  | Rdma_qp_break -> 12
 
 let n_sites = List.length sites
 

@@ -33,7 +33,7 @@ let make_room t k =
   let cap = Bytes.length t.buf in
   if 2 * (live + k) <= cap then Bytes.blit t.buf t.rd t.buf 0 live
   else begin
-    let grown = Bytes.create (max (2 * cap) (live + k)) in
+    let grown = Bytes.create (Int.max (2 * cap) (live + k)) in
     Bytes.blit t.buf t.rd grown 0 live;
     t.buf <- grown
   end;

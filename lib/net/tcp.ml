@@ -153,7 +153,7 @@ let emit_at t ~seq frame len flags =
       seq;
       ack_seq = t.rcv_nxt;
       flags;
-      window = min 0xffff (recv_window t);
+      window = Int.min 0xffff (recv_window t);
       payload = frame;
       payload_off = t.payload_off;
       payload_len = len;
@@ -203,7 +203,7 @@ let unacked t = seq_diff t.snd_nxt t.snd_una
    occupies sequence space but not ring space. *)
 let unsent t =
   let ring_unsent = Dk_util.Ring.length t.send_ring - unacked t in
-  max 0 ring_unsent
+  Int.max 0 ring_unsent
 
 (* Open a flight entry whose label starts "tcp <local>-><remote>"; the
    caller appends the rest and commits. *)
@@ -253,7 +253,7 @@ and on_rto t =
       Flight.commit Flight.default
     end;
     (* Multiplicative decrease, back to slow start. *)
-    t.ssthresh <- max (t.cwnd / 2) (2 * t.config.mss);
+    t.ssthresh <- Int.max (t.cwnd / 2) (2 * t.config.mss);
     t.cwnd <- t.config.mss;
     t.rto <- Int64.min t.config.rto_max (Int64.mul t.rto 2L);
     retransmit_head t;
@@ -270,10 +270,10 @@ and retransmit_head t =
       emit_at t ~seq:t.snd_una Bytes.empty 0
         { Tcp_wire.no_flags with syn = true; ack = true }
   | _ ->
-      let data_bytes = min (unacked t) t.config.mss in
+      let data_bytes = Int.min (unacked t) t.config.mss in
       if data_bytes > 0 then begin
         (* A sent FIN counts in [unacked] but holds no ring byte. *)
-        let n = min data_bytes (Dk_util.Ring.length t.send_ring) in
+        let n = Int.min data_bytes (Dk_util.Ring.length t.send_ring) in
         emit_at t ~seq:t.snd_una (data_frame t ~skip:0 n) n ack_flags
       end
       else if t.fin_sent then
@@ -285,8 +285,8 @@ and retransmit_head t =
 (* How many new payload bytes we may put on the wire right now. *)
 let send_allowance t =
   let flight = unacked t in
-  let wnd = min (max t.snd_wnd t.config.mss) t.cwnd in
-  max 0 (wnd - flight)
+  let wnd = Int.min (Int.max t.snd_wnd t.config.mss) t.cwnd in
+  Int.max 0 (wnd - flight)
 
 let can_carry_data t =
   match t.st with
@@ -299,7 +299,7 @@ let can_carry_data t =
    every output attempt. *)
 let rec output_rounds t budget =
   let avail = unsent t in
-  let n = min (min avail t.config.mss) budget in
+  let n = Int.min (Int.min avail t.config.mss) budget in
   if n > 0 then begin
     (* The bytes to send start [unacked t] into the ring; [n <= unsent t]
        so all of them are there. *)
@@ -415,7 +415,7 @@ let recv_into t buf off len =
   n
 
 let recv t len =
-  let buf = Bytes.create (min len (recv_ready t)) in
+  let buf = Bytes.create (Int.min len (recv_ready t)) in
   ignore (recv_into t buf 0 (Bytes.length buf));
   Bytes.unsafe_to_string buf
   [@@hot.alloc "recv materializes the requested bytes out of the recv ring"]
@@ -531,7 +531,7 @@ let process_ack t (seg : Tcp_wire.t) =
       t.rto <- t.config.rto_initial;
       (* Congestion window growth. *)
       if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd + t.config.mss
-      else t.cwnd <- t.cwnd + max 1 (t.config.mss * t.config.mss / t.cwnd);
+      else t.cwnd <- t.cwnd + Int.max 1 (t.config.mss * t.config.mss / t.cwnd);
       if unacked t = 0 then cancel_rtx t else arm_rtx t;
       if data_acked > 0 then t.on_writable ();
       true
@@ -558,7 +558,7 @@ let process_ack t (seg : Tcp_wire.t) =
             Flight.add_string Flight.default " (3 dup acks)";
             Flight.commit Flight.default
           end;
-          t.ssthresh <- max (t.cwnd / 2) (2 * t.config.mss);
+          t.ssthresh <- Int.max (t.cwnd / 2) (2 * t.config.mss);
           t.cwnd <- t.ssthresh;
           retransmit_head t;
           arm_rtx t

@@ -46,8 +46,8 @@ type entry = { at : int64; kind : kind; what : string }
 
 (* Wire format inside the byte ring, per entry:
    [2B payload length, big-endian][8B timestamp][1B kind tag][label].
-   The length prefix makes eviction O(1) per evicted entry: read the
-   prefix, drop that many bytes. *)
+   Eviction never reads the prefix back: each held entry's encoded size
+   also sits in a FIFO of ints, so making room is integer bookkeeping. *)
 let header_len = 2
 let payload_fixed = 9 (* timestamp + tag *)
 let label_off = header_len + payload_fixed
@@ -56,14 +56,17 @@ let label_off = header_len + payload_fixed
 let num_width = 20
 
 type t = {
-  ring : Dk_util.Ring.t;
+  data : bytes;           (* the byte ring; [capacity] bytes *)
   capacity : int;
+  mutable head : int;     (* offset of the oldest held entry *)
+  mutable used : int;     (* bytes held *)
+  sizes : int array;      (* each held entry's size, oldest at [first] *)
+  mutable first : int;
   entry : bytes;          (* the open entry, in wire format; [capacity] bytes *)
   mutable pos : int;      (* end of the open entry's label so far *)
   num : bytes;            (* numbers render right-aligned here first *)
-  len_prefix : bytes;     (* eviction reads an entry's length prefix here *)
   mutable on : bool;
-  mutable count : int;    (* entries currently in the ring *)
+  mutable count : int;    (* entries currently held *)
   mutable total : int;    (* entries ever recorded *)
   mutable dropped : int;  (* entries evicted to make room *)
 }
@@ -72,12 +75,16 @@ let create ?(capacity = 64 * 1024) () =
   if capacity < label_off + 1 then
     invalid_arg "Flight.create: capacity too small for one entry";
   {
-    ring = Dk_util.Ring.create capacity;
+    data = Bytes.create capacity;
     capacity;
+    head = 0;
+    used = 0;
+    (* an entry is at least [label_off] bytes, so this many never fill *)
+    sizes = Array.make ((capacity / label_off) + 1) 0;
+    first = 0;
     entry = Bytes.create capacity;
     pos = label_off;
     num = Bytes.create num_width;
-    len_prefix = Bytes.create header_len;
     on = true;
     count = 0;
     total = 0;
@@ -91,17 +98,21 @@ let default = create ()
 
 let set_enabled t on = t.on <- on
 
+(* [i + d] for [0 <= i < n] and [0 <= d <= n], wrapped into [0, n). *)
+let wrap i d n =
+  let j = i + d in
+  if j >= n then j - n else j
+
 let evict_one t =
-  let got = Dk_util.Ring.read t.ring t.len_prefix 0 header_len in
-  if got = header_len then begin
-    let len = Bytes.get_uint16_be t.len_prefix 0 in
-    ignore (Dk_util.Ring.drop t.ring len);
-    t.count <- t.count - 1;
-    t.dropped <- t.dropped + 1
-  end
+  let size = t.sizes.(t.first) in
+  t.first <- wrap t.first 1 (Array.length t.sizes);
+  t.head <- wrap t.head size t.capacity;
+  t.used <- t.used - size;
+  t.count <- t.count - 1;
+  t.dropped <- t.dropped + 1
 
 (* An entry is built in [t.entry] by [start], the [add_*] appenders and
-   [commit], then copied into the ring with one write. Labels are
+   [commit], then copied into the ring: one blit, two when it wraps. Labels are
    rendered by hand, so recording allocates nothing. A label longer
    than the ring allows is cut at [capacity] bytes of entry. *)
 
@@ -115,7 +126,8 @@ let start t ~now kind =
      end
 
 let add_bytes t b off len =
-  let n = min len (t.capacity - t.pos) in
+  let room = t.capacity - t.pos in
+  let n = if len < room then len else room in
   if n > 0 then begin
     Bytes.blit b off t.entry t.pos n;
     t.pos <- t.pos + n
@@ -170,10 +182,18 @@ let add_int64 t n =
 let commit t =
   let need = t.pos in
   Bytes.set_uint16_be t.entry 0 (need - header_len);
-  while Dk_util.Ring.available t.ring < need do
+  while t.capacity - t.used < need do
     evict_one t
   done;
-  ignore (Dk_util.Ring.write t.ring t.entry 0 need);
+  let tail = wrap t.head t.used t.capacity in
+  let first = t.capacity - tail in
+  if need <= first then Bytes.blit t.entry 0 t.data tail need
+  else begin
+    Bytes.blit t.entry 0 t.data tail first;
+    Bytes.blit t.entry first t.data 0 (need - first)
+  end;
+  t.sizes.(wrap t.first t.count (Array.length t.sizes)) <- need;
+  t.used <- t.used + need;
   t.count <- t.count + 1;
   t.total <- t.total + 1
 
@@ -184,14 +204,16 @@ let record t ~now kind what =
   end
 
 let entries t =
-  let len = Dk_util.Ring.length t.ring in
-  let buf = Bytes.create (max 1 len) in
-  let got = Dk_util.Ring.peek t.ring buf 0 len in
+  let len = t.used in
+  let buf = Bytes.create (Int.max 1 len) in
+  let first = Int.min len (t.capacity - t.head) in
+  Bytes.blit t.data t.head buf 0 first;
+  Bytes.blit t.data 0 buf first (len - first);
   let rec parse off acc =
-    if off + header_len > got then List.rev acc
+    if off + header_len > len then List.rev acc
     else begin
       let plen = Bytes.get_uint16_be buf off in
-      if off + header_len + plen > got then List.rev acc
+      if off + header_len + plen > len then List.rev acc
       else
         let at = Bytes.get_int64_be buf (off + header_len) in
         let kind = kind_of_tag (Bytes.get_uint8 buf (off + header_len + 8)) in
@@ -210,7 +232,9 @@ let recorded t = t.total
 let evicted t = t.dropped
 
 let clear t =
-  Dk_util.Ring.clear t.ring;
+  t.head <- 0;
+  t.used <- 0;
+  t.first <- 0;
   t.count <- 0;
   t.total <- 0;
   t.dropped <- 0

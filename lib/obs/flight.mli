@@ -2,10 +2,9 @@
     events, for post-mortem introspection of a path the kernel can no
     longer see.
 
-    Entries are length-prefixed records packed into a
-    {!Dk_util.Ring.t} byte ring; when the ring fills, the oldest
-    entries are evicted, so memory use is bounded by [capacity] bytes
-    regardless of event rate. Dump it on demand ({!pp}) or wire it to
+    Entries are length-prefixed records packed into a byte ring; when
+    the ring fills, the oldest entries are evicted, so memory use is
+    bounded by [capacity] bytes regardless of event rate. Dump it on demand ({!pp}) or wire it to
     sanitizer violations:
 
     {[ Dk_check.set_sink (fun _ _ -> Format.eprintf "%a" Flight.pp Flight.default) ]}

@@ -64,7 +64,7 @@ let default =
   }
 
 let scale base per_byte n =
-  Int64.add base (Int64.of_float (per_byte *. float_of_int (max 0 n)))
+  Int64.add base (Int64.of_float (per_byte *. float_of_int (Int.max 0 n)))
 
 let copy_ns t n = scale t.copy_base t.copy_per_byte n
 let dma_ns t n = scale t.dma_base t.dma_per_byte n

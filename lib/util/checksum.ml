@@ -35,7 +35,7 @@ let rec sum_lanes buf i stop acc =
 let chunk_bytes = 4096 * 8
 
 let rec sum_chunks buf i stop acc =
-  let next = min stop (i + chunk_bytes) in
+  let next = Int.min stop (i + chunk_bytes) in
   let both = sum_lanes buf i next 0 in
   let acc = acc + (both land 0xffffffff) + (both lsr 32) in
   if next < stop then sum_chunks buf next stop acc else acc

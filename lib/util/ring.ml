@@ -20,20 +20,20 @@ let is_full t = t.len = t.cap
    at most two blits. *)
 let blit_in t src soff n =
   let tail = (t.head + t.len) mod t.cap in
-  let first = min n (t.cap - tail) in
+  let first = Int.min n (t.cap - tail) in
   Bytes.blit src soff t.data tail first;
   if n > first then Bytes.blit src (soff + first) t.data 0 (n - first)
 
 (* Copy [n] stored bytes starting at ring index [pos] out to [dst]. *)
 let blit_out t pos dst doff n =
-  let first = min n (t.cap - pos) in
+  let first = Int.min n (t.cap - pos) in
   Bytes.blit t.data pos dst doff first;
   if n > first then Bytes.blit t.data 0 dst (doff + first) (n - first)
 
 let write t src off len =
   if off < 0 || len < 0 || off + len > Bytes.length src then
     invalid_arg "Ring.write";
-  let n = min len (available t) in
+  let n = Int.min len (available t) in
   blit_in t src off n;
   t.len <- t.len + n;
   n
@@ -41,7 +41,7 @@ let write t src off len =
 let peek_at t ~skip dst off len =
   if skip < 0 || off < 0 || len < 0 || off + len > Bytes.length dst then
     invalid_arg "Ring.peek_at";
-  let n = max 0 (min len (t.len - skip)) in
+  let n = Int.max 0 (Int.min len (t.len - skip)) in
   if n > 0 then blit_out t ((t.head + skip) mod t.cap) dst off n;
   n
 
@@ -49,7 +49,7 @@ let peek t dst off len = peek_at t ~skip:0 dst off len
 
 let drop t n =
   if n < 0 then invalid_arg "Ring.drop";
-  let n = min n t.len in
+  let n = Int.min n t.len in
   t.head <- (t.head + n) mod t.cap;
   t.len <- t.len - n;
   n

@@ -25,5 +25,5 @@ let rec read_loop buf len off i shift acc =
   [@@hot.alloc "the decoded (value, width) pair is the codec's return surface"]
 
 let read buf off ~stop =
-  let len = min stop (Bytes.length buf) in
+  let len = Int.min stop (Bytes.length buf) in
   if off < 0 || off >= len then None else read_loop buf len off off 0 0

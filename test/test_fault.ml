@@ -274,6 +274,26 @@ let worlds_do_not_share_faults () =
   check_int "B completed every round" 40 b.ok;
   check_int "nothing injected in B" 0 (Fault.total_injected wb.fault)
 
+(* Every site maps to its own slot: arming one site at rate 1 makes
+   exactly that site fire, and counts the shot there and nowhere else. *)
+let each_site_arms_alone () =
+  List.iter
+    (fun site ->
+      let t = Fault.create () in
+      Fault.install t
+        (Fault.plan ~seed:7L [ (site, Fault.spec ~rate:1.0 ()) ]);
+      List.iter
+        (fun s ->
+          let name = Fault.site_name site ^ " armed, " ^ Fault.site_name s in
+          check_bool (name ^ " fires") (s = site) (Fault.fire t s ~now:0L);
+          check_int
+            (name ^ " injected")
+            (if s = site then 1 else 0)
+            (Fault.injected t s))
+        Fault.sites;
+      check_int (Fault.site_name site ^ " total") 1 (Fault.total_injected t))
+    Fault.sites
+
 (* ---------------- the full matrix ---------------- *)
 
 (* DK_FAULT_CI=1 (the CI matrix job) widens the every-plan sweeps to
@@ -458,6 +478,7 @@ let () =
         [
           Alcotest.test_case "worlds do not share faults" `Quick
             worlds_do_not_share_faults;
+          Alcotest.test_case "each site arms alone" `Quick each_site_arms_alone;
         ] );
       ( "matrix",
         [

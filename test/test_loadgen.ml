@@ -193,10 +193,9 @@ let test_overload_sheds_and_stays_bounded () =
     dropped
 
 (* A request born before the deadline can reach its station after the
-   deadline event closed every idle trunk, with no trunk left busy to
-   drain the queue. At 100 kops/s, seed 14 offers one such request; it
-   must be refused and counted, not admitted into a queue nothing
-   serves. *)
+   deadline event. At 100 kops/s, seed 14 offers one such request;
+   whatever the station does with it, it is counted once and, if
+   admitted, served. *)
 let test_no_request_strands () =
   let st =
     Loadgen.run ~offered_rate:100_000. ~scn:(scn "poisson-steady") ~shards:2
@@ -216,6 +215,25 @@ let test_no_request_strands () =
         ~offered:p.Loadgen.ls_offered ~admitted:p.Loadgen.ls_admitted
         ~shed:p.Loadgen.ls_shed ~fin:p.Loadgen.ls_done)
     st.Loadgen.l_per_shard
+
+(* The same late request must find a trunk: a station keeps its last
+   one until the offered side is done. At 1,375 kops/s over UDP trunks,
+   seed 15 offers a request born 121 ns before the deadline that
+   reaches its station after every other trunk there has hung up. *)
+let test_late_request_served () =
+  let scn =
+    {
+      Scenario.base with
+      duration_ms = 1;
+      conns = 10_000;
+      offload = true;
+      offload_hit = 0.9;
+    }
+  in
+  let st = Loadgen.run ~offered_rate:1375e3 ~scn ~shards:2 ~seed:15L () in
+  Alcotest.(check int) "nothing shed" 0 st.Loadgen.l_shed;
+  Alcotest.(check int) "offered = completed" st.Loadgen.l_offered
+    st.Loadgen.l_done
 
 (* ---- 7. every catalogue scenario runs at smoke scale ---- *)
 
@@ -314,6 +332,8 @@ let () =
         [
           Alcotest.test_case "sheds, conserves, bounded" `Quick
             test_overload_sheds_and_stays_bounded;
+          Alcotest.test_case "late request finds a trunk" `Quick
+            test_late_request_served;
           Alcotest.test_case "no request strands at the deadline" `Quick
             test_no_request_strands;
         ] );

@@ -434,6 +434,56 @@ let flight_appenders_match_printf =
       | [ e ] -> e.F.what = Printf.sprintf "%d|%x|%Ld|%s" d x ld s
       | _ -> false)
 
+(* The recorder against a list model of held entries and their encoded
+   sizes: 11 header bytes plus the label, cut so the entry fits the
+   ring; a commit evicts the oldest until the new entry fits. Random
+   capacities and label lengths reach near-capacity and truncated
+   labels; some labels are built in two appends. *)
+let flight_kinds =
+  [| F.Enqueue; F.Dequeue; F.Push; F.Pop; F.Completion; F.Drop;
+     F.Retransmit; F.Wakeup; F.Mark |]
+
+let flight_matches_model =
+  QCheck.Test.make ~name:"commits match a list model" ~count:300
+    QCheck.(pair (int_range 12 400) (small_list (pair (int_bound 450) bool)))
+    (fun (capacity, script) ->
+      let f = F.create ~capacity () in
+      let held = ref [] and used = ref 0 in
+      let recorded = ref 0 and evicted = ref 0 in
+      let rec make_room need =
+        match !held with
+        | (_, size) :: rest when capacity - !used < need ->
+            held := rest;
+            used := !used - size;
+            incr evicted;
+            make_room need
+        | _ -> ()
+      in
+      List.for_all
+        (fun (i, (len, split)) ->
+          let at = Int64.of_int ((i * 7919) - 3000) in
+          let kind = flight_kinds.(i mod Array.length flight_kinds) in
+          let label = String.init len (fun j -> Char.chr (97 + ((i + j) mod 26))) in
+          if split then begin
+            if F.start f ~now:at kind then begin
+              F.add_string f (String.sub label 0 (len / 2));
+              F.add_string f (String.sub label (len / 2) (len - (len / 2)));
+              F.commit f
+            end
+          end
+          else F.record f ~now:at kind label;
+          let what = String.sub label 0 (Int.min len (capacity - 11)) in
+          let size = 11 + String.length what in
+          make_room size;
+          held := !held @ [ ({ F.at; kind; what }, size) ];
+          used := !used + size;
+          incr recorded;
+          F.recorded f = !recorded
+          && F.evicted f = !evicted
+          && F.length f = List.length !held
+          && F.entries f = List.map fst !held)
+        (List.mapi (fun i x -> (i, x)) script))
+
 let flight_appenders_allocate_nothing () =
   (* A small ring, so the measured entries also evict. *)
   let f = F.create ~capacity:256 () in
@@ -617,7 +667,8 @@ let () =
             flight_appenders_allocate_nothing;
         ] );
       ( "flight-props",
-        List.map QCheck_alcotest.to_alcotest [ flight_appenders_match_printf ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ flight_appenders_match_printf; flight_matches_model ] );
       ( "stats --json",
         [
           Alcotest.test_case "lines parse, promised names present" `Quick

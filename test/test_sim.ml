@@ -1,5 +1,6 @@
-(* Tests for dk_sim: engine determinism and timers, rng, histogram,
-   cost model. *)
+(* Tests for dk_sim: engine determinism, timers and event heap (against
+   a reference model, and for allocation), rng, histogram, cost
+   model. *)
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -311,6 +312,291 @@ let engine_timer_stress_prop =
       (not !cancelled_fired) && non_decreasing times
       && Engine.pending e = 0)
 
+(* ---------------- Engine: the event heap ----------------
+
+   The engine's heap is intrinsic (the event record is the heap
+   element), so its ordering contract is tested through the engine. *)
+
+let heap_order () =
+  let e = Engine.create () in
+  let order = ref [] in
+  List.iter
+    (fun k ->
+      ignore (Engine.at e (Int64.of_int k) (fun () -> order := k :: !order)))
+    [ 5; 3; 9; 1; 7 ];
+  Engine.run e;
+  check (Alcotest.list Alcotest.int) "sorted" [ 1; 3; 5; 7; 9 ] (List.rev !order)
+
+let heap_fifo_ties () =
+  let e = Engine.create () in
+  let order = ref [] in
+  List.iter
+    (fun v -> ignore (Engine.at e 5L (fun () -> order := v :: !order)))
+    [ "a"; "b"; "c" ];
+  Engine.run e;
+  check (Alcotest.list Alcotest.string) "insertion order" [ "a"; "b"; "c" ]
+    (List.rev !order)
+
+let heap_min_peek () =
+  let e = Engine.create () in
+  check_bool "empty peek" true (Engine.next_at e = None);
+  ignore (Engine.at e 9L (fun () -> ()));
+  let t2 = Engine.at e 2L (fun () -> ()) in
+  check (Alcotest.option Alcotest.int64) "min time" (Some 2L) (Engine.next_at e);
+  check_int "pending" 2 (Engine.pending e);
+  Engine.cancel t2;
+  check (Alcotest.option Alcotest.int64) "cancelled head skipped" (Some 9L)
+    (Engine.next_at e);
+  check_i64 "peeking runs nothing" 0L (Engine.now e)
+
+let heap_sorted_prop =
+  QCheck.Test.make ~name:"heap drains sorted" ~count:300
+    QCheck.(small_list (int_bound 1_000_000))
+    (fun keys ->
+      let e = Engine.create () in
+      let out = ref [] in
+      List.iter
+        (fun k ->
+          ignore (Engine.at e (Int64.of_int k) (fun () -> out := k :: !out)))
+        keys;
+      Engine.run e;
+      List.rev !out = List.stable_sort compare keys)
+
+(* ---------------- Engine vs a reference model ----------------
+
+   A script drives 1-4 engines; the same script runs against a model
+   that keeps every event in a list and fires the least by (time,
+   engine index, insertion) — a stable sort, with cross-engine ties to
+   the lowest index. Scheduled thunks run ops of their own, so events
+   are also scheduled and cancelled from inside the loop, onto any
+   engine, and [At] times below an engine's clock exercise the clamp. *)
+
+type op =
+  | At of int * int * op list  (* engine, absolute time, ops the thunk runs *)
+  | After of int * int * op list  (* engine, delay (may be negative) *)
+  | Cancel of int  (* the k-th timer made so far, mod their count *)
+  | Steps of int  (* top level only: this many scheduler steps *)
+
+let rec pp_op = function
+  | At (e, t, ops) -> Printf.sprintf "At(%d,%d,[%s])" e t (pp_ops ops)
+  | After (e, d, ops) -> Printf.sprintf "After(%d,%d,[%s])" e d (pp_ops ops)
+  | Cancel k -> Printf.sprintf "Cancel %d" k
+  | Steps k -> Printf.sprintf "Steps %d" k
+
+and pp_ops ops = String.concat "; " (List.map pp_op ops)
+
+let gen_script =
+  let open QCheck.Gen in
+  int_range 1 4 >>= fun n ->
+  let eng = int_bound (n - 1) and time = int_range (-5) 40 in
+  let leaf =
+    frequency
+      [
+        (3, map2 (fun e t -> At (e, t, [])) eng time);
+        (2, map2 (fun e d -> After (e, d, [])) eng (int_range (-3) 20));
+        (2, map (fun k -> Cancel k) nat);
+      ]
+  in
+  let kids = list_size (int_bound 3) leaf in
+  let top =
+    frequency
+      [
+        (4, map3 (fun e t ks -> At (e, t, ks)) eng time kids);
+        (3, map3 (fun e d ks -> After (e, d, ks)) eng (int_range (-3) 20) kids);
+        (2, map (fun k -> Cancel k) nat);
+        (2, map (fun k -> Steps k) (int_bound 6));
+      ]
+  in
+  map (fun ops -> (n, ops)) (list_size (int_range 1 40) top)
+
+type observed = {
+  fired : int list;  (* timer ids, in firing order *)
+  checkpoints : (int array * int64 array) list;
+      (* pending and clock of every engine after each top-level op *)
+}
+
+(* Timers are numbered in creation order; both sides create them in the
+   same order because they run the same ops in the same order. *)
+let run_engines (n, script) =
+  let engines = Array.init n (fun _ -> Engine.create ()) in
+  let timers = ref [||] and fired = ref [] and checkpoints = ref [] in
+  let add tm = timers := Array.append !timers [| tm |] in
+  let step () =
+    if n = 1 then Engine.step engines.(0) else Engine.step_group engines
+  in
+  let rec exec = function
+    | At (e, t, ops) ->
+        let id = Array.length !timers in
+        add
+          (Engine.at engines.(e) (Int64.of_int t) (fun () ->
+               fired := id :: !fired;
+               List.iter exec ops))
+    | After (e, d, ops) ->
+        let id = Array.length !timers in
+        add
+          (Engine.after engines.(e) (Int64.of_int d) (fun () ->
+               fired := id :: !fired;
+               List.iter exec ops))
+    | Cancel k ->
+        let m = Array.length !timers in
+        if m > 0 then Engine.cancel !timers.(k mod m)
+    | Steps k ->
+        for _ = 1 to k do
+          ignore (step ())
+        done
+  in
+  let checkpoint () =
+    checkpoints :=
+      (Array.map Engine.pending engines, Array.map Engine.now engines)
+      :: !checkpoints
+  in
+  List.iter
+    (fun op ->
+      exec op;
+      checkpoint ())
+    script;
+  if n = 1 then Engine.run engines.(0) else Engine.run_group engines;
+  checkpoint ();
+  { fired = List.rev !fired; checkpoints = List.rev !checkpoints }
+
+type mev = {
+  id : int;
+  eng : int;
+  time : int;
+  ins : int;  (* global insertion order: per engine, it is the seq *)
+  mutable dead : bool;  (* fired or cancelled *)
+  ops : op list;
+}
+
+let run_model (n, script) =
+  let clocks = Array.make n 0 in
+  let events = ref [] and timers = ref [||] and fired = ref [] in
+  let checkpoints = ref [] in
+  let schedule e t ops =
+    let ev =
+      {
+        id = Array.length !timers;
+        eng = e;
+        time = Int.max t clocks.(e);
+        ins = Array.length !timers;
+        dead = false;
+        ops;
+      }
+    in
+    timers := Array.append !timers [| ev |];
+    events := ev :: !events
+  in
+  let key ev = (ev.time, ev.eng, ev.ins) in
+  let rec exec = function
+    | At (e, t, ops) -> schedule e t ops
+    | After (e, d, ops) -> schedule e (clocks.(e) + Int.max 0 d) ops
+    | Cancel k ->
+        let m = Array.length !timers in
+        if m > 0 then !timers.(k mod m).dead <- true
+    | Steps k ->
+        for _ = 1 to k do
+          ignore (step ())
+        done
+  and step () =
+    let next =
+      List.fold_left
+        (fun best ev ->
+          if ev.dead then best
+          else
+            match best with
+            | Some b when compare (key b) (key ev) <= 0 -> best
+            | _ -> Some ev)
+        None !events
+    in
+    match next with
+    | None -> false
+    | Some ev ->
+        ev.dead <- true;
+        clocks.(ev.eng) <- Int.max clocks.(ev.eng) ev.time;
+        fired := ev.id :: !fired;
+        List.iter exec ev.ops;
+        true
+  in
+  let checkpoint () =
+    let pending =
+      Array.init n (fun e ->
+          List.length (List.filter (fun ev -> ev.eng = e && not ev.dead) !events))
+    in
+    checkpoints := (pending, Array.map Int64.of_int clocks) :: !checkpoints
+  in
+  List.iter
+    (fun op ->
+      exec op;
+      checkpoint ())
+    script;
+  while step () do
+    ()
+  done;
+  checkpoint ();
+  { fired = List.rev !fired; checkpoints = List.rev !checkpoints }
+
+let engine_model_prop =
+  QCheck.Test.make ~name:"engines match the reference model" ~count:500
+    (QCheck.make gen_script ~print:(fun (n, ops) ->
+         Printf.sprintf "%d engines: %s" n (pp_ops ops)))
+    (fun script -> run_engines script = run_model script)
+
+(* ---------------- Engine: allocation ----------------
+
+   Scheduling allocates the event record and nothing else; stepping,
+   alone or in a group, allocates nothing. Times are literals and the
+   thunk is made once, so the only allocation [at] can do is its own. *)
+
+let event_words = 6 (* a 5-field record plus its header *)
+
+let noop () = ()
+
+let engine_alloc_at_and_step () =
+  let e = Engine.create () in
+  (* warm: grow the heap past what the measured rounds need *)
+  for _ = 1 to 2000 do
+    ignore (Engine.at e 10L noop)
+  done;
+  Engine.run e;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Engine.at e 20L noop);
+    ignore (Engine.at e 15L noop)
+  done;
+  let words = Gc.minor_words () -. before in
+  check (Alcotest.float 0.) "at: one event record each"
+    (float_of_int (2000 * event_words))
+    words;
+  let before = Gc.minor_words () in
+  for _ = 1 to 2000 do
+    ignore (Engine.step e)
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "all fired" 0 (Engine.pending e);
+  check (Alcotest.float 0.) "step allocates nothing" 0. words
+
+let engine_alloc_step_group () =
+  let engines = Array.init 4 (fun _ -> Engine.create ()) in
+  let fill () =
+    Array.iteri
+      (fun i e ->
+        for k = 1 to 500 do
+          let tm = Engine.at e (if k land 1 = 0 then 30L else 40L) noop in
+          if (k + i) mod 7 = 0 then Engine.cancel tm
+        done)
+      engines
+  in
+  fill ();
+  Engine.run_group engines;
+  fill ();
+  let before = Gc.minor_words () in
+  while Engine.step_group engines do
+    ()
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "drained" 0 (Array.fold_left (fun a e -> a + Engine.pending e) 0 engines);
+  check (Alcotest.float 0.) "step_group allocates nothing" 0. words
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -330,7 +616,18 @@ let () =
           Alcotest.test_case "run_for cancelled head" `Quick engine_run_for_with_cancelled_head;
           Alcotest.test_case "past schedule clamped" `Quick engine_past_schedule_clamped;
           Alcotest.test_case "deterministic" `Quick engine_deterministic;
+          Alcotest.test_case "at allocates one record, step none" `Quick
+            engine_alloc_at_and_step;
+          Alcotest.test_case "step_group allocates nothing" `Quick
+            engine_alloc_step_group;
         ] );
+      ( "heap",
+        [
+          Alcotest.test_case "order" `Quick heap_order;
+          Alcotest.test_case "fifo ties" `Quick heap_fifo_ties;
+          Alcotest.test_case "min peek" `Quick heap_min_peek;
+        ] );
+      qsuite "heap-props" [ heap_sorted_prop ];
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick rng_deterministic;
@@ -349,7 +646,7 @@ let () =
           Alcotest.test_case "clear" `Quick hist_clear;
         ] );
       qsuite "histogram-props" [ hist_quantile_monotone; hist_quantile_bounded ];
-      qsuite "engine-props" [ engine_timer_stress_prop ];
+      qsuite "engine-props" [ engine_timer_stress_prop; engine_model_prop ];
       ( "cost",
         [
           Alcotest.test_case "copy matches paper" `Quick cost_copy_matches_paper;

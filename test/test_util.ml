@@ -1,5 +1,5 @@
-(* Unit and property tests for dk_util: ring buffer, heap, checksum,
-   crc32, varint, bounded queue. *)
+(* Unit and property tests for dk_util: ring buffer, checksum, crc32,
+   varint, bounded queue. *)
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -120,60 +120,6 @@ let ring_fifo_model =
           (Stdlib.Buffer.length model - !model_read)
       in
       String.equal remaining (Ring.read_all r))
-
-(* ---------------- Heap ---------------- *)
-
-module Heap = Dk_util.Heap
-
-let heap_order () =
-  let h = Heap.create () in
-  List.iter (fun k -> Heap.push h (Int64.of_int k) k) [ 5; 3; 9; 1; 7 ];
-  let order = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | None -> ()
-    | Some (_, v) ->
-        order := v :: !order;
-        drain ()
-  in
-  drain ();
-  check (Alcotest.list Alcotest.int) "sorted" [ 1; 3; 5; 7; 9 ] (List.rev !order)
-
-let heap_fifo_ties () =
-  let h = Heap.create () in
-  Heap.push h 5L "a";
-  Heap.push h 5L "b";
-  Heap.push h 5L "c";
-  let pop () = match Heap.pop h with Some (_, v) -> v | None -> "?" in
-  check_str "first" "a" (pop ());
-  check_str "second" "b" (pop ());
-  check_str "third" "c" (pop ())
-
-let heap_min_peek () =
-  let h = Heap.create () in
-  check_bool "empty min" true (Heap.min h = None);
-  Heap.push h 9L "x";
-  Heap.push h 2L "y";
-  (match Heap.min h with
-  | Some (k, v) ->
-      check_int "min key" 2 (Int64.to_int k);
-      check_str "min value" "y" v
-  | None -> Alcotest.fail "expected min");
-  check_int "length" 2 (Heap.length h)
-
-let heap_sorted_prop =
-  QCheck.Test.make ~name:"heap drains sorted" ~count:300
-    QCheck.(small_list int)
-    (fun keys ->
-      let h = Heap.create () in
-      List.iter (fun k -> Heap.push h (Int64.of_int k) k) keys;
-      let rec drain acc =
-        match Heap.pop h with
-        | None -> List.rev acc
-        | Some (_, v) -> drain (v :: acc)
-      in
-      let out = drain [] in
-      out = List.stable_sort compare keys)
 
 (* ---------------- Checksum ---------------- *)
 
@@ -387,13 +333,6 @@ let () =
           Alcotest.test_case "invalid" `Quick ring_invalid;
         ] );
       qsuite "ring-props" [ ring_fifo_model ];
-      ( "heap",
-        [
-          Alcotest.test_case "order" `Quick heap_order;
-          Alcotest.test_case "fifo ties" `Quick heap_fifo_ties;
-          Alcotest.test_case "min peek" `Quick heap_min_peek;
-        ] );
-      qsuite "heap-props" [ heap_sorted_prop ];
       ( "checksum",
         [
           Alcotest.test_case "known vector" `Quick checksum_known;

@@ -12,3 +12,12 @@ let classify src dst =                                (* FLAG hot-alloc hot-poly
 let st_weight st =                                    (* FLAG hot-poly *)
   if st = Some 1 then 2 else 1
   [@@hot]
+
+(* Bare [min]/[max] are polymorphic, so even on ints each call is a C
+   call ([caml_lessequal]); [Int.min] is the monomorphic spelling and
+   passes. *)
+let clamp_len len room =                              (* FLAG hot-poly *)
+  min len room
+  [@@hot]
+
+let clamp_len_int len room = Int.min len room [@@hot]

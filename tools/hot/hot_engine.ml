@@ -23,7 +23,8 @@
                 (Hashtbl walks, Det sorted iteration, List traversal)
        poly:*   polymorphic compare/hash on non-immediate keys
                 (Hashtbl.hash, bare [compare], tuple-keyed tables,
-                structural [=] on constructed values)
+                structural [=] on constructed values), and bare
+                [min]/[max], a C call even on ints
 
    Rule families:
      hot-alloc       alloc:* reachable from a hot root
@@ -164,6 +165,7 @@ let intrinsic_of ~cur_module ~call (m, f) : (string * string) option =
   (* poly: structural hash/compare walks the value every call *)
   | "Hashtbl", "hash" -> k "poly:hash"
   | ("" | "Stdlib"), "compare" -> k "poly:compare"
+  | ("" | "Stdlib"), ("min" | "max") when call -> k "poly:minmax"
   | _ -> None
 
 (* ---------------- shape-based effects ---------------- *)
