@@ -116,14 +116,14 @@ let posix_rtt ~posix ~engine ~dst ~size ~rounds =
         let buf = Bytes.create (max size 1) in
         for _ = 1 to rounds do
           let t0 = Engine.now engine in
-          let rec write_all data =
-            if String.length data > 0 then
-              match Posix.write posix fd data with
-              | Ok n -> write_all (String.sub data n (String.length data - n))
-              | Error `Again -> if Engine.step engine then write_all data
+          let rec write_all off =
+            if off < size then
+              match Posix.write posix fd ~off payload with
+              | Ok n -> write_all (off + n)
+              | Error `Again -> if Engine.step engine then write_all off
               | Error _ -> ()
           in
-          write_all payload;
+          write_all 0;
           let received = ref 0 in
           let rec await () =
             if !received < size then

@@ -6,7 +6,8 @@ module Cost = Dk_sim.Cost
 type conn = {
   fd : Posix.fd;
   decoder : Framing.decoder;
-  mutable outbuf : string; (* bytes not yet accepted by write() *)
+  mutable outbuf : string; (* responses not yet accepted by write() ... *)
+  mutable sent : int; (* ... from this cursor on *)
 }
 
 type server = {
@@ -24,16 +25,20 @@ let read_chunk = 16384
 
 let app_work srv = Engine.consume srv.engine srv.cost.Cost.app_request
 
+let unsent c = String.length c.outbuf - c.sent
+
 (* Try to flush a connection's pending output; keep `Out interest only
    while bytes remain (otherwise a level-triggered epoll would spin on
    the always-writable socket). *)
 let flush srv c =
-  if String.length c.outbuf > 0 then begin
-    (match Posix.write srv.posix c.fd c.outbuf with
-    | Ok n -> c.outbuf <- String.sub c.outbuf n (String.length c.outbuf - n)
+  if unsent c > 0 then begin
+    (match Posix.write srv.posix c.fd ~off:c.sent c.outbuf with
+    | Ok n -> c.sent <- c.sent + n
     | Error `Again -> ()
-    | Error _ -> c.outbuf <- "");
-    let interest = if String.length c.outbuf > 0 then [ `In; `Out ] else [ `In ] in
+    | Error _ ->
+        c.outbuf <- "";
+        c.sent <- 0);
+    let interest = if unsent c > 0 then [ `In; `Out ] else [ `In ] in
     ignore (Posix.epoll_add srv.posix srv.epfd c.fd interest)
   end
 
@@ -42,32 +47,40 @@ let drop srv c =
   Posix.close srv.posix c.fd;
   Hashtbl.remove srv.conns c.fd
 
-let process_messages srv c =
-  let rec loop () =
-    match Framing.next c.decoder with
-    | None -> ()
-    | Some segments ->
-        app_work srv;
-        (match Proto.request_of_segments segments with
-        | Some req ->
-            let resp = Kv.apply srv.kv req in
-            srv.served <- srv.served + 1;
-            c.outbuf <- c.outbuf ^ Framing.encode (Proto.response_segments resp)
-        | None -> ());
-        loop ()
-  in
-  loop ();
-  (* A request stream that cannot be decoded is dropped. *)
-  if Framing.corrupt c.decoder then drop srv c else flush srv c
+(* Serve every complete request; their responses, newest first. *)
+let rec serve srv c acc =
+  match Framing.next c.decoder with
+  | None -> acc
+  | Some segments -> (
+      app_work srv;
+      match Proto.request_of_segments segments with
+      | Some req ->
+          let resp = Kv.apply srv.kv req in
+          srv.served <- srv.served + 1;
+          serve srv c (Framing.encode (Proto.response_segments resp) :: acc)
+      | None -> serve srv c acc)
 
+let process_messages srv c =
+  let responses = serve srv c [] in
+  (* A request stream that cannot be decoded is dropped. *)
+  if Framing.corrupt c.decoder then drop srv c
+  else begin
+    (match responses with
+    | [] -> ()
+    | _ ->
+        (* The unsent tail and this batch's responses, copied once. *)
+        let tail = String.sub c.outbuf c.sent (unsent c) in
+        c.outbuf <- String.concat "" (tail :: List.rev responses);
+        c.sent <- 0);
+    flush srv c
+  end
+
+(* Each read goes straight into the decoder's backlog. *)
 let handle_readable srv c =
-  let buf = Bytes.create read_chunk in
   let rec drain () =
-    match Posix.read srv.posix c.fd buf 0 read_chunk with
+    match Framing.fill c.decoder read_chunk (Posix.read srv.posix) c.fd with
     | Ok 0 -> drop srv c (* EOF *)
-    | Ok n ->
-        Framing.feed c.decoder (Bytes.sub_string buf 0 n);
-        drain ()
+    | Ok _ -> drain ()
     | Error `Again -> process_messages srv c
     | Error _ ->
         Posix.epoll_del srv.posix srv.epfd c.fd;
@@ -79,7 +92,7 @@ let handle_accept srv =
   let rec loop () =
     match Posix.accept srv.posix srv.lsock with
     | Ok fd ->
-        let c = { fd; decoder = Framing.create (); outbuf = "" } in
+        let c = { fd; decoder = Framing.create (); outbuf = ""; sent = 0 } in
         Hashtbl.replace srv.conns fd c;
         ignore (Posix.epoll_add srv.posix srv.epfd fd [ `In ]);
         loop ()
@@ -124,16 +137,16 @@ let requests_served srv = srv.served
    decoded. *)
 let rpc ~posix ~engine ~epfd ~fd ~decoder req =
   let payload = Framing.encode (Proto.request_segments req) in
-  (* write, handling partial writes and EAGAIN by driving the engine *)
-  let rec write_all data =
-    if String.length data > 0 then
-      match Posix.write posix fd data with
-      | Ok n -> write_all (String.sub data n (String.length data - n))
-      | Error `Again -> if Engine.step engine then write_all data else ()
+  (* write from a cursor, handling partial writes and EAGAIN by driving
+     the engine *)
+  let rec write_all off =
+    if off < String.length payload then
+      match Posix.write posix fd ~off payload with
+      | Ok n -> write_all (off + n)
+      | Error `Again -> if Engine.step engine then write_all off else ()
       | Error _ -> ()
   in
-  write_all payload;
-  let buf = Bytes.create read_chunk in
+  write_all 0;
   let result = ref None in
   let rec await () =
     match Framing.next decoder with
@@ -142,11 +155,9 @@ let rpc ~posix ~engine ~epfd ~fd ~decoder req =
         (* A reply stream that cannot be decoded: drop the connection. *)
         Posix.close posix fd
     | None -> (
-        match Posix.read posix fd buf 0 read_chunk with
+        match Framing.fill decoder read_chunk (Posix.read posix) fd with
         | Ok 0 -> ()
-        | Ok n ->
-            Framing.feed decoder (Bytes.sub_string buf 0 n);
-            await ()
+        | Ok _ -> await ()
         | Error `Again ->
             (* Block in epoll until readable. *)
             let woke = ref false in

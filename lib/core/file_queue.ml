@@ -99,10 +99,8 @@ and parse_payload st =
         st.parse_off <- st.parse_off + used;
         let decoder = Framing.create () in
         Framing.feed decoder payload;
-        (match Framing.next decoder with
-        | Some segments ->
-            Mailbox.deliver st.mbox
-              (Types.Popped (Dk_mem.Sga.of_strings segments))
+        (match Framing.next_sga decoder with
+        | Some sga -> Mailbox.deliver st.mbox (Types.Popped sga)
         | None ->
             st.corrupt <- true;
             Mailbox.fail st.mbox `Io_error);

@@ -42,16 +42,20 @@ let rec pump_tx st =
 (* A stream whose framing is corrupt is reset, not decoded: [on_close]
    (see [of_conn]) then fails this connection alone. *)
 let rec drain_rx st =
-  match Framing.next st.decoder with
-  | Some segments ->
-      Mailbox.deliver st.mbox (Types.Popped (Dk_mem.Sga.of_strings segments));
+  match Framing.next_sga st.decoder with
+  | Some sga ->
+      Mailbox.deliver st.mbox (Types.Popped sga);
       drain_rx st
   | None -> if Framing.corrupt st.decoder then Tcp.abort st.conn
 
+let recv conn buf off len = Ok (Tcp.recv_into conn buf off len)
+
+(* The receive ring is copied straight into the decoder's backlog, and
+   each message once more into its own store. *)
 let pump_rx st =
   let avail = Tcp.recv_ready st.conn in
   if avail > 0 then begin
-    Framing.feed st.decoder (Tcp.recv st.conn avail);
+    ignore (Framing.fill st.decoder avail recv st.conn);
     drain_rx st
   end
   [@@hot]

@@ -1,6 +1,10 @@
 module Posix = Dk_kernel.Posix
 module Framing = Dk_net.Framing
 
+(* A push not yet fully written: its framed bytes, a cursor past the
+   bytes [write] has taken, and its token. *)
+type staged = { data : string; mutable cursor : int; tok : Types.qtoken }
+
 type conn_state = {
   tokens : Token.t;
   posix : Posix.t;
@@ -8,7 +12,7 @@ type conn_state = {
   epfd : Posix.fd;
   mbox : Mailbox.t;
   decoder : Framing.decoder;
-  txq : (string ref * Types.qtoken) Queue.t;
+  txq : staged Queue.t;
   mutable closed : bool;
 }
 
@@ -22,7 +26,7 @@ let update_interest st =
 
 let fail_tx st err =
   Queue.iter
-    (fun (_, tok) -> Token.complete st.tokens tok (Types.Failed err))
+    (fun s -> Token.complete st.tokens s.tok (Types.Failed err))
     st.txq;
   Queue.clear st.txq
 
@@ -40,13 +44,13 @@ let pump_tx st =
     progress := false;
     match Queue.peek_opt st.txq with
     | None -> ()
-    | Some (remaining, tok) -> (
-        match Posix.write st.posix st.fd !remaining with
+    | Some s -> (
+        match Posix.write st.posix st.fd ~off:s.cursor s.data with
         | Ok n ->
-            remaining := String.sub !remaining n (String.length !remaining - n);
-            if String.length !remaining = 0 then begin
+            s.cursor <- s.cursor + n;
+            if s.cursor = String.length s.data then begin
               ignore (Queue.pop st.txq);
-              Token.complete st.tokens tok Types.Pushed;
+              Token.complete st.tokens s.tok Types.Pushed;
               progress := true
             end
         | Error `Again -> ()
@@ -54,33 +58,28 @@ let pump_tx st =
   done;
   update_interest st
 
-let pump_rx st =
-  let buf = Bytes.create read_chunk in
-  let rec drain () =
-    if not st.closed then
-      match Posix.read st.posix st.fd buf 0 read_chunk with
-      | Ok 0 -> close_conn st `Queue_closed (* EOF *)
-      | Ok n ->
-          Framing.feed st.decoder (Bytes.sub_string buf 0 n);
-          let rec deliver () =
-            match Framing.next st.decoder with
-            | Some segments ->
-                Mailbox.deliver st.mbox
-                  (Types.Popped (Dk_mem.Sga.of_strings segments));
-                deliver ()
-            | None -> ()
-          in
-          deliver ();
-          if Framing.corrupt st.decoder then begin
-            (* The peer's byte stream cannot be decoded: drop it. *)
-            Dk_obs.Metrics.incr (Dk_obs.Metrics.counter "net.framing.rejected");
-            close_conn st `Conn_aborted
-          end
-          else drain ()
-      | Error `Again -> ()
-      | Error _ -> close_conn st `Queue_closed
-  in
-  drain ()
+let rec deliver st =
+  match Framing.next_sga st.decoder with
+  | Some sga ->
+      Mailbox.deliver st.mbox (Types.Popped sga);
+      deliver st
+  | None -> ()
+
+(* Each read goes straight into the decoder's backlog. *)
+let rec pump_rx st =
+  if not st.closed then
+    match Framing.fill st.decoder read_chunk (Posix.read st.posix) st.fd with
+    | Ok 0 -> close_conn st `Queue_closed (* EOF *)
+    | Ok _ ->
+        deliver st;
+        if Framing.corrupt st.decoder then begin
+          (* The peer's byte stream cannot be decoded: drop it. *)
+          Dk_obs.Metrics.incr (Dk_obs.Metrics.counter "net.framing.rejected");
+          close_conn st `Conn_aborted
+        end
+        else pump_rx st
+    | Error `Again -> ()
+    | Error _ -> close_conn st `Queue_closed
 
 (* The kernel-style event pump: block in epoll, handle, re-block. *)
 let rec block_loop st =
@@ -114,7 +113,7 @@ let of_fd ~tokens ~posix ~fd () =
       (fun sga tok ->
         if st.closed then Token.complete tokens tok (Types.Failed `Queue_closed)
         else begin
-          Queue.add (ref (Framing.encode_sga sga), tok) st.txq;
+          Queue.add { data = Framing.encode_sga sga; cursor = 0; tok } st.txq;
           pump_tx st
         end);
     pop = (fun tok -> Mailbox.pop st.mbox tok);

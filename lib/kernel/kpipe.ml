@@ -3,9 +3,11 @@ type t = { ring : Dk_util.Ring.t; mutable wclosed : bool }
 let create ?(capacity = 65536) () =
   { ring = Dk_util.Ring.create capacity; wclosed = false }
 
-let write t data =
+let write t ?(off = 0) data =
   if t.wclosed then invalid_arg "Kpipe.write: write end closed"
-  else Dk_util.Ring.write_string t.ring data
+  else
+    Dk_util.Ring.write t.ring (Bytes.unsafe_of_string data) off
+      (String.length data - off)
 
 let read t n =
   let n = min n (Dk_util.Ring.length t.ring) in

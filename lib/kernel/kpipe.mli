@@ -7,8 +7,9 @@
 type t
 
 val create : ?capacity:int -> unit -> t
-val write : t -> string -> int
-(** Bytes accepted ([0] when full — EAGAIN). *)
+val write : t -> ?off:int -> string -> int
+(** [write t ~off data] offers the bytes of [data] from [off] (default
+    0) on; returns how many were accepted ([0] when full — EAGAIN). *)
 
 val read : t -> int -> string
 (** Up to [n] bytes; [""] when empty. Message boundaries are lost. *)

@@ -247,7 +247,7 @@ let read t fd buf off len =
   | Some (Pipe_write _ | Epoll _) -> Error `Not_supported
   | None -> Error `Bad_fd
 
-let write t fd data =
+let write t fd ?(off = 0) data =
   charge_syscall t;
   match find t fd with
   | Some (Sock s) -> (
@@ -258,7 +258,7 @@ let write t fd data =
           if s.peer_closed then Error `Connection_closed
           else begin
             (* user -> kernel copy happens before the stack sees it *)
-            let n = Tcp.send conn data in
+            let n = Tcp.send conn ~off data in
             if n = 0 then Error `Again
             else begin
               charge_copy t n;
@@ -266,7 +266,7 @@ let write t fd data =
             end
           end)
   | Some (Pipe_write p) ->
-      let n = Kpipe.write p data in
+      let n = Kpipe.write p ~off data in
       if n = 0 then Error `Again
       else begin
         charge_copy t n;

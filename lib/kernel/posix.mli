@@ -45,9 +45,11 @@ val read : t -> fd -> bytes -> int -> int -> (int, error) result
 (** [read t fd buf off len]: [Ok 0] means EOF; [`Again] means no data
     yet. Charges syscall + demux + copy of the bytes returned. *)
 
-val write : t -> fd -> string -> (int, error) result
-(** Partial writes happen under backpressure; [`Again] when the socket
-    buffer is full. *)
+val write : t -> fd -> ?off:int -> string -> (int, error) result
+(** [write t fd ~off data] writes the bytes of [data] from [off]
+    (default 0) on. Partial writes happen under backpressure; [`Again]
+    when the socket buffer is full. A caller with a partly written
+    message keeps a cursor and passes it as [off]. *)
 
 val close : t -> fd -> unit
 

@@ -16,19 +16,26 @@ type t = {
   mutable live : bool; (* this view not yet freed *)
 }
 
-let of_string s =
+let view store ~off ~len =
+  if off < 0 || len < 0 || off + len > Bytes.length store then
+    invalid_arg "Buffer.view";
   {
-    store = Bytes.of_string s;
-    off = 0;
-    len = String.length s;
+    store;
+    off;
+    len;
     region_id = None;
     cell = None;
     sanitize = false;
     live = true;
   }
   [@@hot.alloc
-    "wrapping a string copies it into a fresh unmanaged store; on the \
-     rx path that is one copy per delivered segment"]
+    "a view over a store the caller hands over is one fresh descriptor; \
+     no bytes are copied"]
+
+let of_string s = view (Bytes.of_string s) ~off:0 ~len:(String.length s)
+  [@@hot.alloc
+    "wrapping a string copies it into a fresh unmanaged store: \
+     control-path data and each received UDP datagram"]
 
 let make_managed ?(sanitize = false) ~store ~off ~len ~region_id ~release () =
   if off < 0 || len < 0 || off + len > Bytes.length store then

@@ -10,8 +10,17 @@
 type t
 
 val of_string : string -> t
-(** An unmanaged buffer (no arena, no registration); freeing it is a
-    no-op. Useful in tests and for control-path data. *)
+(** An unmanaged buffer (no arena, no registration) over a copy of the
+    string; freeing it is a no-op. Useful in tests and for control-path
+    data. *)
+
+val view : bytes -> off:int -> len:int -> t
+(** [view store ~off ~len] is an unmanaged buffer over [store]'s bytes
+    [off] to [off + len - 1], without a copy: the caller hands [store]
+    over and writes it only through buffers. Several views may share one
+    store; each is bounded by its own [off] and [len], so no access
+    through one reaches another's bytes. Freeing it is a no-op.
+    @raise Invalid_argument if the range is not inside [store]. *)
 
 val make_managed :
   ?sanitize:bool ->

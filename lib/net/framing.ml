@@ -51,6 +51,16 @@ let feed t s =
     t.wr <- t.wr + k
   end
 
+(* The reader writes past [wr]. On a corrupt stream its bytes are
+   read, so the source drains as under [feed], but [wr] stays put. *)
+let fill t k read src =
+  if t.wr + k > Bytes.length t.buf then make_room t k;
+  match read src t.buf t.wr k with
+  | Ok n as r ->
+      if not t.corrupt then t.wr <- t.wr + n;
+      r
+  | Error _ as r -> r
+
 (* A non-negative int needs at most 9 varint bytes, so a varint still
    unterminated with 9 bytes in hand never ends: the stream is corrupt,
    not short. [Varint.read] answered [None] for the varint at [off]. *)
@@ -58,17 +68,20 @@ let unterminated t off =
   if t.wr - off >= 9 then t.corrupt <- true;
   None
 
+let max_message = 1 lsl 24
+
 (* Decode [nsegs] segment lengths starting at [off]; toplevel so the
    per-message call allocates no closure environment. A negative or
-   unterminated length, or lengths whose sum [total] would overflow,
-   mark the stream corrupt. *)
+   unterminated length, or lengths whose sum [total] passes
+   [max_message], mark the stream corrupt: a lying length is caught as
+   soon as its header is read, not after its body has been buffered. *)
 let rec read_lengths t nsegs i off total acc =
   if i = nsegs then Some (List.rev acc, off)
   else
     match Dk_util.Varint.read t.buf off ~stop:t.wr with
     | None -> unterminated t off
     | Some (len, used) ->
-        if len < 0 || len > max_int - total then begin
+        if len < 0 || len > max_message - total then begin
           t.corrupt <- true;
           None
         end
@@ -82,8 +95,26 @@ let rec cut_segs b pos = function
   | len :: rest -> Bytes.sub_string b pos len :: cut_segs b (pos + len) rest
   [@@hot.alloc "decoding materializes each delivered segment"]
 
-(* Try to decode one message from the head of the backlog. *)
-let next t =
+let cut_strings b body lens _total = cut_segs b body lens
+
+let rec views store pos = function
+  | [] -> []
+  | len :: rest ->
+      Dk_mem.Buffer.view store ~off:pos ~len :: views store (pos + len) rest
+  [@@hot.alloc "the delivered sga's segment list, one view per segment"]
+
+let cut_store b body lens total =
+  let store = Bytes.sub b body total in
+  Dk_mem.Sga.of_buffers (views store 0 lens)
+  [@@hot.alloc
+    "each delivered message gets one store of its own, so it outlives \
+     later feeds, slides and growth of the backlog"]
+
+(* Decode one message from the head of the backlog and copy it out
+   with [cut b body lens total]: its segment lengths [lens], summing to
+   [total], start at [b.[body]]. [next] and [next_sga] differ only in
+   [cut], so they share one header parser and its corrupt rules. *)
+let decode t cut =
   if t.corrupt then None
   else
     match Dk_util.Varint.read t.buf t.rd ~stop:t.wr with
@@ -100,11 +131,14 @@ let next t =
               let total = sum_lens lens in
               if total > t.wr - body then None
               else begin
-                let segs = cut_segs t.buf body lens in
+                let msg = cut t.buf body lens total in
                 t.rd <- body + total;
                 if t.rd = t.wr then begin
                   t.rd <- 0;
                   t.wr <- 0
                 end;
-                Some segs
+                Some msg
               end)
+
+let next t = decode t cut_strings
+let next_sga t = decode t cut_store

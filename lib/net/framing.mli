@@ -16,19 +16,61 @@ type decoder
 
 val create : unit -> decoder
 
+val max_message : int
+(** The most body bytes one message may declare: 16 MiB, the sum of
+    its segment lengths. A header that declares more makes the stream
+    {!corrupt} as soon as [next] or [next_sga] reads it, so the decoder
+    never waits for, or buffers, the body it announces. *)
+
+(** {2 Filling the decoder}
+
+    [feed] takes bytes the caller already holds. [fill] lets the
+    reader of a byte stream write straight into the decoder's backlog,
+    so no intermediate copy is made. *)
+
 val feed : decoder -> string -> unit
 (** Append stream bytes (any fragmentation). *)
 
+val fill :
+  decoder ->
+  int ->
+  ('src -> bytes -> int -> int -> (int, 'e) result) ->
+  'src ->
+  (int, 'e) result
+(** [fill t k read src] makes room for [k] bytes past the backlog and
+    calls [read src buf off k]. The reader writes up to [k] bytes at
+    [buf.[off]] and returns [Ok n] for the [n] it wrote: those bytes
+    are appended, as {!feed} appends them. [fill] returns what [read]
+    returned. The reader must not keep [buf]. On a corrupt decoder
+    the reader still runs, so its source is drained, and what it wrote
+    is discarded. *)
+
+(** {2 Taking messages out}
+
+    Both share one header parser and one set of {!corrupt} rules; they
+    differ in how they copy a complete message out of the backlog.
+    [next_sga] is the libOS receive path. [next] stays for callers that
+    work on strings: the POSIX kv server and client, and the
+    benchmark's framing replay. *)
+
 val next : decoder -> string list option
-(** The next complete message's segments, or [None] if more bytes are
-    needed or the stream is {!corrupt}. Total: never raises, whatever
-    bytes were fed. *)
+(** The next complete message's segments, each a fresh string, or
+    [None] if more bytes are needed or the stream is {!corrupt}.
+    Total: never raises, whatever bytes were fed. *)
+
+val next_sga : decoder -> Dk_mem.Sga.t option
+(** {!next} as one scatter-gather array: the message body is copied
+    once into a store of its own, and each segment is an unmanaged
+    {!Dk_mem.Buffer.view} of it. The store is never the backlog, so
+    the sga is unaffected by later fills. *)
 
 val corrupt : decoder -> bool
 (** Whether a header that cannot describe a message (a segment count
-    above 2{^16}, a negative length, lengths summing past [max_int], a
-    varint still unterminated after 9 bytes) has been seen. Sticky: once set, [next] returns [None] and [feed]
-    discards its input, so the owner must drop the stream. *)
+    above 2{^16}, a negative length, lengths summing past
+    {!max_message}, a varint still unterminated after 9 bytes) has
+    been seen. Sticky: once set, [next] and [next_sga] return [None],
+    and [feed] and [fill] discard their input, so the owner must drop
+    the stream. *)
 
 val buffered : decoder -> int
 (** Bytes held awaiting completion. *)

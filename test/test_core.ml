@@ -308,9 +308,10 @@ let tcp_close_propagates () =
 
 (* A peer whose stream no framing can describe costs only its own
    connection: the event loop returns, that connection's pop fails, and
-   the listener keeps serving. Two such streams: a segment count of
-   2^35 - 1, and a varint that ten 0x80 bytes leave unterminated (no
-   non-negative int needs more than nine). *)
+   the listener keeps serving. Three such streams: a segment count of
+   2^35 - 1, a varint that ten 0x80 bytes leave unterminated (no
+   non-negative int needs more than nine), and a header that declares
+   a 1 GiB segment, past [Framing.max_message], followed by filler. *)
 let tcp_bad_framing_aborts_one_conn () =
   let w = Setup.world Demikernel in
   let rejected () =
@@ -328,14 +329,78 @@ let tcp_bad_framing_aborts_one_conn () =
       let bad = Result.get_ok (Demi.accept w.server lqd) in
       Engine.run w.engine;
       check_bool "bad conn aborted" true (Demi.blocking_pop w.server bad = Types.Failed `Conn_aborted))
-    [ "\xff\xff\xff\xff\x0f"; String.make 10 '\x80' ];
+    [
+      "\xff\xff\xff\xff\x0f";
+      String.make 10 '\x80';
+      "\x01\x80\x80\x80\x80\x04" ^ String.make 4000 'f';
+    ];
   let qd = Result.get_ok (Demi.socket w.client `Tcp) in
   ignore (Demi.connect w.client qd ~dst:(Setup.endpoint w.b 7));
   let good = Result.get_ok (Demi.accept w.server lqd) in
   ignore (Demi.blocking_push w.client qd (sga_str "hello"));
   ignore (Demi.blocking_push w.server good (sga_str (expect_popped (Demi.blocking_pop w.server good))));
   check_str "healthy conn echoes" "hello" (expect_popped (Demi.blocking_pop w.client qd));
-  check_int "one rejection per bad stream" 2 (rejected () - r0)
+  check_int "one rejection per bad stream" 3 (rejected () - r0)
+
+(* Each popped message has a store of its own. Message 1 is popped and
+   kept while 40 messages of odd sizes, pushed back to back, make the
+   receiver's framing decoder grow and slide its backlog; message 1's
+   bytes stay as they were. Every popped sga then frees cleanly: with
+   the sanitizer armed (DK_SANITIZE=1, as under @sanitize) nothing is
+   reported, no token dangles and nothing leaks. Run over the bypass
+   stack and over the kernel fallback. *)
+let popped_message_keeps_its_store () =
+  let run client server dst =
+    let lqd = Result.get_ok (Demi.socket server `Tcp) in
+    ignore (Demi.bind server lqd ~port:9);
+    ignore (Demi.listen server lqd);
+    let qd = Result.get_ok (Demi.socket client `Tcp) in
+    ignore (Demi.connect client qd ~dst);
+    let sqd = Result.get_ok (Demi.accept server lqd) in
+    let first = [ "first"; ""; String.init 3001 (fun i -> Char.chr (i land 255)) ] in
+    ignore (Demi.blocking_push client qd (Sga.of_strings first));
+    let kept =
+      match Demi.blocking_pop server sqd with
+      | Types.Popped sga -> sga
+      | r -> Alcotest.failf "message 1: %a" Types.pp_op_result r
+    in
+    let sizes = List.init 40 (fun i -> 1 + (i * 7919 mod 20_000)) in
+    let (), reports =
+      Dk_mem.Dk_check.capture (fun () ->
+          let toks =
+            List.map
+              (fun n ->
+                Result.get_ok
+                  (Demi.push client qd (sga_str (String.make n 'z'))))
+              sizes
+          in
+          List.iter
+            (fun n ->
+              match Demi.blocking_pop server sqd with
+              | Types.Popped sga ->
+                  check_int "later message" n (Sga.length sga);
+                  Demi.sga_free server sga
+              | r -> Alcotest.failf "later message: %a" Types.pp_op_result r)
+            sizes;
+          List.iter (fun tok -> ignore (Demi.wait client tok)) toks;
+          check (Alcotest.list Alcotest.string) "message 1 unchanged" first
+            (List.map Dk_mem.Buffer.to_string (Sga.segments kept));
+          Demi.sga_free server kept)
+    in
+    check_int "no sanitizer reports" 0 (List.length reports);
+    let (dangling, leaks), _ =
+      Dk_mem.Dk_check.capture (fun () -> Demi.check_shutdown server)
+    in
+    check_int "no dangling tokens" 0 dangling;
+    check_int "no leaks" 0 (List.length leaks)
+  in
+  let w = Setup.world Demikernel in
+  run w.client w.server (Setup.endpoint w.b 9);
+  let w = Setup.world Kernel in
+  run
+    (Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.client ())
+    (Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.server ())
+    (Setup.endpoint w.b 9)
 
 let udp_queue_roundtrip () =
   let w = Setup.world Demikernel in
@@ -1072,6 +1137,8 @@ let () =
           Alcotest.test_case "close propagates" `Quick tcp_close_propagates;
           Alcotest.test_case "bad framing aborts one conn" `Quick
             tcp_bad_framing_aborts_one_conn;
+          Alcotest.test_case "popped message keeps its store" `Quick
+            popped_message_keeps_its_store;
           Alcotest.test_case "close listener" `Quick close_listener_fails_pending_accept;
           Alcotest.test_case "udp roundtrip" `Quick udp_queue_roundtrip;
           Alcotest.test_case "udp oversized push" `Quick udp_queue_oversized_push;

@@ -983,6 +983,48 @@ let framing_ignores_stale_bytes () =
   check_bool "count still incomplete" true (Framing.next d = None);
   check_int "partial count kept" 2 (Framing.buffered d)
 
+(* A frame header: the segment count, then one varint per length. *)
+let header lens =
+  let b = Stdlib.Buffer.create 16 in
+  Dk_util.Varint.write b (List.length lens);
+  List.iter (Dk_util.Varint.write b) lens;
+  Stdlib.Buffer.contents b
+
+(* Lengths may sum to [max_message]; one byte more, across segments,
+   is corrupt as soon as the header is read. *)
+let framing_message_bound () =
+  let d = Framing.create () in
+  Framing.feed d (header [ Framing.max_message ]);
+  check_bool "at the bound: waits for the body" true
+    (Framing.next d = None && not (Framing.corrupt d));
+  let d = Framing.create () in
+  Framing.feed d (header [ Framing.max_message; 1 ]);
+  check_bool "one byte past it: corrupt" true
+    (Framing.next d = None && Framing.corrupt d)
+
+(* The store cut gives each segment a view bounded by its own length:
+   no write through one segment reaches its neighbour. *)
+let framing_store_views_bounded () =
+  let d = Framing.create () in
+  Framing.feed d (Framing.encode [ "left"; "right" ]);
+  match Option.map Dk_mem.Sga.segments (Framing.next_sga d) with
+  | Some [ l; r ] ->
+      let module B = Dk_mem.Buffer in
+      B.fill l 'x';
+      Alcotest.check_raises "set past the end" (Invalid_argument "Buffer.set")
+        (fun () -> B.set l 4 'y');
+      Alcotest.check_raises "blit past the end"
+        (Invalid_argument "Buffer.blit_from_string") (fun () ->
+          B.blit_from_string "yy" 0 l 3 2);
+      Alcotest.check_raises "read before the start"
+        (Invalid_argument "Buffer.get") (fun () -> ignore (B.get r (-1)));
+      check_str "written segment" "xxxx" (B.to_string l);
+      check_str "neighbour untouched" "right" (B.to_string r);
+      Alcotest.check_raises "view past its store"
+        (Invalid_argument "Buffer.view") (fun () ->
+          ignore (B.view (Bytes.create 4) ~off:2 ~len:3))
+  | _ -> Alcotest.fail "expected two segments"
+
 (* Segments up to ~5 KB, chunks up to ~3 KB and a drain only after
    every [k]-th feed, so the decoder's backlog grows, wraps to the front
    and outgrows its buffer. *)
@@ -1029,24 +1071,31 @@ let framing_roundtrip_prop =
    prefix and a run of 0x80 bytes: an unterminated varint where a
    segment count or length starts. Eight such bytes may still be a
    short read; nine or more are corrupt, as no non-negative int needs
-   more. *)
+   more. Others follow it with a header that claims a 1 GiB segment and
+   then filler: the stream is corrupt once the header is in, and the
+   filler fed after it is never buffered. *)
 let framing_total_prop =
   QCheck.Test.make ~name:"framing decoder total and sticky" ~count:500
     QCheck.(
       triple (string_of_size Gen.(0 -- 80)) (int_bound 1000)
-        (option (pair (int_bound 2) (int_bound 16))))
+        (option (pair (int_bound 3) (int_bound 16))))
     (fun (bytes, seed, run) ->
-      let stream =
+      let head, tail =
         match run with
-        | None -> bytes
+        | None -> (bytes, "")
+        | Some (3, n) ->
+            ( Framing.encode [ bytes ] ^ header [ 1 lsl 30 ],
+              String.make (n * 512) 'f' )
         | Some (field, n) ->
-            Framing.encode [ bytes ]
-            ^ [| ""; "\x01"; "\x02\x03" |].(field)
-            ^ String.make n '\x80'
+            ( Framing.encode [ bytes ]
+              ^ [| ""; "\x01"; "\x02\x03" |].(field)
+              ^ String.make n '\x80',
+              "" )
       in
+      let stream = head ^ tail and lying = String.length head in
       let rng = Dk_sim.Rng.create (Int64.of_int seed) in
       let d = Framing.create () in
-      let sticky = ref true and pos = ref 0 in
+      let sticky = ref true and bounded = ref true and pos = ref 0 in
       let rec drain () =
         let was = Framing.corrupt d in
         match Framing.next d with
@@ -1055,17 +1104,115 @@ let framing_total_prop =
             drain ()
         | None -> sticky := !sticky && Framing.corrupt d >= was
       in
+      (* No chunk straddles the end of [head], so each step after it
+         feeds filler only. *)
+      let held = ref 0 in
       while !pos < String.length stream do
-        let n = min (1 + Dk_sim.Rng.int rng 9) (String.length stream - !pos) in
+        let limit = if !pos < lying then lying else String.length stream in
+        let n = min (1 + Dk_sim.Rng.int rng 9) (limit - !pos) in
         Framing.feed d (String.sub stream !pos n);
         pos := !pos + n;
-        drain ()
+        drain ();
+        if !pos = lying then held := Framing.buffered d;
+        if !pos > lying then bounded := !bounded && Framing.buffered d <= !held
       done;
       !sticky
       &&
       match run with
       | None -> true
+      | Some (3, _) -> Framing.corrupt d && !bounded
       | Some (_, n) -> Framing.corrupt d = (n >= 9))
+
+(* The receive path's in-place fill and store cut against [feed] and
+   [next], the string path, on one stream in the same splits: equal
+   messages, corrupt verdicts and backlogs at every step. Messages have
+   0-4 segments, empty ones included, up to 40 KiB in all; splits of
+   1-7 bytes land inside varints. Some streams have one byte
+   overwritten, or end in a header that declares too much, so both
+   paths meet corrupt input. The fill reserves more than it writes, and
+   sometimes its reader fails and writes nothing. The popped sgas are
+   compared only at the end, after every later fill, slide and growth
+   of the backlog. Shrinking inputs this large takes minutes, so a
+   failure prints the segment sizes and the rest of the input as found;
+   the printed qcheck seed reproduces it. *)
+let framing_fill_prop =
+  let sizes m =
+    String.concat "," (List.map (fun s -> string_of_int (String.length s)) m)
+  in
+  let show (messages, seed, flip, lying) =
+    Printf.sprintf "segment sizes %s, seed %d, flip %s, lying %b"
+      (String.concat " | " (List.map sizes messages))
+      seed
+      (match flip with Some (i, c) -> Printf.sprintf "%d:%C" i c | None -> "-")
+      lying
+  in
+  QCheck.Test.make ~name:"framing fill and store cut match feed and next"
+    ~count:200
+    QCheck.(
+      set_shrink Shrink.nil
+        (set_print show
+           (quad
+              (list_of_size Gen.(0 -- 8)
+                 (list_of_size Gen.(0 -- 4)
+                    (string_of_size Gen.(oneof [ 0 -- 20; 0 -- 10_240 ]))))
+              (int_bound 1000)
+              (option (pair small_nat char))
+              bool)))
+    (fun (messages, seed, flip, lying) ->
+      let stream =
+        Bytes.of_string
+          (String.concat "" (List.map Framing.encode messages)
+          ^ if lying then header [ Framing.max_message + 1 ] else "")
+      in
+      let len = Bytes.length stream in
+      (match flip with
+      | Some (i, c) when len > 0 -> Bytes.set stream (i mod len) c
+      | Some _ | None -> ());
+      let stream = Bytes.unsafe_to_string stream in
+      let rng = Dk_sim.Rng.create (Int64.of_int seed) in
+      let a = Framing.create () and b = Framing.create () in
+      let strings = ref [] and sgas = ref [] in
+      let rec drain () =
+        match (Framing.next a, Framing.next_sga b) with
+        | Some m, Some sga ->
+            strings := m :: !strings;
+            sgas := sga :: !sgas;
+            drain ()
+        | None, None -> true
+        | Some _, None | None, Some _ -> false
+      in
+      let copy (pos, n) buf off k =
+        assert (n <= k);
+        Bytes.blit_string stream pos buf off n;
+        Ok n
+      in
+      let agree = ref true and pos = ref 0 in
+      while !agree && !pos < len do
+        if Dk_sim.Rng.bool rng 0.1 then
+          agree :=
+            Framing.fill b 64 (fun () _ _ _ -> Error ()) () = Error ()
+            && Framing.buffered b = Framing.buffered a;
+        let chunk =
+          match Dk_sim.Rng.int rng 3 with
+          | 0 -> 1 + Dk_sim.Rng.int rng 7
+          | 1 -> 1 + Dk_sim.Rng.int rng 3000
+          | _ -> 1 + Dk_sim.Rng.int rng 20_000
+        in
+        let n = min chunk (len - !pos) in
+        Framing.feed a (String.sub stream !pos n);
+        let spare = Dk_sim.Rng.int rng 100 in
+        agree := !agree && Framing.fill b (n + spare) copy (!pos, n) = Ok n;
+        pos := !pos + n;
+        agree :=
+          !agree && drain ()
+          && Framing.corrupt a = Framing.corrupt b
+          && Framing.buffered a = Framing.buffered b
+      done;
+      let cut sga = List.map Dk_mem.Buffer.to_string (Dk_mem.Sga.segments sga) in
+      !agree
+      && List.map cut !sgas = !strings
+      && (Framing.corrupt a || flip <> None || lying
+         || List.rev !strings = messages))
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -1134,6 +1281,10 @@ let () =
           Alcotest.test_case "back to back" `Quick framing_back_to_back;
           Alcotest.test_case "empty segments" `Quick framing_empty_segments;
           Alcotest.test_case "stale bytes" `Quick framing_ignores_stale_bytes;
+          Alcotest.test_case "message bound" `Quick framing_message_bound;
+          Alcotest.test_case "store views bounded" `Quick
+            framing_store_views_bounded;
         ] );
-      qsuite "framing-props" [ framing_roundtrip_prop; framing_total_prop ];
+      qsuite "framing-props"
+        [ framing_roundtrip_prop; framing_total_prop; framing_fill_prop ];
     ]
