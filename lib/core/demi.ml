@@ -4,6 +4,7 @@ module Stack = Dk_net.Stack
 module Addr = Dk_net.Addr
 module Prog = Dk_device.Prog
 module Flight = Dk_obs.Flight
+module Itbl = Dk_util.Itbl
 
 type sock_meta = {
   proto : [ `Tcp | `Udp ];
@@ -23,14 +24,14 @@ type t = {
   tokens : Token.t;
   manager : Dk_mem.Manager.t;
   registry : Dk_mem.Registry.t;
-  qds : (Types.qd, Qimpl.t) Hashtbl.t;
-  socks : (Types.qd, sock_meta) Hashtbl.t;
+  qds : Qimpl.t Itbl.t;
+  socks : sock_meta Itbl.t;
   files : (string, file_meta) Hashtbl.t;
   (* device-offloaded filters: (udp port, payload-level predicate) *)
   mutable device_filters : (int * Prog.pred) list;
   (* device-offloaded rx pipelines: (udp port, payload-level stages) *)
   mutable device_pipelines : (int * Prog.pipeline) list;
-  offloaded : (Types.qd, unit) Hashtbl.t;
+  offloaded : unit Itbl.t;
   mutable next_qd : int;
   mutable next_file_lba : int;
   mutable next_udp_ephemeral : int;
@@ -85,12 +86,12 @@ let create ~engine ~cost ?stack ?posix ?rdma ?block
       tokens = Token.create ~audit:sanitize ~now:(fun () -> Engine.now engine) ();
       manager;
       registry;
-      qds = Hashtbl.create 64;
-      socks = Hashtbl.create 16;
+      qds = Itbl.create 64;
+      socks = Itbl.create 16;
       files = Hashtbl.create 8;
       device_filters = [];
       device_pipelines = [];
-      offloaded = Hashtbl.create 4;
+      offloaded = Itbl.create 4;
       next_qd = 1;
       next_file_lba = 0;
       next_udp_ephemeral = 40000;
@@ -138,23 +139,16 @@ let m_push_batched = Dk_obs.Metrics.counter "core.push.batched"
 
 (* "qd <qd> (<kind>) tok <tok>" *)
 let flight_op t kind qd impl tok =
-  if Flight.start Flight.default ~now:(Engine.now t.engine) kind then begin
-    Flight.add_string Flight.default "qd ";
-    Flight.add_int Flight.default qd;
-    Flight.add_string Flight.default " (";
-    Flight.add_string Flight.default impl.Qimpl.kind;
-    Flight.add_string Flight.default ") tok ";
-    Flight.add_int Flight.default tok;
-    Flight.commit Flight.default
-  end
+  Flight.record_qd_op Flight.default ~now:(Engine.now t.engine) kind ~qd
+    impl.Qimpl.kind ~tok
 
 let install t impl =
   let qd = t.next_qd in
   t.next_qd <- t.next_qd + 1;
-  Hashtbl.replace t.qds qd impl;
+  Itbl.replace t.qds qd impl;
   qd
 
-let lookup t qd = Hashtbl.find_opt t.qds qd
+let lookup t qd = Itbl.find_opt t.qds qd
 
 (* ---- memory ---- *)
 
@@ -284,19 +278,19 @@ let wait_all ?timeout t toks =
   (* The distinct tokens not yet seen done. Nothing is redeemed until
      every token is done — a partial set must stay waitable after a
      timeout. *)
-  let missing = Hashtbl.create 16 in
+  let missing = Itbl.create 16 in
   List.iter
     (fun tok ->
-      Hashtbl.replace missing tok ();
+      Itbl.replace missing tok ();
       Token.register t.tokens ws tok)
     toks;
-  let n = Hashtbl.length missing in
+  let n = Itbl.length missing in
   let rec ready t ws =
     match Token.take_ready t.tokens ws with
     | Some tok ->
-        Hashtbl.remove missing tok;
+        Itbl.remove missing tok;
         ready t ws
-    | None when Hashtbl.length missing > 0 -> None
+    | None when Itbl.length missing > 0 -> None
     | None ->
         Dk_obs.Metrics.add m_ready_hits n;
         Some
@@ -404,7 +398,7 @@ let socket t proto =
   | None, None -> Error `Not_supported
   | _ ->
       let qd = install t (Qimpl.not_supported t.tokens ~kind:"unbound-socket") in
-      Hashtbl.replace t.socks qd { proto; port = None; peer = ref None };
+      Itbl.replace t.socks qd { proto; port = None; peer = ref None };
       Ok qd
 
 let alloc_udp_port t =
@@ -420,11 +414,11 @@ let bind_udp t qd meta port =
       | Error `In_use -> Error `Not_supported
       | Ok impl ->
           meta.port <- Some port;
-          Hashtbl.replace t.qds qd impl;
+          Itbl.replace t.qds qd impl;
           Ok ())
 
 let bind t qd ~port =
-  match Hashtbl.find_opt t.socks qd with
+  match Itbl.find_opt t.socks qd with
   | None -> Error `Bad_qd
   | Some meta -> (
       if meta.port <> None then Error `Not_supported
@@ -436,7 +430,7 @@ let bind t qd ~port =
             Ok ())
 
 let listen t qd =
-  match Hashtbl.find_opt t.socks qd with
+  match Itbl.find_opt t.socks qd with
   | None -> Error `Bad_qd
   | Some meta -> (
       match (meta.proto, meta.port, t.stack, t.posix) with
@@ -445,7 +439,7 @@ let listen t qd =
           match Net_queue.listener ~tokens:t.tokens ~stack ~port ~register () with
           | Error `In_use -> Error `Not_supported
           | Ok impl ->
-              Hashtbl.replace t.qds qd impl;
+              Itbl.replace t.qds qd impl;
               Ok ())
       | `Tcp, Some port, None, Some posix -> (
           (* kernel-fallback listener *)
@@ -453,7 +447,7 @@ let listen t qd =
           match Posix_queue.listener ~tokens:t.tokens ~posix ~port ~register with
           | Error `In_use -> Error `Not_supported
           | Ok impl ->
-              Hashtbl.replace t.qds qd impl;
+              Itbl.replace t.qds qd impl;
               Ok ())
       | `Tcp, _, _, _ | `Udp, _, _, _ -> Error `Not_supported)
 
@@ -487,12 +481,12 @@ let posix_connect t qd posix ~dst =
       if not ok && not (Dk_kernel.Posix.connected posix fd) then Error `Refused
       else begin
         let impl = Posix_queue.of_fd ~tokens:t.tokens ~posix ~fd () in
-        Hashtbl.replace t.qds qd impl;
+        Itbl.replace t.qds qd impl;
         Ok ()
       end
 
 let connect t qd ~dst =
-  match (Hashtbl.find_opt t.socks qd, t.stack) with
+  match (Itbl.find_opt t.socks qd, t.stack) with
   | None, _ -> Error `Bad_qd
   | Some meta, None -> (
       match (meta.proto, t.posix) with
@@ -521,7 +515,7 @@ let connect t qd ~dst =
               | Some `Normal | None -> `Queue_closed)
           else begin
             let impl = Net_queue.of_conn ~tokens:t.tokens ~conn () in
-            Hashtbl.replace t.qds qd impl;
+            Itbl.replace t.qds qd impl;
             Ok ()
           end)
 
@@ -530,8 +524,8 @@ let close t qd =
   | None -> Error `Bad_qd
   | Some impl ->
       impl.Qimpl.close ();
-      Hashtbl.remove t.qds qd;
-      Hashtbl.remove t.socks qd;
+      Itbl.remove t.qds qd;
+      Itbl.remove t.socks qd;
       Ok ()
 
 (* ---- RDMA ---- *)
@@ -713,7 +707,7 @@ let rebuild_device_program t =
       ignore (Dk_device.Nic.set_rx_pipeline (Stack.nic stack) program)
 
 let try_offload_filter t qd pred =
-  match (t.stack, lookup t qd, Hashtbl.find_opt t.socks qd) with
+  match (t.stack, lookup t qd, Itbl.find_opt t.socks qd) with
   | Some stack, Some impl, Some { port = Some port; _ }
     when impl.Qimpl.kind = "udp"
          && Dk_device.Nic.programmable (Stack.nic stack) ->
@@ -732,12 +726,12 @@ let filter t qd pred =
              host, so the queue itself is the filtered queue. The socket
              identity (port, peer) moves to the new descriptor. *)
           let qd' = install t impl in
-          Hashtbl.replace t.offloaded qd' ();
-          Hashtbl.remove t.qds qd;
-          (match Hashtbl.find_opt t.socks qd with
+          Itbl.replace t.offloaded qd' ();
+          Itbl.remove t.qds qd;
+          (match Itbl.find_opt t.socks qd with
           | Some meta ->
-              Hashtbl.remove t.socks qd;
-              Hashtbl.replace t.socks qd' meta
+              Itbl.remove t.socks qd;
+              Itbl.replace t.socks qd' meta
           | None -> ());
           Ok qd'
       | None ->
@@ -831,10 +825,10 @@ let qconnect t ~src ~dst =
       Compose.qconnect ~tokens:t.tokens ~src:s ~dst:d;
       Ok ())
 
-let filter_offloaded t qd = Hashtbl.mem t.offloaded qd
+let filter_offloaded t qd = Itbl.mem t.offloaded qd
 
 let offload_udp_pipeline t qd stages =
-  match (t.stack, lookup t qd, Hashtbl.find_opt t.socks qd) with
+  match (t.stack, lookup t qd, Itbl.find_opt t.socks qd) with
   | _, None, _ -> Error `Bad_qd
   | Some stack, Some impl, Some { proto = `Udp; port = Some port; _ }
     when impl.Qimpl.kind = "udp"

@@ -9,28 +9,62 @@ let u32_to_string v =
   Bytes.set b 3 (Char.chr (v land 0xff));
   Bytes.unsafe_to_string b
 
-let u32_of_string s off =
-  (Char.code s.[off] lsl 24)
-  lor (Char.code s.[off + 1] lsl 16)
-  lor (Char.code s.[off + 2] lsl 8)
-  lor Char.code s.[off + 3]
-
 let seal_record payload =
   let crc = Int32.to_int (Dk_util.Crc32.digest_string payload) land 0xffffffff in
   u32_to_string (String.length payload) ^ payload ^ u32_to_string (crc land 0xffffffff)
 
-(* Parse one record at [off] in [raw]; [None] if incomplete,
-   [Some (Error ())] if corrupt. *)
-let parse_record raw off =
-  let avail = String.length raw - off in
+(* Fetched log bytes not yet parsed: [data.[lo, hi)] holds the log
+   from offset [at]. Parsing advances [lo] and [at]; an append that
+   does not fit slides the unparsed tail (less than one record plus
+   one fetch) to the front, and grows the store only when the tail
+   itself needs it. So reading a log back costs time linear in its
+   length. *)
+type cursor = {
+  mutable data : bytes;
+  mutable lo : int;
+  mutable hi : int;
+  mutable at : int;
+}
+
+let cursor () = { data = Bytes.create 4096; lo = 0; hi = 0; at = 0 }
+let avail c = c.hi - c.lo
+
+let append c s off len =
+  if c.hi + len > Bytes.length c.data then begin
+    let live = avail c in
+    let data =
+      if live + len <= Bytes.length c.data then c.data
+      else Bytes.create (Int.max (live + len) (2 * Bytes.length c.data))
+    in
+    Bytes.blit c.data c.lo data 0 live;
+    c.data <- data;
+    c.lo <- 0;
+    c.hi <- live
+  end;
+  Bytes.blit_string s off c.data c.hi len;
+  c.hi <- c.hi + len
+
+let skip c n =
+  c.lo <- c.lo + n;
+  c.at <- c.at + n
+
+(* The big-endian u32 [i] bytes past the cursor. *)
+let u32 c i =
+  Int32.to_int (Bytes.get_int32_be c.data (c.lo + i)) land 0xffffffff
+
+(* Parse one record at the cursor; [None] if incomplete,
+   [Some (Error ())] if corrupt. [Ok (payload, used)] does not consume
+   it. *)
+let parse_record c =
+  let avail = avail c in
   if avail < 4 then None
   else
-    let len = u32_of_string raw off in
+    let len = u32 c 0 in
     if len = 0 || len > 1 lsl 26 then Some (Error ())
     else if avail < 4 + len + 4 then None
     else
-      let payload = String.sub raw (off + 4) len in
-      let crc = u32_of_string raw (off + 4 + len) in
+      let payload = Bytes.sub_string c.data (c.lo + 4) len in
+      let crc = u32 c (4 + len) in
       let expect =
         Int32.to_int (Dk_util.Crc32.digest_string payload) land 0xffffffff
       in
@@ -54,8 +88,7 @@ type state = {
   mutable append_active : bool;
   (* reader *)
   mutable fed : int; (* bytes handed to the parser *)
-  raw : Stdlib.Buffer.t;
-  mutable parse_off : int;
+  raw : cursor;
   mutable fetching : bool;
   mutable corrupt : bool;
 }
@@ -73,14 +106,11 @@ let rec parse_loop st =
   if not st.corrupt then begin
     (* A zero length prefix is block-alignment padding (appends after
        recovery restart at a block boundary): skip to the boundary. *)
-    let raw_now = Stdlib.Buffer.contents st.raw in
-    if
-      String.length raw_now - st.parse_off >= 4
-      && u32_of_string raw_now st.parse_off = 0
-    then begin
-      let next_boundary = ((st.parse_off / st.bs) + 1) * st.bs in
-      if next_boundary <= String.length raw_now then begin
-        st.parse_off <- next_boundary;
+    let c = st.raw in
+    if avail c >= 4 && u32 c 0 = 0 then begin
+      let next_boundary = ((c.at / st.bs) + 1) * st.bs in
+      if next_boundary - c.at <= avail c then begin
+        skip c (next_boundary - c.at);
         parse_loop st
       end
     end
@@ -88,7 +118,7 @@ let rec parse_loop st =
   end
 
 and parse_payload st =
-    match parse_record (Stdlib.Buffer.contents st.raw) st.parse_off with
+    match parse_record st.raw with
     | None -> ()
     | Some (Error ()) ->
         (* CRC/framing mismatch: a torn or corrupted record. Surface it
@@ -96,7 +126,7 @@ and parse_payload st =
         st.corrupt <- true;
         Mailbox.fail st.mbox `Io_error
     | Some (Ok (payload, used)) ->
-        st.parse_off <- st.parse_off + used;
+        skip st.raw used;
         let decoder = Framing.create () in
         Framing.feed decoder payload;
         (match Framing.next_sga decoder with
@@ -120,7 +150,7 @@ and try_fetch st =
           let lo = st.fed mod st.bs in
           let hi = min st.bs (bound - (idx * st.bs)) in
           if hi > lo then begin
-            Stdlib.Buffer.add_string st.raw (String.sub data lo (hi - lo));
+            append st.raw data lo (hi - lo);
             st.fed <- st.fed + (hi - lo)
           end
       | Some _ | None ->
@@ -222,8 +252,7 @@ let create ~tokens ~engine ~disp ~base_lba ~capacity_blocks ?(existing_len = 0)
       pending_appends = Queue.create ();
       append_active = false;
       fed = 0;
-      raw = Stdlib.Buffer.create 4096;
-      parse_off = 0;
+      raw = cursor ();
       fetching = false;
       corrupt = false;
     }
@@ -244,9 +273,12 @@ let create ~tokens ~engine ~disp ~base_lba ~capacity_blocks ?(existing_len = 0)
     Qimpl.kind = "file";
     push =
       (fun sga tok ->
-        let record = seal_record (Framing.encode_sga sga) in
-        Queue.add (record, tok) st.pending_appends;
-        start_append st);
+        if Framing.fits sga then begin
+          let record = seal_record (Framing.encode_sga sga) in
+          Queue.add (record, tok) st.pending_appends;
+          start_append st
+        end
+        else Token.complete st.tokens tok (Types.Failed `Not_supported));
     pop =
       (fun tok ->
         Mailbox.pop st.mbox tok;
@@ -256,14 +288,13 @@ let create ~tokens ~engine ~disp ~base_lba ~capacity_blocks ?(existing_len = 0)
 
 let recover ~engine ~disp ~base_lba ~capacity_blocks k =
   ignore engine;
-  let raw = Stdlib.Buffer.create 4096 in
+  let raw = cursor () in
   let valid = ref 0 in
-  let off = ref 0 in
   let rec parse () =
-    match parse_record (Stdlib.Buffer.contents raw) !off with
+    match parse_record raw with
     | Some (Ok (_, used)) ->
-        off := !off + used;
-        valid := !off;
+        skip raw used;
+        valid := raw.at;
         parse ()
     | Some (Error ()) -> `Stop
     | None -> `More
@@ -274,16 +305,13 @@ let recover ~engine ~disp ~base_lba ~capacity_blocks k =
       let on_read (c : Block.completion) =
         match c.Block.data with
         | Some s when c.Block.status = `Ok -> (
-            Stdlib.Buffer.add_string raw s;
+            append raw s 0 (String.length s);
             match parse () with
             | `Stop -> k !valid
             | `More ->
                 (* Heuristic: an all-zero prefix after the valid tail
                    means we've reached unwritten space. *)
-                if
-                  Stdlib.Buffer.length raw >= !off + 4
-                  && u32_of_string (Stdlib.Buffer.contents raw) !off = 0
-                then k !valid
+                if avail raw >= 4 && u32 raw 0 = 0 then k !valid
                 else scan (idx + 1))
         | Some _ | None -> k !valid
       in

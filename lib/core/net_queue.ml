@@ -105,9 +105,12 @@ let of_conn ~tokens ~conn () =
       (fun sga tok ->
         match Tcp.state conn with
         | Tcp.Established | Tcp.Close_wait | Tcp.Syn_sent | Tcp.Syn_rcvd ->
-            let data = Framing.encode_sga sga in
-            Queue.add { data; cursor = 0; tok } st.txq;
-            pump_tx st
+            if Framing.fits sga then begin
+              let data = Framing.encode_sga sga in
+              Queue.add { data; cursor = 0; tok } st.txq;
+              pump_tx st
+            end
+            else Token.complete tokens tok (Types.Failed `Not_supported)
         | _ -> Token.complete tokens tok (Types.Failed `Queue_closed));
     pop = (fun tok -> Mailbox.pop st.mbox tok);
     close = (fun () -> Tcp.close conn);

@@ -112,10 +112,11 @@ let of_fd ~tokens ~posix ~fd () =
     push =
       (fun sga tok ->
         if st.closed then Token.complete tokens tok (Types.Failed `Queue_closed)
-        else begin
+        else if Framing.fits sga then begin
           Queue.add { data = Framing.encode_sga sga; cursor = 0; tok } st.txq;
           pump_tx st
-        end);
+        end
+        else Token.complete tokens tok (Types.Failed `Not_supported));
     pop = (fun tok -> Mailbox.pop st.mbox tok);
     close =
       (fun () ->

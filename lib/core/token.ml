@@ -1,5 +1,6 @@
 module Dk_check = Dk_mem.Dk_check
 module Flight = Dk_obs.Flight
+module Itbl = Dk_util.Itbl
 
 (* A wait set is the readiness FIFO for one waiter: completions of
    registered tokens enqueue the token here, so the waiter learns about
@@ -21,14 +22,14 @@ type audit_report = {
 }
 
 type t = {
-  table : (Types.qtoken, state) Hashtbl.t;
+  table : state Itbl.t;
   audit : bool;
   (* virtual clock, when the owner has one: lets completions land in the
      flight recorder with a timestamp. Never consumes simulated time. *)
   clock : (unit -> int64) option;
   (* tombstones for tokens consumed by a watch callback, so a later
      redeem/complete on them is diagnosable (audit mode only) *)
-  consumed : (Types.qtoken, unit) Hashtbl.t;
+  consumed : unit Itbl.t;
   mutable next : int;
   pending : Dk_obs.Metrics.gauge; (* instance of [g_outstanding] *)
   mutable double_completes : int;
@@ -43,10 +44,10 @@ let g_outstanding = Dk_obs.Metrics.gauge "core.token.outstanding"
 
 let create ?(audit = Dk_check.enabled_from_env ()) ?now () =
   {
-    table = Hashtbl.create 64;
+    table = Itbl.create 64;
     audit;
     clock = now;
-    consumed = Hashtbl.create (if audit then 64 else 1);
+    consumed = Itbl.create (if audit then 64 else 1);
     next = 1;
     pending = Dk_obs.Metrics.gauge_instance g_outstanding;
     double_completes = 0;
@@ -56,7 +57,7 @@ let create ?(audit = Dk_check.enabled_from_env ()) ?now () =
 let fresh t =
   let tok = t.next in
   t.next <- t.next + 1;
-  Hashtbl.replace t.table tok Pending;
+  Itbl.replace t.table tok Pending;
   Dk_obs.Metrics.incr m_minted;
   Dk_obs.Metrics.gauge_add t.pending 1;
   tok
@@ -65,12 +66,7 @@ let record_completion t tok =
   Dk_obs.Metrics.incr m_completed;
   Dk_obs.Metrics.gauge_add t.pending (-1);
   match t.clock with
-  | Some now ->
-      if Flight.start Flight.default ~now:(now ()) Flight.Completion then begin
-        Flight.add_string Flight.default "qtoken ";
-        Flight.add_int Flight.default tok;
-        Flight.commit Flight.default
-      end
+  | Some now -> Flight.record_qtoken Flight.default ~now:(now ()) tok
   | None -> ()
 
 let double_complete t tok =
@@ -86,26 +82,26 @@ let double_complete t tok =
   [@@hot.alloc "the double-complete diagnostic formats only on a misuse"]
 
 let complete t tok result =
-  match Hashtbl.find_opt t.table tok with
+  match Itbl.find_opt t.table tok with
   | Some Pending ->
-      Hashtbl.replace t.table tok (Done result);
+      Itbl.replace t.table tok (Done result);
       record_completion t tok
   | Some (Watched k) ->
-      Hashtbl.remove t.table tok;
-      if t.audit then Hashtbl.replace t.consumed tok ();
+      Itbl.remove t.table tok;
+      if t.audit then Itbl.replace t.consumed tok ();
       record_completion t tok;
       k result
   | Some (Queued ws) ->
-      Hashtbl.replace t.table tok (Done result);
+      Itbl.replace t.table tok (Done result);
       record_completion t tok;
       Queue.add tok ws.ready
   | Some (Done _) -> double_complete t tok
   | None ->
-      if t.audit && Hashtbl.mem t.consumed tok then double_complete t tok
+      if t.audit && Itbl.mem t.consumed tok then double_complete t tok
       else invalid_arg "Token.complete: unknown token"
 
 let status t tok =
-  match Hashtbl.find_opt t.table tok with
+  match Itbl.find_opt t.table tok with
   | Some (Pending | Watched _ | Queued _) -> `Pending
   | Some (Done _) -> `Done
   | None -> `Unknown
@@ -130,26 +126,26 @@ let redeem_watched t tok =
   [@@hot.alloc "the redeem-after-watch diagnostic formats only on a misuse"]
 
 let redeem t tok =
-  match Hashtbl.find_opt t.table tok with
+  match Itbl.find_opt t.table tok with
   | Some (Done r) ->
-      Hashtbl.remove t.table tok;
+      Itbl.remove t.table tok;
       Dk_obs.Metrics.incr m_redeemed;
       Some r
   | Some (Watched _) -> redeem_watched t tok
   | Some (Pending | Queued _) -> None
   | None ->
-      if t.audit && Hashtbl.mem t.consumed tok then redeem_watched t tok
+      if t.audit && Itbl.mem t.consumed tok then redeem_watched t tok
       else None
 
 let watch t tok k =
-  match Hashtbl.find_opt t.table tok with
+  match Itbl.find_opt t.table tok with
   (* A queued token may still be watched: the wait set simply never
      hears about it, exactly as a scanning waiter never saw a watched
      token's completion. *)
-  | Some (Pending | Queued _) -> Hashtbl.replace t.table tok (Watched k)
+  | Some (Pending | Queued _) -> Itbl.replace t.table tok (Watched k)
   | Some (Done r) ->
-      Hashtbl.remove t.table tok;
-      if t.audit then Hashtbl.replace t.consumed tok ();
+      Itbl.remove t.table tok;
+      if t.audit then Itbl.replace t.consumed tok ();
       k r
   | Some (Watched _) -> invalid_arg "Token.watch: already watched"
   | None -> invalid_arg "Token.watch: unknown token"
@@ -159,16 +155,16 @@ let outstanding t = Dk_obs.Metrics.gauge_value t.pending
 let waitset () = { ready = Queue.create () }
 
 let register t ws tok =
-  match Hashtbl.find_opt t.table tok with
-  | Some (Pending | Queued _) -> Hashtbl.replace t.table tok (Queued ws)
+  match Itbl.find_opt t.table tok with
+  | Some (Pending | Queued _) -> Itbl.replace t.table tok (Queued ws)
   | Some (Done _) -> Queue.add tok ws.ready
   (* Watched or unknown tokens never become ready: the waiter keeps
      polling without a hit. *)
   | Some (Watched _) | None -> ()
 
 let unregister t ws tok =
-  match Hashtbl.find_opt t.table tok with
-  | Some (Queued ws') when ws' == ws -> Hashtbl.replace t.table tok Pending
+  match Itbl.find_opt t.table tok with
+  | Some (Queued ws') when ws' == ws -> Itbl.replace t.table tok Pending
   | _ -> ()
 
 let rec take_ready t ws =
@@ -178,13 +174,13 @@ let rec take_ready t ws =
       (* Skip stale entries: a token already redeemed (or re-minted
          state changes) since it was enqueued must not produce a second
          wakeup. *)
-      match Hashtbl.find_opt t.table tok with
+      match Itbl.find_opt t.table tok with
       | Some (Done _) -> Some tok
       | _ -> take_ready t ws)
 
 let audit t =
   let dangling =
-    Dk_util.Det.fold_sorted ~compare
+    Itbl.fold_sorted
       (fun tok state acc ->
         match state with
         | Pending | Watched _ | Queued _ -> tok :: acc

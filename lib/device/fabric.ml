@@ -3,6 +3,7 @@ type stats = { delivered : int; lost : int; unrouted : int }
 module Fault = Dk_fault.Fault
 module Flight = Dk_obs.Flight
 module Metrics = Dk_obs.Metrics
+module Itbl = Dk_util.Itbl
 
 (* Class-wide obs instruments (aggregated across fabrics); each fabric
    counts into its own instances of them. *)
@@ -19,13 +20,13 @@ type t = {
   loss : float;
   jitter_ns : int64;
   rng : Dk_sim.Rng.t;
-  nics : (int, Nic.t) Hashtbl.t;
+  nics : Nic.t Itbl.t;
   (* Per (src,dst) last scheduled arrival: wire FIFO. Two levels of
      int-keyed tables rather than one keyed by the (src,dst) pair:
      tuple keys allocate on every lookup and hash polymorphically
      (dk-hot: hot-poly), and two 48-bit MACs don't pack into one
      immediate int. *)
-  last_arrival : (int, (int, int64) Hashtbl.t) Hashtbl.t;
+  last_arrival : int64 Itbl.t Itbl.t;
   (* MAC-sorted snapshot of [nics], rebuilt on attach: broadcast fan-out
      must not sort the live table once per frame (dk-hot:
      hot-complexity), and hash-order fan-out would perturb the event
@@ -45,8 +46,8 @@ let create ~engine ~cost ?(fault = Fault.create ()) ?(loss = 0.0)
     loss;
     jitter_ns;
     rng = Dk_sim.Rng.create seed;
-    nics = Hashtbl.create 8;
-    last_arrival = Hashtbl.create 16;
+    nics = Itbl.create 8;
+    last_arrival = Itbl.create 16;
     order = [||];
     delivered = Metrics.instance m_delivered;
     lost = Metrics.instance m_lost;
@@ -84,18 +85,18 @@ let deliver t ~src ~dst ~departed nic frame =
         arrival
       else begin
         let by_dst =
-          match Hashtbl.find_opt t.last_arrival src with
+          match Itbl.find_opt t.last_arrival src with
           | Some h -> h
           | None ->
-              let h = Hashtbl.create 8 in
-              Hashtbl.add t.last_arrival src h;
+              let h = Itbl.create 8 in
+              Itbl.add t.last_arrival src h;
               h
         in
         let floor =
-          match Hashtbl.find_opt by_dst dst with Some f -> f | None -> 0L
+          match Itbl.find_opt by_dst dst with Some f -> f | None -> 0L
         in
         let a = if Int64.compare arrival floor < 0 then floor else arrival in
-        Hashtbl.replace by_dst dst a;
+        Itbl.replace by_dst dst a;
         a
       end
     in
@@ -151,17 +152,19 @@ let rec bcast t ~src ~departed frame i =
 let send t ~src ~dst ~departed frame =
   if dst = broadcast then bcast t ~src ~departed frame 0
   else
-    match Hashtbl.find_opt t.nics dst with
+    match Itbl.find_opt t.nics dst with
     | Some nic -> deliver t ~src ~dst ~departed nic frame
     | None -> Metrics.incr t.unrouted
   [@@hot]
 
 let attach t nic =
   let mac = Nic.mac nic in
-  if Hashtbl.mem t.nics mac then invalid_arg "Fabric.attach: duplicate MAC";
-  Hashtbl.replace t.nics mac nic;
+  if Itbl.mem t.nics mac then invalid_arg "Fabric.attach: duplicate MAC";
+  Itbl.replace t.nics mac nic;
   t.order <-
-    Array.of_list (Dk_util.Det.bindings_sorted ~compare:Int.compare t.nics);
+    Array.of_list
+      (List.rev
+         (Itbl.fold_sorted (fun mac nic acc -> (mac, nic) :: acc) t.nics []));
   Nic.set_uplink nic (fun ~src ~dst ~departed frame ->
       send t ~src ~dst ~departed frame)
 

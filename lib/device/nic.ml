@@ -250,14 +250,9 @@ let enqueue_rx t frame =
     Metrics.incr t.rx_frames;
     Metrics.add t.rx_bytes (String.length frame);
     Metrics.gauge_add g_rx_pending 1;
-    if flight_start t Flight.Enqueue then begin
-      Flight.add_string Flight.default " rx ";
-      Flight.add_int Flight.default (String.length frame);
-      Flight.add_string Flight.default "B (ring ";
-      Flight.add_int Flight.default (Dk_util.Bqueue.length t.rxq);
-      Flight.add_string Flight.default ")";
-      Flight.commit Flight.default
-    end;
+    Flight.record_nic_rx Flight.default ~now:(Dk_sim.Engine.now t.engine)
+      ~mac:t.mac ~len:(String.length frame)
+      ~ring:(Dk_util.Bqueue.length t.rxq);
     t.rx_notify ()
   end
   else begin

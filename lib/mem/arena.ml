@@ -1,3 +1,5 @@
+module Itbl = Dk_util.Itbl
+
 type block = { offset : int; size : int; level : int }
 
 type t = {
@@ -6,7 +8,7 @@ type t = {
   min_block : int;
   levels : int; (* level 0 = whole region; level [levels-1] = min blocks *)
   free_lists : int list array; (* per level: offsets of free blocks *)
-  allocated : (int, int) Hashtbl.t; (* offset -> level, for double-free checks *)
+  allocated : int Itbl.t; (* offset -> level, for double-free checks *)
   mutable live : int;
 }
 
@@ -24,7 +26,15 @@ let create ?(min_block = 64) reg =
   let levels = log2 (total / min_block) + 1 in
   let free_lists = Array.make levels [] in
   free_lists.(0) <- [ 0 ];
-  { reg; total; min_block; levels; free_lists; allocated = Hashtbl.create 64; live = 0 }
+  {
+    reg;
+    total;
+    min_block;
+    levels;
+    free_lists;
+    allocated = Itbl.create 64;
+    live = 0;
+  }
   [@@hot.alloc
     "the per-level free lists and bookkeeping table are built once per \
      region, when it is mapped"]
@@ -75,7 +85,7 @@ let alloc t n =
       | None -> None
       | Some offset ->
           let size = block_size t level in
-          Hashtbl.replace t.allocated offset level;
+          Itbl.replace t.allocated offset level;
           t.live <- t.live + size;
           Some { offset; size; level })
   [@@hot.alloc
@@ -109,11 +119,11 @@ let rec insert_or_merge t level offset =
   [@@hot.alloc "buddy coalescing conses the merged block back onto its level"]
 
 let free t b =
-  (match Hashtbl.find_opt t.allocated b.offset with
+  (match Itbl.find_opt t.allocated b.offset with
   | Some level when level = b.level -> ()
   | Some _ | None ->
       invalid_arg "Arena.free: not an outstanding block (double free?)");
-  Hashtbl.remove t.allocated b.offset;
+  Itbl.remove t.allocated b.offset;
   t.live <- t.live - b.size;
   insert_or_merge t b.level b.offset
 

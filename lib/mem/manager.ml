@@ -10,6 +10,7 @@ type stats = {
 type leak = { leak_region : int; leak_off : int; leak_len : int }
 
 module Metrics = Dk_obs.Metrics
+module Itbl = Dk_util.Itbl
 
 type t = {
   initial_region_size : int;
@@ -21,7 +22,7 @@ type t = {
      int key, not a (region, offset) tuple — a tuple key would
      allocate and hash polymorphically on every sanitized alloc and
      free (dk-hot: hot-poly). Only populated when sanitizing. *)
-  live_allocs : (int, int) Hashtbl.t;
+  live_allocs : int Itbl.t;
   mutable arenas : Arena.t list;
   mutable next_region_id : int;
   region_bytes : Metrics.gauge;
@@ -61,7 +62,7 @@ let create ?(initial_region_size = 1 lsl 20) ?(max_total_bytes = 1 lsl 28)
     max_total_bytes;
     on_new_region;
     sanitize;
-    live_allocs = Hashtbl.create 16;
+    live_allocs = Itbl.create 16;
     arenas = [];
     next_region_id = 0;
     region_bytes = Metrics.gauge_instance g_region_bytes;
@@ -131,7 +132,7 @@ let wrap t arena (block : Arena.block) len =
   if t.sanitize then begin
     Bytes.fill store block.Arena.offset canary_len canary_byte;
     Bytes.fill store (data_off + len) canary_len canary_byte;
-    Hashtbl.replace t.live_allocs
+    Itbl.replace t.live_allocs
       (live_key ~region_id ~off:block.Arena.offset)
       len
   end;
@@ -145,7 +146,7 @@ let wrap t arena (block : Arena.block) len =
     | Some b when Buffer.was_deferred b -> Metrics.incr t.deferred_releases
     | Some _ | None -> ());
     if t.sanitize then begin
-      Hashtbl.remove t.live_allocs (live_key ~region_id ~off:block.Arena.offset);
+      Itbl.remove t.live_allocs (live_key ~region_id ~off:block.Arena.offset);
       check_canaries store ~region_id ~block_off:block.Arena.offset ~data_off
         ~len;
       (* Poison the whole block: stale reads through raw store access
@@ -240,7 +241,7 @@ let stats t =
 
 let check_leaks t =
   let leaks =
-    Dk_util.Det.fold_sorted ~compare:Int.compare
+    Itbl.fold_sorted
       (fun key leak_len acc ->
         {
           leak_region = key lsr 32;

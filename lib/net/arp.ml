@@ -1,4 +1,5 @@
 module Wire = Dk_util.Wire
+module Itbl = Dk_util.Itbl
 
 type op = Request | Reply
 
@@ -36,36 +37,36 @@ let decode b ~off ~len =
 
 module Table = struct
   type table = {
-    entries : (Addr.ip, Addr.mac) Hashtbl.t;
-    pending : (Addr.ip, (Addr.mac -> unit) list) Hashtbl.t;
+    entries : Addr.mac Itbl.t;
+    pending : (Addr.mac -> unit) list Itbl.t;
   }
 
-  let create () = { entries = Hashtbl.create 16; pending = Hashtbl.create 4 }
-  let lookup t ip = Hashtbl.find_opt t.entries ip
-  let insert t ip mac = Hashtbl.replace t.entries ip mac
+  let create () = { entries = Itbl.create 16; pending = Itbl.create 4 }
+  let lookup t ip = Itbl.find_opt t.entries ip
+  let insert t ip mac = Itbl.replace t.entries ip mac
 
   let enqueue_pending t ip k =
-    match Hashtbl.find_opt t.pending ip with
+    match Itbl.find_opt t.pending ip with
     | None ->
-        Hashtbl.replace t.pending ip [ k ];
+        Itbl.replace t.pending ip [ k ];
         true
     | Some ks ->
-        Hashtbl.replace t.pending ip (k :: ks);
+        Itbl.replace t.pending ip (k :: ks);
         false
 
   let resolve_pending t ip mac =
     insert t ip mac;
-    match Hashtbl.find_opt t.pending ip with
+    match Itbl.find_opt t.pending ip with
     | None -> 0
     | Some ks ->
-        Hashtbl.remove t.pending ip;
+        Itbl.remove t.pending ip;
         List.iter (fun k -> k mac) (List.rev ks);
         List.length ks
 
   let drop_pending t ip =
-    match Hashtbl.find_opt t.pending ip with
+    match Itbl.find_opt t.pending ip with
     | None -> 0
     | Some ks ->
-        Hashtbl.remove t.pending ip;
+        Itbl.remove t.pending ip;
         List.length ks
 end

@@ -5,6 +5,13 @@ let encode segments =
   List.iter (Stdlib.Buffer.add_string buf) segments;
   Stdlib.Buffer.contents buf
 
+let max_message = 1 lsl 24
+let max_segments = 1 lsl 16
+
+let fits sga =
+  Dk_mem.Sga.length sga <= max_message
+  && Dk_mem.Sga.segment_count sga <= max_segments
+
 let encode_sga sga =
   encode (List.map Dk_mem.Buffer.to_string (Dk_mem.Sga.segments sga))
 
@@ -68,8 +75,6 @@ let unterminated t off =
   if t.wr - off >= 9 then t.corrupt <- true;
   None
 
-let max_message = 1 lsl 24
-
 (* Decode [nsegs] segment lengths starting at [off]; toplevel so the
    per-message call allocates no closure environment. A negative or
    unterminated length, or lengths whose sum [total] passes
@@ -120,7 +125,7 @@ let decode t cut =
     match Dk_util.Varint.read t.buf t.rd ~stop:t.wr with
     | None -> unterminated t t.rd
     | Some (nsegs, used0) -> (
-        if nsegs < 0 || nsegs > 1 lsl 16 then begin
+        if nsegs < 0 || nsegs > max_segments then begin
           t.corrupt <- true;
           None
         end

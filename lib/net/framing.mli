@@ -12,6 +12,14 @@ val encode : string list -> string
 
 val encode_sga : Dk_mem.Sga.t -> string
 
+val fits : Dk_mem.Sga.t -> bool
+(** Whether the decoder accepts the message an sga frames into: a body
+    of at most {!max_message} bytes in at most 2{^16} segments. A peer
+    aborts the stream a message that does not fit arrives on, so the
+    TCP, POSIX and file queues check before framing and fail such a
+    push [`Not_supported], as a UDP queue fails a datagram too big to
+    send. *)
+
 type decoder
 
 val create : unit -> decoder

@@ -10,6 +10,7 @@ type listener = { on_accept : Tcp.conn -> unit }
 
 module Flight = Dk_obs.Flight
 module Metrics = Dk_obs.Metrics
+module Itbl = Dk_util.Itbl
 
 (* Class-wide obs instruments (aggregated across stacks); each stack
    counts its [stats] into its own instances of the first five. *)
@@ -38,8 +39,8 @@ type t = {
   ip : Addr.ip;
   tcp_config : Tcp.config;
   arp : Arp.Table.table;
-  udp_ports : (int, src:Addr.endpoint -> string -> unit) Hashtbl.t;
-  listeners : (int, listener) Hashtbl.t;
+  udp_ports : (src:Addr.endpoint -> string -> unit) Itbl.t;
+  listeners : listener Itbl.t;
   (* TCP demux, two levels of int-keyed tables: packed
      (local_port, remote_port) -> remote_ip -> conn. A single table
      keyed by the (local_port, remote_ip, remote_port) triple would
@@ -47,7 +48,7 @@ type t = {
      delivered segment (dk-hot: hot-poly). Ports are 16-bit so the pair
      packs into one immediate int; the remote IP keys the inner
      table. *)
-  conns : (int, (Addr.ip, Tcp.conn) Hashtbl.t) Hashtbl.t;
+  conns : Tcp.conn Itbl.t Itbl.t;
   mutable next_ephemeral : int;
   mutable next_ident : int;
   mutable iss_counter : int;
@@ -65,7 +66,7 @@ let mac t = Dk_device.Nic.mac t.nic
 let nic t = t.nic
 
 let connections t =
-  Hashtbl.fold (fun _ by_ip acc -> acc + Hashtbl.length by_ip) t.conns 0
+  Itbl.fold (fun _ by_ip acc -> acc + Itbl.length by_ip) t.conns 0
 
 let stats t =
   {
@@ -190,13 +191,13 @@ let send_ipv4 t ~dst_ip ~proto frame =
 (* ---- UDP ---- *)
 
 let udp_bind t ~port ~recv =
-  if Hashtbl.mem t.udp_ports port then Error `In_use
+  if Itbl.mem t.udp_ports port then Error `In_use
   else begin
-    Hashtbl.replace t.udp_ports port recv;
+    Itbl.replace t.udp_ports port recv;
     Ok ()
   end
 
-let udp_unbind t ~port = Hashtbl.remove t.udp_ports port
+let udp_unbind t ~port = Itbl.remove t.udp_ports port
 
 let udp_send t ~src_port ~dst payload =
   let n = String.length payload in
@@ -219,24 +220,24 @@ let next_iss t =
 let port_key ~local_port ~remote_port = (local_port lsl 16) lor remote_port
 
 let find_conn t ~local_port ~remote_ip ~remote_port =
-  match Hashtbl.find_opt t.conns (port_key ~local_port ~remote_port) with
-  | Some by_ip -> Hashtbl.find_opt by_ip remote_ip
+  match Itbl.find_opt t.conns (port_key ~local_port ~remote_port) with
+  | Some by_ip -> Itbl.find_opt by_ip remote_ip
   | None -> None
 
 let register_conn t ~local_port ~remote conn =
   let pk = port_key ~local_port ~remote_port:remote.Addr.port in
   let by_ip =
-    match Hashtbl.find_opt t.conns pk with
+    match Itbl.find_opt t.conns pk with
     | Some h -> h
     | None ->
-        let h = Hashtbl.create 4 in
-        Hashtbl.add t.conns pk h;
+        let h = Itbl.create 4 in
+        Itbl.add t.conns pk h;
         h
   in
-  Hashtbl.replace by_ip remote.Addr.ip conn;
+  Itbl.replace by_ip remote.Addr.ip conn;
   Tcp.set_internal_teardown conn (fun _ ->
-      match Hashtbl.find_opt t.conns pk with
-      | Some h -> Hashtbl.remove h remote.Addr.ip
+      match Itbl.find_opt t.conns pk with
+      | Some h -> Itbl.remove h remote.Addr.ip
       | None -> ())
 
 (* A data segment arrives in the frame TCP sized for it (payload at
@@ -250,19 +251,19 @@ let tcp_emit t ~remote_ip (seg : Tcp_wire.t) =
   send_ipv4 t ~dst_ip:remote_ip ~proto:Ipv4.Tcp frame
 
 let tcp_listen t ~port ~on_accept =
-  if Hashtbl.mem t.listeners port then Error `In_use
+  if Itbl.mem t.listeners port then Error `In_use
   else begin
-    Hashtbl.replace t.listeners port { on_accept };
+    Itbl.replace t.listeners port { on_accept };
     Ok ()
   end
 
-let tcp_unlisten t ~port = Hashtbl.remove t.listeners port
+let tcp_unlisten t ~port = Itbl.remove t.listeners port
 
 let alloc_ephemeral t =
   let start = t.next_ephemeral in
   let rec loop p =
     let candidate = 49152 + ((p - 49152) mod 16384) in
-    if Hashtbl.mem t.listeners candidate then loop (candidate + 1)
+    if Itbl.mem t.listeners candidate then loop (candidate + 1)
     else begin
       t.next_ephemeral <- candidate + 1;
       candidate
@@ -314,7 +315,7 @@ let handle_tcp t ~src_ip frame ~len =
        with
       | Some conn -> Tcp.segment_arrives conn seg
       | None -> (
-          match Hashtbl.find_opt t.listeners local_port with
+          match Itbl.find_opt t.listeners local_port with
           | Some l
             when seg.Tcp_wire.flags.Tcp_wire.syn
                  && not seg.Tcp_wire.flags.Tcp_wire.ack ->
@@ -359,7 +360,7 @@ let handle_udp t ~src_ip frame ~len =
   match Udp.decode ~src_ip ~dst_ip:t.ip frame ~off:l4_off ~len with
   | Error e -> decode_error t e
   | Ok { Udp.src_port; dst_port; payload_len } -> (
-      match Hashtbl.find_opt t.udp_ports dst_port with
+      match Itbl.find_opt t.udp_ports dst_port with
       | Some recv ->
           recv
             ~src:(Addr.endpoint src_ip src_port)
@@ -421,9 +422,9 @@ let create ~engine ~cost ~nic ~ip ?(tcp_config = Tcp.default_config)
       ip;
       tcp_config;
       arp = Arp.Table.create ();
-      udp_ports = Hashtbl.create 8;
-      listeners = Hashtbl.create 8;
-      conns = Hashtbl.create 32;
+      udp_ports = Itbl.create 8;
+      listeners = Itbl.create 8;
+      conns = Itbl.create 32;
       next_ephemeral = 49152;
       next_ident = 1;
       iss_counter = ip land 0xffff;

@@ -45,12 +45,39 @@ let kind_of_tag = function
 type entry = { at : int64; kind : kind; what : string }
 
 (* Wire format inside the byte ring, per entry:
-   [2B payload length, big-endian][8B timestamp][1B kind tag][label].
-   Eviction never reads the prefix back: each held entry's encoded size
-   also sits in a FIFO of ints, so making room is integer bookkeeping. *)
+   [2B payload length, big-endian][8B timestamp][1B tag][body].
+
+   A built entry ([start], the appenders, [commit]) has its kind's tag
+   and its label as the body. A typed entry ([record_qd_op],
+   [record_qtoken], [record_nic_rx]) has [shape * 16 + kind tag] and a
+   binary body: each number as a zigzag varint, the queue name as a
+   varint length and its bytes. Its label is rendered only when read
+   ([entries], [pp]).
+
+   Eviction follows each entry's rendered size: 11 bytes of header
+   plus the label, what the entry takes as a built entry. A varint is
+   never longer than the number's decimal or hex text and the label's
+   literals take no ring bytes, so a typed entry's ring bytes never
+   exceed its rendered size, and the ring never holds more bytes than
+   the rendered sizes it accounts for. [recorded], [evicted], [length]
+   and every label are what building the same label would give.
+
+   Eviction never reads the prefix back: each held entry's rendered
+   size and ring bytes sit packed in a FIFO of ints, so making room is
+   integer bookkeeping. *)
 let header_len = 2
 let payload_fixed = 9 (* timestamp + tag *)
 let label_off = header_len + payload_fixed
+
+(* A FIFO slot: rendered size above [ring_bits], ring bytes below. *)
+let ring_bits = 31
+let ring_mask = (1 lsl ring_bits) - 1
+
+(* Typed shapes; a tag below [shape_unit] is a built entry. *)
+let shape_unit = 16
+let shape_qd_op = 1
+let shape_qtoken = 2
+let shape_nic_rx = 3
 
 (* Widest rendered number: "-9223372036854775808" (%Ld of Int64.min_int). *)
 let num_width = 20
@@ -59,11 +86,12 @@ type t = {
   data : bytes;           (* the byte ring; [capacity] bytes *)
   capacity : int;
   mutable head : int;     (* offset of the oldest held entry *)
-  mutable used : int;     (* bytes held *)
-  sizes : int array;      (* each held entry's size, oldest at [first] *)
+  mutable used : int;     (* rendered bytes held *)
+  mutable held : int;     (* ring bytes held, from [head] *)
+  sizes : int array;      (* each held entry's sizes, oldest at [first] *)
   mutable first : int;
   entry : bytes;          (* the open entry, in wire format; [capacity] bytes *)
-  mutable pos : int;      (* end of the open entry's label so far *)
+  mutable pos : int;      (* end of the open entry's body so far *)
   num : bytes;            (* numbers render right-aligned here first *)
   mutable on : bool;
   mutable count : int;    (* entries currently held *)
@@ -74,12 +102,16 @@ type t = {
 let create ?(capacity = 64 * 1024) () =
   if capacity < label_off + 1 then
     invalid_arg "Flight.create: capacity too small for one entry";
+  if capacity > ring_mask then
+    invalid_arg "Flight.create: capacity must be below 2 GiB";
   {
     data = Bytes.create capacity;
     capacity;
     head = 0;
     used = 0;
-    (* an entry is at least [label_off] bytes, so this many never fill *)
+    held = 0;
+    (* an entry renders to at least [label_off] bytes, so this many never
+       fill *)
     sizes = Array.make ((capacity / label_off) + 1) 0;
     first = 0;
     entry = Bytes.create capacity;
@@ -105,23 +137,29 @@ let wrap i d n =
 
 let evict_one t =
   let size = t.sizes.(t.first) in
+  let ring = size land ring_mask in
   t.first <- wrap t.first 1 (Array.length t.sizes);
-  t.head <- wrap t.head size t.capacity;
-  t.used <- t.used - size;
+  t.head <- wrap t.head ring t.capacity;
+  t.held <- t.held - ring;
+  t.used <- t.used - (size lsr ring_bits);
   t.count <- t.count - 1;
   t.dropped <- t.dropped + 1
 
-(* An entry is built in [t.entry] by [start], the [add_*] appenders and
-   [commit], then copied into the ring: one blit, two when it wraps. Labels are
-   rendered by hand, so recording allocates nothing. A label longer
-   than the ring allows is cut at [capacity] bytes of entry. *)
+(* An entry is built in [t.entry] (by [start], the [add_*] appenders and
+   [commit], or by a typed [record_*]), then copied into the ring: one
+   blit, two when it wraps. Labels are rendered by hand, so recording
+   allocates nothing. A label longer than the ring allows is cut at
+   [capacity] bytes of entry. *)
+
+let open_entry t ~now tag =
+  Bytes.set_int64_be t.entry header_len now;
+  Bytes.set_uint8 t.entry (header_len + 8) tag;
+  t.pos <- label_off
 
 let start t ~now kind =
   t.on
   && begin
-       Bytes.set_int64_be t.entry header_len now;
-       Bytes.set_uint8 t.entry (header_len + 8) (kind_tag kind);
-       t.pos <- label_off;
+       open_entry t ~now (kind_tag kind);
        true
      end
 
@@ -179,23 +217,29 @@ let add_int64 t n =
     add_num t first
   end
 
-let commit t =
-  let need = t.pos in
-  Bytes.set_uint16_be t.entry 0 (need - header_len);
-  while t.capacity - t.used < need do
+(* Copy the open entry, [t.pos] ring bytes standing for [rendered]
+   bytes of accounting, into the ring. *)
+let push t rendered =
+  let ring = t.pos in
+  Bytes.set_uint16_be t.entry 0 (ring - header_len);
+  while t.capacity - t.used < rendered do
     evict_one t
   done;
-  let tail = wrap t.head t.used t.capacity in
+  let tail = wrap t.head t.held t.capacity in
   let first = t.capacity - tail in
-  if need <= first then Bytes.blit t.entry 0 t.data tail need
+  if ring <= first then Bytes.blit t.entry 0 t.data tail ring
   else begin
     Bytes.blit t.entry 0 t.data tail first;
-    Bytes.blit t.entry first t.data 0 (need - first)
+    Bytes.blit t.entry first t.data 0 (ring - first)
   end;
-  t.sizes.(wrap t.first t.count (Array.length t.sizes)) <- need;
-  t.used <- t.used + need;
+  t.sizes.(wrap t.first t.count (Array.length t.sizes)) <-
+    (rendered lsl ring_bits) lor ring;
+  t.used <- t.used + rendered;
+  t.held <- t.held + ring;
   t.count <- t.count + 1;
   t.total <- t.total + 1
+
+let commit t = push t t.pos
 
 let record t ~now kind what =
   if start t ~now kind then begin
@@ -203,8 +247,142 @@ let record t ~now kind what =
     commit t
   end
 
+(* ---- typed entries ---- *)
+
+(* Length of [n]'s [%d] text; counting on [n <= 0] keeps [min_int] in
+   range. *)
+let rec neg_digits n acc =
+  if n <= -10 then neg_digits (n / 10) (acc + 1) else acc
+
+let dec_len n = if n < 0 then neg_digits n 2 else neg_digits (-n) 1
+
+(* Length of [n]'s [%x] text. *)
+let rec hex_len n acc =
+  let n = n lsr 4 in
+  if n = 0 then acc else hex_len n (acc + 1)
+
+(* [v] as a varint: 7 bits per byte, low group first, of its 63 bits
+   read unsigned; at most 9 bytes. *)
+let rec put_varint t v =
+  if v lsr 7 = 0 then begin
+    Bytes.unsafe_set t.entry t.pos (Char.unsafe_chr v);
+    t.pos <- t.pos + 1
+  end
+  else begin
+    Bytes.unsafe_set t.entry t.pos (Char.unsafe_chr (v land 0x7f lor 0x80));
+    t.pos <- t.pos + 1;
+    put_varint t (v lsr 7)
+  end
+
+(* Zigzag first, so a small negative number stays short. *)
+let put_int t n = put_varint t ((n lsl 1) lxor (n asr 62))
+
+(* A typed label that does not fit the ring whole is built with the
+   appenders instead, so it is cut as any label. *)
+
+let record_qd_op t ~now kind ~qd name ~tok =
+  if t.on then begin
+    let len = String.length name in
+    (* 11: the literals "qd ", " (" and ") tok " *)
+    let rendered = label_off + 11 + dec_len qd + len + dec_len tok in
+    if rendered <= t.capacity then begin
+      open_entry t ~now ((shape_qd_op * shape_unit) + kind_tag kind);
+      put_int t qd;
+      put_varint t len;
+      Bytes.blit_string name 0 t.entry t.pos len;
+      t.pos <- t.pos + len;
+      put_int t tok;
+      push t rendered
+    end
+    else begin
+      open_entry t ~now (kind_tag kind);
+      add_string t "qd ";
+      add_int t qd;
+      add_string t " (";
+      add_string t name;
+      add_string t ") tok ";
+      add_int t tok;
+      commit t
+    end
+  end
+
+let record_qtoken t ~now tok =
+  if t.on then begin
+    let rendered = label_off + 7 (* "qtoken " *) + dec_len tok in
+    if rendered <= t.capacity then begin
+      open_entry t ~now ((shape_qtoken * shape_unit) + kind_tag Completion);
+      put_int t tok;
+      push t rendered
+    end
+    else begin
+      open_entry t ~now (kind_tag Completion);
+      add_string t "qtoken ";
+      add_int t tok;
+      commit t
+    end
+  end
+
+let record_nic_rx t ~now ~mac ~len ~ring =
+  if t.on then begin
+    (* 17: the literals "nic ", " rx ", "B (ring " and ")" *)
+    let rendered =
+      label_off + 17 + hex_len mac 1 + dec_len len + dec_len ring
+    in
+    if rendered <= t.capacity then begin
+      open_entry t ~now ((shape_nic_rx * shape_unit) + kind_tag Enqueue);
+      put_int t mac;
+      put_int t len;
+      put_int t ring;
+      push t rendered
+    end
+    else begin
+      open_entry t ~now (kind_tag Enqueue);
+      add_string t "nic ";
+      add_hex t mac;
+      add_string t " rx ";
+      add_int t len;
+      add_string t "B (ring ";
+      add_int t ring;
+      add_string t ")";
+      commit t
+    end
+  end
+
+(* ---- reading ---- *)
+
+(* The varint at [off]: its value and the offset after it. *)
+let get_varint buf off =
+  let rec go off shift acc =
+    let b = Bytes.get_uint8 buf off in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then (acc, off + 1) else go (off + 1) (shift + 7) acc
+  in
+  go off 0 0
+
+let get_int buf off =
+  let v, off = get_varint buf off in
+  ((v lsr 1) lxor -(v land 1), off)
+
+(* A typed body's label. Reading is cold, so [Printf] renders it, and
+   an entry still open in [t.entry] is left alone. *)
+let render_typed shape buf off =
+  if shape = shape_qd_op then begin
+    let qd, off = get_int buf off in
+    let len, off = get_varint buf off in
+    let tok, _ = get_int buf (off + len) in
+    Printf.sprintf "qd %d (%s) tok %d" qd (Bytes.sub_string buf off len) tok
+  end
+  else if shape = shape_qtoken then
+    Printf.sprintf "qtoken %d" (fst (get_int buf off))
+  else begin
+    let mac, off = get_int buf off in
+    let len, off = get_int buf off in
+    let ring, _ = get_int buf off in
+    Printf.sprintf "nic %x rx %dB (ring %d)" mac len ring
+  end
+
 let entries t =
-  let len = t.used in
+  let len = t.held in
   let buf = Bytes.create (Int.max 1 len) in
   let first = Int.min len (t.capacity - t.head) in
   Bytes.blit t.data t.head buf 0 first;
@@ -216,11 +394,13 @@ let entries t =
       if off + header_len + plen > len then List.rev acc
       else
         let at = Bytes.get_int64_be buf (off + header_len) in
-        let kind = kind_of_tag (Bytes.get_uint8 buf (off + header_len + 8)) in
+        let tag = Bytes.get_uint8 buf (off + header_len + 8) in
+        let kind = kind_of_tag (tag mod shape_unit) in
+        let body = off + label_off in
         let what =
-          Bytes.sub_string buf
-            (off + header_len + payload_fixed)
-            (plen - payload_fixed)
+          if tag < shape_unit then
+            Bytes.sub_string buf body (plen - payload_fixed)
+          else render_typed (tag / shape_unit) buf body
         in
         parse (off + header_len + plen) ({ at; kind; what } :: acc)
     end
@@ -234,6 +414,7 @@ let evicted t = t.dropped
 let clear t =
   t.head <- 0;
   t.used <- 0;
+  t.held <- 0;
   t.first <- 0;
   t.count <- 0;
   t.total <- 0;

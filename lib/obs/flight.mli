@@ -4,8 +4,10 @@
 
     Entries are length-prefixed records packed into a byte ring; when
     the ring fills, the oldest entries are evicted, so memory use is
-    bounded by [capacity] bytes regardless of event rate. Dump it on demand ({!pp}) or wire it to
-    sanitizer violations:
+    bounded by [capacity] bytes regardless of event rate. Eviction
+    counts each entry at its rendered size (11 bytes plus the label),
+    whatever its encoding in the ring. Dump it on demand ({!pp}) or
+    wire it to sanitizer violations:
 
     {[ Dk_check.set_sink (fun _ _ -> Format.eprintf "%a" Flight.pp Flight.default) ]}
 
@@ -32,8 +34,9 @@ type entry = { at : int64; kind : kind; what : string }
 type t
 
 val create : ?capacity:int -> unit -> t
-(** [capacity] is in bytes of encoded entries (default 64 KiB).
-    @raise Invalid_argument if too small to hold a single entry. *)
+(** [capacity] is in bytes of rendered entries (default 64 KiB).
+    @raise Invalid_argument if too small to hold a single entry, or
+    not below 2 GiB. *)
 
 val default : t
 (** Process-wide recorder the built-in instrumentation writes to. *)
@@ -85,8 +88,31 @@ val commit : t -> unit
 (** Write the open entry into the ring (evicting the oldest as
     needed). *)
 
+(** {2 Typed per-operation entries}
+
+    The datapath records one entry per queue operation, completion and
+    received frame. Each of these three shapes has one call, which
+    stores the label's numbers and name in binary and renders the
+    label only when it is read ({!entries}, {!pp}). Every observable
+    — labels, {!length}, {!recorded}, {!evicted} — is what building
+    the same label with {!start}, the appenders and {!commit} gives.
+    No-ops when disabled. *)
+
+val record_qd_op :
+  t -> now:int64 -> kind -> qd:int -> string -> tok:int -> unit
+(** [record_qd_op t ~now kind ~qd name ~tok] records [kind] labelled
+    like [Printf.sprintf "qd %d (%s) tok %d" qd name tok]. *)
+
+val record_qtoken : t -> now:int64 -> int -> unit
+(** A [Completion] labelled like [Printf.sprintf "qtoken %d"]. *)
+
+val record_nic_rx : t -> now:int64 -> mac:int -> len:int -> ring:int -> unit
+(** An [Enqueue] labelled like
+    [Printf.sprintf "nic %x rx %dB (ring %d)" mac len ring]. *)
+
 val entries : t -> entry list
-(** Oldest first. Non-destructive. *)
+(** Oldest first. Non-destructive: it may run, as {!pp} may, while an
+    entry is open between {!start} and {!commit}. *)
 
 val length : t -> int
 (** Entries currently held. *)

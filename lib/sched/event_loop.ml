@@ -1,5 +1,6 @@
 module Demi = Demikernel.Demi
 module Types = Demikernel.Types
+module Itbl = Dk_util.Itbl
 
 (* [k] is the queue's pop continuation: built once when the queue is
    first watched and kept here, so re-arming a pop allocates only the
@@ -13,23 +14,23 @@ type watch_state = {
 
 type t = {
   demi : Demi.t;
-  watches : (Types.qd, watch_state) Hashtbl.t;
+  watches : watch_state Itbl.t;
 }
 
-let create demi = { demi; watches = Hashtbl.create 16 }
+let create demi = { demi; watches = Itbl.create 16 }
 
 let state t qd =
-  match Hashtbl.find_opt t.watches qd with
+  match Itbl.find_opt t.watches qd with
   | Some st -> st
   | None ->
       let st = { qd; active = true; close_cb = ignore; k = ignore } in
-      Hashtbl.replace t.watches qd st;
+      Itbl.replace t.watches qd st;
       st
 
 let closed t st err =
   if st.active then begin
     st.active <- false;
-    Hashtbl.remove t.watches st.qd;
+    Itbl.remove t.watches st.qd;
     st.close_cb err
   end
 
@@ -72,17 +73,17 @@ let send t qd sga =
   match Demi.push t.demi qd sga with
   | Ok tok -> Demi.watch t.demi tok (fun _ -> ())
   | Error e -> (
-      match Hashtbl.find_opt t.watches qd with
+      match Itbl.find_opt t.watches qd with
       | Some st -> closed t st e
       | None -> ())
 
 let unwatch t qd =
-  match Hashtbl.find_opt t.watches qd with
+  match Itbl.find_opt t.watches qd with
   | Some st ->
       st.active <- false;
-      Hashtbl.remove t.watches qd
+      Itbl.remove t.watches qd
   | None -> ()
 
 let run t ~until = Dk_sim.Engine.run_until (Demi.engine t.demi) until
 
-let watched t = Hashtbl.length t.watches
+let watched t = Itbl.length t.watches

@@ -8,16 +8,12 @@
     instead. dk-shard's [det-source] rule flags direct hash-order
     iteration reachable from the datapath and exempts [Det]. *)
 
-val bindings_sorted :
-  compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list
-(** All bindings, sorted by key. With duplicate keys (from
-    [Hashtbl.add] shadowing), relative order of equal keys is
-    unspecified but stable for a given table state. *)
-
 val iter_sorted :
   compare:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
 (** [iter_sorted ~compare f tbl] applies [f] to every binding in
-    ascending key order. *)
+    ascending key order. With duplicate keys (from [Hashtbl.add]
+    shadowing), relative order of equal keys is unspecified but stable
+    for a given table state. *)
 
 val fold_sorted :
   compare:('k -> 'k -> int) ->

@@ -431,6 +431,37 @@ let udp_queue_oversized_push () =
     (Demi.blocking_push w.client qd (sga_str (String.make 65_508 'b'))
     = Types.Failed `Not_supported)
 
+(* A message longer than [Framing.max_message] would make the
+   receiving libOS abort the connection. The push is refused whole
+   instead, as an oversized UDP push is, and the connection stays
+   usable. Over the bypass stack and the kernel fallback. *)
+let oversized_message = lazy (sga_str (String.make (Dk_net.Framing.max_message + 1) 'x'))
+
+let tcp_oversized_push_refused () =
+  let run client server dst =
+    let lqd = Result.get_ok (Demi.socket server `Tcp) in
+    ignore (Demi.bind server lqd ~port:9);
+    ignore (Demi.listen server lqd);
+    let qd = Result.get_ok (Demi.socket client `Tcp) in
+    ignore (Demi.connect client qd ~dst);
+    let sqd = Result.get_ok (Demi.accept server lqd) in
+    check_bool "max_message + 1 B refused" true
+      (Demi.blocking_push client qd (Lazy.force oversized_message)
+      = Types.Failed `Not_supported);
+    let small = String.make 64 'p' in
+    check_bool "64 B pushed" true
+      (Demi.blocking_push client qd (sga_str small) = Types.Pushed);
+    check_str "64 B round-trips" small
+      (expect_popped (Demi.blocking_pop server sqd))
+  in
+  let w = Setup.world Demikernel in
+  run w.client w.server (Setup.endpoint w.b 9);
+  let w = Setup.world Kernel in
+  run
+    (Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.client ())
+    (Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.server ())
+    (Setup.endpoint w.b 9)
+
 let close_listener_fails_pending_accept () =
   let w = Setup.world Demikernel in
   let lqd = Result.get_ok (Demi.socket w.server `Tcp) in
@@ -765,6 +796,47 @@ let file_queue_append_after_recovery () =
   ignore (Demi.blocking_push demi qd2 (sga_str "new"));
   check_str "old first" "old" (expect_popped (Demi.blocking_pop demi qd2));
   check_str "then new" "new" (expect_popped (Demi.blocking_pop demi qd2))
+
+(* Reading a log back parses from a cursor over the fetched bytes:
+   popping twice the records allocates about twice as much, not four
+   times. Counted in words allocated on both heaps, because the copies
+   that made it quadratic were too large for the minor heap. *)
+let file_queue_readback_linear () =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let pop_words n =
+    let _, demi = demi_with_block () in
+    let qd = Result.get_ok (Demi.fcreate demi "lin") in
+    let record = String.make 100 'r' in
+    for _ = 1 to n do
+      ignore (Demi.blocking_push demi qd (sga_str record))
+    done;
+    let before = words () in
+    for _ = 1 to n do
+      ignore (expect_popped (Demi.blocking_pop demi qd))
+    done;
+    words () -. before
+  in
+  let one = pop_words 1000 and two = pop_words 2000 in
+  check_bool
+    (Printf.sprintf "2,000 pops (%.0f words) within 2.5x of 1,000 (%.0f)" two
+       one)
+    true
+    (two <= 2.5 *. one)
+
+(* The file queue frames its records too: an oversized push is refused
+   before anything reaches the log. *)
+let file_queue_oversized_push_refused () =
+  let _, demi = demi_with_block () in
+  let qd = Result.get_ok (Demi.fcreate demi "big") in
+  check_bool "max_message + 1 B refused" true
+    (Demi.blocking_push demi qd (Lazy.force oversized_message)
+    = Types.Failed `Not_supported);
+  ignore (Demi.blocking_push demi qd (sga_str "after"));
+  check_str "next record round-trips" "after"
+    (expect_popped (Demi.blocking_pop demi qd))
 
 let fopen_unknown_fails () =
   let _, demi = demi_with_block () in
@@ -1142,6 +1214,8 @@ let () =
           Alcotest.test_case "close listener" `Quick close_listener_fails_pending_accept;
           Alcotest.test_case "udp roundtrip" `Quick udp_queue_roundtrip;
           Alcotest.test_case "udp oversized push" `Quick udp_queue_oversized_push;
+          Alcotest.test_case "tcp oversized push" `Quick
+            tcp_oversized_push_refused;
           Alcotest.test_case "wait_any server loop" `Quick wait_any_server_loop;
           Alcotest.test_case "posix fallback boundaries" `Quick
             posix_fallback_preserves_boundaries;
@@ -1173,6 +1247,10 @@ let () =
           Alcotest.test_case "recovery" `Quick file_queue_recovery;
           Alcotest.test_case "append after recovery" `Quick file_queue_append_after_recovery;
           Alcotest.test_case "fopen unknown" `Quick fopen_unknown_fails;
+          Alcotest.test_case "oversized push" `Quick
+            file_queue_oversized_push_refused;
+          Alcotest.test_case "read-back linear" `Quick
+            file_queue_readback_linear;
         ] );
       qsuite_core "core-props"
         [

@@ -1000,7 +1000,21 @@ let framing_message_bound () =
   let d = Framing.create () in
   Framing.feed d (header [ Framing.max_message; 1 ]);
   check_bool "one byte past it: corrupt" true
-    (Framing.next d = None && Framing.corrupt d)
+    (Framing.next d = None && Framing.corrupt d);
+  (* the sender checks the same bounds before it frames *)
+  let store = Bytes.create (Framing.max_message + 1) in
+  let sga lens =
+    Dk_mem.Sga.of_buffers
+      (List.map (fun len -> Dk_mem.Buffer.view store ~off:0 ~len) lens)
+  in
+  check_bool "max_message bytes fit" true
+    (Framing.fits (sga [ Framing.max_message ]));
+  check_bool "one byte more does not" false
+    (Framing.fits (sga [ Framing.max_message; 1 ]));
+  check_bool "2^16 segments fit" true
+    (Framing.fits (sga (List.init (1 lsl 16) (fun _ -> 1))));
+  check_bool "one segment more does not" false
+    (Framing.fits (sga (List.init ((1 lsl 16) + 1) (fun _ -> 1))))
 
 (* The store cut gives each segment a view bounded by its own length:
    no write through one segment reaches its neighbour. *)

@@ -434,31 +434,56 @@ let flight_appenders_match_printf =
       | [ e ] -> e.F.what = Printf.sprintf "%d|%x|%Ld|%s" d x ld s
       | _ -> false)
 
-(* The recorder against a list model of held entries and their encoded
-   sizes: 11 header bytes plus the label, cut so the entry fits the
-   ring; a commit evicts the oldest until the new entry fits. Random
-   capacities and label lengths reach near-capacity and truncated
-   labels; some labels are built in two appends. *)
+(* The recorder against a list model of held entries and their
+   rendered sizes: 11 header bytes plus the label, cut so the entry fits
+   the ring; a commit evicts the oldest until the new entry fits.
+   Random capacities and label lengths reach near-capacity and
+   truncated labels; some labels are built in two appends. *)
 let flight_kinds =
   [| F.Enqueue; F.Dequeue; F.Push; F.Pop; F.Completion; F.Drop;
      F.Retransmit; F.Wakeup; F.Mark |]
+
+type flight_model = {
+  capacity : int;
+  mutable held : (F.entry * int) list;
+  mutable used : int;
+  mutable m_recorded : int;
+  mutable m_evicted : int;
+}
+
+let flight_model capacity =
+  { capacity; held = []; used = 0; m_recorded = 0; m_evicted = 0 }
+
+(* Record [label] in the model and check the recorder against it. *)
+let model_records m f ~at kind label =
+  let what =
+    String.sub label 0 (Int.min (String.length label) (m.capacity - 11))
+  in
+  let size = 11 + String.length what in
+  let rec make_room () =
+    match m.held with
+    | (_, s) :: rest when m.capacity - m.used < size ->
+        m.held <- rest;
+        m.used <- m.used - s;
+        m.m_evicted <- m.m_evicted + 1;
+        make_room ()
+    | _ -> ()
+  in
+  make_room ();
+  m.held <- m.held @ [ ({ F.at; kind; what }, size) ];
+  m.used <- m.used + size;
+  m.m_recorded <- m.m_recorded + 1;
+  F.recorded f = m.m_recorded
+  && F.evicted f = m.m_evicted
+  && F.length f = List.length m.held
+  && F.entries f = List.map fst m.held
 
 let flight_matches_model =
   QCheck.Test.make ~name:"commits match a list model" ~count:300
     QCheck.(pair (int_range 12 400) (small_list (pair (int_bound 450) bool)))
     (fun (capacity, script) ->
       let f = F.create ~capacity () in
-      let held = ref [] and used = ref 0 in
-      let recorded = ref 0 and evicted = ref 0 in
-      let rec make_room need =
-        match !held with
-        | (_, size) :: rest when capacity - !used < need ->
-            held := rest;
-            used := !used - size;
-            incr evicted;
-            make_room need
-        | _ -> ()
-      in
+      let m = flight_model capacity in
       List.for_all
         (fun (i, (len, split)) ->
           let at = Int64.of_int ((i * 7919) - 3000) in
@@ -472,21 +497,91 @@ let flight_matches_model =
             end
           end
           else F.record f ~now:at kind label;
-          let what = String.sub label 0 (Int.min len (capacity - 11)) in
-          let size = 11 + String.length what in
-          make_room size;
-          held := !held @ [ ({ F.at; kind; what }, size) ];
-          used := !used + size;
-          incr recorded;
-          F.recorded f = !recorded
-          && F.evicted f = !evicted
-          && F.length f = List.length !held
-          && F.entries f = List.map fst !held)
+          model_records m f ~at kind label)
+        (List.mapi (fun i x -> (i, x)) script))
+
+(* The typed calls store numbers and names in binary and render on
+   read: mixed with built entries, every label must be Printf's and
+   every count the model's, also when a typed label does not fit the
+   ring whole and is cut. *)
+type flight_step =
+  | Built of int
+  | Qd_op of bool * int * string * int
+  | Qtoken of int
+  | Nic_rx of int * int * int
+
+let flight_step_gen =
+  let open QCheck.Gen in
+  let edge = oneof [ QCheck.gen edge_int; small_signed_int ] in
+  let name =
+    oneof
+      [
+        oneofl [ "tcp"; "udp"; "merge(tcp,udp)"; ""; "file" ];
+        string_size (0 -- 300);
+      ]
+  in
+  frequency
+    [
+      (1, map (fun n -> Built n) (int_bound 450));
+      (3, map (fun (push, qd, name, tok) -> Qd_op (push, qd, name, tok))
+            (quad bool edge name edge));
+      (2, map (fun tok -> Qtoken tok) edge);
+      (2, map3 (fun mac len ring -> Nic_rx (mac, len, ring)) edge edge edge);
+    ]
+
+let show_flight_step = function
+  | Built n -> Printf.sprintf "built %d" n
+  | Qd_op (push, qd, name, tok) ->
+      Printf.sprintf "qd_op %b %d %S %d" push qd name tok
+  | Qtoken tok -> Printf.sprintf "qtoken %d" tok
+  | Nic_rx (mac, len, ring) -> Printf.sprintf "nic_rx %d %d %d" mac len ring
+
+let flight_typed_match_model =
+  QCheck.Test.make ~name:"typed and built entries match the list model"
+    ~count:300
+    QCheck.(
+      pair (int_range 12 400)
+        (make
+           ~print:(fun l -> String.concat "; " (List.map show_flight_step l))
+           Gen.(list_size (0 -- 60) flight_step_gen)))
+    (fun (capacity, script) ->
+      let f = F.create ~capacity () in
+      let m = flight_model capacity in
+      List.for_all
+        (fun (i, step) ->
+          let at = Int64.of_int ((i * 7919) - 3000) in
+          let kind, label =
+            match step with
+            | Built len ->
+                let kind = flight_kinds.(i mod Array.length flight_kinds) in
+                let label =
+                  String.init len (fun j -> Char.chr (97 + ((i + j) mod 26)))
+                in
+                F.record f ~now:at kind label;
+                (kind, label)
+            | Qd_op (push, qd, name, tok) ->
+                let kind = if push then F.Push else F.Pop in
+                F.record_qd_op f ~now:at kind ~qd name ~tok;
+                (kind, Printf.sprintf "qd %d (%s) tok %d" qd name tok)
+            | Qtoken tok ->
+                F.record_qtoken f ~now:at tok;
+                (F.Completion, Printf.sprintf "qtoken %d" tok)
+            | Nic_rx (mac, len, ring) ->
+                F.record_nic_rx f ~now:at ~mac ~len ~ring;
+                (F.Enqueue, Printf.sprintf "nic %x rx %dB (ring %d)" mac len ring)
+          in
+          model_records m f ~at kind label)
         (List.mapi (fun i x -> (i, x)) script))
 
 let flight_appenders_allocate_nothing () =
-  (* A small ring, so the measured entries also evict. *)
-  let f = F.create ~capacity:256 () in
+  (* A small ring, so the measured entries also evict; a tiny one, so
+     the typed calls also take their cut-label path. *)
+  let f = F.create ~capacity:256 () and tiny = F.create ~capacity:24 () in
+  let typed f i =
+    F.record_qd_op f ~now:9L F.Push ~qd:i "merge(tcp,udp)" ~tok:(-i);
+    F.record_qtoken f ~now:10L (i * 1_000_003);
+    F.record_nic_rx f ~now:11L ~mac:0x0200_0000_0001 ~len:i ~ring:(i land 7)
+  in
   let entry i =
     if F.start f ~now:7L F.Retransmit then begin
       F.add_string f "tcp ";
@@ -495,7 +590,9 @@ let flight_appenders_allocate_nothing () =
       F.add_int64 f 1_234_567_890_123L;
       F.commit f
     end;
-    F.record f ~now:8L F.Mark "plain"
+    F.record f ~now:8L F.Mark "plain";
+    typed f i;
+    typed tiny i
   in
   for i = 1 to 100 do
     entry i
@@ -506,7 +603,29 @@ let flight_appenders_allocate_nothing () =
   done;
   let words = Gc.minor_words () -. before in
   check Alcotest.bool "ring evicted" true (F.evicted f > 0);
+  check Alcotest.bool "typed labels cut" true
+    (List.exists (fun e -> String.length e.F.what = 24 - 11) (F.entries tiny));
   check (Alcotest.float 0.) "minor words allocated" 0. words
+
+(* Reading the ring renders typed labels; it must leave an entry that
+   is still being built alone, as a sanitizer sink dumping the ring from
+   inside an instrumented site would. *)
+let flight_read_leaves_open_entry () =
+  let f = F.create ~capacity:256 () in
+  F.record_qd_op f ~now:1L F.Push ~qd:3 "merge(tcp,udp)" ~tok:77;
+  F.record_nic_rx f ~now:2L ~mac:0xabc ~len:64 ~ring:1;
+  check Alcotest.bool "started" true (F.start f ~now:3L F.Drop);
+  F.add_string f "open ";
+  let before = F.entries f in
+  Format.asprintf "%a" F.pp f |> ignore;
+  F.add_int f 42;
+  F.commit f;
+  check
+    Alcotest.(list string)
+    "labels"
+    [ "qd 3 (merge(tcp,udp)) tok 77"; "nic abc rx 64B (ring 1)"; "open 42" ]
+    (List.map (fun e -> e.F.what) (F.entries f));
+  check Alcotest.int "read before commit" 2 (List.length before)
 
 (* ---- the `demi stats --json` snapshot ----
 
@@ -665,10 +784,16 @@ let () =
           Alcotest.test_case "dump on violation" `Quick flight_dump_on_violation;
           Alcotest.test_case "appenders allocate nothing" `Quick
             flight_appenders_allocate_nothing;
+          Alcotest.test_case "reading leaves the open entry" `Quick
+            flight_read_leaves_open_entry;
         ] );
       ( "flight-props",
         List.map QCheck_alcotest.to_alcotest
-          [ flight_appenders_match_printf; flight_matches_model ] );
+          [
+            flight_appenders_match_printf;
+            flight_matches_model;
+            flight_typed_match_model;
+          ] );
       ( "stats --json",
         [
           Alcotest.test_case "lines parse, promised names present" `Quick

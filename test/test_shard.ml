@@ -181,6 +181,21 @@ let inventory_classifies () =
   Alcotest.(check bool) "json carries the classification" true
     (contains ~sub:"\"shared-immutable\"" (Shard_engine.inventory_json inv))
 
+(* [Itbl.create] at module level is a hash table in the inventory,
+   as [Hashtbl.create] is, not a generic constructed value. *)
+let itbl_global_is_hashtbl () =
+  let prog =
+    analyze "tbl.ml"
+      "let by_qd = Dk_util.Itbl.create 8 [@@shard.per_shard \"qd table\"]\n"
+  in
+  match Shard_engine.inventory prog with
+  | [ g ] ->
+      Alcotest.(check bool) "kind is hashtbl" true
+        (g.Shard_engine.g_kind = Shard_engine.GHashtbl)
+  | inv ->
+      Alcotest.fail
+        (Printf.sprintf "expected one global, got %d" (List.length inv))
+
 let tooling_classified_and_exempt () =
   let prog =
     analyze "tool.ml"
@@ -281,6 +296,8 @@ let () =
           Alcotest.test_case "unknown call taints quietly" `Quick
             unknown_call_taints_but_stays_quiet;
           Alcotest.test_case "inventory classifies" `Quick inventory_classifies;
+          Alcotest.test_case "itbl global is a hashtbl" `Quick
+            itbl_global_is_hashtbl;
           Alcotest.test_case "tooling classified and exempt" `Quick
             tooling_classified_and_exempt;
           Alcotest.test_case "parse error reported" `Quick parse_error_reported;

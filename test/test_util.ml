@@ -316,6 +316,102 @@ let bqueue_basic () =
   check_bool "pop 2" true (Bqueue.pop q = Some 2);
   check_bool "pop empty" true (Bqueue.pop q = None)
 
+(* ---- Itbl ---- *)
+
+(* Random add/replace/remove/find against the stdlib's polymorphic
+   table: the same bindings, shadowing included, and a sorted fold that
+   visits the visible bindings in ascending key order. Keys are drawn
+   from a narrow range plus edge values, so operations collide and
+   shadow; [min_int] and [max_int] exercise the hash's wrap-around. *)
+type itbl_op = Add of int * int | Replace of int * int | Remove of int | Find of int
+
+let itbl_matches_hashtbl =
+  let key =
+    QCheck.Gen.(
+      oneof
+        [ int_range (-20) 40; oneofl [ min_int; max_int; 0x7fff_ffff; 1 lsl 32 ] ])
+  in
+  let op =
+    QCheck.Gen.(
+      oneof
+        [
+          map2 (fun k v -> Add (k, v)) key small_nat;
+          map2 (fun k v -> Replace (k, v)) key small_nat;
+          map (fun k -> Remove k) key;
+          map (fun k -> Find k) key;
+        ])
+  in
+  let show = function
+    | Add (k, v) -> Printf.sprintf "add %d %d" k v
+    | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+    | Remove k -> Printf.sprintf "remove %d" k
+    | Find k -> Printf.sprintf "find %d" k
+  in
+  QCheck.Test.make ~name:"itbl matches Hashtbl" ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show ops))
+        Gen.(list_size (0 -- 200) op))
+    (fun ops ->
+      let t = Dk_util.Itbl.create 4 and m = Hashtbl.create 4 in
+      let same_find k =
+        Dk_util.Itbl.find_opt t k = Hashtbl.find_opt m k
+        && Dk_util.Itbl.find_all t k = Hashtbl.find_all m k
+        && Dk_util.Itbl.mem t k = Hashtbl.mem m k
+      in
+      List.for_all
+        (fun o ->
+          (match o with
+          | Add (k, v) ->
+              Dk_util.Itbl.add t k v;
+              Hashtbl.add m k v
+          | Replace (k, v) ->
+              Dk_util.Itbl.replace t k v;
+              Hashtbl.replace m k v
+          | Remove k ->
+              Dk_util.Itbl.remove t k;
+              Hashtbl.remove m k
+          | Find _ -> ());
+          let k = match o with Add (k, _) | Replace (k, _) | Remove k | Find k -> k in
+          same_find k && Dk_util.Itbl.length t = Hashtbl.length m)
+        ops
+      &&
+      let visible =
+        Hashtbl.fold (fun k _ acc -> k :: acc) m []
+        |> List.sort_uniq Int.compare
+        |> List.map (fun k -> (k, Hashtbl.find_all m k))
+      in
+      let folded =
+        Dk_util.Itbl.fold_sorted (fun k v acc -> (k, v) :: acc) t [] |> List.rev
+      in
+      (* ascending keys; a shadowed key's bindings all appear, together *)
+      List.map fst folded
+      = List.concat_map (fun (k, vs) -> List.map (fun _ -> k) vs) visible
+      && List.for_all
+           (fun (k, vs) ->
+             List.sort Int.compare
+               (List.filter_map
+                  (fun (k', v) -> if k' = k then Some v else None)
+                  folded)
+             = List.sort Int.compare vs)
+           visible)
+
+(* Keys that differ only in bits 40-47, as MACs that differ only in
+   their top bytes, must spread: [Hashtbl]'s bucket mask reads product
+   bits 32 and up, which key bits above them never reach unless the
+   hash folds them down. 256 such keys fill 128 buckets. *)
+let itbl_spreads_high_bits =
+  QCheck.Test.make ~name:"itbl spreads keys that differ in bits 40-47"
+    ~count:100
+    QCheck.(int_bound ((1 lsl 40) - 1))
+    (fun base ->
+      let t = Dk_util.Itbl.create 8 in
+      for i = 0 to 255 do
+        Dk_util.Itbl.replace t (base lor (i lsl 40)) i
+      done;
+      let s = Dk_util.Itbl.stats t in
+      s.Hashtbl.num_bindings = 256 && s.Hashtbl.max_bucket_length <= 8)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -361,4 +457,5 @@ let () =
       qsuite "varint-props" [ varint_roundtrip ];
       ( "bqueue",
         [ Alcotest.test_case "basic" `Quick bqueue_basic ] );
+      qsuite "itbl-props" [ itbl_matches_hashtbl; itbl_spreads_high_bits ];
     ]

@@ -20,10 +20,13 @@
                 format strings) unless pooled or classified
                 [[@@hot.alloc "why"]]
        scan:*   iteration or sorting over unbounded collections
-                (Hashtbl walks, Det sorted iteration, List traversal)
-       poly:*   polymorphic compare/hash on non-immediate keys
-                (Hashtbl.hash, bare [compare], tuple-keyed tables,
-                structural [=] on constructed values), and bare
+                (Hashtbl and Itbl walks, Det and Itbl sorted
+                iteration, List traversal)
+       poly:*   polymorphic compare/hash (Hashtbl.hash, bare
+                [compare], structural [=] on constructed values, and
+                any keyed stdlib Hashtbl operation: it runs [caml_hash]
+                and [caml_compare] whatever the key, where [Itbl] runs
+                a multiply and a machine compare on an int), and bare
                 [min]/[max], a C call even on ints
 
    Rule families:
@@ -102,10 +105,16 @@ let binding_root ~cur_module ~name attrs =
 
 (* ---------------- intrinsic cost sources (by name) ---------------- *)
 
+(* The keyed [Hashtbl] operations: each hashes its key. *)
+let hashtbl_keyed_ops =
+  [ "add"; "replace"; "find"; "find_opt"; "find_all"; "mem"; "remove" ]
+
 (* [Det] (lib/util/det.ml) is the sanctioned deterministic-iteration
    wrapper; its internals are exempt because every call SITE of
    [Det.iter_sorted] & co. is charged instead — the sort is the
-   caller's per-op cost, wherever it hides. *)
+   caller's per-op cost, wherever it hides. [Itbl] (lib/util/itbl.ml)
+   is [Hashtbl] over int keys: its walks are scans, and its
+   [fold_sorted] is charged at the call site as [Det]'s are. *)
 let intrinsic_of ~cur_module ~call (m, f) : (string * string) option =
   let k kind = Some (kind, if m = "" then f else m ^ "." ^ f) in
   match (m, f) with
@@ -132,7 +141,8 @@ let intrinsic_of ~cur_module ~call (m, f) : (string * string) option =
       k "alloc:list"
   | ("Printf" | "Format"), ("sprintf" | "asprintf") -> k "alloc:format"
   | "Buffer", ("create" | "contents" | "to_bytes" | "sub") -> k "alloc:buffer"
-  | ("Queue" | "Stack"), "create" | "Hashtbl", ("create" | "copy") ->
+  | ("Queue" | "Stack"), "create" | ("Hashtbl" | "Itbl"), ("create" | "copy")
+    ->
       k "alloc:container"
   | "Option", ("map" | "bind" | "join" | "to_list" | "some") ->
       k "alloc:option"
@@ -141,14 +151,15 @@ let intrinsic_of ~cur_module ~call (m, f) : (string * string) option =
   | "", "^" when call -> k "alloc:string"
   | "", "@" when call -> k "alloc:list"
   (* scan: work proportional to a collection the op did not create *)
-  | ( "Hashtbl",
+  | ( ("Hashtbl" | "Itbl"),
       ( "iter" | "fold" | "to_seq" | "to_seq_keys" | "to_seq_values"
       | "filter_map_inplace" ) )
-    when cur_module <> "Det" ->
+    when cur_module <> "Det" && cur_module <> "Itbl" ->
       k "scan:hashtbl"
   | "Det", ("iter_sorted" | "fold_sorted" | "keys_sorted" | "bindings_sorted")
     when cur_module <> "Det" ->
       k "scan:det-sort"
+  | "Itbl", "fold_sorted" when cur_module <> "Itbl" -> k "scan:det-sort"
   | ( "List",
       ( "iter" | "iteri" | "fold_left" | "fold_right" | "for_all" | "exists"
       | "mem" | "memq" | "assoc" | "assoc_opt" | "mem_assoc" | "find"
@@ -164,6 +175,7 @@ let intrinsic_of ~cur_module ~call (m, f) : (string * string) option =
   | "Seq", ("iter" | "iteri" | "fold_left" | "length") -> k "scan:seq"
   (* poly: structural hash/compare walks the value every call *)
   | "Hashtbl", "hash" -> k "poly:hash"
+  | "Hashtbl", f when List.mem f hashtbl_keyed_ops -> k "poly:hashtbl"
   | ("" | "Stdlib"), "compare" -> k "poly:compare"
   | ("" | "Stdlib"), ("min" | "max") when call -> k "poly:minmax"
   | _ -> None
@@ -240,12 +252,6 @@ let fn_name ~resolve (fn : expression) =
       | None -> None)
   | _ -> None
 
-let hashtbl_keyed_ops =
-  [ "add"; "replace"; "find"; "find_opt"; "find_all"; "mem"; "remove" ]
-
-let is_tuple (e : expression) =
-  match (Interproc.strip e).pexp_desc with Pexp_tuple _ -> true | _ -> false
-
 (* A non-immediate operand of [=]: comparing it walks structure. *)
 let structured (e : expression) =
   match (Interproc.strip e).pexp_desc with
@@ -270,7 +276,7 @@ let expr_effects ~cur_module:_ ~resolve ~toplevel (e : expression) :
       | c :: _ ->
           [ ("alloc:closure", Printf.sprintf "closure capturing %s" c, line) ]
       )
-  | Pexp_let (_, vbs, body) ->
+  | Pexp_let (_, vbs, _) ->
       (* let-bound local functions become child summaries in the
          engine, so this node is where their closure allocation is
          charged to the enclosing function *)
@@ -282,84 +288,29 @@ let expr_effects ~cur_module:_ ~resolve ~toplevel (e : expression) :
             | _ -> None)
           vbs
       in
-      let closure_effects =
-        List.filter_map
-          (fun vb ->
-            match (Interproc.strip_pat vb.pvb_pat).ppat_desc with
-            | Ppat_var { txt = name; _ } when Interproc.is_fun vb.pvb_expr
-              -> (
-                match
-                  List.filter
-                    (fun c -> not (List.mem c names))
-                    (captures ~toplevel vb.pvb_expr)
-                with
-                | [] -> None
-                | c :: _ ->
-                    Some
-                      ( "alloc:closure",
-                        Printf.sprintf "local fun %s capturing %s" name c,
-                        Interproc.line_of vb.pvb_loc ))
-            | _ -> None)
-          vbs
-      in
-      let tuple_names =
-        List.filter_map
-          (fun vb ->
-            match (Interproc.strip_pat vb.pvb_pat).ppat_desc with
-            | Ppat_var { txt; _ } when is_tuple vb.pvb_expr -> Some txt
-            | _ -> None)
-          vbs
-      in
-      let key_effects =
-        if tuple_names = [] then []
-        else begin
-          (* a tuple bound to a name and then used as a Hashtbl key is
-             the same poly hash, one hop removed *)
-          let acc = ref [] in
-          let it =
-            {
-              Ast_iterator.default_iterator with
-              expr =
-                (fun it e ->
-                  (match e.pexp_desc with
-                  | Pexp_apply (fn, args) -> (
-                      match fn_name ~resolve fn with
-                      | Some ("Hashtbl", op)
-                        when List.mem op hashtbl_keyed_ops -> (
-                          match positional args with
-                          | _ :: key :: _ -> (
-                              match (Interproc.strip key).pexp_desc with
-                              | Pexp_ident { txt = Longident.Lident x; _ }
-                                when List.mem x tuple_names ->
-                                  acc :=
-                                    ( "poly:flow-key",
-                                      Printf.sprintf
-                                        "Hashtbl.%s keyed by tuple %s" op x,
-                                      Interproc.line_of e.pexp_loc )
-                                    :: !acc
-                              | _ -> ())
-                          | _ -> ())
-                      | _ -> ())
-                  | _ -> ());
-                  Ast_iterator.default_iterator.expr it e);
-            }
-          in
-          it.expr it body;
-          !acc
-        end
-      in
-      closure_effects @ key_effects
+      List.filter_map
+        (fun vb ->
+          match (Interproc.strip_pat vb.pvb_pat).ppat_desc with
+          | Ppat_var { txt = name; _ } when Interproc.is_fun vb.pvb_expr -> (
+              match
+                List.filter
+                  (fun c -> not (List.mem c names))
+                  (captures ~toplevel vb.pvb_expr)
+              with
+              | [] -> None
+              | c :: _ ->
+                  Some
+                    ( "alloc:closure",
+                      Printf.sprintf "local fun %s capturing %s" name c,
+                      Interproc.line_of vb.pvb_loc ))
+          | _ -> None)
+        vbs
   | Pexp_apply (fn, args) -> (
       let pos = positional args in
       match fn_name ~resolve fn with
       | Some ("", ("=" | "<>")) when List.exists structured pos ->
           [ ("poly:structural-eq", "structural (=) on constructed value",
              line) ]
-      | Some ("Hashtbl", op) when List.mem op hashtbl_keyed_ops -> (
-          match pos with
-          | _ :: key :: _ when is_tuple key ->
-              [ ("poly:flow-key", "Hashtbl." ^ op ^ " with tuple key", line) ]
-          | _ -> [])
       | _ -> [])
   | _ -> []
 
@@ -454,7 +405,7 @@ let advice = function
        collections; keep a direct index or cache the result off the hot path"
   | _ ->
       "polymorphic compare/hash walks the structure on every call; pack an \
-       int key or use a monomorphic compare"
+       int key into a Dk_util.Itbl or use a monomorphic compare"
 
 (* One finding per rule family per root, at the root's definition, with
    the shortest witness chain — the budget is the root's, wherever in

@@ -111,16 +111,20 @@ let classification_of_attrs attrs =
 
 (* [Det] (lib/util/det.ml) is the sanctioned sorted-iteration wrapper:
    its internal Hashtbl.fold is what makes everyone else's iteration
-   deterministic, so it is exempt from the HashOrder intrinsic. *)
+   deterministic, so it is exempt from the HashOrder intrinsic.
+   [Itbl] (lib/util/itbl.ml) is [Hashtbl] over int keys: its walks
+   are hash-ordered too, and its own [fold_sorted] is exempt the same
+   way. *)
 let intrinsic_of ~cur_module ~call:_ (m, f) : (string * string) option =
   match (m, f) with
   | "Unix", ("gettimeofday" | "time" | "localtime" | "gmtime" | "times") ->
       Some (k_clock, "Unix." ^ f)
   | "Sys", "time" -> Some (k_clock, "Sys.time")
   | "Random", _ -> Some (k_random, "Random." ^ f)
-  | "Hashtbl", ("iter" | "fold" | "to_seq" | "to_seq_keys" | "to_seq_values")
-    when cur_module <> "Det" ->
-      Some (k_hash_order, "Hashtbl." ^ f)
+  | ( ("Hashtbl" | "Itbl"),
+      ("iter" | "fold" | "to_seq" | "to_seq_keys" | "to_seq_values") )
+    when cur_module <> "Det" && cur_module <> "Itbl" ->
+      Some (k_hash_order, m ^ "." ^ f)
   | "Unix", ("sleep" | "sleepf" | "select") -> Some (k_blocking, "Unix." ^ f)
   | "Thread", "delay" -> Some (k_blocking, "Thread.delay")
   | "Engine", ("step" | "run_until" | "run_for" | "run")
@@ -146,7 +150,7 @@ let registration_of (m, f) : (int * string) option =
    the mutated structure. *)
 let mutator_of (m, f) : bool =
   match (m, f) with
-  | ( "Hashtbl",
+  | ( ("Hashtbl" | "Itbl"),
       ("add" | "replace" | "remove" | "reset" | "clear" | "filter_map_inplace")
     ) ->
       true
@@ -169,7 +173,7 @@ let global_kind_of_rhs (e : expression) : [ `Obs | `Kind of g_kind ] option =
           match Interproc.last_two txt with
           | Some ("", "ref") -> Some (`Kind GRef)
           | Some ("Metrics", ("counter" | "gauge" | "hist")) -> Some `Obs
-          | Some ("Hashtbl", "create") -> Some (`Kind GHashtbl)
+          | Some (("Hashtbl" | "Itbl"), "create") -> Some (`Kind GHashtbl)
           | Some (("Queue" | "Buffer" | "Atomic"), ("create" | "make"))
           | Some ("Array", ("make" | "init" | "of_list" | "copy"))
           | Some ("Bytes", ("create" | "make")) ->
