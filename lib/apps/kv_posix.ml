@@ -17,7 +17,7 @@ type server = {
   kv : Kv.t;
   lsock : Posix.fd;
   epfd : Posix.fd;
-  conns : (Posix.fd, conn) Hashtbl.t;
+  conns : conn Dk_util.Itbl.t;
   mutable served : int;
 }
 
@@ -45,7 +45,7 @@ let flush srv c =
 let drop srv c =
   Posix.epoll_del srv.posix srv.epfd c.fd;
   Posix.close srv.posix c.fd;
-  Hashtbl.remove srv.conns c.fd
+  Dk_util.Itbl.remove srv.conns c.fd
 
 (* Serve every complete request; their responses, newest first. *)
 let rec serve srv c acc =
@@ -84,7 +84,7 @@ let handle_readable srv c =
     | Error `Again -> process_messages srv c
     | Error _ ->
         Posix.epoll_del srv.posix srv.epfd c.fd;
-        Hashtbl.remove srv.conns c.fd
+        Dk_util.Itbl.remove srv.conns c.fd
   in
   drain ()
 
@@ -93,7 +93,7 @@ let handle_accept srv =
     match Posix.accept srv.posix srv.lsock with
     | Ok fd ->
         let c = { fd; decoder = Framing.create (); outbuf = ""; sent = 0 } in
-        Hashtbl.replace srv.conns fd c;
+        Dk_util.Itbl.replace srv.conns fd c;
         ignore (Posix.epoll_add srv.posix srv.epfd fd [ `In ]);
         loop ()
     | Error `Again -> ()
@@ -107,7 +107,7 @@ let rec event_loop srv =
         (fun (fd, ev) ->
           if fd = srv.lsock then handle_accept srv
           else
-            match (Hashtbl.find_opt srv.conns fd, ev) with
+            match (Dk_util.Itbl.find_opt srv.conns fd, ev) with
             | Some c, `In -> handle_readable srv c
             | Some c, `Out -> flush srv c
             | None, _ -> ())
@@ -124,7 +124,16 @@ let start_server ~posix ~cost ~engine ~port ~kv =
       | Ok () -> ()
       | Error _ -> ());
       let srv =
-        { posix; cost; engine; kv; lsock; epfd; conns = Hashtbl.create 16; served = 0 }
+        {
+          posix;
+          cost;
+          engine;
+          kv;
+          lsock;
+          epfd;
+          conns = Dk_util.Itbl.create 16;
+          served = 0;
+        }
       in
       event_loop srv;
       Ok srv

@@ -15,7 +15,7 @@ let retry_backoff_ns = 10_000L
 type t = {
   block : Block.t;
   engine : Dk_sim.Engine.t;
-  handlers : (int, Block.completion -> unit) Hashtbl.t;
+  handlers : (Block.completion -> unit) Dk_util.Itbl.t;
   mutable next_wr : int;
 }
 
@@ -24,7 +24,7 @@ let create block =
     {
       block;
       engine = Block.engine block;
-      handlers = Hashtbl.create 32;
+      handlers = Dk_util.Itbl.create 32;
       next_wr = 1;
     }
   in
@@ -33,9 +33,9 @@ let create block =
         match Block.poll_cq block with
         | None -> ()
         | Some c ->
-            (match Hashtbl.find_opt t.handlers c.Block.wr_id with
+            (match Dk_util.Itbl.find_opt t.handlers c.Block.wr_id with
             | Some k ->
-                Hashtbl.remove t.handlers c.Block.wr_id;
+                Dk_util.Itbl.remove t.handlers c.Block.wr_id;
                 k c
             | None -> ());
             loop ()
@@ -88,10 +88,10 @@ let rec attempt_op t ~resubmit ~attempt k =
         if attempt > 0 then Dk_obs.Metrics.incr m_recovered;
         k c
   in
-  Hashtbl.replace t.handlers wr handler;
+  Dk_util.Itbl.replace t.handlers wr handler;
   let ok = resubmit wr in
   if not ok then begin
-    Hashtbl.remove t.handlers wr;
+    Dk_util.Itbl.remove t.handlers wr;
     if attempt = 0 then false
     else begin
       (* A retry must not be dropped on a momentarily full SQ. *)

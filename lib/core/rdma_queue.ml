@@ -11,7 +11,7 @@ type state = {
   mbox : Mailbox.t;
   mutable credits : int;
   pending_sends : (Dk_mem.Sga.t * Types.qtoken) Queue.t;
-  inflight : (int, Types.qtoken) Hashtbl.t; (* send wr_id -> token *)
+  inflight : Types.qtoken Dk_util.Itbl.t; (* send wr_id -> token *)
   mutable next_wr : int;
   mutable closed : bool;
 }
@@ -57,7 +57,7 @@ let rec issue_send st sga tok =
   if st.credits > 0 then begin
     st.credits <- st.credits - 1;
     let wr = fresh_wr st in
-    Hashtbl.replace st.inflight wr tok;
+    Dk_util.Itbl.replace st.inflight wr tok;
     Rdma.post_send st.qp ~wr_id:wr sga
   end
   else Queue.add (sga, tok) st.pending_sends
@@ -78,9 +78,9 @@ and drain_send st =
             st.pending_sends;
           Queue.clear st.pending_sends
         end;
-        (match Hashtbl.find_opt st.inflight wr_id with
+        (match Dk_util.Itbl.find_opt st.inflight wr_id with
         | Some tok ->
-            Hashtbl.remove st.inflight wr_id;
+            Dk_util.Itbl.remove st.inflight wr_id;
             st.credits <- st.credits + 1;
             Token.complete st.tokens tok (status_to_result status)
         | None -> ());
@@ -108,7 +108,7 @@ let create ~tokens ~manager ~qp ?(depth = 64) () =
       mbox = Mailbox.create tokens;
       credits = depth;
       pending_sends = Queue.create ();
-      inflight = Hashtbl.create 16;
+      inflight = Dk_util.Itbl.create 16;
       next_wr = 1;
       closed = false;
     }

@@ -28,7 +28,7 @@ type t = {
   programmable : bool;
   mutable write_prog : Prog.map option;
   mutable read_prog : Prog.map option;
-  store : (int, string) Hashtbl.t; (* lba -> block contents *)
+  store : string Dk_util.Itbl.t; (* lba -> block contents *)
   cq : completion Queue.t;
   mutable cq_notify : unit -> unit;
   inflight : Metrics.gauge;
@@ -52,7 +52,7 @@ let create ~engine ~cost ?(fault = Fault.create ()) ?(block_size = 4096)
     programmable;
     write_prog = None;
     read_prog = None;
-    store = Hashtbl.create 1024;
+    store = Dk_util.Itbl.create 1024;
     cq = Queue.create ();
     cq_notify = (fun () -> ());
     inflight = Metrics.gauge_instance g_inflight;
@@ -139,7 +139,7 @@ let submit_read t ~wr_id ~lba =
     then { wr_id; status = `Io_error; data = None }
     else
       let data =
-        match Hashtbl.find_opt t.store lba with
+        match Dk_util.Itbl.find_opt t.store lba with
         | Some s -> s
         | None -> String.make t.block_size '\000'
       in
@@ -195,7 +195,7 @@ let submit_write t ~wr_id ~lba data =
           String.sub data 0 t.block_size
         else data ^ String.make (t.block_size - String.length data) '\000'
       in
-      Hashtbl.replace t.store lba padded;
+      Dk_util.Itbl.replace t.store lba padded;
       { wr_id; status = `Ok; data = None }
     end
   in

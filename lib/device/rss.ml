@@ -11,8 +11,8 @@
    The hash is a deterministic FNV-1a over the 13 tuple bytes — a
    stand-in for the Toeplitz hash real hardware uses; what matters for
    the reproduction is that it is a pure function of the tuple, so
-   steering is replayable and `dune build @shard` can treat it as a
-   sanctioned (deterministic) source. *)
+   steering is replayable and dk-shard can treat it as a sanctioned
+   (deterministic) source. *)
 
 type t = {
   queues : int;

@@ -12,6 +12,7 @@ type conn = {
   owner : t;
   tcp : Tcp.conn;
   rx : Dk_util.Ring.t; (* batch-delivered received bytes *)
+  mutable held : bool; (* the last move left bytes in TCP: [rx] was full *)
   mutable tx : string; (* bytes awaiting the next flush batch ... *)
   mutable tx_off : int; (* ... from this cursor on *)
   mutable flush_scheduled : bool;
@@ -34,19 +35,24 @@ let charge_copy t n =
 
 let batch t = t.cost.Dk_sim.Cost.mtcp_batch_delay
 
-(* Move whatever the stack has into the app-visible ring, one batch
-   delay after it arrived. *)
-let wire conn =
+(* Move what fits of the stack's bytes into the app-visible ring, one
+   batch delay from now. What does not fit stays in TCP's receive ring,
+   whose closing window holds the sender back; [recv] schedules the
+   next move once it frees room. *)
+let schedule_move conn =
   let t = conn.owner in
-  Tcp.set_on_readable conn.tcp (fun () ->
-      ignore
-        (Dk_sim.Engine.after t.engine (batch t) (fun () ->
-             let avail = Tcp.recv_ready conn.tcp in
-             if avail > 0 then begin
-               let data = Tcp.recv conn.tcp avail in
-               ignore (Dk_util.Ring.write_string conn.rx data);
-               conn.on_readable ()
-             end)));
+  ignore
+    (Dk_sim.Engine.after t.engine (batch t) (fun () ->
+         let n =
+           Int.min (Tcp.recv_ready conn.tcp) (Dk_util.Ring.available conn.rx)
+         in
+         if n > 0 then
+           ignore (Dk_util.Ring.write_string conn.rx (Tcp.recv conn.tcp n));
+         conn.held <- Tcp.recv_ready conn.tcp > 0;
+         if n > 0 then conn.on_readable ()))
+
+let wire conn =
+  Tcp.set_on_readable conn.tcp (fun () -> schedule_move conn);
   Tcp.set_on_writable conn.tcp (fun () ->
       if unsent conn > 0 then push_tx conn);
   Tcp.set_on_connect conn.tcp (fun () -> conn.on_connect ())
@@ -57,6 +63,7 @@ let make owner tcp =
       owner;
       tcp;
       rx = Dk_util.Ring.create (1 lsl 20);
+      held = false;
       tx = "";
       tx_off = 0;
       flush_scheduled = false;
@@ -102,6 +109,10 @@ let recv conn n =
   let buf = Bytes.create n in
   let got = Dk_util.Ring.read conn.rx buf 0 n in
   charge_copy conn.owner got;
+  if conn.held && got > 0 then begin
+    conn.held <- false;
+    schedule_move conn
+  end;
   Bytes.sub_string buf 0 got
 
 let set_on_connect conn f = conn.on_connect <- f

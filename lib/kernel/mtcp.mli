@@ -31,7 +31,12 @@ val send : conn -> string -> int
     later. Returns bytes accepted. *)
 
 val recv_ready : conn -> int
+
 val recv : conn -> int -> string
+(** Copies out up to [n] bytes of the app-visible ring. Bytes that
+    arrived while the ring was full wait in TCP's receive ring, which
+    holds the sender back; they move up one batch delay after [recv]
+    frees room. *)
 
 val set_on_connect : conn -> (unit -> unit) -> unit
 val set_on_readable : conn -> (unit -> unit) -> unit

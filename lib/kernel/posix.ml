@@ -20,7 +20,7 @@ type kind =
   | Sock of sock_state
   | Pipe_read of Kpipe.t
   | Pipe_write of Kpipe.t
-  | Epoll of (fd, [ `In | `Out ] list) Hashtbl.t
+  | Epoll of [ `In | `Out ] list Dk_util.Itbl.t
 
 type event = [ `In | `Out ]
 
@@ -28,7 +28,7 @@ type t = {
   engine : Dk_sim.Engine.t;
   cost : Dk_sim.Cost.t;
   stack : Stack.t;
-  fds : (fd, kind) Hashtbl.t;
+  fds : kind Dk_util.Itbl.t;
   mutable next_fd : int;
   mutable syscalls : int;
   mutable bytes_copied : int;
@@ -41,7 +41,7 @@ let create ~engine ~cost ~stack () =
     engine;
     cost;
     stack;
-    fds = Hashtbl.create 32;
+    fds = Dk_util.Itbl.create 32;
     next_fd = 3;
     syscalls = 0;
     bytes_copied = 0;
@@ -62,10 +62,10 @@ let charge_demux t =
 let fresh_fd t kind =
   let fd = t.next_fd in
   t.next_fd <- t.next_fd + 1;
-  Hashtbl.replace t.fds fd kind;
+  Dk_util.Itbl.replace t.fds fd kind;
   fd
 
-let find t fd = Hashtbl.find_opt t.fds fd
+let find t fd = Dk_util.Itbl.find_opt t.fds fd
 
 (* ---- readiness ---- *)
 
@@ -99,8 +99,8 @@ let collect_ready t epfd max =
       let count = ref 0 in
       (* Sorted by fd: [max] truncates, so hash-order iteration would
          make *which* fds get reported depend on the hash seed. *)
-      Dk_util.Det.iter_sorted ~compare:Int.compare
-        (fun fd events ->
+      Dk_util.Itbl.fold_sorted
+        (fun fd events () ->
           List.iter
             (fun ev ->
               if !count < max then
@@ -112,7 +112,7 @@ let collect_ready t epfd max =
                   incr count
                 end)
             events)
-        interests;
+        interests ();
       !ready
   | Some _ | None -> []
 
@@ -282,7 +282,7 @@ let close t fd =
       match s.conn with Some conn -> Tcp.close conn | None -> ())
   | Some (Pipe_write p) -> Kpipe.close_write p
   | Some (Pipe_read _ | Epoll _) | None -> ());
-  Hashtbl.remove t.fds fd
+  Dk_util.Itbl.remove t.fds fd
 
 let pipe t =
   charge_syscall t;
@@ -295,14 +295,14 @@ let pipe t =
 
 let epoll_create t =
   charge_syscall t;
-  fresh_fd t (Epoll (Hashtbl.create 16))
+  fresh_fd t (Epoll (Dk_util.Itbl.create 16))
 
 let epoll_add t epfd fd events =
   charge_syscall t;
   match find t epfd with
   | Some (Epoll interests) ->
-      if Hashtbl.mem t.fds fd then begin
-        Hashtbl.replace interests fd (events :> [ `In | `Out ] list);
+      if Dk_util.Itbl.mem t.fds fd then begin
+        Dk_util.Itbl.replace interests fd (events :> [ `In | `Out ] list);
         Ok ()
       end
       else Error `Bad_fd
@@ -312,7 +312,7 @@ let epoll_add t epfd fd events =
 let epoll_del t epfd fd =
   charge_syscall t;
   match find t epfd with
-  | Some (Epoll interests) -> Hashtbl.remove interests fd
+  | Some (Epoll interests) -> Dk_util.Itbl.remove interests fd
   | Some _ | None -> ()
 
 let epoll_wait t epfd ~max =

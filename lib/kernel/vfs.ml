@@ -3,7 +3,7 @@ type error = [ `No_such_file | `Exists | `Device_busy ]
 type file = {
   mutable size : int;
   (* file block index -> device lba *)
-  blocks : (int, int) Hashtbl.t;
+  blocks : int Dk_util.Itbl.t;
   (* authoritative contents; the device holds the same bytes and is
      consulted on reads for latency realism *)
   mutable shadow : bytes;
@@ -28,7 +28,7 @@ type t = {
   cost : Dk_sim.Cost.t;
   block : Dk_device.Block.t;
   files : (string, file) Hashtbl.t;
-  pending : (int, pending) Hashtbl.t;
+  pending : pending Dk_util.Itbl.t;
   mutable next_wr : int;
   mutable next_lba : int;
   mutable syscalls : int;
@@ -41,7 +41,7 @@ let create ~engine ~cost ~block () =
       cost;
       block;
       files = Hashtbl.create 16;
-      pending = Hashtbl.create 64;
+      pending = Dk_util.Itbl.create 64;
       next_wr = 1;
       next_lba = 0;
       syscalls = 0;
@@ -52,10 +52,10 @@ let create ~engine ~cost ~block () =
         match Dk_device.Block.poll_cq block with
         | None -> ()
         | Some c ->
-            (match Hashtbl.find_opt t.pending c.Dk_device.Block.wr_id with
+            (match Dk_util.Itbl.find_opt t.pending c.Dk_device.Block.wr_id with
             | None -> ()
             | Some p ->
-                Hashtbl.remove t.pending c.Dk_device.Block.wr_id;
+                Dk_util.Itbl.remove t.pending c.Dk_device.Block.wr_id;
                 (match p with
                 | Write_part { file; remaining; finish } ->
                     decr remaining;
@@ -94,7 +94,7 @@ let creat t path =
     Hashtbl.replace t.files path
       {
         size = 0;
-        blocks = Hashtbl.create 8;
+        blocks = Dk_util.Itbl.create 8;
         shadow = Bytes.create 0;
         pending_writes = 0;
         fsync_waiters = [];
@@ -122,12 +122,12 @@ let fresh_wr t =
   id
 
 let lba_for t file idx =
-  match Hashtbl.find_opt file.blocks idx with
+  match Dk_util.Itbl.find_opt file.blocks idx with
   | Some lba -> lba
   | None ->
       let lba = t.next_lba in
       t.next_lba <- t.next_lba + 1;
-      Hashtbl.replace file.blocks idx lba;
+      Dk_util.Itbl.replace file.blocks idx lba;
       lba
 
 let ensure_shadow file n =
@@ -172,11 +172,11 @@ let write t ~path ~off data k =
             let chunk_len = min bs (max 0 (file.size - start)) in
             let chunk = Bytes.sub_string file.shadow start chunk_len in
             let wr = fresh_wr t in
-            Hashtbl.replace t.pending wr
+            Dk_util.Itbl.replace t.pending wr
               (Write_part { file; remaining; finish });
             if not (Dk_device.Block.submit_write t.block ~wr_id:wr ~lba chunk)
             then begin
-              Hashtbl.remove t.pending wr;
+              Dk_util.Itbl.remove t.pending wr;
               failed := true
             end
           end
@@ -215,7 +215,7 @@ let read t ~path ~off ~len k =
             let lo = max off block_start in
             let hi = min (off + len) (block_start + bs) in
             let wr = fresh_wr t in
-            Hashtbl.replace t.pending wr
+            Dk_util.Itbl.replace t.pending wr
               (Read_part
                  {
                    dst;
@@ -226,7 +226,7 @@ let read t ~path ~off ~len k =
                    finish;
                  });
             if not (Dk_device.Block.submit_read t.block ~wr_id:wr ~lba) then begin
-              Hashtbl.remove t.pending wr;
+              Dk_util.Itbl.remove t.pending wr;
               failed := true
             end
           end

@@ -44,8 +44,10 @@ let kind_of_tag = function
 
 type entry = { at : int64; kind : kind; what : string }
 
-(* Wire format inside the byte ring, per entry:
-   [2B payload length, big-endian][8B timestamp][1B tag][body].
+(* Wire format inside the byte ring, per entry: [8B timestamp][1B
+   tag][body]. The ring holds no lengths: each held entry's ring bytes
+   and rendered size sit packed in a FIFO of ints, oldest first, so
+   [entries] walks the FIFO and eviction is integer bookkeeping.
 
    A built entry ([start], the appenders, [commit]) has its kind's tag
    and its label as the body. A typed entry ([record_qd_op],
@@ -54,20 +56,15 @@ type entry = { at : int64; kind : kind; what : string }
    varint length and its bytes. Its label is rendered only when read
    ([entries], [pp]).
 
-   Eviction follows each entry's rendered size: 11 bytes of header
-   plus the label, what the entry takes as a built entry. A varint is
-   never longer than the number's decimal or hex text and the label's
-   literals take no ring bytes, so a typed entry's ring bytes never
-   exceed its rendered size, and the ring never holds more bytes than
-   the rendered sizes it accounts for. [recorded], [evicted], [length]
-   and every label are what building the same label would give.
-
-   Eviction never reads the prefix back: each held entry's rendered
-   size and ring bytes sit packed in a FIFO of ints, so making room is
-   integer bookkeeping. *)
-let header_len = 2
-let payload_fixed = 9 (* timestamp + tag *)
-let label_off = header_len + payload_fixed
+   Eviction follows each entry's rendered size, [rendered_fixed] = 11
+   bytes plus the label. A varint is never longer than the number's
+   decimal or hex text and the label's literals take no ring bytes, so
+   an entry's ring bytes never exceed its rendered size, and the ring
+   never holds more bytes than the rendered sizes it accounts for.
+   [recorded], [evicted], [length] and every label are what building
+   the same label would give. *)
+let body_off = 9 (* timestamp + tag *)
+let rendered_fixed = 11
 
 (* A FIFO slot: rendered size above [ring_bits], ring bytes below. *)
 let ring_bits = 31
@@ -100,7 +97,7 @@ type t = {
 }
 
 let create ?(capacity = 64 * 1024) () =
-  if capacity < label_off + 1 then
+  if capacity < rendered_fixed + 1 then
     invalid_arg "Flight.create: capacity too small for one entry";
   if capacity > ring_mask then
     invalid_arg "Flight.create: capacity must be below 2 GiB";
@@ -110,12 +107,12 @@ let create ?(capacity = 64 * 1024) () =
     head = 0;
     used = 0;
     held = 0;
-    (* an entry renders to at least [label_off] bytes, so this many never
-       fill *)
-    sizes = Array.make ((capacity / label_off) + 1) 0;
+    (* an entry renders to at least [rendered_fixed] bytes, so this many
+       never fill *)
+    sizes = Array.make ((capacity / rendered_fixed) + 1) 0;
     first = 0;
     entry = Bytes.create capacity;
-    pos = label_off;
+    pos = body_off;
     num = Bytes.create num_width;
     on = true;
     count = 0;
@@ -125,8 +122,9 @@ let create ?(capacity = 64 * 1024) () =
 
 let default = create ()
 [@@shard.per_shard
-  "process-wide default flight recorder; shard-local code passes its own \
-   recorder so entries stay within the shard"]
+  "process-wide default flight recorder, shared by every shard in the \
+   process: every call site records into it, so entries of all shards \
+   interleave in one ring, which only diagnostics read"]
 
 let set_enabled t on = t.on <- on
 
@@ -148,13 +146,13 @@ let evict_one t =
 (* An entry is built in [t.entry] (by [start], the [add_*] appenders and
    [commit], or by a typed [record_*]), then copied into the ring: one
    blit, two when it wraps. Labels are rendered by hand, so recording
-   allocates nothing. A label longer than the ring allows is cut at
-   [capacity] bytes of entry. *)
+   allocates nothing. A label longer than the ring allows is cut where
+   its rendered size reaches [capacity]. *)
 
 let open_entry t ~now tag =
-  Bytes.set_int64_be t.entry header_len now;
-  Bytes.set_uint8 t.entry (header_len + 8) tag;
-  t.pos <- label_off
+  Bytes.set_int64_be t.entry 0 now;
+  Bytes.set_uint8 t.entry 8 tag;
+  t.pos <- body_off
 
 let start t ~now kind =
   t.on
@@ -164,7 +162,7 @@ let start t ~now kind =
      end
 
 let add_bytes t b off len =
-  let room = t.capacity - t.pos in
+  let room = t.capacity - rendered_fixed - (t.pos - body_off) in
   let n = if len < room then len else room in
   if n > 0 then begin
     Bytes.blit b off t.entry t.pos n;
@@ -221,7 +219,6 @@ let add_int64 t n =
    bytes of accounting, into the ring. *)
 let push t rendered =
   let ring = t.pos in
-  Bytes.set_uint16_be t.entry 0 (ring - header_len);
   while t.capacity - t.used < rendered do
     evict_one t
   done;
@@ -239,7 +236,7 @@ let push t rendered =
   t.count <- t.count + 1;
   t.total <- t.total + 1
 
-let commit t = push t t.pos
+let commit t = push t (rendered_fixed + t.pos - body_off)
 
 let record t ~now kind what =
   if start t ~now kind then begin
@@ -284,7 +281,7 @@ let record_qd_op t ~now kind ~qd name ~tok =
   if t.on then begin
     let len = String.length name in
     (* 11: the literals "qd ", " (" and ") tok " *)
-    let rendered = label_off + 11 + dec_len qd + len + dec_len tok in
+    let rendered = rendered_fixed + 11 + dec_len qd + len + dec_len tok in
     if rendered <= t.capacity then begin
       open_entry t ~now ((shape_qd_op * shape_unit) + kind_tag kind);
       put_int t qd;
@@ -308,7 +305,7 @@ let record_qd_op t ~now kind ~qd name ~tok =
 
 let record_qtoken t ~now tok =
   if t.on then begin
-    let rendered = label_off + 7 (* "qtoken " *) + dec_len tok in
+    let rendered = rendered_fixed + 7 (* "qtoken " *) + dec_len tok in
     if rendered <= t.capacity then begin
       open_entry t ~now ((shape_qtoken * shape_unit) + kind_tag Completion);
       put_int t tok;
@@ -326,7 +323,7 @@ let record_nic_rx t ~now ~mac ~len ~ring =
   if t.on then begin
     (* 17: the literals "nic ", " rx ", "B (ring " and ")" *)
     let rendered =
-      label_off + 17 + hex_len mac 1 + dec_len len + dec_len ring
+      rendered_fixed + 17 + hex_len mac 1 + dec_len len + dec_len ring
     in
     if rendered <= t.capacity then begin
       open_entry t ~now ((shape_nic_rx * shape_unit) + kind_tag Enqueue);
@@ -387,25 +384,23 @@ let entries t =
   let first = Int.min len (t.capacity - t.head) in
   Bytes.blit t.data t.head buf 0 first;
   Bytes.blit t.data 0 buf first (len - first);
-  let rec parse off acc =
-    if off + header_len > len then List.rev acc
+  let rec parse i off acc =
+    if i = t.count then List.rev acc
     else begin
-      let plen = Bytes.get_uint16_be buf off in
-      if off + header_len + plen > len then List.rev acc
-      else
-        let at = Bytes.get_int64_be buf (off + header_len) in
-        let tag = Bytes.get_uint8 buf (off + header_len + 8) in
-        let kind = kind_of_tag (tag mod shape_unit) in
-        let body = off + label_off in
-        let what =
-          if tag < shape_unit then
-            Bytes.sub_string buf body (plen - payload_fixed)
-          else render_typed (tag / shape_unit) buf body
-        in
-        parse (off + header_len + plen) ({ at; kind; what } :: acc)
+      let size = t.sizes.(wrap t.first i (Array.length t.sizes)) in
+      let ring = size land ring_mask in
+      let at = Bytes.get_int64_be buf off in
+      let tag = Bytes.get_uint8 buf (off + 8) in
+      let kind = kind_of_tag (tag mod shape_unit) in
+      let body = off + body_off in
+      let what =
+        if tag < shape_unit then Bytes.sub_string buf body (ring - body_off)
+        else render_typed (tag / shape_unit) buf body
+      in
+      parse (i + 1) (off + ring) ({ at; kind; what } :: acc)
     end
   in
-  parse 0 []
+  parse 0 0 []
 
 let length t = t.count
 let recorded t = t.total

@@ -2,9 +2,10 @@
     events, for post-mortem introspection of a path the kernel can no
     longer see.
 
-    Entries are length-prefixed records packed into a byte ring; when
-    the ring fills, the oldest entries are evicted, so memory use is
-    bounded by [capacity] bytes regardless of event rate. Eviction
+    Entries are records packed into a byte ring, their sizes kept in a
+    FIFO beside it; when the ring fills, the oldest entries are
+    evicted, so memory use is bounded by [capacity] bytes regardless
+    of event rate. Eviction
     counts each entry at its rendered size (11 bytes plus the label),
     whatever its encoding in the ring. Dump it on demand ({!pp}) or
     wire it to sanitizer violations:

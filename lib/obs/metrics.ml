@@ -30,8 +30,9 @@ let create () =
 
 let default = create ()
 [@@shard.per_shard
-  "process-wide default instrument registry; shard-local code passes its \
-   own ~reg so counters stay within the shard"]
+  "process-wide default instrument registry, shared by every shard in the \
+   process: nothing outside the tests creates another or passes ~reg, so \
+   shards are told apart only by their shard<i>. instrument names"]
 
 let get_or_create table name make =
   match Hashtbl.find_opt table name with

@@ -46,7 +46,7 @@ type t = {
   mailboxes : envelope Xmailbox.t option array array;
   rss : Rss.t;
   (* Continuations for requests this shard forwarded to an owner. *)
-  pending : (int, msg -> unit) Hashtbl.t array;
+  pending : (msg -> unit) Dk_util.Itbl.t array;
   mutable next_req_id : int;
 }
 
@@ -98,7 +98,7 @@ let rec create ~n ?(xfrac = 0.0) ?(seed = 42L) ?fault ?cost () =
       engines;
       mailboxes;
       rss = Rss.create ~queues:n ();
-      pending = Array.init n (fun _ -> Hashtbl.create 64);
+      pending = Array.init n (fun _ -> Dk_util.Itbl.create 64);
       next_req_id = 0;
     }
   in
@@ -129,7 +129,7 @@ and send_retrying t ~src ~dst env =
 and request t ~src ~dst payload k =
   let req_id = t.next_req_id in
   t.next_req_id <- req_id + 1;
-  Hashtbl.replace t.pending.(src) req_id k;
+  Dk_util.Itbl.replace t.pending.(src) req_id k;
   send_retrying t ~src ~dst { req_id; origin = src; payload }
 
 and handle_msg t self env =
@@ -148,10 +148,10 @@ and handle_msg t self env =
       send_retrying t ~src:self ~dst:env.origin
         { env with origin = self; payload = Kv_resp resp }
   | Probe_ack _ | Kv_resp _ -> (
-      match Hashtbl.find_opt t.pending.(self) env.req_id with
+      match Dk_util.Itbl.find_opt t.pending.(self) env.req_id with
       | None -> ()
       | Some k ->
-          Hashtbl.remove t.pending.(self) env.req_id;
+          Dk_util.Itbl.remove t.pending.(self) env.req_id;
           k env.payload)
 
 (* ---- RSS flow placement ---- *)
@@ -463,5 +463,5 @@ let run_kv ?drive t ~flows ~ops_per_flow ~keys_per_shard ~value_size
 (* ---- accessors ---- *)
 
 let pending_count t =
-  Array.fold_left (fun a tbl -> a + Hashtbl.length tbl) 0 t.pending
+  Array.fold_left (fun a tbl -> a + Dk_util.Itbl.length tbl) 0 t.pending
 let engines t = t.engines

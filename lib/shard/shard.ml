@@ -5,8 +5,8 @@
    tables, token waitsets, ready FIFOs, memory manager, TCP state,
    doorbell windows — and fault domain), its own KV store and its own
    workload RNG. Nothing here is reachable from another shard except
-   through an explicit [Xmailbox]; `dune build @shard` enforces that
-   no module-level state crept in. *)
+   through an explicit [Xmailbox]; dk-shard (`dune build @analyze`)
+   enforces that no module-level state crept in. *)
 
 module Rng = Dk_sim.Rng
 module Metrics = Dk_obs.Metrics

@@ -100,6 +100,96 @@ let proto_value_response_shares_buffer () =
 
 (* ---------------- Kv ---------------- *)
 
+(* Codec properties: both codecs are total on arbitrary input and
+   exact on every message, SET keys up to the 2-byte length limit
+   included. *)
+
+let proto_key =
+  QCheck.Gen.(
+    frequency [ (9, string_size (0 -- 16)); (1, string_size (0 -- 0xffff)) ])
+
+let proto_request =
+  let open QCheck.Gen in
+  let value = string_size (0 -- 64) in
+  QCheck.make
+    ~print:(function
+      | Proto.Get k -> Printf.sprintf "Get (%d-byte key)" (String.length k)
+      | Proto.Set (k, v) ->
+          Printf.sprintf "Set (%d-byte key, %S)" (String.length k) v
+      | Proto.Del k -> Printf.sprintf "Del (%d-byte key)" (String.length k))
+    (oneof
+       [
+         map (fun k -> Proto.Get k) proto_key;
+         map2 (fun k v -> Proto.Set (k, v)) proto_key value;
+         map (fun k -> Proto.Del k) proto_key;
+       ])
+
+let proto_response =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun r -> String.concat "|" (Proto.response_segments r))
+    (oneof
+       [
+         map (fun v -> Proto.Value v) (string_size (0 -- 64));
+         return Proto.Not_found;
+         return Proto.Stored;
+         return Proto.Deleted;
+       ])
+
+let u16be n =
+  String.init 2 (fun i -> Char.chr ((n lsr (8 * (1 - i))) land 0xff))
+
+let proto_requests_roundtrip =
+  QCheck.Test.make ~name:"requests round-trip through both codecs" ~count:300
+    proto_request (fun r ->
+      Proto.request_of_segments (Proto.request_segments r) = Some r
+      && Proto.request_of_sga (Proto.request_sga r) = Some r
+      && Proto.udp_request_of_string (Proto.udp_request_string r) = Some r)
+
+let proto_responses_roundtrip =
+  (* The datagram reply has no decoder of its own: it is the segment
+     encoding flattened, which is what lets a device-served reply match
+     a host-served one byte for byte. *)
+  QCheck.Test.make ~name:"responses round-trip; a datagram reply is the \
+    segments flattened" ~count:300 proto_response (fun r ->
+      Proto.response_of_segments (Proto.response_segments r) = Some r
+      && Proto.response_of_sga (Proto.response_sga r) = Some r
+      && Proto.udp_response_string r
+         = String.concat "" (Proto.response_segments r))
+
+let proto_decoders_total =
+  (* Inputs start with a real tag often enough to reach every branch. *)
+  let tagged =
+    QCheck.Gen.(
+      map2
+        (fun tag rest -> if tag = "" then rest else tag ^ rest)
+        (oneofl [ ""; "G"; "S"; "D"; "+"; "-"; "!"; "x" ])
+        (string_size (0 -- 8)))
+  in
+  QCheck.Test.make ~name:"decoders never raise" ~count:1000
+    QCheck.(
+      make
+        ~print:(fun (s, segs) -> Printf.sprintf "%S / [%s]" s
+                  (String.concat "; " (List.map (Printf.sprintf "%S") segs)))
+        Gen.(pair tagged (list_size (0 -- 4) tagged)))
+    (fun (s, segs) ->
+      ignore (Proto.udp_request_of_string s);
+      ignore (Proto.request_of_segments segs);
+      ignore (Proto.response_of_segments segs);
+      ignore (Proto.request_of_sga (Dk_mem.Sga.of_strings segs));
+      ignore (Proto.response_of_sga (Dk_mem.Sga.of_strings segs));
+      true)
+
+let proto_set_key_overrun =
+  QCheck.Test.make ~name:"a SET key length past the datagram is None"
+    ~count:300
+    QCheck.(pair (int_range 1 0xffff) (string_of_size Gen.(0 -- 64)))
+    (fun (klen, rest) ->
+      let rest = String.sub rest 0 (Int.min (String.length rest) (klen - 1)) in
+      Proto.udp_request_of_string ("S" ^ u16be klen ^ rest) = None
+      && Proto.udp_request_of_string ("S" ^ String.sub (u16be klen) 0 1)
+         = None)
+
 let kv_basic () =
   let kv = Kv.create (Dk_mem.Manager.create ()) in
   check_bool "set" true (Kv.set kv "a" "1");
@@ -348,6 +438,13 @@ let () =
           Alcotest.test_case "apply" `Quick kv_apply;
           Alcotest.test_case "overwrite frees" `Quick kv_overwrite_frees_old_value;
         ] );
+      qsuite "proto-props"
+        [
+          proto_requests_roundtrip;
+          proto_responses_roundtrip;
+          proto_decoders_total;
+          proto_set_key_overrun;
+        ];
       qsuite "kv-props" [ kv_model_prop ];
       ( "end-to-end",
         [

@@ -45,10 +45,7 @@ let expected_flags src =
 (* The whole corpus, analyzed once as a single program. *)
 let corpus_findings =
   lazy
-    (let files = Tool_common.ml_files [ fixture_dir ] in
-     let prog =
-       Hot_engine.analyze_files (List.map (fun f -> (f, read_file f)) files)
-     in
+    (let prog = Hot_engine.analyze_files (Tool_common.load [ fixture_dir ]) in
      Hot_engine.findings prog)
 
 let findings_for file =
@@ -88,7 +85,8 @@ let all_rule_families_covered () =
 
 (* ---------------- engine behaviors ---------------- *)
 
-let analyze name src = Hot_engine.analyze_files [ (name, src) ]
+let analyze name src =
+  Hot_engine.analyze_files [ Tool_common.parse ~path:name src ]
 let rules fs = List.sort_uniq compare (List.map (fun f -> f.Tool_common.rule) fs)
 
 let contains ~sub s =
@@ -114,8 +112,10 @@ let cross_file_chain_charged_at_root () =
   let prog =
     Hot_engine.analyze_files
       [
-        ("render.ml", "let label n = string_of_int n ^ \"!\"\n");
-        ("pump.ml", "let deliver n = ignore (Render.label n)\n[@@hot]\n");
+        Tool_common.parse ~path:"render.ml"
+          "let label n = string_of_int n ^ \"!\"\n";
+        Tool_common.parse ~path:"pump.ml"
+          "let deliver n = ignore (Render.label n)\n[@@hot]\n";
       ]
   in
   let fs = Hot_engine.findings prog in
@@ -193,15 +193,14 @@ let parse_error_reported () =
     (rules fs)
 
 let scan_dirs_walks_fixtures () =
-  let _, n = Hot_engine.scan_dirs [ fixture_dir ] in
   Alcotest.(check int) "scans every fixture"
     (List.length (fixtures "bad_") + List.length (fixtures "good_"))
-    n
+    (List.length (Tool_common.load [ fixture_dir ]))
 
 (* ---------------- allowlist contract ---------------- *)
 
-(* One copy of the allowlist semantics serves all four dk-* tools
-   (Tool_common.run_driver): a matching entry suppresses, a stale
+(* One copy of the allowlist semantics serves all four rule families
+   (one allowlist, one driver): a matching entry suppresses, a stale
    entry is reported back and fails the run. Exercised here against
    real dk-hot corpus findings. *)
 let allowlist_suppresses_and_reports_stale () =
@@ -233,8 +232,12 @@ let allowlist_suppresses_and_reports_stale () =
 let shipped_allowlist_is_empty () =
   (* the acceptance bar for this tool: real findings get fixed or
      classified at the allocation site, never allowlisted away *)
-  Alcotest.(check int) "dk-hot ships with an empty allowlist" 0
-    (List.length (Tool_common.load_allowlist "../tools/hot/allowlist.txt"))
+  Alcotest.(check (list string)) "the shipped allowlist has no hot-* entry" []
+    (Tool_common.load_allowlist "../tools/analyze/allowlist.txt"
+    |> List.filter_map (fun (e : Tool_common.allow_entry) ->
+           if Tool_common.starts_with ~prefix:"hot-" e.a_rule then
+             Some (e.a_rule ^ " " ^ e.a_path)
+           else None))
 
 let () =
   let corpus_bad =
@@ -275,7 +278,7 @@ let () =
         [
           Alcotest.test_case "suppresses and reports stale" `Quick
             allowlist_suppresses_and_reports_stale;
-          Alcotest.test_case "shipped allowlist is empty" `Quick
+          Alcotest.test_case "shipped allowlist has no hot-* entry" `Quick
             shipped_allowlist_is_empty;
         ] );
     ]

@@ -307,6 +307,42 @@ let mtcp_latency_exceeds_batch_delays () =
   check_bool "rtt over 2 batch delays" true
     (Int64.compare (Dk_sim.Histogram.min hist) floor >= 0)
 
+let mtcp_slow_reader_gets_every_byte () =
+  (* The client queues 40 x 64 KiB, more than the 1 MiB app-visible
+     ring holds, and the server starts reading 1 ms later. What does
+     not fit must wait in TCP, not vanish. *)
+  let w = Setup.world Mtcp in
+  let engine = w.engine in
+  let chunks =
+    List.init 40 (fun i ->
+        String.init 65536 (fun j -> Char.chr ((i + j) land 0xff)))
+  in
+  let sent = String.concat "" chunks in
+  let got = Buffer.create (String.length sent) in
+  let drain conn () =
+    let n = Mtcp.recv_ready conn in
+    if n > 0 then Buffer.add_string got (Mtcp.recv conn n)
+  in
+  let accepted = ref None in
+  check_bool "listen" true
+    (Mtcp.listen w.server ~port:9 ~on_accept:(fun c -> accepted := Some c)
+    = Ok ());
+  let c = Mtcp.connect w.client ~dst:(Setup.endpoint w.b 9) in
+  Mtcp.set_on_connect c (fun () ->
+      List.iter (fun s -> ignore (Mtcp.send c s)) chunks;
+      ignore
+        (Engine.after engine 1_000_000L (fun () ->
+             match !accepted with
+             | Some s ->
+                 Mtcp.set_on_readable s (drain s);
+                 drain s ()
+             | None -> Alcotest.fail "no connection accepted")));
+  ignore
+    (Engine.run_until engine (fun () ->
+         Buffer.length got >= String.length sent));
+  check_int "every byte" (String.length sent) (Buffer.length got);
+  check_bool "in order" true (String.equal sent (Buffer.contents got))
+
 let () =
   Alcotest.run "dk_kernel"
     [
@@ -344,5 +380,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick mtcp_roundtrip;
           Alcotest.test_case "copies charged" `Quick mtcp_copies_charged;
           Alcotest.test_case "batch latency floor" `Quick mtcp_latency_exceeds_batch_delays;
+          Alcotest.test_case "slow reader gets every byte" `Quick
+            mtcp_slow_reader_gets_every_byte;
         ] );
     ]

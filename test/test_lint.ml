@@ -3,6 +3,7 @@
    stripping keeps it from tripping on text that merely mentions a
    forbidden construct. *)
 
+open Tool_common
 open Lint_engine
 
 let check = Alcotest.check

@@ -376,6 +376,19 @@ let flight_label_truncated () =
         (String.length e.F.what > 0 && e.F.what.[0] = 'x')
   | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l)
 
+let flight_long_entry () =
+  (* A ring wider than 64 KiB takes a label longer than a 2-byte length
+     could state; it must read back as one whole entry. *)
+  let f = F.create ~capacity:200_000 () in
+  let label = String.init 70_000 (fun i -> Char.chr (97 + (i mod 26))) in
+  F.record f ~now:7L F.Mark label;
+  check_int "one entry" 1 (F.length f);
+  match F.entries f with
+  | [ e ] ->
+      check_i64 "timestamp" 7L e.F.at;
+      check Alcotest.bool "label whole" true (String.equal e.F.what label)
+  | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l)
+
 let flight_dump_on_violation () =
   (* The documented wiring: a Dk_check sink that dumps the flight ring
      when a sanitizer violation reports. *)
@@ -781,6 +794,7 @@ let () =
           Alcotest.test_case "eviction" `Quick flight_eviction;
           Alcotest.test_case "disable/clear" `Quick flight_disable_and_clear;
           Alcotest.test_case "oversized label" `Quick flight_label_truncated;
+          Alcotest.test_case "entry over 64 KiB" `Quick flight_long_entry;
           Alcotest.test_case "dump on violation" `Quick flight_dump_on_violation;
           Alcotest.test_case "appenders allocate nothing" `Quick
             flight_appenders_allocate_nothing;

@@ -44,11 +44,7 @@ let expected_flags src =
 (* The whole corpus, analyzed once as a single program. *)
 let corpus_findings =
   lazy
-    (let files = Tool_common.ml_files [ fixture_dir ] in
-     let prog =
-       Shard_engine.analyze_files
-         (List.map (fun f -> (f, read_file f)) files)
-     in
+    (let prog = Shard_engine.analyze_files (Tool_common.load [ fixture_dir ]) in
      Shard_engine.findings prog)
 
 let findings_for file =
@@ -88,7 +84,8 @@ let all_rule_families_covered () =
 
 (* ---------------- call-graph behaviors ---------------- *)
 
-let analyze name src = Shard_engine.analyze_files [ (name, src) ]
+let analyze name src =
+  Shard_engine.analyze_files [ Tool_common.parse ~path:name src ]
 let rules fs = List.sort_uniq compare (List.map (fun f -> f.Tool_common.rule) fs)
 
 let contains ~sub s =
@@ -221,10 +218,9 @@ let parse_error_reported () =
     (rules fs)
 
 let scan_dirs_walks_fixtures () =
-  let _, n = Shard_engine.scan_dirs [ fixture_dir ] in
   Alcotest.(check int) "scans every fixture"
     (List.length (fixtures "bad_") + List.length (fixtures "good_"))
-    n
+    (List.length (Tool_common.load [ fixture_dir ]))
 
 (* ---------------- shared plumbing ---------------- *)
 

@@ -54,7 +54,7 @@ let bad_fixture_exact file () =
     (expected <> []);
   let got =
     scan_fixture file
-    |> List.map (fun f -> (f.Lint_engine.line, f.Lint_engine.rule))
+    |> List.map (fun f -> (f.Tool_common.line, f.Tool_common.rule))
     |> List.sort compare
   in
   Alcotest.check pair_list "every seeded violation flagged, nothing else"
@@ -63,14 +63,14 @@ let bad_fixture_exact file () =
 let good_fixture_clean file () =
   let got = scan_fixture file in
   List.iter
-    (fun f -> Printf.printf "unexpected: %s\n" (Lint_engine.pp_finding f))
+    (fun f -> Printf.printf "unexpected: %s\n" (Tool_common.pp_finding f))
     got;
   Alcotest.(check int) "clean fixture has zero findings" 0 (List.length got)
 
 let all_rule_families_covered () =
   let rules =
     List.concat_map scan_fixture (fixtures "bad_")
-    |> List.map (fun f -> f.Lint_engine.rule)
+    |> List.map (fun f -> f.Tool_common.rule)
     |> List.sort_uniq compare
   in
   List.iter
@@ -81,7 +81,8 @@ let all_rule_families_covered () =
 (* ---------------- unit behaviors ---------------- *)
 
 let scan src = Verify_engine.scan_source ~path:"examples/x.ml" src
-let rules fs = List.sort_uniq compare (List.map (fun f -> f.Lint_engine.rule) fs)
+let rules fs =
+  List.sort_uniq compare (List.map (fun f -> f.Tool_common.rule) fs)
 
 let escape_stops_tracking () =
   (* a qd handed to an unknown function carries no close obligation *)
@@ -124,17 +125,16 @@ let parse_error_reported () =
     (rules fs)
 
 let real_tree_scan_smoke () =
-  (* scan_dirs walks and parses the fixture dir without filesystem
-     surprises; file count matches the corpus *)
-  let _, n = Verify_engine.scan_dirs [ fixture_dir ] in
+  (* the shared front end walks and parses the fixture dir without
+     filesystem surprises; file count matches the corpus *)
   Alcotest.(check int) "scans every fixture"
     (List.length (fixtures "bad_") + List.length (fixtures "good_"))
-    n
+    (List.length (Tool_common.load [ fixture_dir ]))
 
 let allowlist_subtracts_and_detects_stale () =
   let findings = scan_fixture "bad_token.ml" in
   Alcotest.(check bool) "corpus yields findings" true (findings <> []);
-  let path = (List.hd findings).Lint_engine.path in
+  let path = (List.hd findings).Tool_common.path in
   let file = Filename.temp_file "verify_allow" ".txt" in
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
@@ -143,14 +143,14 @@ let allowlist_subtracts_and_detects_stale () =
       Printf.fprintf oc "# comment\ntoken-linear %s\nqd-typestate %s\n" path
         path;
       close_out oc;
-      let allow = Lint_engine.load_allowlist file in
-      let kept, stale = Lint_engine.apply_allowlist allow findings in
+      let allow = Tool_common.load_allowlist file in
+      let kept, stale = Tool_common.apply_allowlist allow findings in
       Alcotest.(check int) "token-linear findings all suppressed" 0
         (List.length
-           (List.filter (fun f -> f.Lint_engine.rule = "token-linear") kept));
+           (List.filter (fun f -> f.Tool_common.rule = "token-linear") kept));
       Alcotest.(check (list string)) "qd-typestate entry is stale"
         [ "qd-typestate" ]
-        (List.map (fun e -> e.Lint_engine.a_rule) stale))
+        (List.map (fun e -> e.Tool_common.a_rule) stale))
 
 let () =
   let corpus_bad =

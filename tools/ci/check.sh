@@ -6,27 +6,24 @@
 #   build     dune build — the whole tree compiles (lib, bench,
 #             examples, tools)
 #   test      dune runtest — unit/property/integration suites, plus
-#             @lint, @verify, @shard and @hot (dk-lint token rules,
-#             dk-verify typestate/dataflow analysis, dk-shard
-#             shard-safety/determinism analysis, dk-hot hot-path cost
-#             analysis; all fail on stale allowlist entries), the
-#             bench smoke run, bench_diff of tools/ci/baselines
-#             against itself (the bench gate's JSON reader), and the
-#             CLI/example transcript: every `demi` subcommand and the
-#             eight examples diffed against test/golden/cli.expected
+#             @analyze (tools/analyze: one parse of lib/, bench/ and
+#             examples/ for the four source rule families — dk-lint
+#             token rules, dk-verify typestate/dataflow analysis,
+#             dk-shard shard-safety/determinism analysis and dk-hot
+#             hot-path cost analysis — against one allowlist; stale
+#             entries fail), the bench smoke run, bench_diff of
+#             tools/ci/baselines against itself (the bench gate's JSON
+#             reader), and the CLI/example transcript: every `demi`
+#             subcommand and the eight examples diffed against
+#             test/golden/cli.expected
 #   sanitize  DK_SANITIZE=1 dune build @sanitize — exactly the suites
 #             that read DK_SANITIZE (canaries, poison-on-free,
 #             UAF/double-free detection, leak sweeps, token audit);
 #             suites that never consult the sanitizer are not re-run
-#   shard     dune build @shard — the dk-shard interprocedural
-#             shard-safety & determinism analysis over lib/ on its own
-#             (it also runs as part of 'test');
-#             the multi-shard datapath is gated on this staying clean
-#   hot       dune build @hot — the dk-hot interprocedural hot-path
-#             cost analysis (per-op allocation, complexity, poly
-#             compare/hash) over lib/ on its own (it also runs as
-#             part of 'test'); the ~1000-cycle
-#             datapath budget is gated on this staying clean
+#   analyze   dune build @analyze — the source analyzer on its own (it
+#             also runs as part of 'test'); the multi-shard datapath
+#             and the ~1000-cycle per-op budget are gated on it
+#             staying clean
 #   fault     dune build @fault — the fault-injection scenario suite,
 #             normal then sanitized; export DK_FAULT_CI=1 to widen the
 #             every-plan matrix to multiple seeds (the CI matrix job
@@ -47,8 +44,8 @@
 #             tables and fail on >25% regression against the committed
 #             baselines (virtual-time columns at DK_BENCH_MAX_RATIO,
 #             latency percentiles at DK_BENCH_PCTL_MAX_RATIO)
-#   all       build + test + shard + hot + scenario + offload +
-#             sanitize, plus fault when DK_FAULT_CI is set
+#   all       build + test + scenario + offload + sanitize, plus
+#             fault when DK_FAULT_CI is set (test already runs analyze)
 #
 # Run from anywhere; exits nonzero on the first failure.
 
@@ -64,7 +61,7 @@ run_build() {
 }
 
 run_test() {
-  echo "== [test] dune runtest (includes @lint, @verify, @shard and @hot)"
+  echo "== [test] dune runtest (includes @analyze)"
   dune runtest
 }
 
@@ -73,14 +70,9 @@ run_sanitize() {
   DK_SANITIZE=1 dune build @sanitize --force
 }
 
-run_shard() {
-  echo "== [shard] dune build @shard"
-  dune build @shard --force
-}
-
-run_hot() {
-  echo "== [hot] dune build @hot"
-  dune build @hot --force
+run_analyze() {
+  echo "== [analyze] dune build @analyze"
+  dune build @analyze --force
 }
 
 run_fault() {
@@ -107,8 +99,7 @@ case "$stage" in
   build)    run_build ;;
   test)     run_test ;;
   sanitize) run_sanitize ;;
-  shard)    run_shard ;;
-  hot)      run_hot ;;
+  analyze)  run_analyze ;;
   fault)    run_fault ;;
   scenario) run_scenario ;;
   offload)  run_offload ;;
@@ -116,8 +107,6 @@ case "$stage" in
   all)
     run_build
     run_test
-    run_shard
-    run_hot
     run_scenario
     run_offload
     run_sanitize
@@ -126,7 +115,7 @@ case "$stage" in
     fi
     ;;
   *)
-    echo "usage: $0 [build|test|sanitize|shard|hot|fault|scenario|offload|bench|all]" >&2
+    echo "usage: $0 [build|test|sanitize|analyze|fault|scenario|offload|bench|all]" >&2
     exit 2
     ;;
 esac

@@ -2,8 +2,8 @@
    dk-hot.
 
    Both tools are the same two-pass analysis over different rule
-   content. Pass 1 parses every file with compiler-libs (no
-   typechecking) and computes a per-function summary: which intrinsic
+   content. Pass 1 walks every file's parse tree ({!Tool_common.parse};
+   no typechecking) and computes a per-function summary: which intrinsic
    effects the body performs (a tool-defined string kind per effect),
    which functions it may call, and whether it calls through values the
    analysis cannot resolve (the [unknown] taint). Pass 2 is a BFS over
@@ -90,32 +90,8 @@ let mut_global_kind = "mut-global"
 
 (* ---------------- small AST helpers ---------------- *)
 
-let line_of (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
-
-let last_two (l : Longident.t) =
-  let rec components acc = function
-    | Longident.Lident s -> s :: acc
-    | Longident.Ldot (l, s) -> components (s :: acc) l
-    | Longident.Lapply (_, l) -> components acc l
-  in
-  match List.rev (components [] l) with
-  | f :: m :: _ -> Some (m, f)
-  | [ f ] -> Some ("", f)
-  | [] -> None
-
-let rec strip (e : expression) =
-  match e.pexp_desc with
-  | Pexp_constraint (e, _) -> strip e
-  | Pexp_open (_, e) -> strip e
-  | _ -> e
-
-let rec strip_pat (p : pattern) =
-  match p.ppat_desc with
-  | Ppat_constraint (p, _) | Ppat_open (_, p) -> strip_pat p
-  | _ -> p
-
 let is_fun (e : expression) =
-  match (strip e).pexp_desc with
+  match (Tool_common.strip e).pexp_desc with
   | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ -> true
   | _ -> false
 
@@ -219,7 +195,7 @@ let note_ident fc (node : summary) locals ~call ~line (txt : Longident.t) =
             | Some (kind, via) -> add_effect node kind via line
             | None -> if call && not (is_operator x) then node.unknown <- true))
   | _ -> (
-      match last_two txt with
+      match Tool_common.last_two txt with
       | Some (m, f) -> (
           let m = resolve_mod fc m in
           match fc.hooks.intrinsic_of ~cur_module:fc.cur_module ~call (m, f) with
@@ -230,13 +206,13 @@ let note_ident fc (node : summary) locals ~call ~line (txt : Longident.t) =
 (* The single target of a mutation-shaped expression, when it is a
    named module-level binding: [Some (module, name)]. *)
 let global_target fc locals (e : expression) =
-  match (strip e).pexp_desc with
+  match (Tool_common.strip e).pexp_desc with
   | Pexp_ident { txt = Longident.Lident x; _ } ->
       if Hashtbl.mem fc.top_globals x && not (List.mem_assoc x locals) then
         Some (fc.cur_module, x)
       else None
   | Pexp_ident { txt; _ } -> (
-      match last_two txt with
+      match Tool_common.last_two txt with
       | Some (m, f) when m <> "" -> Some (resolve_mod fc m, f)
       | _ -> None)
   | _ -> None
@@ -260,17 +236,18 @@ let rec walk fc (node : summary) locals ~spine (e : expression) : unit =
          e);
   match e.pexp_desc with
   | Pexp_ident { txt; _ } ->
-      note_ident fc node locals ~call:false ~line:(line_of e.pexp_loc) txt
+      note_ident fc node locals ~call:false
+        ~line:(Tool_common.line_of e.pexp_loc) txt
   | Pexp_let (rf, vbs, body) ->
       let locals' =
         List.fold_left
           (fun locals' vb ->
-            match (strip_pat vb.pvb_pat).ppat_desc with
+            match (Tool_common.strip_pat vb.pvb_pat).ppat_desc with
             | Ppat_var { txt = name; _ } when is_fun vb.pvb_expr ->
                 let key = node.key ^ "." ^ name in
                 let child =
                   new_summary ~attrs:vb.pvb_attributes fc key
-                    (line_of vb.pvb_loc)
+                    (Tool_common.line_of vb.pvb_loc)
                 in
                 let inner =
                   (* recursive locals see themselves *)
@@ -289,7 +266,8 @@ let rec walk fc (node : summary) locals ~spine (e : expression) : unit =
   | Pexp_setfield (target, _, value) ->
       (match global_target fc locals target with
       | Some (m, name) ->
-          record_mutation fc node ~m ~name ~line:(line_of e.pexp_loc)
+          record_mutation fc node ~m ~name
+            ~line:(Tool_common.line_of e.pexp_loc)
             ~how:"field write"
       | None -> walk fc node locals ~spine:false target);
       walk fc node locals ~spine:false value
@@ -319,7 +297,7 @@ and iter_children fc node locals (e : expression) =
    closure (which becomes its own synthetic summary) or the name of a
    function (marked as a root after all files are read). *)
 and handle_callback fc (node : summary) locals kind (arg : expression) =
-  let arg = strip arg in
+  let arg = Tool_common.strip arg in
   match arg.pexp_desc with
   | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ ->
       (* constructing the callback is the registering function's work *)
@@ -329,7 +307,7 @@ and handle_callback fc (node : summary) locals kind (arg : expression) =
            ~resolve:(resolve_mod fc)
            ~toplevel:(Hashtbl.mem fc.toplevel)
            arg);
-      let line = line_of arg.pexp_loc in
+      let line = Tool_common.line_of arg.pexp_loc in
       let key = Printf.sprintf "%s.<cb@%d>" node.key line in
       let cb = new_summary fc key line in
       cb.root <- Some kind;
@@ -343,7 +321,7 @@ and handle_callback fc (node : summary) locals kind (arg : expression) =
               (fc.cur_module ^ "." ^ x, kind) :: fc.pending_roots
           else node.unknown <- true)
   | Pexp_ident { txt; _ } -> (
-      match last_two txt with
+      match Tool_common.last_two txt with
       | Some (m, f) ->
           fc.pending_roots <-
             (resolve_mod fc m ^ "." ^ f, kind) :: fc.pending_roots
@@ -354,7 +332,7 @@ and handle_callback fc (node : summary) locals kind (arg : expression) =
       walk fc node locals ~spine:false arg
 
 and walk_apply fc node locals (e : expression) fn args =
-  let line = line_of e.pexp_loc in
+  let line = Tool_common.line_of e.pexp_loc in
   let positional =
     List.filter_map
       (fun (lbl, a) ->
@@ -362,15 +340,15 @@ and walk_apply fc node locals (e : expression) fn args =
       args
   in
   let fn_path =
-    match (strip fn).pexp_desc with
+    match (Tool_common.strip fn).pexp_desc with
     | Pexp_ident { txt; _ } -> (
-        match last_two txt with
+        match Tool_common.last_two txt with
         | Some (m, f) -> Some (resolve_mod fc m, f)
         | None -> None)
     | _ -> None
   in
   (* the callee itself *)
-  (match (strip fn).pexp_desc with
+  (match (Tool_common.strip fn).pexp_desc with
   | Pexp_ident { txt; _ } -> note_ident fc node locals ~call:true ~line txt
   | Pexp_fun _ | Pexp_function _ ->
       (* immediately-applied closure: effects are the caller's *)
@@ -425,7 +403,7 @@ let collect_aliases (str : structure) =
             pmb_expr = { pmod_desc = Pmod_ident { txt; _ }; _ };
             _;
           } -> (
-          match last_two txt with
+          match Tool_common.last_two txt with
           | Some (_, last) -> Some (name, last)
           | None -> None)
       | _ -> None)
@@ -441,19 +419,11 @@ let rec toplevel_bindings (str : structure) : value_binding list =
       | _ -> [])
     str
 
-let analyze_file hooks prog ~path (src : string) : unit =
+let analyze_file hooks prog (src : Tool_common.source) : unit =
+  let path = src.file in
   let cur_module = module_of_path path in
-  match
-    let lexbuf = Lexing.from_string src in
-    Lexing.set_filename lexbuf path;
-    Parse.implementation lexbuf
-  with
-  | exception exn ->
-      let line =
-        match exn with
-        | Syntaxerr.Error err -> line_of (Syntaxerr.location_of_error err)
-        | _ -> 1
-      in
+  match src.ast with
+  | Error line ->
       prog.parse_failures <-
         {
           Tool_common.path;
@@ -466,14 +436,14 @@ let analyze_file hooks prog ~path (src : string) : unit =
               hooks.tool;
         }
         :: prog.parse_failures
-  | str ->
+  | Ok str ->
       let bindings = toplevel_bindings str in
       let toplevel = Hashtbl.create 64 in
       let top_globals = Hashtbl.create 8 in
       (* names first: bodies may forward-reference later bindings *)
       List.iter
         (fun vb ->
-          match (strip_pat vb.pvb_pat).ppat_desc with
+          match (Tool_common.strip_pat vb.pvb_pat).ppat_desc with
           | Ppat_var { txt = name; _ } ->
               Hashtbl.replace toplevel name ();
               if (not (is_fun vb.pvb_expr)) && hooks.global_rhs vb.pvb_expr
@@ -494,12 +464,12 @@ let analyze_file hooks prog ~path (src : string) : unit =
       in
       List.iter
         (fun vb ->
-          match (strip_pat vb.pvb_pat).ppat_desc with
+          match (Tool_common.strip_pat vb.pvb_pat).ppat_desc with
           | Ppat_var { txt = name; _ } when is_fun vb.pvb_expr ->
               let key = cur_module ^ "." ^ name in
               let s =
                 new_summary ~attrs:vb.pvb_attributes fc key
-                  (line_of vb.pvb_loc)
+                  (Tool_common.line_of vb.pvb_loc)
               in
               s.root <-
                 hooks.binding_root ~cur_module ~name vb.pvb_attributes;
@@ -576,18 +546,10 @@ let reach prog (root : summary) : hit list =
 
 (* ---------------- public interface ---------------- *)
 
-let analyze_files hooks (files : (string * string) list) : program =
+let analyze_files hooks (files : Tool_common.source list) : program =
   let prog = { summaries = Hashtbl.create 512; parse_failures = [] } in
-  List.iter (fun (path, src) -> analyze_file hooks prog ~path src) files;
+  List.iter (analyze_file hooks prog) files;
   prog
-
-let analyze_dirs hooks (dirs : string list) : program * int =
-  let files = Tool_common.ml_files dirs in
-  let prog =
-    analyze_files hooks
-      (List.map (fun f -> (f, Tool_common.read_file f)) files)
-  in
-  (prog, List.length files)
 
 let summary_of (prog : program) key = Hashtbl.find_opt prog.summaries key
 

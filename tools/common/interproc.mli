@@ -1,12 +1,12 @@
 (** The shared interprocedural propagation engine behind dk-shard and
     dk-hot.
 
-    Pass 1 parses every file with compiler-libs (no typechecking) and
-    computes a per-function {!summary}: intrinsic effects (tool-defined
-    string kinds), candidate callees, the unknown-call taint, and an
-    optional root kind. Pass 2 ({!reach}) is a BFS over the
-    approximated call graph from a root, returning the first witness
-    site per effect kind with the full call chain.
+    Pass 1 walks every file's parse tree ({!Tool_common.parse}; no
+    typechecking) and computes a per-function {!summary}: intrinsic
+    effects (tool-defined string kinds), candidate callees, the
+    unknown-call taint, and an optional root kind. Pass 2 ({!reach})
+    is a BFS over the approximated call graph from a root, returning
+    the first witness site per effect kind with the full call chain.
 
     Tool-specific content — name-based intrinsics, shape-based
     expression effects, root discovery, dk-shard's module-state
@@ -98,13 +98,10 @@ val default_hooks : tool:string -> hooks
 val mut_global_kind : string
 (** The engine's effect kind for module-state writes (["mut-global"]). *)
 
-val analyze_files : hooks -> (string * string) list -> program
-(** [(path, source)] pairs, analyzed together as one program — edges
-    may cross files. *)
-
-val analyze_dirs : hooks -> string list -> program * int
-(** Walk directories (via {!Tool_common.ml_files}), analyze every
-    [.ml]; also returns the number of files read. *)
+val analyze_files : hooks -> Tool_common.source list -> program
+(** The parsed sources, analyzed together as one program — edges may
+    cross files. A source that did not parse becomes a [parse-error]
+    finding in [parse_failures]. *)
 
 type hit = {
   h_kind : string;
@@ -128,10 +125,6 @@ val all_summaries : program -> summary list
 
 (** {2 AST helpers shared by the tool engines} *)
 
-val line_of : Location.t -> int
-val last_two : Longident.t -> (string * string) option
-val strip : expression -> expression
-val strip_pat : pattern -> pattern
 val is_fun : expression -> bool
 val module_of_path : string -> string
 val attr_string : attribute -> string

@@ -1,9 +1,9 @@
-(* Shared plumbing for the dk-* source tools (dk-lint, dk-verify,
-   dk-shard): the finding type, the allowlist loader and stale-entry
-   semantics, defensive directory walking, and the common driver main
-   loop. One copy, three tools — the allowlist contract in particular
-   ("stale entries fail, the list can only shrink") must not drift
-   between them. *)
+(* Shared plumbing for the build-time source rules (dk-lint, dk-verify,
+   dk-shard, dk-hot): the finding type, the allowlist loader and
+   stale-entry semantics, defensive directory walking, and the front
+   end that parses each source once. One copy, four rule families —
+   the allowlist contract in particular ("stale entries fail, the list
+   can only shrink") must not drift between them. *)
 
 type finding = { path : string; line : int; rule : string; message : string }
 
@@ -70,6 +70,55 @@ let ml_files dirs =
   |> List.sort_uniq String.compare
   |> List.filter (ends_with ~suffix:".ml")
 
+(* ---------------- the front end ---------------- *)
+
+type source = {
+  file : string;
+  text : string;
+  ast : (Parsetree.structure, int) result;
+}
+
+let line_of (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
+
+let parse ~path text =
+  let file = normalize path in
+  let ast =
+    let lexbuf = Lexing.from_string text in
+    Lexing.set_filename lexbuf file;
+    match Parse.implementation lexbuf with
+    | str -> Ok str
+    | exception Syntaxerr.Error err ->
+        Error (line_of (Syntaxerr.location_of_error err))
+    | exception _ -> Error 1
+  in
+  { file; text; ast }
+
+let load dirs = List.map (fun f -> parse ~path:f (read_file f)) (ml_files dirs)
+
+(* ---------------- AST helpers ---------------- *)
+
+let last_two (l : Longident.t) =
+  let rec components acc = function
+    | Longident.Lident s -> s :: acc
+    | Longident.Ldot (l, s) -> components (s :: acc) l
+    | Longident.Lapply (_, l) -> components acc l
+  in
+  match List.rev (components [] l) with
+  | f :: m :: _ -> Some (m, f)
+  | [ f ] -> Some ("", f)
+  | [] -> None
+
+let rec strip (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_constraint (e, _) -> strip e
+  | Pexp_open (_, e) -> strip e
+  | _ -> e
+
+let rec strip_pat (p : Parsetree.pattern) =
+  match p.ppat_desc with
+  | Ppat_constraint (p, _) | Ppat_open (_, p) -> strip_pat p
+  | _ -> p
+
 (* ---------------- allowlist ---------------- *)
 
 type allow_entry = { a_rule : string; a_path : string; mutable used : bool }
@@ -125,103 +174,3 @@ let json_escape s =
       | c -> Buffer.add_char b c)
     s;
   Buffer.contents b
-
-(* Machine-readable run report, shared by every dk-* driver's [--json]
-   mode: the same facts the text output prints, one schema for all
-   four tools so CI consumers parse one format. *)
-let findings_json ~tool ~files ~(kept : finding list)
-    ~(stale : allow_entry list) ~allowlisted : string =
-  let finding f =
-    Printf.sprintf
-      "    {\"path\": \"%s\", \"line\": %d, \"rule\": \"%s\", \"message\": \
-       \"%s\"}"
-      (json_escape f.path) f.line (json_escape f.rule)
-      (json_escape f.message)
-  in
-  let stale_entry e =
-    Printf.sprintf "    {\"rule\": \"%s\", \"path\": \"%s\"}"
-      (json_escape e.a_rule) (json_escape e.a_path)
-  in
-  Printf.sprintf
-    "{\n\
-    \  \"tool\": \"%s\",\n\
-    \  \"files\": %d,\n\
-    \  \"allowlisted\": %d,\n\
-    \  \"findings\": [\n%s\n  ],\n\
-    \  \"stale\": [\n%s\n  ]\n\
-     }\n"
-    (json_escape tool) files allowlisted
-    (String.concat ",\n" (List.map finding kept))
-    (String.concat ",\n" (List.map stale_entry stale))
-
-(* ---------------- the shared driver main loop ---------------- *)
-
-(* Every dk-* driver is the same program: parse --root/--allowlist/DIRs,
-   refuse to scan a directory that does not exist (a typo must not
-   silently scan nothing), run the tool's scanner, subtract the
-   allowlist, print findings and stale entries, exit nonzero on either.
-   A tool with an [inventory] accepts [--inventory], which prints that
-   instead of scanning. *)
-let run_driver ~tool ~usage ~default_allowlist ~default_dirs ?inventory
-    ~(scan : string list -> finding list * int) () =
-  let root = ref None in
-  let allowlist = ref default_allowlist in
-  let dirs = ref [] in
-  let json = ref false in
-  let inventory_mode = ref false in
-  let rec parse = function
-    | [] -> ()
-    | "--root" :: d :: rest ->
-        root := Some d;
-        parse rest
-    | "--allowlist" :: f :: rest ->
-        allowlist := f;
-        parse rest
-    | "--json" :: rest ->
-        json := true;
-        parse rest
-    | "--inventory" :: rest when Option.is_some inventory ->
-        inventory_mode := true;
-        parse rest
-    | ("--help" | "-h") :: _ ->
-        print_endline usage;
-        exit 0
-    | arg :: _ when String.length arg > 0 && arg.[0] = '-' ->
-        Printf.eprintf "%s: unknown option %s\nusage: %s\n" tool arg usage;
-        exit 2
-    | dir :: rest ->
-        dirs := dir :: !dirs;
-        parse rest
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  (match !root with Some d -> Sys.chdir d | None -> ());
-  let dirs = match List.rev !dirs with [] -> default_dirs | ds -> ds in
-  List.iter
-    (fun d ->
-      if not (Sys.file_exists d && Sys.is_directory d) then begin
-        Printf.eprintf "%s: no such directory: %s\n" tool d;
-        exit 2
-      end)
-    dirs;
-  match inventory with
-  | Some print when !inventory_mode -> print ~json:!json dirs
-  | Some _ | None ->
-      let findings, scanned = scan dirs in
-      let allow = load_allowlist !allowlist in
-      let kept, stale = apply_allowlist allow findings in
-      let allowlisted = List.length allow - List.length stale in
-      if !json then
-        print_string
-          (findings_json ~tool ~files:scanned ~kept ~stale ~allowlisted)
-      else begin
-        List.iter (fun f -> print_endline (pp_finding f)) kept;
-        List.iter
-          (fun e ->
-            Printf.eprintf
-              "%s: stale allowlist entry (no longer matches): %s %s\n" tool
-              e.a_rule e.a_path)
-          stale;
-        Printf.printf "%s: %d source file(s), %d finding(s), %d allowlisted\n"
-          tool scanned (List.length kept) allowlisted
-      end;
-      if kept <> [] || stale <> [] then exit 1

@@ -1,12 +1,13 @@
-(** Shared plumbing for the dk-* build-time source tools (dk-lint,
-    dk-verify, dk-shard): the finding type, allowlist semantics,
-    defensive directory walking, and the common driver main loop.
+(** Shared plumbing for the build-time source rules (dk-lint, dk-verify,
+    dk-shard, dk-hot): the finding type, allowlist semantics, defensive
+    directory walking, and the front end that reads and parses each
+    source once for all four rule families.
 
-    The allowlist contract lives here so the three tools cannot drift:
-    one [rule path] pair per line suppresses every finding of that rule
-    in that file, and an entry that no longer matches anything is
-    reported as stale and fails the run — the allowlist can only
-    shrink. *)
+    The allowlist contract lives here so the rule families cannot
+    drift: one [rule path] pair per line suppresses every finding of
+    that rule in that file, and an entry that no longer matches
+    anything is reported as stale and fails the run — the allowlist can
+    only shrink. *)
 
 type finding = { path : string; line : int; rule : string; message : string }
 
@@ -24,17 +25,45 @@ val normalize : string -> string
 (** Backslashes to slashes, leading ["./"] stripped — allowlist paths
     and scanned paths must compare equal however they were spelled. *)
 
-val read_file : string -> string
-
-val walk : string -> string list -> string list
-(** [walk dir acc] collects every file under [dir], skipping any
-    directory whose name starts with ['.'] or ['_'] (a stray local
-    [_build/], [_opam/] or [.git/] must never inject phantom findings)
-    and any dotfile. Nonexistent directories yield [acc] unchanged. *)
-
 val ml_files : string list -> string list
-(** Walk the given directories and return the normalized, sorted,
-    deduplicated [.ml] paths. *)
+(** The normalized, sorted, deduplicated [.ml] paths under the given
+    directories. A directory whose name starts with ['.'] or ['_'] is
+    skipped (a stray local [_build/], [_opam/] or [.git/] must never
+    inject phantom findings), and so is any dotfile. A nonexistent
+    directory yields nothing. *)
+
+(** {2 The front end} *)
+
+type source = {
+  file : string;  (** the normalized path *)
+  text : string;
+  ast : (Parsetree.structure, int) result;
+      (** [Error line] when the text does not parse as OCaml: the line
+          the parser stopped at, or 1 when the failure has no location
+          (a lexer error, say). *)
+}
+
+val parse : path:string -> string -> source
+(** The tools' one call of the OCaml parser. *)
+
+val load : string list -> source list
+(** Every [.ml] under the given directories ({!ml_files}), read and
+    parsed once. *)
+
+(** {2 AST helpers shared by the rule engines} *)
+
+val line_of : Location.t -> int
+
+val last_two : Longident.t -> (string * string) option
+(** The last two components of a long identifier: [Some (m, f)] for
+    [...m.f], [Some ("", f)] for a bare [f]. *)
+
+val strip : Parsetree.expression -> Parsetree.expression
+(** Peel type constraints and local opens. *)
+
+val strip_pat : Parsetree.pattern -> Parsetree.pattern
+
+(** {2 Allowlist} *)
 
 type allow_entry = { a_rule : string; a_path : string; mutable used : bool }
 
@@ -49,31 +78,3 @@ val apply_allowlist :
 
 val json_escape : string -> string
 (** Escape for inclusion inside a JSON string literal. *)
-
-val findings_json :
-  tool:string ->
-  files:int ->
-  kept:finding list ->
-  stale:allow_entry list ->
-  allowlisted:int ->
-  string
-(** The machine-readable run report every driver's [--json] mode
-    emits: tool name, file count, post-allowlist findings, stale
-    allowlist entries — one schema for all four tools. *)
-
-val run_driver :
-  tool:string ->
-  usage:string ->
-  default_allowlist:string ->
-  default_dirs:string list ->
-  ?inventory:(json:bool -> string list -> unit) ->
-  scan:(string list -> finding list * int) ->
-  unit ->
-  unit
-(** The common driver: parse [--root]/[--allowlist]/[--json]/DIR
-    arguments (refusing directories that do not exist), run [scan],
-    subtract the allowlist, print findings and stale entries (as text,
-    or as one {!findings_json} report under [--json]), and exit
-    nonzero on either. A tool that passes [inventory] also accepts
-    [--inventory]: the driver then calls [inventory ~json dirs] instead
-    of scanning, and exits 0. *)

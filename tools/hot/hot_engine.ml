@@ -220,7 +220,7 @@ let captures ~toplevel (e : expression) : string list =
               (* let-bound names are bound even for non-pattern walks *)
               List.iter
                 (fun vb ->
-                  match (Interproc.strip_pat vb.pvb_pat).ppat_desc with
+                  match (Tool_common.strip_pat vb.pvb_pat).ppat_desc with
                   | Ppat_var { txt; _ } -> Hashtbl.replace bound txt ()
                   | _ -> ())
                 vbs
@@ -245,23 +245,23 @@ let positional args =
     args
 
 let fn_name ~resolve (fn : expression) =
-  match (Interproc.strip fn).pexp_desc with
+  match (Tool_common.strip fn).pexp_desc with
   | Pexp_ident { txt; _ } -> (
-      match Interproc.last_two txt with
+      match Tool_common.last_two txt with
       | Some (m, f) -> Some ((if m = "" then "" else resolve m), f)
       | None -> None)
   | _ -> None
 
 (* A non-immediate operand of [=]: comparing it walks structure. *)
 let structured (e : expression) =
-  match (Interproc.strip e).pexp_desc with
+  match (Tool_common.strip e).pexp_desc with
   | Pexp_tuple _ | Pexp_record _ | Pexp_array _ -> true
   | Pexp_construct (_, Some _) -> true
   | _ -> false
 
 let expr_effects ~cur_module:_ ~resolve ~toplevel (e : expression) :
     (string * string * int) list =
-  let line = Interproc.line_of e.pexp_loc in
+  let line = Tool_common.line_of e.pexp_loc in
   match e.pexp_desc with
   | Pexp_tuple _ -> [ ("alloc:tuple", "tuple construction", line) ]
   | Pexp_record _ -> [ ("alloc:record", "record construction", line) ]
@@ -283,14 +283,14 @@ let expr_effects ~cur_module:_ ~resolve ~toplevel (e : expression) :
       let names =
         List.filter_map
           (fun vb ->
-            match (Interproc.strip_pat vb.pvb_pat).ppat_desc with
+            match (Tool_common.strip_pat vb.pvb_pat).ppat_desc with
             | Ppat_var { txt; _ } -> Some txt
             | _ -> None)
           vbs
       in
       List.filter_map
         (fun vb ->
-          match (Interproc.strip_pat vb.pvb_pat).ppat_desc with
+          match (Tool_common.strip_pat vb.pvb_pat).ppat_desc with
           | Ppat_var { txt = name; _ } when Interproc.is_fun vb.pvb_expr -> (
               match
                 List.filter
@@ -302,7 +302,7 @@ let expr_effects ~cur_module:_ ~resolve ~toplevel (e : expression) :
                   Some
                     ( "alloc:closure",
                       Printf.sprintf "local fun %s capturing %s" name c,
-                      Interproc.line_of vb.pvb_loc ))
+                      Tool_common.line_of vb.pvb_loc ))
           | _ -> None)
         vbs
   | Pexp_apply (fn, args) -> (
@@ -373,17 +373,10 @@ let audit_annotations (ip : Interproc.program) : finding list =
           else None)
     (Interproc.all_summaries ip)
 
-let analyze_files (files : (string * string) list) : program =
+let analyze_files (files : Tool_common.source list) : program =
   let ip = Interproc.analyze_files hooks files in
   let annotations = audit_annotations ip in
   { ip; annotations }
-
-let analyze_dirs (dirs : string list) : program * int =
-  let files = Tool_common.ml_files dirs in
-  let prog =
-    analyze_files (List.map (fun f -> (f, Tool_common.read_file f)) files)
-  in
-  (prog, List.length files)
 
 (* ---------------- pass 2: findings ---------------- *)
 
@@ -440,10 +433,6 @@ let findings (prog : program) : finding list =
   @ List.concat_map (propagate_root prog) roots
   |> List.sort_uniq Tool_common.compare_finding
 
-let scan_dirs (dirs : string list) : finding list * int =
-  let prog, n = analyze_dirs dirs in
-  (findings prog, n)
-
 let summary_of (prog : program) key = Interproc.summary_of prog.ip key
 
 (* ---------------- hot-root inventory ---------------- *)
@@ -488,8 +477,7 @@ let inventory_json (roots : root_info list) : string =
        %d, \"reached\": %d}"
       (esc r.r_key) (esc r.r_kind) (esc r.r_path) r.r_line r.r_reached
   in
-  Printf.sprintf "{\n  \"hot_roots\": [\n%s\n  ]\n}"
-    (String.concat ",\n" (List.map entry roots))
+  Printf.sprintf "[\n%s\n  ]" (String.concat ",\n" (List.map entry roots))
 
 let inventory_table (roots : root_info list) : string =
   let b = Buffer.create 1024 in

@@ -49,24 +49,17 @@ type summary = Interproc.summary = {
 
 type program
 
-val analyze_files : (string * string) list -> program
-(** [(path, source)] pairs, analyzed together as one program — edges
-    may cross files. The [[@@hot.alloc]] audit and exemption run here:
+val analyze_files : Tool_common.source list -> program
+(** The parsed sources, analyzed together as one program — edges may
+    cross files. The [[@@hot.alloc]] audit and exemption run here:
     annotated functions have their alloc-family effects stripped
     (after recording any [hot-annotation] findings). *)
-
-val analyze_dirs : string list -> program * int
-(** Walk directories (via {!Tool_common.ml_files}), analyze every
-    [.ml]; also returns the number of files read. *)
 
 val findings : program -> finding list
 (** All four rule families plus [parse-error], sorted and deduplicated
     by (path, line, rule). At most one finding per family per root:
     the budget is the root's, so the shortest witness chain is the
     diagnostic. *)
-
-val scan_dirs : string list -> finding list * int
-(** [analyze_dirs] followed by [findings]; the driver entry point. *)
 
 val summary_of : program -> string -> summary option
 (** Look up one function's summary by key (for tests and debugging). *)
@@ -84,4 +77,6 @@ val inventory : program -> root_info list
     call-graph footprint. *)
 
 val inventory_json : root_info list -> string
+(** A JSON array, one object per root. *)
+
 val inventory_table : root_info list -> string

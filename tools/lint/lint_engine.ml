@@ -1,29 +1,14 @@
 (* dk-lint: project-specific source rules for the Demikernel reproduction.
 
-   The linter works on a cleaned token stream (comments, string literals
-   and char literals blanked out), so the rules below are heuristic but
-   comment/string-safe. False positives are silenced through the
-   checked-in allowlist rather than by weakening a rule. *)
+   The linter works on a token stream of code only (comments, string
+   literals and char literals blanked out by the compiler's own lexer),
+   so the rules below are heuristic but comment/string-safe. False
+   positives are silenced through the checked-in allowlist rather than
+   by weakening a rule. *)
 
-(* Finding type and allowlist semantics are shared across the dk-*
-   tools through Tool_common; the re-exports keep existing callers
-   ([Lint_engine.finding], [Lint_engine.load_allowlist]) compiling. *)
-
-type finding = Tool_common.finding = {
-  path : string;
-  line : int;
-  rule : string;
-  message : string;
-}
-
-let compare_finding = Tool_common.compare_finding
-let pp_finding = Tool_common.pp_finding
+open Tool_common
 
 (* ---------------- path classification ---------------- *)
-
-let normalize = Tool_common.normalize
-let starts_with = Tool_common.starts_with
-let ends_with = Tool_common.ends_with
 
 (* Fast-path modules: the zero-copy data path where a stray polymorphic
    compare or unsafe access defeats the safety argument of §4.5. The
@@ -55,72 +40,32 @@ let in_fault_scope path =
 let offload_sanctioned path =
   starts_with ~prefix:"lib/device/" path || path = "lib/core/demi.ml"
 
-(* ---------------- comment / literal stripping ---------------- *)
+(* ---------------- code text ---------------- *)
 
-(* Replace comments, string literals and char literals with spaces,
-   preserving newlines so line numbers survive. Handles nested (* *)
-   comments and string literals inside comments. *)
-let clean (src : string) : string =
-  let n = String.length src in
-  let out = Bytes.of_string src in
-  let blank i = if Bytes.get out i <> '\n' then Bytes.set out i ' ' in
-  let is_char_literal i =
-    (* at src.[i] = '\'': distinguish a char literal from a type
-       variable / polymorphic variant tick *)
-    if i + 2 < n && src.[i + 1] <> '\\' && src.[i + 2] = '\'' then Some (i + 2)
-    else if i + 1 < n && src.[i + 1] = '\\' then begin
-      (* escape: scan a short window for the closing quote *)
-      let rec find j = if j > i + 6 || j >= n then None
-        else if src.[j] = '\'' then Some j else find (j + 1)
-      in
-      find (i + 2)
-    end
-    else None
+(* The source with everything but code blanked: the compiler's lexer
+   skips comments, and its string and char literal tokens are dropped.
+   Newlines survive, so line numbers do, and adjacent code tokens stay
+   adjacent, so the tokenizer below reads the code exactly as written.
+   A lexer error ends the code text there (the file then fails to
+   parse, which dk-verify reports). *)
+let code_only (src : string) : string =
+  let out =
+    Bytes.of_string (String.map (fun c -> if c = '\n' then c else ' ') src)
   in
-  let i = ref 0 in
-  let comment_depth = ref 0 in
-  while !i < n do
-    let c = src.[!i] in
-    if !comment_depth > 0 then begin
-      if c = '(' && !i + 1 < n && src.[!i + 1] = '*' then begin
-        blank !i; blank (!i + 1); incr comment_depth; i := !i + 2
-      end
-      else if c = '*' && !i + 1 < n && src.[!i + 1] = ')' then begin
-        blank !i; blank (!i + 1); decr comment_depth; i := !i + 2
-      end
-      else if c = '"' then begin
-        (* string inside a comment: skip to its end *)
-        blank !i; incr i;
-        let fin = ref false in
-        while not !fin && !i < n do
-          (if src.[!i] = '\\' && !i + 1 < n then begin blank !i; blank (!i + 1); i := !i + 1 end
-           else if src.[!i] = '"' then fin := true);
-          blank !i; incr i
-        done
-      end
-      else begin blank !i; incr i end
-    end
-    else if c = '(' && !i + 1 < n && src.[!i + 1] = '*' then begin
-      blank !i; blank (!i + 1); comment_depth := 1; i := !i + 2
-    end
-    else if c = '"' then begin
-      blank !i; incr i;
-      let fin = ref false in
-      while not !fin && !i < n do
-        (if src.[!i] = '\\' && !i + 1 < n then begin blank !i; blank (!i + 1); i := !i + 1 end
-         else if src.[!i] = '"' then fin := true);
-        blank !i; incr i
-      done
-    end
-    else if c = '\'' then begin
-      match is_char_literal !i with
-      | Some close ->
-          for j = !i to close do blank j done;
-          i := close + 1
-      | None -> incr i
-    end
-    else incr i
-  done;
+  let lexbuf = Lexing.from_string src in
+  Lexer.init ();
+  let rec copy () =
+    match Lexer.token lexbuf with
+    | Parser.EOF -> ()
+    | Parser.STRING _ | Parser.CHAR _ -> copy ()
+    | _ ->
+        let start = Lexing.lexeme_start lexbuf in
+        let len = Lexing.lexeme_end lexbuf - start in
+        Bytes.blit_string src start out start len;
+        copy ()
+    | exception Lexer.Error _ -> ()
+  in
+  copy ();
   Bytes.to_string out
 
 (* ---------------- tokenizer ---------------- *)
@@ -418,49 +363,21 @@ let scan_tokens ~path (toks : token array) : finding list =
 
 let scan_source ~path (src : string) : finding list =
   let path = normalize path in
-  scan_tokens ~path (Array.of_list (tokenize (clean src)))
+  scan_tokens ~path (Array.of_list (tokenize (code_only src)))
 
-(* ---------------- filesystem walking ---------------- *)
-
-let read_file = Tool_common.read_file
-
-let missing_mli ~files : finding list =
-  let set = List.fold_left (fun s f -> (f, ()) :: s) [] files in
-  let has f = List.mem_assoc f set in
-  List.filter_map
-    (fun f ->
-      if in_lib f && ends_with ~suffix:".ml" f && not (has (f ^ "i")) then
-        Some
-          {
-            path = f;
-            line = 1;
-            rule = "missing-mli";
-            message =
-              "every .ml under lib/ needs a matching .mli: interfaces are \
-               where this repo's lifetime/ownership contracts live";
-          }
-      else None)
-    files
-
-let scan_dirs (dirs : string list) : finding list * int =
-  let files =
-    List.concat_map (fun d -> Tool_common.walk (normalize d) []) dirs
-    |> List.map normalize |> List.sort_uniq String.compare
+let check (src : source) : finding list =
+  let missing_mli =
+    if in_lib src.file && not (Sys.file_exists (src.file ^ "i")) then
+      [
+        {
+          path = src.file;
+          line = 1;
+          rule = "missing-mli";
+          message =
+            "every .ml under lib/ needs a matching .mli: interfaces are \
+             where this repo's lifetime/ownership contracts live";
+        };
+      ]
+    else []
   in
-  let sources = List.filter (ends_with ~suffix:".ml") files in
-  let findings =
-    missing_mli ~files
-    @ List.concat_map (fun f -> scan_source ~path:f (read_file f)) sources
-  in
-  (List.sort compare_finding findings, List.length sources)
-
-(* ---------------- allowlist (shared semantics) ---------------- *)
-
-type allow_entry = Tool_common.allow_entry = {
-  a_rule : string;
-  a_path : string;
-  mutable used : bool;
-}
-
-let load_allowlist = Tool_common.load_allowlist
-let apply_allowlist = Tool_common.apply_allowlist
+  missing_mli @ scan_source ~path:src.file src.text

@@ -1,7 +1,7 @@
 (** dk-lint rule engine.
 
-    Scans OCaml sources (comments/strings stripped, then tokenized) for
-    project-specific correctness rules:
+    Scans OCaml sources (comments and literals blanked by the compiler's
+    lexer, then tokenized) for project-specific correctness rules:
 
     - [missing-mli]: every [.ml] under [lib/] has a matching [.mli].
     - [unsafe-op]: no [Obj.magic] / [Bytes.unsafe_*] / [String.unsafe_*]
@@ -18,39 +18,10 @@
     False positives are suppressed through the allowlist, one
     [rule path] pair per line. *)
 
-type finding = Tool_common.finding = {
-  path : string;
-  line : int;
-  rule : string;
-  message : string;
-}
-
-val compare_finding : finding -> finding -> int
-
-val pp_finding : finding -> string
-(** ["path:line: [rule] message"]. *)
-
-val scan_source : path:string -> string -> finding list
+val scan_source : path:string -> string -> Tool_common.finding list
 (** Content rules only (no filesystem access); [path] selects which
     rules apply and appears in diagnostics. *)
 
-val scan_dirs : string list -> finding list * int
-(** Walk the given directories, scan every [.ml], and check [.mli]
-    presence for [lib/]. Returns sorted findings and the number of
-    sources scanned. *)
-
-type allow_entry = Tool_common.allow_entry = {
-  a_rule : string;
-  a_path : string;
-  mutable used : bool;
-}
-
-val load_allowlist : string -> allow_entry list
-(** Shared with dk-verify and dk-shard via {!Tool_common}: empty when
-    the file does not exist; malformed lines are reported on stderr and
-    skipped. *)
-
-val apply_allowlist :
-  allow_entry list -> finding list -> finding list * allow_entry list
-(** Returns the findings not covered by the allowlist, plus the unused
-    (stale) allowlist entries. *)
+val check : Tool_common.source -> Tool_common.finding list
+(** [scan_source] of the source's text, plus [missing-mli] (the one
+    rule that looks at the file system) for a source under [lib/]. *)

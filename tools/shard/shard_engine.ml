@@ -166,11 +166,11 @@ let mutator_of (m, f) : bool =
 (* ---------------- global (module-level state) detection ---------------- *)
 
 let global_kind_of_rhs (e : expression) : [ `Obs | `Kind of g_kind ] option =
-  match (Interproc.strip e).pexp_desc with
+  match (Tool_common.strip e).pexp_desc with
   | Pexp_apply (fn, _) -> (
-      match (Interproc.strip fn).pexp_desc with
+      match (Tool_common.strip fn).pexp_desc with
       | Pexp_ident { txt; _ } -> (
-          match Interproc.last_two txt with
+          match Tool_common.last_two txt with
           | Some ("", "ref") -> Some (`Kind GRef)
           | Some ("Metrics", ("counter" | "gauge" | "hist")) -> Some `Obs
           | Some (("Hashtbl" | "Itbl"), "create") -> Some (`Kind GHashtbl)
@@ -201,9 +201,9 @@ let hooks_for ~globals ~mutations : Interproc.hooks =
     mutator_of;
     on_toplevel =
       (fun ~cur_module ~path vb ->
-        match (Interproc.strip_pat vb.pvb_pat).ppat_desc with
+        match (Tool_common.strip_pat vb.pvb_pat).ppat_desc with
         | Ppat_var { txt = name; _ } -> (
-            let line = Interproc.line_of vb.pvb_loc in
+            let line = Tool_common.line_of vb.pvb_loc in
             match global_kind_of_rhs vb.pvb_expr with
             | Some `Obs ->
                 globals :=
@@ -354,7 +354,7 @@ let state_findings prog : finding list =
 
 (* ---------------- public interface ---------------- *)
 
-let analyze_files (files : (string * string) list) : program =
+let analyze_files (files : Tool_common.source list) : program =
   let globals = ref [] and mutations = ref [] in
   let hooks = hooks_for ~globals ~mutations in
   let ip = Interproc.analyze_files hooks files in
@@ -388,8 +388,7 @@ let inventory_json (globals : global list) : string =
       (esc (class_name g.g_class))
       (esc (class_reason g.g_class))
   in
-  Printf.sprintf "{\n  \"inventory\": [\n%s\n  ]\n}"
-    (String.concat ",\n" (List.map entry globals))
+  Printf.sprintf "[\n%s\n  ]" (String.concat ",\n" (List.map entry globals))
 
 let inventory_table (globals : global list) : string =
   let b = Buffer.create 1024 in
@@ -407,14 +406,3 @@ let inventory_table (globals : global list) : string =
            (match class_reason g.g_class with "" -> "" | r -> "  — " ^ r)))
     globals;
   Buffer.contents b
-
-let analyze_dirs (dirs : string list) : program * int =
-  let files = Tool_common.ml_files dirs in
-  let prog =
-    analyze_files (List.map (fun f -> (f, Tool_common.read_file f)) files)
-  in
-  (prog, List.length files)
-
-let scan_dirs (dirs : string list) : finding list * int =
-  let prog, n = analyze_dirs dirs in
-  (findings prog, n)

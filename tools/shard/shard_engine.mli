@@ -63,20 +63,13 @@ type global = {
 
 type program
 
-val analyze_files : (string * string) list -> program
-(** [(path, source)] pairs, analyzed together as one program — edges
-    may cross files. *)
-
-val analyze_dirs : string list -> program * int
-(** Walk directories (via {!Tool_common.ml_files}), analyze every
-    [.ml]; also returns the number of files read. *)
+val analyze_files : Tool_common.source list -> program
+(** The parsed sources, analyzed together as one program — edges may
+    cross files. *)
 
 val findings : program -> finding list
 (** All three rule families plus [parse-error], sorted and deduplicated
     by (path, line, rule). *)
-
-val scan_dirs : string list -> finding list * int
-(** [analyze_dirs] followed by [findings]; the driver entry point. *)
 
 val summary_of : program -> string -> summary option
 (** Look up one function's summary by key (for tests and debugging). *)
@@ -86,4 +79,6 @@ val inventory : program -> global list
     sorted by module then name. *)
 
 val inventory_json : global list -> string
+(** A JSON array, one object per global. *)
+
 val inventory_table : global list -> string

@@ -1,5 +1,6 @@
-(* dk-verify engine: parse with compiler-libs, then run an
-   intra-procedural typestate/dataflow analysis over the Demi API.
+(* dk-verify engine: an intra-procedural typestate/dataflow analysis
+   over the Demi API, run on each file's parse tree
+   ({!Tool_common.parse}).
 
    The domain tracks three kinds of let-bound values:
 
@@ -13,23 +14,9 @@
    obligations, so reports only fire on locally-provable breaks. *)
 
 open Parsetree
-
-type finding = Lint_engine.finding
+open Tool_common
 
 (* ---------------- small helpers ---------------- *)
-
-let line_of (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
-
-let last_two (l : Longident.t) =
-  let rec components acc = function
-    | Longident.Lident s -> s :: acc
-    | Longident.Ldot (l, s) -> components (s :: acc) l
-    | Longident.Lapply (_, l) -> components acc l
-  in
-  match List.rev (components [] l) with
-  | f :: m :: _ -> Some (m, f)
-  | [ f ] -> Some ("", f)
-  | [] -> None
 
 (* [Demi.push], [Demikernel.Demi.push], and driver-style aliases
    ([Demi_rt.push]) all count as the Demi API. *)
@@ -55,12 +42,6 @@ let unwrap_fn (e : expression) : bool =
       | Some ("", ("must" | "ok_exn" | "unwrap" | "get_ok")) -> true
       | _ -> false)
   | _ -> false
-
-let rec strip (e : expression) =
-  match e.pexp_desc with
-  | Pexp_constraint (e, _) -> strip e
-  | Pexp_open (_, e) -> strip e
-  | _ -> e
 
 (* ---------------- the Demi API surface ---------------- *)
 
@@ -121,7 +102,7 @@ type ctx = { path : string; findings : finding list ref }
 
 let report ctx line rule message =
   ctx.findings :=
-    { Lint_engine.path = ctx.path; line; rule; message } :: !(ctx.findings)
+    { Tool_common.path = ctx.path; line; rule; message } :: !(ctx.findings)
 
 (* ---------------- qd transitions ---------------- *)
 
@@ -360,14 +341,6 @@ let rec pattern_vars (p : pattern) : string list =
   | Ppat_or (a, b) -> pattern_vars a @ pattern_vars b
   | _ -> []
 
-let rec strip_pat (p : pattern) =
-  match p.ppat_desc with
-  | Ppat_constraint (p, _) | Ppat_open (_, p) -> strip_pat p
-  | _ -> p
-
-(* The single variable bound by an [Ok v] / [Popped v] / [Accepted v]
-   pattern, when there is exactly one and it is not an [_name]
-   deliberate discard. *)
 let construct_payload_var (p : pattern) : (string * string) option =
   match (strip_pat p).ppat_desc with
   | Ppat_construct ({ txt; _ }, Some (_, inner)) -> (
@@ -975,42 +948,16 @@ and analyze_module ctx (me : module_expr) =
   | Pmod_functor (_, me) | Pmod_constraint (me, _) -> analyze_module ctx me
   | _ -> ()
 
-let scan_source ~path (src : string) : finding list =
-  let ctx = { path; findings = ref [] } in
-  (match
-     let lexbuf = Lexing.from_string src in
-     Lexing.set_filename lexbuf path;
-     Parse.implementation lexbuf
-   with
-  | str ->
+let check (src : source) : finding list =
+  let ctx = { path = src.file; findings = ref [] } in
+  (match src.ast with
+  | Ok str ->
       analyze_structure ctx str;
       discard_findings ctx str
-  | exception exn ->
-      let line =
-        match exn with
-        | Syntaxerr.Error err -> line_of (Syntaxerr.location_of_error err)
-        | _ -> 1
-      in
+  | Error line ->
       report ctx line "parse-error"
         "source does not parse as OCaml: dk-verify needs real syntax (is \
          this file generated or preprocessed?)");
-  let compare_f (a : finding) (b : finding) =
-    match String.compare a.Lint_engine.path b.Lint_engine.path with
-    | 0 -> (
-        match compare a.Lint_engine.line b.Lint_engine.line with
-        | 0 -> String.compare a.Lint_engine.rule b.Lint_engine.rule
-        | c -> c)
-    | c -> c
-  in
-  List.sort_uniq compare_f !(ctx.findings)
+  List.sort_uniq compare_finding !(ctx.findings)
 
-(* ---------------- filesystem walking ---------------- *)
-
-let scan_dirs (dirs : string list) : finding list * int =
-  let files = Tool_common.ml_files dirs in
-  let findings =
-    List.concat_map
-      (fun f -> scan_source ~path:f (Tool_common.read_file f))
-      files
-  in
-  (List.sort Tool_common.compare_finding findings, List.length files)
+let scan_source ~path src = check (parse ~path src)

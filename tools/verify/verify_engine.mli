@@ -2,9 +2,9 @@
     queue/token/buffer protocol (the flow-aware companion to dk-lint's
     token-stream rules).
 
-    Sources are parsed with [compiler-libs] into real OCaml syntax and
-    checked by an intra-procedural abstract interpretation over
-    let-bound values of the Demi API. Four rule families:
+    Each source's parse tree ({!Tool_common.parse}) is checked by an
+    intra-procedural abstract interpretation over let-bound values of
+    the Demi API. Four rule families:
 
     - [qd-typestate]: the Figure-3 lifecycle over queue descriptors —
       [socket → bind → listen → accept] / [connect → push/pop → close],
@@ -26,14 +26,12 @@
     returned, stored) stops being tracked and carries no further
     obligations, so every finding is a definite local protocol break.
 
-    Findings share dk-lint's [finding] record and allowlist format
-    ([rule path] per line, stale entries reported). *)
+    Findings share the {!Tool_common.finding} record and allowlist
+    format ([rule path] per line, stale entries reported). *)
 
-val scan_source : path:string -> string -> Lint_engine.finding list
-(** Parse and check one source. A file that does not parse yields a
-    single [parse-error] finding. [path] selects nothing (all rules run
-    everywhere) but appears in diagnostics. *)
+val check : Tool_common.source -> Tool_common.finding list
+(** Check one parsed source, every rule everywhere. A source that did
+    not parse yields a single [parse-error] finding. *)
 
-val scan_dirs : string list -> Lint_engine.finding list * int
-(** Walk the given directories, scan every [.ml], return sorted
-    findings and the number of sources scanned. *)
+val scan_source : path:string -> string -> Tool_common.finding list
+(** [check] of [Tool_common.parse ~path src]. *)
