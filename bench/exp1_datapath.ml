@@ -10,28 +10,18 @@ module H = Dk_sim.Histogram
 
 let rounds = 50
 
+let echo w size =
+  ignore (Echo.serve w);
+  match Echo.rtt w ~size ~rounds with
+  | h, None -> H.quantile h 0.5
+  | _, Some _ -> failwith "echo failed"
+
 let kernel_rtt size =
   let w = Setup.world Kernel in
-  ignore (Echo.start_posix_server ~posix:w.server ~port:7);
-  let before = (Posix.stats w.client).Posix.syscalls in
-  match
-    Echo.posix_rtt ~posix:w.client ~engine:w.engine
-      ~dst:(Setup.endpoint w.b 7) ~size ~rounds
-  with
-  | Ok h ->
-      let syscalls = (Posix.stats w.client).Posix.syscalls - before in
-      (H.quantile h 0.5, float_of_int syscalls /. float_of_int rounds,
-       float_of_int (Posix.stats w.client).Posix.bytes_copied /. float_of_int rounds)
-  | Error _ -> failwith "kernel echo failed"
-
-let demi_rtt size =
-  let w = Setup.world Demikernel in
-  ignore (Echo.start_demi_server ~demi:w.server ~port:7);
-  match
-    Echo.demi_rtt ~demi:w.client ~dst:(Setup.endpoint w.b 7) ~size ~rounds
-  with
-  | h, None -> H.quantile h 0.5
-  | _, Some _ -> failwith "demi echo failed"
+  let per_op n = float_of_int n /. float_of_int rounds in
+  let p50 = echo w size in
+  let s = Posix.stats w.client in
+  (p50, per_op s.Posix.syscalls, per_op s.Posix.bytes_copied)
 
 let run () =
   Report.header ~id:"E1: data-path architectures" ~source:"Figure 1"
@@ -44,7 +34,7 @@ let run () =
     List.map
       (fun size ->
         let krtt, ksys, kcopy = kernel_rtt size in
-        let drtt = demi_rtt size in
+        let drtt = echo (Setup.world Demikernel) size in
         [
           string_of_int size;
           Report.ns krtt;

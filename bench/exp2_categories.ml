@@ -20,28 +20,16 @@ let must = function
   | Ok v -> v
   | Error e -> failwith (Types.error_to_string e)
 
-(* No accelerator at all: the same application on the kernel-fallback
+(* One echo ping-pong on a world. [Demikernel] is the DPDK class: raw
+   NIC, the libOS supplies the entire network stack. [Fallback] has no
+   accelerator at all: the same application on the kernel-fallback
    libOS ("Catnap"-style), paying legacy prices. *)
-let fallback_class () =
-  let w = Setup.world Kernel in
-  let da = Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.client () in
-  let db = Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.server () in
-  ignore (Dk_apps.Echo.start_demi_server ~demi:db ~port:7);
-  match
-    Dk_apps.Echo.demi_rtt ~demi:da ~dst:(Setup.endpoint w.b 7) ~size ~rounds
-  with
+let echo_class os =
+  let w = Setup.world os in
+  ignore (Dk_apps.Echo.serve w);
+  match Dk_apps.Echo.rtt w ~size ~rounds with
   | h, None -> H.quantile h 0.5
-  | _, Some _ -> failwith "fallback-class run failed"
-
-(* DPDK-class: raw NIC; the libOS supplies the entire network stack. *)
-let dpdk_class () =
-  let w = Setup.world Demikernel in
-  ignore (Dk_apps.Echo.start_demi_server ~demi:w.server ~port:7);
-  match
-    Dk_apps.Echo.demi_rtt ~demi:w.client ~dst:(Setup.endpoint w.b 7) ~size ~rounds
-  with
-  | h, None -> H.quantile h 0.5
-  | _, Some _ -> failwith "dpdk-class run failed"
+  | _, Some e -> failwith (Types.error_to_string e)
 
 (* RDMA-class: the device does reliable transport; the libOS supplies
    buffer management and flow control. *)
@@ -108,10 +96,10 @@ let run () =
     ~claim:
       "The same application runs unmodified on all three device classes; the\n\
        libOS implements whatever OS functionality the device lacks.";
-  let dpdk = dpdk_class () in
+  let dpdk = echo_class Setup.Demikernel in
   let rdma = rdma_class () in
   let prog, offloaded = programmable_class () in
-  let fallback = fallback_class () in
+  let fallback = echo_class Setup.Fallback in
   let widths = [ 22; 26; 26; 12 ] in
   Report.table widths
     [ "device class"; "device provides"; "libOS provides"; "p50 RTT(ns)" ]

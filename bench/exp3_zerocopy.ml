@@ -5,39 +5,19 @@
    copy-vs-app-work accounting the paper states. *)
 
 module Setup = Dk_apps.Sim_setup
-module Kv = Dk_apps.Kv
 module Kv_app = Dk_apps.Kv_app
-module Kv_posix = Dk_apps.Kv_posix
-module Demi = Demikernel.Demi
 module Cost = Dk_sim.Cost
 module H = Dk_sim.Histogram
 
 let ops = 60
 
-let demi_get_p50 value_size =
-  let w = Setup.world Demikernel in
-  let kv = Kv.create (Demi.manager w.server) in
-  ignore (Kv_app.start_tcp_server ~demi:w.server ~port:1 ~kv);
+let get_p50 w value_size =
+  ignore (Kv_app.serve w);
   match
-    Kv_app.run_tcp_client ~demi:w.client ~dst:(Setup.endpoint w.b 1) ~ops
-      ~keys:8 ~value_size ~read_fraction:1.0 ()
+    Kv_app.run w ~ops ~keys:8 ~value_size ~read_fraction:1.0 ()
   with
   | Ok s -> H.quantile s.Kv_app.latency 0.5
-  | Error _ -> failwith "demi kv failed"
-
-let posix_get_p50 value_size =
-  let w = Setup.world Kernel in
-  let kv = Kv.create (Dk_mem.Manager.create ()) in
-  ignore
-    (Kv_posix.start_server ~posix:w.server ~cost:w.cost
-       ~engine:w.engine ~port:1 ~kv);
-  match
-    Kv_posix.run_client ~posix:w.client ~engine:w.engine
-      ~dst:(Setup.endpoint w.b 1) ~ops ~keys:8 ~value_size
-      ~read_fraction:1.0 ()
-  with
-  | Ok s -> H.quantile s.Kv_app.latency 0.5
-  | Error _ -> failwith "posix kv failed"
+  | Error _ -> failwith "kv failed"
 
 let run () =
   Report.header ~id:"E3: zero-copy I/O" ~source:"§3.2"
@@ -52,7 +32,8 @@ let run () =
   let rows =
     List.map
       (fun size ->
-        let p = posix_get_p50 size and d = demi_get_p50 size in
+        let p = get_p50 (Setup.world Kernel) size
+        and d = get_p50 (Setup.world Demikernel) size in
         [ string_of_int size; Report.ns p; Report.ns d; Report.ratio p d ])
       [ 64; 512; 4096; 16384; 65536 ]
   in

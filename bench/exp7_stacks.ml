@@ -20,7 +20,7 @@ let tp_size = 64
 let kernel_throughput () =
   let w = Setup.world Kernel in
   let engine = w.engine in
-  ignore (Echo.start_posix_server ~posix:w.server ~port:7);
+  ignore (Echo.serve w);
   let module P = Dk_kernel.Posix in
   let fd = P.socket w.client in
   ignore (P.connect w.client fd ~dst:(Setup.endpoint w.b 7));
@@ -55,7 +55,7 @@ let kernel_throughput () =
 let mtcp_throughput () =
   let w = Setup.world Mtcp in
   let engine = w.engine in
-  ignore (Echo.start_mtcp_server ~mtcp:w.server ~port:7);
+  ignore (Echo.serve w);
   let module M = Dk_kernel.Mtcp in
   let conn = M.connect w.client ~dst:(Setup.endpoint w.b 7) in
   let connected = ref false in
@@ -79,7 +79,7 @@ let mtcp_throughput () =
 let demi_throughput () =
   let w = Setup.world Demikernel in
   let engine = w.engine in
-  ignore (Echo.start_demi_server ~demi:w.server ~port:7);
+  ignore (Echo.serve w);
   let module D = Demikernel.Demi in
   let module T = Demikernel.Types in
   let qd = Result.get_ok (D.socket w.client `Tcp) in
@@ -109,33 +109,11 @@ let demi_throughput () =
   let elapsed = Int64.sub (Dk_sim.Engine.now engine) t0 in
   float_of_int tp_msgs /. (Int64.to_float elapsed /. 1e9)
 
-let kernel size =
-  let w = Setup.world Kernel in
-  ignore (Echo.start_posix_server ~posix:w.server ~port:7);
-  match
-    Echo.posix_rtt ~posix:w.client ~engine:w.engine
-      ~dst:(Setup.endpoint w.b 7) ~size ~rounds
-  with
-  | Ok h -> H.quantile h 0.5
-  | Error _ -> failwith "kernel run failed"
-
-let mtcp size =
-  let w = Setup.world Mtcp in
-  ignore (Echo.start_mtcp_server ~mtcp:w.server ~port:7);
-  let h =
-    Echo.mtcp_rtt ~mtcp:w.client ~engine:w.engine
-      ~dst:(Setup.endpoint w.b 7) ~size ~rounds
-  in
-  H.quantile h 0.5
-
-let demikernel size =
-  let w = Setup.world Demikernel in
-  ignore (Echo.start_demi_server ~demi:w.server ~port:7);
-  match
-    Echo.demi_rtt ~demi:w.client ~dst:(Setup.endpoint w.b 7) ~size ~rounds
-  with
+let p50 w size =
+  ignore (Echo.serve w);
+  match Echo.rtt w ~size ~rounds with
   | h, None -> H.quantile h 0.5
-  | _, Some _ -> failwith "demi run failed"
+  | _, Some _ -> failwith "echo failed"
 
 let run () =
   Report.header ~id:"E7: network stack comparison" ~source:"§6 (related work)"
@@ -149,9 +127,9 @@ let run () =
       (fun size ->
         [
           string_of_int size;
-          Report.ns (kernel size);
-          Report.ns (mtcp size);
-          Report.ns (demikernel size);
+          Report.ns (p50 (Setup.world Kernel) size);
+          Report.ns (p50 (Setup.world Mtcp) size);
+          Report.ns (p50 (Setup.world Demikernel) size);
         ])
       [ 64; 1024; 4096 ]
   in

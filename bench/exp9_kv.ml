@@ -3,10 +3,7 @@
    vs Demikernel queues. Throughput and tail latency. *)
 
 module Setup = Dk_apps.Sim_setup
-module Kv = Dk_apps.Kv
 module Kv_app = Dk_apps.Kv_app
-module Kv_posix = Dk_apps.Kv_posix
-module Demi = Demikernel.Demi
 module Posix = Dk_kernel.Posix
 module H = Dk_sim.Histogram
 
@@ -14,36 +11,27 @@ let ops = 1000
 let keys = 200
 let value_size = 1024
 
+let kv_run w =
+  match Kv_app.run w ~ops ~keys ~value_size ~read_fraction:0.9 () with
+  | Ok s -> s
+  | Error _ -> failwith "kv failed"
+
 let demi_run () =
   let w = Setup.world Demikernel in
-  let kv = Kv.create (Demi.manager w.server) in
-  ignore (Kv_app.start_tcp_server ~demi:w.server ~port:1 ~kv);
-  match
-    Kv_app.run_tcp_client ~demi:w.client ~dst:(Setup.endpoint w.b 1) ~ops
-      ~keys ~value_size ~read_fraction:0.9 ()
-  with
-  | Ok s -> (s, 0.0, 0.0)
-  | Error _ -> failwith "demi kv failed"
+  ignore (Kv_app.serve w);
+  (kv_run w, 0.0, 0.0)
 
+(* Server syscalls and copies per request, server start excluded. *)
 let posix_run () =
   let w = Setup.world Kernel in
-  let kv = Kv.create (Dk_mem.Manager.create ()) in
-  ignore
-    (Kv_posix.start_server ~posix:w.server ~cost:w.cost
-       ~engine:w.engine ~port:1 ~kv);
-  let sys0 = (Posix.stats w.server).Posix.syscalls in
-  let copy0 = (Posix.stats w.server).Posix.bytes_copied in
-  match
-    Kv_posix.run_client ~posix:w.client ~engine:w.engine
-      ~dst:(Setup.endpoint w.b 1) ~ops ~keys ~value_size
-      ~read_fraction:0.9 ()
-  with
-  | Ok s ->
-      let per_op n = float_of_int n /. float_of_int (ops + keys) in
-      ( s,
-        per_op ((Posix.stats w.server).Posix.syscalls - sys0),
-        per_op ((Posix.stats w.server).Posix.bytes_copied - copy0) )
-  | Error _ -> failwith "posix kv failed"
+  ignore (Kv_app.serve w);
+  let s0 = Posix.stats w.server in
+  let s = kv_run w in
+  let s1 = Posix.stats w.server in
+  let per_op n = float_of_int n /. float_of_int (ops + keys) in
+  ( s,
+    per_op (s1.Posix.syscalls - s0.Posix.syscalls),
+    per_op (s1.Posix.bytes_copied - s0.Posix.bytes_copied) )
 
 let describe name (s : Kv_app.client_stats) syscalls copied =
   [

@@ -82,32 +82,19 @@ let rtt_run stack size rounds window shards xfrac =
     pp_shard_table s
   end
   else
-  let name, h =
-    match stack with
-    | `Kernel ->
-        let w = Setup.world Kernel in
-        ignore (Echo.start_posix_server ~posix:w.server ~port:7);
-        ( "kernel",
-          Result.get_ok
-            (Echo.posix_rtt ~posix:w.client ~engine:w.engine
-               ~dst:(Setup.endpoint w.b 7) ~size ~rounds) )
-    | `Mtcp ->
-        let w = Setup.world Mtcp in
-        ignore (Echo.start_mtcp_server ~mtcp:w.server ~port:7);
-        ( "mtcp",
-          Echo.mtcp_rtt ~mtcp:w.client ~engine:w.engine
-            ~dst:(Setup.endpoint w.b 7) ~size ~rounds )
-    | `Demikernel -> (
-        let w = Setup.world Demikernel in
-        Demi_rt.set_batch_window w.client window;
-        ignore (Echo.start_demi_server ~demi:w.server ~port:7);
-        match
-          Echo.demi_rtt ~demi:w.client ~dst:(Setup.endpoint w.b 7) ~size ~rounds
-        with
-        | h, None -> ("demikernel", h)
-        | _, Some e -> failwith (Demikernel.Types.error_to_string e))
+  let run name w =
+    ignore (Echo.serve w);
+    match Echo.rtt w ~size ~rounds with
+    | h, None -> pp_hist (Printf.sprintf "%s echo %dB" name size) h
+    | _, Some e -> failwith (Demikernel.Types.error_to_string e)
   in
-  pp_hist (Printf.sprintf "%s echo %dB" name size) h
+  match stack with
+  | `Kernel -> run "kernel" (Setup.world Kernel)
+  | `Mtcp -> run "mtcp" (Setup.world Mtcp)
+  | `Demikernel ->
+      let w = Setup.world Demikernel in
+      Demi_rt.set_batch_window w.client window;
+      run "demikernel" w
 
 let stack_arg =
   Arg.(value
@@ -252,7 +239,11 @@ let kv_run iface ops keys value reads offload shards xfrac =
     pp_shard_table s
   end
   else
-  let pp_kv name = function
+  let run name w =
+    ignore (Dk_apps.Kv_app.serve w);
+    match
+      Dk_apps.Kv_app.run w ~ops ~keys ~value_size:value ~read_fraction:reads ()
+    with
     | Ok s ->
         pp_hist name s.Dk_apps.Kv_app.latency;
         Format.printf "throughput: %.1f kops/s@."
@@ -262,24 +253,8 @@ let kv_run iface ops keys value reads offload shards xfrac =
     | Error _ -> prerr_endline (name ^ " run failed")
   in
   match iface with
-  | `Posix ->
-      let w = Setup.world Kernel in
-      let kv = Dk_apps.Kv.create (Dk_mem.Manager.create ()) in
-      ignore
-        (Dk_apps.Kv_posix.start_server ~posix:w.server ~cost:w.cost
-           ~engine:w.engine ~port:1 ~kv);
-      pp_kv "posix kv"
-        (Dk_apps.Kv_posix.run_client ~posix:w.client ~engine:w.engine
-           ~dst:(Setup.endpoint w.b 1) ~ops ~keys ~value_size:value
-           ~read_fraction:reads ())
-  | `Demikernel ->
-      let w = Setup.world Demikernel in
-      let kv = Dk_apps.Kv.create (Demi_rt.manager w.server) in
-      ignore (Dk_apps.Kv_app.start_tcp_server ~demi:w.server ~port:1 ~kv);
-      pp_kv "demikernel kv"
-        (Dk_apps.Kv_app.run_tcp_client ~demi:w.client
-           ~dst:(Setup.endpoint w.b 1) ~ops ~keys ~value_size:value
-           ~read_fraction:reads ())
+  | `Posix -> run "posix kv" (Setup.world Kernel)
+  | `Demikernel -> run "demikernel kv" (Setup.world Demikernel)
 
 let kv_cmd =
   let iface =
@@ -452,10 +427,8 @@ let stats_run size rounds loss json window offload shards xfrac =
   else begin
     let w = Setup.world ~loss Demikernel in
     Demi_rt.set_batch_window w.client window;
-    ignore (Echo.start_demi_server ~demi:w.server ~port:7);
-    let h, err =
-      Echo.demi_rtt ~demi:w.client ~dst:(Setup.endpoint w.b 7) ~size ~rounds
-    in
+    ignore (Echo.serve w);
+    let h, err = Echo.rtt w ~size ~rounds in
     Option.iter (fun e -> failwith (Demikernel.Types.error_to_string e)) err;
     meter_host_alloc ~since:mw0 ~ops:rounds;
     Format.printf "echo workload: %d rounds of %dB over a %.1f%%-lossy fabric@."
@@ -660,7 +633,7 @@ let faults_replay name seed size rounds =
       Dk_obs.Metrics.reset Dk_obs.Metrics.default;
       Dk_obs.Flight.clear Dk_obs.Flight.default;
       let w = Setup.world ~fault_plan:plan ~block:true Demikernel in
-      ignore (Echo.start_demi_server ~demi:w.server ~port:7);
+      ignore (Echo.serve w);
       Format.printf "plan %s (seed %d): %s@." plan.Fault.plan_name seed
         (try List.assoc name Fault.plan_names with Not_found -> "custom");
       let then_ = function
@@ -668,11 +641,9 @@ let faults_replay name seed size rounds =
         | Some e ->
             Printf.sprintf " — then %s" (Demikernel.Types.error_to_string e)
       in
-      let ok_rounds, echo_err =
-        Dk_apps.Fault_replay.echo ~demi:w.client ~dst:(Setup.endpoint w.b 7)
-          ~size ~rounds
-      in
-      Format.printf "echo   : %d/%d rounds%s@." ok_rounds rounds (then_ echo_err);
+      let echoed, echo_err = Echo.rtt w ~size ~rounds in
+      Format.printf "echo   : %d/%d rounds%s@." (H.count echoed) rounds
+        (then_ echo_err);
       let records = 8 in
       let ok_records, log_err = Dk_apps.Fault_replay.log ~demi:w.client ~records in
       Format.printf "storage: %d/%d records%s@." ok_records records

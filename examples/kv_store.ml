@@ -4,27 +4,25 @@
    The server answers GETs with zero-copy responses that share the
    stored value buffer; the client runs a Zipf-skewed 90/10 GET/SET
    mix and reports the latency distribution. Both hosts come from one
-   [Sim_setup.world Demikernel] call.
+   [Sim_setup.world Demikernel] call, and the server and client take
+   that world.
 
    Run with:  dune exec examples/kv_store.exe *)
 
 module Demi = Demikernel.Demi
 module Setup = Dk_apps.Sim_setup
-module Kv = Dk_apps.Kv
 module Kv_app = Dk_apps.Kv_app
 module H = Dk_sim.Histogram
 
 let () =
   let w = Setup.world Demikernel in
-  let kv = Kv.create (Demi.manager w.server) in
   let srv =
-    match Kv_app.start_tcp_server ~demi:w.server ~port:6379 ~kv with
+    match Kv_app.serve w with
     | Ok s -> s
     | Error e -> failwith (Demikernel.Types.error_to_string e)
   in
   match
-    Kv_app.run_tcp_client ~demi:w.client ~dst:(Setup.endpoint w.b 6379)
-      ~ops:2000 ~keys:500 ~value_size:512 ~read_fraction:0.9 ()
+    Kv_app.run w ~ops:2000 ~keys:500 ~value_size:512 ~read_fraction:0.9 ()
   with
   | Error e -> failwith (Demikernel.Types.error_to_string e)
   | Ok stats ->

@@ -1,10 +1,6 @@
 module Demi = Demikernel.Demi
 module Types = Demikernel.Types
 
-let echo ~demi ~dst ~size ~rounds =
-  let hist, err = Echo.demi_rtt ~demi ~dst ~size ~rounds in
-  (Dk_sim.Histogram.count hist, err)
-
 let log ~demi ~records =
   let rec append fqd i =
     if i > records then (records, None)

@@ -1,13 +1,24 @@
-(** Redis-like server and closed-loop client on the Demikernel API.
+(** Redis-like server and closed-loop client on any world but mTCP's.
 
-    The server runs on {!Dk_sched.Event_loop}: one outstanding pop per
+    On Demikernel queues (the bypass libOS or the kernel fallback) the
+    server runs on {!Dk_sched.Event_loop}: one outstanding pop per
     connection, answered with zero-copy responses
-    ({!Kv.apply_zero_copy}); each request charges
-    [Cost.app_request] of application work (the paper's ~2 µs Redis
-    figure). The client drives the simulation with blocking waits and
-    records per-operation latency. *)
+    ({!Kv.apply_zero_copy}). On POSIX sockets (the legacy kernel, the
+    baseline the paper argues against) every accept/read/write is a
+    syscall, every byte crosses the user/kernel boundary by copy, and
+    requests arrive on a byte stream that each connection's framing
+    decoder cuts (§3.2); the event loop blocks in epoll. Either way
+    each request charges [Cost.app_request] of application work (the
+    paper's ~2 µs Redis figure). The client drives the simulation with
+    blocking waits and records per-operation latency. *)
 
 type server
+
+val serve : 'os Sim_setup.world -> (server, Demikernel.Types.error) result
+(** Start a kv server on port 6379 of the world's server host: on
+    Demikernel queues with a store over the server's memory manager,
+    or on the kernel's POSIX sockets with a store over a fresh manager.
+    @raise Invalid_argument on an mTCP world. *)
 
 val start_tcp_server :
   demi:Demikernel.Demi.t -> port:int -> kv:Kv.t -> (server, Demikernel.Types.error) result
@@ -42,7 +53,9 @@ val server_offloaded : server -> bool
 
 val set_udp_peer :
   server -> Dk_net.Addr.endpoint -> (unit, Demikernel.Types.error) result
+
 val requests_served : server -> int
+(** Requests answered so far, on either kind of server. *)
 
 type client_stats = {
   ops : int;
@@ -52,14 +65,17 @@ type client_stats = {
   elapsed_ns : int64;
 }
 
-val run_tcp_client :
-  demi:Demikernel.Demi.t ->
-  dst:Dk_net.Addr.endpoint ->
+val run :
+  'os Sim_setup.world ->
   ops:int ->
   keys:int ->
   value_size:int ->
   read_fraction:float ->
   unit ->
   (client_stats, Demikernel.Types.error) result
-(** Pre-populates every key with one SET pass, then runs [ops]
-    operations closed-loop over Zipf(0.99)-distributed keys (seed 11). *)
+(** From the world's client host, over one TCP connection to the
+    server of {!serve}: pre-populate every key with one SET pass, then
+    run [ops] operations closed-loop over Zipf(0.99)-distributed keys
+    (seed 11). Stops at the first failed exchange and returns its
+    error; a connection the kernel never completes is [`Refused].
+    @raise Invalid_argument on an mTCP world. *)

@@ -28,8 +28,10 @@ type _ os =
   | Demikernel : Demi.t os
   | Kernel : Dk_kernel.Posix.t os
   | Mtcp : Dk_kernel.Mtcp.t os
+  | Fallback : Demi.t os
 
 type 'os world = {
+  os : 'os os;
   engine : Engine.t;
   fabric : Fabric.t;
   cost : Cost.t;
@@ -41,15 +43,17 @@ type 'os world = {
 }
 
 let per_packet (type a) cost : a os -> int64 = function
-  | Kernel -> cost.Cost.kernel_net_per_pkt
+  | Kernel | Fallback -> cost.Cost.kernel_net_per_pkt
   | Demikernel | Mtcp -> cost.Cost.user_net_per_pkt
 
 let instance (type a) (os : a os) ~engine ~cost ?block host : a =
+  let posix () = Dk_kernel.Posix.create ~engine ~cost ~stack:host.stack () in
   match (os, block) with
   | Demikernel, _ -> demi_of_host ~engine ~cost host ?block ()
-  | Kernel, None -> Dk_kernel.Posix.create ~engine ~cost ~stack:host.stack ()
+  | Kernel, None -> posix ()
+  | Fallback, None -> Demi.create ~engine ~cost ~posix:(posix ()) ()
   | Mtcp, None -> Dk_kernel.Mtcp.create ~engine ~cost ~stack:host.stack ()
-  | (Kernel | Mtcp), Some _ ->
+  | (Kernel | Mtcp | Fallback), Some _ ->
       invalid_arg "Sim_setup.world: only Demikernel takes a block device"
 
 let world ?(id = 0) ?fault_plan ?loss ?(cost = Cost.default)
@@ -73,6 +77,6 @@ let world ?(id = 0) ?fault_plan ?loss ?(cost = Cost.default)
   in
   let client = instance os ~engine ~cost ?block a in
   let server = instance os ~engine ~cost b in
-  { engine; fabric; cost; fault; a; b; client; server }
+  { os; engine; fabric; cost; fault; a; b; client; server }
 
 let endpoint host port = Addr.endpoint host.ip port

@@ -1,7 +1,7 @@
 (** Simulated worlds shared by the CLI, tests, examples and the
     benchmark harness: an engine and a switched fabric with two hosts,
     each running the operating system a scenario compares (Demikernel,
-    the legacy kernel, or mTCP). *)
+    the legacy kernel, mTCP, or Demikernel's kernel-fallback libOS). *)
 
 type host = {
   nic : Dk_device.Nic.t;
@@ -15,8 +15,12 @@ type _ os =
   | Demikernel : Demikernel.Demi.t os
   | Kernel : Dk_kernel.Posix.t os
   | Mtcp : Dk_kernel.Mtcp.t os
+  | Fallback : Demikernel.Demi.t os
+      (** Demikernel over the simulated kernel's sockets: the libOS a
+          host with no accelerator runs *)
 
 type 'os world = {
+  os : 'os os;  (** what runs on both hosts *)
   engine : Dk_sim.Engine.t;
   fabric : Dk_device.Fabric.t;
   cost : Dk_sim.Cost.t;
@@ -41,8 +45,9 @@ val world :
 (** Build an engine, a fabric and two hosts, and run [os] on both.
 
     - Each host's stack charges the OS's per-packet cost: the kernel
-      stack's ([Cost.kernel_net_per_pkt]) under [Kernel], the
-      user-level stack's ([Cost.user_net_per_pkt]) under the others.
+      stack's ([Cost.kernel_net_per_pkt]) under [Kernel] and
+      [Fallback], the user-level stack's ([Cost.user_net_per_pkt])
+      under the others.
     - [id] (default [0], must be [>= 0]) picks the addressing: hosts
       [10.<id>.0.1] and [10.<id>.0.2] (the id taken mod 256) with MAC
       indices [2 id + 1] and [2 id + 2], so shard worlds never

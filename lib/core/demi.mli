@@ -105,10 +105,9 @@ val filter :
   t -> Types.qd -> Dk_device.Prog.pred -> (Types.qd, Types.error) result
 (** Filter with a verified program. If the descriptor is a bound UDP
     queue on a programmable NIC, the program compiles to a [Drop] stage
-    of the NIC's rx pipeline (see {!offload_udp_pipeline}) — dropped
-    messages then cost zero CPU; otherwise it runs on the CPU per
-    element (§4.3). The original descriptor is subsumed by the returned
-    one. *)
+    of the NIC's rx pipeline — dropped messages then cost zero CPU;
+    otherwise it runs on the CPU per element (§4.3). The original
+    descriptor is subsumed by the returned one. *)
 
 val filter_fn :
   t -> Types.qd -> (Dk_mem.Sga.t -> bool) -> (Types.qd, Types.error) result
@@ -154,13 +153,6 @@ val filter_offloaded : t -> Types.qd -> bool
     filter on its port is dropped before a later stage can answer it.
     Traffic for other ports is untouched by construction; with nothing
     installed the rx path is byte-identical to a stock NIC. *)
-
-val offload_udp_pipeline :
-  t -> Types.qd -> Dk_device.Prog.pipeline -> (unit, Types.error) result
-(** Install (or replace) the pipeline for this socket's port.
-    [Error `Not_supported] when the descriptor is not a bound UDP queue
-    on a programmable NIC — callers fall back to evaluating the same
-    stages on the CPU at {!pipeline_cpu_ns} per element. *)
 
 val get_pipeline : max_value:int -> Dk_device.Prog.pipeline
 (** The payload-level kv GET pipeline {!offload_udp_get} installs:

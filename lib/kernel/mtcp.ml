@@ -80,6 +80,8 @@ let listen t ~port ~on_accept =
 
 let connect t ~dst = make t (Stack.tcp_connect t.stack ~dst)
 
+(* Re-armed each batch while bytes are unsent. A closed connection
+   takes nothing more: its unsent tail is dropped and the flush stops. *)
 let rec schedule_flush conn =
   if not conn.flush_scheduled then begin
     conn.flush_scheduled <- true;
@@ -87,7 +89,9 @@ let rec schedule_flush conn =
     ignore
       (Dk_sim.Engine.after t.engine (batch t) (fun () ->
            conn.flush_scheduled <- false;
-           if unsent conn > 0 then begin
+           if Tcp.state conn.tcp = Tcp.Closed then
+             conn.tx_off <- String.length conn.tx
+           else if unsent conn > 0 then begin
              push_tx conn;
              if unsent conn > 0 then schedule_flush conn
            end))

@@ -32,8 +32,11 @@ run_stats() {
 run rtt
 run rtt --stack kernel
 run rtt --stack mtcp
+run rtt --batch-window 500
+run rtt --stack kernel --size 16384 --rounds 20
 run kv
 run kv --iface posix
+run kv --iface posix --value 4096 --ops 200
 run kv --offload
 run loss
 run wakeups

@@ -14,10 +14,12 @@ module Workload = Dk_apps.Workload
 module Proto = Dk_apps.Proto
 module Kv = Dk_apps.Kv
 module Kv_app = Dk_apps.Kv_app
-module Kv_posix = Dk_apps.Kv_posix
 module Echo = Dk_apps.Echo
 module Setup = Dk_apps.Sim_setup
 module Demi = Demikernel.Demi
+module Types = Demikernel.Types
+module Posix = Dk_kernel.Posix
+module H = Dk_sim.Histogram
 
 
 (* ---------------- Workload ---------------- *)
@@ -244,174 +246,118 @@ let kv_overwrite_frees_old_value () =
 
 (* ---------------- end-to-end KV ---------------- *)
 
-let demi_kv_end_to_end () =
-  let w = Setup.world Demikernel in
-  let kv = Kv.create (Demi.manager w.server) in
+(* Serve kv on [w] and run the client against it. *)
+let kv_on w ~ops ~keys ~value_size ~read_fraction =
   let srv =
-    match Kv_app.start_tcp_server ~demi:w.server ~port:6379 ~kv with
+    match Kv_app.serve w with
     | Ok s -> s
-    | Error _ -> Alcotest.fail "server"
+    | Error e -> Alcotest.failf "server: %s" (Types.error_to_string e)
   in
-  match
-    Kv_app.run_tcp_client ~demi:w.client ~dst:(Setup.endpoint w.b 6379)
-      ~ops:200 ~keys:50 ~value_size:64 ~read_fraction:0.9 ()
-  with
-  | Error _ -> Alcotest.fail "client"
-  | Ok stats ->
-      check_int "all ops" 200 stats.Kv_app.ops;
-      (* keys were preloaded: every GET must hit *)
-      check_int "no misses" 0 stats.Kv_app.misses;
-      check_bool "server saw them" true (Kv_app.requests_served srv >= 250);
-      check_int "latencies recorded" 200
-        (Dk_sim.Histogram.count stats.Kv_app.latency)
+  match Kv_app.run w ~ops ~keys ~value_size ~read_fraction () with
+  | Ok stats -> (srv, stats)
+  | Error e -> Alcotest.failf "client: %s" (Types.error_to_string e)
+
+let kv_p50 os ~ops ~keys ~value_size =
+  let _, s = kv_on (Setup.world os) ~ops ~keys ~value_size ~read_fraction:1.0 in
+  H.quantile s.Kv_app.latency 0.5
+
+let demi_kv_end_to_end () =
+  let srv, stats =
+    kv_on (Setup.world Demikernel) ~ops:200 ~keys:50 ~value_size:64
+      ~read_fraction:0.9
+  in
+  check_int "all ops" 200 stats.Kv_app.ops;
+  (* keys were preloaded: every GET must hit *)
+  check_int "no misses" 0 stats.Kv_app.misses;
+  check_bool "server saw them" true (Kv_app.requests_served srv >= 250);
+  check_int "latencies recorded" 200 (H.count stats.Kv_app.latency)
 
 let posix_kv_end_to_end () =
-  let w = Setup.world Kernel in
-  let kv = Kv.create (Dk_mem.Manager.create ()) in
-  let srv =
-    match
-      Kv_posix.start_server ~posix:w.server ~cost:w.cost
-        ~engine:w.engine ~port:6379 ~kv
-    with
-    | Ok s -> s
-    | Error _ -> Alcotest.fail "server"
+  let srv, stats =
+    kv_on (Setup.world Kernel) ~ops:100 ~keys:20 ~value_size:64
+      ~read_fraction:0.9
   in
-  match
-    Kv_posix.run_client ~posix:w.client ~engine:w.engine
-      ~dst:(Setup.endpoint w.b 6379) ~ops:100 ~keys:20 ~value_size:64
-      ~read_fraction:0.9 ()
-  with
-  | Error _ -> Alcotest.fail "client"
-  | Ok stats ->
-      check_int "all ops" 100 stats.Kv_app.ops;
-      check_int "no misses" 0 stats.Kv_app.misses;
-      check_bool "server processed" true (Kv_posix.requests_served srv >= 120)
+  check_int "all ops" 100 stats.Kv_app.ops;
+  check_int "no misses" 0 stats.Kv_app.misses;
+  check_bool "server processed" true (Kv_app.requests_served srv >= 120)
 
 (* The portability claim, end to end: the *identical* application code
    (Kv_app server and client, written against the Demikernel interface)
    runs over the kernel-fallback libOS on hosts with no accelerator —
-   just slower. *)
+   just slower. The world is [world Fallback] built by hand, to keep
+   the server kernel in reach. *)
 let kernel_fallback_libos_runs_same_app () =
-  let w = Setup.world Kernel in
-  let da =
-    Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.client ()
+  let k = Setup.world Kernel in
+  let demi posix = Demi.create ~engine:k.engine ~cost:k.cost ~posix () in
+  let w =
+    { k with Setup.os = Setup.Fallback; client = demi k.client; server = demi k.server }
   in
-  let db =
-    Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.server ()
-  in
-  let kv = Kv.create (Demi.manager db) in
-  let srv =
-    match Kv_app.start_tcp_server ~demi:db ~port:6379 ~kv with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "server: %s" (Demikernel.Types.error_to_string e)
-  in
-  match
-    Kv_app.run_tcp_client ~demi:da ~dst:(Setup.endpoint w.b 6379)
-      ~ops:100 ~keys:20 ~value_size:64 ~read_fraction:0.9 ()
-  with
-  | Error e -> Alcotest.failf "client: %s" (Demikernel.Types.error_to_string e)
-  | Ok stats ->
-      check_int "all ops" 100 stats.Kv_app.ops;
-      check_int "no misses" 0 stats.Kv_app.misses;
-      check_bool "served" true (Kv_app.requests_served srv >= 120);
-      (* and it paid kernel prices: syscalls were made *)
-      check_bool "kernel was involved" true
-        ((Dk_kernel.Posix.stats w.server).Dk_kernel.Posix.syscalls > 100)
+  let srv, stats = kv_on w ~ops:100 ~keys:20 ~value_size:64 ~read_fraction:0.9 in
+  check_int "all ops" 100 stats.Kv_app.ops;
+  check_int "no misses" 0 stats.Kv_app.misses;
+  check_bool "served" true (Kv_app.requests_served srv >= 120);
+  (* and it paid kernel prices: syscalls were made *)
+  check_bool "kernel was involved" true
+    ((Posix.stats k.server).Posix.syscalls > 100)
 
 let fallback_slower_than_bypass () =
-  let bypass_p50 =
-    let w = Setup.world Demikernel in
-    let kv = Kv.create (Demi.manager w.server) in
-    ignore (Kv_app.start_tcp_server ~demi:w.server ~port:1 ~kv);
-    match
-      Kv_app.run_tcp_client ~demi:w.client ~dst:(Setup.endpoint w.b 1)
-        ~ops:50 ~keys:10 ~value_size:256 ~read_fraction:1.0 ()
-    with
-    | Ok s -> Dk_sim.Histogram.quantile s.Kv_app.latency 0.5
-    | Error _ -> Alcotest.fail "bypass run"
-  in
-  let fallback_p50 =
-    let w = Setup.world Kernel in
-    let da = Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.client () in
-    let db = Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.server () in
-    let kv = Kv.create (Demi.manager db) in
-    ignore (Kv_app.start_tcp_server ~demi:db ~port:1 ~kv);
-    match
-      Kv_app.run_tcp_client ~demi:da ~dst:(Setup.endpoint w.b 1)
-        ~ops:50 ~keys:10 ~value_size:256 ~read_fraction:1.0 ()
-    with
-    | Ok s -> Dk_sim.Histogram.quantile s.Kv_app.latency 0.5
-    | Error _ -> Alcotest.fail "fallback run"
-  in
+  let p50 os = kv_p50 os ~ops:50 ~keys:10 ~value_size:256 in
+  let bypass_p50 = p50 Setup.Demikernel in
+  let fallback_p50 = p50 Setup.Fallback in
   check_bool "fallback pays kernel prices" true
     (Int64.compare fallback_p50 bypass_p50 > 0)
 
 (* The headline shape: demikernel KV latency beats the POSIX path. *)
 let kv_latency_shape () =
-  let run_demi () =
-    let w = Setup.world Demikernel in
-    let kv = Kv.create (Demi.manager w.server) in
-    ignore (Kv_app.start_tcp_server ~demi:w.server ~port:1 ~kv);
-    match
-      Kv_app.run_tcp_client ~demi:w.client ~dst:(Setup.endpoint w.b 1)
-        ~ops:100 ~keys:20 ~value_size:1024 ~read_fraction:1.0 ()
-    with
-    | Ok s -> Dk_sim.Histogram.quantile s.Kv_app.latency 0.5
-    | Error _ -> Alcotest.fail "demi run"
-  in
-  let run_posix () =
-    let w = Setup.world Kernel in
-    let kv = Kv.create (Dk_mem.Manager.create ()) in
-    ignore
-      (Kv_posix.start_server ~posix:w.server ~cost:w.cost
-         ~engine:w.engine ~port:1 ~kv);
-    match
-      Kv_posix.run_client ~posix:w.client ~engine:w.engine
-        ~dst:(Setup.endpoint w.b 1) ~ops:100 ~keys:20 ~value_size:1024
-        ~read_fraction:1.0 ()
-    with
-    | Ok s -> Dk_sim.Histogram.quantile s.Kv_app.latency 0.5
-    | Error _ -> Alcotest.fail "posix run"
-  in
-  let demi_p50 = run_demi () and posix_p50 = run_posix () in
+  let p50 os = kv_p50 os ~ops:100 ~keys:20 ~value_size:1024 in
+  let demi_p50 = p50 Setup.Demikernel and posix_p50 = p50 Setup.Kernel in
   check_bool "demikernel faster" true (Int64.compare demi_p50 posix_p50 < 0)
 
-(* ---------------- echo across the three interfaces ---------------- *)
+(* mTCP has no kv server or client: both refuse its world. *)
+let kv_refuses_mtcp () =
+  let w = Setup.world Mtcp in
+  Alcotest.check_raises "serve"
+    (Invalid_argument "Kv_app.serve: no kv server on mTCP") (fun () ->
+      ignore (Kv_app.serve w));
+  Alcotest.check_raises "run"
+    (Invalid_argument "Kv_app.run: no kv client on mTCP") (fun () ->
+      ignore
+        (Kv_app.run w ~ops:1 ~keys:1 ~value_size:8 ~read_fraction:1.0 ()))
+
+(* ---------------- echo across the interfaces ---------------- *)
 
 let echo_three_way_latency_order () =
   (* Demikernel < kernel < mTCP in *latency* — the §6 claim that
-     mTCP's latency is worse than the kernel's. *)
-  let demi_rtt =
-    let w = Setup.world Demikernel in
-    ignore (Echo.start_demi_server ~demi:w.server ~port:7);
-    match
-      Echo.demi_rtt ~demi:w.client ~dst:(Setup.endpoint w.b 7) ~size:64
-        ~rounds:20
-    with
-    | h, None -> Dk_sim.Histogram.quantile h 0.5
-    | _, Some _ -> Alcotest.fail "demi echo"
+     mTCP's latency is worse than the kernel's — and Demikernel below
+     its own kernel fallback. *)
+  let p50 os =
+    let w = Setup.world os in
+    ignore (Echo.serve w);
+    match Echo.rtt w ~size:64 ~rounds:20 with
+    | h, None ->
+        check_int "every round" 20 (H.count h);
+        H.quantile h 0.5
+    | _, Some e -> Alcotest.failf "echo: %s" (Types.error_to_string e)
   in
-  let posix_rtt =
-    let w = Setup.world Kernel in
-    ignore (Echo.start_posix_server ~posix:w.server ~port:7);
-    match
-      Echo.posix_rtt ~posix:w.client ~engine:w.engine
-        ~dst:(Setup.endpoint w.b 7) ~size:64 ~rounds:20
-    with
-    | Ok h -> Dk_sim.Histogram.quantile h 0.5
-    | Error _ -> Alcotest.fail "posix echo"
-  in
-  let mtcp_rtt =
-    let w = Setup.world Mtcp in
-    ignore (Echo.start_mtcp_server ~mtcp:w.server ~port:7);
-    let h =
-      Echo.mtcp_rtt ~mtcp:w.client ~engine:w.engine
-        ~dst:(Setup.endpoint w.b 7) ~size:64 ~rounds:20
-    in
-    Dk_sim.Histogram.quantile h 0.5
-  in
+  let demi_rtt = p50 Setup.Demikernel and posix_rtt = p50 Setup.Kernel in
+  let mtcp_rtt = p50 Setup.Mtcp and fallback_rtt = p50 Setup.Fallback in
   check_bool "demikernel < kernel" true (Int64.compare demi_rtt posix_rtt < 0);
-  check_bool "kernel < mtcp (latency)" true (Int64.compare posix_rtt mtcp_rtt < 0)
+  check_bool "kernel < mtcp (latency)" true (Int64.compare posix_rtt mtcp_rtt < 0);
+  check_bool "demikernel < fallback" true
+    (Int64.compare demi_rtt fallback_rtt < 0)
+
+(* A reply larger than the kernel's 64 KiB send ring arrives whole:
+   the POSIX echo server keeps what write() did not take and writes it
+   when the socket drains, and the client records a round only once
+   its reply is complete. *)
+let kernel_echo_large_reply () =
+  let w = Setup.world Kernel in
+  ignore (Echo.serve w);
+  let h, err = Echo.rtt w ~size:200_000 ~rounds:3 in
+  check_int "rounds" 3 (H.count h);
+  check_bool "no error" true (err = None);
+  check_int "client copied every byte" 1_200_000
+    (Posix.stats w.client).Posix.bytes_copied
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -453,6 +399,8 @@ let () =
           Alcotest.test_case "kernel-fallback libOS" `Quick kernel_fallback_libos_runs_same_app;
           Alcotest.test_case "fallback slower than bypass" `Quick fallback_slower_than_bypass;
           Alcotest.test_case "kv latency shape" `Quick kv_latency_shape;
+          Alcotest.test_case "kv refuses mTCP" `Quick kv_refuses_mtcp;
           Alcotest.test_case "echo latency order" `Quick echo_three_way_latency_order;
+          Alcotest.test_case "kernel echo large reply" `Quick kernel_echo_large_reply;
         ] );
     ]

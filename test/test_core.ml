@@ -394,13 +394,11 @@ let popped_message_keeps_its_store () =
     check_int "no dangling tokens" 0 dangling;
     check_int "no leaks" 0 (List.length leaks)
   in
-  let w = Setup.world Demikernel in
-  run w.client w.server (Setup.endpoint w.b 9);
-  let w = Setup.world Kernel in
-  run
-    (Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.client ())
-    (Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.server ())
-    (Setup.endpoint w.b 9)
+  List.iter
+    (fun os ->
+      let w = Setup.world os in
+      run w.client w.server (Setup.endpoint w.b 9))
+    [ Setup.Demikernel; Setup.Fallback ]
 
 let udp_queue_roundtrip () =
   let w = Setup.world Demikernel in
@@ -454,13 +452,11 @@ let tcp_oversized_push_refused () =
     check_str "64 B round-trips" small
       (expect_popped (Demi.blocking_pop server sqd))
   in
-  let w = Setup.world Demikernel in
-  run w.client w.server (Setup.endpoint w.b 9);
-  let w = Setup.world Kernel in
-  run
-    (Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.client ())
-    (Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.server ())
-    (Setup.endpoint w.b 9)
+  List.iter
+    (fun os ->
+      let w = Setup.world os in
+      run w.client w.server (Setup.endpoint w.b 9))
+    [ Setup.Demikernel; Setup.Fallback ]
 
 let close_listener_fails_pending_accept () =
   let w = Setup.world Demikernel in
@@ -1110,20 +1106,18 @@ let wait_any_server_loop () =
 (* The kernel-fallback queues still deliver atomic sgas with their
    segment boundaries (framing over the kernel byte stream). *)
 let posix_fallback_preserves_boundaries () =
-  let w = Setup.world Kernel in
-  let da = Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.client () in
-  let db = Demi.create ~engine:w.engine ~cost:w.cost ~posix:w.server () in
+  let w = Setup.world Fallback in
   (* echo server over the fallback libOS *)
-  (match Dk_apps.Echo.start_demi_server ~demi:db ~port:7 with
+  (match Dk_apps.Echo.serve w with
   | Ok () -> ()
   | Error e -> Alcotest.failf "server: %s" (Types.error_to_string e));
-  let qd = Result.get_ok (Demi.socket da `Tcp) in
-  (match Demi.connect da qd ~dst:(Setup.endpoint w.b 7) with
+  let qd = Result.get_ok (Demi.socket w.client `Tcp) in
+  (match Demi.connect w.client qd ~dst:(Setup.endpoint w.b 7) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "connect: %s" (Types.error_to_string e));
   let sga = Sga.of_strings [ "three"; "atomic"; "segments" ] in
-  check_bool "pushed" true (Demi.blocking_push da qd sga = Types.Pushed);
-  match Demi.blocking_pop da qd with
+  check_bool "pushed" true (Demi.blocking_push w.client qd sga = Types.Pushed);
+  match Demi.blocking_pop w.client qd with
   | Types.Popped reply ->
       check_int "segments preserved through the kernel" 3
         (Sga.segment_count reply);

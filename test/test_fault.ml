@@ -20,7 +20,6 @@ module Fault = Dk_fault.Fault
 module Setup = Dk_apps.Sim_setup
 module Echo = Dk_apps.Echo
 module Fault_replay = Dk_apps.Fault_replay
-module Kv = Dk_apps.Kv
 module Kv_app = Dk_apps.Kv_app
 module Demi = Demikernel.Demi
 module Types = Demikernel.Types
@@ -66,11 +65,9 @@ let bounded (o : outcome) =
 (* The echo phase of the replay workload `demi faults` runs, against a
    demikernel echo server over the world's faulty fabric. *)
 let echo_on ?(rounds = 40) ?(size = 256) (w : Demi.t Setup.world) =
-  ignore (Echo.start_demi_server ~demi:w.server ~port:7);
-  let ok, err =
-    Fault_replay.echo ~demi:w.client ~dst:(Setup.endpoint w.b 7) ~size ~rounds
-  in
-  { ok; err; final_ns = Engine.now w.engine }
+  ignore (Echo.serve w);
+  let echoed, err = Echo.rtt w ~size ~rounds in
+  { ok = Dk_sim.Histogram.count echoed; err; final_ns = Engine.now w.engine }
 
 let run_echo ?plan ?rounds ?size () =
   let w = armed ?plan () in
@@ -86,14 +83,10 @@ let run_storage ?plan ?(records = 8) () =
 (* Full KV client/server exchange (the paper's headline workload). *)
 let run_kv plan =
   let w = armed ~plan () in
-  let kv = Kv.create (Demi.manager w.server) in
-  (match Kv_app.start_tcp_server ~demi:w.server ~port:6379 ~kv with
+  (match Kv_app.serve w with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "kv server: %s" (Types.error_to_string e));
-  let r =
-    Kv_app.run_tcp_client ~demi:w.client ~dst:(Setup.endpoint w.b 6379)
-      ~ops:200 ~keys:50 ~value_size:64 ~read_fraction:0.9 ()
-  in
+  let r = Kv_app.run w ~ops:200 ~keys:50 ~value_size:64 ~read_fraction:0.9 () in
   (r, Engine.now w.engine)
 
 (* One RDMA push over a connected queue pair, in a fault domain armed

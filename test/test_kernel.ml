@@ -262,13 +262,8 @@ let vfs_charges_more_than_bypass () =
 
 let mtcp_roundtrip () =
   let w = Setup.world Mtcp in
-  let engine = w.engine in
-  check_bool "listen" true
-    (Dk_apps.Echo.start_mtcp_server ~mtcp:w.server ~port:7 = Ok ());
-  let hist =
-    Dk_apps.Echo.mtcp_rtt ~mtcp:w.client ~engine ~dst:(Setup.endpoint w.b 7)
-      ~size:64 ~rounds:10
-  in
+  check_bool "listen" true (Dk_apps.Echo.serve w = Ok ());
+  let hist, _ = Dk_apps.Echo.rtt w ~size:64 ~rounds:10 in
   check_int "ten rounds" 10 (Dk_sim.Histogram.count hist)
 
 let vfs_device_busy () =
@@ -286,23 +281,16 @@ let vfs_device_busy () =
 
 let mtcp_copies_charged () =
   let w = Setup.world Mtcp in
-  let engine = w.engine in
-  ignore (Dk_apps.Echo.start_mtcp_server ~mtcp:w.server ~port:7);
-  ignore
-    (Dk_apps.Echo.mtcp_rtt ~mtcp:w.client ~engine ~dst:(Setup.endpoint w.b 7)
-       ~size:1024 ~rounds:5);
+  ignore (Dk_apps.Echo.serve w);
+  ignore (Dk_apps.Echo.rtt w ~size:1024 ~rounds:5);
   (* POSIX-style semantics: data crossed the API by copy, twice per rtt *)
   check_bool "copies charged" true (Mtcp.bytes_copied w.client >= 2 * 5 * 1024)
 
 let mtcp_latency_exceeds_batch_delays () =
   (* each direction adds a batch delay: RTT >= 2 batches *)
   let w = Setup.world Mtcp in
-  let engine = w.engine in
-  ignore (Dk_apps.Echo.start_mtcp_server ~mtcp:w.server ~port:7 = Ok ());
-  let hist =
-    Dk_apps.Echo.mtcp_rtt ~mtcp:w.client ~engine ~dst:(Setup.endpoint w.b 7)
-      ~size:64 ~rounds:5
-  in
+  ignore (Dk_apps.Echo.serve w);
+  let hist, _ = Dk_apps.Echo.rtt w ~size:64 ~rounds:5 in
   let floor = Int64.mul 2L cost.Cost.mtcp_batch_delay in
   check_bool "rtt over 2 batch delays" true
     (Int64.compare (Dk_sim.Histogram.min hist) floor >= 0)
@@ -343,6 +331,24 @@ let mtcp_slow_reader_gets_every_byte () =
   check_int "every byte" (String.length sent) (Buffer.length got);
   check_bool "in order" true (String.equal sent (Buffer.contents got))
 
+let mtcp_flush_stops_on_dead_conn () =
+  (* The client queues 40 x 64 KiB and the server never reads, so TCP
+     gives the connection up. The batch flush must stop with it: the
+     engine runs dry long before 1 s of virtual time. *)
+  let w = Setup.world Mtcp in
+  check_bool "listen" true
+    (Mtcp.listen w.server ~port:9 ~on_accept:(fun _ -> ()) = Ok ());
+  let c = Mtcp.connect w.client ~dst:(Setup.endpoint w.b 9) in
+  let chunk = String.make 65536 'x' in
+  Mtcp.set_on_connect c (fun () ->
+      for _ = 1 to 40 do
+        ignore (Mtcp.send c chunk)
+      done);
+  ignore
+    (Engine.run_until w.engine (fun () ->
+         Int64.compare (Engine.now w.engine) 1_000_000_000L >= 0));
+  check_int "nothing pending" 0 (Engine.pending w.engine)
+
 let () =
   Alcotest.run "dk_kernel"
     [
@@ -382,5 +388,7 @@ let () =
           Alcotest.test_case "batch latency floor" `Quick mtcp_latency_exceeds_batch_delays;
           Alcotest.test_case "slow reader gets every byte" `Quick
             mtcp_slow_reader_gets_every_byte;
+          Alcotest.test_case "flush stops on a dead connection" `Quick
+            mtcp_flush_stops_on_dead_conn;
         ] );
     ]

@@ -654,13 +654,10 @@ let stats_json_workload () =
   let module Echo = Dk_apps.Echo in
   M.reset M.default;
   let w = Setup.world Demikernel in
-  (match Echo.start_demi_server ~demi:w.server ~port:7 with
+  (match Echo.serve w with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "echo server failed to start");
-  (match
-     Echo.demi_rtt ~demi:w.client ~dst:(Setup.endpoint w.b 7) ~size:64
-       ~rounds:5
-   with
+  (match Echo.rtt w ~size:64 ~rounds:5 with
   | _, None -> ()
   | _, Some _ -> Alcotest.fail "echo workload failed");
   let now = Dk_sim.Engine.now w.engine in
