@@ -220,8 +220,17 @@ let rec poll t ready arg deadline =
               Engine.consume t.engine (Int64.sub d (Engine.now t.engine)));
           poll t ready arg deadline)
 
+(* [now + ns], saturating at the engine's horizon ([max_int] ns), which
+   its clock can reach: a wrapped sum would be a deadline already past,
+   and one beyond the horizon a wait the clock could never end. *)
+let horizon = Int64.of_int max_int
+
 let deadline_of t = function
-  | Some ns -> Some (Int64.add (Engine.now t.engine) ns)
+  | Some ns ->
+      let now = Engine.now t.engine in
+      Some
+        (if Int64.compare ns (Int64.sub horizon now) > 0 then horizon
+         else Int64.add now ns)
   | None -> None
 
 let try_wait t tok = Token.redeem t.tokens tok

@@ -16,6 +16,11 @@ type t = {
   rings : Dk_obs.Metrics.counter; (* instance of the [name] counter *)
   mutable window : int64;
   staged : (unit -> unit) Queue.t;
+  (* A flag, not an [Engine.timer]: [group] calls [flush] directly, so
+     the flag can be clear while a window's flush event is still
+     queued, and the next submission then opens a window of its own.
+     A handle would see the old event queued and flush that submission
+     at the old window's end instead. *)
   mutable flush_pending : bool;
   mutable grouping : bool;
 }

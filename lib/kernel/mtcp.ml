@@ -15,7 +15,7 @@ type conn = {
   mutable held : bool; (* the last move left bytes in TCP: [rx] was full *)
   mutable tx : string; (* bytes awaiting the next flush batch ... *)
   mutable tx_off : int; (* ... from this cursor on *)
-  mutable flush_scheduled : bool;
+  mutable flush : Dk_sim.Engine.timer; (* runs [flush]; set in [make] *)
   mutable on_connect : unit -> unit;
   mutable on_readable : unit -> unit;
 }
@@ -51,6 +51,19 @@ let schedule_move conn =
          conn.held <- Tcp.recv_ready conn.tcp > 0;
          if n > 0 then conn.on_readable ()))
 
+(* Re-armed each batch while bytes are unsent. A closed connection
+   takes nothing more: its unsent tail is dropped and the flush stops. *)
+let rec flush conn =
+  if Tcp.state conn.tcp = Tcp.Closed then conn.tx_off <- String.length conn.tx
+  else if unsent conn > 0 then begin
+    push_tx conn;
+    if unsent conn > 0 then schedule_flush conn
+  end
+
+and schedule_flush conn =
+  if not (Dk_sim.Engine.scheduled conn.flush) then
+    Dk_sim.Engine.rearm conn.flush (batch conn.owner)
+
 let wire conn =
   Tcp.set_on_readable conn.tcp (fun () -> schedule_move conn);
   Tcp.set_on_writable conn.tcp (fun () ->
@@ -66,11 +79,12 @@ let make owner tcp =
       held = false;
       tx = "";
       tx_off = 0;
-      flush_scheduled = false;
+      flush = Dk_sim.Engine.timer owner.engine ignore;
       on_connect = (fun () -> ());
       on_readable = (fun () -> ());
     }
   in
+  conn.flush <- Dk_sim.Engine.timer owner.engine (fun () -> flush conn);
   wire conn;
   conn
 
@@ -79,23 +93,6 @@ let listen t ~port ~on_accept =
       on_accept (make t tcp))
 
 let connect t ~dst = make t (Stack.tcp_connect t.stack ~dst)
-
-(* Re-armed each batch while bytes are unsent. A closed connection
-   takes nothing more: its unsent tail is dropped and the flush stops. *)
-let rec schedule_flush conn =
-  if not conn.flush_scheduled then begin
-    conn.flush_scheduled <- true;
-    let t = conn.owner in
-    ignore
-      (Dk_sim.Engine.after t.engine (batch t) (fun () ->
-           conn.flush_scheduled <- false;
-           if Tcp.state conn.tcp = Tcp.Closed then
-             conn.tx_off <- String.length conn.tx
-           else if unsent conn > 0 then begin
-             push_tx conn;
-             if unsent conn > 0 then schedule_flush conn
-           end))
-  end
 
 let send conn data =
   charge_copy conn.owner (String.length data);

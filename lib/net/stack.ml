@@ -52,7 +52,7 @@ type t = {
   mutable next_ephemeral : int;
   mutable next_ident : int;
   mutable iss_counter : int;
-  mutable process_scheduled : bool;
+  mutable rx_process : Dk_sim.Engine.timer; (* runs [process]; see [create] *)
   frames_in : Metrics.counter;
   frames_out : Metrics.counter;
   decode_errors : Metrics.counter;
@@ -395,7 +395,6 @@ let handle_frame t frame =
         | Eth.Unknown _ -> decode_error t "eth: unknown ethertype")
 
 let rec process t =
-  t.process_scheduled <- false;
   match Dk_device.Nic.poll_rx t.nic with
   | None -> ()
   | Some frame ->
@@ -403,10 +402,8 @@ let rec process t =
       process t
 
 let schedule_process t =
-  if not t.process_scheduled then begin
-    t.process_scheduled <- true;
-    ignore (Dk_sim.Engine.after t.engine 0L (fun () -> process t))
-  end
+  if not (Dk_sim.Engine.scheduled t.rx_process) then
+    Dk_sim.Engine.rearm t.rx_process 0L
 
 let create ~engine ~cost ~nic ~ip ?(tcp_config = Tcp.default_config)
     ?pkt_cost () =
@@ -428,7 +425,7 @@ let create ~engine ~cost ~nic ~ip ?(tcp_config = Tcp.default_config)
       next_ephemeral = 49152;
       next_ident = 1;
       iss_counter = ip land 0xffff;
-      process_scheduled = false;
+      rx_process = Dk_sim.Engine.timer engine ignore;
       frames_in = Metrics.instance m_frames_in;
       frames_out = Metrics.instance m_frames_out;
       decode_errors = Metrics.instance m_decode_errors;
@@ -436,5 +433,6 @@ let create ~engine ~cost ~nic ~ip ?(tcp_config = Tcp.default_config)
       no_listener = Metrics.instance m_no_listener;
     }
   in
+  t.rx_process <- Dk_sim.Engine.timer engine (fun () -> process t);
   Dk_device.Nic.set_rx_notify nic (fun () -> schedule_process t);
   t

@@ -94,7 +94,7 @@ type conn = {
   (* timers *)
   mutable rto : int64;
   mutable retries : int;
-  mutable rtx_timer : Dk_sim.Engine.timer option;
+  mutable rtx : Dk_sim.Engine.timer; (* the RTO; set once in [make] *)
   (* callbacks *)
   mutable on_connect : unit -> unit;
   mutable on_readable : unit -> unit;
@@ -181,15 +181,8 @@ let ack_flags = { Tcp_wire.no_flags with ack = true }
 
 let send_ack t = emit_seg t ack_flags
 
-let cancel_rtx t =
-  match t.rtx_timer with
-  | Some timer ->
-      Dk_sim.Engine.cancel timer;
-      t.rtx_timer <- None
-  | None -> ()
-
 let enter_closed t reason =
-  cancel_rtx t;
+  Dk_sim.Engine.cancel t.rtx;
   if t.st <> Closed then begin
     t.st <- Closed;
     t.internal_teardown reason;
@@ -218,15 +211,11 @@ let flight_start t kind =
      end
 
 let rec arm_rtx t =
-  cancel_rtx t;
   if unacked t > 0 || (t.fin_sent && seq_lt t.snd_una t.snd_nxt) then
-    t.rtx_timer <- Some (Dk_sim.Engine.after t.engine t.rto (fun () -> on_rto t))
-  [@@hot.alloc
-    "the RTO thunk arms go-back-N retransmission: one per outstanding \
-     window, not per segment"]
+    Dk_sim.Engine.rearm t.rtx t.rto
+  else Dk_sim.Engine.cancel t.rtx
 
 and on_rto t =
-  t.rtx_timer <- None;
   Metrics.incr m_rto_fired;
   if t.retries >= t.config.max_retries then begin
     Metrics.incr m_conn_timeouts;
@@ -316,7 +305,7 @@ let rec try_output t =
   if can_carry_data t || t.st = Fin_wait_1 || t.st = Last_ack then begin
     output_rounds t (send_allowance t);
     maybe_send_fin t;
-    if t.rtx_timer = None then arm_rtx t
+    if not (Dk_sim.Engine.scheduled t.rtx) then arm_rtx t
   end
 
 and maybe_send_fin t =
@@ -330,46 +319,51 @@ and maybe_send_fin t =
   [@@hot.alloc "the FIN flag record is built at half-close, once per side"]
 
 let make ~engine ~config ~local ~remote ~iss ~payload_off ~emit st =
-  {
-    engine;
-    config;
-    local;
-    remote;
-    payload_off;
-    emit;
-    st;
-    send_ring = Dk_util.Ring.create config.send_buffer;
-    snd_una = iss;
-    snd_nxt = iss;
-    snd_wnd = config.mss;
-    cwnd = 2 * config.mss;
-    ssthresh = 64 * 1024;
-    fin_pending = false;
-    fin_sent = false;
-    fin_seq = 0;
-    recv_ring = Dk_util.Ring.create config.recv_buffer;
-    rcv_nxt = 0;
-    ooo = [];
-    peer_fin = None;
-    rto = config.rto_initial;
-    retries = 0;
-    rtx_timer = None;
-    on_connect = (fun () -> ());
-    on_readable = (fun () -> ());
-    on_peer_fin = (fun () -> ());
-    on_writable = (fun () -> ());
-    on_close = (fun _ -> ());
-    internal_teardown = (fun _ -> ());
-    segs_sent = Metrics.instance m_segs_sent;
-    segs_received = Metrics.instance m_segs_received;
-    bytes_sent = 0;
-    bytes_received = 0;
-    retransmits = Metrics.instance m_retransmits;
-    fast_retransmits = Metrics.instance m_fast_retransmits;
-    dup_acks = Metrics.instance m_dup_acks;
-    dup_ack_streak = 0;
-    out_of_order = Metrics.instance m_ooo;
-  }
+  let t =
+    {
+      engine;
+      config;
+      local;
+      remote;
+      payload_off;
+      emit;
+      st;
+      send_ring = Dk_util.Ring.create config.send_buffer;
+      snd_una = iss;
+      snd_nxt = iss;
+      snd_wnd = config.mss;
+      cwnd = 2 * config.mss;
+      ssthresh = 64 * 1024;
+      fin_pending = false;
+      fin_sent = false;
+      fin_seq = 0;
+      recv_ring = Dk_util.Ring.create config.recv_buffer;
+      rcv_nxt = 0;
+      ooo = [];
+      peer_fin = None;
+      rto = config.rto_initial;
+      retries = 0;
+      rtx = Dk_sim.Engine.timer engine ignore;
+      on_connect = (fun () -> ());
+      on_readable = (fun () -> ());
+      on_peer_fin = (fun () -> ());
+      on_writable = (fun () -> ());
+      on_close = (fun _ -> ());
+      internal_teardown = (fun _ -> ());
+      segs_sent = Metrics.instance m_segs_sent;
+      segs_received = Metrics.instance m_segs_received;
+      bytes_sent = 0;
+      bytes_received = 0;
+      retransmits = Metrics.instance m_retransmits;
+      fast_retransmits = Metrics.instance m_fast_retransmits;
+      dup_acks = Metrics.instance m_dup_acks;
+      dup_ack_streak = 0;
+      out_of_order = Metrics.instance m_ooo;
+    }
+  in
+  (* The RTO's thunk needs [t], so its handle replaces a placeholder. *)
+  t.rtx <- Dk_sim.Engine.timer engine (fun () -> on_rto t);
+  t
 
 let create_active ~engine ~config ~local ~remote ~iss ~payload_off ~emit =
   let t =
@@ -444,7 +438,7 @@ let abort t =
 (* ---- segment processing ---- *)
 
 let enter_time_wait t =
-  cancel_rtx t;
+  Dk_sim.Engine.cancel t.rtx;
   t.st <- Time_wait;
   ignore
     (Dk_sim.Engine.after t.engine t.config.time_wait (fun () ->
@@ -532,7 +526,7 @@ let process_ack t (seg : Tcp_wire.t) =
       (* Congestion window growth. *)
       if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd + t.config.mss
       else t.cwnd <- t.cwnd + Int.max 1 (t.config.mss * t.config.mss / t.cwnd);
-      if unacked t = 0 then cancel_rtx t else arm_rtx t;
+      arm_rtx t;
       if data_acked > 0 then t.on_writable ();
       true
     end
@@ -588,7 +582,7 @@ let segment_arrives t (seg : Tcp_wire.t) =
             t.st <- Established;
             t.retries <- 0;
             t.rto <- t.config.rto_initial;
-            cancel_rtx t;
+            Dk_sim.Engine.cancel t.rtx;
             send_ack t;
             t.on_connect ();
             try_output t

@@ -5,12 +5,17 @@
     time in the paper's testbed — CPU work, PCIe doorbells, DMA, wire
     propagation, NVMe access — is charged to this clock. Events are
     ordered by (timestamp, insertion order), so runs are fully
-    deterministic. *)
+    deterministic.
+
+    Times and durations saturate at [max_int] ns (2{^62} - 1, about 146
+    years): a time beyond it reads as the horizon, never as a wrapped
+    past time. *)
 
 type t
 
 type timer
-(** Handle for a cancellable scheduled event (e.g. a TCP retransmission
+(** Handle for a cancellable scheduled event. One made by {!timer} can
+    be re-armed any number of times (e.g. a TCP retransmission
     timer). *)
 
 val create : unit -> t
@@ -38,8 +43,22 @@ val at : t -> int64 -> (unit -> unit) -> timer
 val after : t -> int64 -> (unit -> unit) -> timer
 (** Schedule a thunk [ns] after [now]. *)
 
+val timer : t -> (unit -> unit) -> timer
+(** An unscheduled handle that runs the thunk each time it fires;
+    {!rearm} queues it. *)
+
+val rearm : timer -> int64 -> unit
+(** [rearm tm ns] cancels [tm] if it is queued and schedules it [ns]
+    after [now] — under a fresh insertion order, exactly as {!cancel}
+    followed by {!after} would. A thunk may re-arm its own handle. *)
+
+val scheduled : timer -> bool
+(** Whether the handle is queued: armed, and neither fired nor
+    cancelled since. *)
+
 val cancel : timer -> unit
-(** Cancelling a fired or already-cancelled timer is a no-op. *)
+(** Takes the event out of the queue at once. Cancelling a fired or
+    already-cancelled timer is a no-op. *)
 
 val pending : t -> int
 (** Number of scheduled (uncancelled) events. *)

@@ -259,6 +259,31 @@ let tcp_queue_echo () =
       check_int "segments" 3 (Sga.segment_count reply)
   | r -> Alcotest.failf "unexpected %a" Types.pp_op_result r
 
+(* Regression: a timeout of [Int64.max_int] saturates at the engine's
+   horizon instead of wrapping into a deadline already past. Each timed
+   wait on a TCP echo's pop returns the reply; with nothing due, the
+   wait ends at the horizon rather than spinning. *)
+let wait_far_timeout () =
+  List.iter
+    (fun (name, timed_wait) ->
+      let w = Setup.world Demikernel in
+      start_echo w.server 7;
+      let qd = Result.get_ok (Demi.socket w.client `Tcp) in
+      ignore (Demi.connect w.client qd ~dst:(Setup.endpoint w.b 7));
+      check_bool (name ^ ": pushed") true
+        (Demi.blocking_push w.client qd (sga_str "far") = Types.Pushed);
+      let tok = Result.get_ok (Demi.pop w.client qd) in
+      match timed_wait w.client tok ~timeout:Int64.max_int with
+      | Some r -> check_str (name ^ ": the echo reply") "far" (expect_popped r)
+      | None -> Alcotest.failf "%s: timed out" name)
+    timed_waits;
+  let engine, demi = solo_demi () in
+  let tok = Result.get_ok (Demi.pop demi (Demi.queue demi)) in
+  check_bool "nothing due: times out" true
+    (Demi.wait_timeout demi tok ~timeout:Int64.max_int = Types.Failed `Timeout);
+  check Alcotest.int64 "at the horizon" (Int64.of_int max_int)
+    (Engine.now engine)
+
 let tcp_queue_large_message () =
   (* One message spanning many MSS-sized segments stays atomic. The
      200,000 B one is larger than the 64 KiB send buffer, so the push
@@ -1198,6 +1223,7 @@ let () =
       ( "tcp-queues",
         [
           Alcotest.test_case "echo" `Quick tcp_queue_echo;
+          Alcotest.test_case "far timeout" `Quick wait_far_timeout;
           Alcotest.test_case "large message" `Quick tcp_queue_large_message;
           Alcotest.test_case "connect refused" `Quick tcp_connect_refused;
           Alcotest.test_case "close propagates" `Quick tcp_close_propagates;

@@ -349,6 +349,29 @@ let mtcp_flush_stops_on_dead_conn () =
          Int64.compare (Engine.now w.engine) 1_000_000_000L >= 0));
   check_int "nothing pending" 0 (Engine.pending w.engine)
 
+let mtcp_close_with_unsent_bytes () =
+  (* The client queues 3 x 64 KiB and closes before the first batch
+     flush, so TCP takes none of the queued bytes any more; the server
+     closes 1 ms later. The flush handle must stop with the
+     connection, leaving the engine to run dry. *)
+  let w = Setup.world Mtcp in
+  let engine = w.engine in
+  check_bool "listen" true
+    (Mtcp.listen w.server ~port:9 ~on_accept:(fun s ->
+         ignore (Engine.after engine 1_000_000L (fun () -> Mtcp.close s)))
+    = Ok ());
+  let c = Mtcp.connect w.client ~dst:(Setup.endpoint w.b 9) in
+  let chunk = String.make 65536 'u' in
+  Mtcp.set_on_connect c (fun () ->
+      for _ = 1 to 3 do
+        ignore (Mtcp.send c chunk)
+      done;
+      Mtcp.close c);
+  check_bool "ran dry" false
+    (Engine.run_until engine (fun () ->
+         Int64.compare (Engine.now engine) 10_000_000_000L >= 0));
+  check_int "nothing pending" 0 (Engine.pending engine)
+
 let () =
   Alcotest.run "dk_kernel"
     [
@@ -390,5 +413,7 @@ let () =
             mtcp_slow_reader_gets_every_byte;
           Alcotest.test_case "flush stops on a dead connection" `Quick
             mtcp_flush_stops_on_dead_conn;
+          Alcotest.test_case "close with unsent bytes drains" `Quick
+            mtcp_close_with_unsent_bytes;
         ] );
     ]

@@ -232,9 +232,9 @@ let codec_roundtrip_prop =
 
 type host = { stack : Stack.t; addr : Addr.ip }
 
-let two_hosts ?loss ?tcp_config () =
+let two_hosts ?fault ?loss ?tcp_config () =
   let engine = Engine.create () in
-  let fabric = Fabric.create ~engine ~cost ?loss () in
+  let fabric = Fabric.create ~engine ~cost ?fault ?loss () in
   let make i addr_s =
     let nic = Nic.create ~engine ~cost ~mac:(Addr.mac_of_index i) () in
     Fabric.attach fabric nic;
@@ -711,6 +711,83 @@ let tcp_many_connections () =
     (List.for_all (fun c -> Tcp.state c = Tcp.Established) conns);
   check_int "all accepted" 20 !accepted;
   check_int "distinct client conns" 20 (Stack.connections a.stack)
+
+(* ---------------- no timer outlives its connection ----------------
+
+   Each connection owns one RTO handle. Every way a connection ends
+   must leave it unqueued: a handle left armed would keep the engine
+   from ever running dry. *)
+
+(* An echo server on [b] and a client on [a] that has sent [data]. *)
+let echo_pair ?fault data =
+  let engine, _, a, b = two_hosts ?fault () in
+  let server = ref None in
+  ignore
+    (Stack.tcp_listen b.stack ~port:7 ~on_accept:(fun c ->
+         server := Some c;
+         echo_conn c));
+  let conn = Stack.tcp_connect a.stack ~dst:(Addr.endpoint b.addr 7) in
+  ignore (Engine.run_until engine (fun () -> Tcp.state conn = Tcp.Established));
+  check_int "sent" (String.length data) (Tcp.send conn data);
+  (engine, conn, server)
+
+(* Run until the engine is dry: a handle left armed fails the check
+   after 10 s of virtual time instead of spinning forever. *)
+let drains engine =
+  check_bool "ran dry" false
+    (Engine.run_until engine (fun () ->
+         Int64.compare (Engine.now engine) 10_000_000_000L >= 0));
+  check_int "nothing pending" 0 (Engine.pending engine)
+
+let handle_ends_through_time_wait () =
+  let data = "through time-wait" in
+  let engine, conn, server = echo_pair data in
+  ignore
+    (Engine.run_until engine (fun () ->
+         Tcp.recv_ready conn >= String.length data));
+  Tcp.close conn;
+  ignore
+    (Engine.run_until engine (fun () ->
+         match !server with
+         | Some s -> Tcp.state s = Tcp.Close_wait
+         | None -> false));
+  Tcp.close (Option.get !server);
+  check_bool "client reaches TIME_WAIT" true
+    (Engine.run_until engine (fun () -> Tcp.state conn = Tcp.Time_wait));
+  drains engine;
+  check_bool "client closed" true (Tcp.state conn = Tcp.Closed);
+  check_bool "server closed" true (Tcp.state (Option.get !server) = Tcp.Closed)
+
+let handle_ends_on_rst () =
+  (* 20,000 B in flight: the RTO is queued when the client aborts. *)
+  let engine, conn, server = echo_pair (String.make 20_000 'r') in
+  check_bool "server accepted" true
+    (Engine.run_until engine (fun () -> !server <> None));
+  let reason = ref None in
+  Tcp.set_on_close (Option.get !server) (fun r -> reason := Some r);
+  let rto_fired () =
+    Dk_obs.Metrics.value (Dk_obs.Metrics.counter "net.tcp.rto_fired")
+  in
+  let fired = rto_fired () in
+  Tcp.abort conn;
+  drains engine;
+  check_bool "server saw the reset" true (!reason = Some `Reset);
+  check_int "no RTO fires after the reset" fired (rto_fired ())
+
+let handle_ends_on_rto_give_up () =
+  (* The "partition" plan cuts the fabric from 200 us on and never
+     heals: bytes sent after the cut are retransmitted until TCP gives
+     the connection up. *)
+  let fault = Dk_fault.Fault.create () in
+  Dk_fault.Fault.install fault
+    (Option.get (Dk_fault.Fault.named ~seed:7L "partition"));
+  let engine, conn, _ = echo_pair ~fault "" in
+  let reason = ref None in
+  Tcp.set_on_close conn (fun r -> reason := Some r);
+  Engine.run_for engine 300_000L;
+  check_int "sent into the partition" 4 (Tcp.send conn "lost");
+  drains engine;
+  check_bool "timed out" true (!reason = Some `Timeout)
 
 (* TCP data integrity under random loss seeds (property). *)
 let tcp_loss_prop =
@@ -1286,6 +1363,14 @@ let () =
           Alcotest.test_case "fast retransmit" `Quick tcp_fast_retransmit;
           Alcotest.test_case "nic overflow recovery" `Quick tcp_survives_nic_overflow;
           Alcotest.test_case "three-host concurrency" `Quick three_host_concurrency;
+        ] );
+      ( "tcp-timers",
+        [
+          Alcotest.test_case "close through TIME_WAIT" `Quick
+            handle_ends_through_time_wait;
+          Alcotest.test_case "reset" `Quick handle_ends_on_rst;
+          Alcotest.test_case "rto give-up under a partition" `Quick
+            handle_ends_on_rto_give_up;
         ] );
       qsuite "tcp-props" [ tcp_loss_prop; tcp_jitter_prop ];
       ( "framing",

@@ -117,6 +117,84 @@ let engine_run_for_with_cancelled_head () =
   check (Alcotest.list Alcotest.int) "only live event" [ 10 ] (List.rev !fired);
   check_i64 "clock at window end" 20L (Engine.now e)
 
+(* Far-future times saturate at the horizon ([max_int] ns) instead of
+   wrapping into the past. *)
+let engine_far_future_saturates () =
+  let horizon = Int64.of_int max_int in
+  let e = Engine.create () in
+  Engine.consume e 10L;
+  let log = ref [] in
+  ignore (Engine.after e Int64.max_int (fun () -> log := "far" :: !log));
+  ignore (Engine.at e 15L (fun () -> log := "15" :: !log));
+  check (Alcotest.option Alcotest.int64) "head is the near event" (Some 15L)
+    (Engine.next_at e);
+  Engine.run e;
+  check (Alcotest.list Alcotest.string) "far fires last" [ "15"; "far" ]
+    (List.rev !log);
+  check_i64 "clock at the horizon" horizon (Engine.now e);
+  Engine.consume e Int64.max_int;
+  check_i64 "consume saturates" horizon (Engine.now e);
+  let e = Engine.create () in
+  Engine.consume e 10L;
+  Engine.run_for e Int64.max_int;
+  check_i64 "run_for saturates" horizon (Engine.now e);
+  let e = Engine.create () in
+  Engine.consume e Int64.max_int;
+  Engine.consume e Int64.max_int;
+  check_i64 "busy total saturates" horizon (Engine.consumed e)
+
+let engine_timer_handle () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  let tm = Engine.timer e (fun () -> fired := Engine.now e :: !fired) in
+  check_bool "made unscheduled" false (Engine.scheduled tm);
+  check_int "nothing queued" 0 (Engine.pending e);
+  Engine.rearm tm 10L;
+  check_bool "armed" true (Engine.scheduled tm);
+  Engine.rearm tm 30L;
+  check_int "re-arming a queued handle keeps one event" 1 (Engine.pending e);
+  Engine.run e;
+  check (Alcotest.list Alcotest.int64) "fired once, at the later time" [ 30L ]
+    !fired;
+  check_bool "fired: not scheduled" false (Engine.scheduled tm);
+  Engine.rearm tm 5L;
+  Engine.cancel tm;
+  check_bool "cancelled: not scheduled" false (Engine.scheduled tm);
+  check_int "cancel leaves the heap at once" 0 (Engine.pending e);
+  Engine.rearm tm 5L;
+  Engine.run e;
+  check (Alcotest.list Alcotest.int64) "re-armed after cancel" [ 35L; 30L ]
+    !fired
+
+(* A re-armed handle draws a fresh insertion order: it runs after an
+   event scheduled for the same time before the re-arm. *)
+let engine_rearm_fresh_seq () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let tm = Engine.timer e (fun () -> log := "tm" :: !log) in
+  Engine.rearm tm 10L;
+  ignore (Engine.after e 10L (fun () -> log := "ev" :: !log));
+  Engine.rearm tm 10L;
+  Engine.run e;
+  check (Alcotest.list Alcotest.string) "fresh seq" [ "ev"; "tm" ]
+    (List.rev !log)
+
+(* A thunk may re-arm its own handle: a periodic timer. *)
+let engine_rearm_from_own_thunk () =
+  let e = Engine.create () in
+  let times = ref [] in
+  let rec tm =
+    lazy
+      (Engine.timer e (fun () ->
+           times := Engine.now e :: !times;
+           if List.length !times < 3 then Engine.rearm (Lazy.force tm) 7L))
+  in
+  Engine.rearm (Lazy.force tm) 7L;
+  Engine.run e;
+  check (Alcotest.list Alcotest.int64) "periodic" [ 7L; 14L; 21L ]
+    (List.rev !times);
+  check_int "drained" 0 (Engine.pending e)
+
 (* Determinism: same script twice gives identical event sequences. *)
 let engine_deterministic () =
   let run () =
@@ -365,22 +443,37 @@ let heap_sorted_prop =
 (* ---------------- Engine vs a reference model ----------------
 
    A script drives 1-4 engines; the same script runs against a model
-   that keeps every event in a list and fires the least by (time,
-   engine index, insertion) — a stable sort, with cross-engine ties to
-   the lowest index. Scheduled thunks run ops of their own, so events
-   are also scheduled and cancelled from inside the loop, onto any
-   engine, and [At] times below an engine's clock exercise the clamp. *)
+   that keeps every timer in an array and fires the least queued one by
+   (time, engine index, insertion) — a stable sort, with cross-engine
+   ties to the lowest index. Scheduled thunks run ops of their own, so
+   events are also scheduled, cancelled and re-armed from inside the
+   loop, onto any engine, and [At] times below an engine's clock
+   exercise the clamp. Any timer, queued, fired or cancelled, may be
+   cancelled or re-armed, and clocks also move by [consume] and
+   [run_for]. *)
 
 type op =
   | At of int * int * op list  (* engine, absolute time, ops the thunk runs *)
   | After of int * int * op list  (* engine, delay (may be negative) *)
+  | Timer of int * op list  (* engine: an unscheduled handle *)
   | Cancel of int  (* the k-th timer made so far, mod their count *)
+  | Rearm of int * int  (* the k-th timer, delay (may be negative) *)
+  | Consume of int * int  (* engine, ns (may be negative) *)
+  | Run_for of int * int  (* top level only: engine, window *)
   | Steps of int  (* top level only: this many scheduler steps *)
+
+(* A timer runs its ops on its first [op_runs] firings only, so handles
+   that re-arm themselves or each other cannot run forever. *)
+let op_runs = 2
 
 let rec pp_op = function
   | At (e, t, ops) -> Printf.sprintf "At(%d,%d,[%s])" e t (pp_ops ops)
   | After (e, d, ops) -> Printf.sprintf "After(%d,%d,[%s])" e d (pp_ops ops)
+  | Timer (e, ops) -> Printf.sprintf "Timer(%d,[%s])" e (pp_ops ops)
   | Cancel k -> Printf.sprintf "Cancel %d" k
+  | Rearm (k, d) -> Printf.sprintf "Rearm(%d,%d)" k d
+  | Consume (e, d) -> Printf.sprintf "Consume(%d,%d)" e d
+  | Run_for (e, d) -> Printf.sprintf "Run_for(%d,%d)" e d
   | Steps k -> Printf.sprintf "Steps %d" k
 
 and pp_ops ops = String.concat "; " (List.map pp_op ops)
@@ -389,12 +482,16 @@ let gen_script =
   let open QCheck.Gen in
   int_range 1 4 >>= fun n ->
   let eng = int_bound (n - 1) and time = int_range (-5) 40 in
+  let delay = int_range (-3) 20 and busy = int_range (-3) 10 in
   let leaf =
     frequency
       [
         (3, map2 (fun e t -> At (e, t, [])) eng time);
-        (2, map2 (fun e d -> After (e, d, [])) eng (int_range (-3) 20));
+        (2, map2 (fun e d -> After (e, d, [])) eng delay);
+        (1, map (fun e -> Timer (e, [])) eng);
         (2, map (fun k -> Cancel k) nat);
+        (2, map2 (fun k d -> Rearm (k, d)) nat delay);
+        (1, map2 (fun e d -> Consume (e, d)) eng busy);
       ]
   in
   let kids = list_size (int_bound 3) leaf in
@@ -402,8 +499,12 @@ let gen_script =
     frequency
       [
         (4, map3 (fun e t ks -> At (e, t, ks)) eng time kids);
-        (3, map3 (fun e d ks -> After (e, d, ks)) eng (int_range (-3) 20) kids);
+        (3, map3 (fun e d ks -> After (e, d, ks)) eng delay kids);
+        (2, map2 (fun e ks -> Timer (e, ks)) eng kids);
         (2, map (fun k -> Cancel k) nat);
+        (3, map2 (fun k d -> Rearm (k, d)) nat delay);
+        (1, map2 (fun e d -> Consume (e, d)) eng busy);
+        (1, map2 (fun e d -> Run_for (e, d)) eng (int_range (-3) 15));
         (2, map (fun k -> Steps k) (int_bound 6));
       ]
   in
@@ -411,8 +512,9 @@ let gen_script =
 
 type observed = {
   fired : int list;  (* timer ids, in firing order *)
-  checkpoints : (int array * int64 array) list;
-      (* pending and clock of every engine after each top-level op *)
+  checkpoints : (int * int array * int64 array) list;
+      (* after each top-level op: how many have fired so far, and the
+         pending count and clock of every engine *)
 }
 
 (* Timers are numbered in creation order; both sides create them in the
@@ -420,34 +522,39 @@ type observed = {
 let run_engines (n, script) =
   let engines = Array.init n (fun _ -> Engine.create ()) in
   let timers = ref [||] and fired = ref [] and checkpoints = ref [] in
-  let add tm = timers := Array.append !timers [| tm |] in
+  let runs = Hashtbl.create 16 in
   let step () =
     if n = 1 then Engine.step engines.(0) else Engine.step_group engines
   in
   let rec exec = function
-    | At (e, t, ops) ->
-        let id = Array.length !timers in
-        add
-          (Engine.at engines.(e) (Int64.of_int t) (fun () ->
-               fired := id :: !fired;
-               List.iter exec ops))
-    | After (e, d, ops) ->
-        let id = Array.length !timers in
-        add
-          (Engine.after engines.(e) (Int64.of_int d) (fun () ->
-               fired := id :: !fired;
-               List.iter exec ops))
-    | Cancel k ->
-        let m = Array.length !timers in
-        if m > 0 then Engine.cancel !timers.(k mod m)
+    | At (e, t, ops) -> add (Engine.at engines.(e) (Int64.of_int t)) ops
+    | After (e, d, ops) -> add (Engine.after engines.(e) (Int64.of_int d)) ops
+    | Timer (e, ops) -> add (Engine.timer engines.(e)) ops
+    | Cancel k -> with_timer k Engine.cancel
+    | Rearm (k, d) -> with_timer k (fun tm -> Engine.rearm tm (Int64.of_int d))
+    | Consume (e, d) -> Engine.consume engines.(e) (Int64.of_int d)
+    | Run_for (e, d) -> Engine.run_for engines.(e) (Int64.of_int d)
     | Steps k ->
         for _ = 1 to k do
           ignore (step ())
         done
+  and add make ops =
+    let id = Array.length !timers in
+    timers := Array.append !timers [| make (fun () -> fire id ops) |]
+  and with_timer k f =
+    let m = Array.length !timers in
+    if m > 0 then f !timers.(k mod m)
+  and fire id ops =
+    fired := id :: !fired;
+    let r = Option.value ~default:0 (Hashtbl.find_opt runs id) in
+    Hashtbl.replace runs id (r + 1);
+    if r < op_runs then List.iter exec ops
   in
   let checkpoint () =
     checkpoints :=
-      (Array.map Engine.pending engines, Array.map Engine.now engines)
+      ( List.length !fired,
+        Array.map Engine.pending engines,
+        Array.map Engine.now engines )
       :: !checkpoints
   in
   List.iter
@@ -462,67 +569,97 @@ let run_engines (n, script) =
 type mev = {
   id : int;
   eng : int;
-  time : int;
-  ins : int;  (* global insertion order: per engine, it is the seq *)
-  mutable dead : bool;  (* fired or cancelled *)
   ops : op list;
+  mutable time : int;
+  mutable ins : int;  (* global insertion order: per engine, it is the seq *)
+  mutable queued : bool;
+  mutable runs : int;  (* firings so far *)
 }
 
 let run_model (n, script) =
   let clocks = Array.make n 0 in
-  let events = ref [] and timers = ref [||] and fired = ref [] in
+  let timers = ref [||] and fired = ref [] and next_ins = ref 0 in
   let checkpoints = ref [] in
-  let schedule e t ops =
+  let make e ops =
     let ev =
       {
         id = Array.length !timers;
         eng = e;
-        time = Int.max t clocks.(e);
-        ins = Array.length !timers;
-        dead = false;
         ops;
+        time = 0;
+        ins = 0;
+        queued = false;
+        runs = 0;
       }
     in
     timers := Array.append !timers [| ev |];
-    events := ev :: !events
+    ev
+  in
+  (* (Re)queue under a fresh insertion order, clamped to the clock. *)
+  let arm ev t =
+    ev.time <- Int.max t clocks.(ev.eng);
+    ev.ins <- !next_ins;
+    incr next_ins;
+    ev.queued <- true
   in
   let key ev = (ev.time, ev.eng, ev.ins) in
+  let least ok =
+    Array.fold_left
+      (fun best ev ->
+        if not (ev.queued && ok ev) then best
+        else
+          match best with
+          | Some b when compare (key b) (key ev) <= 0 -> best
+          | _ -> Some ev)
+      None !timers
+  in
   let rec exec = function
-    | At (e, t, ops) -> schedule e t ops
-    | After (e, d, ops) -> schedule e (clocks.(e) + Int.max 0 d) ops
-    | Cancel k ->
-        let m = Array.length !timers in
-        if m > 0 then !timers.(k mod m).dead <- true
+    | At (e, t, ops) -> arm (make e ops) t
+    | After (e, d, ops) -> arm (make e ops) (clocks.(e) + Int.max 0 d)
+    | Timer (e, ops) -> ignore (make e ops)
+    | Cancel k -> with_timer k (fun ev -> ev.queued <- false)
+    | Rearm (k, d) ->
+        with_timer k (fun ev -> arm ev (clocks.(ev.eng) + Int.max 0 d))
+    | Consume (e, d) -> clocks.(e) <- clocks.(e) + Int.max 0 d
+    | Run_for (e, d) ->
+        let deadline = clocks.(e) + Int.max 0 d in
+        let rec drain () =
+          match least (fun ev -> ev.eng = e && ev.time <= deadline) with
+          | Some ev ->
+              fire ev;
+              drain ()
+          | None -> ()
+        in
+        drain ();
+        clocks.(e) <- Int.max clocks.(e) deadline
     | Steps k ->
         for _ = 1 to k do
           ignore (step ())
         done
+  and with_timer k f =
+    let m = Array.length !timers in
+    if m > 0 then f !timers.(k mod m)
+  and fire ev =
+    ev.queued <- false;
+    clocks.(ev.eng) <- Int.max clocks.(ev.eng) ev.time;
+    fired := ev.id :: !fired;
+    ev.runs <- ev.runs + 1;
+    if ev.runs <= op_runs then List.iter exec ev.ops
   and step () =
-    let next =
-      List.fold_left
-        (fun best ev ->
-          if ev.dead then best
-          else
-            match best with
-            | Some b when compare (key b) (key ev) <= 0 -> best
-            | _ -> Some ev)
-        None !events
-    in
-    match next with
+    match least (fun _ -> true) with
     | None -> false
     | Some ev ->
-        ev.dead <- true;
-        clocks.(ev.eng) <- Int.max clocks.(ev.eng) ev.time;
-        fired := ev.id :: !fired;
-        List.iter exec ev.ops;
+        fire ev;
         true
   in
   let checkpoint () =
-    let pending =
-      Array.init n (fun e ->
-          List.length (List.filter (fun ev -> ev.eng = e && not ev.dead) !events))
-    in
-    checkpoints := (pending, Array.map Int64.of_int clocks) :: !checkpoints
+    let pending = Array.make n 0 in
+    Array.iter
+      (fun ev -> if ev.queued then pending.(ev.eng) <- pending.(ev.eng) + 1)
+      !timers;
+    checkpoints :=
+      (List.length !fired, pending, Array.map Int64.of_int clocks)
+      :: !checkpoints
   in
   List.iter
     (fun op ->
@@ -597,6 +734,41 @@ let engine_alloc_step_group () =
   check_int "drained" 0 (Array.fold_left (fun a e -> a + Engine.pending e) 0 engines);
   check (Alcotest.float 0.) "step_group allocates nothing" 0. words
 
+(* A handle is the record [timer] made once: re-arming, cancelling and
+   asking after it, and charging CPU time, allocate nothing; [after],
+   like [at], allocates its one record. *)
+let engine_alloc_handles () =
+  let e = Engine.create () in
+  let tms = Array.init 64 (fun _ -> Engine.timer e noop) in
+  (* warm: the heap has held every handle at once *)
+  Array.iter (fun tm -> Engine.rearm tm 5L) tms;
+  Engine.run e;
+  let queued = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 3999 do
+    let tm = tms.(i land 63) in
+    Engine.rearm tm (if i land 1 = 0 then 10L else 20L);
+    if Engine.scheduled tm then incr queued;
+    if i mod 3 = 0 then Engine.cancel tms.((i * 7) land 63);
+    Engine.consume e 1L
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "every re-armed handle queued" 4000 !queued;
+  check (Alcotest.float 0.) "rearm, scheduled, cancel, consume allocate nothing"
+    0. words;
+  for _ = 1 to 1000 do
+    ignore (Engine.after e 10L noop)
+  done;
+  Engine.run e;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Engine.after e 10L noop)
+  done;
+  let words = Gc.minor_words () -. before in
+  check (Alcotest.float 0.) "after: one event record each"
+    (float_of_int (1000 * event_words))
+    words
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -615,11 +787,20 @@ let () =
           Alcotest.test_case "run_for" `Quick engine_run_for;
           Alcotest.test_case "run_for cancelled head" `Quick engine_run_for_with_cancelled_head;
           Alcotest.test_case "past schedule clamped" `Quick engine_past_schedule_clamped;
+          Alcotest.test_case "far future saturates" `Quick
+            engine_far_future_saturates;
+          Alcotest.test_case "timer handle" `Quick engine_timer_handle;
+          Alcotest.test_case "rearm draws a fresh seq" `Quick
+            engine_rearm_fresh_seq;
+          Alcotest.test_case "rearm from own thunk" `Quick
+            engine_rearm_from_own_thunk;
           Alcotest.test_case "deterministic" `Quick engine_deterministic;
           Alcotest.test_case "at allocates one record, step none" `Quick
             engine_alloc_at_and_step;
           Alcotest.test_case "step_group allocates nothing" `Quick
             engine_alloc_step_group;
+          Alcotest.test_case "handles allocate nothing" `Quick
+            engine_alloc_handles;
         ] );
       ( "heap",
         [

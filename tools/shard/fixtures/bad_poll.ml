@@ -9,6 +9,11 @@ let arm engine demi tok =
     (Dk_sim.Engine.at engine 10L (fun () -> (* FLAG poll-blocking *)
          ignore (Demi.wait demi tok)))
 
+(* A re-armable handle's thunk runs from the engine the same way. *)
+let make_timer engine demi tok =
+  Dk_sim.Engine.timer engine (fun () -> (* FLAG poll-blocking *)
+      ignore (Demi.wait demi tok))
+
 let spawn_worker sched =
   Fiber.spawn sched (fun () -> (* FLAG poll-blocking *)
       Unix.sleep 1)

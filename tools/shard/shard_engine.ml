@@ -10,8 +10,9 @@
    - the intrinsic effect sources (wall-clock reads, non-simulated
      randomness, hash-order-dependent iteration, blocking on the
      engine) and the registration surface that makes a callback a root
-     ([Engine.at]/[Engine.after]/[Demi.watch]/[Token.watch] = Poll,
-     [Fiber.spawn] = Fiber, the [Demi] API and [[@@shard.entry]] = Api);
+     ([Engine.at]/[Engine.after]/[Engine.timer]/[Demi.watch]/
+     [Token.watch] = Poll, [Fiber.spawn] = Fiber, the [Demi] API and
+     [[@@shard.entry]] = Api);
    - the module-level mutable-state inventory, classified by
      [[@@shard.per_shard]] / [[@@shard.immutable]] / [[@@shard.tooling]]
      attributes (obs instrument handles are recognized automatically),
@@ -142,6 +143,7 @@ let intrinsic_of ~cur_module ~call:_ (m, f) : (string * string) option =
 let registration_of (m, f) : (int * string) option =
   match (m, f) with
   | "Engine", ("at" | "after") -> Some (2, r_poll)
+  | "Engine", "timer" -> Some (1, r_poll)
   | ("Demi" | "Token"), "watch" -> Some (2, r_poll)
   | "Fiber", "spawn" -> Some (1, r_fiber)
   | _ -> None

@@ -19,9 +19,9 @@
     Entry points (roots, as {!Interproc.summary} root kinds): the
     toplevel functions of module [Demi] and anything marked
     [[@@shard.entry]] (["api"]); callbacks registered via
-    [Engine.at]/[Engine.after]/[Demi.watch]/[Token.watch] (["poll"]);
-    and [Fiber.spawn] bodies (["fiber"]). [det-source] applies to all
-    roots, [poll-blocking] to poll and fiber roots. *)
+    [Engine.at]/[Engine.after]/[Engine.timer]/[Demi.watch]/[Token.watch]
+    (["poll"]); and [Fiber.spawn] bodies (["fiber"]). [det-source]
+    applies to all roots, [poll-blocking] to poll and fiber roots. *)
 
 type finding = Tool_common.finding
 
