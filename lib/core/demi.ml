@@ -3,6 +3,7 @@ module Cost = Dk_sim.Cost
 module Stack = Dk_net.Stack
 module Addr = Dk_net.Addr
 module Prog = Dk_device.Prog
+module Frame = Dk_wire.Frame
 module Flight = Dk_obs.Flight
 module Itbl = Dk_util.Itbl
 
@@ -609,7 +610,7 @@ let prog_filter_cost t pred =
 
    Everything this libOS offloads to a programmable NIC compiles into
    the device's one rx pipeline. Payload-level terms shift every offset
-   past the ethernet+IPv4+UDP headers ([Udp_frame.header_bytes]), and
+   past the ethernet+IPv4+UDP headers ([Frame.udp_payload_off]), and
    every guard is conjoined with the socket's port match, so a program
    installed for one socket can never touch another port's traffic.
    Offloaded filters come first, as [Drop] stages; then the per-port
@@ -633,14 +634,15 @@ let rec shift_pred off (p : Prog.pred) : Prog.pred =
   | Prog.Any ps -> Prog.Any (List.map (shift_pred off) ps)
   | Prog.Not p -> Prog.Not (shift_pred off p)
 
+(* Ethertype IPv4 (0x0800), IP protocol UDP (17), destination [port]. *)
 let udp_port_match port =
   Prog.All
     [
-      Prog.Byte_eq (12, '\x08');
-      Prog.Byte_eq (13, '\x00');
-      Prog.Byte_eq (23, '\x11');
-      Prog.Byte_eq (36, Char.chr ((port lsr 8) land 0xff));
-      Prog.Byte_eq (37, Char.chr (port land 0xff));
+      Prog.Byte_eq (Frame.ethertype_off, '\x08');
+      Prog.Byte_eq (Frame.ethertype_off + 1, '\x00');
+      Prog.Byte_eq (Frame.ip_proto_off, '\x11');
+      Prog.Byte_eq (Frame.udp_dst_port_off, Char.chr ((port lsr 8) land 0xff));
+      Prog.Byte_eq (Frame.udp_dst_port_off + 1, Char.chr (port land 0xff));
     ]
 
 let shift_field off (f : Prog.field) : Prog.field =
@@ -682,9 +684,9 @@ let shift_stage port (st : Prog.stage) : Prog.stage =
       Prog.M_all
         [
           Prog.M_pred (udp_port_match port);
-          shift_fmatch Dk_device.Udp_frame.header_bytes st.Prog.guard;
+          shift_fmatch Frame.udp_payload_off st.Prog.guard;
         ];
-    Prog.act = shift_action Dk_device.Udp_frame.header_bytes st.Prog.act;
+    Prog.act = shift_action Frame.udp_payload_off st.Prog.act;
   }
 
 (* An offloaded filter drops the frames on its port that fail it. *)
@@ -695,7 +697,7 @@ let filter_stage (port, pred) : Prog.stage =
         [
           Prog.M_pred (udp_port_match port);
           Prog.M_not
-            (Prog.M_pred (shift_pred Dk_device.Udp_frame.header_bytes pred));
+            (Prog.M_pred (shift_pred Frame.udp_payload_off pred));
         ];
     Prog.act = Prog.Drop;
   }

@@ -266,16 +266,16 @@ let enqueue_rx t frame =
   end
 
 (* A [Responded] verdict is re-checked against the raw frame
-   ([Udp_frame.reply] verifies both checksums): a corrupt frame that
-   reached a table hit anyway falls through to the host, whose stack
-   will reject it — the device never answers for a key it cannot
-   trust. *)
+   ([Frame.udp_reply] runs the host stack's header checks): a corrupt
+   frame that reached a table hit anyway falls through to the host,
+   whose stack will reject it — the device never answers for a key it
+   cannot trust. *)
 let process_rx t frame =
   match Prog.eval_pipeline ~lookup:t.lookup_fn t.rx_pipeline frame with
   | Prog.Deliver frame -> enqueue_rx t frame
   | Prog.Dropped -> Metrics.incr t.rx_filtered
   | Prog.Responded payload -> (
-      match Udp_frame.reply ~self_mac:t.mac ~request:frame ~payload with
+      match Dk_wire.Frame.udp_reply ~self_mac:t.mac ~request:frame ~payload with
       | Some (dst, reply) ->
           t.rx_responded <- t.rx_responded + 1;
           ignore (device_transmit t ~dst reply)

@@ -46,8 +46,9 @@ val programmable : t -> bool
     bytes on [Cost.device_prog_per_elem]) and zero host CPU. [Respond]
     verdicts are served from a bounded {!Table} and transmitted back
     without ringing any host doorbell; the reply is only sent when the
-    request frame re-validates ({!Udp_frame.reply} checks both
-    checksums), otherwise the frame falls through to the host. *)
+    request frame passes the host stack's own header checks
+    ({!Dk_wire.Frame.udp_reply}), otherwise the frame falls through to
+    the host. *)
 
 val set_rx_pipeline : t -> Prog.pipeline -> (unit, [ `Not_programmable ]) result
 (** [[]] unloads the pipeline — the rx path is then byte-identical to

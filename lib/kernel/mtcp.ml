@@ -15,6 +15,7 @@ type conn = {
   mutable held : bool; (* the last move left bytes in TCP: [rx] was full *)
   mutable tx : string; (* bytes awaiting the next flush batch ... *)
   mutable tx_off : int; (* ... from this cursor on *)
+  mutable closing : bool; (* [close] waits for TCP to take [tx] *)
   mutable flush : Dk_sim.Engine.timer; (* runs [flush]; set in [make] *)
   mutable on_connect : unit -> unit;
   mutable on_readable : unit -> unit;
@@ -22,9 +23,11 @@ type conn = {
 
 let unsent conn = String.length conn.tx - conn.tx_off
 
-(* Hand TCP what it takes of the unsent bytes; only the cursor moves. *)
+(* Hand TCP what it takes of the unsent bytes; only the cursor moves.
+   A closing connection closes TCP once TCP has taken the last byte. *)
 let push_tx conn =
-  conn.tx_off <- conn.tx_off + Tcp.send conn.tcp ~off:conn.tx_off conn.tx
+  conn.tx_off <- conn.tx_off + Tcp.send conn.tcp ~off:conn.tx_off conn.tx;
+  if conn.closing && unsent conn = 0 then Tcp.close conn.tcp
 
 let create ~engine ~cost ~stack () =
   { engine; cost; stack; bytes_copied = 0 }
@@ -79,6 +82,7 @@ let make owner tcp =
       held = false;
       tx = "";
       tx_off = 0;
+      closing = false;
       flush = Dk_sim.Engine.timer owner.engine ignore;
       on_connect = (fun () -> ());
       on_readable = (fun () -> ());
@@ -118,5 +122,6 @@ let recv conn n =
 
 let set_on_connect conn f = conn.on_connect <- f
 let set_on_readable conn f = conn.on_readable <- f
-let close conn = Tcp.close conn.tcp
+let close conn =
+  if unsent conn = 0 then Tcp.close conn.tcp else conn.closing <- true
 let bytes_copied t = t.bytes_copied

@@ -41,5 +41,7 @@ val recv : conn -> int -> string
 val set_on_connect : conn -> (unit -> unit) -> unit
 val set_on_readable : conn -> (unit -> unit) -> unit
 val close : conn -> unit
+(** Closes TCP once TCP has taken every byte {!send} accepted; a
+    connection TCP has already closed drops its unsent tail. *)
 
 val bytes_copied : t -> int

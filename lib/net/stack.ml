@@ -11,6 +11,11 @@ type listener = { on_accept : Tcp.conn -> unit }
 module Flight = Dk_obs.Flight
 module Metrics = Dk_obs.Metrics
 module Itbl = Dk_util.Itbl
+module Eth = Dk_wire.Eth
+module Ipv4 = Dk_wire.Ipv4
+module Udp = Dk_wire.Udp
+module Tcp_wire = Dk_wire.Tcp_wire
+module Frame = Dk_wire.Frame
 
 (* Class-wide obs instruments (aggregated across stacks); each stack
    counts its [stats] into its own instances of the first five. *)
@@ -24,12 +29,6 @@ let m_arp_requests = Metrics.counter "net.arp.requests"
 let m_arp_misses = Metrics.counter "net.arp.misses"
 let m_arp_abandoned = Metrics.counter "net.arp.abandoned"
 let m_arp_recovered = Metrics.counter "net.arp.recovered"
-
-let mentions_checksum msg =
-  let n = String.length msg and p = "checksum" in
-  let pl = String.length p in
-  let rec scan i = i + pl <= n && (String.sub msg i pl = p || scan (i + 1)) in
-  scan 0
 
 type t = {
   engine : Dk_sim.Engine.t;
@@ -78,10 +77,11 @@ let stats t =
   }
 
 (* A decode failure counts once; checksum failures — corruption the
-   hardware would normally have caught — also count separately. *)
+   hardware would normally have caught — also count separately. Every
+   checksum message, and no other, ends with "checksum". *)
 let decode_error t msg =
   Metrics.incr t.decode_errors;
-  if mentions_checksum msg then begin
+  if String.ends_with ~suffix:"checksum" msg then begin
     Metrics.incr m_checksum_failures;
     if
       Flight.start Flight.default ~now:(Dk_sim.Engine.now t.engine)
@@ -95,20 +95,12 @@ let decode_error t msg =
     end
   end
 
-(* ---- frame layout ----
+(* ---- transmit path ----
 
    A frame is one buffer from its first header to its last payload
-   byte. The stack builds it in place: the payload goes in once at its
-   final offset, then each layer writes its header in front of it.
-   Receive parses the same buffer by offset. *)
-
-let ip_off = Eth.header_size
-let l4_off = ip_off + Ipv4.header_size
-let tcp_payload_off = l4_off + Tcp_wire.header_size
-let udp_payload_off = l4_off + Udp.header_size
-let udp_max_payload = 0xffff - Ipv4.header_size - Udp.header_size
-
-(* ---- transmit path ---- *)
+   byte, laid out as [Frame] says. The stack builds it in place: the
+   payload goes in once at its final offset, then each layer writes its
+   header in front of it. Receive parses the same buffer by offset. *)
 
 let transmit_eth t ~dst_mac ~ethertype frame =
   Dk_sim.Engine.consume t.engine t.pkt_cost;
@@ -119,8 +111,8 @@ let transmit_eth t ~dst_mac ~ethertype frame =
     (Dk_device.Nic.transmit t.nic ~dst:dst_mac (Bytes.unsafe_to_string frame))
 
 let send_arp t ~dst_mac pkt =
-  let frame = Bytes.create (ip_off + Arp.size) in
-  Arp.write frame ~off:ip_off pkt;
+  let frame = Bytes.create (Frame.ip_off + Arp.size) in
+  Arp.write frame ~off:Frame.ip_off pkt;
   transmit_eth t ~dst_mac ~ethertype:Eth.Arp frame
 
 let send_arp_request t target_ip =
@@ -176,12 +168,12 @@ let when_resolved t dst_ip k =
   end
 
 (* [frame] already holds the transport header and payload from
-   [l4_off] to its end. *)
+   [Frame.l4_off] to its end. *)
 let send_ipv4 t ~dst_ip ~proto frame =
   let ident = t.next_ident in
   t.next_ident <- (t.next_ident + 1) land 0xffff;
-  Ipv4.write frame ~off:ip_off ~src:t.ip ~dst:dst_ip ~proto ~ttl:64 ~ident
-    ~payload_len:(Bytes.length frame - l4_off);
+  Ipv4.write frame ~off:Frame.ip_off ~src:t.ip ~dst:dst_ip ~proto ~ttl:64 ~ident
+    ~payload_len:(Bytes.length frame - Frame.l4_off);
   match Arp.Table.lookup t.arp dst_ip with
   | Some dst_mac -> transmit_eth t ~dst_mac ~ethertype:Eth.Ipv4 frame
   | None ->
@@ -201,11 +193,11 @@ let udp_unbind t ~port = Itbl.remove t.udp_ports port
 
 let udp_send t ~src_port ~dst payload =
   let n = String.length payload in
-  if n > udp_max_payload then Error `Too_big
+  if n > Frame.udp_max_payload then Error `Too_big
   else begin
-    let frame = Bytes.create (udp_payload_off + n) in
-    Bytes.blit_string payload 0 frame udp_payload_off n;
-    Udp.write frame ~off:l4_off ~src_ip:t.ip ~dst_ip:dst.Addr.ip ~src_port
+    let frame = Bytes.create (Frame.udp_payload_off + n) in
+    Bytes.blit_string payload 0 frame Frame.udp_payload_off n;
+    Udp.write frame ~off:Frame.l4_off ~src_ip:t.ip ~dst_ip:dst.Addr.ip ~src_port
       ~dst_port:dst.Addr.port ~payload_len:n;
     send_ipv4 t ~dst_ip:dst.Addr.ip ~proto:Ipv4.Udp frame;
     Ok ()
@@ -241,13 +233,13 @@ let register_conn t ~local_port ~remote conn =
       | None -> ())
 
 (* A data segment arrives in the frame TCP sized for it (payload at
-   [tcp_payload_off]); a control segment gets a header-only frame. *)
+   [Frame.tcp_payload_off]); a control segment gets a header-only frame. *)
 let tcp_emit t ~remote_ip (seg : Tcp_wire.t) =
   let frame =
-    if seg.Tcp_wire.payload_len = 0 then Bytes.create tcp_payload_off
+    if seg.Tcp_wire.payload_len = 0 then Bytes.create Frame.tcp_payload_off
     else seg.Tcp_wire.payload
   in
-  Tcp_wire.write frame ~off:l4_off ~src_ip:t.ip ~dst_ip:remote_ip seg;
+  Tcp_wire.write frame ~off:Frame.l4_off ~src_ip:t.ip ~dst_ip:remote_ip seg;
   send_ipv4 t ~dst_ip:remote_ip ~proto:Ipv4.Tcp frame
 
 let tcp_listen t ~port ~on_accept =
@@ -276,7 +268,7 @@ let tcp_connect t ~dst =
   let local = Addr.endpoint t.ip local_port in
   let conn =
     Tcp.create_active ~engine:t.engine ~config:t.tcp_config ~local ~remote:dst
-      ~iss:(next_iss t) ~payload_off:tcp_payload_off
+      ~iss:(next_iss t) ~payload_off:Frame.tcp_payload_off
       ~emit:(fun seg -> tcp_emit t ~remote_ip:dst.Addr.ip seg)
   in
   register_conn t ~local_port ~remote:dst conn;
@@ -304,7 +296,7 @@ let send_rst t ~remote (seg : Tcp_wire.t) =
   end
 
 let handle_tcp t ~src_ip frame ~len =
-  match Tcp_wire.decode ~src_ip ~dst_ip:t.ip frame ~off:l4_off ~len with
+  match Tcp_wire.decode ~src_ip ~dst_ip:t.ip frame ~off:Frame.l4_off ~len with
   | Error e -> decode_error t e
   | Ok seg ->
       let local_port = seg.Tcp_wire.dst_port in
@@ -323,7 +315,7 @@ let handle_tcp t ~src_ip frame ~len =
               let conn =
                 Tcp.create_passive ~engine:t.engine ~config:t.tcp_config
                   ~local ~remote ~iss:(next_iss t)
-                  ~payload_off:tcp_payload_off
+                  ~payload_off:Frame.tcp_payload_off
                   ~emit:(fun s -> tcp_emit t ~remote_ip:src_ip s)
                   ~remote_seq:seg.Tcp_wire.seq
               in
@@ -336,7 +328,10 @@ let handle_tcp t ~src_ip frame ~len =
 (* ---- receive path ---- *)
 
 let handle_arp t frame =
-  match Arp.decode frame ~off:ip_off ~len:(Bytes.length frame - ip_off) with
+  match
+    Arp.decode frame ~off:Frame.ip_off
+      ~len:(Bytes.length frame - Frame.ip_off)
+  with
   | Error e -> decode_error t e
   | Ok { Arp.op; sender_mac; sender_ip; target_ip; _ } -> (
       (* Learn the sender either way. *)
@@ -357,14 +352,14 @@ let handle_arp t frame =
 (* The one copy a datagram's payload makes on receive: out of the frame
    for the socket's callback. *)
 let handle_udp t ~src_ip frame ~len =
-  match Udp.decode ~src_ip ~dst_ip:t.ip frame ~off:l4_off ~len with
+  match Udp.decode ~src_ip ~dst_ip:t.ip frame ~off:Frame.l4_off ~len with
   | Error e -> decode_error t e
   | Ok { Udp.src_port; dst_port; payload_len } -> (
       match Itbl.find_opt t.udp_ports dst_port with
       | Some recv ->
           recv
             ~src:(Addr.endpoint src_ip src_port)
-            (Bytes.sub_string frame udp_payload_off payload_len)
+            (Bytes.sub_string frame Frame.udp_payload_off payload_len)
       | None -> Metrics.incr t.no_listener)
 
 let handle_frame t frame =
@@ -382,7 +377,8 @@ let handle_frame t frame =
         | Eth.Arp -> handle_arp t frame
         | Eth.Ipv4 -> (
             match
-              Ipv4.decode frame ~off:ip_off ~len:(Bytes.length frame - ip_off)
+              Ipv4.decode frame ~off:Frame.ip_off
+                ~len:(Bytes.length frame - Frame.ip_off)
             with
             | Error e -> decode_error t e
             | Ok { Ipv4.src; dst; proto; payload_len = len; _ } ->

@@ -47,6 +47,7 @@ type stats = {
 
 module Flight = Dk_obs.Flight
 module Metrics = Dk_obs.Metrics
+module Tcp_wire = Dk_wire.Tcp_wire
 
 (* Class-wide obs instruments (aggregated across connections); each
    connection counts its [stats] into its own instances of them, and

@@ -58,7 +58,7 @@ val create_active :
   remote:Addr.endpoint ->
   iss:int ->
   payload_off:int ->
-  emit:(Tcp_wire.t -> unit) ->
+  emit:(Dk_wire.Tcp_wire.t -> unit) ->
   conn
 (** Sends the SYN immediately (state [Syn_sent]).
 
@@ -75,14 +75,14 @@ val create_passive :
   remote:Addr.endpoint ->
   iss:int ->
   payload_off:int ->
-  emit:(Tcp_wire.t -> unit) ->
+  emit:(Dk_wire.Tcp_wire.t -> unit) ->
   remote_seq:int ->
   conn
 (** For a SYN that arrived at a listener: replies SYN-ACK
     (state [Syn_rcvd]). [payload_off] and [emit] as for
     {!create_active}. *)
 
-val segment_arrives : conn -> Tcp_wire.t -> unit
+val segment_arrives : conn -> Dk_wire.Tcp_wire.t -> unit
 (** In-order payload is written from the segment's view straight into
     the receive ring; the view is not kept after the call. *)
 

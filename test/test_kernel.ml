@@ -351,13 +351,17 @@ let mtcp_flush_stops_on_dead_conn () =
 
 let mtcp_close_with_unsent_bytes () =
   (* The client queues 3 x 64 KiB and closes before the first batch
-     flush, so TCP takes none of the queued bytes any more; the server
-     closes 1 ms later. The flush handle must stop with the
-     connection, leaving the engine to run dry. *)
+     flush has handed TCP any of them. The close must wait until TCP
+     has taken the last byte, so the server, which reads what arrives
+     and closes 1 ms later, gets every byte. Then the flush handle
+     stops with the connection, leaving the engine to run dry. *)
   let w = Setup.world Mtcp in
   let engine = w.engine in
+  let got = Buffer.create (3 * 65536) in
   check_bool "listen" true
     (Mtcp.listen w.server ~port:9 ~on_accept:(fun s ->
+         Mtcp.set_on_readable s (fun () ->
+             Buffer.add_string got (Mtcp.recv s (Mtcp.recv_ready s)));
          ignore (Engine.after engine 1_000_000L (fun () -> Mtcp.close s)))
     = Ok ());
   let c = Mtcp.connect w.client ~dst:(Setup.endpoint w.b 9) in
@@ -370,6 +374,9 @@ let mtcp_close_with_unsent_bytes () =
   check_bool "ran dry" false
     (Engine.run_until engine (fun () ->
          Int64.compare (Engine.now engine) 10_000_000_000L >= 0));
+  check_int "server read every byte" (3 * 65536) (Buffer.length got);
+  check_bool "intact" true
+    (String.equal (String.make (3 * 65536) 'u') (Buffer.contents got));
   check_int "nothing pending" 0 (Engine.pending engine)
 
 let () =

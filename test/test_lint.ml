@@ -37,6 +37,11 @@ let unsafe_in_device () =
   let fs = scan ~path:"lib/device/ring.ml" "let f b i = Bytes.unsafe_get b i\n" in
   check (Alcotest.list Alcotest.int) "line" [ 1 ] (lines_of "unsafe-op" fs)
 
+let unsafe_in_wire () =
+  (* the frame codecs parse untrusted frames: lib/wire is fast-path *)
+  let fs = scan ~path:"lib/wire/ipv4.ml" "let f b i = Bytes.unsafe_get b i\n" in
+  check (Alcotest.list Alcotest.int) "line" [ 1 ] (lines_of "unsafe-op" fs)
+
 let poly_compare_not_in_device () =
   (* ...but the name-heuristic poly-compare rule stays out of it *)
   let fs = scan ~path:"lib/device/ring.ml" "let same buf b = buf = b\n" in
@@ -311,6 +316,7 @@ let () =
           Alcotest.test_case "scoped to fast path" `Quick
             unsafe_outside_fast_path_ok;
           Alcotest.test_case "fires in lib/device" `Quick unsafe_in_device;
+          Alcotest.test_case "fires in lib/wire" `Quick unsafe_in_wire;
           Alcotest.test_case "poly-compare not in lib/device" `Quick
             poly_compare_not_in_device;
           Alcotest.test_case "comment immune" `Quick unsafe_in_comment_ok;

@@ -11,11 +11,12 @@ module Cost = Dk_sim.Cost
 module Nic = Dk_device.Nic
 module Fabric = Dk_device.Fabric
 module Addr = Dk_net.Addr
-module Eth = Dk_net.Eth
+module Eth = Dk_wire.Eth
 module Arp = Dk_net.Arp
-module Ipv4 = Dk_net.Ipv4
-module Udp = Dk_net.Udp
-module Tcp_wire = Dk_net.Tcp_wire
+module Ipv4 = Dk_wire.Ipv4
+module Udp = Dk_wire.Udp
+module Tcp_wire = Dk_wire.Tcp_wire
+module Frame = Dk_wire.Frame
 module Tcp = Dk_net.Tcp
 module Stack = Dk_net.Stack
 module Framing = Dk_net.Framing
@@ -161,15 +162,12 @@ let tcp_wire_roundtrip () =
 
 (* Whole frames as the stack lays them out: 14 B Ethernet, 20 B IPv4,
    then the transport header and payload. *)
-let ip_off = Eth.header_size
-let l4_off = ip_off + Ipv4.header_size
-
 let ipv4_frame ~src_mac ~dst_mac ~src_ip ~dst_ip ~proto ~l4_hdr payload =
   let n = String.length payload in
-  let b = Bytes.create (l4_off + l4_hdr + n) in
-  Bytes.blit_string payload 0 b (l4_off + l4_hdr) n;
-  Ipv4.write b ~off:ip_off ~src:src_ip ~dst:dst_ip ~proto ~ttl:64 ~ident:0
-    ~payload_len:(l4_hdr + n);
+  let b = Bytes.create (Frame.l4_off + l4_hdr + n) in
+  Bytes.blit_string payload 0 b (Frame.l4_off + l4_hdr) n;
+  Ipv4.write b ~off:Frame.ip_off ~src:src_ip ~dst:dst_ip ~proto ~ttl:64
+    ~ident:0 ~payload_len:(l4_hdr + n);
   Eth.write b ~dst:dst_mac ~src:src_mac Eth.Ipv4;
   b
 
@@ -178,7 +176,7 @@ let udp_frame ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port payload =
     ipv4_frame ~src_mac ~dst_mac ~src_ip ~dst_ip ~proto:Ipv4.Udp
       ~l4_hdr:Udp.header_size payload
   in
-  Udp.write b ~off:l4_off ~src_ip ~dst_ip ~src_port ~dst_port
+  Udp.write b ~off:Frame.l4_off ~src_ip ~dst_ip ~src_port ~dst_port
     ~payload_len:(String.length payload);
   b
 
@@ -188,15 +186,15 @@ let tcp_frame ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port ~seq
     ipv4_frame ~src_mac ~dst_mac ~src_ip ~dst_ip ~proto:Ipv4.Tcp
       ~l4_hdr:Tcp_wire.header_size payload
   in
-  Tcp_wire.write b ~off:l4_off ~src_ip ~dst_ip
-    (tcp_seg b ~off:l4_off ~src_port ~dst_port ~seq ~ack_seq:0
+  Tcp_wire.write b ~off:Frame.l4_off ~src_ip ~dst_ip
+    (tcp_seg b ~off:Frame.l4_off ~src_port ~dst_port ~seq ~ack_seq:0
        ~flags:{ Tcp_wire.no_flags with ack = true }
        (String.length payload));
   b
 
 let arp_frame ~src_mac ~dst_mac (pkt : Arp.t) =
-  let b = Bytes.create (ip_off + Arp.size) in
-  Arp.write b ~off:ip_off pkt;
+  let b = Bytes.create (Frame.ip_off + Arp.size) in
+  Arp.write b ~off:Frame.ip_off pkt;
   Eth.write b ~dst:dst_mac ~src:src_mac Eth.Arp;
   b
 
@@ -213,18 +211,19 @@ let codec_roundtrip_prop =
       | Error _ -> false
       | Ok _ -> (
           match
-            Ipv4.decode frame ~off:ip_off ~len:(Bytes.length frame - ip_off)
+            Ipv4.decode frame ~off:Frame.ip_off
+              ~len:(Bytes.length frame - Frame.ip_off)
           with
           | Error _ -> false
           | Ok i -> (
               match
-                Udp.decode ~src_ip ~dst_ip frame ~off:l4_off
+                Udp.decode ~src_ip ~dst_ip frame ~off:Frame.l4_off
                   ~len:i.Ipv4.payload_len
               with
               | Error _ -> false
               | Ok u ->
                   String.equal
-                    (Bytes.sub_string frame (l4_off + Udp.header_size)
+                    (Bytes.sub_string frame (Frame.l4_off + Udp.header_size)
                        u.Udp.payload_len)
                     payload)))
 
@@ -408,9 +407,9 @@ let fuzz_case =
     (list_size (1 -- 6) (pair shape mutation))
 
 let fix_ipv4_checksum b =
-  Dk_util.Wire.set_u16 b (ip_off + 10) 0;
-  Dk_util.Wire.set_u16 b (ip_off + 10)
-    (Dk_util.Checksum.compute b ip_off Ipv4.header_size)
+  Dk_util.Wire.set_u16 b (Frame.ip_off + 10) 0;
+  Dk_util.Wire.set_u16 b (Frame.ip_off + 10)
+    (Dk_util.Checksum.compute b Frame.ip_off Ipv4.header_size)
 
 let rx_fuzz_prop =
   QCheck.Test.make ~name:"rx frame boundary survives mutated frames" ~count:300
@@ -438,15 +437,15 @@ let rx_fuzz_prop =
           | Tcp_data p ->
               ( tcp_frame ~src_mac ~dst_mac ~src_ip ~dst_ip
                   ~src_port:client_port ~dst_port:80 ~seq:1000 p,
-                l4_off + Tcp_wire.header_size )
+                Frame.l4_off + Tcp_wire.header_size )
           | Tcp_ack ->
               ( tcp_frame ~src_mac ~dst_mac ~src_ip ~dst_ip
                   ~src_port:client_port ~dst_port:80 ~seq:1000 "",
-                l4_off + Tcp_wire.header_size )
+                Frame.l4_off + Tcp_wire.header_size )
           | Udp_dgram p ->
               ( udp_frame ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port:1
                   ~dst_port:53 p,
-                l4_off + Udp.header_size )
+                Frame.l4_off + Udp.header_size )
           | Arp_request ->
               ( arp_frame ~src_mac ~dst_mac
                   {
@@ -456,7 +455,7 @@ let rx_fuzz_prop =
                     target_mac = 0;
                     target_ip = dst_ip;
                   },
-                ip_off + Arp.size )
+                Frame.ip_off + Arp.size )
         in
         let is_udp = match shape with Udp_dgram _ -> true | _ -> false in
         let is_ipv4 =
@@ -474,7 +473,7 @@ let rx_fuzz_prop =
               Bytes.set frame byte
                 (Char.chr
                    (Char.code (Bytes.get frame byte) lxor (1 lsl (bit mod 8))));
-              (frame, is_ipv4 && byte >= ip_off)
+              (frame, is_ipv4 && byte >= Frame.ip_off)
           | Flip _ -> (frame, false)
           | Cut i -> (
               match shape with
@@ -483,24 +482,24 @@ let rx_fuzz_prop =
                   let cuts =
                     List.filter
                       (fun c -> c < len)
-                      [ 0; ip_off - 1; ip_off; l4_off - 1; l4_off; l4_end - 1;
-                        l4_end; len - 1 ]
+                      [ 0; Frame.ip_off - 1; Frame.ip_off; Frame.l4_off - 1;
+                        Frame.l4_off; l4_end - 1; l4_end; len - 1 ]
                   in
                   (Bytes.sub frame 0 (List.nth cuts (i mod List.length cuts)),
                    false))
-          | Lie (Ethertype, v) when len >= ip_off ->
+          | Lie (Ethertype, v) when len >= Frame.ip_off ->
               Dk_util.Wire.set_u16 frame 12 v;
               (frame, false)
           | Lie (Total_length, v) when is_ipv4 ->
-              Dk_util.Wire.set_u16 frame (ip_off + 2) v;
+              Dk_util.Wire.set_u16 frame (Frame.ip_off + 2) v;
               fix_ipv4_checksum frame;
               (frame, false)
           | Lie (Ihl, v) when is_ipv4 ->
-              Dk_util.Wire.set_u8 frame ip_off (0x40 lor (v land 0xf));
+              Dk_util.Wire.set_u8 frame Frame.ip_off (0x40 lor (v land 0xf));
               fix_ipv4_checksum frame;
               (frame, false)
           | Lie (Udp_length, v) when is_udp ->
-              Dk_util.Wire.set_u16 frame (l4_off + 4) v;
+              Dk_util.Wire.set_u16 frame (Frame.l4_off + 4) v;
               (frame, false)
           | Lie _ -> (frame, false)
         in

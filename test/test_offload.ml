@@ -28,6 +28,11 @@ module Kv_app = Dk_apps.Kv_app
 module Proto = Dk_apps.Proto
 module Demi = Demikernel.Demi
 module Types = Demikernel.Types
+module Frame = Dk_wire.Frame
+module Eth = Dk_wire.Eth
+module Ipv4 = Dk_wire.Ipv4
+module Udp = Dk_wire.Udp
+module Wire = Dk_util.Wire
 
 let reset_world () =
   Metrics.reset Metrics.default;
@@ -130,7 +135,7 @@ let test_footprint_monotone () =
   let s1 = { Prog.guard = Prog.M_pred (Prog.Byte_eq (0, 'G')); act = Prog.Drop } in
   let s2 =
     {
-      Prog.guard = Prog.M_eq (Prog.F_u16 36, 6379L);
+      Prog.guard = Prog.M_eq (Prog.F_u16 Frame.udp_dst_port_off, 6379L);
       act =
         Prog.Respond
           {
@@ -528,6 +533,151 @@ let test_filter_scoped_to_port () =
   check_string "answered from the table" "+v" (popped (Demi.blocking_pop w.client cq));
   check_int "nothing dropped" f0 (filtered ())
 
+(* ---------------- the respond path under mutated frames ------------- *)
+
+(* GET requests for resident keys, built by the writers, then mutated
+   as test_net's rx-fuzz mutates frames, go straight into the server
+   NIC. The device answers from its table only when the request passes
+   the host stack's own header checks: never a frame with a flipped bit
+   anywhere from the IPv4 header on (the IPv4 or the UDP checksum
+   covers it), a cut frame or one whose IPv4 total length, IHL or UDP
+   length lies (IPv4 checksum recomputed, so the length guards rather
+   than the checksum see them), and never raising. An intact GET is
+   answered, and the client's stack hands its socket the value. *)
+
+type respond_lie = Total_length | Ihl | Udp_length | Ethertype
+
+type respond_mutation =
+  | Intact
+  | Flip of int (* bit index, modulo the frame's length in bits *)
+  | Cut of int (* index into the frame's header boundaries *)
+  | Lie of respond_lie * int (* distance from the true value, >= 1 *)
+
+let resident = [| ("k0", "zero"); ("k1", "one"); ("key2", ""); ("k3", "3333") |]
+
+let respond_case =
+  let open QCheck.Gen in
+  let mutation =
+    frequency
+      [
+        (2, return Intact);
+        (4, map (fun i -> Flip i) nat);
+        (2, map (fun i -> Cut i) nat);
+        ( 2,
+          map2
+            (fun f d -> Lie (f, d))
+            (oneofl [ Total_length; Ihl; Udp_length; Ethertype ])
+            (1 -- 0xfffe) );
+      ]
+  in
+  QCheck.make
+    ~print:(fun frames ->
+      String.concat "; "
+        (List.map
+           (fun (k, m) ->
+             fst resident.(k) ^ " "
+             ^
+             match m with
+             | Intact -> "intact"
+             | Flip i -> Printf.sprintf "flip %d" i
+             | Cut i -> Printf.sprintf "cut %d" i
+             | Lie (f, d) ->
+                 Printf.sprintf "%s+%d"
+                   (match f with
+                   | Total_length -> "total"
+                   | Ihl -> "ihl"
+                   | Udp_length -> "ulen"
+                   | Ethertype -> "ethertype")
+                   d)
+           frames))
+    (list_size (1 -- 6) (pair (0 -- (Array.length resident - 1)) mutation))
+
+let get_frame ~src_mac ~dst_mac ~src_ip ~dst_ip key =
+  let payload = Proto.udp_request_string (Proto.Get key) in
+  let n = String.length payload in
+  let b = Bytes.create (Frame.udp_payload_off + n) in
+  Bytes.blit_string payload 0 b Frame.udp_payload_off n;
+  Udp.write b ~off:Frame.l4_off ~src_ip ~dst_ip ~src_port:client_port
+    ~dst_port:kv_port ~payload_len:n;
+  Ipv4.write b ~off:Frame.ip_off ~src:src_ip ~dst:dst_ip ~proto:Ipv4.Udp
+    ~ttl:64 ~ident:7 ~payload_len:(Udp.header_size + n);
+  Eth.write b ~dst:dst_mac ~src:src_mac Eth.Ipv4;
+  b
+
+let fix_ipv4_checksum b =
+  Wire.set_u16 b (Frame.ip_off + 10) 0;
+  Wire.set_u16 b (Frame.ip_off + 10)
+    (Dk_util.Checksum.compute b Frame.ip_off Ipv4.header_size)
+
+(* Apply [m]; [true] when the device must not answer the result. *)
+let mutate frame m =
+  let len = Bytes.length frame in
+  match m with
+  | Intact -> (frame, false)
+  | Flip i ->
+      let bit = i mod (8 * len) in
+      let byte = bit / 8 in
+      Bytes.set frame byte
+        (Char.chr (Char.code (Bytes.get frame byte) lxor (1 lsl (bit mod 8))));
+      (frame, byte >= Frame.ip_off)
+  | Cut i ->
+      let cuts =
+        [ 0; Frame.ip_off - 1; Frame.ip_off; Frame.l4_off - 1; Frame.l4_off;
+          Frame.udp_payload_off - 1; Frame.udp_payload_off; len - 1 ]
+      in
+      (Bytes.sub frame 0 (List.nth cuts (i mod List.length cuts)), true)
+  | Lie (Total_length, d) ->
+      let at = Frame.ip_off + 2 in
+      Wire.set_u16 frame at (Wire.get_u16 frame at + d);
+      fix_ipv4_checksum frame;
+      (frame, true)
+  | Lie (Ihl, d) ->
+      Wire.set_u8 frame Frame.ip_off (0x40 lor ((5 + d) land 0xf));
+      fix_ipv4_checksum frame;
+      (frame, d land 0xf <> 0)
+  | Lie (Udp_length, d) ->
+      let at = Frame.l4_off + 4 in
+      Wire.set_u16 frame at (Wire.get_u16 frame at + d);
+      (frame, true)
+  | Lie (Ethertype, d) ->
+      Wire.set_u16 frame Frame.ethertype_off (0x0800 + d);
+      (frame, true)
+
+let prop_respond_fuzz =
+  QCheck.Test.make ~count:200
+    ~name:"device answers only intact requests, whatever the frame" respond_case
+    (fun frames ->
+      let w, _, cq, _ = filter_world () in
+      Array.iter
+        (fun (k, v) ->
+          check_bool "resident" true (Demi.offload_insert w.server k v = Ok ()))
+        resident;
+      let nic = w.b.Setup.nic in
+      let src_mac = Nic.mac w.a.Setup.nic and dst_mac = Nic.mac nic in
+      let src_ip = w.a.Setup.ip and dst_ip = w.b.Setup.ip in
+      let reply = ref (Result.get_ok (Demi.pop w.client cq)) in
+      let feed (k, m) =
+        let key, value = resident.(k) in
+        let frame, unanswerable =
+          mutate (get_frame ~src_mac ~dst_mac ~src_ip ~dst_ip key) m
+        in
+        let responded = (Nic.stats nic).Nic.rx_responded in
+        Nic.receive nic (Bytes.to_string frame);
+        Engine.run w.engine;
+        let answered = (Nic.stats nic).Nic.rx_responded - responded in
+        let got =
+          match Demi.try_wait w.client !reply with
+          | None -> None
+          | Some r ->
+              reply := Result.get_ok (Demi.pop w.client cq);
+              Some (popped r)
+        in
+        match m with
+        | Intact -> answered = 1 && got = Some ("+" ^ value)
+        | _ -> (not unanswerable) || (answered = 0 && got = None)
+      in
+      List.for_all feed frames)
+
 (* ---------------- no stale reads under fault plans ------------------ *)
 
 (* Open-loop: fire alternating SET/GET on a fixed cadence, drain, and
@@ -665,6 +815,12 @@ let () =
             test_filter_and_get_one_port;
           Alcotest.test_case "filter scoped to its port" `Quick
             test_filter_scoped_to_port;
+        ] );
+      ( "respond-fuzz",
+        [
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 1009 |])
+            prop_respond_fuzz;
         ] );
       ( "no-stale",
         [

@@ -11,11 +11,12 @@ open Tool_common
 (* ---------------- path classification ---------------- *)
 
 (* Fast-path modules: the zero-copy data path where a stray polymorphic
-   compare or unsafe access defeats the safety argument of §4.5. The
+   compare or unsafe access defeats the safety argument of §4.5; the
+   frame codecs in lib/wire/ parse every untrusted frame. The
    unsafe-op rule additionally covers lib/device/ — descriptor rings
    and DMA buffers are fast-path too — while poly-compare stays scoped
    to the buffer-heavy layers where its name heuristic is reliable. *)
-let fast_path_dirs = [ "lib/mem/"; "lib/core/"; "lib/net/" ]
+let fast_path_dirs = [ "lib/mem/"; "lib/core/"; "lib/net/"; "lib/wire/" ]
 let unsafe_op_dirs = "lib/device/" :: fast_path_dirs
 let in_fast_path path = List.exists (fun d -> starts_with ~prefix:d path) fast_path_dirs
 let in_unsafe_scope path = List.exists (fun d -> starts_with ~prefix:d path) unsafe_op_dirs
