@@ -641,8 +641,8 @@ let udp_port_match port =
       Prog.Byte_eq (Frame.ethertype_off, '\x08');
       Prog.Byte_eq (Frame.ethertype_off + 1, '\x00');
       Prog.Byte_eq (Frame.ip_proto_off, '\x11');
-      Prog.Byte_eq (Frame.udp_dst_port_off, Char.chr ((port lsr 8) land 0xff));
-      Prog.Byte_eq (Frame.udp_dst_port_off + 1, Char.chr (port land 0xff));
+      Prog.Byte_eq (Frame.dst_port_off, Char.chr ((port lsr 8) land 0xff));
+      Prog.Byte_eq (Frame.dst_port_off + 1, Char.chr (port land 0xff));
     ]
 
 let shift_field off (f : Prog.field) : Prog.field =

@@ -288,16 +288,27 @@ let create ~tokens ~engine ~disp ~base_lba ~capacity_blocks ?(existing_len = 0)
 
 let recover ~engine ~disp ~base_lba ~capacity_blocks k =
   ignore engine;
+  let bs = Block.block_size (Block_dispatch.block disp) in
   let raw = cursor () in
   let valid = ref 0 in
+  (* As in [parse_loop], a zero length short of a block boundary is
+     the padding an append after an earlier recovery left: skip it. At
+     a boundary it is unwritten space, and a record of length 0 is
+     corrupt, so parsing stops there. Whole blocks are appended, so the
+     boundary is always fetched. *)
   let rec parse () =
-    match parse_record raw with
-    | Some (Ok (_, used)) ->
-        skip raw used;
-        valid := raw.at;
-        parse ()
-    | Some (Error ()) -> `Stop
-    | None -> `More
+    if avail raw >= 4 && u32 raw 0 = 0 && raw.at mod bs <> 0 then begin
+      skip raw (bs - (raw.at mod bs));
+      parse ()
+    end
+    else
+      match parse_record raw with
+      | Some (Ok (_, used)) ->
+          skip raw used;
+          valid := raw.at;
+          parse ()
+      | Some (Error ()) -> `Stop
+      | None -> `More
   in
   let rec scan idx =
     if idx >= capacity_blocks then k !valid

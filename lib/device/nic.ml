@@ -33,6 +33,7 @@ type t = {
   cost : Dk_sim.Cost.t;
   fault : Fault.t;
   mac : int;
+  mutable ip : int; (* the host stack's; -1 (no address) until it says *)
   programmable : bool;
   db : Doorbell.t;
   ctrl_db : Doorbell.t;
@@ -67,6 +68,7 @@ let create ~engine ~cost ?(fault = Fault.create ()) ~mac ?(rx_capacity = 1024)
       cost;
       fault;
       mac;
+      ip = -1;
       programmable;
       db = Doorbell.create ~engine ~cost ~name:"nic.tx.doorbells" ();
       ctrl_db;
@@ -94,6 +96,7 @@ let create ~engine ~cost ?(fault = Fault.create ()) ~mac ?(rx_capacity = 1024)
   t
 
 let mac t = t.mac
+let set_ip t ip = t.ip <- ip
 let programmable t = t.programmable
 
 let set_rx_pipeline t p =
@@ -266,16 +269,19 @@ let enqueue_rx t frame =
   end
 
 (* A [Responded] verdict is re-checked against the raw frame
-   ([Frame.udp_reply] runs the host stack's header checks): a corrupt
-   frame that reached a table hit anyway falls through to the host,
-   whose stack will reject it — the device never answers for a key it
-   cannot trust. *)
+   ([Frame.udp_reply] runs the host stack's header checks and its
+   addressing rule): a corrupt or misaddressed frame that reached a
+   table hit anyway falls through to the host, whose stack will reject
+   it — the device never answers a frame its host would not take. *)
 let process_rx t frame =
   match Prog.eval_pipeline ~lookup:t.lookup_fn t.rx_pipeline frame with
   | Prog.Deliver frame -> enqueue_rx t frame
   | Prog.Dropped -> Metrics.incr t.rx_filtered
   | Prog.Responded payload -> (
-      match Dk_wire.Frame.udp_reply ~self_mac:t.mac ~request:frame ~payload with
+      match
+        Dk_wire.Frame.udp_reply ~self_mac:t.mac ~self_ip:t.ip ~request:frame
+          ~payload
+      with
       | Some (dst, reply) ->
           t.rx_responded <- t.rx_responded + 1;
           ignore (device_transmit t ~dst reply)

@@ -38,6 +38,11 @@ val create :
 val mac : t -> int
 val programmable : t -> bool
 
+val set_ip : t -> int -> unit
+(** The IPv4 address of the host stack on this NIC, which the respond
+    path requires of a request as the stack does; the stack's
+    [create] sets it. Until then the device answers no request. *)
+
 (** {2 The rx pipeline and the device-resident table}
 
     A programmable NIC runs its {!Prog.pipeline} — the only program it
@@ -46,9 +51,9 @@ val programmable : t -> bool
     bytes on [Cost.device_prog_per_elem]) and zero host CPU. [Respond]
     verdicts are served from a bounded {!Table} and transmitted back
     without ringing any host doorbell; the reply is only sent when the
-    request frame passes the host stack's own header checks
-    ({!Dk_wire.Frame.udp_reply}), otherwise the frame falls through to
-    the host. *)
+    request frame passes the host stack's own header checks and is
+    addressed to its MAC and IPv4 address ({!Dk_wire.Frame.udp_reply}),
+    otherwise the frame falls through to the host. *)
 
 val set_rx_pipeline : t -> Prog.pipeline -> (unit, [ `Not_programmable ]) result
 (** [[]] unloads the pipeline — the rx path is then byte-identical to

@@ -1,4 +1,3 @@
-module Wire = Dk_util.Wire
 module Itbl = Dk_util.Itbl
 
 type op = Request | Reply
@@ -13,25 +12,34 @@ type t = {
 
 let size = 2 + 6 + 4 + 6 + 4
 
+let set_u32 b i v = Bytes.set_int32_be b i (Int32.of_int v)
+
+let set_u48 b i v =
+  Bytes.set_uint16_be b i (v lsr 32);
+  set_u32 b (i + 2) v
+
+let get_u32 b i = Int32.to_int (Bytes.get_int32_be b i) land 0xffff_ffff
+let get_u48 b i = (Bytes.get_uint16_be b i lsl 32) lor get_u32 b (i + 2)
+
 let write b ~off t =
-  Wire.set_u16 b off (match t.op with Request -> 1 | Reply -> 2);
-  Wire.set_u48 b (off + 2) t.sender_mac;
-  Wire.set_u32 b (off + 8) t.sender_ip;
-  Wire.set_u48 b (off + 12) t.target_mac;
-  Wire.set_u32 b (off + 18) t.target_ip
+  Bytes.set_uint16_be b off (match t.op with Request -> 1 | Reply -> 2);
+  set_u48 b (off + 2) t.sender_mac;
+  set_u32 b (off + 8) t.sender_ip;
+  set_u48 b (off + 12) t.target_mac;
+  set_u32 b (off + 18) t.target_ip
 
 let decode b ~off ~len =
   if len < size then Error "arp: too short"
   else
-    match Wire.get_u16 b off with
+    match Bytes.get_uint16_be b off with
     | (1 | 2) as op ->
         Ok
           {
             op = (if op = 1 then Request else Reply);
-            sender_mac = Wire.get_u48 b (off + 2);
-            sender_ip = Wire.get_u32 b (off + 8);
-            target_mac = Wire.get_u48 b (off + 12);
-            target_ip = Wire.get_u32 b (off + 18);
+            sender_mac = get_u48 b (off + 2);
+            sender_ip = get_u32 b (off + 8);
+            target_mac = get_u48 b (off + 12);
+            target_ip = get_u32 b (off + 18);
           }
     | _ -> Error "arp: bad op"
 

@@ -59,6 +59,10 @@ type t = {
   no_listener : Metrics.counter;
 }
 
+(* Big-endian fields wider than Stdlib's 16-bit accessors. *)
+let get_u32 b i = Int32.to_int (Bytes.get_int32_be b i) land 0xffff_ffff
+let get_u48 b i = (Bytes.get_uint16_be b i lsl 32) lor get_u32 b (i + 2)
+
 let engine t = t.engine
 let ip t = t.ip
 let mac t = Dk_device.Nic.mac t.nic
@@ -100,7 +104,8 @@ let decode_error t msg =
    A frame is one buffer from its first header to its last payload
    byte, laid out as [Frame] says. The stack builds it in place: the
    payload goes in once at its final offset, then each layer writes its
-   header in front of it. Receive parses the same buffer by offset. *)
+   header in front of it. Receive runs each layer's check on the same
+   buffer and reads the fields it needs there, at [Frame]'s offsets. *)
 
 let transmit_eth t ~dst_mac ~ethertype frame =
   Dk_sim.Engine.consume t.engine t.pkt_cost;
@@ -113,7 +118,7 @@ let transmit_eth t ~dst_mac ~ethertype frame =
 let send_arp t ~dst_mac pkt =
   let frame = Bytes.create (Frame.ip_off + Arp.size) in
   Arp.write frame ~off:Frame.ip_off pkt;
-  transmit_eth t ~dst_mac ~ethertype:Eth.Arp frame
+  transmit_eth t ~dst_mac ~ethertype:Eth.arp frame
 
 let send_arp_request t target_ip =
   Metrics.incr m_arp_requests;
@@ -175,10 +180,10 @@ let send_ipv4 t ~dst_ip ~proto frame =
   Ipv4.write frame ~off:Frame.ip_off ~src:t.ip ~dst:dst_ip ~proto ~ttl:64 ~ident
     ~payload_len:(Bytes.length frame - Frame.l4_off);
   match Arp.Table.lookup t.arp dst_ip with
-  | Some dst_mac -> transmit_eth t ~dst_mac ~ethertype:Eth.Ipv4 frame
+  | Some dst_mac -> transmit_eth t ~dst_mac ~ethertype:Eth.ipv4 frame
   | None ->
       when_resolved t dst_ip (fun dst_mac ->
-          transmit_eth t ~dst_mac ~ethertype:Eth.Ipv4 frame)
+          transmit_eth t ~dst_mac ~ethertype:Eth.ipv4 frame)
 
 (* ---- UDP ---- *)
 
@@ -199,7 +204,7 @@ let udp_send t ~src_port ~dst payload =
     Bytes.blit_string payload 0 frame Frame.udp_payload_off n;
     Udp.write frame ~off:Frame.l4_off ~src_ip:t.ip ~dst_ip:dst.Addr.ip ~src_port
       ~dst_port:dst.Addr.port ~payload_len:n;
-    send_ipv4 t ~dst_ip:dst.Addr.ip ~proto:Ipv4.Udp frame;
+    send_ipv4 t ~dst_ip:dst.Addr.ip ~proto:Ipv4.udp frame;
     Ok ()
   end
 
@@ -234,13 +239,20 @@ let register_conn t ~local_port ~remote conn =
 
 (* A data segment arrives in the frame TCP sized for it (payload at
    [Frame.tcp_payload_off]); a control segment gets a header-only frame. *)
-let tcp_emit t ~remote_ip (seg : Tcp_wire.t) =
-  let frame =
-    if seg.Tcp_wire.payload_len = 0 then Bytes.create Frame.tcp_payload_off
-    else seg.Tcp_wire.payload
-  in
-  Tcp_wire.write frame ~off:Frame.l4_off ~src_ip:t.ip ~dst_ip:remote_ip seg;
-  send_ipv4 t ~dst_ip:remote_ip ~proto:Ipv4.Tcp frame
+let tcp_emit t ~local_port ~remote_ip ~remote_port ~seq ~ack_seq ~flags
+    ~window frame len =
+  let frame = if len = 0 then Bytes.create Frame.tcp_payload_off else frame in
+  Tcp_wire.write frame ~off:Frame.l4_off ~src_ip:t.ip ~dst_ip:remote_ip
+    ~src_port:local_port ~dst_port:remote_port ~seq ~ack_seq ~flags ~window
+    ~payload_len:len;
+  send_ipv4 t ~dst_ip:remote_ip ~proto:Ipv4.tcp frame
+
+(* A connection's [emit]: the closure holds both ports and the peer's
+   address, so TCP hands over only the per-segment fields. *)
+let conn_emit t ~local_port ~remote_ip ~remote_port : Tcp.emit =
+ fun ~seq ~ack_seq ~flags ~window frame len ->
+  tcp_emit t ~local_port ~remote_ip ~remote_port ~seq ~ack_seq ~flags ~window
+    frame len
 
 let tcp_listen t ~port ~on_accept =
   if Itbl.mem t.listeners port then Error `In_use
@@ -269,61 +281,54 @@ let tcp_connect t ~dst =
   let conn =
     Tcp.create_active ~engine:t.engine ~config:t.tcp_config ~local ~remote:dst
       ~iss:(next_iss t) ~payload_off:Frame.tcp_payload_off
-      ~emit:(fun seg -> tcp_emit t ~remote_ip:dst.Addr.ip seg)
+      ~emit:
+        (conn_emit t ~local_port ~remote_ip:dst.Addr.ip
+           ~remote_port:dst.Addr.port)
   in
   register_conn t ~local_port ~remote:dst conn;
   conn
 
 (* A segment for which no connection exists: answer with RST so active
    opens to dead ports fail fast. *)
-let send_rst t ~remote (seg : Tcp_wire.t) =
-  if not seg.Tcp_wire.flags.Tcp_wire.rst then begin
-    let rst =
-      {
-        Tcp_wire.src_port = seg.Tcp_wire.dst_port;
-        dst_port = seg.Tcp_wire.src_port;
-        seq = seg.Tcp_wire.ack_seq;
-        ack_seq =
-          (seg.Tcp_wire.seq + seg.Tcp_wire.payload_len + 1) land 0xffffffff;
-        flags = { Tcp_wire.no_flags with rst = true; ack = true };
-        window = 0;
-        payload = Bytes.empty;
-        payload_off = 0;
-        payload_len = 0;
-      }
-    in
-    tcp_emit t ~remote_ip:remote rst
-  end
+let send_rst t ~remote_ip ~local_port ~remote_port ~seq ~ack_seq ~flags ~len =
+  if flags land Tcp_wire.rst = 0 then
+    tcp_emit t ~local_port ~remote_ip ~remote_port ~seq:ack_seq
+      ~ack_seq:((seq + len + 1) land 0xffffffff)
+      ~flags:(Tcp_wire.rst lor Tcp_wire.ack) ~window:0 Bytes.empty 0
 
 let handle_tcp t ~src_ip frame ~len =
-  match Tcp_wire.decode ~src_ip ~dst_ip:t.ip frame ~off:Frame.l4_off ~len with
-  | Error e -> decode_error t e
-  | Ok seg ->
-      let local_port = seg.Tcp_wire.dst_port in
-      let remote = Addr.endpoint src_ip seg.Tcp_wire.src_port in
-      (match
-         find_conn t ~local_port ~remote_ip:src_ip
-           ~remote_port:seg.Tcp_wire.src_port
-       with
-      | Some conn -> Tcp.segment_arrives conn seg
+  match Tcp_wire.check ~src_ip ~dst_ip:t.ip frame ~off:Frame.l4_off ~len with
+  | Some e -> decode_error t e
+  | None -> (
+      let local_port = Bytes.get_uint16_be frame Frame.dst_port_off in
+      let remote_port = Bytes.get_uint16_be frame Frame.src_port_off in
+      let seq = get_u32 frame Frame.tcp_seq_off in
+      let ack_seq = get_u32 frame Frame.tcp_ack_off in
+      let flags = Bytes.get_uint8 frame Frame.tcp_flags_off in
+      let len = len - Tcp_wire.header_size in
+      match find_conn t ~local_port ~remote_ip:src_ip ~remote_port with
+      | Some conn ->
+          Tcp.segment_arrives conn ~seq ~ack_seq ~flags
+            ~window:(Bytes.get_uint16_be frame Frame.tcp_window_off)
+            frame ~off:Frame.tcp_payload_off ~len
       | None -> (
           match Itbl.find_opt t.listeners local_port with
           | Some l
-            when seg.Tcp_wire.flags.Tcp_wire.syn
-                 && not seg.Tcp_wire.flags.Tcp_wire.ack ->
-              let local = Addr.endpoint t.ip local_port in
+            when flags land Tcp_wire.syn <> 0 && flags land Tcp_wire.ack = 0 ->
+              let remote = Addr.endpoint src_ip remote_port in
               let conn =
                 Tcp.create_passive ~engine:t.engine ~config:t.tcp_config
-                  ~local ~remote ~iss:(next_iss t)
-                  ~payload_off:Frame.tcp_payload_off
-                  ~emit:(fun s -> tcp_emit t ~remote_ip:src_ip s)
-                  ~remote_seq:seg.Tcp_wire.seq
+                  ~local:(Addr.endpoint t.ip local_port) ~remote
+                  ~iss:(next_iss t) ~payload_off:Frame.tcp_payload_off
+                  ~emit:(conn_emit t ~local_port ~remote_ip:src_ip ~remote_port)
+                  ~remote_seq:seq
               in
               register_conn t ~local_port ~remote conn;
               Tcp.set_on_connect conn (fun () -> l.on_accept conn)
           | Some _ | None ->
               Metrics.incr t.no_listener;
-              send_rst t ~remote:src_ip seg))
+              send_rst t ~remote_ip:src_ip ~local_port ~remote_port ~seq
+                ~ack_seq ~flags ~len))
 
 (* ---- receive path ---- *)
 
@@ -352,43 +357,52 @@ let handle_arp t frame =
 (* The one copy a datagram's payload makes on receive: out of the frame
    for the socket's callback. *)
 let handle_udp t ~src_ip frame ~len =
-  match Udp.decode ~src_ip ~dst_ip:t.ip frame ~off:Frame.l4_off ~len with
-  | Error e -> decode_error t e
-  | Ok { Udp.src_port; dst_port; payload_len } -> (
-      match Itbl.find_opt t.udp_ports dst_port with
+  match Udp.check ~src_ip ~dst_ip:t.ip frame ~off:Frame.l4_off ~len with
+  | Some e -> decode_error t e
+  | None -> (
+      match
+        Itbl.find_opt t.udp_ports (Bytes.get_uint16_be frame Frame.dst_port_off)
+      with
       | Some recv ->
           recv
-            ~src:(Addr.endpoint src_ip src_port)
-            (Bytes.sub_string frame Frame.udp_payload_off payload_len)
+            ~src:
+              (Addr.endpoint src_ip
+                 (Bytes.get_uint16_be frame Frame.src_port_off))
+            (Bytes.sub_string frame Frame.udp_payload_off
+               (Bytes.get_uint16_be frame Frame.udp_len_off - Udp.header_size))
       | None -> Metrics.incr t.no_listener)
+
+let handle_ipv4 t frame =
+  match
+    Ipv4.check frame ~off:Frame.ip_off ~len:(Bytes.length frame - Frame.ip_off)
+  with
+  | Some e -> decode_error t e
+  | None ->
+      if get_u32 frame Frame.ip_dst_off <> t.ip then Metrics.incr t.not_for_us
+      else
+        let src_ip = get_u32 frame Frame.ip_src_off in
+        let len = Bytes.get_uint16_be frame Frame.ip_len_off - Ipv4.header_size in
+        let proto = Bytes.get_uint8 frame Frame.ip_proto_off in
+        if proto = Ipv4.udp then handle_udp t ~src_ip frame ~len
+        else if proto = Ipv4.tcp then handle_tcp t ~src_ip frame ~len
+        else decode_error t "ipv4: unknown protocol"
 
 let handle_frame t frame =
   Metrics.incr t.frames_in;
   Dk_sim.Engine.consume t.engine t.pkt_cost;
   (* Receive only reads the frame, which the sender's NIC handed over. *)
   let frame = Bytes.unsafe_of_string frame in
-  match Eth.decode frame with
-  | Error e -> decode_error t e
-  | Ok { Eth.dst; ethertype; _ } ->
+  match Eth.check frame with
+  | Some e -> decode_error t e
+  | None ->
+      let dst = get_u48 frame Frame.dst_mac_off in
       if dst <> mac t && dst <> Addr.mac_broadcast then
         Metrics.incr t.not_for_us
-      else (
-        match ethertype with
-        | Eth.Arp -> handle_arp t frame
-        | Eth.Ipv4 -> (
-            match
-              Ipv4.decode frame ~off:Frame.ip_off
-                ~len:(Bytes.length frame - Frame.ip_off)
-            with
-            | Error e -> decode_error t e
-            | Ok { Ipv4.src; dst; proto; payload_len = len; _ } ->
-                if dst <> t.ip then Metrics.incr t.not_for_us
-                else (
-                  match proto with
-                  | Ipv4.Udp -> handle_udp t ~src_ip:src frame ~len
-                  | Ipv4.Tcp -> handle_tcp t ~src_ip:src frame ~len
-                  | Ipv4.Unknown _ -> decode_error t "ipv4: unknown protocol"))
-        | Eth.Unknown _ -> decode_error t "eth: unknown ethertype")
+      else
+        let ethertype = Bytes.get_uint16_be frame Frame.ethertype_off in
+        if ethertype = Eth.ipv4 then handle_ipv4 t frame
+        else if ethertype = Eth.arp then handle_arp t frame
+        else decode_error t "eth: unknown ethertype"
 
 let rec process t =
   match Dk_device.Nic.poll_rx t.nic with
@@ -431,4 +445,6 @@ let create ~engine ~cost ~nic ~ip ?(tcp_config = Tcp.default_config)
   in
   t.rx_process <- Dk_sim.Engine.timer engine (fun () -> process t);
   Dk_device.Nic.set_rx_notify nic (fun () -> schedule_process t);
+  (* The device answers only requests this stack would take. *)
+  Dk_device.Nic.set_ip nic ip;
   t

@@ -69,13 +69,16 @@ let seq_diff a b = (a - b) land seq_mask
 let seq_lt a b = a <> b && seq_diff b a < 0x80000000
 let seq_le a b = a = b || seq_lt a b
 
+type emit =
+  seq:int -> ack_seq:int -> flags:int -> window:int -> bytes -> int -> unit
+
 type conn = {
   engine : Dk_sim.Engine.t;
   config : config;
   local : Addr.endpoint;
   remote : Addr.endpoint;
   payload_off : int; (* where a frame's payload starts; the stack decides *)
-  emit : Tcp_wire.t -> unit;
+  emit : emit;
   mutable st : state;
   (* send side *)
   send_ring : Dk_util.Ring.t; (* unacked + unsent bytes; head = snd_una *)
@@ -147,21 +150,9 @@ let recv_window t = Dk_util.Ring.available t.recv_ring
    header-only frame. *)
 let emit_at t ~seq frame len flags =
   Metrics.incr t.segs_sent;
-  t.emit
-    {
-      Tcp_wire.src_port = t.local.Addr.port;
-      dst_port = t.remote.Addr.port;
-      seq;
-      ack_seq = t.rcv_nxt;
-      flags;
-      window = Int.min 0xffff (recv_window t);
-      payload = frame;
-      payload_off = t.payload_off;
-      payload_len = len;
-    }
-  [@@hot.alloc
-    "the segment record is the wire representation handed to the \
-     stack's emit"]
+  t.emit ~seq ~ack_seq:t.rcv_nxt ~flags
+    ~window:(Int.min 0xffff (recv_window t))
+    frame len
 
 (* A control segment at snd_nxt. *)
 let emit_seg t flags = emit_at t ~seq:t.snd_nxt Bytes.empty 0 flags
@@ -178,9 +169,8 @@ let data_frame t ~skip n =
   end
   [@@hot.alloc "each data segment's frame is allocated once, sized whole"]
 
-let ack_flags = { Tcp_wire.no_flags with ack = true }
-
-let send_ack t = emit_seg t ack_flags
+let has flags bit = flags land bit <> 0
+let send_ack t = emit_seg t Tcp_wire.ack
 
 let enter_closed t reason =
   Dk_sim.Engine.cancel t.rtx;
@@ -253,24 +243,18 @@ and on_rto t =
 (* Resend one MSS from snd_una (go-back-N restart). *)
 and retransmit_head t =
   match t.st with
-  | Syn_sent ->
-      emit_at t ~seq:t.snd_una Bytes.empty 0
-        { Tcp_wire.no_flags with syn = true }
+  | Syn_sent -> emit_at t ~seq:t.snd_una Bytes.empty 0 Tcp_wire.syn
   | Syn_rcvd ->
-      emit_at t ~seq:t.snd_una Bytes.empty 0
-        { Tcp_wire.no_flags with syn = true; ack = true }
+      emit_at t ~seq:t.snd_una Bytes.empty 0 (Tcp_wire.syn lor Tcp_wire.ack)
   | _ ->
       let data_bytes = Int.min (unacked t) t.config.mss in
       if data_bytes > 0 then begin
         (* A sent FIN counts in [unacked] but holds no ring byte. *)
         let n = Int.min data_bytes (Dk_util.Ring.length t.send_ring) in
-        emit_at t ~seq:t.snd_una (data_frame t ~skip:0 n) n ack_flags
+        emit_at t ~seq:t.snd_una (data_frame t ~skip:0 n) n Tcp_wire.ack
       end
       else if t.fin_sent then
-        emit_at t ~seq:t.fin_seq Bytes.empty 0 { ack_flags with fin = true }
-  [@@hot.alloc
-    "loss recovery materializes the resent segment's flags; it runs on \
-     RTO or triple-dup-ACK, not per delivered segment"]
+        emit_at t ~seq:t.fin_seq Bytes.empty 0 (Tcp_wire.ack lor Tcp_wire.fin)
 
 (* How many new payload bytes we may put on the wire right now. *)
 let send_allowance t =
@@ -295,7 +279,7 @@ let rec output_rounds t budget =
        so all of them are there. *)
     let frame = data_frame t ~skip:(unacked t) n in
     t.bytes_sent <- t.bytes_sent + n;
-    emit_at t ~seq:t.snd_nxt frame n ack_flags;
+    emit_at t ~seq:t.snd_nxt frame n Tcp_wire.ack;
     t.snd_nxt <- seq_add t.snd_nxt n;
     output_rounds t (budget - n)
   end
@@ -313,11 +297,10 @@ and maybe_send_fin t =
   if t.fin_pending && (not t.fin_sent) && unsent t = 0 then begin
     t.fin_sent <- true;
     t.fin_seq <- t.snd_nxt;
-    emit_seg t { ack_flags with fin = true };
+    emit_seg t (Tcp_wire.ack lor Tcp_wire.fin);
     t.snd_nxt <- seq_add t.snd_nxt 1;
     arm_rtx t
   end
-  [@@hot.alloc "the FIN flag record is built at half-close, once per side"]
 
 let make ~engine ~config ~local ~remote ~iss ~payload_off ~emit st =
   let t =
@@ -370,7 +353,7 @@ let create_active ~engine ~config ~local ~remote ~iss ~payload_off ~emit =
   let t =
     make ~engine ~config ~local ~remote ~iss ~payload_off ~emit Syn_sent
   in
-  emit_seg t { Tcp_wire.no_flags with syn = true };
+  emit_seg t Tcp_wire.syn;
   t.snd_nxt <- seq_add t.snd_nxt 1;
   arm_rtx t;
   t
@@ -381,7 +364,7 @@ let create_passive ~engine ~config ~local ~remote ~iss ~payload_off ~emit
     make ~engine ~config ~local ~remote ~iss ~payload_off ~emit Syn_rcvd
   in
   t.rcv_nxt <- seq_add remote_seq 1;
-  emit_seg t { Tcp_wire.no_flags with syn = true; ack = true };
+  emit_seg t (Tcp_wire.syn lor Tcp_wire.ack);
   t.snd_nxt <- seq_add t.snd_nxt 1;
   arm_rtx t;
   t
@@ -431,10 +414,8 @@ let close t =
 let abort t =
   (match t.st with
   | Closed | Listen -> ()
-  | _ ->
-      emit_seg t { Tcp_wire.no_flags with rst = true; ack = true });
+  | _ -> emit_seg t (Tcp_wire.rst lor Tcp_wire.ack));
   enter_closed t `Reset
-  [@@hot.alloc "the RST flag record is built once per aborted connection"]
 
 (* ---- segment processing ---- *)
 
@@ -445,59 +426,65 @@ let enter_time_wait t =
     (Dk_sim.Engine.after t.engine t.config.time_wait (fun () ->
          enter_closed t `Normal))
 
-(* Merge an out-of-order segment list entry into the recv ring if its
-   turn has come; returns true when progress was made. *)
+(* Merge the stashed out-of-order segments whose turn has come into
+   the recv ring, again while that makes progress. With nothing
+   stashed, the common case, it does nothing. *)
 let rec drain_ooo t =
-  let ready, rest =
-    List.partition (fun (seq, _) -> seq_le seq t.rcv_nxt) t.ooo
-  in
-  t.ooo <- rest;
-  match ready with
+  match t.ooo with
   | [] -> ()
-  | _ ->
-      let advanced = ref false in
-      List.iter
-        (fun (seq, payload) ->
-          (* The segment may partially duplicate delivered data. *)
-          let skip = seq_diff t.rcv_nxt seq in
-          if skip < String.length payload then begin
-            let fresh = String.sub payload skip (String.length payload - skip) in
-            let n = Dk_util.Ring.write_string t.recv_ring fresh in
-            t.rcv_nxt <- seq_add t.rcv_nxt n;
-            if n > 0 then advanced := true
-          end)
-        (List.sort (fun (a, _) (b, _) -> compare (seq_diff a t.rcv_nxt) (seq_diff b t.rcv_nxt)) ready);
-      if !advanced then drain_ooo t
+  | ooo -> (
+      let ready, rest =
+        List.partition (fun (seq, _) -> seq_le seq t.rcv_nxt) ooo
+      in
+      t.ooo <- rest;
+      match ready with
+      | [] -> ()
+      | _ ->
+          let advanced = ref false in
+          List.iter
+            (fun (seq, payload) ->
+              (* The segment may partially duplicate delivered data. *)
+              let skip = seq_diff t.rcv_nxt seq in
+              if skip < String.length payload then begin
+                let fresh =
+                  String.sub payload skip (String.length payload - skip)
+                in
+                let n = Dk_util.Ring.write_string t.recv_ring fresh in
+                t.rcv_nxt <- seq_add t.rcv_nxt n;
+                if n > 0 then advanced := true
+              end)
+            (List.sort
+               (fun (a, _) (b, _) ->
+                 Int.compare (seq_diff a t.rcv_nxt) (seq_diff b t.rcv_nxt))
+               ready);
+          if !advanced then drain_ooo t)
 
 (* In-order and overlapping data go from the frame straight into the
    receive ring; only out-of-order data is copied out to wait. *)
-let accept_payload t (seg : Tcp_wire.t) =
-  let len = seg.payload_len in
+let accept_payload t ~seq frame ~off ~len =
   if len = 0 then false
   else begin
     t.bytes_received <- t.bytes_received + len;
-    if seg.seq = t.rcv_nxt then begin
-      let n = Dk_util.Ring.write t.recv_ring seg.payload seg.payload_off len in
+    if seq = t.rcv_nxt then begin
+      let n = Dk_util.Ring.write t.recv_ring frame off len in
       t.rcv_nxt <- seq_add t.rcv_nxt n;
       drain_ooo t;
       n > 0
     end
-    else if seq_lt t.rcv_nxt seg.seq then begin
+    else if seq_lt t.rcv_nxt seq then begin
       (* Future data: stash for reassembly (bounded by window). *)
-      if seq_diff seg.seq t.rcv_nxt <= t.config.recv_buffer then begin
+      if seq_diff seq t.rcv_nxt <= t.config.recv_buffer then begin
         Metrics.incr t.out_of_order;
-        t.ooo <-
-          (seg.seq, Bytes.sub_string seg.payload seg.payload_off len) :: t.ooo
+        t.ooo <- (seq, Bytes.sub_string frame off len) :: t.ooo
       end;
       false
     end
     else begin
       (* Stale/overlapping: deliver any fresh suffix. *)
-      let skip = seq_diff t.rcv_nxt seg.seq in
+      let skip = seq_diff t.rcv_nxt seq in
       if skip < len then begin
         let n =
-          Dk_util.Ring.write t.recv_ring seg.payload
-            (seg.payload_off + skip) (len - skip)
+          Dk_util.Ring.write t.recv_ring frame (off + skip) (len - skip)
         in
         t.rcv_nxt <- seq_add t.rcv_nxt n;
         drain_ooo t;
@@ -507,9 +494,8 @@ let accept_payload t (seg : Tcp_wire.t) =
     end
   end
 
-let process_ack t (seg : Tcp_wire.t) =
-  if seg.flags.Tcp_wire.ack then begin
-    let ack = seg.ack_seq in
+let process_ack t ~ack_seq:ack ~flags ~len =
+  if has flags Tcp_wire.ack then begin
     if seq_lt t.snd_una ack && seq_le ack t.snd_nxt then begin
       let acked = seq_diff ack t.snd_una in
       (* The FIN occupies sequence space but no ring bytes. *)
@@ -536,10 +522,10 @@ let process_ack t (seg : Tcp_wire.t) =
          Three in a row trigger fast retransmit (no RTO wait). *)
       if
         ack = t.snd_una
-        && seg.payload_len = 0
+        && len = 0
         && unacked t > 0
-        && not seg.flags.Tcp_wire.syn
-        && not seg.flags.Tcp_wire.fin
+        && (not (has flags Tcp_wire.syn))
+        && not (has flags Tcp_wire.fin)
       then begin
         Metrics.incr t.dup_acks;
         t.dup_ack_streak <- t.dup_ack_streak + 1;
@@ -564,10 +550,10 @@ let process_ack t (seg : Tcp_wire.t) =
   end
   else false
 
-let segment_arrives t (seg : Tcp_wire.t) =
+let segment_arrives t ~seq ~ack_seq ~flags ~window frame ~off ~len =
   Metrics.incr t.segs_received;
-  t.snd_wnd <- seg.window;
-  if seg.flags.Tcp_wire.rst then begin
+  t.snd_wnd <- window;
+  if has flags Tcp_wire.rst then begin
     match t.st with
     | Closed | Listen -> ()
     | _ -> enter_closed t `Reset
@@ -576,10 +562,10 @@ let segment_arrives t (seg : Tcp_wire.t) =
     match t.st with
     | Closed | Listen -> () (* stack-level states; nothing to do here *)
     | Syn_sent ->
-        if seg.flags.Tcp_wire.syn && seg.flags.Tcp_wire.ack then begin
-          if seg.ack_seq = t.snd_nxt then begin
-            t.rcv_nxt <- seq_add seg.seq 1;
-            t.snd_una <- seg.ack_seq;
+        if has flags Tcp_wire.syn && has flags Tcp_wire.ack then begin
+          if ack_seq = t.snd_nxt then begin
+            t.rcv_nxt <- seq_add seq 1;
+            t.snd_una <- ack_seq;
             t.st <- Established;
             t.retries <- 0;
             t.rto <- t.config.rto_initial;
@@ -589,41 +575,42 @@ let segment_arrives t (seg : Tcp_wire.t) =
             try_output t
           end
         end
-        else if seg.flags.Tcp_wire.syn then begin
+        else if has flags Tcp_wire.syn then begin
           (* Simultaneous open. *)
-          t.rcv_nxt <- seq_add seg.seq 1;
+          t.rcv_nxt <- seq_add seq 1;
           t.st <- Syn_rcvd;
           emit_at t ~seq:t.snd_una Bytes.empty 0
-            { Tcp_wire.no_flags with syn = true; ack = true }
+            (Tcp_wire.syn lor Tcp_wire.ack)
         end
     | Syn_rcvd ->
-        if seg.flags.Tcp_wire.syn && not seg.flags.Tcp_wire.ack then
+        if has flags Tcp_wire.syn && not (has flags Tcp_wire.ack) then
           (* Duplicate SYN: re-answer. *)
           emit_at t ~seq:t.snd_una Bytes.empty 0
-            { Tcp_wire.no_flags with syn = true; ack = true }
-        else if process_ack t seg then begin
+            (Tcp_wire.syn lor Tcp_wire.ack)
+        else if process_ack t ~ack_seq ~flags ~len then begin
           t.st <- Established;
           t.on_connect ();
-          let readable = accept_payload t seg in
-          if seg.payload_len > 0 then send_ack t;
+          let readable = accept_payload t ~seq frame ~off ~len in
+          if len > 0 then send_ack t;
           if readable then t.on_readable ();
           try_output t
         end
     | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack
       ->
-        let acked = process_ack t seg in
+        let acked = process_ack t ~ack_seq ~flags ~len in
         let readable =
           match t.st with
-          | Established | Fin_wait_1 | Fin_wait_2 -> accept_payload t seg
+          | Established | Fin_wait_1 | Fin_wait_2 ->
+              accept_payload t ~seq frame ~off ~len
           | _ -> false
         in
         (* Peer FIN handling. The FIN occupies the sequence slot right
            after the segment's payload. A FIN whose slot is beyond
            rcv_nxt (data still missing) is ignored — the peer will
            retransmit it and the gap will have filled by then. *)
-        let fin_pos = seq_add seg.seq seg.payload_len in
+        let fin_pos = seq_add seq len in
         let fin_now =
-          seg.flags.Tcp_wire.fin && fin_pos = t.rcv_nxt && t.peer_fin = None
+          has flags Tcp_wire.fin && fin_pos = t.rcv_nxt && t.peer_fin = None
         in
         if fin_now then begin
           t.peer_fin <- Some fin_pos;
@@ -640,10 +627,10 @@ let segment_arrives t (seg : Tcp_wire.t) =
           | Fin_wait_2 -> enter_time_wait t
           | _ -> ()
         end
-        else if seg.flags.Tcp_wire.fin && t.peer_fin <> None then
+        else if has flags Tcp_wire.fin && t.peer_fin <> None then
           (* Retransmitted FIN: re-ack so the peer stops. *)
           send_ack t
-        else if seg.payload_len > 0 then send_ack t;
+        else if len > 0 then send_ack t;
         (* Our FIN fully acked? *)
         if t.fin_sent && t.snd_una = seq_add t.fin_seq 1 then begin
           match t.st with
@@ -656,4 +643,4 @@ let segment_arrives t (seg : Tcp_wire.t) =
         if acked then try_output t
     | Time_wait ->
         (* Re-ack retransmitted FINs. *)
-        if seg.flags.Tcp_wire.fin then send_ack t
+        if has flags Tcp_wire.fin then send_ack t

@@ -51,6 +51,16 @@ type stats = {
 
 (** {2 Creation (used by the stack)} *)
 
+type emit =
+  seq:int -> ack_seq:int -> flags:int -> window:int -> bytes -> int -> unit
+(** How a connection hands a departing segment to the stack, which
+    knows both ports and addresses: [emit ~seq ~ack_seq ~flags ~window
+    frame len], with [flags] as {!Dk_wire.Tcp_wire}'s bits. A segment
+    with [len] payload bytes carries them at [payload_off] in [frame],
+    a buffer of exactly [payload_off + len] bytes that the stack
+    completes in place; a segment without payload passes
+    [Bytes.empty] and 0. *)
+
 val create_active :
   engine:Dk_sim.Engine.t ->
   config:config ->
@@ -58,15 +68,12 @@ val create_active :
   remote:Addr.endpoint ->
   iss:int ->
   payload_off:int ->
-  emit:(Dk_wire.Tcp_wire.t -> unit) ->
+  emit:emit ->
   conn
 (** Sends the SYN immediately (state [Syn_sent]).
 
     [payload_off] is where a frame's payload starts, after every
-    header the stack writes. A segment handed to [emit] with a payload
-    carries it at [payload_off] in a buffer of exactly [payload_off +
-    payload_len] bytes: the frame, which the stack completes in place.
-    A segment without payload carries [Bytes.empty]. *)
+    header the stack writes. *)
 
 val create_passive :
   engine:Dk_sim.Engine.t ->
@@ -75,16 +82,28 @@ val create_passive :
   remote:Addr.endpoint ->
   iss:int ->
   payload_off:int ->
-  emit:(Dk_wire.Tcp_wire.t -> unit) ->
+  emit:emit ->
   remote_seq:int ->
   conn
 (** For a SYN that arrived at a listener: replies SYN-ACK
     (state [Syn_rcvd]). [payload_off] and [emit] as for
     {!create_active}. *)
 
-val segment_arrives : conn -> Dk_wire.Tcp_wire.t -> unit
-(** In-order payload is written from the segment's view straight into
-    the receive ring; the view is not kept after the call. *)
+val segment_arrives :
+  conn ->
+  seq:int ->
+  ack_seq:int ->
+  flags:int ->
+  window:int ->
+  bytes ->
+  off:int ->
+  len:int ->
+  unit
+(** A segment arrives: its header fields ([flags] as
+    {!Dk_wire.Tcp_wire}'s bits) and its payload, the [len] bytes at
+    [off] in the frame. In-order payload is written from the frame
+    straight into the receive ring; the frame is not kept after the
+    call. *)
 
 (** {2 Application interface} *)
 

@@ -1,32 +1,13 @@
-module Wire = Dk_util.Wire
-
-type ethertype = Arp | Ipv4 | Unknown of int
-
-type t = { dst : int; src : int; ethertype : ethertype }
-
 let header_size = 14
-
-let ethertype_to_int = function
-  | Arp -> 0x0806
-  | Ipv4 -> 0x0800
-  | Unknown v -> v
-
-let ethertype_of_int = function
-  | 0x0806 -> Arp
-  | 0x0800 -> Ipv4
-  | v -> Unknown v
+let arp = 0x0806
+let ipv4 = 0x0800
 
 let write b ~dst ~src ethertype =
-  Wire.set_u48 b 0 dst;
-  Wire.set_u48 b 6 src;
-  Wire.set_u16 b 12 (ethertype_to_int ethertype)
+  Bytes.set_uint16_be b 0 (dst lsr 32);
+  Bytes.set_int32_be b 2 (Int32.of_int dst);
+  Bytes.set_uint16_be b 6 (src lsr 32);
+  Bytes.set_int32_be b 8 (Int32.of_int src);
+  Bytes.set_uint16_be b 12 ethertype
 
-let decode b =
-  if Bytes.length b < header_size then Error "eth: frame too short"
-  else
-    Ok
-      {
-        dst = Wire.get_u48 b 0;
-        src = Wire.get_u48 b 6;
-        ethertype = ethertype_of_int (Wire.get_u16 b 12);
-      }
+let check b =
+  if Bytes.length b < header_size then Some "eth: frame too short" else None

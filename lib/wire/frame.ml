@@ -1,44 +1,55 @@
-module Wire = Dk_util.Wire
-
 let ip_off = Eth.header_size
 let l4_off = ip_off + Ipv4.header_size
 let udp_payload_off = l4_off + Udp.header_size
 let tcp_payload_off = l4_off + Tcp_wire.header_size
 let udp_max_payload = 0xffff - Ipv4.header_size - Udp.header_size
+let dst_mac_off = 0
+let src_mac_off = 6
 let ethertype_off = 12
+let ip_len_off = ip_off + 2
+let ip_ident_off = ip_off + 4
 let ip_proto_off = ip_off + 9
-let udp_dst_port_off = l4_off + 2
+let ip_src_off = ip_off + 12
+let ip_dst_off = ip_off + 16
+let src_port_off = l4_off
+let dst_port_off = l4_off + 2
+let udp_len_off = l4_off + 4
+let tcp_seq_off = l4_off + 4
+let tcp_ack_off = l4_off + 8
+let tcp_flags_off = l4_off + 13
+let tcp_window_off = l4_off + 14
 
-(* The request fields the reply carries back. *)
-let src_mac b = Wire.get_u48 b 6
-let src_ip b = Wire.get_u32 b (ip_off + 12)
-let dst_ip b = Wire.get_u32 b (ip_off + 16)
+let get_u32 b i = Int32.to_int (Bytes.get_int32_be b i) land 0xffff_ffff
+let get_u48 b i = (Bytes.get_uint16_be b i lsl 32) lor get_u32 b (i + 2)
 
-(* A UDP datagram for [self_mac] that passes the host stack's checks;
-   the IPv4 check's length floor vouches for every byte read after it. *)
-let udp_request ~self_mac b =
+(* A UDP datagram for [self_mac] and [self_ip] that passes the host
+   stack's checks; the IPv4 check's length floor vouches for every byte
+   read after it. *)
+let udp_request ~self_mac ~self_ip b =
   Option.is_none (Ipv4.check b ~off:ip_off ~len:(Bytes.length b - ip_off))
-  && Wire.get_u48 b 0 = self_mac
-  && Wire.get_u16 b ethertype_off = 0x0800
-  && Wire.get_u8 b ip_proto_off = 17
+  && get_u48 b dst_mac_off = self_mac
+  && Bytes.get_uint16_be b ethertype_off = Eth.ipv4
+  && get_u32 b ip_dst_off = self_ip
+  && Bytes.get_uint8 b ip_proto_off = Ipv4.udp
   && Option.is_none
-       (Udp.check ~src_ip:(src_ip b) ~dst_ip:(dst_ip b) b ~off:l4_off
-          ~len:(Wire.get_u16 b (ip_off + 2) - Ipv4.header_size))
+       (Udp.check ~src_ip:(get_u32 b ip_src_off) ~dst_ip:self_ip b ~off:l4_off
+          ~len:(Bytes.get_uint16_be b ip_len_off - Ipv4.header_size))
 
-let udp_reply ~self_mac ~request ~payload =
+let udp_reply ~self_mac ~self_ip ~request ~payload =
   let req = Bytes.unsafe_of_string request in
   let n = String.length payload in
-  if n > udp_max_payload || not (udp_request ~self_mac req) then None
+  if n > udp_max_payload || not (udp_request ~self_mac ~self_ip req) then None
   else begin
+    let peer_mac = get_u48 req src_mac_off and peer_ip = get_u32 req ip_src_off in
     let b = Bytes.create (udp_payload_off + n) in
     Bytes.blit_string payload 0 b udp_payload_off n;
-    Udp.write b ~off:l4_off ~src_ip:(dst_ip req) ~dst_ip:(src_ip req)
-      ~src_port:(Wire.get_u16 req udp_dst_port_off)
-      ~dst_port:(Wire.get_u16 req l4_off) ~payload_len:n;
-    Ipv4.write b ~off:ip_off ~src:(dst_ip req) ~dst:(src_ip req)
-      ~proto:Ipv4.Udp ~ttl:64 ~ident:(Wire.get_u16 req (ip_off + 4))
+    Udp.write b ~off:l4_off ~src_ip:self_ip ~dst_ip:peer_ip
+      ~src_port:(Bytes.get_uint16_be req dst_port_off)
+      ~dst_port:(Bytes.get_uint16_be req src_port_off) ~payload_len:n;
+    Ipv4.write b ~off:ip_off ~src:self_ip ~dst:peer_ip ~proto:Ipv4.udp ~ttl:64
+      ~ident:(Bytes.get_uint16_be req ip_ident_off)
       ~payload_len:(Udp.header_size + n);
-    Eth.write b ~dst:(src_mac req) ~src:self_mac Eth.Ipv4;
-    Some (src_mac req, Bytes.unsafe_to_string b)
+    Eth.write b ~dst:peer_mac ~src:self_mac Eth.ipv4;
+    Some (peer_mac, Bytes.unsafe_to_string b)
   end
   [@@hot.alloc "the minted reply frame is the respond path's one product"]

@@ -1,7 +1,7 @@
-(** UDP header with pseudo-header checksum, written and parsed in place
-    inside a frame buffer; the payload follows the header. *)
-
-type t = { src_port : int; dst_port : int; payload_len : int }
+(** UDP header with pseudo-header checksum, written in place inside a
+    frame buffer and read there by offset: the source port at byte 0,
+    the destination port at 2, the length (header included) at 4. The
+    payload follows the header. *)
 
 val header_size : int
 
@@ -22,10 +22,6 @@ val check :
 (** Why the header of the [len]-byte datagram at [off] is invalid, if
     it is: a short datagram, a length outside [header_size, len] or a
     bad checksum (pseudo-header included), in that order. Allocates
-    nothing; {!decode} and {!Frame.udp_reply} both run it. *)
-
-val decode :
-  src_ip:int -> dst_ip:int -> bytes -> off:int -> len:int ->
-  (t, string) result
-(** {!check}, then the header's fields; the payload is the
-    [payload_len] bytes at [off + header_size]. *)
+    nothing; the host stack and {!Frame.udp_reply} both run it. Once it
+    passes, the payload is the [length - header_size] bytes at
+    [off + header_size]. *)

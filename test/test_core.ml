@@ -818,6 +818,21 @@ let file_queue_append_after_recovery () =
   check_str "old first" "old" (expect_popped (Demi.blocking_pop demi qd2));
   check_str "then new" "new" (expect_popped (Demi.blocking_pop demi qd2))
 
+(* Each reopen restarts appends at a block boundary, padding the log
+   with zeros up to it; a second reopen must read past that padding to
+   the records appended after the first. *)
+let file_queue_append_after_two_recoveries () =
+  let _, demi = demi_with_block () in
+  let qd = Result.get_ok (Demi.fcreate demi "log") in
+  ignore (Demi.blocking_push demi qd (sga_str "old"));
+  ignore (Demi.close demi qd);
+  let qd = Result.get_ok (Demi.fopen demi "log") in
+  ignore (Demi.blocking_push demi qd (sga_str "new"));
+  ignore (Demi.close demi qd);
+  let qd = Result.get_ok (Demi.fopen demi "log") in
+  check_str "old first" "old" (expect_popped (Demi.blocking_pop demi qd));
+  check_str "then new" "new" (expect_popped (Demi.blocking_pop demi qd))
+
 (* Reading a log back parses from a cursor over the fetched bytes:
    popping twice the records allocates about twice as much, not four
    times. Counted in words allocated on both heaps, because the copies
@@ -1376,6 +1391,8 @@ let () =
           Alcotest.test_case "durability latency" `Quick file_queue_durability_latency;
           Alcotest.test_case "recovery" `Quick file_queue_recovery;
           Alcotest.test_case "append after recovery" `Quick file_queue_append_after_recovery;
+          Alcotest.test_case "append after two recoveries" `Quick
+            file_queue_append_after_two_recoveries;
           Alcotest.test_case "fopen unknown" `Quick fopen_unknown_fails;
           Alcotest.test_case "oversized push" `Quick
             file_queue_oversized_push_refused;

@@ -41,27 +41,31 @@ let addr_endpoint () =
 
 (* ---------------- Codecs ----------------
 
-   Each layer writes its header in place inside a frame buffer and
-   parses it by offset; the payload is never copied between layers. *)
+   Each layer writes its header in place inside a frame buffer; on
+   receive its check validates the header there and the fields are read
+   by offset. The payload is never copied between layers. *)
+
+let get_u32 b i = Int32.to_int (Bytes.get_int32_be b i) land 0xffff_ffff
+let get_u48 b i = (Bytes.get_uint16_be b i lsl 32) lor get_u32 b (i + 2)
 
 let eth_roundtrip () =
   let payload = "the payload" in
   let b = Bytes.create (Eth.header_size + String.length payload) in
   Bytes.blit_string payload 0 b Eth.header_size (String.length payload);
-  Eth.write b ~dst:0xaabbccddeeff ~src:0x112233445566 Eth.Ipv4;
-  match Eth.decode b with
-  | Ok t' ->
-      check_bool "dst" true (t'.Eth.dst = 0xaabbccddeeff);
-      check_bool "src" true (t'.Eth.src = 0x112233445566);
-      check_bool "ethertype" true (t'.Eth.ethertype = Eth.Ipv4);
+  Eth.write b ~dst:0xaabbccddeeff ~src:0x112233445566 Eth.ipv4;
+  match Eth.check b with
+  | None ->
+      check_int "dst" 0xaabbccddeeff (get_u48 b Frame.dst_mac_off);
+      check_int "src" 0x112233445566 (get_u48 b Frame.src_mac_off);
+      check_int "ethertype" Eth.ipv4 (Bytes.get_uint16_be b Frame.ethertype_off);
       check_str "payload" payload
         (Bytes.sub_string b Eth.header_size (String.length payload))
-  | Error e -> Alcotest.fail e
+  | Some e -> Alcotest.fail e
 
 let eth_short () =
-  match Eth.decode (Bytes.of_string "short") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected error"
+  match Eth.check (Bytes.of_string "short") with
+  | Some e -> check_str "error" "eth: frame too short" e
+  | None -> Alcotest.fail "expected error"
 
 let arp_roundtrip () =
   let t =
@@ -76,7 +80,8 @@ let arp_roundtrip () =
 
 let ip a = Addr.ip_of_string a
 
-(* An IPv4 packet around [payload], built in place. *)
+(* An IPv4 packet around [payload], built in place at offset 0, so its
+   fields sit at their offsets within the header (Ipv4's layout). *)
 let ipv4_packet ~proto ~ident payload =
   let n = String.length payload in
   let b = Bytes.create (Ipv4.header_size + n) in
@@ -86,25 +91,28 @@ let ipv4_packet ~proto ~ident payload =
   b
 
 let ipv4_roundtrip () =
-  let b = ipv4_packet ~proto:Ipv4.Udp ~ident:42 "data!" in
-  match Ipv4.decode b ~off:0 ~len:(Bytes.length b) with
-  | Ok t' ->
-      check_bool "src" true (t'.Ipv4.src = ip "10.0.0.1");
-      check_bool "proto" true (t'.Ipv4.proto = Ipv4.Udp);
-      check_int "ident" 42 t'.Ipv4.ident;
+  let b = ipv4_packet ~proto:Ipv4.udp ~ident:42 "data!" in
+  match Ipv4.check b ~off:0 ~len:(Bytes.length b) with
+  | None ->
+      check_int "src" (ip "10.0.0.1") (get_u32 b 12);
+      check_int "dst" (ip "10.0.0.2") (get_u32 b 16);
+      check_int "proto" Ipv4.udp (Bytes.get_uint8 b 9);
+      check_int "ttl" 64 (Bytes.get_uint8 b 8);
+      check_int "ident" 42 (Bytes.get_uint16_be b 4);
       check_str "payload" "data!"
-        (Bytes.sub_string b Ipv4.header_size t'.Ipv4.payload_len)
-  | Error e -> Alcotest.fail e
+        (Bytes.sub_string b Ipv4.header_size
+           (Bytes.get_uint16_be b 2 - Ipv4.header_size))
+  | Some e -> Alcotest.fail e
 
 let ipv4_detects_corruption () =
-  let enc = ipv4_packet ~proto:Ipv4.Tcp ~ident:1 "x" in
+  let enc = ipv4_packet ~proto:Ipv4.tcp ~ident:1 "x" in
   (* flip a bit in the destination address *)
   Bytes.set enc 17 (Char.chr (Char.code (Bytes.get enc 17) lxor 0x01));
-  match Ipv4.decode enc ~off:0 ~len:(Bytes.length enc) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "checksum should have caught the flip"
+  match Ipv4.check enc ~off:0 ~len:(Bytes.length enc) with
+  | Some e -> check_str "error" "ipv4: bad header checksum" e
+  | None -> Alcotest.fail "checksum should have caught the flip"
 
-(* A UDP datagram around [payload], built in place. *)
+(* A UDP datagram around [payload], built in place at offset 0. *)
 let udp_datagram ~src_ip ~dst_ip ~src_port ~dst_port payload =
   let n = String.length payload in
   let b = Bytes.create (Udp.header_size + n) in
@@ -115,50 +123,50 @@ let udp_datagram ~src_ip ~dst_ip ~src_port ~dst_port payload =
 let udp_roundtrip () =
   let src_ip = ip "10.0.0.1" and dst_ip = ip "10.0.0.2" in
   let b = udp_datagram ~src_ip ~dst_ip ~src_port:1234 ~dst_port:53 "query" in
-  match Udp.decode ~src_ip ~dst_ip b ~off:0 ~len:(Bytes.length b) with
-  | Ok t' ->
-      check_int "sport" 1234 t'.Udp.src_port;
+  match Udp.check ~src_ip ~dst_ip b ~off:0 ~len:(Bytes.length b) with
+  | None ->
+      check_int "sport" 1234 (Bytes.get_uint16_be b 0);
+      check_int "dport" 53 (Bytes.get_uint16_be b 2);
       check_str "payload" "query"
-        (Bytes.sub_string b Udp.header_size t'.Udp.payload_len)
-  | Error e -> Alcotest.fail e
+        (Bytes.sub_string b Udp.header_size
+           (Bytes.get_uint16_be b 4 - Udp.header_size))
+  | Some e -> Alcotest.fail e
 
 let udp_checksum_binds_addresses () =
   let src_ip = ip "10.0.0.1" and dst_ip = ip "10.0.0.2" in
   let enc = udp_datagram ~src_ip ~dst_ip ~src_port:1 ~dst_port:2 "x" in
-  (* decoding against different addresses must fail: pseudo-header *)
+  (* checking against different addresses must fail: pseudo-header *)
   match
-    Udp.decode ~src_ip ~dst_ip:(ip "10.0.0.9") enc ~off:0
+    Udp.check ~src_ip ~dst_ip:(ip "10.0.0.9") enc ~off:0
       ~len:(Bytes.length enc)
   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "pseudo header not covered"
-
-(* A TCP segment record whose [n]-byte payload sits behind the header at
-   [off] in [b]. *)
-let tcp_seg b ~off ~src_port ~dst_port ~seq ~ack_seq ~flags n =
-  {
-    Tcp_wire.src_port; dst_port; seq; ack_seq; flags; window = 8192;
-    payload = b; payload_off = off + Tcp_wire.header_size; payload_len = n;
-  }
+  | Some e -> check_str "error" "udp: bad checksum" e
+  | None -> Alcotest.fail "pseudo header not covered"
 
 let tcp_wire_roundtrip () =
   let src_ip = ip "10.0.0.1" and dst_ip = ip "10.0.0.2" in
   let b = Bytes.create (Tcp_wire.header_size + 5) in
   Bytes.blit_string "hello" 0 b Tcp_wire.header_size 5;
-  Tcp_wire.write b ~off:0 ~src_ip ~dst_ip
-    (tcp_seg b ~off:0 ~src_port:5555 ~dst_port:80 ~seq:0xfffffff0 ~ack_seq:77
-       ~flags:{ Tcp_wire.syn = true; ack = true; fin = false; rst = false }
-       5);
-  match Tcp_wire.decode ~src_ip ~dst_ip b ~off:0 ~len:(Bytes.length b) with
-  | Ok t' ->
-      check_int "seq" 0xfffffff0 t'.Tcp_wire.seq;
-      check_int "ack" 77 t'.Tcp_wire.ack_seq;
-      check_bool "syn" true t'.Tcp_wire.flags.Tcp_wire.syn;
-      check_bool "fin" false t'.Tcp_wire.flags.Tcp_wire.fin;
+  Tcp_wire.write b ~off:0 ~src_ip ~dst_ip ~src_port:5555 ~dst_port:80
+    ~seq:0xfffffff0 ~ack_seq:77
+    ~flags:(Tcp_wire.syn lor Tcp_wire.ack)
+    ~window:8192 ~payload_len:5;
+  match Tcp_wire.check ~src_ip ~dst_ip b ~off:0 ~len:(Bytes.length b) with
+  | None ->
+      check_int "sport" 5555 (Bytes.get_uint16_be b 0);
+      check_int "dport" 80 (Bytes.get_uint16_be b 2);
+      check_int "seq" 0xfffffff0 (get_u32 b 4);
+      check_int "ack" 77 (get_u32 b 8);
+      let flags = Bytes.get_uint8 b 13 in
+      check_bool "syn" true (flags land Tcp_wire.syn <> 0);
+      check_bool "ack flag" true (flags land Tcp_wire.ack <> 0);
+      check_bool "fin" false (flags land Tcp_wire.fin <> 0);
+      check_bool "rst" false (flags land Tcp_wire.rst <> 0);
+      check_int "window" 8192 (Bytes.get_uint16_be b 14);
       check_str "payload" "hello"
-        (Bytes.sub_string t'.Tcp_wire.payload t'.Tcp_wire.payload_off
-           t'.Tcp_wire.payload_len)
-  | Error e -> Alcotest.fail e
+        (Bytes.sub_string b Tcp_wire.header_size
+           (Bytes.length b - Tcp_wire.header_size))
+  | Some e -> Alcotest.fail e
 
 (* Whole frames as the stack lays them out: 14 B Ethernet, 20 B IPv4,
    then the transport header and payload. *)
@@ -168,12 +176,12 @@ let ipv4_frame ~src_mac ~dst_mac ~src_ip ~dst_ip ~proto ~l4_hdr payload =
   Bytes.blit_string payload 0 b (Frame.l4_off + l4_hdr) n;
   Ipv4.write b ~off:Frame.ip_off ~src:src_ip ~dst:dst_ip ~proto ~ttl:64
     ~ident:0 ~payload_len:(l4_hdr + n);
-  Eth.write b ~dst:dst_mac ~src:src_mac Eth.Ipv4;
+  Eth.write b ~dst:dst_mac ~src:src_mac Eth.ipv4;
   b
 
 let udp_frame ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port payload =
   let b =
-    ipv4_frame ~src_mac ~dst_mac ~src_ip ~dst_ip ~proto:Ipv4.Udp
+    ipv4_frame ~src_mac ~dst_mac ~src_ip ~dst_ip ~proto:Ipv4.udp
       ~l4_hdr:Udp.header_size payload
   in
   Udp.write b ~off:Frame.l4_off ~src_ip ~dst_ip ~src_port ~dst_port
@@ -183,19 +191,18 @@ let udp_frame ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port payload =
 let tcp_frame ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port ~seq
     payload =
   let b =
-    ipv4_frame ~src_mac ~dst_mac ~src_ip ~dst_ip ~proto:Ipv4.Tcp
+    ipv4_frame ~src_mac ~dst_mac ~src_ip ~dst_ip ~proto:Ipv4.tcp
       ~l4_hdr:Tcp_wire.header_size payload
   in
-  Tcp_wire.write b ~off:Frame.l4_off ~src_ip ~dst_ip
-    (tcp_seg b ~off:Frame.l4_off ~src_port ~dst_port ~seq ~ack_seq:0
-       ~flags:{ Tcp_wire.no_flags with ack = true }
-       (String.length payload));
+  Tcp_wire.write b ~off:Frame.l4_off ~src_ip ~dst_ip ~src_port ~dst_port ~seq
+    ~ack_seq:0 ~flags:Tcp_wire.ack ~window:8192
+    ~payload_len:(String.length payload);
   b
 
 let arp_frame ~src_mac ~dst_mac (pkt : Arp.t) =
   let b = Bytes.create (Frame.ip_off + Arp.size) in
   Arp.write b ~off:Frame.ip_off pkt;
-  Eth.write b ~dst:dst_mac ~src:src_mac Eth.Arp;
+  Eth.write b ~dst:dst_mac ~src:src_mac Eth.arp;
   b
 
 let codec_roundtrip_prop =
@@ -207,25 +214,17 @@ let codec_roundtrip_prop =
         udp_frame ~src_mac:1 ~dst_mac:2 ~src_ip ~dst_ip ~src_port:9
           ~dst_port:10 payload
       in
-      match Eth.decode frame with
-      | Error _ -> false
-      | Ok _ -> (
-          match
-            Ipv4.decode frame ~off:Frame.ip_off
-              ~len:(Bytes.length frame - Frame.ip_off)
-          with
-          | Error _ -> false
-          | Ok i -> (
-              match
-                Udp.decode ~src_ip ~dst_ip frame ~off:Frame.l4_off
-                  ~len:i.Ipv4.payload_len
-              with
-              | Error _ -> false
-              | Ok u ->
-                  String.equal
-                    (Bytes.sub_string frame (Frame.l4_off + Udp.header_size)
-                       u.Udp.payload_len)
-                    payload)))
+      Eth.check frame = None
+      && Ipv4.check frame ~off:Frame.ip_off
+           ~len:(Bytes.length frame - Frame.ip_off)
+         = None
+      && Udp.check ~src_ip ~dst_ip frame ~off:Frame.l4_off
+           ~len:(Bytes.get_uint16_be frame Frame.ip_len_off - Ipv4.header_size)
+         = None
+      && String.equal
+           (Bytes.sub_string frame Frame.udp_payload_off
+              (Bytes.get_uint16_be frame Frame.udp_len_off - Udp.header_size))
+           payload)
 
 (* ---------------- Two-host harness ---------------- *)
 
@@ -330,10 +329,12 @@ let udp_max_datagram () =
    Frames built by the writers, then mutated, go straight into a live
    host's NIC. Every byte from the IPv4 header on is covered by the
    IPv4 or the transport checksum, so a single flipped bit there must
-   never reach a socket; an unmutated frame must. Lying length, IHL
-   and ethertype fields (IPv4 header checksum recomputed, so the
-   length guards rather than the checksum see them) and truncations
-   only must not raise. *)
+   never reach a socket; an unmutated frame must. A TCP data offset
+   that claims options (TCP checksum recomputed, so the options check
+   rather than the checksum sees it) must never reach the connection
+   either. Lying length, IHL and ethertype fields (IPv4 header checksum
+   recomputed, so the length guards rather than the checksum see them)
+   and truncations only must not raise. *)
 
 type fuzz_shape =
   | Raw of string
@@ -342,7 +343,7 @@ type fuzz_shape =
   | Udp_dgram of string
   | Arp_request
 
-type fuzz_lie = Total_length | Ihl | Udp_length | Ethertype
+type fuzz_lie = Total_length | Ihl | Udp_length | Ethertype | Tcp_offset
 
 type fuzz_mutation =
   | Intact
@@ -371,7 +372,7 @@ let fuzz_case =
         ( 2,
           map2
             (fun f v -> Lie (f, v))
-            (oneofl [ Total_length; Ihl; Udp_length; Ethertype ])
+            (oneofl [ Total_length; Ihl; Udp_length; Ethertype; Tcp_offset ])
             (0 -- 0xffff) );
       ]
   in
@@ -399,7 +400,8 @@ let fuzz_case =
                      | Total_length -> "total"
                      | Ihl -> "ihl"
                      | Udp_length -> "ulen"
-                     | Ethertype -> "ethertype")
+                     | Ethertype -> "ethertype"
+                     | Tcp_offset -> "doff")
                      v
              in
              shape ^ " " ^ m)
@@ -407,9 +409,18 @@ let fuzz_case =
     (list_size (1 -- 6) (pair shape mutation))
 
 let fix_ipv4_checksum b =
-  Dk_util.Wire.set_u16 b (Frame.ip_off + 10) 0;
-  Dk_util.Wire.set_u16 b (Frame.ip_off + 10)
+  Bytes.set_uint16_be b (Frame.ip_off + 10) 0;
+  Bytes.set_uint16_be b (Frame.ip_off + 10)
     (Dk_util.Checksum.compute b Frame.ip_off Ipv4.header_size)
+
+(* The checksum of the TCP segment that fills [b] from [Frame.l4_off]. *)
+let fix_tcp_checksum ~src_ip ~dst_ip b =
+  let at = Frame.l4_off + 16 in
+  Bytes.set_uint16_be b at 0;
+  Bytes.set_uint16_be b at
+    (Dk_util.Checksum.transport ~src:src_ip ~dst:dst_ip ~proto:6 b
+       Frame.l4_off
+       (Bytes.length b - Frame.l4_off))
 
 let rx_fuzz_prop =
   QCheck.Test.make ~name:"rx frame boundary survives mutated frames" ~count:300
@@ -458,26 +469,30 @@ let rx_fuzz_prop =
                 Frame.ip_off + Arp.size )
         in
         let is_udp = match shape with Udp_dgram _ -> true | _ -> false in
+        let is_tcp =
+          match shape with Tcp_data _ | Tcp_ack -> true | _ -> false
+        in
         let is_ipv4 =
           match shape with
           | Tcp_data _ | Tcp_ack | Udp_dgram _ -> true
           | Raw _ | Arp_request -> false
         in
         let len = Bytes.length frame in
-        let frame, flipped_checksummed =
+        (* [lied_offset]: the TCP data offset claims options. *)
+        let frame, flipped_checksummed, lied_offset =
           match mutation with
-          | Intact -> (frame, false)
+          | Intact -> (frame, false, false)
           | Flip i when len > 0 ->
               let bit = i mod (8 * len) in
               let byte = bit / 8 in
               Bytes.set frame byte
                 (Char.chr
                    (Char.code (Bytes.get frame byte) lxor (1 lsl (bit mod 8))));
-              (frame, is_ipv4 && byte >= Frame.ip_off)
-          | Flip _ -> (frame, false)
+              (frame, is_ipv4 && byte >= Frame.ip_off, false)
+          | Flip _ -> (frame, false, false)
           | Cut i -> (
               match shape with
-              | Raw _ -> (Bytes.sub frame 0 (i mod (len + 1)), false)
+              | Raw _ -> (Bytes.sub frame 0 (i mod (len + 1)), false, false)
               | _ ->
                   let cuts =
                     List.filter
@@ -486,22 +501,28 @@ let rx_fuzz_prop =
                         Frame.l4_off; l4_end - 1; l4_end; len - 1 ]
                   in
                   (Bytes.sub frame 0 (List.nth cuts (i mod List.length cuts)),
-                   false))
+                   false, false))
           | Lie (Ethertype, v) when len >= Frame.ip_off ->
-              Dk_util.Wire.set_u16 frame 12 v;
-              (frame, false)
+              Bytes.set_uint16_be frame Frame.ethertype_off v;
+              (frame, false, false)
           | Lie (Total_length, v) when is_ipv4 ->
-              Dk_util.Wire.set_u16 frame (Frame.ip_off + 2) v;
+              Bytes.set_uint16_be frame Frame.ip_len_off v;
               fix_ipv4_checksum frame;
-              (frame, false)
+              (frame, false, false)
           | Lie (Ihl, v) when is_ipv4 ->
-              Dk_util.Wire.set_u8 frame Frame.ip_off (0x40 lor (v land 0xf));
+              Bytes.set_uint8 frame Frame.ip_off (0x40 lor (v land 0xf));
               fix_ipv4_checksum frame;
-              (frame, false)
+              (frame, false, false)
           | Lie (Udp_length, v) when is_udp ->
-              Dk_util.Wire.set_u16 frame (Frame.l4_off + 4) v;
-              (frame, false)
-          | Lie _ -> (frame, false)
+              Bytes.set_uint16_be frame Frame.udp_len_off v;
+              (frame, false, false)
+          | Lie (Tcp_offset, v) when is_tcp ->
+              (* The TCP checksum recomputed, so the options branch, not
+                 the checksum, must turn the segment away. *)
+              Bytes.set_uint8 frame (Frame.l4_off + 12) ((v land 0xf) lsl 4);
+              fix_tcp_checksum ~src_ip ~dst_ip frame;
+              (frame, false, v land 0xf <> 5)
+          | Lie _ -> (frame, false, false)
         in
         let in_before = (Stack.stats b.stack).Stack.frames_in in
         let out_before = (Stack.stats b.stack).Stack.frames_out in
@@ -529,9 +550,65 @@ let rx_fuzz_prop =
           | _ -> true
         in
         one_frame_in && delivered_intact
-        && not (flipped_checksummed && reached_socket)
+        && not ((flipped_checksummed || lied_offset) && reached_socket)
       in
       List.for_all feed frames)
+
+(* [Tcp_wire.check]'s three rejections in their order: a segment that
+   is short, fails its checksum and claims options is "too short"; one
+   that fails its checksum and claims options is "bad checksum"; one
+   that only claims options is "options unsupported". Fed to a live
+   host, each counts one decode error and goes no further (no RST, no
+   listener lookup); only the checksum error also counts a checksum
+   failure. *)
+let tcp_check_errors () =
+  let engine, _, a, b = two_hosts () in
+  let src_ip = a.addr and dst_ip = b.addr in
+  let segment () =
+    let f =
+      tcp_frame ~src_mac:(Stack.mac a.stack) ~dst_mac:(Stack.mac b.stack)
+        ~src_ip ~dst_ip ~src_port:4000 ~dst_port:80 ~seq:1 "payload"
+    in
+    Bytes.set_uint8 f (Frame.l4_off + 12) 0x60;
+    f
+  in
+  let options = segment () in
+  fix_tcp_checksum ~src_ip ~dst_ip options;
+  let checksum = segment () in
+  let short = segment () in
+  Bytes.set_uint16_be short Frame.ip_len_off
+    (Ipv4.header_size + Tcp_wire.header_size - 1);
+  fix_ipv4_checksum short;
+  let counter name = Dk_obs.Metrics.value (Dk_obs.Metrics.counter name) in
+  List.iter
+    (fun (frame, len, expect, checksum_failure) ->
+      check (Alcotest.option Alcotest.string) expect (Some expect)
+        (Tcp_wire.check ~src_ip ~dst_ip frame ~off:Frame.l4_off ~len);
+      let before = Stack.stats b.stack in
+      let errors = counter "net.stack.decode_errors" in
+      let failures = counter "net.stack.checksum_failures" in
+      Nic.receive (Stack.nic b.stack) (Bytes.to_string frame);
+      Engine.run engine;
+      let after = Stack.stats b.stack in
+      check_int (expect ^ ": decode errors") (before.Stack.decode_errors + 1)
+        after.Stack.decode_errors;
+      check_int (expect ^ ": class decode errors") (errors + 1)
+        (counter "net.stack.decode_errors");
+      check_int (expect ^ ": checksum failures")
+        (failures + if checksum_failure then 1 else 0)
+        (counter "net.stack.checksum_failures");
+      check_int (expect ^ ": no listener") before.Stack.no_listener
+        after.Stack.no_listener;
+      check_int (expect ^ ": nothing sent") before.Stack.frames_out
+        after.Stack.frames_out)
+    [
+      (short, Tcp_wire.header_size - 1, "tcp: too short", false);
+      (checksum, Bytes.length checksum - Frame.l4_off, "tcp: bad checksum", true);
+      ( options,
+        Bytes.length options - Frame.l4_off,
+        "tcp: options unsupported",
+        false );
+    ]
 
 (* ---------------- TCP over the stack ---------------- *)
 
@@ -1324,6 +1401,7 @@ let () =
           Alcotest.test_case "udp roundtrip" `Quick udp_roundtrip;
           Alcotest.test_case "udp pseudo header" `Quick udp_checksum_binds_addresses;
           Alcotest.test_case "tcp_wire roundtrip" `Quick tcp_wire_roundtrip;
+          Alcotest.test_case "tcp_wire check errors" `Quick tcp_check_errors;
         ] );
       qsuite "codec-props" [ codec_roundtrip_prop ];
       ( "udp",

@@ -32,7 +32,6 @@ module Frame = Dk_wire.Frame
 module Eth = Dk_wire.Eth
 module Ipv4 = Dk_wire.Ipv4
 module Udp = Dk_wire.Udp
-module Wire = Dk_util.Wire
 
 let reset_world () =
   Metrics.reset Metrics.default;
@@ -135,7 +134,7 @@ let test_footprint_monotone () =
   let s1 = { Prog.guard = Prog.M_pred (Prog.Byte_eq (0, 'G')); act = Prog.Drop } in
   let s2 =
     {
-      Prog.guard = Prog.M_eq (Prog.F_u16 Frame.udp_dst_port_off, 6379L);
+      Prog.guard = Prog.M_eq (Prog.F_u16 Frame.dst_port_off, 6379L);
       act =
         Prog.Respond
           {
@@ -543,7 +542,10 @@ let test_filter_scoped_to_port () =
    covers it), a cut frame or one whose IPv4 total length, IHL or UDP
    length lies (IPv4 checksum recomputed, so the length guards rather
    than the checksum see them), and never raising. An intact GET is
-   answered, and the client's stack hands its socket the value. *)
+   answered, and the client's stack hands its socket the value. A GET
+   the writers address to the server's MAC but another IPv4 address is
+   one the host stack drops as not for it: the device never answers
+   it, and it reaches the host, which counts it [not_for_us]. *)
 
 type respond_lie = Total_length | Ihl | Udp_length | Ethertype
 
@@ -552,6 +554,7 @@ type respond_mutation =
   | Flip of int (* bit index, modulo the frame's length in bits *)
   | Cut of int (* index into the frame's header boundaries *)
   | Lie of respond_lie * int (* distance from the true value, >= 1 *)
+  | Elsewhere of int (* IPv4 destination's distance from the server's *)
 
 let resident = [| ("k0", "zero"); ("k1", "one"); ("key2", ""); ("k3", "3333") |]
 
@@ -568,6 +571,7 @@ let respond_case =
             (fun f d -> Lie (f, d))
             (oneofl [ Total_length; Ihl; Udp_length; Ethertype ])
             (1 -- 0xfffe) );
+        (1, map (fun d -> Elsewhere d) (1 -- 0xfffe));
       ]
   in
   QCheck.make
@@ -588,7 +592,8 @@ let respond_case =
                    | Ihl -> "ihl"
                    | Udp_length -> "ulen"
                    | Ethertype -> "ethertype")
-                   d)
+                   d
+             | Elsewhere d -> Printf.sprintf "ip+%d" d)
            frames))
     (list_size (1 -- 6) (pair (0 -- (Array.length resident - 1)) mutation))
 
@@ -599,21 +604,22 @@ let get_frame ~src_mac ~dst_mac ~src_ip ~dst_ip key =
   Bytes.blit_string payload 0 b Frame.udp_payload_off n;
   Udp.write b ~off:Frame.l4_off ~src_ip ~dst_ip ~src_port:client_port
     ~dst_port:kv_port ~payload_len:n;
-  Ipv4.write b ~off:Frame.ip_off ~src:src_ip ~dst:dst_ip ~proto:Ipv4.Udp
+  Ipv4.write b ~off:Frame.ip_off ~src:src_ip ~dst:dst_ip ~proto:Ipv4.udp
     ~ttl:64 ~ident:7 ~payload_len:(Udp.header_size + n);
-  Eth.write b ~dst:dst_mac ~src:src_mac Eth.Ipv4;
+  Eth.write b ~dst:dst_mac ~src:src_mac Eth.ipv4;
   b
 
 let fix_ipv4_checksum b =
-  Wire.set_u16 b (Frame.ip_off + 10) 0;
-  Wire.set_u16 b (Frame.ip_off + 10)
+  Bytes.set_uint16_be b (Frame.ip_off + 10) 0;
+  Bytes.set_uint16_be b (Frame.ip_off + 10)
     (Dk_util.Checksum.compute b Frame.ip_off Ipv4.header_size)
 
-(* Apply [m]; [true] when the device must not answer the result. *)
+(* Apply [m]; [true] when the device must not answer the result. A
+   readdressed GET is built whole rather than mutated. *)
 let mutate frame m =
   let len = Bytes.length frame in
   match m with
-  | Intact -> (frame, false)
+  | Intact | Elsewhere _ -> (frame, false)
   | Flip i ->
       let bit = i mod (8 * len) in
       let byte = bit / 8 in
@@ -627,20 +633,20 @@ let mutate frame m =
       in
       (Bytes.sub frame 0 (List.nth cuts (i mod List.length cuts)), true)
   | Lie (Total_length, d) ->
-      let at = Frame.ip_off + 2 in
-      Wire.set_u16 frame at (Wire.get_u16 frame at + d);
+      let at = Frame.ip_len_off in
+      Bytes.set_uint16_be frame at ((Bytes.get_uint16_be frame at + d) land 0xffff);
       fix_ipv4_checksum frame;
       (frame, true)
   | Lie (Ihl, d) ->
-      Wire.set_u8 frame Frame.ip_off (0x40 lor ((5 + d) land 0xf));
+      Bytes.set_uint8 frame Frame.ip_off (0x40 lor ((5 + d) land 0xf));
       fix_ipv4_checksum frame;
       (frame, d land 0xf <> 0)
   | Lie (Udp_length, d) ->
-      let at = Frame.l4_off + 4 in
-      Wire.set_u16 frame at (Wire.get_u16 frame at + d);
+      let at = Frame.udp_len_off in
+      Bytes.set_uint16_be frame at ((Bytes.get_uint16_be frame at + d) land 0xffff);
       (frame, true)
   | Lie (Ethertype, d) ->
-      Wire.set_u16 frame Frame.ethertype_off (0x0800 + d);
+      Bytes.set_uint16_be frame Frame.ethertype_off ((Eth.ipv4 + d) land 0xffff);
       (frame, true)
 
 let prop_respond_fuzz =
@@ -656,11 +662,18 @@ let prop_respond_fuzz =
       let src_mac = Nic.mac w.a.Setup.nic and dst_mac = Nic.mac nic in
       let src_ip = w.a.Setup.ip and dst_ip = w.b.Setup.ip in
       let reply = ref (Result.get_ok (Demi.pop w.client cq)) in
+      let not_for_us () = (Dk_net.Stack.stats w.b.Setup.stack).not_for_us in
       let feed (k, m) =
         let key, value = resident.(k) in
+        let dst_ip =
+          match m with
+          | Elsewhere d -> (dst_ip + d) land 0xffff_ffff
+          | _ -> dst_ip
+        in
         let frame, unanswerable =
           mutate (get_frame ~src_mac ~dst_mac ~src_ip ~dst_ip key) m
         in
+        let dropped = not_for_us () in
         let responded = (Nic.stats nic).Nic.rx_responded in
         Nic.receive nic (Bytes.to_string frame);
         Engine.run w.engine;
@@ -674,6 +687,8 @@ let prop_respond_fuzz =
         in
         match m with
         | Intact -> answered = 1 && got = Some ("+" ^ value)
+        | Elsewhere _ ->
+            answered = 0 && got = None && not_for_us () = dropped + 1
         | _ -> (not unanswerable) || (answered = 0 && got = None)
       in
       List.for_all feed frames)

@@ -219,10 +219,10 @@ let pseudo_header_matches_bytes =
     QCheck.(quad int int (int_bound 0xff) int)
     (fun (src, dst, proto, len) ->
       let b = Bytes.make 12 '\000' in
-      Dk_util.Wire.set_u32 b 0 src;
-      Dk_util.Wire.set_u32 b 4 dst;
-      Dk_util.Wire.set_u8 b 9 proto;
-      Dk_util.Wire.set_u16 b 10 len;
+      Bytes.set_int32_be b 0 (Int32.of_int src);
+      Bytes.set_int32_be b 4 (Int32.of_int dst);
+      Bytes.set_uint8 b 9 proto;
+      Bytes.set_uint16_be b 10 (len land 0xffff);
       Checksum.pseudo_header_sum ~src ~dst ~proto ~len
       = reference_sum ~init:0 b 0 12)
 
