@@ -71,6 +71,32 @@ let parse_record c =
       if crc <> expect then Some (Error ())
       else Some (Ok (payload, 4 + len + 4))
 
+(* What the log holds at the cursor, in a log of [bs]-byte blocks. An
+   append after recovery restarts at a block boundary and leaves zero
+   bytes up to it. A record can also start 1-3 bytes short of a
+   boundary, and its length prefix then begins with zero bytes, so
+   zeros up to the boundary are padding only when no valid record
+   (length and CRC) parses where they start. A zero length at a
+   boundary is never padding. *)
+type item =
+  | Record of string * int (* payload, bytes used *)
+  | Padding of int (* bytes up to the boundary *)
+  | Bad
+  | Incomplete
+
+let rec zeros c i n =
+  i >= n || (Bytes.get c.data (c.lo + i) = '\000' && zeros c (i + 1) n)
+
+let next_item c ~bs =
+  match parse_record c with
+  | Some (Ok (payload, used)) -> Record (payload, used)
+  | None -> Incomplete
+  | Some (Error ()) ->
+      let gap = bs - (c.at mod bs) in
+      if gap = bs || not (zeros c 0 (Int.min gap (avail c))) then Bad
+      else if gap <= avail c then Padding gap
+      else Incomplete
+
 type state = {
   tokens : Token.t;
   engine : Dk_sim.Engine.t;
@@ -103,29 +129,18 @@ let ensure_shadow st n =
 (* ---- reader ---- *)
 
 let rec parse_loop st =
-  if not st.corrupt then begin
-    (* A zero length prefix is block-alignment padding (appends after
-       recovery restart at a block boundary): skip to the boundary. *)
-    let c = st.raw in
-    if avail c >= 4 && u32 c 0 = 0 then begin
-      let next_boundary = ((c.at / st.bs) + 1) * st.bs in
-      if next_boundary - c.at <= avail c then begin
-        skip c (next_boundary - c.at);
+  if not st.corrupt then
+    match next_item st.raw ~bs:st.bs with
+    | Incomplete -> ()
+    | Padding n ->
+        skip st.raw n;
         parse_loop st
-      end
-    end
-    else parse_payload st
-  end
-
-and parse_payload st =
-    match parse_record st.raw with
-    | None -> ()
-    | Some (Error ()) ->
+    | Bad ->
         (* CRC/framing mismatch: a torn or corrupted record. Surface it
            as an I/O error, not a polite close. *)
         st.corrupt <- true;
         Mailbox.fail st.mbox `Io_error
-    | Some (Ok (payload, used)) ->
+    | Record (payload, used) ->
         skip st.raw used;
         let decoder = Framing.create () in
         Framing.feed decoder payload;
@@ -291,24 +306,22 @@ let recover ~engine ~disp ~base_lba ~capacity_blocks k =
   let bs = Block.block_size (Block_dispatch.block disp) in
   let raw = cursor () in
   let valid = ref 0 in
-  (* As in [parse_loop], a zero length short of a block boundary is
-     the padding an append after an earlier recovery left: skip it. At
-     a boundary it is unwritten space, and a record of length 0 is
-     corrupt, so parsing stops there. Whole blocks are appended, so the
-     boundary is always fetched. *)
+  (* As in [parse_loop], padding an append after an earlier recovery
+     left is skipped. A zero length at a block boundary is unwritten
+     space, and a record of length 0 is corrupt, so parsing stops
+     there. Whole blocks are appended, so the boundary is always
+     fetched. *)
   let rec parse () =
-    if avail raw >= 4 && u32 raw 0 = 0 && raw.at mod bs <> 0 then begin
-      skip raw (bs - (raw.at mod bs));
-      parse ()
-    end
-    else
-      match parse_record raw with
-      | Some (Ok (_, used)) ->
-          skip raw used;
-          valid := raw.at;
-          parse ()
-      | Some (Error ()) -> `Stop
-      | None -> `More
+    match next_item raw ~bs with
+    | Record (_, used) ->
+        skip raw used;
+        valid := raw.at;
+        parse ()
+    | Padding n ->
+        skip raw n;
+        parse ()
+    | Bad -> `Stop
+    | Incomplete -> `More
   in
   let rec scan idx =
     if idx >= capacity_blocks then k !valid

@@ -90,7 +90,10 @@ let complete t delay comp =
   (* Injected completion stall: the command sits in the device for an
      extra magnitude before the CQ entry lands. *)
   let delay =
-    Int64.add delay (Fault.extra_delay t.fault Fault.Block_stall ~now:submitted)
+    Int64.add delay
+      (Int64.of_int
+         (Fault.extra_delay t.fault Fault.Block_stall
+            ~now:(Dk_sim.Engine.now_ns t.engine)))
   in
   ignore
     (Dk_sim.Engine.after t.engine delay (fun () ->
@@ -135,7 +138,7 @@ let submit_read t ~wr_id ~lba =
       { wr_id; status = `Bad_lba; data = None }
     else if
       Fault.fire t.fault Fault.Block_error
-        ~now:(Dk_sim.Engine.now t.engine)
+        ~now:(Dk_sim.Engine.now_ns t.engine)
     then { wr_id; status = `Io_error; data = None }
     else
       let data =
@@ -167,7 +170,7 @@ let submit_write t ~wr_id ~lba data =
       { wr_id; status = `Bad_lba; data = None }
     else if
       Fault.fire t.fault Fault.Block_error
-        ~now:(Dk_sim.Engine.now t.engine)
+        ~now:(Dk_sim.Engine.now_ns t.engine)
     then
       (* Media error: nothing persists. *)
       { wr_id; status = `Io_error; data = None }
@@ -183,7 +186,7 @@ let submit_write t ~wr_id ~lba data =
            defend against with per-record CRCs (§5.3). *)
         if
           Fault.fire t.fault Fault.Block_torn_write
-            ~now:(Dk_sim.Engine.now t.engine)
+            ~now:(Dk_sim.Engine.now_ns t.engine)
         then
           String.sub data 0
             (Fault.cut_point t.fault Fault.Block_torn_write

@@ -12,6 +12,8 @@ type stats = {
 module Fault = Dk_fault.Fault
 module Flight = Dk_obs.Flight
 module Metrics = Dk_obs.Metrics
+module Engine = Dk_sim.Engine
+module Pool = Dk_util.Pool
 
 (* Class-wide obs instruments (aggregated across NICs); each NIC counts
    into its own instances of them, and the flight recorder entries
@@ -28,8 +30,28 @@ let g_tx_inflight = Metrics.gauge "device.nic.tx_inflight"
 
 let no_lookup (_ : string) : string option = None
 
+(* The NIC's descriptors are mutable records, made once per pool slot
+   with their own timer, taken when a frame enters a hop and released
+   when the timer fires: a frame's hops re-arm them and build no
+   closure or event. A released descriptor keeps its last frame until
+   it is taken again.
+
+   A tx descriptor is the DMA hop: taken by [transmit] (or the respond
+   path), armed when its doorbell work [submit] runs, released at DMA
+   completion. An rx descriptor is the on-NIC pipeline's latency. *)
+type txd = {
+  id : int;
+  mutable frame : string;
+  mutable dst : int;
+  mutable departed : int; (* absolute DMA completion, int ns *)
+  timer : Engine.timer;
+  submit : unit -> unit;
+}
+
+type rxd = { rx_id : int; mutable rx_frame : string; rx_timer : Engine.timer }
+
 type t = {
-  engine : Dk_sim.Engine.t;
+  engine : Engine.t;
   cost : Dk_sim.Cost.t;
   fault : Fault.t;
   mac : int;
@@ -43,8 +65,10 @@ type t = {
   mutable rx_pipeline : Prog.pipeline;
   mutable table : Table.t option;
   mutable lookup_fn : string -> string option;
-  mutable uplink : (src:int -> dst:int -> departed:int64 -> string -> unit) option;
+  mutable uplink : (src:int -> dst:int -> departed:int -> string -> unit) option;
   mutable rx_notify : unit -> unit;
+  txds : (t, txd) Pool.t;
+  rxds : (t, rxd) Pool.t;
   tx_frames : Metrics.counter;
   tx_bytes : Metrics.counter;
   tx_rejected : Metrics.counter;
@@ -55,45 +79,57 @@ type t = {
   mutable rx_responded : int;
 }
 
-let create ~engine ~cost ?(fault = Fault.create ()) ~mac ?(rx_capacity = 1024)
-    ?(tx_capacity = 1024) ?(programmable = false) () =
-  let ctrl_db = Doorbell.create ~engine ~cost ~name:"nic.ctrl.doorbells" () in
-  (* The control queue is a correctness channel (SET invalidations ride
-     it): it never coalesces, so a submitted op completes synchronously
-     before the submitting host call returns. *)
-  Doorbell.set_window ctrl_db 0L;
-  let t =
+(* ---- the tx hop ----
+   [tx_start] is the doorbell work of a tx descriptor: DMA then uplink.
+   [transmit] reaches it through the doorbell; the device-side respond
+   path calls it directly — a NIC answering from its own table rings no
+   host doorbell (that is the point of the offload). A hop's body runs
+   from a descriptor's closure or timer, calls dk-hot cannot follow, so
+   each is a hot root of its own ([@@hot]). *)
+
+let tx_start t d =
+  Metrics.gauge_add t.tx_inflight 1;
+  d.departed <-
+    Engine.now_ns t.engine + Dk_sim.Cost.dma_ns t.cost (String.length d.frame);
+  Engine.rearm_at d.timer d.departed
+  [@@hot]
+
+(* DMA completion. The descriptor is freed and its fields copied out
+   first: the uplink may take another. *)
+let dma_done t id =
+  let d = Pool.release t.txds id in
+  let frame = d.frame and dst = d.dst and departed = d.departed in
+  Metrics.gauge_add t.tx_inflight (-1);
+  Metrics.incr t.tx_frames;
+  Metrics.add t.tx_bytes (String.length frame);
+  (* Injected tx drop: the DMA completed (the host paid for it) but the
+     frame dies at the PHY and never reaches the fabric. *)
+  if Fault.fire t.fault Fault.Nic_tx_drop ~now:(Engine.now_ns t.engine) then ()
+  else
+    match t.uplink with
+    | Some send -> send ~src:t.mac ~dst ~departed frame
+    | None -> ()
+  [@@hot]
+
+let tx_descriptor t id =
+  let timer = Engine.timer t.engine (fun () -> dma_done t id) in
+  let rec d =
     {
-      engine;
-      cost;
-      fault;
-      mac;
-      ip = -1;
-      programmable;
-      db = Doorbell.create ~engine ~cost ~name:"nic.tx.doorbells" ();
-      ctrl_db;
-      rxq = Dk_util.Bqueue.create rx_capacity;
-      tx_capacity;
-      tx_inflight = Metrics.gauge_instance g_tx_inflight;
-      rx_pipeline = [];
-      table = None;
-      lookup_fn = no_lookup;
-      uplink = None;
-      rx_notify = (fun () -> ());
-      tx_frames = Metrics.instance m_tx_frames;
-      tx_bytes = Metrics.instance m_tx_bytes;
-      tx_rejected = Metrics.instance m_tx_rejected;
-      rx_frames = Metrics.instance m_rx_frames;
-      rx_bytes = Metrics.instance m_rx_bytes;
-      rx_dropped = Metrics.instance m_rx_dropped;
-      rx_filtered = Metrics.instance m_rx_filtered;
-      rx_responded = 0;
+      id;
+      frame = "";
+      dst = 0;
+      departed = 0;
+      timer;
+      submit = (fun () -> tx_start t d);
     }
   in
-  (* One closure per NIC, built here rather than per frame. *)
-  t.lookup_fn <-
-    (fun k -> match t.table with Some tbl -> Table.lookup tbl k | None -> None);
-  t
+  d
+
+let take_tx t ~dst frame =
+  let d = Pool.take t.txds t in
+  d.frame <- frame;
+  d.dst <- dst;
+  d
 
 let mac t = t.mac
 let set_ip t ip = t.ip <- ip
@@ -153,39 +189,10 @@ let ctrl_invalidate t k =
   | None -> false
   [@@hot.alloc "control-queue closure (see ctrl)"]
 
-(* The tx descriptor body: DMA then uplink. [transmit] reaches it
-   through the doorbell; the device-side respond path calls it
-   directly — a NIC answering from its own table rings no host
-   doorbell (that is the point of the offload). *)
-let tx_start t ~dst frame =
-  Metrics.gauge_add t.tx_inflight 1;
-  let len = String.length frame in
-  let departed =
-    Int64.add (Dk_sim.Engine.now t.engine) (Dk_sim.Cost.dma_ns t.cost len)
-  in
-  let finish () =
-    Metrics.gauge_add t.tx_inflight (-1);
-    Metrics.incr t.tx_frames;
-    Metrics.add t.tx_bytes len;
-    (* Injected tx drop: the DMA completed (the host paid for it)
-       but the frame dies at the PHY and never reaches the
-       fabric. *)
-    if Fault.fire t.fault Fault.Nic_tx_drop ~now:(Dk_sim.Engine.now t.engine)
-    then ()
-    else
-      match t.uplink with
-      | Some send -> send ~src:t.mac ~dst ~departed frame
-      | None -> ()
-  in
-  ignore (Dk_sim.Engine.at t.engine departed finish)
-  [@@hot.alloc
-    "the DMA-completion event is the sim's stand-in for descriptor \
-     writes"]
-
 (* Open a flight entry whose label starts "nic <mac>"; the caller
    appends the rest and commits. *)
 let flight_start t kind =
-  Flight.start Flight.default ~now:(Dk_sim.Engine.now t.engine) kind
+  Flight.start Flight.default ~now:(Engine.now t.engine) kind
   && begin
        Flight.add_string Flight.default "nic ";
        Flight.add_hex Flight.default t.mac;
@@ -215,12 +222,9 @@ let transmit t ~dst frame =
        the clock having been consumed past this point — cannot reorder
        frames on the wire. Under a coalescing window the ring-capacity
        check above sees the pre-flush inflight count. *)
-    Doorbell.submit t.db (fun () -> tx_start t ~dst frame);
+    Doorbell.submit t.db (take_tx t ~dst frame).submit;
     true
   end
-  [@@hot.alloc
-    "the staged tx thunk and its DMA-completion event are the sim's \
-     stand-in for descriptor writes; the host CPU pays only the doorbell"]
 
 (* Device-originated tx (pipeline [Respond]): same ring-capacity check,
    DMA model and tx fault site as [transmit], but no doorbell — no host
@@ -231,7 +235,7 @@ let device_transmit t ~dst frame =
     false
   end
   else begin
-    tx_start t ~dst frame;
+    tx_start t (take_tx t ~dst frame);
     true
   end
 
@@ -253,7 +257,7 @@ let enqueue_rx t frame =
     Metrics.incr t.rx_frames;
     Metrics.add t.rx_bytes (String.length frame);
     Metrics.gauge_add g_rx_pending 1;
-    Flight.record_nic_rx Flight.default ~now:(Dk_sim.Engine.now t.engine)
+    Flight.record_nic_rx Flight.default ~now:(Engine.now t.engine)
       ~mac:t.mac ~len:(String.length frame)
       ~ring:(Dk_util.Bqueue.length t.rxq);
     t.rx_notify ()
@@ -287,8 +291,65 @@ let process_rx t frame =
           ignore (device_transmit t ~dst reply)
       | None -> enqueue_rx t frame)
 
+(* The pipeline deferral's end. The descriptor is freed and its frame
+   copied out first: the respond path may take a tx descriptor, and
+   the host's poll may run another receive. *)
+let prog_done t id =
+  let frame = (Pool.release t.rxds id).rx_frame in
+  process_rx t frame
+  [@@hot]
+
+let rx_descriptor t rx_id =
+  {
+    rx_id;
+    rx_frame = "";
+    rx_timer = Engine.timer t.engine (fun () -> prog_done t rx_id);
+  }
+
+let create ~engine ~cost ?(fault = Fault.create ()) ~mac ?(rx_capacity = 1024)
+    ?(tx_capacity = 1024) ?(programmable = false) () =
+  let ctrl_db = Doorbell.create ~engine ~cost ~name:"nic.ctrl.doorbells" () in
+  (* The control queue is a correctness channel (SET invalidations ride
+     it): it never coalesces, so a submitted op completes synchronously
+     before the submitting host call returns. *)
+  Doorbell.set_window ctrl_db 0L;
+  let t =
+    {
+      engine;
+      cost;
+      fault;
+      mac;
+      ip = -1;
+      programmable;
+      db = Doorbell.create ~engine ~cost ~name:"nic.tx.doorbells" ();
+      ctrl_db;
+      rxq = Dk_util.Bqueue.create rx_capacity;
+      tx_capacity;
+      tx_inflight = Metrics.gauge_instance g_tx_inflight;
+      rx_pipeline = [];
+      table = None;
+      lookup_fn = no_lookup;
+      uplink = None;
+      rx_notify = (fun () -> ());
+      txds = Pool.create tx_descriptor;
+      rxds = Pool.create rx_descriptor;
+      tx_frames = Metrics.instance m_tx_frames;
+      tx_bytes = Metrics.instance m_tx_bytes;
+      tx_rejected = Metrics.instance m_tx_rejected;
+      rx_frames = Metrics.instance m_rx_frames;
+      rx_bytes = Metrics.instance m_rx_bytes;
+      rx_dropped = Metrics.instance m_rx_dropped;
+      rx_filtered = Metrics.instance m_rx_filtered;
+      rx_responded = 0;
+    }
+  in
+  (* One closure per NIC, built here rather than per frame. *)
+  t.lookup_fn <-
+    (fun k -> match t.table with Some tbl -> Table.lookup tbl k | None -> None);
+  t
+
 let receive t frame =
-  let now = Dk_sim.Engine.now t.engine in
+  let now = Engine.now_ns t.engine in
   (* Fault hooks sit at the wire edge, before any on-NIC program: a
      dropped frame never reaches the pipeline, a corrupted one is what
      the pipeline (and the host checksum) sees. *)
@@ -310,16 +371,13 @@ let receive t frame =
           let elems =
             1 + (Prog.pipeline_footprint p (String.length frame) / 64)
           in
-          ignore
-            (Dk_sim.Engine.after t.engine
-               (Int64.mul t.cost.Dk_sim.Cost.device_prog_per_elem
-                  (Int64.of_int elems))
-               (fun () -> process_rx t frame))
+          let d = Pool.take t.rxds t in
+          d.rx_frame <- frame;
+          Engine.rearm_at d.rx_timer
+            (Engine.now_ns t.engine
+            + (Int64.to_int t.cost.Dk_sim.Cost.device_prog_per_elem * elems))
     done
   end
-  [@@hot.alloc
-    "the deferral thunk exists only when an on-NIC program is loaded; \
-     the plain rx path is closure-free"]
 
 let poll_rx t =
   match Dk_util.Bqueue.pop t.rxq with

@@ -111,8 +111,9 @@ val stats : t -> stats
 (** {2 Wiring (used by {!Fabric})} *)
 
 val set_uplink :
-  t -> (src:int -> dst:int -> departed:int64 -> string -> unit) -> unit
-(** [departed] is the absolute DMA-completion (wire departure) time. *)
+  t -> (src:int -> dst:int -> departed:int -> string -> unit) -> unit
+(** [departed] is the absolute DMA-completion (wire departure) time, in
+    int ns ({!Dk_sim.Engine.now_ns}). *)
 
 val receive : t -> string -> unit
 (** Deliver a frame into the RX path (pipeline, if loaded, then ring). *)

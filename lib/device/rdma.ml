@@ -113,9 +113,8 @@ let sga_registered nic sga = segs_registered nic (Dk_mem.Sga.segments sga)
 (* One round-trip-ish device+wire delay for a message of [len] bytes. *)
 let transit_ns nic len =
   Int64.add nic.cost.Dk_sim.Cost.rdma_nic_proc
-    (Int64.add
-       (Dk_sim.Cost.dma_ns nic.cost len)
-       (Dk_sim.Cost.wire_ns nic.cost len))
+    (Int64.of_int
+       (Dk_sim.Cost.dma_ns nic.cost len + Dk_sim.Cost.wire_ns nic.cost len))
 
 let complete_send qp wc =
   Queue.add wc qp.send_cq;
@@ -138,7 +137,7 @@ let post_send qp ~wr_id sga =
   | None ->
       complete_send qp { wr_id; status = `Not_connected; len; buffer = None }
   | Some peer ->
-      if qp_breaks qp peer ~now:(Dk_sim.Engine.now nic.engine) then
+      if qp_breaks qp peer ~now:(Dk_sim.Engine.now_ns nic.engine) then
         complete_send qp { wr_id; status = `Qp_broken; len; buffer = None }
       else if not (sga_registered nic sga) then begin
         nic.registration_failures <- nic.registration_failures + 1;
@@ -232,7 +231,7 @@ let post_read qp ~wr_id ~remote_off ~len dst =
   match qp.peer with
   | None -> complete_send qp { wr_id; status = `Not_connected; len; buffer = None }
   | Some peer ->
-      if qp_breaks qp peer ~now:(Dk_sim.Engine.now nic.engine) then
+      if qp_breaks qp peer ~now:(Dk_sim.Engine.now_ns nic.engine) then
         complete_send qp { wr_id; status = `Qp_broken; len; buffer = None }
       else if not (nic.is_registered (Dk_mem.Buffer.region_id dst))
               || Dk_mem.Buffer.length dst < len
@@ -269,7 +268,7 @@ let post_write qp ~wr_id ~remote_off sga =
   match qp.peer with
   | None -> complete_send qp { wr_id; status = `Not_connected; len; buffer = None }
   | Some peer ->
-      if qp_breaks qp peer ~now:(Dk_sim.Engine.now nic.engine) then
+      if qp_breaks qp peer ~now:(Dk_sim.Engine.now_ns nic.engine) then
         complete_send qp { wr_id; status = `Qp_broken; len; buffer = None }
       else if not (sga_registered nic sga) then begin
         nic.registration_failures <- nic.registration_failures + 1;

@@ -210,11 +210,13 @@ let injected t site =
 let total_injected t =
   List.fold_left (fun acc s -> acc + injected t s) 0 sites
 
+(* [now] is the engine's int clock; the window stays int64, as its
+   plan spells it. *)
 let in_window aspec now =
-  Int64.compare now aspec.from_ns >= 0
+  Int64.compare (Int64.of_int now) aspec.from_ns >= 0
   && (match aspec.until_ns with
      | None -> true
-     | Some u -> Int64.compare now u < 0)
+     | Some u -> Int64.compare (Int64.of_int now) u < 0)
 
 let fire t site ~now =
   match t.slots.(site_index site) with
@@ -233,7 +235,8 @@ let fire t site ~now =
         in
         if hit then begin
           Dk_obs.Metrics.incr a.shots;
-          if Flight.start Flight.default ~now Flight.Drop then begin
+          if Flight.start Flight.default ~now:(Int64.of_int now) Flight.Drop
+          then begin
             Flight.add_string Flight.default "fault injected: ";
             Flight.add_string Flight.default (site_name site);
             Flight.add_string Flight.default " (#";
@@ -269,14 +272,14 @@ let mangle t site ~now frame =
      the site actually fires"]
 
 let extra_delay t site ~now =
-  if not (fire t site ~now) then 0L
+  if not (fire t site ~now) then 0
   else
-    let m = magnitude t site in
+    let m = Int64.to_int (magnitude t site) in
     match site with
     | Fabric_reorder ->
         (* Vary the push-back so a burst of reordered frames does not
            collapse back into FIFO order. *)
-        Int64.add m (Int64.of_int (draw t site (1 + Int64.to_int m)))
+        m + draw t site (1 + m)
     | _ -> m
 
 let cut_point t site ~len =

@@ -98,19 +98,20 @@ val install : t -> plan -> unit
 
 (** {3 Hooks (device layer only)} *)
 
-val fire : t -> site -> now:int64 -> bool
-(** One injection opportunity at virtual time [now]. [true] means the
-    caller must misbehave; the engine has already counted the injection
+val fire : t -> site -> now:int -> bool
+(** One injection opportunity at virtual time [now] (the engine's int
+    ns clock, {!Dk_sim.Engine.now_ns}). [true] means the caller must
+    misbehave; the engine has already counted the injection
     ([fault.<site>.injected]) and logged it to the flight recorder. *)
 
-val mangle : t -> site -> now:int64 -> string -> string option
+val mangle : t -> site -> now:int -> string -> string option
 (** Corruption sites: [Some frame'] with one deterministically chosen
     bit flipped when the site fires, [None] otherwise. *)
 
-val extra_delay : t -> site -> now:int64 -> int64
+val extra_delay : t -> site -> now:int -> int
 (** Stall/reorder sites: the configured [magnitude_ns] (plus a
-    deterministic jitter for reorder) when the site fires, [0L]
-    otherwise. *)
+    deterministic jitter for reorder) when the site fires, [0]
+    otherwise, in int ns. *)
 
 val magnitude : t -> site -> int64
 (** The armed spec's [magnitude_ns] ([0L] when the site is not armed).

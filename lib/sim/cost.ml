@@ -66,9 +66,13 @@ let default =
 let scale base per_byte n =
   Int64.add base (Int64.of_float (per_byte *. float_of_int (Int.max 0 n)))
 
+(* [scale] as an immediate int, for the device path's int clock. *)
+let scale_ns base per_byte n =
+  Int64.to_int base + Float.to_int (per_byte *. float_of_int (Int.max 0 n))
+
 let copy_ns t n = scale t.copy_base t.copy_per_byte n
-let dma_ns t n = scale t.dma_base t.dma_per_byte n
-let wire_ns t n = scale t.wire_latency t.wire_per_byte n
+let dma_ns t n = scale_ns t.dma_base t.dma_per_byte n
+let wire_ns t n = scale_ns t.wire_latency t.wire_per_byte n
 let nvme_transfer_ns t n = scale 0L t.nvme_per_byte n
 let filter_cpu_ns t n = scale t.filter_cpu_base t.filter_cpu_per_byte n
 

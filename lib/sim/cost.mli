@@ -55,8 +55,12 @@ val default : t
 val copy_ns : t -> int -> int64
 (** Cost of copying [n] bytes. *)
 
-val dma_ns : t -> int -> int64
-val wire_ns : t -> int -> int64
+val dma_ns : t -> int -> int
+(** DMA time for [n] bytes, in int ns (the device path's clock). *)
+
+val wire_ns : t -> int -> int
+(** Propagation plus serialisation of [n] bytes, in int ns. *)
+
 val nvme_transfer_ns : t -> int -> int64
 val filter_cpu_ns : t -> int -> int64
 

@@ -56,6 +56,8 @@ let now t =
   if Int64.to_int t.clock <> t.now_ns then t.clock <- Int64.of_int t.now_ns;
   t.clock
 
+let now_ns t = t.now_ns
+
 let consume t ns =
   let d = ns_of ns in
   if d > 0 then begin
@@ -152,6 +154,11 @@ let rearm ev ns =
   cancel ev;
   let t = ev.owner in
   push t ev (add_ns t.now_ns (ns_of ns))
+
+let rearm_at ev time =
+  cancel ev;
+  let t = ev.owner in
+  push t ev (if time < t.now_ns then t.now_ns else time)
 
 let scheduled ev = ev.pos >= 0
 

@@ -23,6 +23,10 @@ val create : unit -> t
 val now : t -> int64
 (** Current virtual time in nanoseconds. *)
 
+val now_ns : t -> int
+(** {!now} as the immediate int the engine keeps: no box. The device
+    path reads its clock here. *)
+
 val consume : t -> int64 -> unit
 (** [consume t ns] models the CPU being busy for [ns]: advances the clock
     without running events scheduled in the skipped interval early —
@@ -51,6 +55,12 @@ val rearm : timer -> int64 -> unit
 (** [rearm tm ns] cancels [tm] if it is queued and schedules it [ns]
     after [now] — under a fresh insertion order, exactly as {!cancel}
     followed by {!after} would. A thunk may re-arm its own handle. *)
+
+val rearm_at : timer -> int -> unit
+(** [rearm_at tm time] cancels [tm] if it is queued and schedules it at
+    the absolute [time] ns (clamped to [now]) under a fresh insertion
+    order: the one {!at} would draw at the same call. The device's
+    descriptors are handles re-armed this way, one per hop. *)
 
 val scheduled : timer -> bool
 (** Whether the handle is queued: armed, and neither fired nor

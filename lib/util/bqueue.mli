@@ -1,4 +1,5 @@
-(** Bounded FIFO queue, the shape of a hardware descriptor ring. *)
+(** Bounded FIFO queue, the shape of a hardware descriptor ring: a
+    fixed array of slots, with no cell per element. *)
 
 type 'a t
 
@@ -7,13 +8,14 @@ val create : int -> 'a t
 
 val capacity : 'a t -> int
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 val is_full : 'a t -> bool
 
 val push : 'a t -> 'a -> bool
 (** [false] when full (the element is not enqueued). *)
 
 val pop : 'a t -> 'a option
+(** The slot a pop vacates is overwritten with the first element the
+    ring ever held, so a drained ring keeps one stale element reachable,
+    not one per slot. *)
+
 val peek : 'a t -> 'a option
-val clear : 'a t -> unit
-val iter : ('a -> unit) -> 'a t -> unit

@@ -833,6 +833,39 @@ let file_queue_append_after_two_recoveries () =
   check_str "old first" "old" (expect_popped (Demi.blocking_pop demi qd));
   check_str "then new" "new" (expect_popped (Demi.blocking_pop demi qd))
 
+(* A record can end 1-3 bytes short of a block boundary, so the
+   padding a reopen leaves can be shorter than a length prefix, and a
+   record can start where a length prefix's zero bytes look like
+   padding. First records of 4,060 to 4,100 B end on both sides of the
+   4 KiB boundary: the 300 B record appended after a reopen must
+   survive the next reopen every time. *)
+let file_queue_short_padding () =
+  let second = String.make 300 'b' in
+  for n = 4060 to 4100 do
+    let _, demi = demi_with_block () in
+    let first = String.make n 'a' in
+    let qd = Result.get_ok (Demi.fcreate demi "log") in
+    ignore (Demi.blocking_push demi qd (sga_str first));
+    ignore (Demi.close demi qd);
+    let qd = Result.get_ok (Demi.fopen demi "log") in
+    ignore (Demi.blocking_push demi qd (sga_str second));
+    ignore (Demi.close demi qd);
+    let qd = Result.get_ok (Demi.fopen demi "log") in
+    let pop what expect =
+      match Demi.blocking_pop demi qd with
+      | Types.Popped sga ->
+          check_bool
+            (Printf.sprintf "%d B first record: %s record intact" n what)
+            true
+            (String.equal (Sga.to_string sga) expect)
+      | r ->
+          Alcotest.failf "%d B first record: %s pop got %a" n what
+            Types.pp_op_result r
+    in
+    pop "first" first;
+    pop "second" second
+  done
+
 (* Reading a log back parses from a cursor over the fetched bytes:
    popping twice the records allocates about twice as much, not four
    times. Counted in words allocated on both heaps, because the copies
@@ -1393,6 +1426,8 @@ let () =
           Alcotest.test_case "append after recovery" `Quick file_queue_append_after_recovery;
           Alcotest.test_case "append after two recoveries" `Quick
             file_queue_append_after_two_recoveries;
+          Alcotest.test_case "padding short of a length prefix" `Quick
+            file_queue_short_padding;
           Alcotest.test_case "fopen unknown" `Quick fopen_unknown_fails;
           Alcotest.test_case "oversized push" `Quick
             file_queue_oversized_push_refused;

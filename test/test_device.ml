@@ -263,6 +263,38 @@ let nic_not_programmable () =
     (Nic.set_rx_pipeline a [ { Prog.guard = Prog.M_pred Prog.True; act = Prog.Drop } ]
      = Error `Not_programmable)
 
+(* A frame's hops re-arm pooled descriptors, so on a warmed two-NIC
+   fabric a burst of frames built beforehand allocates, from
+   [Nic.transmit] to [Nic.poll_rx], only the rx ring's [Some] and the
+   clock the rx flight entry boxes: about 4 words a frame. A closure
+   and an event per hop would cost about 60. *)
+let nic_frame_alloc () =
+  let engine, _, a, b = two_nics () in
+  let n = 256 in
+  let frames = Array.init n (fun i -> String.make (64 + i) 'f') in
+  let burst () =
+    for i = 0 to n - 1 do
+      ignore (Nic.transmit a ~dst:2 frames.(i))
+    done;
+    Engine.run engine;
+    let got = ref 0 in
+    while Nic.poll_rx b <> None do
+      incr got
+    done;
+    !got
+  in
+  (* warm: the pools, the rx ring and the engine's heap reach their
+     size for a burst, and the fabric learns the link *)
+  ignore (burst ());
+  ignore (burst ());
+  let before = Gc.minor_words () in
+  let got = burst () in
+  let per_frame = (Gc.minor_words () -. before) /. float_of_int n in
+  check_int "every frame received" n got;
+  check_bool
+    (Printf.sprintf "%.1f words per frame, at most 8" per_frame)
+    true (per_frame <= 8.)
+
 (* ---------------- Block ---------------- *)
 
 let block_write_read () =
@@ -576,6 +608,201 @@ let prog_map_preserves_or_changes_len =
       String.equal payload
         (Prog.eval_map (Prog.Xor_mask k) (Prog.eval_map (Prog.Xor_mask k) payload)))
 
+(* ---------------- descriptors never alias ----------------
+
+   Random bursts of 64 B - 9 KB frames among 2-3 NICs, some of them
+   running a pass-through rx pipeline, some scripts under a tx
+   coalescing window (staged doorbell submissions): long frames spend
+   longer in DMA, so completions overtake one another and descriptors
+   are released out of order. Every frame is unique, so a descriptor
+   handed out while still in flight shows as a frame received twice or
+   never. *)
+
+module Fault = Dk_fault.Fault
+
+type burst = {
+  gap : int; (* virtual ns the engine runs after the burst *)
+  sends : (int * int * int) list; (* src, dst (>= NICs: unrouted), length *)
+}
+
+type alias_script = {
+  n : int; (* NICs *)
+  pipes : bool list; (* which run a pass-through rx pipeline *)
+  window : bool; (* a 500 ns tx coalescing window on every NIC *)
+  bursts : burst list;
+}
+
+let gen_alias_script =
+  let open QCheck.Gen in
+  int_range 2 3 >>= fun n ->
+  let send = triple (int_bound (n - 1)) (int_bound n) (int_range 64 9000) in
+  let burst =
+    map2 (fun gap sends -> { gap; sends }) (int_bound 300_000)
+      (list_size (int_range 1 24) send)
+  in
+  map3
+    (fun pipes window bursts -> { n; pipes; window; bursts })
+    (list_repeat n bool)
+    (frequencyl [ (3, false); (1, true) ])
+    (list_size (int_range 1 8) burst)
+
+let pp_alias_script s =
+  let pp_send (src, dst, len) =
+    Printf.sprintf "%d->%d %dB" (src + 1) (dst + 1) len
+  in
+  let pp_burst b =
+    Printf.sprintf "[%s] then %dns"
+      (String.concat ", " (List.map pp_send b.sends))
+      b.gap
+  in
+  Printf.sprintf "%d NICs, pipelines [%s], window %b: %s" s.n
+    (String.concat ";" (List.map string_of_bool s.pipes))
+    s.window
+    (String.concat "; " (List.map pp_burst s.bursts))
+
+let pass_through = [ { Prog.guard = Prog.M_pred Prog.True; act = Prog.Pass } ]
+
+(* Runs the script under [plan]; [None] when every check holds, else
+   what failed. *)
+let run_alias_script ?plan { n; pipes; window; bursts } =
+  let engine = Engine.create () in
+  let fault = Fault.create () in
+  Option.iter (Fault.install fault) plan;
+  let fabric = Fabric.create ~engine ~cost ~fault () in
+  let nics =
+    Array.init n (fun i ->
+        Nic.create ~engine ~cost ~fault ~mac:(i + 1) ~programmable:true ())
+  in
+  Array.iteri
+    (fun i nic ->
+      Fabric.attach fabric nic;
+      if window then Nic.set_tx_window nic 500L;
+      if List.nth pipes i then ignore (Nic.set_rx_pipeline nic pass_through))
+    nics;
+  (* Each frame starts with its serial number, so no two are equal.
+     [origin] maps a routed frame to (src, dst, departure, serial). *)
+  let origin = Hashtbl.create 64 and serial = ref 0 in
+  let got = Array.make n [] in
+  let poll () =
+    Array.iteri
+      (fun r nic ->
+        let rec drain () =
+          match Nic.poll_rx nic with
+          | Some f ->
+              got.(r) <- f :: got.(r);
+              drain ()
+          | None -> ()
+        in
+        drain ())
+      nics
+  in
+  List.iter
+    (fun { gap; sends } ->
+      List.iter
+        (fun (src, dst, len) ->
+          let b = Bytes.make len (Char.chr (!serial land 0xff)) in
+          Bytes.set_int64_be b 0 (Int64.of_int !serial);
+          let frame = Bytes.to_string b in
+          if Nic.transmit nics.(src) ~dst:(dst + 1) frame && dst < n then
+            (* without a window the doorbell has rung: DMA starts now *)
+            Hashtbl.replace origin frame
+              (src, dst, Engine.now_ns engine + Cost.dma_ns cost len, !serial);
+          incr serial)
+        sends;
+      Engine.run_for engine (Int64.of_int gap);
+      poll ())
+    bursts;
+  Engine.run engine;
+  poll ();
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+  let counts = Hashtbl.create 64 in
+  Array.iteri
+    (fun r frames ->
+      List.iter
+        (fun f ->
+          match Hashtbl.find_opt origin f with
+          | Some (_, dst, _, _) when dst = r ->
+              Hashtbl.replace counts f
+                (1 + Option.value ~default:0 (Hashtbl.find_opt counts f))
+          | _ -> fail "NIC %d received a frame not sent to it" (r + 1))
+        frames)
+    got;
+  let excess = Hashtbl.fold (fun _ c acc -> acc + c - 1) counts 0 in
+  let dups =
+    Fault.injected fault Fault.Fabric_dup
+    + Fault.injected fault Fault.Nic_rx_dup
+  in
+  if excess > dups then
+    fail "%d receptions beyond the sends, %d injected duplicates" excess dups;
+  let tx =
+    Array.fold_left (fun a nic -> a + (Nic.stats nic).Nic.tx_frames) 0 nics
+  in
+  let fs = Fabric.stats fabric in
+  let carried =
+    tx - Fault.injected fault Fault.Nic_tx_drop
+    + Fault.injected fault Fault.Fabric_dup
+  in
+  let accounted = fs.Fabric.delivered + fs.Fabric.lost + fs.Fabric.unrouted in
+  if carried <> accounted then
+    fail "fabric law: tx - tx_drop + dup = %d, delivered + lost + unrouted = %d"
+      carried accounted;
+  (* With no plan every frame arrives once, and without a window each
+     link delivers in departure order (ties in transmit order). *)
+  if Option.is_none plan then
+    for src = 0 to n - 1 do
+      for dst = 0 to n - 1 do
+        let sent =
+          Hashtbl.fold
+            (fun f (s, d, departed, k) acc ->
+              if s = src && d = dst then ((departed, k), f) :: acc else acc)
+            origin []
+          |> List.sort compare |> List.map snd
+        in
+        let arrived =
+          List.filter
+            (fun f ->
+              match Hashtbl.find_opt origin f with
+              | Some (s, _, _, _) -> s = src
+              | None -> false)
+            (List.rev got.(dst))
+        in
+        let sent, arrived =
+          if window then
+            (List.sort String.compare sent, List.sort String.compare arrived)
+          else (sent, arrived)
+        in
+        if not (List.equal String.equal sent arrived) then
+          fail "link %d->%d delivered %d of %d frames, or out of order"
+            (src + 1) (dst + 1) (List.length arrived) (List.length sent)
+      done
+    done;
+  match !failures with [] -> None | fs -> Some (String.concat "; " fs)
+
+let alias_plans = [ "dup-storm"; "reorder"; "nic-flaky"; "partition-heal" ]
+
+let descriptors_never_alias =
+  QCheck.Test.make ~name:"descriptors never alias" ~count:100
+    (QCheck.make gen_alias_script ~print:pp_alias_script)
+    (fun script ->
+      let runs =
+        (None, run_alias_script script)
+        :: List.map
+             (fun name ->
+               ( Some name,
+                 run_alias_script ?plan:(Fault.named ~seed:7L name) script ))
+             alias_plans
+      in
+      List.for_all
+        (fun (name, r) ->
+          match r with
+          | None -> true
+          | Some msg ->
+              QCheck.Test.fail_reportf "%s: %s"
+                (Option.value ~default:"no plan" name)
+                msg)
+        runs)
+
 let () =
   Alcotest.run "dk_device"
     [
@@ -588,6 +815,7 @@ let () =
           Alcotest.test_case "printers" `Quick prog_printers;
         ] );
       qsuite "prog-props" [ prog_filter_total; prog_map_preserves_or_changes_len ];
+      qsuite "nic-props" [ descriptors_never_alias ];
       ( "nic",
         [
           Alcotest.test_case "transmit delivers" `Quick nic_transmit_delivers;
@@ -603,6 +831,8 @@ let () =
           Alcotest.test_case "programmable filter" `Quick nic_programmable_filter;
           Alcotest.test_case "programmable map" `Quick nic_programmable_map;
           Alcotest.test_case "not programmable" `Quick nic_not_programmable;
+          Alcotest.test_case "frame allocates almost nothing" `Quick
+            nic_frame_alloc;
         ] );
       ( "fabric",
         [

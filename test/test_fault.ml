@@ -278,7 +278,7 @@ let each_site_arms_alone () =
       List.iter
         (fun s ->
           let name = Fault.site_name site ^ " armed, " ^ Fault.site_name s in
-          check_bool (name ^ " fires") (s = site) (Fault.fire t s ~now:0L);
+          check_bool (name ^ " fires") (s = site) (Fault.fire t s ~now:0);
           check_int
             (name ^ " injected")
             (if s = site then 1 else 0)

@@ -344,10 +344,8 @@ let cost_monotone () =
   let d = Cost.default in
   check_bool "copy grows" true
     (Int64.compare (Cost.copy_ns d 100) (Cost.copy_ns d 1000) < 0);
-  check_bool "wire grows" true
-    (Int64.compare (Cost.wire_ns d 64) (Cost.wire_ns d 1500) < 0);
-  check_bool "dma grows" true
-    (Int64.compare (Cost.dma_ns d 0) (Cost.dma_ns d 4096) < 0)
+  check_bool "wire grows" true (Cost.wire_ns d 64 < Cost.wire_ns d 1500);
+  check_bool "dma grows" true (Cost.dma_ns d 0 < Cost.dma_ns d 4096)
 
 let cost_bypass_cheaper_than_kernel () =
   let d = Cost.default in
@@ -449,8 +447,10 @@ let heap_sorted_prop =
    events are also scheduled, cancelled and re-armed from inside the
    loop, onto any engine, and [At] times below an engine's clock
    exercise the clamp. Any timer, queued, fired or cancelled, may be
-   cancelled or re-armed, and clocks also move by [consume] and
-   [run_for]. *)
+   cancelled or re-armed, after a delay ([rearm]) or at an absolute
+   time ([rearm_at]) before, at or after its engine's clock, and clocks
+   also move by [consume] and [run_for]. At every checkpoint each
+   engine's clock is read both boxed and as an int. *)
 
 type op =
   | At of int * int * op list  (* engine, absolute time, ops the thunk runs *)
@@ -458,6 +458,9 @@ type op =
   | Timer of int * op list  (* engine: an unscheduled handle *)
   | Cancel of int  (* the k-th timer made so far, mod their count *)
   | Rearm of int * int  (* the k-th timer, delay (may be negative) *)
+  | Rearm_at of int * int
+      (* the k-th timer, at its engine's clock plus this (may be
+         negative: a time in the past) *)
   | Consume of int * int  (* engine, ns (may be negative) *)
   | Run_for of int * int  (* top level only: engine, window *)
   | Steps of int  (* top level only: this many scheduler steps *)
@@ -472,6 +475,7 @@ let rec pp_op = function
   | Timer (e, ops) -> Printf.sprintf "Timer(%d,[%s])" e (pp_ops ops)
   | Cancel k -> Printf.sprintf "Cancel %d" k
   | Rearm (k, d) -> Printf.sprintf "Rearm(%d,%d)" k d
+  | Rearm_at (k, d) -> Printf.sprintf "Rearm_at(%d,%d)" k d
   | Consume (e, d) -> Printf.sprintf "Consume(%d,%d)" e d
   | Run_for (e, d) -> Printf.sprintf "Run_for(%d,%d)" e d
   | Steps k -> Printf.sprintf "Steps %d" k
@@ -491,6 +495,7 @@ let gen_script =
         (1, map (fun e -> Timer (e, [])) eng);
         (2, map (fun k -> Cancel k) nat);
         (2, map2 (fun k d -> Rearm (k, d)) nat delay);
+        (2, map2 (fun k d -> Rearm_at (k, d)) nat delay);
         (1, map2 (fun e d -> Consume (e, d)) eng busy);
       ]
   in
@@ -503,6 +508,7 @@ let gen_script =
         (2, map2 (fun e ks -> Timer (e, ks)) eng kids);
         (2, map (fun k -> Cancel k) nat);
         (3, map2 (fun k d -> Rearm (k, d)) nat delay);
+        (3, map2 (fun k d -> Rearm_at (k, d)) nat delay);
         (1, map2 (fun e d -> Consume (e, d)) eng busy);
         (1, map2 (fun e d -> Run_for (e, d)) eng (int_range (-3) 15));
         (2, map (fun k -> Steps k) (int_bound 6));
@@ -512,9 +518,10 @@ let gen_script =
 
 type observed = {
   fired : int list;  (* timer ids, in firing order *)
-  checkpoints : (int * int array * int64 array) list;
+  checkpoints : (int * int array * int64 array * int array) list;
       (* after each top-level op: how many have fired so far, and the
-         pending count and clock of every engine *)
+         pending count and clock of every engine, the clock read both
+         boxed ([now]) and as an int ([now_ns]) *)
 }
 
 (* Timers are numbered in creation order; both sides create them in the
@@ -522,24 +529,31 @@ type observed = {
 let run_engines (n, script) =
   let engines = Array.init n (fun _ -> Engine.create ()) in
   let timers = ref [||] and fired = ref [] and checkpoints = ref [] in
+  let owners = ref [||] (* each timer's engine *) in
   let runs = Hashtbl.create 16 in
   let step () =
     if n = 1 then Engine.step engines.(0) else Engine.step_group engines
   in
   let rec exec = function
-    | At (e, t, ops) -> add (Engine.at engines.(e) (Int64.of_int t)) ops
-    | After (e, d, ops) -> add (Engine.after engines.(e) (Int64.of_int d)) ops
-    | Timer (e, ops) -> add (Engine.timer engines.(e)) ops
+    | At (e, t, ops) -> add e (Engine.at engines.(e) (Int64.of_int t)) ops
+    | After (e, d, ops) -> add e (Engine.after engines.(e) (Int64.of_int d)) ops
+    | Timer (e, ops) -> add e (Engine.timer engines.(e)) ops
     | Cancel k -> with_timer k Engine.cancel
     | Rearm (k, d) -> with_timer k (fun tm -> Engine.rearm tm (Int64.of_int d))
+    | Rearm_at (k, d) ->
+        let m = Array.length !timers in
+        if m > 0 then
+          let e = engines.(!owners.(k mod m)) in
+          Engine.rearm_at !timers.(k mod m) (Engine.now_ns e + d)
     | Consume (e, d) -> Engine.consume engines.(e) (Int64.of_int d)
     | Run_for (e, d) -> Engine.run_for engines.(e) (Int64.of_int d)
     | Steps k ->
         for _ = 1 to k do
           ignore (step ())
         done
-  and add make ops =
+  and add e make ops =
     let id = Array.length !timers in
+    owners := Array.append !owners [| e |];
     timers := Array.append !timers [| make (fun () -> fire id ops) |]
   and with_timer k f =
     let m = Array.length !timers in
@@ -554,7 +568,8 @@ let run_engines (n, script) =
     checkpoints :=
       ( List.length !fired,
         Array.map Engine.pending engines,
-        Array.map Engine.now engines )
+        Array.map Engine.now engines,
+        Array.map Engine.now_ns engines )
       :: !checkpoints
   in
   List.iter
@@ -620,6 +635,9 @@ let run_model (n, script) =
     | Cancel k -> with_timer k (fun ev -> ev.queued <- false)
     | Rearm (k, d) ->
         with_timer k (fun ev -> arm ev (clocks.(ev.eng) + Int.max 0 d))
+    | Rearm_at (k, d) ->
+        (* cancel, then [at] the absolute time: clamped to the clock *)
+        with_timer k (fun ev -> arm ev (clocks.(ev.eng) + d))
     | Consume (e, d) -> clocks.(e) <- clocks.(e) + Int.max 0 d
     | Run_for (e, d) ->
         let deadline = clocks.(e) + Int.max 0 d in
@@ -658,7 +676,10 @@ let run_model (n, script) =
       (fun ev -> if ev.queued then pending.(ev.eng) <- pending.(ev.eng) + 1)
       !timers;
     checkpoints :=
-      (List.length !fired, pending, Array.map Int64.of_int clocks)
+      ( List.length !fired,
+        pending,
+        Array.map Int64.of_int clocks,
+        Array.copy clocks )
       :: !checkpoints
   in
   List.iter
@@ -734,9 +755,10 @@ let engine_alloc_step_group () =
   check_int "drained" 0 (Array.fold_left (fun a e -> a + Engine.pending e) 0 engines);
   check (Alcotest.float 0.) "step_group allocates nothing" 0. words
 
-(* A handle is the record [timer] made once: re-arming, cancelling and
-   asking after it, and charging CPU time, allocate nothing; [after],
-   like [at], allocates its one record. *)
+(* A handle is the record [timer] made once: re-arming it after a
+   delay or at an absolute time, cancelling and asking after it,
+   reading the int clock and charging CPU time allocate nothing;
+   [after], like [at], allocates its one record. *)
 let engine_alloc_handles () =
   let e = Engine.create () in
   let tms = Array.init 64 (fun _ -> Engine.timer e noop) in
@@ -749,13 +771,18 @@ let engine_alloc_handles () =
     let tm = tms.(i land 63) in
     Engine.rearm tm (if i land 1 = 0 then 10L else 20L);
     if Engine.scheduled tm then incr queued;
+    (* in the past, at now and ahead *)
+    let tm = tms.((i * 5) land 63) in
+    Engine.rearm_at tm (Engine.now_ns e + (i mod 3) - 1);
+    if Engine.scheduled tm then incr queued;
     if i mod 3 = 0 then Engine.cancel tms.((i * 7) land 63);
     Engine.consume e 1L
   done;
   let words = Gc.minor_words () -. before in
-  check_int "every re-armed handle queued" 4000 !queued;
-  check (Alcotest.float 0.) "rearm, scheduled, cancel, consume allocate nothing"
-    0. words;
+  check_int "every re-armed handle queued" 8000 !queued;
+  check (Alcotest.float 0.)
+    "rearm, rearm_at, now_ns, scheduled, cancel, consume allocate nothing" 0.
+    words;
   for _ = 1 to 1000 do
     ignore (Engine.after e 10L noop)
   done;

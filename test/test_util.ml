@@ -316,6 +316,72 @@ let bqueue_basic () =
   check_bool "pop 2" true (Bqueue.pop q = Some 2);
   check_bool "pop empty" true (Bqueue.pop q = None)
 
+(* The ring wraps in FIFO order against a [Queue] model, and a popped
+   element does not stay reachable from its slot: after pushing and
+   popping 64 distinct blocks through an 8-slot ring, at most the one
+   the ring keeps as its filler survives a major collection. *)
+let bqueue_wraps_and_forgets () =
+  let q = Bqueue.create 8 and model = Queue.create () in
+  let weak = Weak.create 64 in
+  for i = 0 to 63 do
+    let v = Bytes.make 16 (Char.chr (65 + (i mod 26))) in
+    Weak.set weak i (Some v);
+    if Bqueue.is_full q then
+      check_bool "pop" true (Bqueue.pop q = Queue.take_opt model);
+    check_bool "push" true (Bqueue.push q v);
+    Queue.add v model;
+    check_int "length" (Queue.length model) (Bqueue.length q)
+  done;
+  while Bqueue.length q > 0 do
+    check_bool "drain" true (Bqueue.pop q = Queue.take_opt model)
+  done;
+  check_bool "empty" true (Bqueue.peek q = None);
+  Gc.full_major ();
+  let alive = ref 0 in
+  for i = 0 to 63 do
+    if Weak.check weak i then incr alive
+  done;
+  check_bool (Printf.sprintf "%d popped elements reachable, at most 1" !alive)
+    true (!alive <= 1);
+  ignore (Sys.opaque_identity q)
+
+(* ---------------- Pool ---------------- *)
+
+module Pool = Dk_util.Pool
+
+type desc = { id : int; mutable v : int }
+
+(* Ids stay distinct while taken, a release hands back the descriptor
+   and makes it the one taken next, and growth keeps every descriptor
+   and its id. *)
+let pool_ids () =
+  let made = ref 0 in
+  let p =
+    Pool.create (fun () id ->
+        incr made;
+        { id; v = 0 })
+  in
+  let taken =
+    List.init 10 (fun i ->
+        let d = Pool.take p () in
+        d.v <- i;
+        d)
+  in
+  let ids = List.sort_uniq compare (List.map (fun d -> d.id) taken) in
+  check_int "distinct ids" 10 (List.length ids);
+  check_int "made by doubling" 16 !made;
+  let third = List.nth taken 3 in
+  check_bool "release returns it" true (Pool.release p third.id == third);
+  check_bool "released one is reused" true (Pool.take p () == third);
+  check_int "kept its last value" 3 third.v;
+  List.iter
+    (fun d -> check_bool "release returns it" true (Pool.release p d.id == d))
+    taken;
+  for _ = 1 to 16 do
+    ignore (Pool.take p ())
+  done;
+  check_int "no growth while 16 fit" 16 !made
+
 (* ---- Itbl ---- *)
 
 (* Random add/replace/remove/find against the stdlib's polymorphic
@@ -456,6 +522,11 @@ let () =
         ] );
       qsuite "varint-props" [ varint_roundtrip ];
       ( "bqueue",
-        [ Alcotest.test_case "basic" `Quick bqueue_basic ] );
+        [
+          Alcotest.test_case "basic" `Quick bqueue_basic;
+          Alcotest.test_case "wraps and forgets" `Quick
+            bqueue_wraps_and_forgets;
+        ] );
+      ("pool", [ Alcotest.test_case "ids" `Quick pool_ids ]);
       qsuite "itbl-props" [ itbl_matches_hashtbl; itbl_spreads_high_bits ];
     ]
