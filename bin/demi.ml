@@ -126,10 +126,11 @@ module Workload = Dk_apps.Workload
 module Proto = Dk_apps.Proto
 
 (* Closed-loop kv over UDP datagrams with the GET hot path offloaded to
-   the server NIC's device-resident table (`--offload`). The server is
-   host-managed + populate: SETs write through to the device over the
-   synchronous control queue and host-served GET hits are inserted, so
-   a Zipf-read-heavy loop converges onto the device fast. Returns the
+   the server NIC's device-resident table (`--offload`). The server
+   populates the table: SETs write through to the device over the
+   synchronous control queue and host-served GET hits are inserted
+   (evicting the least-recently-used entry once it is full), so a
+   Zipf-read-heavy loop converges onto the device fast. Returns the
    world, the server handle and the latency histogram so both `demi kv`
    and `demi stats` can report on it. *)
 let kv_offload_world ~ops ~keys ~value ~reads =

@@ -244,15 +244,13 @@ let answer_udp srv qd sga =
           send_flat srv qd (Proto.udp_response_string resp);
           srv.served <- srv.served + 1)
 
-let start_udp_offload_server ~demi ~port ~kv ?policy ?obs_prefix ?capacity
+let start_udp_offload_server ~demi ~port ~kv ?obs_prefix ?capacity
     ?(max_value = 4096) ?(populate = false) () =
   let ( let* ) = Result.bind in
   let* qd = Demi.socket demi `Udp in
   let* () = Demi.bind demi qd ~port in
   let offloaded =
-    match
-      Demi.offload_udp_get demi qd ?policy ?obs_prefix ?capacity ~max_value ()
-    with
+    match Demi.offload_udp_get demi qd ?obs_prefix ?capacity ~max_value () with
     | Ok () -> true
     | Error _ -> false
   in

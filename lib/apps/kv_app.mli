@@ -27,7 +27,6 @@ val start_udp_offload_server :
   demi:Demikernel.Demi.t ->
   port:int ->
   kv:Kv.t ->
-  ?policy:Dk_device.Table.policy ->
   ?obs_prefix:string ->
   ?capacity:int ->
   ?max_value:int ->
@@ -42,11 +41,12 @@ val start_udp_offload_server :
     update/invalidate the device entry over the synchronous control
     queue {e before} the response is pushed, so acknowledged writes are
     never followed by stale device reads. [populate] additionally
-    inserts host-served GET hits into the device table (default:
-    host-managed population only). Without a programmable NIC the same
-    pipeline runs on the host, charged per datagram by its static
-    footprint ({!Demikernel.Demi.pipeline_cpu_ns}) — responses are
-    byte-identical either way. *)
+    inserts host-served GET hits into the device table (default: the
+    table holds only what the host inserts explicitly). Without a
+    programmable NIC the same pipeline runs on the host, charged per
+    datagram by its static footprint
+    ({!Demikernel.Demi.pipeline_cpu_ns}) — responses are byte-identical
+    either way. *)
 
 val server_offloaded : server -> bool
 (** Whether the GET pipeline actually landed on the device. *)

@@ -623,13 +623,17 @@ let rec shift_pred off (p : Prog.pred) : Prog.pred =
   | Prog.False -> Prog.False
   | Prog.Len_ge n -> Prog.Len_ge (n + off)
   | Prog.Len_lt n -> Prog.Len_lt (n + off)
+  (* A payload read below byte 0 is out of range, not a header read. *)
+  | Prog.Byte_eq (o, _) | Prog.Byte_in (o, _, _) when o < 0 -> Prog.False
   | Prog.Byte_eq (o, c) -> Prog.Byte_eq (o + off, c)
   | Prog.Byte_in (o, lo, hi) -> Prog.Byte_in (o + off, lo, hi)
   | Prog.Prefix s ->
       Prog.All
         (Prog.Len_ge (off + String.length s)
         :: List.init (String.length s) (fun i -> Prog.Byte_eq (off + i, s.[i])))
-  | Prog.Hash_mod (o, l, m, tgt) -> Prog.Hash_mod (o + off, l, m, tgt)
+  | Prog.Hash_mod (o, l, m, tgt) ->
+      (* A payload hash starts at byte 0 at the earliest. *)
+      Prog.Hash_mod (off + Int.max 0 o, l + Int.min 0 o, m, tgt)
   | Prog.All ps -> Prog.All (List.map (shift_pred off) ps)
   | Prog.Any ps -> Prog.Any (List.map (shift_pred off) ps)
   | Prog.Not p -> Prog.Not (shift_pred off p)
@@ -645,27 +649,10 @@ let udp_port_match port =
       Prog.Byte_eq (Frame.dst_port_off + 1, Char.chr (port land 0xff));
     ]
 
-let shift_field off (f : Prog.field) : Prog.field =
-  match f with
-  | Prog.F_len -> Prog.F_len
-  | Prog.F_u8 o -> Prog.F_u8 (o + off)
-  | Prog.F_u16 o -> Prog.F_u16 (o + off)
-  | Prog.F_hash (o, l) -> Prog.F_hash (o + off, l)
-  | Prog.F_hash_rest o -> Prog.F_hash_rest (o + off)
-
 let shift_key off (k : Prog.key) : Prog.key =
   match k with
   | Prog.K_bytes (o, l) -> Prog.K_bytes (o + off, l)
   | Prog.K_rest o -> Prog.K_rest (o + off)
-
-let rec shift_fmatch off (m : Prog.fmatch) : Prog.fmatch =
-  match m with
-  | Prog.M_pred p -> Prog.M_pred (shift_pred off p)
-  | Prog.M_eq (f, v) -> Prog.M_eq (shift_field off f, v)
-  | Prog.M_mod (f, m, tgt) -> Prog.M_mod (shift_field off f, m, tgt)
-  | Prog.M_all ms -> Prog.M_all (List.map (shift_fmatch off) ms)
-  | Prog.M_any ms -> Prog.M_any (List.map (shift_fmatch off) ms)
-  | Prog.M_not m -> Prog.M_not (shift_fmatch off m)
 
 let rec shift_action off (a : Prog.action) : Prog.action =
   match a with
@@ -681,11 +668,8 @@ let rec shift_action off (a : Prog.action) : Prog.action =
 let shift_stage port (st : Prog.stage) : Prog.stage =
   {
     Prog.guard =
-      Prog.M_all
-        [
-          Prog.M_pred (udp_port_match port);
-          shift_fmatch Frame.udp_payload_off st.Prog.guard;
-        ];
+      Prog.All
+        [ udp_port_match port; shift_pred Frame.udp_payload_off st.Prog.guard ];
     Prog.act = shift_action Frame.udp_payload_off st.Prog.act;
   }
 
@@ -693,11 +677,10 @@ let shift_stage port (st : Prog.stage) : Prog.stage =
 let filter_stage (port, pred) : Prog.stage =
   {
     Prog.guard =
-      Prog.M_all
+      Prog.All
         [
-          Prog.M_pred (udp_port_match port);
-          Prog.M_not
-            (Prog.M_pred (shift_pred Frame.udp_payload_off pred));
+          udp_port_match port;
+          Prog.Not (shift_pred Frame.udp_payload_off pred);
         ];
     Prog.act = Prog.Drop;
   }
@@ -859,7 +842,7 @@ let offload_udp_pipeline t qd stages =
 let get_pipeline ~max_value : Prog.pipeline =
   [
     {
-      Prog.guard = Prog.M_pred (Prog.All [ Prog.Len_ge 1; Prog.Byte_eq (0, 'G') ]);
+      Prog.guard = Prog.All [ Prog.Len_ge 1; Prog.Byte_eq (0, 'G') ];
       Prog.act =
         Prog.Respond
           {
@@ -871,14 +854,14 @@ let get_pipeline ~max_value : Prog.pipeline =
     };
   ]
 
-let offload_udp_get t qd ?policy ?obs_prefix ?(capacity = 4096)
-    ?(max_value = 4096) () =
+let offload_udp_get t qd ?obs_prefix ?(capacity = 4096) ?(max_value = 4096)
+    () =
   match t.stack with
   | None -> Error `Not_supported
   | Some stack -> (
       match
-        Dk_device.Nic.offload_enable (Stack.nic stack) ?policy ?obs_prefix
-          ~capacity ~max_value ()
+        Dk_device.Nic.offload_enable (Stack.nic stack) ?obs_prefix ~capacity
+          ~max_value ()
       with
       | Error `Not_programmable -> Error `Not_supported
       | Ok _ -> offload_udp_pipeline t qd (get_pipeline ~max_value))

@@ -164,14 +164,13 @@ val get_pipeline : max_value:int -> Dk_device.Prog.pipeline
 val offload_udp_get :
   t ->
   Types.qd ->
-  ?policy:Dk_device.Table.policy ->
   ?obs_prefix:string ->
   ?capacity:int ->
   ?max_value:int ->
   unit ->
   (unit, Types.error) result
 (** Offload the kv GET hot path: enable the device-resident table
-    (defaults: LRU, 4096 entries, 4096-byte values) and install the
+    (defaults: 4096 entries, 4096-byte values) and install the
     GET pipeline — datagrams starting with ['G'] are looked up by key
     (the rest of the payload) and hits are answered from the device as
     ["+" ^ value], byte-identical to the host's reply under the UDP

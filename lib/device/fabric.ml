@@ -34,7 +34,6 @@ type t = {
   cost : Dk_sim.Cost.t;
   fault : Fault.t;
   loss : float;
-  jitter_ns : int;
   rng : Dk_sim.Rng.t;
   nics : Nic.t Itbl.t;
   (* Per (src,dst) last scheduled arrival, int ns: wire FIFO. Two
@@ -102,13 +101,12 @@ let arrival_descriptor t id =
   }
 
 let create ~engine ~cost ?(fault = Fault.create ()) ?(loss = 0.0)
-    ?(jitter_ns = 0L) ?(seed = 0x5eedL) () =
+    ?(seed = 0x5eedL) () =
   {
     engine;
     cost;
     fault;
     loss;
-    jitter_ns = Int64.to_int jitter_ns;
     rng = Dk_sim.Rng.create seed;
     nics = Itbl.create 8;
     last_arrival = Itbl.create 16;
@@ -156,11 +154,7 @@ let deliver t ~src ~dst ~departed nic frame =
   if Fault.fire t.fault Fault.Fabric_partition ~now:departed then
     Metrics.incr t.lost
   else begin
-    let base = Dk_sim.Cost.wire_ns t.cost (String.length frame) in
-    let delay =
-      if t.jitter_ns > 0 then base + Dk_sim.Rng.int t.rng (t.jitter_ns + 1)
-      else base
-    in
+    let delay = Dk_sim.Cost.wire_ns t.cost (String.length frame) in
     (* Injected reorder: push this frame past its successors. The FIFO
        clamp below must not see it, or successors would be pushed back
        too and the order would be preserved after all. *)
@@ -168,14 +162,10 @@ let deliver t ~src ~dst ~departed nic frame =
       Fault.extra_delay t.fault Fault.Fabric_reorder ~now:departed
     in
     (* Absolute arrival from the departure time; clamped monotonic per
-       (src,dst) so the wire is FIFO (unless jitter or an injected
-       reorder deliberately breaks it, in which case the clamp is
-       skipped). *)
+       (src,dst) so the wire is FIFO (unless an injected reorder
+       deliberately breaks it, in which case the clamp is skipped). *)
     let arrival = departed + delay + reorder in
-    let arrival =
-      if t.jitter_ns > 0 || reorder > 0 then arrival
-      else fifo t ~src ~dst arrival
-    in
+    let arrival = if reorder > 0 then arrival else fifo t ~src ~dst arrival in
     send_at t ~src ~dst nic frame arrival;
     (* Injected duplicate: a second, independent delivery a magnitude
        later (it runs the loss/drop/corrupt gauntlet again). *)

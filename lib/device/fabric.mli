@@ -4,7 +4,8 @@
     the {!Dk_sim.Cost} model) and, optionally, random frame loss — the
     failure-injection hook the TCP tests use. Delivery order between a
     given pair of NICs is FIFO (the event queue breaks timestamp ties
-    by insertion order) unless jitter is configured. *)
+    by insertion order) unless the fault domain's [Fabric_reorder] site
+    holds a frame back past its successors. *)
 
 type t
 
@@ -19,17 +20,12 @@ val create :
   cost:Dk_sim.Cost.t ->
   ?fault:Dk_fault.Fault.t ->
   ?loss:float ->
-  ?jitter_ns:int64 ->
   ?seed:int64 ->
   unit ->
   t
 (** [fault] is the fault domain the fabric's injection sites consult
     (default: a fresh, unarmed one); a world passes its own so injected
-    faults stay within it.
-
-    [jitter_ns] adds a uniform random 0..jitter extra delay per frame;
-    jitter larger than the inter-frame gap reorders deliveries, which
-    exercises receivers' reassembly paths. *)
+    faults stay within it. [seed] seeds the draws of [loss]. *)
 
 val attach : t -> Nic.t -> unit
 (** Connect a NIC; its transmissions now route through this fabric.

@@ -142,13 +142,13 @@ let set_rx_pipeline t p =
   end
   else Error `Not_programmable
 
-let offload_enable t ?policy ?obs_prefix ~capacity ~max_value () =
+let offload_enable t ?obs_prefix ~capacity ~max_value () =
   if not t.programmable then Error `Not_programmable
   else
     match t.table with
     | Some tbl -> Ok tbl
     | None ->
-        let tbl = Table.create ?policy ?obs_prefix ~capacity ~max_value () in
+        let tbl = Table.create ?obs_prefix ~capacity ~max_value () in
         t.table <- Some tbl;
         Ok tbl
 
@@ -272,14 +272,25 @@ let enqueue_rx t frame =
     end
   end
 
-(* A [Responded] verdict is re-checked against the raw frame
-   ([Frame.udp_reply] runs the host stack's header checks and its
-   addressing rule): a corrupt or misaddressed frame that reached a
-   table hit anyway falls through to the host, whose stack will reject
-   it — the device never answers a frame its host would not take. *)
+(* The program runs on what the host stack reads of a frame: a UDP
+   frame is cut where its datagram ends, so padding or bytes past it
+   can neither fail a filter nor stretch a table key. Only a frame that
+   carries such bytes pays for the cut. *)
+let datagram frame =
+  let len = Dk_wire.Frame.udp_datagram_end frame in
+  if len = String.length frame then frame else String.sub frame 0 len
+  [@@hot.alloc "a frame with bytes past its datagram is cut once"]
+
+(* An unrewritten frame is delivered as it arrived. A [Responded]
+   verdict is re-checked against the raw frame ([Frame.udp_reply] runs
+   the host stack's header checks and its addressing rule): a corrupt
+   or misaddressed frame that reached a table hit anyway falls through
+   to the host, whose stack will reject it — the device never answers
+   a frame its host would not take. *)
 let process_rx t frame =
-  match Prog.eval_pipeline ~lookup:t.lookup_fn t.rx_pipeline frame with
-  | Prog.Deliver frame -> enqueue_rx t frame
+  let dgram = datagram frame in
+  match Prog.eval_pipeline ~lookup:t.lookup_fn t.rx_pipeline dgram with
+  | Prog.Deliver out -> enqueue_rx t (if out == dgram then frame else out)
   | Prog.Dropped -> Metrics.incr t.rx_filtered
   | Prog.Responded payload -> (
       match
@@ -366,11 +377,10 @@ let receive t frame =
       | [] -> enqueue_rx t frame
       | p ->
           (* Pipeline latency scales with the statically-priced
-             footprint: one program element per 64 touched bytes, all
-             on the device clock — no host CPU. *)
-          let elems =
-            1 + (Prog.pipeline_footprint p (String.length frame) / 64)
-          in
+             footprint over the datagram: one program element per 64
+             touched bytes, all on the device clock — no host CPU. *)
+          let len = Dk_wire.Frame.udp_datagram_end frame in
+          let elems = 1 + (Prog.pipeline_footprint p len / 64) in
           let d = Pool.take t.rxds t in
           d.rx_frame <- frame;
           Engine.rearm_at d.rx_timer

@@ -61,7 +61,6 @@ val set_rx_pipeline : t -> Prog.pipeline -> (unit, [ `Not_programmable ]) result
 
 val offload_enable :
   t ->
-  ?policy:Table.policy ->
   ?obs_prefix:string ->
   capacity:int ->
   max_value:int ->

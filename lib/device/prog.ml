@@ -113,24 +113,9 @@ and map_list_footprint ms len =
    evaluation provably terminates (there is no loop construct and no
    stage can re-enter an earlier one). *)
 
-type field =
-  | F_len
-  | F_u8 of int
-  | F_u16 of int
-  | F_hash of int * int
-  | F_hash_rest of int
-
 type key =
   | K_bytes of int * int
   | K_rest of int
-
-type fmatch =
-  | M_pred of pred
-  | M_eq of field * int64
-  | M_mod of field * int * int
-  | M_all of fmatch list
-  | M_any of fmatch list
-  | M_not of fmatch
 
 type action =
   | Pass
@@ -145,7 +130,7 @@ and respond = {
   r_on_miss : action;
 }
 
-type stage = { guard : fmatch; act : action }
+type stage = { guard : pred; act : action }
 type pipeline = stage list
 
 type verdict =
@@ -153,27 +138,7 @@ type verdict =
   | Dropped
   | Responded of string
 
-(* Field extraction yields [None] when the frame is too short for the
-   typed read — matches evaluate false, so an out-of-range access can
-   never fault or read beyond the payload. *)
-let field_value f s =
-  let n = String.length s in
-  match f with
-  | F_len -> Some (Int64.of_int n)
-  | F_u8 off ->
-      if off >= 0 && off < n then Some (Int64.of_int (Char.code s.[off]))
-      else None
-  | F_u16 off ->
-      if off >= 0 && off + 1 < n then
-        Some
-          (Int64.of_int ((Char.code s.[off] lsl 8) lor Char.code s.[off + 1]))
-      else None
-  | F_hash (off, len) ->
-      if off >= 0 && len >= 0 && off + len <= n then Some (fnv1a s off len)
-      else None
-  | F_hash_rest off ->
-      if off >= 0 && off <= n then Some (fnv1a s off (n - off)) else None
-
+(* An out-of-range key reads as a miss ([None]), never a fault. *)
 let key_bytes k s =
   let n = String.length s in
   match k with
@@ -184,31 +149,6 @@ let key_bytes k s =
   | K_rest off -> if off >= 0 && off <= n then Some (String.sub s off (n - off)) else None
   [@@hot.alloc "the extracted lookup key is copied out of the frame"]
 
-(* Non-negative modular reduction, identical to [Hash_mod]. *)
-let mod_reduce v m =
-  Int64.to_int (Int64.rem (Int64.logand v Int64.max_int) (Int64.of_int m))
-
-let rec eval_fmatch m s =
-  match m with
-  | M_pred p -> eval_pred p s
-  | M_eq (f, v) -> (
-      match field_value f s with Some x -> Int64.equal x v | None -> false)
-  | M_mod (f, modulo, target) -> (
-      if modulo <= 0 then false
-      else
-        match field_value f s with
-        | Some x -> mod_reduce x modulo = target
-        | None -> false)
-  | M_all ms -> eval_fmatch_all ms s
-  | M_any ms -> eval_fmatch_any ms s
-  | M_not m -> not (eval_fmatch m s)
-
-and eval_fmatch_all ms s =
-  match ms with [] -> true | m :: rest -> eval_fmatch m s && eval_fmatch_all rest s
-
-and eval_fmatch_any ms s =
-  match ms with [] -> false | m :: rest -> eval_fmatch m s || eval_fmatch_any rest s
-
 (* Mutual structural recursion: [eval_stages] descends the stage list,
    [eval_action] descends an action term (only through [r_on_miss],
    which is a strict subterm). Falling off the end delivers to the
@@ -217,7 +157,7 @@ let rec eval_stages ~lookup stages s =
   match stages with
   | [] -> Deliver s
   | { guard; act } :: rest ->
-      if eval_fmatch guard s then eval_action ~lookup act rest s
+      if eval_pred guard s then eval_action ~lookup act rest s
       else eval_stages ~lookup rest s
 
 and eval_action ~lookup act rest s =
@@ -242,30 +182,10 @@ let eval_pipeline ~lookup p s = eval_stages ~lookup p s
    a [len]-byte frame, summing every stage and both branches of every
    [Respond] — static in the term, independent of which guards fire. *)
 
-let field_footprint f len =
-  match f with
-  | F_len -> 0
-  | F_u8 _ -> 1
-  | F_u16 _ -> 2
-  | F_hash (_, l) -> Int.max 0 l
-  | F_hash_rest off -> Int.max 0 (len - Int.max 0 off)
-
 let key_footprint k len =
   match k with
   | K_bytes (_, l) -> Int.max 0 l
   | K_rest off -> Int.max 0 (len - Int.max 0 off)
-
-let rec fmatch_footprint m len =
-  match m with
-  | M_pred p -> filter_footprint p
-  | M_eq (f, _) | M_mod (f, _, _) -> field_footprint f len
-  | M_all ms | M_any ms -> fmatch_list_footprint ms len
-  | M_not m -> fmatch_footprint m len
-
-and fmatch_list_footprint ms len =
-  match ms with
-  | [] -> 0
-  | m :: rest -> fmatch_footprint m len + fmatch_list_footprint rest len
 
 let rec action_footprint a len =
   match a with
@@ -277,7 +197,7 @@ let rec action_footprint a len =
       + action_footprint r.r_on_miss len
 
 let stage_footprint st len =
-  fmatch_footprint st.guard len + action_footprint st.act len
+  filter_footprint st.guard + action_footprint st.act len
 
 let rec pipeline_footprint p len =
   match p with

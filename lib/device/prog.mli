@@ -4,9 +4,11 @@
     functions that the libOS offloads to a programmable accelerator when
     one is present, or runs on the CPU otherwise, and suggests a
     verified framework (BPF, Floem) so devices can trust them. Here the
-    programs are a total, bounded combinator language: evaluation always
-    terminates, touches a statically-known number of bytes
-    ({!filter_footprint}), and cannot escape the payload. *)
+    programs are a total, bounded combinator language whose one match
+    language, {!pred}, is a queue's filter and a pipeline stage's guard
+    alike: evaluation always terminates, touches a statically-known
+    number of bytes ({!filter_footprint}), and cannot escape the
+    payload (on the NIC, the frame cut where its UDP datagram ends). *)
 
 type pred =
   | True
@@ -43,38 +45,17 @@ val map_footprint : map -> int -> int
 (** [map_footprint m len]: bytes touched when mapping a payload of
     [len] bytes. *)
 
-(** {2 Parse → match → action pipelines}
+(** {2 Match → action pipelines}
 
-    A pipeline chains bounded stages: typed field extraction out of the
-    frame ({!field}), a match on the extracted fields ({!fmatch},
-    including the FNV key-steer of §4.3 via [M_mod]/[F_hash]), and an
-    action — respond from a device-resident table, rewrite and
-    continue, drop, or pass to the host. Every term is finite and
-    every evaluator is structural recursion over it ([Respond] recurses
+    A stage pairs a {!pred} guard with an action — respond from a
+    device-resident table, rewrite and continue, drop, or pass to the
+    host. Every evaluator is structural recursion ([Respond] recurses
     only into its own [r_on_miss] subterm), so evaluation provably
-    terminates; out-of-range field and key reads evaluate to
-    no-match/fall-through rather than faulting. *)
-
-type field =
-  | F_len                  (** frame length *)
-  | F_u8 of int            (** byte at offset, as an integer *)
-  | F_u16 of int           (** big-endian 16-bit read at offset *)
-  | F_hash of int * int    (** [F_hash (off, len)]: FNV-1a over the range *)
-  | F_hash_rest of int     (** FNV-1a from offset to end of frame *)
+    terminates; an out-of-range key falls through, never faults. *)
 
 type key =
   | K_bytes of int * int   (** [K_bytes (off, len)]: literal byte range *)
   | K_rest of int          (** bytes from offset to end of frame *)
-
-type fmatch =
-  | M_pred of pred         (** embed a classic filter predicate *)
-  | M_eq of field * int64  (** extracted field equals the constant *)
-  | M_mod of field * int * int
-      (** [M_mod (f, modulo, target)]: field reduced mod [modulo]
-          equals [target] — the key-steer match. *)
-  | M_all of fmatch list
-  | M_any of fmatch list
-  | M_not of fmatch
 
 type action =
   | Pass                   (** stop the pipeline, deliver to the host *)
@@ -91,7 +72,7 @@ and respond = {
   r_on_miss : action;
 }
 
-type stage = { guard : fmatch; act : action }
+type stage = { guard : pred; act : action }
 
 type pipeline = stage list
 (** Stages evaluate in order; the first stage whose guard matches runs

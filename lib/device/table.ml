@@ -1,16 +1,14 @@
 (* Bounded device-resident key/value table backing [Prog.Respond].
 
    The table models NIC SRAM: hard capacity and value-size caps fixed
-   at creation, an LRU policy (deterministic: logical ticks, ties to
-   the smallest key) or host-managed population where the device never
-   admits or evicts on its own. Everything here runs on the device —
+   at creation. Only the host admits entries; past capacity an insert
+   evicts the least-recently used one (deterministic: logical ticks,
+   ties to the smallest key). Everything here runs on the device —
    host code reaches it only through the NIC control queue
    ([Nic.ctrl_*]); the dk-lint `offload-site` rule rejects other
    callers. *)
 
 module Metrics = Dk_obs.Metrics
-
-type policy = Lru | Host_managed
 
 type stats = {
   lookups : int;
@@ -26,7 +24,6 @@ type stats = {
 type entry = { mutable value : string; mutable used : int }
 
 type t = {
-  policy : policy;
   capacity : int;
   max_value : int;
   entries : (string, entry) Hashtbl.t;
@@ -47,13 +44,12 @@ type t = {
   mutable rejected : int;
 }
 
-let create ?(policy = Lru) ?(obs_prefix = "") ~capacity ~max_value () =
+let create ?(obs_prefix = "") ~capacity ~max_value () =
   if capacity <= 0 then invalid_arg "Table.create: capacity must be positive";
   if max_value <= 0 then invalid_arg "Table.create: max_value must be positive";
   let m name = Metrics.counter (obs_prefix ^ "device.nic.offload." ^ name) in
   let own name = Metrics.instance (m name) in
   {
-    policy;
     capacity;
     max_value;
     entries = Hashtbl.create (min capacity 1024);
@@ -123,20 +119,10 @@ let insert t k v =
         t.updates <- t.updates + 1;
         Ok ()
     | None ->
-        if Hashtbl.length t.entries >= t.capacity then begin
-          match t.policy with
-          | Host_managed -> reject t
-          | Lru ->
-              evict_lru t;
-              Hashtbl.replace t.entries k { value = v; used = next_tick t };
-              Metrics.incr t.insertions;
-              Ok ()
-        end
-        else begin
-          Hashtbl.replace t.entries k { value = v; used = next_tick t };
-          Metrics.incr t.insertions;
-          Ok ()
-        end
+        if Hashtbl.length t.entries >= t.capacity then evict_lru t;
+        Hashtbl.replace t.entries k { value = v; used = next_tick t };
+        Metrics.incr t.insertions;
+        Ok ()
 
 let update t k v =
   if String.length v > t.max_value then begin

@@ -1,10 +1,9 @@
 (** Bounded device-resident key/value table (NIC SRAM model) backing
     the {!Prog.Respond} pipeline action.
 
-    Capacity and value-size caps are fixed at creation. [Lru] lets the
-    device admit and evict on its own (deterministic logical-tick LRU);
-    [Host_managed] never admits or evicts device-side — population is
-    entirely the host's job, and inserts past capacity are rejected.
+    Capacity and value-size caps are fixed at creation. Population is
+    the host's job; an insert past capacity evicts the
+    least-recently-used entry (deterministic logical-tick LRU).
 
     Host code must not touch a table directly: reads and writes reach
     it only from [lib/device] (the NIC rx pipeline and its control
@@ -17,8 +16,6 @@
 
 type t
 
-type policy = Lru | Host_managed
-
 type stats = {
   lookups : int;
   hits : int;
@@ -27,18 +24,16 @@ type stats = {
   updates : int;          (** existing keys overwritten in place *)
   evictions : int;        (** LRU victims *)
   invalidations : int;    (** explicit removals (incl. oversized updates) *)
-  rejected : int;         (** writes refused: value too large, or full
-                              under [Host_managed] *)
+  rejected : int;         (** writes refused: value too large *)
 }
 
 val create :
-  ?policy:policy ->
   ?obs_prefix:string ->
   capacity:int ->
   max_value:int ->
   unit ->
   t
-(** Defaults: [Lru], empty prefix (shards pass ["shard<i>."] so the
+(** Default: empty prefix (shards pass ["shard<i>."] so the
     aggregator folds a [shards.agg.*] view). Raises [Invalid_argument]
     on non-positive caps. *)
 
@@ -52,8 +47,7 @@ val lookup : t -> string -> string option
 
 val insert : t -> string -> string -> (unit, [ `Rejected ]) result
 (** Admit or overwrite. Oversized values are rejected; at capacity,
-    [Lru] evicts the least-recently-used entry, [Host_managed]
-    rejects. *)
+    the least-recently-used entry is evicted. *)
 
 val update : t -> string -> string -> bool
 (** Overwrite only if present ([false] otherwise — the key was never

@@ -22,6 +22,17 @@ let tcp_window_off = l4_off + 14
 let get_u32 b i = Int32.to_int (Bytes.get_int32_be b i) land 0xffff_ffff
 let get_u48 b i = (Bytes.get_uint16_be b i lsl 32) lor get_u32 b (i + 2)
 
+let udp_datagram_end s =
+  let n = String.length s in
+  if
+    n < udp_payload_off
+    || String.get_uint16_be s ethertype_off <> Eth.ipv4
+    || String.get_uint8 s ip_proto_off <> Ipv4.udp
+  then n
+  else
+    let ulen = String.get_uint16_be s udp_len_off in
+    if ulen < Udp.header_size || l4_off + ulen > n then n else l4_off + ulen
+
 (* A UDP datagram for [self_mac] and [self_ip] that passes the host
    stack's checks; the IPv4 check's length floor vouches for every byte
    read after it. *)

@@ -43,6 +43,12 @@ val tcp_ack_off : int
 val tcp_flags_off : int
 val tcp_window_off : int
 
+val udp_datagram_end : string -> int
+(** Where an IPv4/UDP frame's datagram ends — {!l4_off} plus its UDP
+    length, if that length fits the frame — past which the host stack
+    reads nothing (Ethernet padding, trailing bytes). Any other frame
+    ends at its own length. Total on any bytes; allocates nothing. *)
+
 val udp_reply :
   self_mac:int ->
   self_ip:int ->

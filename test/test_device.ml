@@ -226,9 +226,9 @@ let nic_programmable_filter () =
   let b = Nic.create ~engine ~cost ~mac:2 ~programmable:true () in
   Fabric.attach fabric a;
   Fabric.attach fabric b;
-  let keep = Prog.M_pred (Prog.Prefix "KEEP") in
+  let keep = Prog.Prefix "KEEP" in
   check_bool "set pipeline ok" true
-    (Nic.set_rx_pipeline b [ { Prog.guard = Prog.M_not keep; act = Prog.Drop } ]
+    (Nic.set_rx_pipeline b [ { Prog.guard = Prog.Not keep; act = Prog.Drop } ]
      = Ok ());
   ignore (Nic.transmit a ~dst:2 "KEEP me");
   ignore (Nic.transmit a ~dst:2 "DROP me");
@@ -249,7 +249,7 @@ let nic_programmable_map () =
   Fabric.attach fabric b;
   ignore
     (Nic.set_rx_pipeline b
-       [ { Prog.guard = Prog.M_pred Prog.True; act = Prog.Rewrite (Prog.Prepend "HDR:") } ]);
+       [ { Prog.guard = Prog.True; act = Prog.Rewrite (Prog.Prepend "HDR:") } ]);
   ignore (Nic.transmit a ~dst:2 "body");
   Engine.run engine;
   match Nic.poll_rx b with
@@ -260,7 +260,7 @@ let nic_not_programmable () =
   let engine = Engine.create () in
   let a = Nic.create ~engine ~cost ~mac:1 () in
   check_bool "pipeline refused" true
-    (Nic.set_rx_pipeline a [ { Prog.guard = Prog.M_pred Prog.True; act = Prog.Drop } ]
+    (Nic.set_rx_pipeline a [ { Prog.guard = Prog.True; act = Prog.Drop } ]
      = Error `Not_programmable)
 
 (* A frame's hops re-arm pooled descriptors, so on a warmed two-NIC
@@ -660,7 +660,7 @@ let pp_alias_script s =
     s.window
     (String.concat "; " (List.map pp_burst s.bursts))
 
-let pass_through = [ { Prog.guard = Prog.M_pred Prog.True; act = Prog.Pass } ]
+let pass_through = [ { Prog.guard = Prog.True; act = Prog.Pass } ]
 
 (* Runs the script under [plan]; [None] when every check holds, else
    what failed. *)

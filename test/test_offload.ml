@@ -6,6 +6,8 @@
      (same world, offload on vs CPU fallback, same op sequence);
    - pipeline traffic is port-scoped — frames for other ports reach
      their sockets untouched and never touch the table;
+   - an offloaded filter delivers exactly what it delivers on the CPU,
+     whatever bytes follow a datagram in its frame;
    - no stale reads: a GET never returns a value older than the last
      acknowledged SET for its key, including under the "partition" and
      "nic-flaky" fault plans (SETs update the device entry over the
@@ -78,17 +80,6 @@ let test_table_lru () =
   check_bool "c kept" true (Table.lookup t "c" = Some "3");
   check_int "evictions" 1 (Table.stats t).Table.evictions
 
-let test_table_host_managed () =
-  reset_world ();
-  let t = Table.create ~policy:Table.Host_managed ~capacity:1 ~max_value:8 () in
-  (match Table.insert t "a" "1" with
-  | Ok () -> ()
-  | Error `Rejected -> Alcotest.fail "first insert rejected");
-  check_bool "at capacity: rejected, not evicted" true
-    (Table.insert t "b" "2" = Error `Rejected);
-  check_bool "a still resident" true (Table.lookup t "a" = Some "1");
-  check_int "no evictions" 0 (Table.stats t).Table.evictions
-
 let test_table_update_invalidate () =
   reset_world ();
   let t = Table.create ~capacity:4 ~max_value:4 () in
@@ -131,10 +122,16 @@ let test_table_deterministic () =
 let lookup_none _ = None
 
 let test_footprint_monotone () =
-  let s1 = { Prog.guard = Prog.M_pred (Prog.Byte_eq (0, 'G')); act = Prog.Drop } in
+  let s1 = { Prog.guard = Prog.Byte_eq (0, 'G'); act = Prog.Drop } in
   let s2 =
     {
-      Prog.guard = Prog.M_eq (Prog.F_u16 Frame.dst_port_off, 6379L);
+      (* destination port 6379 = 0x18eb *)
+      Prog.guard =
+        Prog.All
+          [
+            Prog.Byte_eq (Frame.dst_port_off, '\x18');
+            Prog.Byte_eq (Frame.dst_port_off + 1, '\xeb');
+          ];
       act =
         Prog.Respond
           {
@@ -161,10 +158,10 @@ let test_stage_semantics () =
   let lookup = function "hot" -> Some "value" | _ -> None in
   let v p s = Prog.eval_pipeline ~lookup p s in
   let stage guard act = { Prog.guard; act } in
-  let g = Prog.M_pred (Prog.Byte_eq (0, 'G')) in
+  let g = Prog.Byte_eq (0, 'G') in
   (* Pass stops the pipeline *)
   check_bool "pass" true
-    (v [ stage g Prog.Pass; stage (Prog.M_pred Prog.True) Prog.Drop ] "Gx"
+    (v [ stage g Prog.Pass; stage Prog.True Prog.Drop ] "Gx"
      = Prog.Deliver "Gx");
   (* Drop *)
   check_bool "drop" true (v [ stage g Prog.Drop ] "Gx" = Prog.Dropped);
@@ -175,7 +172,7 @@ let test_stage_semantics () =
     (v
        [
          stage g (Prog.Rewrite (Prog.Prepend "X"));
-         stage (Prog.M_pred (Prog.Prefix "XG")) Prog.Drop;
+         stage (Prog.Prefix "XG") Prog.Drop;
        ]
        "Gx"
      = Prog.Dropped);
@@ -200,28 +197,30 @@ let test_stage_semantics () =
     (v [ rsp Prog.Pass 2 ] "Ghot" = Prog.Deliver "Ghot")
 
 (* qcheck: arbitrary pipelines over arbitrary frames terminate, never
-   raise, and a device reply always carries its hit prefix. *)
-let gen_field =
-  QCheck.Gen.(
-    oneof
-      [
-        return Prog.F_len;
-        map (fun o -> Prog.F_u8 o) (int_bound 64);
-        map (fun o -> Prog.F_u16 o) (int_bound 64);
-        map2 (fun o l -> Prog.F_hash (o, l)) (int_bound 64) (int_bound 64);
-        map (fun o -> Prog.F_hash_rest o) (int_bound 64);
-      ])
+   raise, and a device reply always carries its hit prefix. Guards range
+   over every [pred] constructor, with offsets below zero and past any
+   frame, non-positive hash moduli and prefixes longer than the frame. *)
+let gen_char = QCheck.Gen.oneofl [ 'G'; 'k'; '1'; '\000'; '\xff' ]
+let gen_off = QCheck.Gen.int_range (-4) 100
 
-let gen_fmatch =
+let gen_pred =
   QCheck.Gen.(
     sized @@ fix (fun self n ->
         let leaf =
           oneof
             [
-              map (fun f -> Prog.M_eq (f, 7L)) gen_field;
-              map (fun f -> Prog.M_mod (f, 5, 2)) gen_field;
-              return (Prog.M_pred (Prog.Byte_eq (0, 'G')));
-              return (Prog.M_pred Prog.True);
+              return Prog.True;
+              return Prog.False;
+              map (fun k -> Prog.Len_ge k) (int_range (-4) 100);
+              map (fun k -> Prog.Len_lt k) (int_range (-4) 100);
+              map2 (fun o c -> Prog.Byte_eq (o, c)) gen_off gen_char;
+              map3
+                (fun o lo hi -> Prog.Byte_in (o, lo, hi))
+                gen_off gen_char gen_char;
+              map (fun p -> Prog.Prefix p) (string_size ~gen:gen_char (0 -- 100));
+              map4
+                (fun o l m t -> Prog.Hash_mod (o, l, m, t))
+                gen_off (int_range (-4) 100) (int_range (-2) 5) (0 -- 4);
             ]
         in
         if n <= 0 then leaf
@@ -229,9 +228,9 @@ let gen_fmatch =
           frequency
             [
               (3, leaf);
-              (1, map (fun l -> Prog.M_all l) (list_size (int_bound 3) (self (n / 2))));
-              (1, map (fun l -> Prog.M_any l) (list_size (int_bound 3) (self (n / 2))));
-              (1, map (fun m -> Prog.M_not m) (self (n / 2)));
+              (1, map (fun l -> Prog.All l) (list_size (int_bound 3) (self (n / 2))));
+              (1, map (fun l -> Prog.Any l) (list_size (int_bound 3) (self (n / 2))));
+              (1, map (fun p -> Prog.Not p) (self (n / 2)));
             ]))
 
 let rec gen_action n =
@@ -265,11 +264,14 @@ let rec gen_action n =
 let gen_pipeline =
   QCheck.Gen.(
     list_size (int_bound 5)
-      (map2 (fun g a -> { Prog.guard = g; act = a }) gen_fmatch (gen_action 2)))
+      (map2 (fun g a -> { Prog.guard = g; act = a }) gen_pred (gen_action 2)))
 
 let arb_pipeline_frame =
   QCheck.make
-    QCheck.Gen.(pair gen_pipeline (string_size (int_bound 80)))
+    QCheck.Gen.(
+      pair gen_pipeline
+        (oneof
+           [ string_size (int_bound 80); string_size ~gen:gen_char (int_bound 80) ]))
 
 let prop_pipeline_total =
   QCheck.Test.make ~count:500 ~name:"pipeline eval total and in-range"
@@ -545,7 +547,10 @@ let test_filter_scoped_to_port () =
    answered, and the client's stack hands its socket the value. A GET
    the writers address to the server's MAC but another IPv4 address is
    one the host stack drops as not for it: the device never answers
-   it, and it reaches the host, which counts it [not_for_us]. *)
+   it, and it reaches the host, which counts it [not_for_us]. A GET
+   padded with bytes past its UDP datagram (as Ethernet pads a short
+   frame) is answered with its own key's value, even when the table
+   also holds that key followed by the padding. *)
 
 type respond_lie = Total_length | Ihl | Udp_length | Ethertype
 
@@ -555,6 +560,7 @@ type respond_mutation =
   | Cut of int (* index into the frame's header boundaries *)
   | Lie of respond_lie * int (* distance from the true value, >= 1 *)
   | Elsewhere of int (* IPv4 destination's distance from the server's *)
+  | Pad of string (* bytes after the datagram *)
 
 let resident = [| ("k0", "zero"); ("k1", "one"); ("key2", ""); ("k3", "3333") |]
 
@@ -572,6 +578,7 @@ let respond_case =
             (oneofl [ Total_length; Ihl; Udp_length; Ethertype ])
             (1 -- 0xfffe) );
         (1, map (fun d -> Elsewhere d) (1 -- 0xfffe));
+        (2, map (fun p -> Pad p) (string_size (1 -- 20)));
       ]
   in
   QCheck.make
@@ -593,12 +600,13 @@ let respond_case =
                    | Udp_length -> "ulen"
                    | Ethertype -> "ethertype")
                    d
-             | Elsewhere d -> Printf.sprintf "ip+%d" d)
+             | Elsewhere d -> Printf.sprintf "ip+%d" d
+             | Pad p -> Printf.sprintf "pad %S" p)
            frames))
     (list_size (1 -- 6) (pair (0 -- (Array.length resident - 1)) mutation))
 
-let get_frame ~src_mac ~dst_mac ~src_ip ~dst_ip key =
-  let payload = Proto.udp_request_string (Proto.Get key) in
+(* A datagram from the client's port to the kv port. *)
+let udp_frame ~src_mac ~dst_mac ~src_ip ~dst_ip payload =
   let n = String.length payload in
   let b = Bytes.create (Frame.udp_payload_off + n) in
   Bytes.blit_string payload 0 b Frame.udp_payload_off n;
@@ -608,6 +616,10 @@ let get_frame ~src_mac ~dst_mac ~src_ip ~dst_ip key =
     ~ttl:64 ~ident:7 ~payload_len:(Udp.header_size + n);
   Eth.write b ~dst:dst_mac ~src:src_mac Eth.ipv4;
   b
+
+let get_frame ~src_mac ~dst_mac ~src_ip ~dst_ip key =
+  udp_frame ~src_mac ~dst_mac ~src_ip ~dst_ip
+    (Proto.udp_request_string (Proto.Get key))
 
 let fix_ipv4_checksum b =
   Bytes.set_uint16_be b (Frame.ip_off + 10) 0;
@@ -620,6 +632,7 @@ let mutate frame m =
   let len = Bytes.length frame in
   match m with
   | Intact | Elsewhere _ -> (frame, false)
+  | Pad p -> (Bytes.cat frame (Bytes.of_string p), false)
   | Flip i ->
       let bit = i mod (8 * len) in
       let byte = bit / 8 in
@@ -673,6 +686,9 @@ let prop_respond_fuzz =
         let frame, unanswerable =
           mutate (get_frame ~src_mac ~dst_mac ~src_ip ~dst_ip key) m
         in
+        (match m with
+        | Pad p -> ignore (Demi.offload_insert w.server (key ^ p) "WRONG")
+        | _ -> ());
         let dropped = not_for_us () in
         let responded = (Nic.stats nic).Nic.rx_responded in
         Nic.receive nic (Bytes.to_string frame);
@@ -686,12 +702,73 @@ let prop_respond_fuzz =
               Some (popped r)
         in
         match m with
-        | Intact -> answered = 1 && got = Some ("+" ^ value)
+        | Intact | Pad _ -> answered = 1 && got = Some ("+" ^ value)
         | Elsewhere _ ->
             answered = 0 && got = None && not_for_us () = dropped + 1
         | _ -> (not unanswerable) || (answered = 0 && got = None)
       in
       List.for_all feed frames)
+
+(* ---------------- offloaded filters see what the CPU sees ----------- *)
+
+(* A payload-level filter on a bound UDP queue runs on the device of a
+   programmable NIC and on the CPU of a stock one. Datagrams go straight
+   into the server NIC, each followed by up to 20 bytes past its UDP
+   length, which the host stack never reads; both worlds must deliver
+   exactly the payloads that pass the filter, in order. Returns whether
+   the filter landed on the device, and what the queue delivered. *)
+let filtered_payloads ~programmable pred datagrams =
+  reset_world ();
+  let w = Setup.world ~programmable Demikernel in
+  let q = udp_queue w.server kv_port (Setup.endpoint w.a client_port) in
+  let q = Result.get_ok (Demi.filter w.server q pred) in
+  let got = ref [] in
+  let rec pump () =
+    match Demi.pop w.server q with
+    | Error _ -> ()
+    | Ok tok ->
+        Demi.watch w.server tok (function
+          | Types.Popped sga ->
+              got := Dk_mem.Sga.to_string sga :: !got;
+              Dk_mem.Sga.free sga;
+              pump ()
+          | _ -> ())
+  in
+  pump ();
+  let nic = w.b.Setup.nic in
+  List.iter
+    (fun (payload, trailing) ->
+      let frame =
+        udp_frame ~src_mac:(Nic.mac w.a.Setup.nic) ~dst_mac:(Nic.mac nic)
+          ~src_ip:w.a.Setup.ip ~dst_ip:w.b.Setup.ip payload
+      in
+      Nic.receive nic (Bytes.to_string frame ^ trailing);
+      Engine.run w.engine)
+    datagrams;
+  (Demi.filter_offloaded w.server q, List.rev !got)
+
+let prop_filter_offload_equal =
+  QCheck.Test.make ~count:200
+    ~name:"offloaded filter delivers what the CPU filter delivers"
+    (QCheck.make
+       ~print:(fun (pred, datagrams) ->
+         Format.asprintf "%a on %s" Prog.pp_pred pred
+           (String.concat "; "
+              (List.map
+                 (fun (p, t) -> Printf.sprintf "%S+%S" p t)
+                 datagrams)))
+       QCheck.Gen.(
+         pair gen_pred
+           (list_size (1 -- 6)
+              (pair
+                 (string_size ~gen:gen_char (0 -- 40))
+                 (string_size (0 -- 20))))))
+    (fun (pred, datagrams) ->
+      let on_device, device = filtered_payloads ~programmable:true pred datagrams in
+      let on_cpu, cpu = filtered_payloads ~programmable:false pred datagrams in
+      on_device && (not on_cpu)
+      && cpu = List.filter (Prog.eval_pred pred) (List.map fst datagrams)
+      && device = cpu)
 
 (* ---------------- no stale reads under fault plans ------------------ *)
 
@@ -803,7 +880,6 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_table_basics;
           Alcotest.test_case "lru" `Quick test_table_lru;
-          Alcotest.test_case "host-managed" `Quick test_table_host_managed;
           Alcotest.test_case "update/invalidate" `Quick
             test_table_update_invalidate;
           Alcotest.test_case "deterministic" `Quick test_table_deterministic;
@@ -836,6 +912,12 @@ let () =
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 1009 |])
             prop_respond_fuzz;
+        ] );
+      ( "filter-offload",
+        [
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 1009 |])
+            prop_filter_offload_equal;
         ] );
       ( "no-stale",
         [

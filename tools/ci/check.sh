@@ -35,7 +35,9 @@
 #             --all --smoke` sweep through the CLI, diffed against each
 #             scenario run alone (stats must not depend on what ran
 #             before them in the process) and against the committed
-#             test/golden/scenario_sweep.jsonl
+#             test/golden/scenario_sweep.jsonl, plus the same sweep with
+#             the kv GET path offloaded to the NIC (`--offload`) diffed
+#             against test/golden/scenario_sweep_offload.jsonl
 #   offload   dune build @offload — the deep-NIC-offload suite (device
 #             pipeline/table units and properties, device==CPU-fallback
 #             equality, cross-traffic isolation, no-stale-reads under
